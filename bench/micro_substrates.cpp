@@ -7,6 +7,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
+#include "oram/common/block_codec.h"
 #include "oram/path/path_oram.h"
 #include "shuffle/bitonic.h"
 #include "shuffle/fisher_yates.h"
@@ -45,6 +46,21 @@ void bm_chacha20_xor_1k(benchmark::State& state) {
 }
 BENCHMARK(bm_chacha20_xor_1k);
 
+// The sealed record's ciphertext: 8-B id + 256-B payload.
+void bm_chacha20_xor_264(benchmark::State& state) {
+  crypto::chacha_key key{};
+  crypto::chacha_nonce nonce{};
+  std::vector<std::uint8_t> data(264, 0x5a);
+  for (auto _ : state) {
+    crypto::chacha20_xor(key, nonce, 1, data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          264);
+}
+BENCHMARK(bm_chacha20_xor_264);
+
 void bm_siphash_1k(benchmark::State& state) {
   crypto::siphash_key key{};
   std::vector<std::uint8_t> data(1024, 0x5a);
@@ -58,15 +74,34 @@ BENCHMARK(bm_siphash_1k);
 
 void bm_seal_open_1k(benchmark::State& state) {
   crypto::block_sealer sealer(crypto::derive_seal_keys(1));
-  const std::vector<std::uint8_t> plaintext(1024, 0x11);
+  std::vector<std::uint8_t> record(1024 + crypto::seal_overhead, 0x11);
+  std::vector<std::uint8_t> plaintext(1024);
   for (auto _ : state) {
-    const auto sealed = sealer.seal(plaintext);
-    benchmark::DoNotOptimize(sealer.open(sealed));
+    sealer.seal_in_place(record);
+    sealer.open_into(record, plaintext);
+    benchmark::DoNotOptimize(plaintext.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1024);
 }
 BENCHMARK(bm_seal_open_1k);
+
+// One sealed record of the benchmark's shape (8-B id + 256-B payload)
+// encoded and decoded through the codec.
+void bm_codec_encode_decode_256(benchmark::State& state) {
+  oram::block_codec codec(256, /*seal=*/true, 1);
+  const std::vector<std::uint8_t> payload(256, 0x11);
+  std::vector<std::uint8_t> record(codec.record_bytes());
+  std::vector<std::uint8_t> out(256);
+  oram::block_id id = 0;
+  for (auto _ : state) {
+    codec.encode(id++, payload, record);
+    benchmark::DoNotOptimize(codec.decode(record, out));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_codec_encode_decode_256);
 
 void bm_pcg64(benchmark::State& state) {
   util::pcg64 rng(1);

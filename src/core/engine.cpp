@@ -109,6 +109,11 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
               "less than one bucket pair per shard — lower shards() or "
               "raise memory_blocks()");
       shard_config.memory_blocks = config_.memory_blocks / count;
+      // Every shard's sealers start their nonce counters at 0, so a
+      // shared key would reuse (key, nonce) pairs — and so the ChaCha20
+      // keystream — across shards. Domain 2 gives each shard its own.
+      shard_config.key_seed =
+          derive_shard_seed(config_.route_key_seed, config_.key_seed, s, 2);
       expects(shard_config.block_count > 0,
               "shards(): the routing PRF left a shard without blocks — "
               "lower shards()");

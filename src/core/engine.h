@@ -172,7 +172,8 @@ class engine {
   /// Per-shard seed derivation: a SipHash PRF keyed by route_key_seed
   /// over (domain, shard), XOR-folded into the machine seed. Distinct
   /// shards and domains (0 = the shard's ORAM RNG, 1 = its pad-id
-  /// stream) get independent streams regardless of how close the base
+  /// stream, 2 = its seal keys, folded into key_seed rather than the
+  /// machine seed) get independent streams regardless of how close the base
   /// seeds are — unlike sequential seeding, nearby seeds can never
   /// alias a neighbouring shard's stream. Exposed for the RNG-hygiene
   /// regression tests.

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/contracts.h"
+
 namespace horam::crypto {
 
 seal_keys derive_seal_keys(std::uint64_t master_seed) {
@@ -20,9 +22,10 @@ seal_keys derive_seal_keys(std::uint64_t master_seed) {
 
 block_sealer::block_sealer(const seal_keys& keys) : keys_(keys) {}
 
-std::vector<std::uint8_t> block_sealer::seal(
-    std::span<const std::uint8_t> plaintext) {
-  std::vector<std::uint8_t> out(plaintext.size() + seal_overhead);
+void block_sealer::seal_in_place(std::span<std::uint8_t> record) {
+  expects(record.size() >= seal_overhead,
+          "sealed record shorter than seal overhead");
+  const std::size_t payload_size = record.size() - seal_overhead;
 
   // Nonce: 8-byte counter || 4 zero bytes. Unique per seal per instance.
   chacha_nonce nonce{};
@@ -31,41 +34,37 @@ std::vector<std::uint8_t> block_sealer::seal(
     nonce[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(n >> (8 * i));
   }
-  std::memcpy(out.data(), nonce.data(), nonce.size());
+  std::memcpy(record.data(), nonce.data(), nonce.size());
 
-  // Ciphertext.
-  std::uint8_t* const ct = out.data() + nonce.size();
-  std::memcpy(ct, plaintext.data(), plaintext.size());
+  // Ciphertext, in place over the plaintext.
   chacha20_xor(keys_.encryption_key, nonce, /*initial_counter=*/1,
-               std::span<std::uint8_t>(ct, plaintext.size()));
+               record.subspan(seal_nonce_bytes, payload_size));
 
   // MAC over nonce || ciphertext.
   const std::uint64_t tag = siphash24(
-      keys_.mac_key,
-      std::span<const std::uint8_t>(out.data(),
-                                    nonce.size() + plaintext.size()));
-  std::uint8_t* const mac = ct + plaintext.size();
+      keys_.mac_key, record.first(seal_nonce_bytes + payload_size));
+  std::uint8_t* const mac = record.data() + seal_nonce_bytes + payload_size;
   for (int i = 0; i < 8; ++i) {
     mac[i] = static_cast<std::uint8_t>(tag >> (8 * i));
   }
-  return out;
 }
 
-std::vector<std::uint8_t> block_sealer::open(
-    std::span<const std::uint8_t> sealed) const {
+void block_sealer::open_into(std::span<const std::uint8_t> sealed,
+                             std::span<std::uint8_t> plain_out) const {
   if (sealed.size() < seal_overhead) {
     throw crypto_error("sealed buffer shorter than seal overhead");
   }
   const std::size_t payload_size = sealed.size() - seal_overhead;
+  expects(plain_out.size() == payload_size,
+          "plaintext buffer must match the sealed payload size");
 
   const std::uint64_t expected_tag = siphash24(
-      keys_.mac_key,
-      std::span<const std::uint8_t>(sealed.data(), 12 + payload_size));
+      keys_.mac_key, sealed.first(seal_nonce_bytes + payload_size));
   std::uint64_t stored_tag = 0;
   for (int i = 0; i < 8; ++i) {
-    stored_tag |= static_cast<std::uint64_t>(sealed[12 + payload_size +
-                                                    static_cast<std::size_t>(
-                                                        i)])
+    stored_tag |= static_cast<std::uint64_t>(
+                      sealed[seal_nonce_bytes + payload_size +
+                             static_cast<std::size_t>(i)])
                   << (8 * i);
   }
   if (stored_tag != expected_tag) {
@@ -74,11 +73,12 @@ std::vector<std::uint8_t> block_sealer::open(
 
   chacha_nonce nonce{};
   std::memcpy(nonce.data(), sealed.data(), nonce.size());
-  std::vector<std::uint8_t> plaintext(payload_size);
-  std::memcpy(plaintext.data(), sealed.data() + 12, payload_size);
+  if (payload_size > 0) {
+    std::memcpy(plain_out.data(), sealed.data() + seal_nonce_bytes,
+                payload_size);
+  }
   chacha20_xor(keys_.encryption_key, nonce, /*initial_counter=*/1,
-               plaintext);
-  return plaintext;
+               plain_out);
 }
 
 }  // namespace horam::crypto

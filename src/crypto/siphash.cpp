@@ -1,18 +1,24 @@
 #include "crypto/siphash.h"
 
+#include <bit>
+#include <cstring>
+
 namespace horam::crypto {
 
 namespace {
+
+// Message words are little-endian; the memcpy loads below read them in
+// host order.
+static_assert(std::endian::native == std::endian::little,
+              "siphash word loads assume a little-endian host");
 
 constexpr std::uint64_t rotl64(std::uint64_t v, int n) noexcept {
   return (v << n) | (v >> (64 - n));
 }
 
-constexpr std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+std::uint64_t load_le64(const std::uint8_t* p) noexcept {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
+  std::memcpy(&v, p, sizeof v);
   return v;
 }
 
@@ -57,11 +63,11 @@ std::uint64_t siphash24(const siphash_key& key,
   }
 
   // Final word: remaining bytes plus the length in the top byte.
-  std::uint64_t last = static_cast<std::uint64_t>(data.size() & 0xff) << 56;
-  const std::size_t tail = data.size() & 7;
-  for (std::size_t i = 0; i < tail; ++i) {
-    last |= static_cast<std::uint64_t>(data[8 * full_words + i]) << (8 * i);
+  std::uint64_t last = 0;
+  if (const std::size_t tail = data.size() & 7; tail != 0) {
+    std::memcpy(&last, data.data() + 8 * full_words, tail);
   }
+  last |= static_cast<std::uint64_t>(data.size() & 0xff) << 56;
   s.v3 ^= last;
   s.round();
   s.round();

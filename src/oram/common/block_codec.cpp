@@ -12,7 +12,8 @@ block_codec::block_codec(std::size_t payload_bytes, bool seal,
       seal_(seal),
       record_bytes_(8 + payload_bytes +
                     (seal ? crypto::seal_overhead : 0)),
-      sealer_(crypto::derive_seal_keys(key_seed)) {
+      sealer_(crypto::derive_seal_keys(key_seed)),
+      opened_(seal ? 8 + payload_bytes : 0) {
   expects(payload_bytes > 0, "payload must be non-empty");
 }
 
@@ -21,21 +22,20 @@ void block_codec::encode(block_id id, std::span<const std::uint8_t> payload,
   expects(record_out.size() >= record_bytes_, "record buffer too small");
   expects(payload.size() <= payload_bytes_, "payload larger than block");
 
-  std::vector<std::uint8_t> plain(8 + payload_bytes_, 0);
+  // id || payload || zero pad, written where the sealer expects its
+  // plaintext, then sealed in place.
+  std::uint8_t* const plain =
+      record_out.data() + (seal_ ? crypto::seal_nonce_bytes : 0);
   for (int i = 0; i < 8; ++i) {
-    plain[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(id >> (8 * i));
+    plain[i] = static_cast<std::uint8_t>(id >> (8 * i));
   }
   if (!payload.empty()) {
-    std::memcpy(plain.data() + 8, payload.data(), payload.size());
+    std::memcpy(plain + 8, payload.data(), payload.size());
   }
+  std::memset(plain + 8 + payload.size(), 0, payload_bytes_ - payload.size());
 
   if (seal_) {
-    const std::vector<std::uint8_t> sealed = sealer_.seal(plain);
-    invariant(sealed.size() == record_bytes_, "sealed size mismatch");
-    std::memcpy(record_out.data(), sealed.data(), sealed.size());
-  } else {
-    std::memcpy(record_out.data(), plain.data(), plain.size());
+    sealer_.seal_in_place(record_out.first(record_bytes_));
   }
 }
 
@@ -47,14 +47,10 @@ block_id block_codec::decode(std::span<const std::uint8_t> record,
                              std::span<std::uint8_t> payload_out) const {
   expects(record.size() >= record_bytes_, "record buffer too small");
 
-  const std::uint8_t* plain = nullptr;
-  std::vector<std::uint8_t> opened;
+  const std::uint8_t* plain = record.data();
   if (seal_) {
-    opened = sealer_.open(record.first(record_bytes_));
-    invariant(opened.size() == 8 + payload_bytes_, "opened size mismatch");
-    plain = opened.data();
-  } else {
-    plain = record.data();
+    sealer_.open_into(record.first(record_bytes_), opened_);
+    plain = opened_.data();
   }
 
   block_id id = 0;

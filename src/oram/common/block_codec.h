@@ -9,6 +9,12 @@
 // Sealing can be disabled for large benchmark runs: records are stored
 // in the clear, but callers still charge the modelled crypto time, so
 // virtual-time results are identical.
+//
+// Neither encode nor decode allocates. encode writes the plaintext
+// straight into the caller's record and seals it there; decode opens
+// sealed records into a scratch buffer the codec owns. That scratch
+// makes even const decode calls unsafe to run concurrently, so a codec
+// stays confined to the one shard (and thread) that owns its store.
 #ifndef HORAM_ORAM_COMMON_BLOCK_CODEC_H
 #define HORAM_ORAM_COMMON_BLOCK_CODEC_H
 
@@ -36,8 +42,9 @@ class block_codec {
   }
   [[nodiscard]] bool sealing() const noexcept { return seal_; }
 
-  /// Encodes a block into `record_out` (record_bytes long). A dummy
-  /// block is encoded by passing dummy_block_id and an empty payload.
+  /// Encodes a block into `record_out` (record_bytes long); `payload`
+  /// must not overlap it. A dummy block is encoded by passing
+  /// dummy_block_id and an empty payload.
   void encode(block_id id, std::span<const std::uint8_t> payload,
               std::span<std::uint8_t> record_out);
 
@@ -55,6 +62,8 @@ class block_codec {
   bool seal_;
   std::size_t record_bytes_;
   crypto::block_sealer sealer_;
+  /// Opened plaintext (id || payload) of the last sealed decode.
+  mutable std::vector<std::uint8_t> opened_;
 };
 
 }  // namespace horam::oram

@@ -4,6 +4,8 @@
 // silent corruption).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "oram/common/block_codec.h"
 #include "oram/common/position_map.h"
 #include "oram/common/stash.h"
@@ -51,6 +53,57 @@ TEST_P(CodecSealModes, ShortPayloadIsZeroPadded) {
   }
   for (std::size_t i = 10; i < 32; ++i) {
     EXPECT_EQ(out[i], 0);
+  }
+}
+
+TEST_P(CodecSealModes, EmptyPayloadRoundTripsAsZeros) {
+  block_codec codec(32, GetParam(), 8);
+  std::vector<std::uint8_t> record(codec.record_bytes());
+  codec.encode(42, {}, record);
+  std::vector<std::uint8_t> out(32, 0xee);
+  EXPECT_EQ(codec.decode(record, out), 42u);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(32, 0));
+  EXPECT_EQ(codec.decode(record, {}), 42u);
+}
+
+TEST_P(CodecSealModes, ReusedRecordBufferIsFullyRewritten) {
+  // encode writes straight into the caller's buffer: stale bytes from a
+  // previous record must not leak into the zero pad, and bytes past
+  // record_bytes stay untouched.
+  block_codec codec(32, GetParam(), 11);
+  std::vector<std::uint8_t> record(codec.record_bytes() + 4, 0xff);
+  codec.encode(7, std::vector<std::uint8_t>(3, 0x11), record);
+  EXPECT_EQ(record.back(), 0xff);
+  std::vector<std::uint8_t> out(32);
+  EXPECT_EQ(codec.decode(record, out), 7u);
+  std::vector<std::uint8_t> expected(32, 0);
+  std::fill_n(expected.begin(), 3, 0x11);
+  EXPECT_EQ(out, expected);
+
+  codec.encode_dummy(record);
+  EXPECT_EQ(codec.decode(record, out), dummy_block_id);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(32, 0));
+}
+
+TEST(Codec, SealedRecordIsTheSealedPlaintextLayout) {
+  // The sealed record is block_sealer's record over id || payload ||
+  // zero pad under derive_seal_keys(key_seed); with the sealer's golden
+  // record (crypto_test) this pins the on-device format.
+  block_codec codec(32, true, 12);
+  crypto::block_sealer sealer(crypto::derive_seal_keys(12));
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::uint8_t> record(codec.record_bytes());
+    codec.encode(0x0102030405060708ULL, payload, record);
+
+    std::vector<std::uint8_t> expected(codec.record_bytes(), 0);
+    const std::vector<std::uint8_t> id = {8, 7, 6, 5, 4, 3, 2, 1};
+    std::copy(id.begin(), id.end(),
+              expected.begin() + crypto::seal_nonce_bytes);
+    std::copy(payload.begin(), payload.end(),
+              expected.begin() + crypto::seal_nonce_bytes + 8);
+    sealer.seal_in_place(expected);
+    EXPECT_EQ(record, expected) << "record " << round;
   }
 }
 
