@@ -455,18 +455,15 @@ void ring_oram::reset() {
   }
   std::fill(slots_.begin(), slots_.end(), slot_meta{});
 
-  std::vector<std::uint8_t> chunk;
   const std::uint64_t slots = total_slots();
   for (std::uint64_t first = 0; first < slots;
        first += sweep_chunk_records) {
     const std::uint64_t count = std::min(sweep_chunk_records, slots - first);
-    chunk.resize(count * record_bytes);
+    const std::span<std::uint8_t> chunk = io_store_->stage_range(first, count);
     for (std::uint64_t k = 0; k < count; ++k) {
-      fill_pad(first + k, 0,
-               std::span<std::uint8_t>(chunk.data() + k * record_bytes,
-                                       record_bytes));
+      fill_pad(first + k, 0, chunk.subspan(k * record_bytes, record_bytes));
     }
-    io_store_->write_range(first, count, chunk);
+    io_store_->commit_range(first, count);
   }
 
   positions_.clear();
@@ -548,26 +545,20 @@ cost_split ring_oram::initialize_full(
     stash_.put(id, leaves[id], payload_of(id));
   }
 
-  // Compose every bucket (fresh permutations + pads) into one image and
-  // stream it out as sequential sweeps.
+  // Compose every bucket (fresh permutations + pads) straight into the
+  // store — a staged copy of the whole tree would be a store-sized
+  // transient per build — and stream it out as sequential sweeps.
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
-  std::vector<std::uint8_t> tree_image(total_slots() * record_bytes);
   for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
-    compose_bucket(
-        bucket, bucket_ids[bucket], payload_of,
-        std::span<std::uint8_t>(
-            tree_image.data() + bucket * spb * record_bytes,
-            static_cast<std::size_t>(spb) * record_bytes));
+    compose_bucket(bucket, bucket_ids[bucket], payload_of,
+                   io_store_->stage_range(bucket * spb, spb));
   }
   const std::uint64_t slots = total_slots();
   for (std::uint64_t first = 0; first < slots;
        first += sweep_chunk_records) {
     const std::uint64_t n = std::min(sweep_chunk_records, slots - first);
-    cost.io += io_store_->write_range(
-        first, n,
-        std::span<const std::uint8_t>(
-            tree_image.data() + first * record_bytes, n * record_bytes));
+    cost.io += io_store_->commit_range(first, n);
   }
   cost.cpu += cpu_.crypto_time(slots, record_bytes);
 

@@ -53,11 +53,23 @@ sim::sim_time block_store::read_range(std::uint64_t first,
 sim::sim_time block_store::write_range(std::uint64_t first,
                                        std::uint64_t count,
                                        std::span<const std::uint8_t> in) {
-  expects(first + count <= slot_count_, "range out of bounds");
   expects(count > 0, "empty range write");
   expects(in.size() >= count * record_bytes_, "input buffer too small");
-  std::memcpy(data_.data() + first * record_bytes_, in.data(),
-              count * record_bytes_);
+  const std::span<std::uint8_t> host = stage_range(first, count);
+  std::memcpy(host.data(), in.data(), host.size());
+  return commit_range(first, count);
+}
+
+std::span<std::uint8_t> block_store::stage_range(std::uint64_t first,
+                                                 std::uint64_t count) {
+  expects(first + count <= slot_count_, "range out of bounds");
+  return {data_.data() + first * record_bytes_, count * record_bytes_};
+}
+
+sim::sim_time block_store::commit_range(std::uint64_t first,
+                                        std::uint64_t count) {
+  expects(first + count <= slot_count_, "range out of bounds");
+  expects(count > 0, "empty range write");
   return device_.write(device_offset(first), count * logical_block_bytes_);
 }
 

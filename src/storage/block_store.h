@@ -54,6 +54,18 @@ class block_store {
   sim::sim_time write_range(std::uint64_t first, std::uint64_t count,
                             std::span<const std::uint8_t> in);
 
+  /// Host bytes of `count` consecutive records (count * record_bytes
+  /// long), for composing a bulk image where it will live instead of in
+  /// a staging buffer as large as the store. Charges nothing: pay for
+  /// the transfer with commit_range() over the same records.
+  std::span<std::uint8_t> stage_range(std::uint64_t first,
+                                      std::uint64_t count);
+
+  /// Charges the streaming write of `count` consecutive records composed
+  /// in place through stage_range() — the same device transfer
+  /// write_range() makes.
+  sim::sim_time commit_range(std::uint64_t first, std::uint64_t count);
+
   /// XOR-combined read (Ring ORAM's XOR technique): the storage side
   /// folds the listed slots together and a single combined block — the
   /// byte-wise XOR of their records — crosses the bus into `out`

@@ -1,6 +1,7 @@
 // Unit tests for src/storage: block store and partitioned store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "sim/profiles.h"
@@ -38,6 +39,37 @@ TEST(BlockStore, RangeRoundTrip) {
   store.read(5, one);
   EXPECT_EQ(one, std::vector<std::uint8_t>(data.begin() + 8,
                                            data.begin() + 16));
+}
+
+TEST(BlockStore, StagedCommitMatchesWriteRange) {
+  // Composing records in place and committing them must leave the same
+  // bytes, cost and device counters as writing them from a buffer.
+  sim::block_device copied_device(sim::hdd_paper());
+  sim::block_device staged_device(sim::hdd_paper());
+  block_store copied(copied_device, 0, 16, 8, 512);
+  block_store staged(staged_device, 0, 16, 8, 512);
+  std::vector<std::uint8_t> data(5 * 8);
+  std::iota(data.begin(), data.end(), std::uint8_t{1});
+
+  const sim::sim_time t_copied = copied.write_range(6, 5, data);
+  const std::span<std::uint8_t> host = staged.stage_range(6, 5);
+  ASSERT_EQ(host.size(), data.size());
+  std::copy(data.begin(), data.end(), host.begin());
+  EXPECT_EQ(staged_device.stats().write_ops, 0u);  // staging is free
+  const sim::sim_time t_staged = staged.commit_range(6, 5);
+
+  EXPECT_EQ(t_staged, t_copied);
+  EXPECT_EQ(staged_device.stats().write_ops, copied_device.stats().write_ops);
+  EXPECT_EQ(staged_device.stats().bytes_written,
+            copied_device.stats().bytes_written);
+  EXPECT_EQ(staged_device.stats().busy_time, copied_device.stats().busy_time);
+  for (std::uint64_t slot = 0; slot < 16; ++slot) {
+    EXPECT_TRUE(std::ranges::equal(staged.peek(slot), copied.peek(slot)))
+        << "slot " << slot;
+  }
+  EXPECT_THROW((void)staged.stage_range(12, 5), contract_error);
+  EXPECT_THROW(staged.commit_range(12, 5), contract_error);
+  EXPECT_THROW(staged.commit_range(0, 0), contract_error);
 }
 
 TEST(BlockStore, BoundsChecked) {
