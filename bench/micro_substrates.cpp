@@ -8,6 +8,7 @@
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
+#include "oram/common/bucket_codec.h"
 #include "oram/path/path_oram.h"
 #include "shuffle/bitonic.h"
 #include "shuffle/fisher_yates.h"
@@ -102,6 +103,55 @@ void bm_codec_encode_decode_256(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(bm_codec_encode_decode_256);
+
+// One Path ORAM bucket of the benchmark's shape (Z = 4, 256-B payloads)
+// at tree-like occupancy — one real slot, three dummies — sealed and
+// opened as one unit.
+void bm_bucket_seal_open_z4_256(benchmark::State& state) {
+  oram::bucket_codec codec(4, 256, /*seal=*/true, 1);
+  const std::vector<std::uint8_t> payload(256, 0x11);
+  std::vector<std::uint8_t> bucket(codec.bucket_bytes());
+  std::vector<oram::block_id> ids(4);
+  std::vector<std::uint8_t> out(4 * 256);
+  oram::block_id id = 0;
+  for (auto _ : state) {
+    const oram::bucket_codec::entry real{id++, payload};
+    codec.encode(std::span<const oram::bucket_codec::entry>(&real, 1),
+                 bucket);
+    benchmark::DoNotOptimize(codec.decode(bucket, ids, out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_bucket_seal_open_z4_256);
+
+// The same bucket as four per-slot codec records (the layout before
+// buckets were sealed whole), for comparison.
+void bm_codec_records_z4_256(benchmark::State& state) {
+  oram::block_codec codec(256, /*seal=*/true, 1);
+  const std::vector<std::uint8_t> payload(256, 0x11);
+  std::vector<std::uint8_t> bucket(4 * codec.record_bytes());
+  std::vector<std::uint8_t> out(256);
+  oram::block_id id = 0;
+  for (auto _ : state) {
+    const auto record = [&](std::size_t k) {
+      return std::span<std::uint8_t>(bucket).subspan(
+          k * codec.record_bytes(), codec.record_bytes());
+    };
+    codec.encode(id++, payload, record(0));
+    for (std::size_t k = 1; k < 4; ++k) {
+      codec.encode_dummy(record(k));
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      benchmark::DoNotOptimize(codec.decode(record(k), out));
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_codec_records_z4_256);
 
 void bm_pcg64(benchmark::State& state) {
   util::pcg64 rng(1);

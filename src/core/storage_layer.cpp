@@ -393,9 +393,11 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
         p * store_->geometry().slots_per_partition(), records_read);
   cost.cpu += cpu_.crypto_time(records_read, record_bytes);
 
+  // Survivors are decoded in place: each payload lands over its own
+  // record in the read image, and the staged entry points there.
   struct staged {
     oram::block_id id;
-    std::vector<std::uint8_t> payload;
+    std::span<const std::uint8_t> payload;
   };
   std::vector<staged> blocks;
   blocks.reserve(records_read + hot.size());
@@ -404,26 +406,26 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
     if (id == oram::dummy_block_id) {
       continue;
     }
-    const oram::block_id decoded = codec_.decode(
-        std::span<const std::uint8_t>(image.data() + code * record_bytes,
-                                      record_bytes),
-        payload_scratch_);
+    const std::span<std::uint8_t> record(image.data() + code * record_bytes,
+                                         record_bytes);
+    const std::span<std::uint8_t> payload =
+        record.first(config_.payload_bytes);
+    const oram::block_id decoded = codec_.decode(record, payload);
     invariant(decoded == id, "partition contents out of sync");
-    blocks.push_back(staged{id, std::vector<std::uint8_t>(
-                                    payload_scratch_.begin(),
-                                    payload_scratch_.end())});
+    blocks.push_back(staged{id, payload});
   }
-  for (oram::evicted_block& block : hot) {
-    blocks.push_back(staged{block.id, std::move(block.payload)});
+  for (const oram::evicted_block& block : hot) {
+    blocks.push_back(staged{block.id, block.payload});
   }
   // With partial shuffling, survivors + pending appends + new hot data
   // can exceed the main region; the excess waits in the control-layer
   // shelter until the next period (bounded by the capacity slack).
   while (blocks.size() > main_capacity) {
-    staged& excess = blocks.back();
+    const staged& excess = blocks.back();
     locations_[excess.id] = location{residence::memory, 0, 0};
-    plan.overflow.push_back(
-        oram::evicted_block{excess.id, std::move(excess.payload)});
+    plan.overflow.push_back(oram::evicted_block{
+        excess.id, std::vector<std::uint8_t>(excess.payload.begin(),
+                                             excess.payload.end())});
     blocks.pop_back();
     ++stats_.overflow_blocks;
   }
@@ -435,22 +437,26 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
       util::random_permutation(rng_, main_capacity);
   std::fill(contents_[p].begin(), contents_[p].end(),
             oram::dummy_block_id);
+  // Each slot is sealed once: block k where slot_order puts it, and a
+  // dummy in every slot left over.
   std::vector<std::uint8_t>& out = shuffle_out_scratch_;
   out.resize(main_capacity * record_bytes);
-  for (std::uint64_t i = 0; i < main_capacity; ++i) {
-    codec_.encode_dummy(std::span<std::uint8_t>(
-        out.data() + i * record_bytes, record_bytes));
-  }
-  for (std::uint64_t k = 0; k < blocks.size(); ++k) {
+  for (std::uint64_t k = 0; k < main_capacity; ++k) {
     const std::uint32_t index =
         static_cast<std::uint32_t>(slot_order[k]);
-    codec_.encode(blocks[k].id, blocks[k].payload,
-                  std::span<std::uint8_t>(
-                      out.data() + index * record_bytes, record_bytes));
+    const std::span<std::uint8_t> record(out.data() + index * record_bytes,
+                                         record_bytes);
+    if (k >= blocks.size()) {
+      codec_.encode_dummy(record);
+      continue;
+    }
+    codec_.encode(blocks[k].id, blocks[k].payload, record);
     contents_[p][index] = blocks[k].id;
     locations_[blocks[k].id] = location{
         residence::main_slot, static_cast<std::uint32_t>(p), index};
   }
+  // The hot share now lives in the partition; free its payloads.
+  hot.clear();
   cost.cpu += cpu_.crypto_time(main_capacity, record_bytes);
   cost.cpu += cpu_.word_ops_time(main_capacity);
 

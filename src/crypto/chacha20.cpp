@@ -166,10 +166,30 @@ void chacha20_block(const chacha_key& key, std::uint32_t counter,
 void chacha20_xor(const chacha_key& key, const chacha_nonce& nonce,
                   std::uint32_t initial_counter,
                   std::span<std::uint8_t> data) {
+  chacha20_xor_at(key, nonce, initial_counter, /*offset=*/0, data);
+}
+
+void chacha20_xor_at(const chacha_key& key, const chacha_nonce& nonce,
+                     std::uint32_t initial_counter, std::uint64_t offset,
+                     std::span<std::uint8_t> data) {
   std::uint32_t state[16];
-  init_state(key, initial_counter, nonce, state);
+  // Block counters wrap modulo 2^32, as in chacha20_xor.
+  init_state(key,
+             initial_counter + static_cast<std::uint32_t>(offset / 64),
+             nonce, state);
   std::uint8_t* p = data.data();
   std::size_t left = data.size();
+  // A start inside a keystream block uses that block's tail first.
+  const std::size_t skip = offset % 64;
+  if (skip != 0 && left > 0) {
+    std::uint8_t keystream[64] = {};
+    keystream_block(state, keystream);
+    ++state[12];
+    const std::size_t chunk = left < 64 - skip ? left : 64 - skip;
+    xor_keystream(p, keystream + skip, chunk);
+    p += chunk;
+    left -= chunk;
+  }
   for (; left >= 256; p += 256, left -= 256) {
     xor_four_blocks(state, p);
     state[12] += 4;

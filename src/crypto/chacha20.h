@@ -32,6 +32,14 @@ void chacha20_xor(const chacha_key& key, const chacha_nonce& nonce,
                   std::uint32_t initial_counter,
                   std::span<std::uint8_t> data);
 
+/// XORs `data` in place with the keystream bytes [offset, offset +
+/// data.size()) of the stream chacha20_xor starts at block
+/// `initial_counter`, so one stretch of a longer message can be
+/// decrypted on its own. chacha20_xor is the offset-0 case.
+void chacha20_xor_at(const chacha_key& key, const chacha_nonce& nonce,
+                     std::uint32_t initial_counter, std::uint64_t offset,
+                     std::span<std::uint8_t> data);
+
 /// Cryptographically strong random stream built on the ChaCha20 block
 /// function in counter mode. Deterministic for a fixed key, which keeps
 /// simulations reproducible while exercising the exact code path a

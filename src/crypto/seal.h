@@ -34,12 +34,26 @@ struct seal_keys {
 /// Derives both keys deterministically from a 64-bit master seed.
 seal_keys derive_seal_keys(std::uint64_t master_seed);
 
+/// One stretch of a sealed record's ciphertext and the keystream bytes
+/// it is encrypted under. `offset` counts from the first ciphertext
+/// byte; `keystream_offset` from the first byte of the record's
+/// keystream (ChaCha20 block 1 under the record's nonce).
+struct keystream_piece {
+  std::size_t offset = 0;
+  std::size_t length = 0;
+  std::uint64_t keystream_offset = 0;
+};
+
 /// Stateful sealer. Nonces are drawn from an internal counter, which is
 /// unique-per-seal as long as one sealer instance guards one store.
-/// Neither call allocates.
+/// No call allocates.
 ///
 /// A sealed record is nonce || ciphertext || mac: seal_nonce_bytes,
-/// then as many bytes as the plaintext, then seal_mac_bytes.
+/// then as many bytes as the plaintext, then seal_mac_bytes. The MAC
+/// covers nonce || ciphertext. By default the ciphertext is one
+/// contiguous keystream; a caller that wants to decrypt parts of a
+/// record on their own seals it as keystream pieces instead, and opens
+/// it with verify() followed by open_range() per wanted piece.
 class block_sealer {
  public:
   explicit block_sealer(const seal_keys& keys);
@@ -50,12 +64,30 @@ class block_sealer {
   /// `record` is shorter than seal_overhead.
   void seal_in_place(std::span<std::uint8_t> record);
 
-  /// Opens `sealed` into `plain_out`, which must hold exactly
-  /// sealed.size() - seal_overhead bytes and must not overlap `sealed`.
-  /// The MAC is checked before anything is written. Throws crypto_error
-  /// if `sealed` is shorter than seal_overhead or fails the MAC check
-  /// (tampering), leaving `plain_out` untouched; throws contract_error
-  /// if `plain_out` has the wrong size.
+  /// seal_in_place() with the ciphertext encrypted piece by piece.
+  /// `pieces` must tile the ciphertext in order (each piece starts where
+  /// the last ended, and together they cover all of it), and their
+  /// keystream ranges must ascend without overlapping, so no keystream
+  /// byte is used twice. Throws contract_error otherwise.
+  void seal_in_place(std::span<std::uint8_t> record,
+                     std::span<const keystream_piece> pieces);
+
+  /// Checks the MAC of `sealed`. Throws crypto_error if `sealed` is
+  /// shorter than seal_overhead or fails the check (tampering).
+  void verify(std::span<const std::uint8_t> sealed) const;
+
+  /// Decrypts one piece of `sealed` into `plain_out` (piece.length
+  /// bytes, not overlapping `sealed`). Checks no MAC: call it only on a
+  /// record verify() accepted. Throws contract_error if the piece falls
+  /// outside the ciphertext or `plain_out` has the wrong size.
+  void open_range(std::span<const std::uint8_t> sealed,
+                  const keystream_piece& piece,
+                  std::span<std::uint8_t> plain_out) const;
+
+  /// verify() then open_range() over the whole ciphertext of a record
+  /// sealed with the contiguous seal_in_place(). `plain_out` must hold
+  /// exactly sealed.size() - seal_overhead bytes and must not overlap
+  /// `sealed`; on a failed MAC it is left untouched.
   void open_into(std::span<const std::uint8_t> sealed,
                  std::span<std::uint8_t> plain_out) const;
 

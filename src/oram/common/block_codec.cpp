@@ -60,7 +60,8 @@ block_id block_codec::decode(std::span<const std::uint8_t> record,
   if (!payload_out.empty()) {
     expects(payload_out.size() >= payload_bytes_,
             "payload buffer too small");
-    std::memcpy(payload_out.data(), plain + 8, payload_bytes_);
+    // memmove: an unsealed record may be decoded in place.
+    std::memmove(payload_out.data(), plain + 8, payload_bytes_);
   }
   return id;
 }

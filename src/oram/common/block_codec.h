@@ -10,6 +10,12 @@
 // in the clear, but callers still charge the modelled crypto time, so
 // virtual-time results are identical.
 //
+// Backends that read single slots — ring, hier, sqrt, partition and the
+// partitioned storage layer — use these per-slot records: each slot is
+// opened on its own, so each carries its own nonce and MAC. Path ORAM
+// only ever moves whole buckets and seals each bucket as one unit
+// instead (oram/common/bucket_codec.h), in the same store geometry.
+//
 // Neither encode nor decode allocates. encode writes the plaintext
 // straight into the caller's record and seals it there; decode opens
 // sealed records into a scratch buffer the codec owns. That scratch
@@ -53,6 +59,7 @@ class block_codec {
 
   /// Decodes a record; returns the block id (dummy_block_id for
   /// dummies) and copies the payload into `payload_out` if non-empty.
+  /// `payload_out` may lie inside `record`, to decode in place.
   /// Throws crypto::crypto_error on MAC failure when sealing.
   block_id decode(std::span<const std::uint8_t> record,
                   std::span<std::uint8_t> payload_out) const;

@@ -13,6 +13,19 @@ namespace {
 /// Chunk size (records) for sequential sweeps, to bound host buffers.
 constexpr std::uint64_t sweep_chunk_records = 1 << 14;
 
+/// Charges the streaming write of a whole store composed in place
+/// through stage_range(), in sweep_chunk_records sweeps.
+sim::sim_time commit_sweeps(storage::block_store& store) {
+  sim::sim_time t = 0;
+  const std::uint64_t slots = store.slot_count();
+  for (std::uint64_t first = 0; first < slots;
+       first += sweep_chunk_records) {
+    t += store.commit_range(first,
+                            std::min(sweep_chunk_records, slots - first));
+  }
+  return t;
+}
+
 }  // namespace
 
 path_oram::path_oram(const path_oram_config& config,
@@ -25,7 +38,8 @@ path_oram::path_oram(const path_oram_config& config,
       memory_levels_(std::min(config.memory_levels, level_count_)),
       bucket_count_(2 * config.leaf_count - 1),
       memory_bucket_count_((std::uint64_t{1} << memory_levels_) - 1),
-      codec_(config.payload_bytes, config.seal, config.key_seed),
+      codec_(config.bucket_size, config.payload_bytes, config.seal,
+             config.key_seed),
       memory_device_(memory_device),
       cpu_(cpu),
       rng_(rng),
@@ -74,8 +88,9 @@ path_oram::path_oram(const path_oram_config& config,
     }
   }
 
-  bucket_scratch_.resize(config.bucket_size * codec_.record_bytes());
-  payload_scratch_.resize(config.payload_bytes);
+  bucket_ids_.resize(config.bucket_size);
+  bucket_payloads_.resize(config.bucket_size * config.payload_bytes);
+  bucket_reals_.reserve(config.bucket_size);
   path_window_.resize(static_cast<std::size_t>(level_count_) *
                       config.bucket_size * codec_.record_bytes());
 
@@ -99,16 +114,48 @@ bool path_oram::bucket_in_memory(std::uint64_t bucket) const noexcept {
   return bucket < memory_bucket_count_;
 }
 
+std::uint64_t path_oram::bucket_first_slot(std::uint64_t bucket) const {
+  const std::uint64_t z = config_.bucket_size;
+  if (bucket_in_memory(bucket)) {
+    return bucket * z;
+  }
+  if (!page_) {
+    return (bucket - memory_bucket_count_) * z;
+  }
+  const unsigned level = util::floor_log2(bucket + 1);
+  const std::uint64_t position = bucket - ((std::uint64_t{1} << level) - 1);
+  return page_->bucket_first_slot(level, position);
+}
+
+std::span<const std::uint8_t> path_oram::peek_bucket(
+    std::uint64_t bucket) const {
+  const storage::block_store& store =
+      bucket_in_memory(bucket) ? *memory_store_ : *io_store_;
+  return store.peek_range(bucket_first_slot(bucket), config_.bucket_size);
+}
+
+std::span<std::uint8_t> path_oram::stage_bucket(std::uint64_t bucket) {
+  storage::block_store& store =
+      bucket_in_memory(bucket) ? *memory_store_ : *io_store_;
+  return store.stage_range(bucket_first_slot(bucket), config_.bucket_size);
+}
+
+std::span<const std::uint8_t> path_oram::slot_payload(
+    std::uint32_t k) const {
+  return std::span<const std::uint8_t>(bucket_payloads_)
+      .subspan(std::size_t{k} * config_.payload_bytes, config_.payload_bytes);
+}
+
 cost_split path_oram::read_bucket(std::uint64_t bucket,
                                   std::span<std::uint8_t> out) {
   cost_split cost;
   const std::uint64_t z = config_.bucket_size;
+  const std::uint64_t first = bucket_first_slot(bucket);
   if (bucket_in_memory(bucket)) {
-    cost.memory += memory_store_->read_range(bucket * z, z, out);
+    cost.memory += memory_store_->read_range(first, z, out);
     trace(trace_, event_kind::memory_bucket_read, bucket);
   } else {
-    const std::uint64_t io_bucket = bucket - memory_bucket_count_;
-    cost.io += io_store_->read_range(io_bucket * z, z, out);
+    cost.io += io_store_->read_range(first, z, out);
     trace(trace_, event_kind::storage_read_slot, bucket);
   }
   return cost;
@@ -118,20 +165,19 @@ cost_split path_oram::write_bucket(std::uint64_t bucket,
                                    std::span<const std::uint8_t> records) {
   cost_split cost;
   const std::uint64_t z = config_.bucket_size;
+  const std::uint64_t first = bucket_first_slot(bucket);
   if (bucket_in_memory(bucket)) {
-    cost.memory += memory_store_->write_range(bucket * z, z, records);
+    cost.memory += memory_store_->write_range(first, z, records);
     trace(trace_, event_kind::memory_bucket_write, bucket);
   } else {
-    const std::uint64_t io_bucket = bucket - memory_bucket_count_;
-    cost.io += io_store_->write_range(io_bucket * z, z, records);
+    cost.io += io_store_->write_range(first, z, records);
     trace(trace_, event_kind::storage_write_slot, bucket);
   }
   return cost;
 }
 
 std::span<std::uint8_t> path_oram::window_bucket(std::uint32_t level) {
-  const std::size_t bucket_bytes =
-      static_cast<std::size_t>(config_.bucket_size) * codec_.record_bytes();
+  const std::size_t bucket_bytes = codec_.bucket_bytes();
   return {path_window_.data() + level * bucket_bytes, bucket_bytes};
 }
 
@@ -166,9 +212,7 @@ void path_oram::mark_segment_valid(storage::segment_ref segment) {
 
 cost_split path_oram::load_path(leaf_id leaf) {
   cost_split cost;
-  const std::uint64_t z = config_.bucket_size;
-  const std::size_t record_bytes = codec_.record_bytes();
-  const std::size_t bucket_bytes = z * record_bytes;
+  const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
     for (std::uint32_t level = 0; level < level_count_; ++level) {
@@ -196,11 +240,9 @@ cost_split path_oram::load_path(leaf_id leaf) {
       cost.io += io_store_->read_range(first, records, buffer);
       trace(trace_, event_kind::storage_read_sweep, first, records);
     } else {
-      for (std::uint64_t r = 0; r < records; ++r) {
-        const std::span<const std::uint8_t> host = io_store_->peek(first + r);
-        std::memcpy(buffer.data() + r * record_bytes, host.data(),
-                    record_bytes);
-      }
+      const std::span<const std::uint8_t> host =
+          io_store_->peek_range(first, records);
+      std::memcpy(buffer.data(), host.data(), host.size());
     }
     const std::uint32_t top = page_->group_top_level(g);
     for (std::uint32_t d = 0; d < page_->group_height(g); ++d) {
@@ -217,8 +259,7 @@ cost_split path_oram::load_path(leaf_id leaf) {
 
 cost_split path_oram::store_path(leaf_id leaf) {
   cost_split cost;
-  const std::uint64_t z = config_.bucket_size;
-  const std::size_t bucket_bytes = z * codec_.record_bytes();
+  const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
     for (std::uint32_t down = 0; down < level_count_; ++down) {
@@ -276,24 +317,22 @@ cost_split path_oram::path_access(
                              io_store_ ? &io_store_->device() : nullptr);
   trace(trace_, event_kind::memory_path_access, leaf, config_.leaf_count);
 
-  const std::uint64_t z = config_.bucket_size;
+  const std::uint32_t z = config_.bucket_size;
   const std::size_t record_bytes = codec_.record_bytes();
 
   // Read the path root-to-leaf into the window, then move every real
-  // block into the stash (root-to-leaf decode order).
+  // block into the stash (root-to-leaf, slot order).
   cost += load_path(leaf);
   for (std::uint32_t level = 0; level < level_count_; ++level) {
-    const std::span<const std::uint8_t> bucket = window_bucket(level);
-    for (std::uint64_t k = 0; k < z; ++k) {
-      const std::span<const std::uint8_t> record(
-          bucket.data() + k * record_bytes, record_bytes);
-      const block_id id = codec_.decode(record, payload_scratch_);
+    codec_.decode(window_bucket(level), bucket_ids_, bucket_payloads_);
+    for (std::uint32_t k = 0; k < z; ++k) {
+      const block_id id = bucket_ids_[k];
       if (id == dummy_block_id) {
         continue;
       }
       invariant(positions_.contains(id),
                 "tree holds a block missing from the position map");
-      stash_.put(id, positions_.leaf_of(id), payload_scratch_);
+      stash_.put(id, positions_.leaf_of(id), slot_payload(k));
     }
   }
 
@@ -336,31 +375,20 @@ cost_split path_oram::path_access(
   // Greedy write-back, deepest bucket first, composed into the window
   // and flushed as one store_path (same device order as composing and
   // writing level by level; under `page`, one transfer per segment).
-  std::vector<block_id> selected;
   for (std::uint32_t down = 0; down < level_count_; ++down) {
     const std::uint32_t level = level_count_ - 1 - down;
-    const std::span<std::uint8_t> bucket = window_bucket(level);
-    selected.clear();
+    bucket_reals_.clear();
     for (const auto& [id, entry] : stash_) {
       if (paths_share_bucket(entry.leaf, leaf, level)) {
-        selected.push_back(id);
-        if (selected.size() == z) {
+        bucket_reals_.push_back(bucket_codec::entry{id, entry.payload});
+        if (bucket_reals_.size() == z) {
           break;
         }
       }
     }
-    for (std::uint64_t k = 0; k < z; ++k) {
-      const std::span<std::uint8_t> record(
-          bucket.data() + k * record_bytes, record_bytes);
-      if (k < selected.size()) {
-        const stash_entry& entry = stash_.at(selected[k]);
-        codec_.encode(selected[k], entry.payload, record);
-      } else {
-        codec_.encode_dummy(record);
-      }
-    }
-    for (const block_id id : selected) {
-      stash_.erase(id);
+    codec_.encode(bucket_reals_, window_bucket(level));
+    for (const bucket_codec::entry& real : bucket_reals_) {
+      stash_.erase(real.id);
     }
   }
   cost += store_path(leaf);
@@ -461,29 +489,42 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
   out.clear();
 
   const std::size_t record_bytes = codec_.record_bytes();
+  const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   // 1) Stream the whole tree (sequential sweeps) and decode.
+  const auto take_reals = [&](std::span<const std::uint8_t> bucket) {
+    codec_.decode(bucket, bucket_ids_, bucket_payloads_);
+    for (std::uint32_t k = 0; k < config_.bucket_size; ++k) {
+      if (bucket_ids_[k] == dummy_block_id) {
+        continue;
+      }
+      const std::span<const std::uint8_t> payload = slot_payload(k);
+      out.push_back(evicted_block{
+          bucket_ids_[k],
+          std::vector<std::uint8_t>(payload.begin(), payload.end())});
+    }
+  };
   std::vector<std::uint8_t> chunk;
   const auto sweep = [&](storage::block_store& store, bool memory_lane) {
+    // A sweep chunk need not end on a bucket boundary: the head of a
+    // bucket it cuts waits at the front of the buffer for the rest.
+    std::size_t carry = 0;
     const std::uint64_t slots = store.slot_count();
     for (std::uint64_t first = 0; first < slots;
          first += sweep_chunk_records) {
       const std::uint64_t count =
           std::min(sweep_chunk_records, slots - first);
-      chunk.resize(count * record_bytes);
-      const sim::sim_time t = store.read_range(first, count, chunk);
+      chunk.resize(carry + count * record_bytes);
+      const sim::sim_time t = store.read_range(
+          first, count, std::span<std::uint8_t>(chunk).subspan(carry));
       (memory_lane ? cost.memory : cost.io) += t;
-      for (std::uint64_t k = 0; k < count; ++k) {
-        const std::span<const std::uint8_t> record(
-            chunk.data() + k * record_bytes, record_bytes);
-        const block_id id = codec_.decode(record, payload_scratch_);
-        if (id == dummy_block_id) {
-          continue;
-        }
-        out.push_back(evicted_block{
-            id, std::vector<std::uint8_t>(payload_scratch_.begin(),
-                                          payload_scratch_.end())});
+      const std::size_t whole = chunk.size() / bucket_bytes;
+      for (std::size_t b = 0; b < whole; ++b) {
+        take_reals(std::span<const std::uint8_t>(
+            chunk.data() + b * bucket_bytes, bucket_bytes));
       }
+      carry = chunk.size() - whole * bucket_bytes;
+      std::memmove(chunk.data(), chunk.data() + whole * bucket_bytes, carry);
     }
   };
   if (memory_store_) {
@@ -507,16 +548,9 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
         }
         cost.io += io_store_->read_range(page_->segment_first_slot(segment),
                                          records, chunk);
-        for (std::uint64_t k = 0; k < records; ++k) {
-          const std::span<const std::uint8_t> record(
-              chunk.data() + k * record_bytes, record_bytes);
-          const block_id id = codec_.decode(record, payload_scratch_);
-          if (id == dummy_block_id) {
-            continue;
-          }
-          out.push_back(evicted_block{
-              id, std::vector<std::uint8_t>(payload_scratch_.begin(),
-                                            payload_scratch_.end())});
+        for (std::size_t b = 0; b < page_->segment_buckets(g); ++b) {
+          take_reals(std::span<const std::uint8_t>(
+              chunk.data() + b * bucket_bytes, bucket_bytes));
         }
       }
     }
@@ -560,34 +594,19 @@ void path_oram::for_each_resident(
     const std::function<void(block_id, leaf_id,
                              std::span<const std::uint8_t>)>& visit)
     const {
-  std::vector<std::uint8_t> payload(config_.payload_bytes);
-  const std::uint64_t z = config_.bucket_size;
-  if (memory_store_) {
-    for (std::uint64_t slot = 0; slot < memory_store_->slot_count(); ++slot) {
-      const block_id id = codec_.decode(memory_store_->peek(slot), payload);
-      if (id == dummy_block_id) {
+  // Heap order, whatever the device-side layout.
+  const std::size_t payload_bytes = config_.payload_bytes;
+  std::vector<block_id> ids(config_.bucket_size);
+  std::vector<std::uint8_t> payloads(config_.bucket_size * payload_bytes);
+  for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
+    codec_.decode(peek_bucket(bucket), ids, payloads);
+    for (std::uint32_t k = 0; k < config_.bucket_size; ++k) {
+      if (ids[k] == dummy_block_id) {
         continue;
       }
-      visit(id, positions_.leaf_of(id), payload);
-    }
-  }
-  if (io_store_) {
-    // Bucket-major: heap order regardless of the device-side layout
-    // (under flat the slot order coincides with it).
-    for (std::uint64_t bucket = memory_bucket_count_; bucket < bucket_count_;
-         ++bucket) {
-      const unsigned level = util::floor_log2(bucket + 1);
-      const std::uint64_t position = bucket - ((std::uint64_t{1} << level) - 1);
-      const std::uint64_t first =
-          page_ ? page_->bucket_first_slot(level, position)
-                : (bucket - memory_bucket_count_) * z;
-      for (std::uint64_t k = 0; k < z; ++k) {
-        const block_id id = codec_.decode(io_store_->peek(first + k), payload);
-        if (id == dummy_block_id) {
-          continue;
-        }
-        visit(id, positions_.leaf_of(id), payload);
-      }
+      visit(ids[k], positions_.leaf_of(ids[k]),
+            std::span<const std::uint8_t>(payloads).subspan(
+                k * payload_bytes, payload_bytes));
     }
   }
   for (const auto& [id, entry] : stash_) {
@@ -596,54 +615,32 @@ void path_oram::for_each_resident(
 }
 
 void path_oram::check_consistency() const {
-  std::vector<std::uint8_t> payload(config_.payload_bytes);
+  std::vector<block_id> ids(config_.bucket_size);
   std::vector<std::uint8_t> seen(positions_.universe(), 0);
   std::uint64_t found = 0;
-  const std::uint64_t z = config_.bucket_size;
 
-  const auto check_record = [&](std::span<const std::uint8_t> record,
-                                std::uint64_t bucket) {
-    const block_id id = codec_.decode(record, payload);
-    if (id == dummy_block_id) {
-      return;
-    }
-    invariant(id < positions_.universe(),
-              "tree holds an out-of-universe block");
-    invariant(positions_.contains(id),
-              "tree holds a block missing from the position map");
-    invariant(seen[id] == 0, "block stored in two tree slots");
-    seen[id] = 1;
-    ++found;
+  for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
+    const std::uint32_t reals = codec_.decode(peek_bucket(bucket), ids, {});
+    // Never-written storage buckets are skipped on the device under
+    // page; their host image must therefore still be all-dummy, or a
+    // skip would lose data.
+    invariant(reals == 0 || bucket_in_memory(bucket) || !page_ ||
+                  valid_->test(bucket - memory_bucket_count_),
+              "invalid bucket holds a real block");
     const unsigned level = util::floor_log2(bucket + 1);
-    invariant(bucket == bucket_on_path(positions_.leaf_of(id), level),
-              "block stored off its position-map path");
-  };
-  if (memory_store_) {
-    for (std::uint64_t slot = 0; slot < memory_store_->slot_count(); ++slot) {
-      check_record(memory_store_->peek(slot), slot / z);
-    }
-  }
-  if (io_store_) {
-    for (std::uint64_t bucket = memory_bucket_count_; bucket < bucket_count_;
-         ++bucket) {
-      const unsigned level = util::floor_log2(bucket + 1);
-      const std::uint64_t position = bucket - ((std::uint64_t{1} << level) - 1);
-      const std::uint64_t first =
-          page_ ? page_->bucket_first_slot(level, position)
-                : (bucket - memory_bucket_count_) * z;
-      for (std::uint64_t k = 0; k < z; ++k) {
-        check_record(io_store_->peek(first + k), bucket);
+    for (const block_id id : ids) {
+      if (id == dummy_block_id) {
+        continue;
       }
-      if (page_ && !valid_->test(bucket - memory_bucket_count_)) {
-        // Never-written buckets are skipped on the device; their host
-        // image must therefore still be all-dummy, or a skip would lose
-        // data.
-        for (std::uint64_t k = 0; k < z; ++k) {
-          invariant(codec_.decode(io_store_->peek(first + k), payload) ==
-                        dummy_block_id,
-                    "invalid bucket holds a real block");
-        }
-      }
+      invariant(id < positions_.universe(),
+                "tree holds an out-of-universe block");
+      invariant(positions_.contains(id),
+                "tree holds a block missing from the position map");
+      invariant(seen[id] == 0, "block stored in two tree slots");
+      seen[id] = 1;
+      ++found;
+      invariant(bucket == bucket_on_path(positions_.leaf_of(id), level),
+                "block stored off its position-map path");
     }
   }
 
@@ -671,41 +668,35 @@ cost_split path_oram::reset() {
   sim::trip_scope round_trip(&memory_device_,
                              io_store_ ? &io_store_->device() : nullptr);
   const std::size_t record_bytes = codec_.record_bytes();
+  const std::size_t bucket_bytes = codec_.bucket_bytes();
 
-  std::vector<std::uint8_t> chunk;
-  const auto rewrite = [&](storage::block_store& store, bool memory_lane) {
+  // Dummy buckets are composed where they live, then committed.
+  const auto rewrite = [&](storage::block_store& store, sim::sim_time& lane) {
     const std::uint64_t slots = store.slot_count();
-    for (std::uint64_t first = 0; first < slots;
-         first += sweep_chunk_records) {
-      const std::uint64_t count =
-          std::min(sweep_chunk_records, slots - first);
-      chunk.resize(count * record_bytes);
-      for (std::uint64_t k = 0; k < count; ++k) {
-        codec_.encode_dummy(std::span<std::uint8_t>(
-            chunk.data() + k * record_bytes, record_bytes));
-      }
-      const sim::sim_time t = store.write_range(first, count, chunk);
-      (memory_lane ? cost.memory : cost.io) += t;
+    const std::span<std::uint8_t> image = store.stage_range(0, slots);
+    for (std::size_t at = 0; at < image.size(); at += bucket_bytes) {
+      codec_.encode_dummy(image.subspan(at, bucket_bytes));
     }
+    lane += commit_sweeps(store);
     cost.cpu += cpu_.crypto_time(slots, record_bytes);
   };
   if (memory_store_) {
-    rewrite(*memory_store_, /*memory_lane=*/true);
+    rewrite(*memory_store_, cost.memory);
   }
   if (io_store_ && !page_) {
-    rewrite(*io_store_, /*memory_lane=*/false);
+    rewrite(*io_store_, cost.io);
   } else if (io_store_) {
     // Page layout: clearing the valid bits IS the reinitialisation —
     // every bucket reads as all-dummy without a single device write (or
-    // the crypto to produce records the device never has to see). The
-    // host image is primed with encoded dummies so skipped reads and
-    // audit peeks stay decodable.
-    const std::size_t record = codec_.record_bytes();
-    codec_.encode_dummy(
-        std::span<std::uint8_t>(bucket_scratch_.data(), record));
-    for (std::uint64_t slot = 0; slot < io_store_->slot_count(); ++slot) {
-      io_store_->prime(
-          slot, std::span<const std::uint8_t>(bucket_scratch_.data(), record));
+    // the crypto to produce buckets the device never has to see). The
+    // host image is primed with one encoded dummy bucket so skipped
+    // reads and audit peeks stay decodable.
+    const std::span<std::uint8_t> image =
+        io_store_->stage_range(0, io_store_->slot_count());
+    codec_.encode_dummy(image.first(bucket_bytes));
+    for (std::size_t at = bucket_bytes; at < image.size();
+         at += bucket_bytes) {
+      std::memcpy(image.data() + at, image.data(), bucket_bytes);
     }
     valid_->clear();
   }
@@ -757,14 +748,10 @@ cost_split path_oram::initialize_full(
 
   // Bottom-up greedy placement: post-order DFS; each node packs up to Z
   // pending blocks (all of which have this bucket on their path) and
-  // passes the rest to its parent.
+  // passes the rest to its parent. Every bucket is encoded once, where
+  // it lives in its store.
   const std::uint64_t z = config_.bucket_size;
   const std::size_t record_bytes = codec_.record_bytes();
-  std::vector<std::uint8_t> tree_image(bucket_count_ * z * record_bytes);
-  for (std::uint64_t slot = 0; slot < bucket_count_ * z; ++slot) {
-    codec_.encode_dummy(std::span<std::uint8_t>(
-        tree_image.data() + slot * record_bytes, record_bytes));
-  }
   std::vector<std::uint8_t> real_in_bucket(bucket_count_, 0);
 
   const std::function<std::vector<block_id>(std::uint32_t, std::uint64_t)>
@@ -788,17 +775,15 @@ cost_split path_oram::initialize_full(
     if (take > 0) {
       real_in_bucket[bucket] = 1;
     }
+    bucket_reals_.clear();
     for (std::uint64_t k = 0; k < take; ++k) {
       const block_id id = pending[pending.size() - 1 - k];
-      codec_.encode(
-          id,
-          std::span<const std::uint8_t>(
-              payloads.data() + id * config_.payload_bytes,
-              config_.payload_bytes),
-          std::span<std::uint8_t>(
-              tree_image.data() + (bucket * z + k) * record_bytes,
-              record_bytes));
+      bucket_reals_.push_back(bucket_codec::entry{
+          id, std::span<const std::uint8_t>(
+                  payloads.data() + id * config_.payload_bytes,
+                  config_.payload_bytes)});
     }
+    codec_.encode(bucket_reals_, stage_bucket(bucket));
     pending.resize(pending.size() - take);
     return pending;
   };
@@ -810,40 +795,19 @@ cost_split path_oram::initialize_full(
                    config_.payload_bytes));
   }
 
-  // Stream the image out as sequential sweeps on both lanes.
-  const std::uint64_t memory_slots =
-      memory_store_ ? memory_store_->slot_count() : 0;
-  for (std::uint64_t first = 0; first < memory_slots;
-       first += sweep_chunk_records) {
-    const std::uint64_t n = std::min(sweep_chunk_records,
-                                     memory_slots - first);
-    cost.memory += memory_store_->write_range(
-        first, n,
-        std::span<const std::uint8_t>(
-            tree_image.data() + first * record_bytes, n * record_bytes));
+  // Commit the composed image as sequential sweeps on both lanes.
+  if (memory_store_) {
+    cost.memory += commit_sweeps(*memory_store_);
   }
   if (io_store_ && !page_) {
-    const std::uint64_t io_slots = io_store_->slot_count();
-    for (std::uint64_t first = 0; first < io_slots;
-         first += sweep_chunk_records) {
-      const std::uint64_t n =
-          std::min(sweep_chunk_records, io_slots - first);
-      cost.io += io_store_->write_range(
-          first, n,
-          std::span<const std::uint8_t>(
-              tree_image.data() + (memory_slots + first) * record_bytes,
-              n * record_bytes));
-    }
+    cost.io += commit_sweeps(*io_store_);
   } else if (io_store_) {
     // Page layout: only segments holding a real block reach the device;
-    // all-dummy segments are primed host-side and stay invalid, so the
-    // bulk of the initial image is never transferred. Which segments
-    // qualify depends on the uniform leaf draw alone.
-    std::vector<std::uint8_t> segment_bytes;
+    // all-dummy segments stay host-side and invalid, so the bulk of the
+    // initial image is never transferred. Which segments qualify
+    // depends on the uniform leaf draw alone.
     valid_->clear();
     for (std::uint32_t g = 0; g < page_->group_count(); ++g) {
-      const std::uint64_t records = page_->segment_records(g);
-      segment_bytes.resize(records * record_bytes);
       const std::uint32_t top = page_->group_top_level(g);
       for (std::uint64_t s = 0; s < page_->segment_count(g); ++s) {
         const storage::segment_ref segment{g, s};
@@ -851,28 +815,15 @@ cost_split path_oram::initialize_full(
         for (std::uint32_t d = 0; d < page_->group_height(g); ++d) {
           const std::uint32_t level = top + d;
           for (std::uint64_t j = 0; j < (std::uint64_t{1} << d); ++j) {
-            const std::uint64_t position = (s << d) | j;
             const std::uint64_t bucket =
-                ((std::uint64_t{1} << level) - 1) + position;
+                ((std::uint64_t{1} << level) - 1) + ((s << d) | j);
             has_real = has_real || real_in_bucket[bucket] != 0;
-            const std::uint64_t index =
-                page_->bucket_index_in_segment(level, position);
-            std::memcpy(segment_bytes.data() + index * z * record_bytes,
-                        tree_image.data() + bucket * z * record_bytes,
-                        z * record_bytes);
           }
         }
-        const std::uint64_t first = page_->segment_first_slot(segment);
         if (has_real) {
-          cost.io += io_store_->write_range(first, records, segment_bytes);
+          cost.io += io_store_->commit_range(
+              page_->segment_first_slot(segment), page_->segment_records(g));
           mark_segment_valid(segment);
-        } else {
-          for (std::uint64_t r = 0; r < records; ++r) {
-            io_store_->prime(
-                r + first,
-                std::span<const std::uint8_t>(
-                    segment_bytes.data() + r * record_bytes, record_bytes));
-          }
         }
       }
     }

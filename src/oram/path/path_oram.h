@@ -15,6 +15,16 @@
 // requested block to a fresh uniform leaf, and greedily writes the path
 // back from the stash. Dummy accesses (random path, write-back
 // unchanged) are indistinguishable from real ones on the bus.
+//
+// The bucket is the sealed unit (oram/common/bucket_codec.h): one
+// nonce, one keystream and one MAC per bucket, payloads first and the
+// id header after them. Opening a path bucket checks its MAC, decrypts
+// the id header and then only the payloads of real slots — most slots
+// of a tree path are dummies. Every write-back re-seals each path
+// bucket whole under a fresh nonce, the re-encryption Path ORAM
+// requires. A sealed bucket fits in the Z records the store reserves
+// for it, so store geometry, device traffic and the modelled crypto
+// charges (per record) are those of per-slot records.
 #ifndef HORAM_ORAM_PATH_PATH_ORAM_H
 #define HORAM_ORAM_PATH_PATH_ORAM_H
 
@@ -26,7 +36,7 @@
 #include <vector>
 
 #include "oram/common/access_trace.h"
-#include "oram/common/block_codec.h"
+#include "oram/common/bucket_codec.h"
 #include "oram/common/position_map.h"
 #include "oram/common/stash.h"
 #include "oram/common/types.h"
@@ -55,7 +65,7 @@ struct path_oram_config {
   /// deeper levels go to the storage device. Use level_count (or any
   /// larger value) for a fully in-memory tree.
   std::uint32_t memory_levels = std::numeric_limits<std::uint32_t>::max();
-  /// Seal records with real crypto (tests) or plaintext (large benches;
+  /// Seal buckets with real crypto (tests) or plaintext (large benches;
   /// modelled crypto time is charged either way).
   bool seal = true;
   std::uint64_t key_seed = 0x70617468;  // "path"
@@ -100,7 +110,8 @@ class path_oram {
   [[nodiscard]] const path_oram_config& config() const noexcept {
     return config_;
   }
-  /// Encoded record size (payload + id + sealing overhead).
+  /// Store record size (payload + id + sealing overhead); a bucket
+  /// spans bucket_size of them.
   [[nodiscard]] std::size_t record_bytes() const noexcept {
     return codec_.record_bytes();
   }
@@ -220,6 +231,17 @@ class path_oram {
                                         std::uint32_t level) const;
 
   [[nodiscard]] bool bucket_in_memory(std::uint64_t bucket) const noexcept;
+  /// Slot of the bucket's first record in its lane's store (heap order
+  /// on the memory lane and under flat, segment order under page).
+  [[nodiscard]] std::uint64_t bucket_first_slot(std::uint64_t bucket) const;
+  /// The bucket's records in its store: a host view (no device time)
+  /// and a mutable one for composing a build in place.
+  [[nodiscard]] std::span<const std::uint8_t> peek_bucket(
+      std::uint64_t bucket) const;
+  [[nodiscard]] std::span<std::uint8_t> stage_bucket(std::uint64_t bucket);
+  /// Payload of slot k of the last bucket decoded into bucket_payloads_.
+  [[nodiscard]] std::span<const std::uint8_t> slot_payload(
+      std::uint32_t k) const;
   /// Reads bucket records into `out`; returns cost on the right lane.
   cost_split read_bucket(std::uint64_t bucket, std::span<std::uint8_t> out);
   cost_split write_bucket(std::uint64_t bucket,
@@ -256,7 +278,7 @@ class path_oram {
   std::uint64_t bucket_count_;
   std::uint64_t memory_bucket_count_;
 
-  block_codec codec_;
+  bucket_codec codec_;
   sim::block_device& memory_device_;
   std::uint64_t logical_bytes_ = 0;
   /// Null when memory_levels == 0 (fully storage-resident tree).
@@ -276,13 +298,18 @@ class path_oram {
   std::unique_ptr<storage::page_layout> page_;
   std::unique_ptr<storage::valid_bit_tree> valid_;
 
-  // Reused per-access scratch.
-  std::vector<std::uint8_t> bucket_scratch_;
-  std::vector<std::uint8_t> payload_scratch_;
+  // Reused per-access scratch: one decoded bucket, and the stash
+  // blocks picked for the bucket being written back.
+  std::vector<block_id> bucket_ids_;
+  std::vector<std::uint8_t> bucket_payloads_;
+  std::vector<bucket_codec::entry> bucket_reals_;
   /// One path's bucket records (level_count_ * Z records).
   std::vector<std::uint8_t> path_window_;
   /// Per-group segment bytes of the access in flight (page layout).
   std::vector<std::vector<std::uint8_t>> segment_buffers_;
+
+  /// Fault-injection tests reach a real bucket's records through this.
+  friend struct path_oram_test_access;
 };
 
 }  // namespace horam::oram

@@ -105,11 +105,10 @@ std::span<const std::uint8_t> block_store::peek(std::uint64_t slot) const {
   return {data_.data() + slot * record_bytes_, record_bytes_};
 }
 
-void block_store::prime(std::uint64_t slot,
-                        std::span<const std::uint8_t> in) {
-  expects(slot < slot_count_, "slot out of range");
-  expects(in.size() >= record_bytes_, "input buffer too small");
-  std::memcpy(data_.data() + slot * record_bytes_, in.data(), record_bytes_);
+std::span<const std::uint8_t> block_store::peek_range(
+    std::uint64_t first, std::uint64_t count) const {
+  expects(first + count <= slot_count_, "range out of bounds");
+  return {data_.data() + first * record_bytes_, count * record_bytes_};
 }
 
 void block_store::corrupt(std::uint64_t slot, std::size_t byte_offset,

@@ -57,7 +57,10 @@ class block_store {
   /// Host bytes of `count` consecutive records (count * record_bytes
   /// long), for composing a bulk image where it will live instead of in
   /// a staging buffer as large as the store. Charges nothing: pay for
-  /// the transfer with commit_range() over the same records.
+  /// the transfer with commit_range() over the same records, or leave
+  /// uncommitted host state the device never has to materialise — e.g.
+  /// the all-dummy image behind unset page-layout valid bits, which
+  /// reads reconstruct from trusted knowledge instead of a transfer.
   std::span<std::uint8_t> stage_range(std::uint64_t first,
                                       std::uint64_t count);
 
@@ -89,12 +92,10 @@ class block_store {
   /// for tests and integrity checks only).
   [[nodiscard]] std::span<const std::uint8_t> peek(std::uint64_t slot) const;
 
-  /// Installs a record's host bytes without touching the device (no
-  /// device time, no op counted). For state the device never has to
-  /// materialise — e.g. the all-dummy image behind unset valid bits,
-  /// which page-layout reads reconstruct from trusted knowledge instead
-  /// of a transfer.
-  void prime(std::uint64_t slot, std::span<const std::uint8_t> in);
+  /// Read-only view of `count` consecutive records (count * record_bytes
+  /// long), e.g. a whole tree bucket; like peek(), charges nothing.
+  [[nodiscard]] std::span<const std::uint8_t> peek_range(
+      std::uint64_t first, std::uint64_t count) const;
 
   /// Fault injection: XORs `mask` into one stored byte, bypassing the
   /// device (models an adversary or bit rot). Test use only.

@@ -131,6 +131,60 @@ TEST(ChaCha20, XorCounterWrapsLikeTheBlockReference) {
   }
 }
 
+// chacha20_xor_at must XOR exactly the keystream bytes a full-stream
+// chacha20_xor would use at that position, for every start offset and
+// length inside the first 1100 bytes (every skip into a block, every
+// four-block and tail split after it), writing nothing outside the span.
+void expect_xor_at_matches_full_stream(std::uint32_t initial_counter) {
+  const chacha_key key = rfc_key();
+  const chacha_nonce nonce = {12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1};
+  constexpr std::size_t kStream = 1100;
+  constexpr std::uint8_t guard = 0x5a;
+  std::vector<std::uint8_t> keystream(kStream, 0);
+  chacha20_xor(key, nonce, initial_counter, keystream);
+
+  std::vector<std::uint8_t> buffer(kStream + 2);
+  for (std::size_t offset = 0; offset <= kStream; ++offset) {
+    for (std::size_t length = 0; offset + length <= kStream; ++length) {
+      buffer[0] = guard;
+      buffer[1 + length] = guard;
+      std::fill_n(buffer.begin() + 1, length, std::uint8_t{0});
+      chacha20_xor_at(key, nonce, initial_counter, offset,
+                      std::span<std::uint8_t>(buffer).subspan(1, length));
+      ASSERT_TRUE(std::equal(buffer.begin() + 1,
+                             buffer.begin() + 1 +
+                                 static_cast<std::ptrdiff_t>(length),
+                             keystream.begin() +
+                                 static_cast<std::ptrdiff_t>(offset)))
+          << "offset " << offset << ", length " << length << ", counter "
+          << initial_counter;
+      ASSERT_EQ(buffer[0], guard) << "offset " << offset;
+      ASSERT_EQ(buffer[1 + length], guard) << "offset " << offset;
+    }
+  }
+}
+
+TEST(ChaCha20, XorAtMatchesFullStreamAtEveryOffsetAndLength) {
+  expect_xor_at_matches_full_stream(1);
+}
+
+TEST(ChaCha20, XorAtCounterWrapsLikeTheFullStream) {
+  // Offsets that land past block 2^32 - 1 wrap to block 0, as in
+  // chacha20_xor.
+  const chacha_key key = rfc_key();
+  const chacha_nonce nonce{};
+  std::vector<std::uint8_t> keystream(512, 0);
+  chacha20_xor(key, nonce, 0xfffffffeU, keystream);
+  for (const std::size_t offset : {0u, 63u, 64u, 100u, 128u, 200u, 300u}) {
+    std::vector<std::uint8_t> piece(512 - offset, 0);
+    chacha20_xor_at(key, nonce, 0xfffffffeU, offset, piece);
+    EXPECT_TRUE(std::equal(piece.begin(), piece.end(),
+                           keystream.begin() +
+                               static_cast<std::ptrdiff_t>(offset)))
+        << "offset " << offset;
+  }
+}
+
 TEST(ChaCha20, DifferentCountersProduceDifferentBlocks) {
   const chacha_key key = rfc_key();
   const chacha_nonce nonce{};
@@ -436,6 +490,101 @@ TEST(Seal, SealInPlaceStaysInsideTheRecord) {
   EXPECT_EQ(guarded.front(), 0xee);
   EXPECT_EQ(guarded.back(), 0xee);
   EXPECT_EQ(open_copy(sealer, record), plaintext);
+}
+
+// Two 100-B pieces at block-aligned keystream offsets 0 and 128, then a
+// 16-B piece at 256: the shape of a two-slot bucket.
+constexpr std::array<keystream_piece, 3> kBucketPieces = {
+    keystream_piece{0, 100, 0}, keystream_piece{100, 100, 128},
+    keystream_piece{200, 16, 256}};
+
+TEST(Seal, PieceSealIsTheKeystreamAtEachPieceOffset) {
+  block_sealer sealer(derive_seal_keys(14));
+  const seal_keys keys = derive_seal_keys(14);
+  std::vector<std::uint8_t> plaintext(216);
+  for (std::size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = static_cast<std::uint8_t>(i * 5 + 1);
+  }
+  std::vector<std::uint8_t> record(plaintext.size() + seal_overhead);
+  std::copy(plaintext.begin(), plaintext.end(),
+            record.begin() + seal_nonce_bytes);
+  sealer.seal_in_place(record, kBucketPieces);
+
+  chacha_nonce nonce{};
+  std::copy_n(record.begin(), nonce.size(), nonce.begin());
+  for (const keystream_piece& piece : kBucketPieces) {
+    std::vector<std::uint8_t> expected(
+        plaintext.begin() + static_cast<std::ptrdiff_t>(piece.offset),
+        plaintext.begin() +
+            static_cast<std::ptrdiff_t>(piece.offset + piece.length));
+    chacha20_xor_at(keys.encryption_key, nonce, 1, piece.keystream_offset,
+                    expected);
+    EXPECT_TRUE(std::equal(
+        expected.begin(), expected.end(),
+        record.begin() +
+            static_cast<std::ptrdiff_t>(seal_nonce_bytes + piece.offset)))
+        << "piece at " << piece.offset;
+  }
+
+  ASSERT_NO_THROW(sealer.verify(record));
+  for (const keystream_piece& piece : kBucketPieces) {
+    std::vector<std::uint8_t> plain(piece.length);
+    sealer.open_range(record, piece, plain);
+    EXPECT_TRUE(std::equal(
+        plain.begin(), plain.end(),
+        plaintext.begin() + static_cast<std::ptrdiff_t>(piece.offset)))
+        << "piece at " << piece.offset;
+  }
+}
+
+TEST(Seal, OnePieceSealIsTheContiguousSeal) {
+  block_sealer contiguous(derive_seal_keys(15));
+  block_sealer pieced(derive_seal_keys(15));
+  const std::vector<std::uint8_t> plaintext(300, 0x3c);
+  const keystream_piece whole{0, plaintext.size(), 0};
+  std::vector<std::uint8_t> record(plaintext.size() + seal_overhead);
+  std::copy(plaintext.begin(), plaintext.end(),
+            record.begin() + seal_nonce_bytes);
+  pieced.seal_in_place(record, std::span<const keystream_piece>(&whole, 1));
+  EXPECT_EQ(record, seal_copy(contiguous, plaintext));
+}
+
+TEST(Seal, PiecesMustTileTheCiphertextWithoutSharingKeystream) {
+  block_sealer sealer(derive_seal_keys(16));
+  std::vector<std::uint8_t> record(216 + seal_overhead, 0);
+  const std::vector<std::vector<keystream_piece>> bad = {
+      // A gap between pieces.
+      {{0, 100, 0}, {101, 115, 128}},
+      // Pieces that stop short of the ciphertext end.
+      {{0, 100, 0}, {100, 100, 128}},
+      // Two pieces on overlapping keystream.
+      {{0, 100, 0}, {100, 116, 64}},
+  };
+  for (const auto& pieces : bad) {
+    EXPECT_THROW(sealer.seal_in_place(record, pieces), contract_error);
+  }
+  EXPECT_EQ(record, std::vector<std::uint8_t>(216 + seal_overhead, 0))
+      << "a rejected layout must not touch the record";
+}
+
+TEST(Seal, VerifyRejectsTamperingAndOpenRangeStaysInBounds) {
+  block_sealer sealer(derive_seal_keys(17));
+  std::vector<std::uint8_t> record(216 + seal_overhead, 0x11);
+  sealer.seal_in_place(record, kBucketPieces);
+  for (const std::size_t byte : {std::size_t{0}, seal_nonce_bytes + 150,
+                                 record.size() - 1}) {
+    auto tampered = record;
+    tampered[byte] ^= 0x01;
+    EXPECT_THROW(sealer.verify(tampered), crypto_error) << "byte " << byte;
+  }
+  EXPECT_THROW(sealer.verify(std::vector<std::uint8_t>(seal_overhead - 1)),
+               crypto_error);
+
+  std::vector<std::uint8_t> plain(17);
+  EXPECT_THROW(sealer.open_range(record, keystream_piece{200, 17, 256}, plain),
+               contract_error);
+  EXPECT_THROW(sealer.open_range(record, keystream_piece{0, 16, 0}, plain),
+               contract_error);
 }
 
 // --------------------------------------------------------------- csprng

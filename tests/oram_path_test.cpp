@@ -1,18 +1,49 @@
 // Tests for the Path ORAM implementation: functional correctness
 // against a shadow map, stash behaviour, obliviousness of the bus
-// pattern, eviction and reset, bulk initialisation, and the memory/
-// storage level split of the tree-top-cache baseline.
+// pattern, eviction and reset, bulk initialisation, tamper detection on
+// real tree buckets, and the memory/storage level split of the
+// tree-top-cache baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <unordered_map>
 
 #include "analysis/pattern_audit.h"
+#include "horam.h"
+#include "oram/path/path_backend.h"
 #include "oram/path/path_oram.h"
 #include "sim/profiles.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace horam::oram {
+
+/// Reaches the stored records of a real tree bucket (friend of
+/// path_oram), for fault injection.
+struct path_oram_test_access {
+  static const bucket_codec& codec(const path_oram& tree) {
+    return tree.codec_;
+  }
+  /// The slot ids the bucket's stored image holds now.
+  static std::vector<block_id> ids(const path_oram& tree,
+                                   std::uint64_t bucket) {
+    std::vector<block_id> ids(tree.config_.bucket_size);
+    tree.codec_.decode(tree.peek_bucket(bucket), ids, {});
+    return ids;
+  }
+  /// XORs `mask` into byte `offset` of the bucket's stored image.
+  static void corrupt(const path_oram& tree, std::uint64_t bucket,
+                      std::size_t offset, std::uint8_t mask) {
+    storage::block_store& store =
+        tree.bucket_in_memory(bucket) ? *tree.memory_store_ : *tree.io_store_;
+    const std::size_t record = tree.record_bytes();
+    store.corrupt(tree.bucket_first_slot(bucket) + offset / record,
+                  offset % record, mask);
+  }
+};
+
 namespace {
 
 struct fixture {
@@ -271,20 +302,121 @@ TEST(PathOram, InitializeFullPlacesEveryBlock) {
   }
 }
 
-TEST(PathOram, TamperedTreeRecordDetected) {
-  // Integrity: flipping a bit of any record makes the next decode of
-  // that bucket throw.
+// ------------------------------------------------- tampered buckets
+
+/// Where a test flips a byte of a sealed bucket.
+enum class tamper_site { nonce, id_header, dummy_payload, mac };
+
+std::string tamper_site_name(
+    const ::testing::TestParamInfo<tamper_site>& info) {
+  switch (info.param) {
+    case tamper_site::nonce:
+      return "Nonce";
+    case tamper_site::id_header:
+      return "IdHeader";
+    case tamper_site::dummy_payload:
+      return "DummyPayload";
+    case tamper_site::mac:
+      return "Mac";
+  }
+  return "Unknown";
+}
+
+/// Flips one byte at `site` of the tree's root bucket, which lies on
+/// every path, so the next path access must open it.
+void tamper_root(const path_oram& tree, tamper_site site) {
+  const bucket_codec& codec = path_oram_test_access::codec(tree);
+  std::size_t offset = 0;
+  switch (site) {
+    case tamper_site::nonce:
+      offset = 5;
+      break;
+    case tamper_site::id_header:
+      offset = codec.id_offset(codec.slots() - 1) + 3;
+      break;
+    case tamper_site::dummy_payload: {
+      const std::vector<block_id> ids = path_oram_test_access::ids(tree, 0);
+      const auto dummy = std::find(ids.begin(), ids.end(), dummy_block_id);
+      ASSERT_NE(dummy, ids.end()) << "root bucket has no dummy slot";
+      offset = codec.payload_offset(
+                   static_cast<std::uint32_t>(dummy - ids.begin())) +
+               codec.payload_bytes() / 2;
+      break;
+    }
+    case tamper_site::mac:
+      offset = codec.mac_offset() + 2;
+      break;
+  }
+  path_oram_test_access::corrupt(tree, /*bucket=*/0, offset, 0x10);
+}
+
+class PathOramTamper : public ::testing::TestWithParam<tamper_site> {};
+INSTANTIATE_TEST_SUITE_P(
+    Sites, PathOramTamper,
+    ::testing::Values(tamper_site::nonce, tamper_site::id_header,
+                      tamper_site::dummy_payload, tamper_site::mac),
+    tamper_site_name);
+
+TEST_P(PathOramTamper, MemoryLaneBucketFailsTheNextAccess) {
   fixture fx;
-  path_oram oram(fx.config(4), fx.memory, nullptr, fx.cpu, fx.rng,
+  path_oram oram(fx.config(16), fx.memory, nullptr, fx.cpu, fx.rng,
                  nullptr);
-  oram.access(op_kind::write, 1, payload_of(1), {});
-  // No public mutation API (by design); validate via the codec directly.
-  block_codec codec(16, true, 123);
-  std::vector<std::uint8_t> record(codec.record_bytes());
-  codec.encode(1, payload_of(1), record);
-  record[10] ^= 1;
-  std::vector<std::uint8_t> out(16);
-  EXPECT_THROW(codec.decode(record, out), crypto::crypto_error);
+  for (block_id id = 0; id < 3; ++id) {
+    oram.access(op_kind::write, id, payload_of(static_cast<std::uint8_t>(id)),
+                {});
+  }
+  ASSERT_NO_THROW(oram.check_consistency());
+  ASSERT_EQ(oram.memory_level_count(), oram.level_count());
+
+  tamper_root(oram, GetParam());
+  EXPECT_THROW(oram.dummy_access(), crypto::crypto_error);
+}
+
+/// A path-backend client whose whole tree lives on storage.
+client storage_tree_client(storage::storage_layout layout) {
+  return client_builder()
+      .blocks(256)
+      .memory_blocks(32)
+      .payload_bytes(16)
+      .backend(backend_kind::path)
+      .layout(layout)
+      .seal(true)
+      .seed(test::seed(41))
+      .build();
+}
+
+void expect_storage_bucket_tamper_detected(storage::storage_layout layout,
+                                           tamper_site site) {
+  client oram = storage_tree_client(layout);
+  for (block_id id = 0; id < 8; ++id) {
+    EXPECT_EQ(oram.read(id).size(), 16u);
+  }
+  const auto* backend =
+      dynamic_cast<const path_backend*>(&oram.backend());
+  ASSERT_NE(backend, nullptr);
+  const path_oram& tree = backend->tree();
+  ASSERT_EQ(tree.layout(), layout);
+  ASSERT_EQ(tree.memory_level_count(), 0u) << "root must be on storage";
+
+  tamper_root(tree, site);
+  // Fresh ids are not cached, so reading them extracts from the tree.
+  EXPECT_THROW(
+      {
+        for (block_id id = 100; id < 164; ++id) {
+          (void)oram.read(id);
+        }
+      },
+      crypto::crypto_error);
+}
+
+TEST_P(PathOramTamper, FlatStorageBucketFailsTheNextAccess) {
+  expect_storage_bucket_tamper_detected(storage::storage_layout::flat,
+                                        GetParam());
+}
+
+TEST_P(PathOramTamper, PageStorageBucketFailsTheNextAccess) {
+  expect_storage_bucket_tamper_detected(storage::storage_layout::page,
+                                        GetParam());
 }
 
 // ------------------------------------------------- tree-top-cache split

@@ -72,6 +72,24 @@ TEST(BlockStore, StagedCommitMatchesWriteRange) {
   EXPECT_THROW(staged.commit_range(0, 0), contract_error);
 }
 
+TEST(BlockStore, PeekRangeIsTheRecordsItCovers) {
+  sim::block_device device(sim::hdd_paper());
+  block_store store(device, 0, 8, 4, 512);
+  std::vector<std::uint8_t> data(8 * 4);
+  std::iota(data.begin(), data.end(), std::uint8_t{1});
+  store.write_range(0, 8, data);
+  device.reset_stats();
+
+  const std::span<const std::uint8_t> view = store.peek_range(2, 3);
+  ASSERT_EQ(view.size(), 3u * 4u);
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    EXPECT_TRUE(std::ranges::equal(view.subspan(k * 4, 4), store.peek(2 + k)))
+        << "record " << k;
+  }
+  EXPECT_EQ(device.stats().read_ops, 0u);  // peeking is free
+  EXPECT_THROW((void)store.peek_range(6, 3), contract_error);
+}
+
 TEST(BlockStore, BoundsChecked) {
   sim::block_device device(sim::dram_ddr4());
   block_store store(device, 0, 4, 8, 8);
