@@ -93,7 +93,7 @@ class path_backend final : public horam::oram_backend {
     return *map_;
   }
   /// Dummy accesses issued by the last shuffle period's stash drain.
-  [[nodiscard]] std::uint64_t last_drain_accesses() const noexcept {
+  [[nodiscard]] std::uint64_t last_drain_steps() const noexcept {
     return last_drain_accesses_;
   }
 

@@ -94,7 +94,7 @@ class ring_backend final : public horam::oram_backend {
     return *map_;
   }
   /// Forced evictions issued by the last shuffle period's stash drain.
-  [[nodiscard]] std::uint64_t last_drain_evictions() const noexcept {
+  [[nodiscard]] std::uint64_t last_drain_steps() const noexcept {
     return last_drain_evictions_;
   }
 
