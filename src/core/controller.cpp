@@ -372,10 +372,7 @@ void controller::run_shuffle_period() {
     if (deferred) {
       shuffle_job_ = std::move(job);
     } else {
-      while (!job->done()) {
-        sc += job->step(0);
-      }
-      job->finish(overflow);
+      sc = run_to_completion(*job, overflow);
     }
   } else {
     sc = storage_->shuffle_period(std::move(evicted), period_index_,

@@ -42,7 +42,7 @@ std::uint64_t engine::derive_shard_seed(std::uint64_t route_key_seed,
 struct engine::shard_state {
   horam_config config;
 
-  /// Owned machine lane (null when wrapping an external controller).
+  /// The shard's machine lane.
   struct lane_state {
     sim::block_device storage;
     sim::block_device memory;
@@ -66,8 +66,7 @@ struct engine::shard_state {
   };
 
   std::unique_ptr<lane_state> lane;
-  std::unique_ptr<controller> owned;
-  controller* ctrl = nullptr;
+  std::unique_ptr<controller> ctrl;
   /// Local id -> global id (empty = identity, the single-shard case).
   std::vector<oram::block_id> blocks;
 };
@@ -147,13 +146,12 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
                 cpu, state->lane->rng, trace,
                 std::span<const oram::block_id>(members[s]));
     expects(backend != nullptr, "shard factory returned no backend");
-    state->owned = std::make_unique<controller>(
+    state->ctrl = std::make_unique<controller>(
         shard_config, std::move(backend), state->lane->memory, cpu,
         state->lane->rng, trace);
     // Wire the lane's device counters so each shard controller can
     // split its device traffic into shuffle vs online access rounds.
-    state->owned->attach_device_stats(&state->lane->storage.stats());
-    state->ctrl = state->owned.get();
+    state->ctrl->attach_device_stats(&state->lane->storage.stats());
     state->blocks = std::move(members[s]);
     shards_.push_back(std::move(state));
   }
@@ -181,21 +179,6 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
 }
 
 engine::~engine() = default;
-
-engine::engine(controller& external) : config_(external.config()) {
-  config_.shard_count = 1;
-  // The shim owns no device lane (and therefore no pad-id stream), so
-  // it cannot run padded coalescing rounds; it stays the exact
-  // pass-through regardless of the wrapped controller's config.
-  config_.coalescing = false;
-  route_key_ = make_route_key(config_.route_key_seed);
-  round_cap_ = derive_round_cap();
-  auto state = std::make_unique<shard_state>();
-  state->config = config_;
-  state->ctrl = &external;
-  shards_.push_back(std::move(state));
-  queues_.resize(1);
-}
 
 std::uint32_t engine::derive_round_cap() const {
   if (config_.shard_round_cap > 0) {
@@ -699,10 +682,8 @@ const controller_stats& engine::stats() const noexcept {
 void engine::reset_stats() noexcept {
   for (const std::unique_ptr<shard_state>& sh : shards_) {
     sh->ctrl->reset_stats();
-    if (sh->lane != nullptr) {
-      sh->lane->storage.reset_stats();
-      sh->lane->memory.reset_stats();
-    }
+    sh->lane->storage.reset_stats();
+    sh->lane->memory.reset_stats();
   }
   stats_ = engine_stats{};
   round_log_.clear();
@@ -721,38 +702,28 @@ const controller& engine::shard(std::uint32_t index) const {
 
 sim::block_device& engine::shard_storage(std::uint32_t index) {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
   return shards_[index]->lane->storage;
 }
 
 const sim::block_device& engine::shard_storage(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
   return shards_[index]->lane->storage;
 }
 
 sim::block_device& engine::shard_memory(std::uint32_t index) {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
   return shards_[index]->lane->memory;
 }
 
 const sim::block_device& engine::shard_memory(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
   return shards_[index]->lane->memory;
 }
 
 const oram::access_trace* engine::shard_trace(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
   const shard_state& sh = *shards_[index];
-  return sh.lane != nullptr && sh.lane->trace.has_value()
-             ? &*sh.lane->trace
-             : nullptr;
+  return sh.lane->trace.has_value() ? &*sh.lane->trace : nullptr;
 }
 
 std::span<const oram::block_id> engine::shard_blocks(

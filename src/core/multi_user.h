@@ -10,8 +10,7 @@
 // pluggable fairness_policy pick at a time. It is deliberately
 // incremental — callers pump step() and interleave new submissions with
 // service, which is what the facade-level horam::service builds its
-// asynchronous session/ticket API on. The historical batch-only
-// multi_user_frontend survives as a thin compatibility shim on top.
+// asynchronous session/ticket API on.
 #ifndef HORAM_CORE_MULTI_USER_H
 #define HORAM_CORE_MULTI_USER_H
 
@@ -28,22 +27,6 @@
 #include "core/fairness.h"
 
 namespace horam {
-
-/// Per-user outcome of a multi-user run.
-struct user_summary {
-  std::uint32_t user = 0;
-  std::uint64_t requests = 0;
-  sim::sim_time mean_latency = 0;
-  sim::sim_time max_latency = 0;
-};
-
-/// Aggregate outcome of a multi-user run.
-struct multi_user_summary {
-  std::vector<user_summary> users;
-  sim::sim_time makespan = 0;
-  /// Requests per virtual second across all users.
-  double throughput = 0.0;
-};
 
 /// Per-tenant access-control entry: the half-open block range a tenant
 /// may touch (§5.3.2: "some access control protection is required and
@@ -223,36 +206,6 @@ class tenant_scheduler {
   double virtual_pass_ = 0.0;
   /// Virtual-time origin for throughput reporting.
   sim::sim_time stats_epoch_ = 0;
-};
-
-/// Batch-only compatibility shim over tenant_scheduler: interleaves the
-/// per-user queues round-robin, runs them to completion and splits the
-/// latency statistics back out per user — the historical §5.3.2 front
-/// end. New code should use horam::service (facade) or tenant_scheduler
-/// directly.
-class multi_user_frontend {
- public:
-  /// Wraps a bare controller as a single pass-through engine shard.
-  explicit multi_user_frontend(controller& ctrl)
-      : controller_(ctrl), shim_(ctrl) {}
-
-  /// Restricts user `user` to `grant`. Users without a grant may touch
-  /// everything (single-tenant compatibility).
-  void grant(std::uint32_t user, user_grant grant);
-
-  /// Interleaves the user queues round-robin and runs them to
-  /// completion. Request `user` fields are overwritten with the queue
-  /// index. Throws access_denied if a request violates its user's
-  /// grant — before anything reaches the ORAM, so a rejected request
-  /// leaves no trace on the bus.
-  multi_user_summary run(std::vector<std::vector<request>> per_user);
-
- private:
-  controller& controller_;
-  /// Single-shard engine view of the wrapped controller, pumped by the
-  /// tenant_scheduler each run().
-  engine shim_;
-  std::unordered_map<std::uint32_t, user_grant> grants_;
 };
 
 }  // namespace horam

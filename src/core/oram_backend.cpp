@@ -78,6 +78,16 @@ class monolithic_shuffle_job final : public shuffle_job {
 
 }  // namespace
 
+shuffle_cost run_to_completion(
+    shuffle_job& job, std::vector<oram::evicted_block>& overflow_out) {
+  shuffle_cost cost;
+  while (!job.done()) {
+    cost += job.step(0);
+  }
+  job.finish(overflow_out);
+  return cost;
+}
+
 std::unique_ptr<shuffle_job> oram_backend::begin_shuffle(
     std::vector<oram::evicted_block> evicted, std::uint64_t period_index) {
   return std::make_unique<monolithic_shuffle_job>(*this, std::move(evicted),

@@ -114,6 +114,12 @@ class shuffle_job {
   virtual void finish(std::vector<oram::evicted_block>& overflow_out) = 0;
 };
 
+/// Drives `job` to completion in unbounded steps, then finishes it into
+/// `overflow_out`; returns the summed cost. This is what every
+/// shuffle_period() built on begin_shuffle() runs.
+shuffle_cost run_to_completion(shuffle_job& job,
+                               std::vector<oram::evicted_block>& overflow_out);
+
 class oram_backend {
  public:
   /// Result of a storage load.
@@ -151,8 +157,8 @@ class oram_backend {
   /// The default adapter wraps the monolithic shuffle_period(): one
   /// step() does everything, whatever the budget — correct for every
   /// scheme, deamortized for none. Backends with a natural slice
-  /// granularity (the partitioned layer: partition at a time; the path
-  /// backend: install/drain access at a time) override it; their
+  /// granularity (the partitioned layer: partition at a time; the tree
+  /// backends: install/drain step at a time) override it; their
   /// shuffle_period() is then the wrapper, so the two entry points stay
   /// bit-for-bit interchangeable by construction.
   [[nodiscard]] virtual std::unique_ptr<shuffle_job> begin_shuffle(

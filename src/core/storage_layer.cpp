@@ -588,14 +588,8 @@ std::unique_ptr<shuffle_job> storage_layer::begin_shuffle(
 shuffle_cost storage_layer::shuffle_period(
     std::vector<oram::evicted_block> evicted, std::uint64_t period_index,
     std::vector<oram::evicted_block>& overflow_out) {
-  std::unique_ptr<shuffle_job> job =
-      begin_shuffle(std::move(evicted), period_index);
-  shuffle_cost cost;
-  while (!job->done()) {
-    cost += job->step(0);
-  }
-  job->finish(overflow_out);
-  return cost;
+  return run_to_completion(
+      *begin_shuffle(std::move(evicted), period_index), overflow_out);
 }
 
 std::uint64_t storage_layer::physical_bytes() const {

@@ -1,6 +1,7 @@
 #include "horam.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 
 #include "util/contracts.h"
@@ -9,169 +10,128 @@ namespace horam {
 
 namespace {
 
-/// The one canonical name list; index-aligned with all_backend_kinds.
-constexpr std::string_view kBackendNames[] = {
-    "partitioned", "sqrt", "partition", "path", "ring", "hier"};
-static_assert(std::size(kBackendNames) == std::size(all_backend_kinds),
-              "backend name list out of sync with all_backend_kinds");
+/// Name-parse alias: a non-canonical spelling that parses to `value`.
+template <class E>
+struct name_alias {
+  std::string_view name;
+  E value;
+};
 
-/// Name-parse shared by backend_by_name and the builder's named setter
-/// (so both report the same candidates); nullopt on unknown names.
-std::optional<backend_kind> parse_backend_name(std::string_view name) {
-  for (std::size_t i = 0; i < std::size(kBackendNames); ++i) {
-    if (name == kBackendNames[i]) {
-      return all_backend_kinds[i];
+/// One enum's name table: the canonical names, index-aligned with the
+/// enum's all_* presentation list, plus parse-only aliases. The
+/// *_name / *_names / *_by_name functions and the builder's named
+/// setters all read it, so they accept the same names.
+template <class E, std::size_t N, std::size_t A = 0>
+struct enum_names {
+  const E (&values)[N];
+  std::array<std::string_view, N> names;
+  std::array<name_alias<E>, A> aliases{};
+
+  /// Parses a canonical name or alias; throws contract_error with
+  /// `unknown` (which lists the candidates) on anything else.
+  [[nodiscard]] E parse(std::string_view name, const char* unknown) const {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (name == names[i]) {
+        return values[i];
+      }
     }
-  }
-  if (name == "horam") {
-    return backend_kind::partitioned;
-  }
-  if (name == "path-oram") {
-    return backend_kind::path;
-  }
-  if (name == "ring-oram") {
-    return backend_kind::ring;
-  }
-  return std::nullopt;
-}
-
-/// The one canonical shuffle-policy name list; index-aligned with
-/// all_shuffle_policies.
-constexpr std::string_view kShufflePolicyNames[] = {
-    "foreground", "async-writeback", "offloaded", "incremental"};
-static_assert(std::size(kShufflePolicyNames) ==
-                  std::size(all_shuffle_policies),
-              "shuffle-policy name list out of sync with "
-              "all_shuffle_policies");
-
-/// Name-parse shared by shuffle_policy_by_name and the builder's named
-/// setter (so both report the same candidates); nullopt on unknown
-/// names.
-std::optional<shuffle_policy> parse_shuffle_policy_name(
-    std::string_view name) {
-  for (std::size_t i = 0; i < std::size(kShufflePolicyNames); ++i) {
-    if (name == kShufflePolicyNames[i]) {
-      return all_shuffle_policies[i];
+    for (const name_alias<E>& alias : aliases) {
+      if (name == alias.name) {
+        return alias.value;
+      }
     }
+    expects(false, unknown);
+    return values[0];
   }
-  if (name == "async_writeback") {
-    return shuffle_policy::async_writeback;
-  }
-  return std::nullopt;
-}
 
-/// The one canonical runtime-policy name list; index-aligned with
-/// all_runtime_policies.
-constexpr std::string_view kRuntimePolicyNames[] = {"sim", "threaded"};
-static_assert(std::size(kRuntimePolicyNames) ==
-                  std::size(all_runtime_policies),
-              "runtime-policy name list out of sync with "
-              "all_runtime_policies");
-
-/// Name-parse shared by runtime_policy_by_name and the builder's named
-/// setter; nullopt on unknown names.
-std::optional<runtime_policy> parse_runtime_policy_name(
-    std::string_view name) {
-  for (std::size_t i = 0; i < std::size(kRuntimePolicyNames); ++i) {
-    if (name == kRuntimePolicyNames[i]) {
-      return all_runtime_policies[i];
+  [[nodiscard]] std::string_view name_of(E value,
+                                         const char* unknown) const {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (values[i] == value) {
+        return names[i];
+      }
     }
+    expects(false, unknown);
+    return {};
   }
-  return std::nullopt;
-}
+};
 
-/// The one canonical storage-layout name list; index-aligned with
-/// all_storage_layouts.
-constexpr std::string_view kStorageLayoutNames[] = {"flat", "page"};
-static_assert(std::size(kStorageLayoutNames) ==
-                  std::size(all_storage_layouts),
-              "storage-layout name list out of sync with "
-              "all_storage_layouts");
+constexpr enum_names<backend_kind, std::size(all_backend_kinds), 3>
+    kBackendNames{
+        all_backend_kinds,
+        {"partitioned", "sqrt", "partition", "path", "ring", "hier"},
+        {{{"horam", backend_kind::partitioned},
+          {"path-oram", backend_kind::path},
+          {"ring-oram", backend_kind::ring}}}};
 
-/// Name-parse shared by storage_layout_by_name and the builder's named
-/// setter; nullopt on unknown names.
-std::optional<storage::storage_layout> parse_storage_layout_name(
-    std::string_view name) {
-  for (std::size_t i = 0; i < std::size(kStorageLayoutNames); ++i) {
-    if (name == kStorageLayoutNames[i]) {
-      return all_storage_layouts[i];
-    }
-  }
-  return std::nullopt;
-}
+constexpr enum_names<shuffle_policy, std::size(all_shuffle_policies), 1>
+    kShufflePolicyNames{
+        all_shuffle_policies,
+        {"foreground", "async-writeback", "offloaded", "incremental"},
+        {{{"async_writeback", shuffle_policy::async_writeback}}}};
+
+constexpr enum_names<runtime_policy, std::size(all_runtime_policies)>
+    kRuntimePolicyNames{all_runtime_policies, {"sim", "threaded"}};
+
+constexpr enum_names<storage::storage_layout, std::size(all_storage_layouts)>
+    kStorageLayoutNames{all_storage_layouts, {"flat", "page"}};
 
 }  // namespace
 
 std::string_view backend_name(backend_kind kind) {
-  const auto index = static_cast<std::size_t>(kind);
-  expects(index < std::size(kBackendNames), "unknown backend kind");
-  return kBackendNames[index];
+  return kBackendNames.name_of(kind, "unknown backend kind");
 }
 
-std::span<const std::string_view> backend_names() { return kBackendNames; }
+std::span<const std::string_view> backend_names() {
+  return kBackendNames.names;
+}
 
 backend_kind backend_by_name(std::string_view name) {
-  const std::optional<backend_kind> kind = parse_backend_name(name);
-  expects(kind.has_value(),
-          "unknown backend name "
-          "(partitioned | sqrt | partition | path | ring | hier)");
-  return *kind;
+  return kBackendNames.parse(
+      name,
+      "unknown backend name "
+      "(partitioned | sqrt | partition | path | ring | hier)");
 }
 
 std::string_view shuffle_policy_name(shuffle_policy policy) {
-  const auto index = static_cast<std::size_t>(policy);
-  expects(index < std::size(kShufflePolicyNames),
-          "unknown shuffle policy");
-  return kShufflePolicyNames[index];
+  return kShufflePolicyNames.name_of(policy, "unknown shuffle policy");
 }
 
 std::span<const std::string_view> shuffle_policy_names() {
-  return kShufflePolicyNames;
+  return kShufflePolicyNames.names;
 }
 
 shuffle_policy shuffle_policy_by_name(std::string_view name) {
-  const std::optional<shuffle_policy> policy =
-      parse_shuffle_policy_name(name);
-  expects(policy.has_value(),
-          "unknown shuffle-policy name (foreground | async-writeback | "
-          "offloaded | incremental)");
-  return *policy;
+  return kShufflePolicyNames.parse(
+      name,
+      "unknown shuffle-policy name (foreground | async-writeback | "
+      "offloaded | incremental)");
 }
 
 std::string_view runtime_policy_name(runtime_policy policy) {
-  const auto index = static_cast<std::size_t>(policy);
-  expects(index < std::size(kRuntimePolicyNames), "unknown runtime policy");
-  return kRuntimePolicyNames[index];
+  return kRuntimePolicyNames.name_of(policy, "unknown runtime policy");
 }
 
 std::span<const std::string_view> runtime_policy_names() {
-  return kRuntimePolicyNames;
+  return kRuntimePolicyNames.names;
 }
 
 runtime_policy runtime_policy_by_name(std::string_view name) {
-  const std::optional<runtime_policy> policy =
-      parse_runtime_policy_name(name);
-  expects(policy.has_value(),
-          "unknown runtime-policy name (sim | threaded)");
-  return *policy;
+  return kRuntimePolicyNames.parse(
+      name, "unknown runtime-policy name (sim | threaded)");
 }
 
 std::string_view storage_layout_name(storage::storage_layout layout) {
-  const auto index = static_cast<std::size_t>(layout);
-  expects(index < std::size(kStorageLayoutNames), "unknown storage layout");
-  return kStorageLayoutNames[index];
+  return kStorageLayoutNames.name_of(layout, "unknown storage layout");
 }
 
 std::span<const std::string_view> storage_layout_names() {
-  return kStorageLayoutNames;
+  return kStorageLayoutNames.names;
 }
 
 storage::storage_layout storage_layout_by_name(std::string_view name) {
-  const std::optional<storage::storage_layout> layout =
-      parse_storage_layout_name(name);
-  expects(layout.has_value(),
-          "unknown storage-layout name (flat | page)");
-  return *layout;
+  return kStorageLayoutNames.parse(
+      name, "unknown storage-layout name (flat | page)");
 }
 
 sim::device_profile storage_profile_by_name(std::string_view name) {
@@ -374,11 +334,10 @@ client_builder& client_builder::backend(backend_kind kind) {
 }
 
 client_builder& client_builder::backend(std::string_view name) {
-  const std::optional<backend_kind> kind = parse_backend_name(name);
-  expects(kind.has_value(),
-          "client_builder: backend() got an unknown name "
-          "(partitioned | sqrt | partition | path | ring)");
-  kind_ = *kind;
+  kind_ = kBackendNames.parse(
+      name,
+      "client_builder: backend() got an unknown name "
+      "(partitioned | sqrt | partition | path | ring)");
   return *this;
 }
 
@@ -467,12 +426,10 @@ client_builder& client_builder::runtime(runtime_policy policy) {
 }
 
 client_builder& client_builder::runtime(std::string_view name) {
-  const std::optional<runtime_policy> policy =
-      parse_runtime_policy_name(name);
-  expects(policy.has_value(),
-          "client_builder: runtime() got an unknown policy name "
-          "(sim | threaded)");
-  config_.runtime = *policy;
+  config_.runtime = kRuntimePolicyNames.parse(
+      name,
+      "client_builder: runtime() got an unknown policy name "
+      "(sim | threaded)");
   return *this;
 }
 
@@ -500,11 +457,8 @@ client_builder& client_builder::layout(storage::storage_layout layout) {
 }
 
 client_builder& client_builder::layout(std::string_view name) {
-  const std::optional<storage::storage_layout> layout =
-      parse_storage_layout_name(name);
-  expects(layout.has_value(),
-          "client_builder: layout() got an unknown name (flat | page)");
-  config_.layout = *layout;
+  config_.layout = kStorageLayoutNames.parse(
+      name, "client_builder: layout() got an unknown name (flat | page)");
   return *this;
 }
 
@@ -551,12 +505,10 @@ client_builder& client_builder::shuffle(shuffle_policy policy) {
 }
 
 client_builder& client_builder::shuffle(std::string_view name) {
-  const std::optional<shuffle_policy> policy =
-      parse_shuffle_policy_name(name);
-  expects(policy.has_value(),
-          "client_builder: shuffle() got an unknown policy name "
-          "(foreground | async-writeback | offloaded | incremental)");
-  config_.shuffle = *policy;
+  config_.shuffle = kShufflePolicyNames.parse(
+      name,
+      "client_builder: shuffle() got an unknown policy name "
+      "(foreground | async-writeback | offloaded | incremental)");
   return *this;
 }
 

@@ -102,10 +102,9 @@
 #include "core/fairness.h"
 #include "core/multi_user.h"
 #include "core/oram_backend.h"
+#include "oram/common/tree_backend.h"
 #include "oram/hier/hier_backend.h"
 #include "oram/partition/partition_backend.h"
-#include "oram/path/path_backend.h"
-#include "oram/ring/ring_backend.h"
 #include "oram/sqrt/sqrt_backend.h"
 #include "sim/profiles.h"
 #include "workload/generators.h"

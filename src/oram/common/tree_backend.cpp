@@ -1,6 +1,5 @@
-#include "oram/path/path_backend.h"
+#include "oram/common/tree_backend.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -11,15 +10,107 @@ namespace horam::oram {
 
 namespace {
 
+/// What one tree scheme contributes to tree_backend; everything else is
+/// shared. One specialisation per scheme.
+template <class Tree>
+struct tree_traits;
+
+template <>
+struct tree_traits<path_oram> {
+  using config_type = path_oram_config;
+  static constexpr std::string_view name = "path";
+  /// Key-seed domains of the tree and the map chain ("Pa", "Pb").
+  static constexpr std::uint64_t tree_seed_domain = 0x5061;
+  static constexpr std::uint64_t map_seed_domain = 0x5062;
+
+  /// Z: real block slots per bucket.
+  static std::uint32_t real_slots(const horam_config& config) {
+    return config.bucket_size;
+  }
+  static void configure(const horam_config& config, config_type& tree) {
+    tree.bucket_size = config.bucket_size;
+    // Every level on the storage device: memory_levels = 0 leaves the
+    // memory store empty, so passing `device` for both lanes is inert.
+    tree.memory_levels = 0;
+    tree.layout = config.layout;
+    tree.page_bytes = config.page_bytes;
+  }
+  static std::unique_ptr<path_oram> make(const config_type& tree,
+                                         sim::block_device& device,
+                                         const sim::cpu_model& cpu,
+                                         util::random_source& rng,
+                                         access_trace* trace) {
+    return std::make_unique<path_oram>(tree, device, &device, cpu, rng,
+                                       trace);
+  }
+  /// One drain step: a dummy path access, whose greedy write-back
+  /// places stash blocks along a random path.
+  static cost_split drain_step(path_oram& tree) {
+    return tree.dummy_access();
+  }
+  /// Storage slots behind physical_bytes().
+  static std::uint64_t slots(const path_oram& tree) {
+    return tree.capacity_blocks();
+  }
+  /// Trusted bytes beyond the map, stash and residency bitmap.
+  static std::uint64_t extra_trusted_bytes(const path_oram& /*tree*/) {
+    return 0;
+  }
+};
+
+template <>
+struct tree_traits<ring_oram> {
+  using config_type = ring_oram_config;
+  static constexpr std::string_view name = "ring";
+  /// Key-seed domains of the tree and the map chain ("Ri", "Rj").
+  static constexpr std::uint64_t tree_seed_domain = 0x5269;
+  static constexpr std::uint64_t map_seed_domain = 0x526a;
+
+  /// Z: real block slots per bucket (spares never hold blocks, so they
+  /// don't enter the capacity count).
+  static std::uint32_t real_slots(const horam_config& config) {
+    return config.ring_bucket_size;
+  }
+  static void configure(const horam_config& config, config_type& tree) {
+    tree.real_slots = config.ring_bucket_size;
+    tree.spare_slots = config.ring_spare_slots;
+    tree.eviction_rate = config.ring_eviction_rate;
+    tree.xor_reads = config.ring_xor;
+  }
+  static std::unique_ptr<ring_oram> make(const config_type& tree,
+                                         sim::block_device& device,
+                                         const sim::cpu_model& cpu,
+                                         util::random_source& rng,
+                                         access_trace* trace) {
+    return std::make_unique<ring_oram>(tree, device, cpu, rng, trace);
+  }
+  /// One drain step: a forced deterministic eviction (the scheme's own
+  /// write path), which absorbs up to Z stash blocks at the root alone.
+  static cost_split drain_step(ring_oram& tree) {
+    return tree.force_evict();
+  }
+  /// Storage slots behind physical_bytes(): real and spare slots.
+  static std::uint64_t slots(const ring_oram& tree) {
+    return tree.total_slots();
+  }
+  /// Trusted bytes beyond the map, stash and residency bitmap: the
+  /// per-slot permutation metadata and the per-bucket counters.
+  static std::uint64_t extra_trusted_bytes(const ring_oram& tree) {
+    return tree.total_slots() * (sizeof(block_id) + 1) +
+           tree.bucket_count() *
+               (sizeof(std::uint32_t) + sizeof(std::uint64_t));
+  }
+};
+
 /// Smallest power-of-two leaf count following the ≤50%-utilisation
 /// convention (§2.1.2, bench/common.cpp's tree-top baseline): the tree
-/// holds ~2N block slots. Computed by doubling so the result is a
-/// power of two for every legal bucket size, not just powers of two.
+/// holds ~2N real block slots. Computed by doubling so the result is a
+/// power of two for every legal Z, not just powers of two.
 std::uint64_t backend_leaf_count(std::uint64_t block_count,
-                                 std::uint32_t bucket_size) {
+                                 std::uint32_t real_slots) {
   std::uint64_t leaves = 1;
   // capacity + Z = 2 * leaves * Z; stop once that reaches 2N.
-  while (2 * leaves * bucket_size < 2 * block_count) {
+  while (2 * leaves * real_slots < 2 * block_count) {
     leaves *= 2;
   }
   return leaves;
@@ -27,33 +118,29 @@ std::uint64_t backend_leaf_count(std::uint64_t block_count,
 
 }  // namespace
 
-path_backend::path_backend(
+template <class Tree>
+tree_backend<Tree>::tree_backend(
     const horam_config& config, sim::block_device& device,
     const sim::cpu_model& cpu, util::random_source& rng,
     access_trace* trace,
     const std::function<void(block_id, std::span<std::uint8_t>)>* filler,
     sim::block_device* map_device)
-    : config_(config), cpu_(cpu), rng_(rng), trace_(trace) {
+    : config_(config), rng_(rng), trace_(trace) {
+  using traits = tree_traits<Tree>;
   config_.validate();
 
-  path_oram_config tree_config;
+  typename traits::config_type tree_config;
   tree_config.leaf_count =
-      backend_leaf_count(config_.block_count, config_.bucket_size);
-  tree_config.bucket_size = config_.bucket_size;
+      backend_leaf_count(config_.block_count, traits::real_slots(config_));
   tree_config.payload_bytes = config_.payload_bytes;
   tree_config.logical_block_bytes = config_.logical_block_bytes;
   tree_config.id_universe = config_.block_count;
-  // Every level on the storage device: memory_levels = 0 leaves the
-  // memory store empty, so passing `device` for both lanes is inert.
-  tree_config.memory_levels = 0;
   tree_config.seal = config_.seal;
-  tree_config.key_seed = config_.key_seed ^ 0x5061;  // "Pa"
-  tree_config.layout = config_.layout;
-  tree_config.page_bytes = config_.page_bytes;
-  tree_ = std::make_unique<path_oram>(tree_config, device, &device, cpu_,
-                                      rng_, trace_);
+  tree_config.key_seed = config_.key_seed ^ traits::tree_seed_domain;
+  traits::configure(config_, tree_config);
+  tree_ = traits::make(tree_config, device, cpu, rng_, trace_);
   expects(tree_->capacity_blocks() >= config_.block_count,
-          "path backend tree cannot hold the dataset");
+          "tree backend cannot hold the dataset");
 
   const std::function<void(block_id, std::span<std::uint8_t>)> zero_fill =
       [](block_id, std::span<std::uint8_t>) {};
@@ -67,9 +154,9 @@ path_backend::path_backend(
   map_config.direct_threshold = config_.map_direct_threshold;
   map_config.bucket_size = config_.bucket_size;
   map_config.seal = config_.seal;
-  map_config.key_seed = config_.key_seed ^ 0x5062;
+  map_config.key_seed = config_.key_seed ^ traits::map_seed_domain;
   map_ = std::make_unique<recursive_position_map>(
-      map_config, map_device != nullptr ? *map_device : device, cpu_, rng_,
+      map_config, map_device != nullptr ? *map_device : device, cpu, rng_,
       trace_, leaves);
 
   cached_.assign(config_.block_count, 0);
@@ -80,12 +167,19 @@ path_backend::path_backend(
   }
 }
 
-bool path_backend::in_storage(block_id id) const {
+template <class Tree>
+std::string_view tree_backend<Tree>::name() const noexcept {
+  return tree_traits<Tree>::name;
+}
+
+template <class Tree>
+bool tree_backend<Tree>::in_storage(block_id id) const {
   expects(id < config_.block_count, "block id out of range");
   return cached_[id] == 0;
 }
 
-oram_backend::load_result path_backend::load_block(block_id id) {
+template <class Tree>
+oram_backend::load_result tree_backend<Tree>::load_block(block_id id) {
   expects(in_storage(id), "block is not on storage");
   load_result result;
   ++stats_.real_loads;
@@ -106,14 +200,15 @@ oram_backend::load_result path_backend::load_block(block_id id) {
   return result;
 }
 
-oram_backend::load_result path_backend::dummy_load() {
+template <class Tree>
+oram_backend::load_result tree_backend<Tree>::dummy_load() {
   load_result result;
   ++stats_.dummy_loads;
 
   // Cover traffic with the same bus shape as a real load: one map walk
-  // (of a uniformly random id, value discarded) + one dummy path
-  // access. Nothing is prefetched — a path read returns its blocks to
-  // the tree on write-back.
+  // (of a uniformly random id, value discarded) + one dummy tree
+  // access. Nothing is prefetched — the tree access returns its blocks
+  // to the tree.
   std::optional<leaf_id> ignored;
   result.cost +=
       map_->lookup(util::uniform_below(rng_, config_.block_count), ignored);
@@ -121,14 +216,15 @@ oram_backend::load_result path_backend::dummy_load() {
   return result;
 }
 
-/// Incremental shuffle over the Path ORAM layout: slice units are
-/// single stash re-installs, then single stash-drain dummy accesses.
-/// Run back to back the units reproduce the monolithic period exactly;
-/// bounded budgets stop between any two accesses.
-class path_shuffle_job final : public horam::shuffle_job {
+/// Incremental shuffle over the tree layout: slice units are single
+/// stash re-installs, then single drain steps. Run back to back the
+/// units reproduce the monolithic period exactly; bounded budgets stop
+/// between any two units.
+template <class Tree>
+class tree_backend<Tree>::drain_job final : public horam::shuffle_job {
  public:
-  path_shuffle_job(path_backend& owner, std::vector<evicted_block> evicted,
-                   std::uint64_t period_index)
+  drain_job(tree_backend& owner, std::vector<evicted_block> evicted,
+            std::uint64_t period_index)
       : owner_(owner), evicted_(std::move(evicted)) {
     trace(owner_.trace_, event_kind::shuffle_begin, period_index);
     for (std::size_t i = 0; i < evicted_.size(); ++i) {
@@ -136,15 +232,15 @@ class path_shuffle_job final : public horam::shuffle_job {
               "evicted id out of range");
       staged_.emplace(evicted_[i].id, i);
     }
-    // Stash eviction burst length: a function of the (public) eviction
-    // size only, with a bounded conditional tail so a stubborn stash
-    // still drains; whatever remains stays sheltered in the stash.
-    const std::uint64_t z = owner_.config_.bucket_size;
+    // Drain burst length: a function of the (public) eviction size
+    // only, with a bounded conditional tail so a stubborn stash still
+    // drains; whatever remains stays sheltered in the stash.
+    const std::uint64_t z = tree_traits<Tree>::real_slots(owner_.config_);
     drain_budget_ = owner_.tree_->level_count() +
                     2 * util::ceil_div(evicted_.size(), z);
     drain_floor_ = 2 * z;
     extra_ = 4 * drain_budget_ + 64;
-    owner_.last_drain_accesses_ = 0;
+    owner_.last_drain_steps_ = 0;
   }
 
   horam::shuffle_cost step(sim::sim_time device_budget) override {
@@ -212,15 +308,15 @@ class path_shuffle_job final : public horam::shuffle_job {
   }
 
   void drain_once(horam::shuffle_cost& cost) {
-    const cost_split access_cost = owner_.tree_->dummy_access();
-    cost.io_read += access_cost.io / 2;
-    cost.io_write += access_cost.io - access_cost.io / 2;
-    cost.memory += access_cost.memory;
-    cost.cpu += access_cost.cpu;
-    ++owner_.last_drain_accesses_;
+    const cost_split step_cost = tree_traits<Tree>::drain_step(*owner_.tree_);
+    cost.io_read += step_cost.io / 2;
+    cost.io_write += step_cost.io - step_cost.io / 2;
+    cost.memory += step_cost.memory;
+    cost.cpu += step_cost.cpu;
+    ++owner_.last_drain_steps_;
   }
 
-  path_backend& owner_;
+  tree_backend& owner_;
   std::vector<evicted_block> evicted_;
   std::unordered_map<block_id, std::size_t> staged_;
   std::size_t next_install_ = 0;
@@ -231,41 +327,41 @@ class path_shuffle_job final : public horam::shuffle_job {
   bool finished_ = false;
 };
 
-std::unique_ptr<horam::shuffle_job> path_backend::begin_shuffle(
+template <class Tree>
+std::unique_ptr<horam::shuffle_job> tree_backend<Tree>::begin_shuffle(
     std::vector<evicted_block> evicted, std::uint64_t period_index) {
-  return std::make_unique<path_shuffle_job>(*this, std::move(evicted),
-                                            period_index);
+  return std::make_unique<drain_job>(*this, std::move(evicted),
+                                     period_index);
 }
 
-horam::shuffle_cost path_backend::shuffle_period(
+template <class Tree>
+horam::shuffle_cost tree_backend<Tree>::shuffle_period(
     std::vector<evicted_block> evicted, std::uint64_t period_index,
     std::vector<evicted_block>& overflow_out) {
-  std::unique_ptr<horam::shuffle_job> job =
-      begin_shuffle(std::move(evicted), period_index);
-  horam::shuffle_cost cost;
-  while (!job->done()) {
-    cost += job->step(0);
-  }
-  job->finish(overflow_out);
-  return cost;
+  return horam::run_to_completion(
+      *begin_shuffle(std::move(evicted), period_index), overflow_out);
 }
 
-std::uint64_t path_backend::physical_bytes() const {
+template <class Tree>
+std::uint64_t tree_backend<Tree>::physical_bytes() const {
   const std::uint64_t logical = config_.logical_block_bytes != 0
                                     ? config_.logical_block_bytes
                                     : tree_->record_bytes();
-  return tree_->capacity_blocks() * logical + map_->oram_bytes();
+  return tree_traits<Tree>::slots(*tree_) * logical + map_->oram_bytes();
 }
 
-std::uint64_t path_backend::control_memory_bytes() const {
-  // Trusted state: the map residue, the stash, the residency bitmap.
+template <class Tree>
+std::uint64_t tree_backend<Tree>::control_memory_bytes() const {
+  // Trusted state: the map residue, the stash, the residency bitmap,
+  // and whatever per-slot state the scheme keeps.
   return map_->trusted_bytes() +
          tree_->stash_ref().size() *
              (config_.payload_bytes + sizeof(stash_entry)) +
-         cached_.size();
+         cached_.size() + tree_traits<Tree>::extra_trusted_bytes(*tree_);
 }
 
-void path_backend::check_consistency() const {
+template <class Tree>
+void tree_backend<Tree>::check_consistency() const {
   tree_->check_consistency();
 
   invariant(cached_count_ <= config_.block_count, "cached counter overran");
@@ -295,5 +391,8 @@ void path_backend::check_consistency() const {
               "recursive map disagrees with the tree's position map");
   });
 }
+
+template class tree_backend<path_oram>;
+template class tree_backend<ring_oram>;
 
 }  // namespace horam::oram

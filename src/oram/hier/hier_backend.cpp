@@ -536,14 +536,8 @@ std::unique_ptr<horam::shuffle_job> hier_backend::begin_shuffle(
 horam::shuffle_cost hier_backend::shuffle_period(
     std::vector<evicted_block> evicted, std::uint64_t period_index,
     std::vector<evicted_block>& overflow_out) {
-  std::unique_ptr<horam::shuffle_job> job =
-      begin_shuffle(std::move(evicted), period_index);
-  horam::shuffle_cost cost;
-  while (!job->done()) {
-    cost += job->step(0);
-  }
-  job->finish(overflow_out);
-  return cost;
+  return horam::run_to_completion(
+      *begin_shuffle(std::move(evicted), period_index), overflow_out);
 }
 
 std::uint32_t hier_backend::active_levels() const noexcept {

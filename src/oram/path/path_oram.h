@@ -8,7 +8,7 @@
 //     the storage device — the "tree-top cache" baseline the paper
 //     evaluates against (Figure 3-1 a, ZeroTrace-style);
 //   * split_level == 0: the whole tree on storage — the `path`
-//     oram_backend (oram/path/path_backend.h), driven through
+//     oram_backend (oram/common/tree_backend.h), driven through
 //     extract/install instead of plain accesses.
 //
 // Every access reads one root-to-leaf path bucket by bucket, remaps the
@@ -168,7 +168,7 @@ class path_oram {
   cost_split install(block_id id, std::span<const std::uint8_t> payload);
 
   /// install() with a caller-chosen leaf, so an external position map
-  /// (e.g. a recursive_position_map kept by path_backend) can record
+  /// (e.g. a recursive_position_map kept by tree_backend) can record
   /// the same assignment the tree uses.
   cost_split install(block_id id, std::span<const std::uint8_t> payload,
                      leaf_id leaf);

@@ -10,6 +10,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "horam.h"
 #include "test_support.h"
@@ -335,23 +337,71 @@ TEST_P(BackendConformance, NameRoundTripsThroughParserAndBuilder) {
   EXPECT_EQ(oram.read(5), std::vector<std::uint8_t>(8, 0));
 }
 
-// ------------------------------------------------- path-backend detail
+// ------------------------------------------------- tree-backend detail
+
+// Per-scheme seeds (rig ORAM stream, recursion driver, drain driver)
+// and the bucket's real-slot count Z for the tree-backend detail tests.
+template <class Backend>
+struct tree_case;
+
+template <>
+struct tree_case<oram::path_backend> {
+  static constexpr std::string_view name = "path";
+  static constexpr std::uint64_t rig_salt = 97;
+  static constexpr std::uint64_t recursion_salt = 47;
+  static constexpr std::uint64_t drain_salt = 53;
+  static std::uint32_t z(const horam_config& config) {
+    return config.bucket_size;
+  }
+};
+
+template <>
+struct tree_case<oram::ring_backend> {
+  static constexpr std::string_view name = "ring";
+  static constexpr std::uint64_t rig_salt = 311;
+  static constexpr std::uint64_t recursion_salt = 313;
+  static constexpr std::uint64_t drain_salt = 317;
+  static std::uint32_t z(const horam_config& config) {
+    return config.ring_bucket_size;
+  }
+};
+
+template <class Backend>
+class TreeBackendDetail : public ::testing::Test {
+ protected:
+  using scheme = tree_case<Backend>;
+
+  TreeBackendDetail() {
+    fx.rng = util::pcg64(test::seed(scheme::rig_salt));
+  }
+
+  rig fx;
+};
+
+struct tree_case_name {
+  template <class Backend>
+  static std::string GetName(int /*index*/) {
+    return std::string(tree_case<Backend>::name);
+  }
+};
+
+using TreeBackends = ::testing::Types<oram::path_backend, oram::ring_backend>;
+TYPED_TEST_SUITE(TreeBackendDetail, TreeBackends, tree_case_name);
 
 // Deep recursion forced via the config knobs: the recursive map chain
 // gains real ORAM levels, shrinks trusted memory below the flat map's
 // 8 bytes/block, and still agrees with the tree at every audit.
-TEST(PathBackendDetail, ForcedRecursionAgreesWithTreeUnderStress) {
-  rig fx;
+TYPED_TEST(TreeBackendDetail, ForcedRecursionAgreesWithTreeUnderStress) {
+  rig& fx = this->fx;
   horam_config config = fx.config();
   config.map_entries_per_block = 8;
   config.map_direct_threshold = 4;
-  oram::path_backend backend(config, fx.device, fx.cpu, fx.rng,
-                             /*trace=*/nullptr, /*filler=*/nullptr,
-                             &fx.map_device);
+  TypeParam backend(config, fx.device, fx.cpu, fx.rng, /*trace=*/nullptr,
+                    /*filler=*/nullptr, &fx.map_device);
   EXPECT_GE(backend.map().level_count(), 2u);
   EXPECT_LT(backend.map().trusted_bytes(), 8 * kBlocks);
 
-  util::pcg64 driver(test::seed(47));
+  util::pcg64 driver(test::seed(TestFixture::scheme::recursion_salt));
   std::map<block_id, std::vector<std::uint8_t>> cached;
   for (std::uint64_t period = 0; period < 3; ++period) {
     for (std::uint64_t cycle = 0; cycle < fx.config().period_loads();
@@ -379,12 +429,11 @@ TEST(PathBackendDetail, ForcedRecursionAgreesWithTreeUnderStress) {
 // The shuffle-period stash drain works: after a full evict-and-shuffle
 // round the stash is back to a small constant, so the tree (not
 // trusted memory) holds the dataset.
-TEST(PathBackendDetail, ShuffleDrainReturnsStashToConstantSize) {
-  rig fx;
-  oram::path_backend backend(fx.config(), fx.device, fx.cpu, fx.rng,
-                             /*trace=*/nullptr, /*filler=*/nullptr,
-                             &fx.map_device);
-  util::pcg64 driver(test::seed(53));
+TYPED_TEST(TreeBackendDetail, ShuffleDrainReturnsStashToConstantSize) {
+  rig& fx = this->fx;
+  TypeParam backend(fx.config(), fx.device, fx.cpu, fx.rng,
+                    /*trace=*/nullptr, /*filler=*/nullptr, &fx.map_device);
+  util::pcg64 driver(test::seed(TestFixture::scheme::drain_salt));
 
   std::vector<oram::evicted_block> evicted;
   for (std::uint64_t i = 0; i < fx.config().period_loads(); ++i) {
@@ -401,9 +450,11 @@ TEST(PathBackendDetail, ShuffleDrainReturnsStashToConstantSize) {
   EXPECT_TRUE(overflow.empty());
   EXPECT_GT(backend.last_drain_steps(), 0u);
   EXPECT_LE(backend.tree().stash_ref().size(),
-            2u * fx.config().bucket_size);
+            2u * TestFixture::scheme::z(fx.config()));
   ASSERT_NO_THROW(backend.check_consistency());
 }
+
+// ------------------------------------------------- path-backend detail
 
 // A legal non-power-of-two bucket size must not trip the tree's
 // power-of-two leaf-count contract (the leaf count is derived by

@@ -1,14 +1,17 @@
 // End-to-end tests of the H-ORAM controller: data correctness across
 // periods and shuffles (differential testing against a shadow map),
 // scheduling behaviour, policy timing, obliviousness audits of the full
-// bus trace, and the multi-user front end.
+// bus trace, and the core-level tenant scheduler over an engine.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "analysis/pattern_audit.h"
 #include "core/controller.h"
+#include "core/engine.h"
+#include "core/fairness.h"
 #include "core/multi_user.h"
+#include "core/storage_layer.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -317,79 +320,110 @@ TEST(Controller, StorageSmallerThanPathOramBaseline) {
 
 // --------------------------------------------------------- multi-user
 
-TEST(MultiUser, AllUsersServedFairly) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  util::pcg64 gen(50);
-  std::vector<std::vector<request>> queues(4);
-  for (std::uint32_t user = 0; user < 4; ++user) {
-    for (int i = 0; i < 100; ++i) {
-      queues[user].push_back(request{
-          op_kind::read, util::uniform_below(gen, 256), user, {}});
+/// A single-shard engine that owns its device lanes, over the
+/// partitioned storage layer, with a round-robin tenant scheduler on
+/// top — the core-level multi-tenant stack without the facade.
+struct tenant_rig {
+  explicit tenant_rig(std::uint32_t tenants) {
+    horam_config config;
+    config.block_count = 256;
+    config.memory_blocks = 32;
+    config.payload_bytes = 16;
+    config.seal = true;
+    const engine::shard_factory factory =
+        [](std::uint32_t, const horam_config& shard_config,
+           sim::block_device& storage, sim::block_device&,
+           const sim::cpu_model& shard_cpu, util::random_source& rng,
+           oram::access_trace* trace, std::span<const block_id>) {
+          return std::make_unique<storage_layer>(
+              shard_config, storage, shard_cpu, rng, trace, nullptr);
+        };
+    eng = std::make_unique<engine>(
+        config, cpu, factory,
+        engine::options{sim::hdd_paper(), sim::dram_ddr4(), 41, false});
+    sched = std::make_unique<tenant_scheduler>(
+        *eng, make_fairness_policy(fairness_kind::round_robin));
+    for (std::uint32_t t = 0; t < tenants; ++t) {
+      sched->add_tenant();
     }
   }
-  const multi_user_summary summary = frontend.run(queues);
-  ASSERT_EQ(summary.users.size(), 4u);
-  for (const user_summary& user : summary.users) {
-    EXPECT_EQ(user.requests, 100u);
-    EXPECT_GT(user.mean_latency, 0);
+
+  sim::cpu_model cpu{sim::cpu_aesni()};
+  std::unique_ptr<engine> eng;
+  std::unique_ptr<tenant_scheduler> sched;
+};
+
+TEST(MultiUser, AllUsersServedFairly) {
+  tenant_rig rig(4);
+  util::pcg64 gen(50);
+  for (std::uint32_t user = 0; user < 4; ++user) {
+    for (int i = 0; i < 100; ++i) {
+      (void)rig.sched->enqueue(
+          user, request{op_kind::read, util::uniform_below(gen, 256), user,
+                        {}});
+    }
   }
-  EXPECT_GT(summary.throughput, 0.0);
-  // Round-robin fairness: mean latencies within 3x of each other.
-  sim::sim_time lo = summary.users[0].mean_latency;
+  rig.sched->run_until_idle();
+  sim::sim_time lo = rig.sched->stats(0).mean_latency();
   sim::sim_time hi = lo;
-  for (const user_summary& user : summary.users) {
-    lo = std::min(lo, user.mean_latency);
-    hi = std::max(hi, user.mean_latency);
+  for (std::uint32_t user = 0; user < 4; ++user) {
+    const tenant_stats ts = rig.sched->stats(user);
+    EXPECT_EQ(ts.completed, 100u);
+    EXPECT_GT(ts.mean_latency(), 0);
+    EXPECT_GT(ts.throughput, 0.0);
+    lo = std::min(lo, ts.mean_latency());
+    hi = std::max(hi, ts.mean_latency());
   }
+  // Round-robin fairness: mean latencies within 3x of each other.
   EXPECT_LT(hi, 3 * lo);
 }
 
 TEST(MultiUser, AccessControlBlocksOutOfRangeRequests) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  frontend.grant(0, user_grant{0, 128});
-  frontend.grant(1, user_grant{128, 256});
+  tenant_rig rig(2);
+  rig.sched->grant(0, user_grant{0, 128});
+  rig.sched->grant(1, user_grant{128, 256});
+  EXPECT_NO_THROW(
+      (void)rig.sched->enqueue(0, request{op_kind::read, 5, 0, {}}));
+  EXPECT_NO_THROW(
+      (void)rig.sched->enqueue(1, request{op_kind::read, 200, 1, {}}));
+  rig.sched->run_until_idle();
 
-  std::vector<std::vector<request>> ok(2);
-  ok[0].push_back(request{op_kind::read, 5, 0, {}});
-  ok[1].push_back(request{op_kind::read, 200, 1, {}});
-  EXPECT_NO_THROW(frontend.run(ok));
-
-  std::vector<std::vector<request>> bad(2);
-  bad[0].push_back(request{op_kind::read, 5, 0, {}});
-  bad[1].push_back(request{op_kind::read, 5, 1, {}});  // user 1 forbidden
-  const std::uint64_t cycles_before = ctrl.stats().cycles;
-  EXPECT_THROW(frontend.run(bad), access_denied);
-  // The denial happened before any ORAM work: no observable trace.
-  EXPECT_EQ(ctrl.stats().cycles, cycles_before);
+  const std::uint64_t cycles_before = rig.eng->stats().cycles;
+  // Tenant 1 may not touch block 5.
+  EXPECT_THROW((void)rig.sched->enqueue(1, request{op_kind::read, 5, 1, {}}),
+               access_denied);
+  // The denial happened at admission, before any ORAM work: nothing was
+  // queued and no cycle ran.
+  EXPECT_EQ(rig.sched->queued(), 0u);
+  rig.sched->run_until_idle();
+  EXPECT_EQ(rig.eng->stats().cycles, cycles_before);
 }
 
 TEST(MultiUser, UngrantedUsersAreUnrestricted) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  frontend.grant(0, user_grant{0, 10});
-  std::vector<std::vector<request>> queues(2);
-  queues[0].push_back(request{op_kind::read, 3, 0, {}});
-  queues[1].push_back(request{op_kind::read, 250, 1, {}});  // no grant
-  EXPECT_NO_THROW(frontend.run(queues));
+  tenant_rig rig(2);
+  rig.sched->grant(0, user_grant{0, 10});
+  EXPECT_NO_THROW(
+      (void)rig.sched->enqueue(0, request{op_kind::read, 3, 0, {}}));
+  EXPECT_NO_THROW(
+      (void)rig.sched->enqueue(1, request{op_kind::read, 250, 1, {}}));
+  rig.sched->run_until_idle();
+  EXPECT_EQ(rig.sched->stats(1).completed, 1u);
 }
 
 TEST(MultiUser, UnevenQueuesDrainCompletely) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  std::vector<std::vector<request>> queues(3);
-  queues[0].assign(10, request{op_kind::read, 1, 0, {}});
-  queues[1].assign(50, request{op_kind::read, 2, 0, {}});
-  queues[2].assign(1, request{op_kind::read, 3, 0, {}});
-  const multi_user_summary summary = frontend.run(queues);
-  EXPECT_EQ(summary.users[0].requests, 10u);
-  EXPECT_EQ(summary.users[1].requests, 50u);
-  EXPECT_EQ(summary.users[2].requests, 1u);
+  tenant_rig rig(3);
+  const std::uint64_t depths[] = {10, 50, 1};
+  for (std::uint32_t user = 0; user < 3; ++user) {
+    for (std::uint64_t i = 0; i < depths[user]; ++i) {
+      (void)rig.sched->enqueue(user,
+                               request{op_kind::read, user + 1, user, {}});
+    }
+  }
+  rig.sched->run_until_idle();
+  EXPECT_TRUE(rig.sched->idle());
+  for (std::uint32_t user = 0; user < 3; ++user) {
+    EXPECT_EQ(rig.sched->stats(user).completed, depths[user]);
+  }
 }
 
 // --------------------------------------------------- parameter sweeps

@@ -12,7 +12,7 @@
 
 #include "analysis/pattern_audit.h"
 #include "horam.h"
-#include "oram/path/path_backend.h"
+#include "oram/common/tree_backend.h"
 #include "oram/path/path_oram.h"
 #include "sim/profiles.h"
 #include "test_support.h"

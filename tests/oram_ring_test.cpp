@@ -2,8 +2,9 @@
 // shadow oracle, the unread-dummy invariant behind the one-slot-per-
 // bucket reads, early reshuffles, deterministic evictions, the XOR
 // read mode's bit-for-bit agreement with per-slot reads, and bulk
-// initialisation — plus backend-level detail (recursive map agreement,
-// drain bounds, builder knobs) through the public facade.
+// initialisation — plus backend-level builder knobs through the public
+// facade. The backend's map agreement and drain bounds are shared with
+// Path ORAM (backend_conformance_test, TreeBackendDetail).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -320,89 +321,6 @@ TEST(RingOram, InitializeFullOverflowShelteredInStash) {
 constexpr std::uint64_t kBlocks = 256;
 constexpr std::uint64_t kMemoryBlocks = 32;
 constexpr std::size_t kPayload = 16;
-
-struct rig {
-  sim::block_device device{sim::hdd_paper()};
-  sim::block_device map_device{sim::dram_ddr4()};
-  sim::cpu_model cpu{sim::cpu_aesni()};
-  util::pcg64 rng{test::seed(311)};
-
-  horam_config config() const {
-    horam_config c;
-    c.block_count = kBlocks;
-    c.memory_blocks = kMemoryBlocks;
-    c.payload_bytes = kPayload;
-    c.seal = true;
-    return c;
-  }
-};
-
-// Deep recursion forced via the config knobs: the recursive map chain
-// gains real ORAM levels and still agrees with the ring tree's own
-// position map at every audit.
-TEST(RingBackendDetail, ForcedRecursionAgreesWithTreeUnderStress) {
-  rig fx;
-  horam_config config = fx.config();
-  config.map_entries_per_block = 8;
-  config.map_direct_threshold = 4;
-  ring_backend backend(config, fx.device, fx.cpu, fx.rng,
-                       /*trace=*/nullptr, /*filler=*/nullptr,
-                       &fx.map_device);
-  EXPECT_GE(backend.map().level_count(), 2u);
-  EXPECT_LT(backend.map().trusted_bytes(), 8 * kBlocks);
-
-  util::pcg64 driver(test::seed(313));
-  std::map<block_id, std::vector<std::uint8_t>> cached;
-  for (std::uint64_t period = 0; period < 3; ++period) {
-    for (std::uint64_t cycle = 0; cycle < fx.config().period_loads();
-         ++cycle) {
-      const block_id target = util::uniform_below(driver, kBlocks);
-      if (backend.in_storage(target)) {
-        const auto load = backend.load_block(target);
-        cached[load.id] = load.payload;
-      } else {
-        (void)backend.dummy_load();
-      }
-    }
-    std::vector<evicted_block> evicted;
-    for (auto& [id, payload] : cached) {
-      evicted.push_back(evicted_block{id, std::move(payload)});
-    }
-    cached.clear();
-    std::vector<evicted_block> overflow;
-    (void)backend.shuffle_period(std::move(evicted), period, overflow);
-    EXPECT_TRUE(overflow.empty());
-    ASSERT_NO_THROW(backend.check_consistency()) << "period " << period;
-  }
-}
-
-// After a full shuffle period the drain has pushed the stash back to a
-// small constant: the tree, not trusted memory, holds the dataset.
-TEST(RingBackendDetail, ShuffleDrainReturnsStashToConstantSize) {
-  rig fx;
-  ring_backend backend(fx.config(), fx.device, fx.cpu, fx.rng,
-                       /*trace=*/nullptr, /*filler=*/nullptr,
-                       &fx.map_device);
-  util::pcg64 driver(test::seed(317));
-
-  std::vector<evicted_block> evicted;
-  for (std::uint64_t i = 0; i < fx.config().period_loads(); ++i) {
-    const block_id target = util::uniform_below(driver, kBlocks);
-    if (backend.in_storage(target)) {
-      const auto load = backend.load_block(target);
-      evicted.push_back(evicted_block{load.id, load.payload});
-    } else {
-      (void)backend.dummy_load();
-    }
-  }
-  std::vector<evicted_block> overflow;
-  (void)backend.shuffle_period(std::move(evicted), 0, overflow);
-  EXPECT_TRUE(overflow.empty());
-  EXPECT_GT(backend.last_drain_steps(), 0u);
-  EXPECT_LE(backend.tree().stash_ref().size(),
-            2u * fx.config().ring_bucket_size);
-  ASSERT_NO_THROW(backend.check_consistency());
-}
 
 // The facade's (Z, S, A) knobs reach the tree, including sizes with no
 // power-of-two relationship to anything.

@@ -17,7 +17,7 @@
 
 #include "analysis/obliviousness.h"
 #include "horam.h"
-#include "oram/path/path_backend.h"
+#include "oram/common/tree_backend.h"
 #include "oram/path/path_oram.h"
 #include "sim/profiles.h"
 #include "test_support.h"

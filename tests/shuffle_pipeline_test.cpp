@@ -16,7 +16,7 @@
 
 #include "analysis/obliviousness.h"
 #include "horam.h"
-#include "oram/path/path_backend.h"
+#include "oram/common/tree_backend.h"
 #include "test_support.h"
 #include "util/rng.h"
 
