@@ -52,19 +52,18 @@ int main(int argc, char** argv) {
     const system_run run =
         run_horam(data, recipe, hw, /*config_tweak=*/{}, kind);
     if (kind == backend_kind::partitioned) {
-      partitioned_total = run.total_time;
+      partitioned_total = run.stats.total_time;
     }
     table.add_row(
         {std::string(backend_name(kind)),
-         util::format_count(run.io_accesses),
-         util::format_double(run.avg_io_latency_us, 1) + " us",
-         util::format_time_ns(run.shuffle_time),
-         util::format_count(run.device_read_ops + run.device_write_ops),
-         util::format_bytes(run.device_read_bytes +
-                            run.device_write_bytes),
+         util::format_count(run.stats.cycles),
+         util::format_double(run.avg_io_latency_us(), 1) + " us",
+         util::format_time_ns(run.stats.shuffle_time),
+         util::format_count(run.io.total_ops()),
+         util::format_bytes(run.io.total_bytes()),
          util::format_bytes(run.storage_bytes),
-         util::format_time_ns(run.total_time),
-         util::format_double(static_cast<double>(run.total_time) /
+         util::format_time_ns(run.stats.total_time),
+         util::format_double(static_cast<double>(run.stats.total_time) /
                                  static_cast<double>(partitioned_total),
                              2) +
              "x"});

@@ -33,14 +33,15 @@ int main() {
     const system_run horam_run = run_horam(data, recipe, hw);
     const system_run path_run = run_tree_top_path(data, recipe, hw);
     table.add_row(
-        {device.name, util::format_time_ns(horam_run.total_time),
-         util::format_time_ns(path_run.total_time),
-         util::format_double(static_cast<double>(path_run.total_time) /
-                                 static_cast<double>(horam_run.total_time),
-                             1) +
+        {device.name, util::format_time_ns(horam_run.stats.total_time),
+         util::format_time_ns(path_run.stats.total_time),
+         util::format_double(
+             static_cast<double>(path_run.stats.total_time) /
+                 static_cast<double>(horam_run.stats.total_time),
+             1) +
              "x",
-         util::format_double(horam_run.avg_io_latency_us, 0) + " us",
-         util::format_double(path_run.avg_io_latency_us, 0) + " us"});
+         util::format_double(horam_run.avg_io_latency_us(), 0) + " us",
+         util::format_double(path_run.avg_io_latency_us(), 0) + " us"});
   }
   table.print(std::cout);
   std::cout << "The seek-dominated devices are where the cacheable "

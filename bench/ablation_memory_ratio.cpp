@@ -36,21 +36,21 @@ int main() {
     const system_run path_run = run_tree_top_path(data, recipe, hw);
 
     const double measured_speedup =
-        static_cast<double>(path_run.total_time) /
-        static_cast<double>(horam_run.total_time);
+        static_cast<double>(path_run.stats.total_time) /
+        static_cast<double>(horam_run.stats.total_time);
     // Apples-to-apples with the equations: storage-device busy time
     // per request (loads + shuffle traffic), H-ORAM vs baseline.
     const double measured_io_gain =
-        static_cast<double>(path_run.io_busy) /
-        static_cast<double>(horam_run.io_busy);
+        static_cast<double>(path_run.stats.io_busy) /
+        static_cast<double>(horam_run.stats.io_busy);
     const double theory = analysis::theoretical_gain(
-        static_cast<double>(ratio), horam_run.avg_c, 4.0, 102.7e6,
+        static_cast<double>(ratio), horam_run.avg_c(), 4.0, 102.7e6,
         55.2e6);
     table.add_row(
-        {std::to_string(ratio), util::format_double(horam_run.avg_c, 2),
-         util::format_double(static_cast<double>(path_run.io_accesses) /
+        {std::to_string(ratio), util::format_double(horam_run.avg_c(), 2),
+         util::format_double(static_cast<double>(path_run.stats.cycles) /
                                  static_cast<double>(
-                                     horam_run.io_accesses),
+                                     horam_run.stats.cycles),
                              2) +
              "x",
          util::format_double(measured_io_gain, 1) + "x",

@@ -77,12 +77,10 @@ int main(int argc, char** argv) {
               config.page_bytes = page_bytes;
             },
             kind);
-        const std::uint64_t device_ops =
-            run.device_read_ops + run.device_write_ops;
         const double ops_per_request =
-            run.requests > 0
-                ? static_cast<double>(device_ops) /
-                      static_cast<double>(run.requests)
+            run.stats.requests > 0
+                ? static_cast<double>(run.io.total_ops()) /
+                      static_cast<double>(run.stats.requests)
                 : 0.0;
         if (layout == storage::storage_layout::flat) {
           flat_ops_per_request = ops_per_request;
@@ -98,13 +96,13 @@ int main(int argc, char** argv) {
             {std::string(profile.name),
              std::string(backend_name(kind)),
              std::string(storage_layout_name(layout)),
-             util::format_count(run.requests),
-             util::format_count(run.device_read_ops),
-             util::format_count(run.device_write_ops),
+             util::format_count(run.stats.requests),
+             util::format_count(run.io.read_ops),
+             util::format_count(run.io.write_ops),
              util::format_double(ops_per_request, 2),
              util::format_double(reduction, 2) + "x",
-             util::format_double(run.avg_io_latency_us, 1),
-             util::format_time_ns(run.total_time)});
+             util::format_double(run.avg_io_latency_us(), 1),
+             util::format_time_ns(run.stats.total_time)});
         if (!first_run) {
           json += ",\n";
         }

@@ -38,7 +38,7 @@ int main() {
           config.partition_slack = slack;
         });
     if (cadence == 1) {
-      baseline_total = run.total_time;
+      baseline_total = run.stats.total_time;
     }
     // Recover masking-read count: total loads in io_accesses are
     // cycles; masking reads show up as extra storage reads inside the
@@ -68,13 +68,15 @@ int main() {
     const std::uint64_t masking = ctrl.backend().stats().masking_reads;
 
     table.add_row(
-        {"1/" + std::to_string(cadence), util::format_count(run.io_accesses),
-         util::format_count(masking), util::format_time_ns(run.shuffle_time),
-         util::format_time_ns(run.total_time -
-                              std::min(run.total_time, run.shuffle_time)),
-         util::format_time_ns(run.total_time),
+        {"1/" + std::to_string(cadence), util::format_count(run.stats.cycles),
+         util::format_count(masking),
+         util::format_time_ns(run.stats.shuffle_time),
+         util::format_time_ns(
+             run.stats.total_time -
+             std::min(run.stats.total_time, run.stats.shuffle_time)),
+         util::format_time_ns(run.stats.total_time),
          util::format_double(static_cast<double>(baseline_total) /
-                                 static_cast<double>(run.total_time),
+                                 static_cast<double>(run.stats.total_time),
                              2) +
              "x"});
   }

@@ -90,15 +90,13 @@ int main(int argc, char** argv) {
     const auto emit = [&](const system_run& run, std::string_view backend,
                           const ring_geometry& geometry, bool xor_reads) {
       const double requests =
-          static_cast<double>(std::max<std::uint64_t>(1, run.requests));
+          static_cast<double>(std::max<std::uint64_t>(1, run.stats.requests));
       const double online_ops =
           static_cast<double>(run.online_device_ops()) / requests;
       const double online_bytes =
           static_cast<double>(run.online_device_bytes()) / requests;
       const double total_bytes =
-          static_cast<double>(run.device_read_bytes +
-                              run.device_write_bytes) /
-          requests;
+          static_cast<double>(run.io.total_bytes()) / requests;
       if (backend == "path") {
         path_online_ops = online_ops;
         path_online_bytes = online_bytes;
@@ -128,7 +126,7 @@ int main(int argc, char** argv) {
            util::format_double(online_byte_reduction, 2) + "x",
            util::format_bytes(static_cast<std::uint64_t>(total_bytes)),
            util::format_double(total_byte_reduction, 2) + "x",
-           util::format_time_ns(run.total_time)});
+           util::format_time_ns(run.stats.total_time)});
       if (!first_run) {
         json += ",\n";
       }

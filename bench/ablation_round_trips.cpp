@@ -90,16 +90,16 @@ int main(int argc, char** argv) {
     const auto emit = [&](const system_run& run,
                           std::string_view backend) {
       const double requests =
-          static_cast<double>(std::max<std::uint64_t>(1, run.requests));
+          static_cast<double>(std::max<std::uint64_t>(1, run.stats.requests));
       const double loads = static_cast<double>(
-          std::max<std::uint64_t>(1, run.io_accesses));
+          std::max<std::uint64_t>(1, run.stats.cycles));
       const double per_request =
           static_cast<double>(run.online_round_trips()) / requests;
       const double per_load =
           static_cast<double>(run.online_round_trips()) / loads;
       if (backend == "path") {
         path_per_load = per_load;
-        path_total = static_cast<double>(run.total_time);
+        path_total = static_cast<double>(run.stats.total_time);
       }
       // Path is the control of each profile: the reduction columns are
       // how many path round trips (how much path virtual time) one of
@@ -107,16 +107,16 @@ int main(int argc, char** argv) {
       const double trip_reduction =
           per_load > 0.0 ? path_per_load / per_load : 0.0;
       const double time_reduction =
-          run.total_time > 0
-              ? path_total / static_cast<double>(run.total_time)
+          run.stats.total_time > 0
+              ? path_total / static_cast<double>(run.stats.total_time)
               : 0.0;
       table.add_row({std::string(profile.name), std::string(backend),
                      util::format_double(per_request, 2),
                      util::format_double(per_load, 2),
                      util::format_double(trip_reduction, 2) + "x",
                      util::format_count(run.online_round_trips()),
-                     util::format_count(run.shuffle_device_round_trips),
-                     util::format_time_ns(run.total_time),
+                     util::format_count(run.stats.shuffle_device_round_trips),
+                     util::format_time_ns(run.stats.total_time),
                      util::format_double(time_reduction, 2) + "x"});
       if (!first_run) {
         json += ",\n";

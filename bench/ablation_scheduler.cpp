@@ -40,10 +40,10 @@ int main() {
           config.stages = option.stages;
         });
     stage_table.add_row(
-        {option.name, util::format_count(run.io_accesses),
-         util::format_double(run.avg_c, 2),
-         util::format_double(100.0 * run.hit_rate, 1) + " %",
-         util::format_time_ns(run.total_time)});
+        {option.name, util::format_count(run.stats.cycles),
+         util::format_double(run.avg_c(), 2),
+         util::format_double(100.0 * run.hit_rate(), 1) + " %",
+         util::format_time_ns(run.stats.total_time)});
   }
   stage_table.print(std::cout);
 
@@ -56,9 +56,9 @@ int main() {
           config.prefetch_factor = factor;
         });
     window_table.add_row({std::to_string(factor),
-                          util::format_count(run.io_accesses),
-                          util::format_double(run.avg_c, 2),
-                          util::format_time_ns(run.total_time)});
+                          util::format_count(run.stats.cycles),
+                          util::format_double(run.avg_c(), 2),
+                          util::format_time_ns(run.stats.total_time)});
   }
   window_table.print(std::cout);
   std::cout << "A deeper window (the paper's I/O pre-fetching) finds "

@@ -55,24 +55,25 @@ int main(int argc, char** argv) {
           data, recipe, hw,
           [shards](horam_config& config) { config.shard_count = shards; },
           kind);
+      const sim::sim_time total_time = run.stats.total_time;
       if (shards == 1) {
-        base_time = run.total_time;
+        base_time = total_time;
       }
       const double speedup =
-          run.total_time > 0 ? static_cast<double>(base_time) /
-                                   static_cast<double>(run.total_time)
-                             : 0.0;
+          total_time > 0 ? static_cast<double>(base_time) /
+                               static_cast<double>(total_time)
+                         : 0.0;
       const double throughput =
-          run.total_time > 0 ? static_cast<double>(run.requests) * 1e9 /
-                                   static_cast<double>(run.total_time)
-                             : 0.0;
+          total_time > 0 ? static_cast<double>(run.stats.requests) * 1e9 /
+                               static_cast<double>(total_time)
+                         : 0.0;
       table.add_row(
           {std::string(backend_name(kind)), std::to_string(shards),
-           util::format_time_ns(run.total_time),
+           util::format_time_ns(run.stats.total_time),
            util::format_count(static_cast<std::uint64_t>(throughput)),
            util::format_double(speedup, 2) + "x",
-           util::format_double(100.0 * run.hit_rate, 1) + " %",
-           util::format_count(run.io_accesses),
+           util::format_double(100.0 * run.hit_rate(), 1) + " %",
+           util::format_count(run.stats.cycles),
            util::format_bytes(run.storage_bytes)});
       if (!first_run) {
         json += ",\n";

@@ -82,22 +82,22 @@ int main(int argc, char** argv) {
                         shuffle_policy policy, sim::sim_time budget,
                         const system_run& run, sim::sim_time fg_p99) {
     const double p99_ratio =
-        fg_p99 > 0 ? static_cast<double>(run.latency_p99) /
+        fg_p99 > 0 ? static_cast<double>(run.latency_p99()) /
                          static_cast<double>(fg_p99)
                    : 0.0;
     table.add_row(
         {std::string(backend_name(kind)), std::to_string(shards),
          std::string(shuffle_policy_name(policy)),
          budget > 0 ? util::format_time_ns(budget) : "-",
-         util::format_time_ns(run.latency_p50),
-         util::format_time_ns(run.latency_p99),
-         util::format_time_ns(run.latency_max),
+         util::format_time_ns(run.latency_p50()),
+         util::format_time_ns(run.latency_p99()),
+         util::format_time_ns(run.latency_max()),
          policy == shuffle_policy::incremental
              ? util::format_double(p99_ratio, 3) + "x"
              : "1x",
-         util::format_count(run.shuffle_slices),
-         util::format_time_ns(run.shuffle_stall_time),
-         util::format_time_ns(run.total_time)});
+         util::format_count(run.stats.shuffle_slices),
+         util::format_time_ns(run.stats.shuffle_stall_time),
+         util::format_time_ns(run.stats.total_time)});
     if (!first_run) {
       json += ",\n";
     }
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       const system_run fg = run_horam(
           data, recipe, hw, tweak(shuffle_policy::foreground, 0), kind);
       emit(kind, shards, shuffle_policy::foreground, 0, fg,
-           fg.latency_p99);
+           fg.latency_p99());
 
       // b0: smallest slice budget that retires a period's burst within
       // the period (burst spread over the per-shard period_loads
@@ -133,9 +133,9 @@ int main(int argc, char** argv) {
       const std::uint64_t per_shard_period_loads =
           std::max<std::uint64_t>(1, data.memory_blocks() / shards / 2);
       const sim::sim_time mean_burst =
-          fg.shuffle_count > 0
-              ? fg.shuffle_time /
-                    static_cast<sim::sim_time>(fg.shuffle_count)
+          fg.stats.periods > 0
+              ? fg.stats.shuffle_time /
+                    static_cast<sim::sim_time>(fg.stats.periods)
               : 0;
       const sim::sim_time b0 = std::max<sim::sim_time>(
           1, util::ceil_div(static_cast<std::uint64_t>(mean_burst),
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
             data, recipe, hw,
             tweak(shuffle_policy::incremental, budget), kind);
         emit(kind, shards, shuffle_policy::incremental, budget, run,
-             fg.latency_p99);
+             fg.latency_p99());
       }
     }
   }

@@ -104,14 +104,14 @@ int main(int argc, char** argv) {
                 ? base_wall / run.wall_seconds
                 : 0.0;
         const double throughput =
-            run.total_time > 0
-                ? static_cast<double>(run.requests) * 1e9 /
-                      static_cast<double>(run.total_time)
+            run.stats.total_time > 0
+                ? static_cast<double>(run.stats.requests) * 1e9 /
+                      static_cast<double>(run.stats.total_time)
                 : 0.0;
         table.add_row(
             {std::string(backend_name(kind)), std::to_string(shards),
              run.runtime, std::to_string(run.threads),
-             util::format_time_ns(run.total_time),
+             util::format_time_ns(run.stats.total_time),
              util::format_double(run.wall_seconds, 2),
              util::format_double(wall_speedup, 2) + "x",
              util::format_count(static_cast<std::uint64_t>(throughput))});

@@ -164,51 +164,39 @@ std::string json_number(double value) {
 
 std::string json_fields(const system_run& run) {
   std::ostringstream out;
+  out << "\"name\": " << json_escape(run.name);
+  controller_stats::for_each_field([&](const char* key, auto member) {
+    out << ", \"" << key << "\": " << run.stats.*member;
+  });
+  const std::uint64_t requests = run.stats.requests;
+  const sim::sim_time total_time = run.stats.total_time;
   const double throughput =
-      run.total_time > 0 ? static_cast<double>(run.requests) * 1e9 /
-                               static_cast<double>(run.total_time)
-                         : 0.0;
-  out << "\"name\": " << json_escape(run.name)
-      << ", \"requests\": " << run.requests
-      << ", \"io_accesses\": " << run.io_accesses
-      << ", \"avg_io_latency_us\": " << json_number(run.avg_io_latency_us)
-      << ", \"shuffle_time_ns\": " << run.shuffle_time
-      << ", \"shuffle_count\": " << run.shuffle_count
-      << ", \"total_time_ns\": " << run.total_time
-      << ", \"io_busy_ns\": " << run.io_busy
+      total_time > 0 ? static_cast<double>(requests) * 1e9 /
+                           static_cast<double>(total_time)
+                     : 0.0;
+  out << ", \"avg_io_latency_us\": " << json_number(run.avg_io_latency_us())
       << ", \"throughput_rps\": " << json_number(throughput)
-      << ", \"hit_rate\": " << json_number(run.hit_rate)
-      << ", \"avg_c\": " << json_number(run.avg_c)
+      << ", \"hit_rate\": " << json_number(run.hit_rate())
+      << ", \"avg_c\": " << json_number(run.avg_c())
       << ", \"storage_bytes\": " << run.storage_bytes
-      << ", \"device_read_ops\": " << run.device_read_ops
-      << ", \"device_write_ops\": " << run.device_write_ops
-      << ", \"device_read_bytes\": " << run.device_read_bytes
-      << ", \"device_write_bytes\": " << run.device_write_bytes
-      << ", \"shuffle_device_read_ops\": " << run.shuffle_device_read_ops
-      << ", \"shuffle_device_write_ops\": "
-      << run.shuffle_device_write_ops
-      << ", \"shuffle_device_read_bytes\": "
-      << run.shuffle_device_read_bytes
-      << ", \"shuffle_device_write_bytes\": "
-      << run.shuffle_device_write_bytes
-      << ", \"device_round_trips\": " << run.device_round_trips
-      << ", \"shuffle_device_round_trips\": "
-      << run.shuffle_device_round_trips
+      << ", \"device_read_ops\": " << run.io.read_ops
+      << ", \"device_write_ops\": " << run.io.write_ops
+      << ", \"device_read_bytes\": " << run.io.bytes_read
+      << ", \"device_write_bytes\": " << run.io.bytes_written
+      << ", \"device_round_trips\": " << run.io.round_trips
       << ", \"online_round_trips\": " << run.online_round_trips()
       << ", \"round_trips_per_request\": "
-      << json_number(run.requests > 0
+      << json_number(requests > 0
                          ? static_cast<double>(run.online_round_trips()) /
-                               static_cast<double>(run.requests)
+                               static_cast<double>(requests)
                          : 0.0)
       << ", \"online_device_ops\": " << run.online_device_ops()
       << ", \"online_device_bytes\": " << run.online_device_bytes()
       << ", \"host_seconds\": " << json_number(run.host_seconds)
-      << ", \"latency_p50_ns\": " << run.latency_p50
-      << ", \"latency_p95_ns\": " << run.latency_p95
-      << ", \"latency_p99_ns\": " << run.latency_p99
-      << ", \"latency_max_ns\": " << run.latency_max
-      << ", \"shuffle_slices\": " << run.shuffle_slices
-      << ", \"shuffle_stall_ns\": " << run.shuffle_stall_time
+      << ", \"latency_p50_ns\": " << run.latency_p50()
+      << ", \"latency_p95_ns\": " << run.latency_p95()
+      << ", \"latency_p99_ns\": " << run.latency_p99()
+      << ", \"latency_max_ns\": " << run.latency_max()
       << ", \"runtime\": " << json_escape(run.runtime)
       << ", \"threads\": " << run.threads
       << ", \"wall_seconds\": " << json_number(run.wall_seconds);
@@ -247,44 +235,16 @@ system_run run_horam(
   ctrl.run(stream);
   const double wall_seconds = seconds_since(stream_start);
 
-  const controller_stats& stats = ctrl.stats();
   system_run run;
   run.name = backend == backend_kind::partitioned
                  ? "H-ORAM"
                  : "H-ORAM/" + std::string(backend_name(backend));
-  run.requests = stats.requests;
-  run.io_accesses = stats.cycles;
-  run.avg_io_latency_us = stats.average_io_latency_us();
-  run.shuffle_time = stats.shuffle_time;
-  run.shuffle_count = stats.periods;
-  run.total_time = stats.total_time;
-  run.io_busy = stats.io_busy;
-  run.hit_rate = static_cast<double>(stats.hits) /
-                 static_cast<double>(std::max<std::uint64_t>(
-                     1, stats.requests));
-  run.avg_c = stats.average_c();
+  run.stats = ctrl.stats();
   // Whole-machine footprint: every shard's store counts.
-  run.storage_bytes = 0;
   for (std::uint32_t s = 0; s < ctrl.eng().shard_count(); ++s) {
     run.storage_bytes += ctrl.eng().shard(s).backend().physical_bytes();
-    const sim::io_stats& device = ctrl.eng().shard_storage(s).stats();
-    run.device_read_ops += device.read_ops;
-    run.device_write_ops += device.write_ops;
-    run.device_read_bytes += device.bytes_read;
-    run.device_write_bytes += device.bytes_written;
-    run.device_round_trips += device.round_trips;
+    run.io += ctrl.eng().shard_storage(s).stats();
   }
-  run.shuffle_device_read_ops = stats.shuffle_device_read_ops;
-  run.shuffle_device_write_ops = stats.shuffle_device_write_ops;
-  run.shuffle_device_read_bytes = stats.shuffle_device_read_bytes;
-  run.shuffle_device_write_bytes = stats.shuffle_device_write_bytes;
-  run.shuffle_device_round_trips = stats.shuffle_device_round_trips;
-  run.latency_p50 = stats.request_latency.p50();
-  run.latency_p95 = stats.request_latency.p95();
-  run.latency_p99 = stats.request_latency.p99();
-  run.latency_max = stats.request_latency.max();
-  run.shuffle_slices = stats.shuffle_slices;
-  run.shuffle_stall_time = stats.shuffle_stall_time;
   run.runtime = std::string(runtime_policy_name(ctrl.config().runtime));
   run.threads = ctrl.eng().worker_threads();
   run.wall_seconds = wall_seconds;
@@ -327,36 +287,26 @@ system_run run_tree_top_path(const dataset& data,
 
   const std::vector<request> stream = make_stream(data, recipe);
   const auto stream_start = std::chrono::steady_clock::now();
-  sim::sim_time total = 0;
-  sim::sim_time io_total = 0;
+  oram::cost_split cost;
   for (const request& req : stream) {
     // Serial device usage: a path access walks levels in order.
-    const oram::cost_split cost =
-        oram.access(req.op, req.id, req.write_data, {});
-    total += cost.total();
-    io_total += cost.io;
+    cost += oram.access(req.op, req.id, req.write_data, {});
   }
 
   system_run run;
   run.name = "Path ORAM (tree-top cache)";
-  run.requests = stream.size();
-  run.io_accesses = stream.size();  // every access touches storage
-  run.avg_io_latency_us = static_cast<double>(io_total) / 1e3 /
-                          static_cast<double>(stream.size());
-  run.shuffle_time = 0;
-  run.shuffle_count = 0;
-  run.total_time = total;
-  run.io_busy = io_total;
-  run.hit_rate = 0.0;
-  run.avg_c = 1.0;
+  // Every request is a miss served by one storage load; no shuffles.
+  controller_stats& stats = run.stats;
+  stats.requests = stats.misses = stats.cycles = stats.real_loads =
+      stream.size();
+  stats.total_time = stats.access_time = cost.total();
+  stats.io_busy = stats.io_load_time = cost.io;
+  stats.memory_busy = cost.memory;
+  stats.cpu_busy = cost.cpu;
   // Physical tree footprint: all buckets at the logical block size.
   run.storage_bytes = (2 * config.leaf_count - 1) * config.bucket_size *
                       data.block_bytes;
-  run.device_read_ops = storage_device.stats().read_ops;
-  run.device_write_ops = storage_device.stats().write_ops;
-  run.device_read_bytes = storage_device.stats().bytes_read;
-  run.device_write_bytes = storage_device.stats().bytes_written;
-  run.device_round_trips = storage_device.stats().round_trips;
+  run.io = storage_device.stats();
   run.wall_seconds = seconds_since(stream_start);
   run.host_seconds = seconds_since(start);
   return run;
@@ -387,36 +337,36 @@ void print_comparison(const std::string& title, const system_run& horam,
   const auto ms = [](double v) {
     return util::format_double(v, 0) + " ms";
   };
-  row("Number of I/O Access", util::format_count(horam.io_accesses),
+  row("Number of I/O Access", util::format_count(horam.stats.cycles),
       paper ? util::format_count(
                   static_cast<std::uint64_t>(paper->horam_io_accesses))
             : "",
-      util::format_count(path.io_accesses),
+      util::format_count(path.stats.cycles),
       paper ? util::format_count(
                   static_cast<std::uint64_t>(paper->path_io_accesses))
             : "");
   row("I/O Latency",
-      util::format_double(horam.avg_io_latency_us, 0) + " us",
+      util::format_double(horam.avg_io_latency_us(), 0) + " us",
       paper ? util::format_double(paper->horam_io_latency_us, 0) + " us"
             : "",
-      util::format_double(path.avg_io_latency_us, 0) + " us",
+      util::format_double(path.avg_io_latency_us(), 0) + " us",
       paper ? util::format_double(paper->path_io_latency_us, 0) + " us"
             : "");
   row("Shuffle Time",
-      util::format_time_ns(horam.shuffle_time) + " * " +
-          std::to_string(horam.shuffle_count),
+      util::format_time_ns(horam.stats.shuffle_time) + " * " +
+          std::to_string(horam.stats.periods),
       paper ? ms(paper->horam_shuffle_ms) : "", "N/A",
       paper ? "N/A" : "");
-  row("Total Time", util::format_time_ns(horam.total_time),
+  row("Total Time", util::format_time_ns(horam.stats.total_time),
       paper ? ms(paper->horam_total_ms) : "",
-      util::format_time_ns(path.total_time),
+      util::format_time_ns(path.stats.total_time),
       paper ? ms(paper->path_total_ms) : "");
   row("Storage Size", util::format_bytes(horam.storage_bytes), "",
       util::format_bytes(path.storage_bytes), "");
   table.print(std::cout);
 
-  const double speedup = static_cast<double>(path.total_time) /
-                         static_cast<double>(horam.total_time);
+  const double speedup = static_cast<double>(path.stats.total_time) /
+                         static_cast<double>(horam.stats.total_time);
   std::cout << "Speedup (total time): " << util::format_double(speedup, 1)
             << "x";
   if (paper.has_value()) {
@@ -426,13 +376,13 @@ void print_comparison(const std::string& title, const system_run& horam,
               << "x]";
   }
   std::cout << "\nH-ORAM hit rate: "
-            << util::format_double(100.0 * horam.hit_rate, 1)
+            << util::format_double(100.0 * horam.hit_rate(), 1)
             << " %, average c-hat: "
-            << util::format_double(horam.avg_c, 2)
+            << util::format_double(horam.avg_c(), 2)
             << ", I/O reduction: "
-            << util::format_double(static_cast<double>(path.io_accesses) /
+            << util::format_double(static_cast<double>(path.stats.cycles) /
                                        static_cast<double>(
-                                           horam.io_accesses),
+                                           horam.stats.cycles),
                                    2)
             << "x\n";
   std::cout << "(host simulation time: "

@@ -4,6 +4,7 @@
 #ifndef HORAM_BENCH_COMMON_H
 #define HORAM_BENCH_COMMON_H
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,91 +24,72 @@ struct machine {
 /// The paper's experimental machine, calibrated (see sim/profiles.h).
 machine paper_machine();
 
-/// One end-to-end run's results (rows of Tables 5-3 / 5-4).
+/// One end-to-end run's results (rows of Tables 5-3 / 5-4): the
+/// controller's counters and the storage devices' totals as recorded,
+/// plus what the bench measures itself.
 struct system_run {
   std::string name;
-  std::uint64_t requests = 0;
-  /// Request-level I/O count: the paper's "Number of I/O Access".
-  std::uint64_t io_accesses = 0;
-  double avg_io_latency_us = 0.0;
-  sim::sim_time shuffle_time = 0;
-  std::uint64_t shuffle_count = 0;
-  sim::sim_time total_time = 0;
-  /// Storage-device busy time, including shuffle traffic (the measured
-  /// counterpart of Eqs 5-3/5-4's I/O overhead).
-  sim::sim_time io_busy = 0;
-  double hit_rate = 0.0;
-  double avg_c = 0.0;
+  /// Controller counters of the request stream (summed over shards);
+  /// stats.cycles is the paper's "Number of I/O Access".
+  controller_stats stats;
+  /// Storage-device counters of the stream, summed over shard lanes.
+  sim::io_stats io;
   std::uint64_t storage_bytes = 0;
   double host_seconds = 0.0;  // real time spent simulating
-  /// Per-request service-latency tail (controller_stats::
-  /// request_latency: ROB entry to retirement, shuffle charges
-  /// included) — what the deamortized shuffle pipeline improves.
-  sim::sim_time latency_p50 = 0;
-  sim::sim_time latency_p95 = 0;
-  sim::sim_time latency_p99 = 0;
-  sim::sim_time latency_max = 0;
-  /// Incremental shuffle slices pumped / foreground stall paying off an
-  /// unfinished job (shuffle_policy::incremental only).
-  std::uint64_t shuffle_slices = 0;
-  sim::sim_time shuffle_stall_time = 0;
-  /// Execution runtime ("sim" / "threaded") and the worker threads
-  /// actually spawned (0 under sim and for single-shard machines).
-  std::string runtime = "sim";
-  std::uint32_t threads = 0;
   /// Real time spent inside the request stream itself (excludes
   /// machine construction, unlike host_seconds) — the wall-clock
   /// number the threaded runtime moves while total_time stays put.
   double wall_seconds = 0.0;
-  /// Storage-device operations issued during the stream, summed over
-  /// shard lanes — what the page layout reduces (one op per path
-  /// segment instead of one per bucket).
-  std::uint64_t device_read_ops = 0;
-  std::uint64_t device_write_ops = 0;
-  /// Storage-device bytes moved during the stream, summed over shard
-  /// lanes — what the ring backend's one-slot-per-bucket reads (and
-  /// the XOR-combined fetch) reduce relative to full-bucket paths.
-  std::uint64_t device_read_bytes = 0;
-  std::uint64_t device_write_bytes = 0;
-  /// The shuffle-period / shuffle-slice share of the device traffic
-  /// above (controller_stats::shuffle_device_*); subtracting it leaves
-  /// the online traffic of the access rounds.
-  std::uint64_t shuffle_device_read_ops = 0;
-  std::uint64_t shuffle_device_write_ops = 0;
-  std::uint64_t shuffle_device_read_bytes = 0;
-  std::uint64_t shuffle_device_write_bytes = 0;
-  /// Dependency-aware request/response exchanges with the storage
-  /// devices (sim::io_stats::round_trips, summed over shard lanes) and
-  /// the shuffle machinery's share of them — what the hier backend's
-  /// batched probes collapse to ≈1 per request while a recursive map
-  /// walk pays one dependent trip per level.
-  std::uint64_t device_round_trips = 0;
-  std::uint64_t shuffle_device_round_trips = 0;
+  /// Execution runtime ("sim" / "threaded") and the worker threads
+  /// actually spawned (0 under sim and for single-shard machines).
+  std::string runtime = "sim";
+  std::uint32_t threads = 0;
 
-  /// Device ops / bytes of the access rounds only (totals minus the
-  /// shuffle share) — the cost an interactive request actually waits
-  /// on, and the headline the ring backend's one-slot online reads
-  /// move. Saturating: a backend whose shuffles outpace the window's
-  /// totals (impossible today) would read as zero, not wrap.
+  [[nodiscard]] double hit_rate() const {
+    return static_cast<double>(stats.hits) /
+           static_cast<double>(std::max<std::uint64_t>(1, stats.requests));
+  }
+  [[nodiscard]] double avg_c() const { return stats.average_c(); }
+  [[nodiscard]] double avg_io_latency_us() const {
+    return stats.average_io_latency_us();
+  }
+  /// Per-request service-latency tail (controller_stats::
+  /// request_latency: ROB entry to retirement, shuffle charges
+  /// included) — what the deamortized shuffle pipeline improves.
+  [[nodiscard]] sim::sim_time latency_p50() const {
+    return stats.request_latency.p50();
+  }
+  [[nodiscard]] sim::sim_time latency_p95() const {
+    return stats.request_latency.p95();
+  }
+  [[nodiscard]] sim::sim_time latency_p99() const {
+    return stats.request_latency.p99();
+  }
+  [[nodiscard]] sim::sim_time latency_max() const {
+    return stats.request_latency.max();
+  }
+
+  /// Device ops / bytes / round trips of the access rounds only (totals
+  /// minus the shuffle share) — the cost an interactive request
+  /// actually waits on. Saturating: a backend whose shuffles outpace
+  /// the window's totals (impossible today) would read as zero, not
+  /// wrap.
   [[nodiscard]] std::uint64_t online_device_ops() const {
-    const std::uint64_t total = device_read_ops + device_write_ops;
-    const std::uint64_t shuffle =
-        shuffle_device_read_ops + shuffle_device_write_ops;
-    return total > shuffle ? total - shuffle : 0;
+    return saturating_minus(io.total_ops(),
+                            stats.shuffle_device().total_ops());
   }
   [[nodiscard]] std::uint64_t online_device_bytes() const {
-    const std::uint64_t total = device_read_bytes + device_write_bytes;
-    const std::uint64_t shuffle =
-        shuffle_device_read_bytes + shuffle_device_write_bytes;
-    return total > shuffle ? total - shuffle : 0;
+    return saturating_minus(io.total_bytes(),
+                            stats.shuffle_device().total_bytes());
   }
-  /// Round trips of the access rounds only (total minus the shuffle
-  /// share) — the latency-critical chain an interactive request waits
-  /// on. Saturating like the helpers above.
   [[nodiscard]] std::uint64_t online_round_trips() const {
-    return device_round_trips > shuffle_device_round_trips
-               ? device_round_trips - shuffle_device_round_trips
-               : 0;
+    return saturating_minus(io.round_trips,
+                            stats.shuffle_device().round_trips);
+  }
+
+ private:
+  static std::uint64_t saturating_minus(std::uint64_t a, std::uint64_t b) {
+    return a > b ? a - b : 0;
   }
 };
 

@@ -40,9 +40,10 @@ int main() {
 
     const system_run path_run = run_tree_top_path(data, recipe, hw);
     const auto speedup = [&](const system_run& run) {
-      return util::format_double(static_cast<double>(path_run.total_time) /
-                                     static_cast<double>(run.total_time),
-                                 1) +
+      return util::format_double(
+                 static_cast<double>(path_run.stats.total_time) /
+                     static_cast<double>(run.stats.total_time),
+                 1) +
              "x";
     };
 
@@ -56,7 +57,7 @@ int main() {
             c.shuffle = policy;
           });
       table.add_row({s.name, std::string(shuffle_policy_name(policy)),
-                     util::format_time_ns(run.total_time), speedup(run)});
+                     util::format_time_ns(run.stats.total_time), speedup(run)});
     }
   }
   table.print(std::cout);

@@ -45,11 +45,11 @@ int main() {
   std::cout << "\nWith async write-back shuffle (models the thesis's "
                "page-cache-assisted measurement):\n"
             << "  total time "
-            << util::format_time_ns(horam_async.total_time)
+            << util::format_time_ns(horam_async.stats.total_time)
             << ", speedup "
             << util::format_double(
-                   static_cast<double>(path_run.total_time) /
-                       static_cast<double>(horam_async.total_time),
+                   static_cast<double>(path_run.stats.total_time) /
+                       static_cast<double>(horam_async.stats.total_time),
                    1)
             << "x\n";
   return 0;

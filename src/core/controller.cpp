@@ -321,16 +321,9 @@ void controller::charge_shuffle_device_delta(
   if (device_stats_ == nullptr) {
     return;
   }
-  stats_.shuffle_device_read_ops +=
-      device_stats_->read_ops - before.read_ops;
-  stats_.shuffle_device_write_ops +=
-      device_stats_->write_ops - before.write_ops;
-  stats_.shuffle_device_read_bytes +=
-      device_stats_->bytes_read - before.bytes_read;
-  stats_.shuffle_device_write_bytes +=
-      device_stats_->bytes_written - before.bytes_written;
-  stats_.shuffle_device_round_trips +=
-      device_stats_->round_trips - before.round_trips;
+  controller_stats::for_each_shuffle_device_field([&](auto device, auto own) {
+    stats_.*own += device_stats_->*device - before.*device;
+  });
 }
 
 void controller::run_shuffle_period() {
@@ -355,28 +348,22 @@ void controller::run_shuffle_period() {
   }
   shelter_.clear();
 
-  // 2) Group-and-partition shuffle (§4.3.2) — monolithic, or through
-  // the backend's incremental job API under shuffle_policy::
-  // incremental. A bounded budget defers the job to the slice pump; an
-  // unbounded one drives it to completion right here, reproducing the
-  // foreground machine bit for bit through the job entry point.
+  // 2) Group-and-partition shuffle (§4.3.2) through the backend's job
+  // entry point. shuffle_policy::incremental with a bounded budget
+  // defers the job to the slice pump; otherwise it runs to completion
+  // right here, which is what every backend's shuffle_period() does.
   const bool deferred = config_.shuffle == shuffle_policy::incremental &&
                         config_.shuffle_slice_budget > 0;
   std::vector<oram::evicted_block> overflow;
   shuffle_cost sc;
   const sim::io_stats device_before =
       device_stats_ != nullptr ? *device_stats_ : sim::io_stats{};
-  if (config_.shuffle == shuffle_policy::incremental) {
-    std::unique_ptr<shuffle_job> job =
-        storage_->begin_shuffle(std::move(evicted), period_index_);
-    if (deferred) {
-      shuffle_job_ = std::move(job);
-    } else {
-      sc = run_to_completion(*job, overflow);
-    }
+  std::unique_ptr<shuffle_job> job =
+      storage_->begin_shuffle(std::move(evicted), period_index_);
+  if (deferred) {
+    shuffle_job_ = std::move(job);
   } else {
-    sc = storage_->shuffle_period(std::move(evicted), period_index_,
-                                  overflow);
+    sc = run_to_completion(*job, overflow);
   }
   charge_shuffle_device_delta(device_before);
   for (auto& block : overflow) {

@@ -128,38 +128,88 @@ struct controller_stats {
                              static_cast<double>(cycles);
   }
 
+  /// The field table: calls f(key, member) once per scalar counter,
+  /// where key is the name bench rows report it under. Summing, the
+  /// bench JSON and the test comparisons all walk this one list; the
+  /// static_assert after the struct fails the build when a counter is
+  /// added without a row.
+  template <typename F>
+  static constexpr void for_each_field(F&& f) {
+    f("requests", &controller_stats::requests);
+    f("hits", &controller_stats::hits);
+    f("misses", &controller_stats::misses);
+    f("io_accesses", &controller_stats::cycles);
+    f("real_loads", &controller_stats::real_loads);
+    f("dummy_loads", &controller_stats::dummy_loads);
+    f("dummy_path_accesses", &controller_stats::dummy_path_accesses);
+    f("shuffle_count", &controller_stats::periods);
+    f("shuffle_slices", &controller_stats::shuffle_slices);
+    f("access_time_ns", &controller_stats::access_time);
+    f("shuffle_time_ns", &controller_stats::shuffle_time);
+    f("total_time_ns", &controller_stats::total_time);
+    f("io_busy_ns", &controller_stats::io_busy);
+    f("memory_busy_ns", &controller_stats::memory_busy);
+    f("cpu_busy_ns", &controller_stats::cpu_busy);
+    f("io_load_time_ns", &controller_stats::io_load_time);
+    f("shuffle_stall_ns", &controller_stats::shuffle_stall_time);
+    f("shuffle_device_read_ops", &controller_stats::shuffle_device_read_ops);
+    f("shuffle_device_write_ops",
+      &controller_stats::shuffle_device_write_ops);
+    f("shuffle_device_read_bytes",
+      &controller_stats::shuffle_device_read_bytes);
+    f("shuffle_device_write_bytes",
+      &controller_stats::shuffle_device_write_bytes);
+    f("shuffle_device_round_trips",
+      &controller_stats::shuffle_device_round_trips);
+  }
+
+  /// Pairs each shuffle_device_* counter with the device counter it
+  /// snapshots (controller::charge_shuffle_device_delta).
+  template <typename F>
+  static constexpr void for_each_shuffle_device_field(F&& f) {
+    f(&sim::io_stats::read_ops, &controller_stats::shuffle_device_read_ops);
+    f(&sim::io_stats::write_ops,
+      &controller_stats::shuffle_device_write_ops);
+    f(&sim::io_stats::bytes_read,
+      &controller_stats::shuffle_device_read_bytes);
+    f(&sim::io_stats::bytes_written,
+      &controller_stats::shuffle_device_write_bytes);
+    f(&sim::io_stats::round_trips,
+      &controller_stats::shuffle_device_round_trips);
+  }
+
+  /// The shuffle share of the storage device's traffic, as io_stats
+  /// (sequential counts and busy time are not split out).
+  [[nodiscard]] sim::io_stats shuffle_device() const noexcept {
+    sim::io_stats share;
+    for_each_shuffle_device_field(
+        [&](auto device, auto own) { share.*device = this->*own; });
+    return share;
+  }
+
   /// Element-wise accumulation, for multi-instance runs (the sharded
   /// engine, multi-machine benches). Every field sums — including the
   /// wall-clock fields, which therefore read as *lane* time; a caller
   /// aggregating parallel lanes overrides total_time with the wall
   /// window it measured (core/engine.cpp does).
   controller_stats& operator+=(const controller_stats& other) noexcept {
-    requests += other.requests;
-    hits += other.hits;
-    misses += other.misses;
-    cycles += other.cycles;
-    real_loads += other.real_loads;
-    dummy_loads += other.dummy_loads;
-    dummy_path_accesses += other.dummy_path_accesses;
-    periods += other.periods;
-    shuffle_slices += other.shuffle_slices;
-    access_time += other.access_time;
-    shuffle_time += other.shuffle_time;
-    total_time += other.total_time;
-    io_busy += other.io_busy;
-    memory_busy += other.memory_busy;
-    cpu_busy += other.cpu_busy;
-    io_load_time += other.io_load_time;
-    shuffle_stall_time += other.shuffle_stall_time;
-    shuffle_device_read_ops += other.shuffle_device_read_ops;
-    shuffle_device_write_ops += other.shuffle_device_write_ops;
-    shuffle_device_read_bytes += other.shuffle_device_read_bytes;
-    shuffle_device_write_bytes += other.shuffle_device_write_bytes;
-    shuffle_device_round_trips += other.shuffle_device_round_trips;
+    for_each_field(
+        [&](const char*, auto member) { this->*member += other.*member; });
     request_latency += other.request_latency;
     return *this;
   }
 };
+
+/// Every scalar counter has exactly one field-table row.
+static_assert(
+    [] {
+      std::size_t bytes = sizeof(sim::latency_histogram);
+      controller_stats::for_each_field([&](const char*, auto member) {
+        bytes += sizeof(controller_stats{}.*member);
+      });
+      return bytes;
+    }() == sizeof(controller_stats),
+    "controller_stats: a counter is missing from for_each_field");
 
 /// Sums a set of per-instance counters (see operator+= for the
 /// wall-clock caveat on parallel lanes).

@@ -27,7 +27,8 @@
 //     job has not placed yet stay readable/writable through staged(),
 //     so the controller can keep serving them (covered by dummy path
 //     accesses) while the shuffle is in flight. Driving a fresh job to
-//     completion in one unbounded step is exactly shuffle_period().
+//     completion in one unbounded step is exactly shuffle_period(). The
+//     controller enters every period through begin_shuffle().
 //   * check_consistency() performs a deep audit of the control-layer
 //     bookkeeping and throws util::contract_error on the first
 //     inconsistency (tests call it after stress runs).

@@ -364,19 +364,6 @@ client_builder& client_builder::ring_xor(bool enabled) {
   return *this;
 }
 
-client_builder& client_builder::ring_xor(std::string_view name) {
-  if (name == "on" || name == "true") {
-    config_.ring_xor = true;
-  } else if (name == "off" || name == "false") {
-    config_.ring_xor = false;
-  } else {
-    expects(false,
-            "client_builder: ring_xor() got an unknown name "
-            "(on | off | true | false)");
-  }
-  return *this;
-}
-
 client_builder& client_builder::hier_fanout(std::uint32_t g) {
   expects(g >= 2, "client_builder: hier_fanout() must be >= 2");
   config_.hier_fanout = g;
@@ -402,19 +389,6 @@ client_builder& client_builder::map_on_storage(bool enabled) {
   return *this;
 }
 
-client_builder& client_builder::map_on_storage(std::string_view name) {
-  if (name == "on" || name == "true") {
-    config_.map_on_storage = true;
-  } else if (name == "off" || name == "false") {
-    config_.map_on_storage = false;
-  } else {
-    expects(false,
-            "client_builder: map_on_storage() got an unknown name "
-            "(on | off | true | false)");
-  }
-  return *this;
-}
-
 client_builder& client_builder::shards(std::uint32_t count) {
   config_.shard_count = count;
   return *this;
@@ -435,19 +409,6 @@ client_builder& client_builder::runtime(std::string_view name) {
 
 client_builder& client_builder::coalescing(bool enabled) {
   config_.coalescing = enabled;
-  return *this;
-}
-
-client_builder& client_builder::coalescing(std::string_view name) {
-  if (name == "on" || name == "true") {
-    config_.coalescing = true;
-  } else if (name == "off" || name == "false") {
-    config_.coalescing = false;
-  } else {
-    expects(false,
-            "client_builder: coalescing() got an unknown name "
-            "(on | off | true | false)");
-  }
   return *this;
 }
 

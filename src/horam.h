@@ -341,14 +341,9 @@ class client_builder {
   /// so a path read costs one device transfer; off falls back to one
   /// transfer per chosen slot.
   client_builder& ring_xor(bool enabled);
-  /// ring_xor by name ("on" | "off" | "true" | "false"), for configs
-  /// and CLIs; throws contract_error naming this setter otherwise. The
-  /// const char* overload exists so string literals pick this parse
-  /// instead of decaying pointer-to-bool into ring_xor(true).
-  client_builder& ring_xor(std::string_view name);
-  client_builder& ring_xor(const char* name) {
-    return ring_xor(std::string_view(name));
-  }
+  /// Deleted so a string literal cannot decay to pointer-to-bool and
+  /// silently read as ring_xor(true).
+  client_builder& ring_xor(const char*) = delete;
   /// Hier backend geometric growth factor between consecutive levels
   /// (default 4). Larger fan-outs mean fewer levels — fewer probes per
   /// batched access — at the price of bigger, rarer merges. Only the
@@ -368,14 +363,8 @@ class client_builder {
   /// dependent storage round trip. Default off, bit-for-bit the
   /// historical map-on-memory machine.
   client_builder& map_on_storage(bool enabled);
-  /// map_on_storage by name ("on" | "off" | "true" | "false"), for
-  /// configs and CLIs; throws contract_error naming this setter
-  /// otherwise. The const char* overload exists so string literals pick
-  /// this parse instead of decaying pointer-to-bool.
-  client_builder& map_on_storage(std::string_view name);
-  client_builder& map_on_storage(const char* name) {
-    return map_on_storage(std::string_view(name));
-  }
+  /// Deleted so a string literal cannot read as map_on_storage(true).
+  client_builder& map_on_storage(const char*) = delete;
 
   /// Which oblivious store to front (default: partitioned).
   client_builder& backend(backend_kind kind);
@@ -402,14 +391,8 @@ class client_builder {
   /// bit-for-bit the non-coalescing machine; on implies padded rounds
   /// on every shard count so the bus shape stays data-independent.
   client_builder& coalescing(bool enabled);
-  /// Coalescing by name ("on" | "off" | "true" | "false"), for configs
-  /// and CLIs; throws contract_error naming this setter otherwise. The
-  /// const char* overload exists so string literals pick this parse
-  /// instead of decaying pointer-to-bool into coalescing(true).
-  client_builder& coalescing(std::string_view name);
-  client_builder& coalescing(const char* name) {
-    return coalescing(std::string_view(name));
-  }
+  /// Deleted so a string literal cannot read as coalescing(true).
+  client_builder& coalescing(const char*) = delete;
   /// Shorthand for the threaded runtime with `n` worker threads
   /// (n >= 1; clamped to the shard count at engine construction, since
   /// a shard is confined to exactly one thread).

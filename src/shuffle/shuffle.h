@@ -1,14 +1,20 @@
 // Common types for the shuffle library.
 //
-// The paper's shuffle cast (§3.2, §4.3):
-//   * bitonic oblivious shuffle — used for the oblivious tree evict
-//     (fixed compare-exchange network, data-independent trace);
-//   * Waksman permutation network — classic oblivious alternative;
+// The paper's shuffle cast (§3.2, §4.3), and which code runs each:
 //   * Melbourne shuffle — the external-memory oblivious shuffle the
-//     paper cites as the O(4N)-I/O cost it wants to avoid;
-//   * CacheShuffle — the in-memory shuffle H-ORAM uses during the
-//     group-and-partition shuffle;
-//   * Fisher-Yates — the non-oblivious baseline.
+//     paper cites as the O(4N)-I/O cost it wants to avoid; the sqrt
+//     backend (src/oram/sqrt/) re-permutes its store with it.
+//   * Fisher-Yates — the non-oblivious in-memory shuffle, safe only
+//     inside the trusted control layer; partition_oram includes it, and
+//     util::random_permutation, which draws the in-partition
+//     permutations of the partitioned storage layer and partition_oram,
+//     is the same algorithm.
+//   * bitonic oblivious shuffle, Waksman permutation network and
+//     CacheShuffle — exercised by the tests and the shuffle benches
+//     (ablation_shuffle_algorithms) but run by no backend: the tree
+//     evict streams every bucket in a fixed order, and the
+//     group-and-partition shuffle permutes each partition in trusted
+//     memory, where Fisher-Yates suffices.
 //
 // Permutation convention: pi[i] is the NEW position of element i
 // (destination mapping); apply_permutation writes out[pi[i]] = in[i].

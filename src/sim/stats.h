@@ -38,6 +38,19 @@ struct io_stats {
     return bytes_read + bytes_written;
   }
 
+  /// Element-wise sum, for totals over several devices (shard lanes).
+  io_stats& operator+=(const io_stats& other) noexcept {
+    read_ops += other.read_ops;
+    write_ops += other.write_ops;
+    sequential_read_ops += other.sequential_read_ops;
+    sequential_write_ops += other.sequential_write_ops;
+    bytes_read += other.bytes_read;
+    bytes_written += other.bytes_written;
+    round_trips += other.round_trips;
+    busy_time += other.busy_time;
+    return *this;
+  }
+
   void reset() noexcept { *this = io_stats{}; }
 };
 
@@ -115,6 +128,8 @@ class latency_histogram {
     max_ = other.max_ > max_ ? other.max_ : max_;
     return *this;
   }
+
+  [[nodiscard]] bool operator==(const latency_histogram&) const = default;
 
   void reset() noexcept { *this = latency_histogram{}; }
 

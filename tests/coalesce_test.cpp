@@ -382,7 +382,7 @@ TEST_P(CoalesceOffGrid, OffIsBitForBitTheNonCoalescingMachine) {
                                  .runtime(GetParam().runtime)
                                  .trace(true);
     if (touch_setter) {
-      builder.coalescing("off");
+      builder.coalescing(false);
     }
     return builder.build();
   };
@@ -404,16 +404,7 @@ TEST_P(CoalesceOffGrid, OffIsBitForBitTheNonCoalescingMachine) {
     ASSERT_EQ(off_results[i].hit, untouched_results[i].hit);
     ASSERT_EQ(off_results[i].read_data, untouched_results[i].read_data);
   }
-  const controller_stats& sa = off.stats();
-  const controller_stats& sb = untouched.stats();
-  EXPECT_EQ(sa.requests, sb.requests);
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.misses, sb.misses);
-  EXPECT_EQ(sa.cycles, sb.cycles);
-  EXPECT_EQ(sa.total_time, sb.total_time);
-  EXPECT_EQ(sa.io_busy, sb.io_busy);
-  EXPECT_EQ(sa.request_latency.count(), sb.request_latency.count());
-  EXPECT_EQ(sa.request_latency.p99(), sb.request_latency.p99());
+  test::expect_stats_equal(off.stats(), untouched.stats());
   EXPECT_EQ(off.eng().router_stats().coalesced_requests, 0u);
   expect_same_traces(off, untouched);
 
@@ -817,24 +808,21 @@ TEST(CoalesceStats, PendingSlotsCountDistinctBlocks) {
 
 // ------------------------------------------------- builder diagnostics
 
-TEST(CoalesceBuilder, NamedSetterParsesAndNamesItself) {
-  EXPECT_TRUE(
-      coalesce_builder(1).coalescing("on").build().config().coalescing);
-  EXPECT_TRUE(
-      coalesce_builder(1).coalescing("true").build().config().coalescing);
-  EXPECT_FALSE(
-      coalesce_builder(1).coalescing("off").build().config().coalescing);
-  EXPECT_FALSE(
-      coalesce_builder(1).coalescing("false").build().config().coalescing);
-  try {
-    (void)coalesce_builder(1).coalescing("maybe");
-    FAIL() << "expected contract_error";
-  } catch (const contract_error& e) {
-    EXPECT_NE(std::string(e.what()).find("coalescing()"),
-              std::string::npos)
-        << e.what();
-  }
-}
+// The bool setters take a bool but no string: a literal such as "off"
+// would otherwise decay to pointer-to-bool and silently read as true.
+template <typename T>
+concept coalescing_takes =
+    requires(client_builder b, T v) { b.coalescing(v); };
+template <typename T>
+concept ring_xor_takes = requires(client_builder b, T v) { b.ring_xor(v); };
+template <typename T>
+concept map_on_storage_takes =
+    requires(client_builder b, T v) { b.map_on_storage(v); };
+static_assert(coalescing_takes<bool> && ring_xor_takes<bool> &&
+              map_on_storage_takes<bool>);
+static_assert(!coalescing_takes<const char*> &&
+              !ring_xor_takes<const char*> &&
+              !map_on_storage_takes<const char*>);
 
 }  // namespace
 }  // namespace horam

@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/obliviousness.h"
@@ -166,6 +167,7 @@ TEST(EngineCompat, SingleShardMatchesBareControllerBitForBit) {
       make_backend(backend_kind::partitioned, config, storage, cpu, rng,
                    &trace, nullptr, &memory);
   controller bare(config, std::move(backend), memory, cpu, rng, &trace);
+  bare.attach_device_stats(&storage.stats());
 
   client sharded = engine_builder(1, 33).trace(true).build();
 
@@ -197,19 +199,7 @@ TEST(EngineCompat, SingleShardMatchesBareControllerBitForBit) {
   }
   EXPECT_EQ(bare.now(), sharded.now());
 
-  const controller_stats& a = bare.stats();
-  const controller_stats& b = sharded.stats();
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.real_loads, b.real_loads);
-  EXPECT_EQ(a.dummy_loads, b.dummy_loads);
-  EXPECT_EQ(a.periods, b.periods);
-  EXPECT_EQ(a.total_time, b.total_time);
-  EXPECT_EQ(a.io_busy, b.io_busy);
-  EXPECT_EQ(a.memory_busy, b.memory_busy);
-  EXPECT_EQ(a.cpu_busy, b.cpu_busy);
+  test::expect_stats_equal(bare.stats(), sharded.stats());
 
   const oram::access_trace* sharded_trace = sharded.trace();
   ASSERT_NE(sharded_trace, nullptr);
@@ -422,36 +412,39 @@ TEST(EngineObliviousness, PerShardPositionStreamsAreWorkloadIndependent) {
 
 // ------------------------------------------------- stats & aggregation
 
+/// The field table covers every counter and operator+= sums each
+/// row: row i holds i+1 in `a` and 10*(i+1) in `b`, so every row of
+/// the sum must read 11*(i+1), and the histograms must merge.
 TEST(EngineStats, ControllerStatsAccumulate) {
   controller_stats a;
-  a.requests = 10;
-  a.hits = 6;
-  a.misses = 4;
-  a.cycles = 12;
-  a.io_busy = 100;
-  a.total_time = 500;
   controller_stats b;
-  b.requests = 5;
-  b.hits = 1;
-  b.misses = 4;
-  b.cycles = 7;
-  b.io_busy = 50;
-  b.total_time = 300;
+  int row = 0;
+  controller_stats::for_each_field([&](const char*, auto member) {
+    using value = std::remove_reference_t<decltype(a.*member)>;
+    ++row;
+    a.*member = static_cast<value>(row);
+    b.*member = static_cast<value>(10 * row);
+  });
+  a.request_latency.record(100);
+  b.request_latency.record(5000);
+  b.request_latency.record(7);
 
   controller_stats sum = a;
   sum += b;
-  EXPECT_EQ(sum.requests, 15u);
-  EXPECT_EQ(sum.hits, 7u);
-  EXPECT_EQ(sum.misses, 8u);
-  EXPECT_EQ(sum.cycles, 19u);
-  EXPECT_EQ(sum.io_busy, 150);
-  EXPECT_EQ(sum.total_time, 800);
+  row = 0;
+  controller_stats::for_each_field([&](const char* key, auto member) {
+    using value = std::remove_reference_t<decltype(sum.*member)>;
+    ++row;
+    EXPECT_EQ(sum.*member, static_cast<value>(11 * row)) << key;
+  });
+  sim::latency_histogram merged;
+  for (const sim::sim_time value : {100, 5000, 7}) {
+    merged.record(value);
+  }
+  EXPECT_TRUE(sum.request_latency == merged);
 
   const controller_stats parts[] = {a, b};
-  const controller_stats agg = aggregate(parts);
-  EXPECT_EQ(agg.requests, sum.requests);
-  EXPECT_EQ(agg.cycles, sum.cycles);
-  EXPECT_EQ(agg.io_busy, sum.io_busy);
+  test::expect_stats_equal(aggregate(parts), sum);
 }
 
 TEST(EngineStats, AggregateExcludesPaddingAndSumsShards) {
@@ -514,30 +507,12 @@ TEST(EngineStats, ResetStatsClearsEveryLaneCounter) {
 
     oram.reset_stats();
 
-    const auto expect_zero = [&](const controller_stats& s,
-                                 const std::string& which) {
-      EXPECT_EQ(s.requests, 0u) << which;
-      EXPECT_EQ(s.hits, 0u) << which;
-      EXPECT_EQ(s.misses, 0u) << which;
-      EXPECT_EQ(s.cycles, 0u) << which;
-      EXPECT_EQ(s.real_loads, 0u) << which;
-      EXPECT_EQ(s.dummy_loads, 0u) << which;
-      EXPECT_EQ(s.dummy_path_accesses, 0u) << which;
-      EXPECT_EQ(s.periods, 0u) << which;
-      EXPECT_EQ(s.access_time, 0) << which;
-      EXPECT_EQ(s.shuffle_time, 0) << which;
-      EXPECT_EQ(s.total_time, 0) << which;
-      EXPECT_EQ(s.io_busy, 0) << which;
-      EXPECT_EQ(s.memory_busy, 0) << which;
-      EXPECT_EQ(s.cpu_busy, 0) << which;
-      EXPECT_EQ(s.io_load_time, 0) << which;
-      EXPECT_EQ(s.shuffle_device_round_trips, 0u) << which;
-    };
-    expect_zero(oram.stats(), "aggregate, " + std::to_string(shards));
+    test::expect_stats_zero(oram.stats(),
+                            "aggregate, " + std::to_string(shards));
     for (std::uint32_t s = 0; s < oram.eng().shard_count(); ++s) {
       const std::string which =
           "shard " + std::to_string(s) + "/" + std::to_string(shards);
-      expect_zero(oram.eng().shard(s).stats(), which);
+      test::expect_stats_zero(oram.eng().shard(s).stats(), which);
       EXPECT_EQ(oram.eng().shard_storage(s).stats().total_ops(), 0u)
           << which;
       EXPECT_EQ(oram.eng().shard_memory(s).stats().total_ops(), 0u)

@@ -347,7 +347,7 @@ TEST(RingBackendDetail, FacadeClientRoundTripsWithXorOff) {
                     .memory_blocks(kMemoryBlocks)
                     .payload_bytes(kPayload)
                     .backend("ring-oram")
-                    .ring_xor("off")
+                    .ring_xor(false)
                     .seed(test::seed(337))
                     .build();
   EXPECT_EQ(oram.kind(), backend_kind::ring);
@@ -374,7 +374,6 @@ TEST(RingBackendDetail, BuilderRejectsDegenerateKnobs) {
   EXPECT_THROW(client_builder().ring_bucket_size(0), contract_error);
   EXPECT_THROW(client_builder().ring_spare_slots(0), contract_error);
   EXPECT_THROW(client_builder().ring_eviction_rate(0), contract_error);
-  EXPECT_THROW(client_builder().ring_xor("sometimes"), contract_error);
 }
 
 }  // namespace

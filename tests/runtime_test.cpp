@@ -71,35 +71,6 @@ void expect_results_equal(const std::vector<request_result>& sim,
   }
 }
 
-/// Field-by-field equality of the aggregated controller stats; the
-/// latency histogram has no operator==, so it is compared through its
-/// streaming accessors.
-void expect_stats_equal(const controller_stats& a,
-                        const controller_stats& b) {
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.real_loads, b.real_loads);
-  EXPECT_EQ(a.dummy_loads, b.dummy_loads);
-  EXPECT_EQ(a.dummy_path_accesses, b.dummy_path_accesses);
-  EXPECT_EQ(a.periods, b.periods);
-  EXPECT_EQ(a.shuffle_slices, b.shuffle_slices);
-  EXPECT_EQ(a.access_time, b.access_time);
-  EXPECT_EQ(a.shuffle_time, b.shuffle_time);
-  EXPECT_EQ(a.total_time, b.total_time);
-  EXPECT_EQ(a.io_busy, b.io_busy);
-  EXPECT_EQ(a.memory_busy, b.memory_busy);
-  EXPECT_EQ(a.cpu_busy, b.cpu_busy);
-  EXPECT_EQ(a.io_load_time, b.io_load_time);
-  EXPECT_EQ(a.shuffle_stall_time, b.shuffle_stall_time);
-  EXPECT_EQ(a.request_latency.count(), b.request_latency.count());
-  EXPECT_EQ(a.request_latency.max(), b.request_latency.max());
-  EXPECT_EQ(a.request_latency.p50(), b.request_latency.p50());
-  EXPECT_EQ(a.request_latency.p95(), b.request_latency.p95());
-  EXPECT_EQ(a.request_latency.p99(), b.request_latency.p99());
-}
-
 void expect_router_stats_equal(const engine_stats& a,
                                const engine_stats& b) {
   EXPECT_EQ(a.rounds, b.rounds);
@@ -464,7 +435,7 @@ TEST_P(ThreadedDeterminism, TraceAndStatsBitForBit) {
   expect_results_equal(sim_results, thr_results);
 
   EXPECT_EQ(sim_oram.now(), thr_oram.now());
-  expect_stats_equal(sim_oram.stats(), thr_oram.stats());
+  test::expect_stats_equal(sim_oram.stats(), thr_oram.stats());
   expect_router_stats_equal(sim_oram.eng().router_stats(),
                             thr_oram.eng().router_stats());
   EXPECT_EQ(sim_oram.eng().round_log(), thr_oram.eng().round_log());
@@ -485,7 +456,7 @@ TEST(ThreadedRuntime, NonDivisorWorkerCountStaysDeterministic) {
   thr_oram.run(batch, &thr_results);
   expect_results_equal(sim_results, thr_results);
   EXPECT_EQ(sim_oram.now(), thr_oram.now());
-  expect_stats_equal(sim_oram.stats(), thr_oram.stats());
+  test::expect_stats_equal(sim_oram.stats(), thr_oram.stats());
 }
 
 /// Token-by-token parity of the incremental round API: the tenant
@@ -540,7 +511,7 @@ TEST(ThreadedRuntime, ResetStatsUnderThreadsMatchesSim) {
   sim_oram.run(after, &sim_results);
   thr_oram.run(after, &thr_results);
   expect_results_equal(sim_results, thr_results);
-  expect_stats_equal(sim_oram.stats(), thr_oram.stats());
+  test::expect_stats_equal(sim_oram.stats(), thr_oram.stats());
   expect_router_stats_equal(sim_oram.eng().router_stats(),
                             thr_oram.eng().router_stats());
 }
@@ -597,7 +568,7 @@ TEST(ThreadedRuntime, ServiceLayerMatchesSim) {
     EXPECT_EQ(a.max_latency, b.max_latency) << "tenant " << tenant;
     EXPECT_EQ(a.latency.p99(), b.latency.p99()) << "tenant " << tenant;
   }
-  expect_stats_equal(sim_svc.stats(), thr_svc.stats());
+  test::expect_stats_equal(sim_svc.stats(), thr_svc.stats());
 }
 
 /// Same machine, different runtimes, interleaved lifetimes: engines are

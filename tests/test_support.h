@@ -1,5 +1,5 @@
 // Shared test machinery: one reproducible seed for every randomized
-// test RNG.
+// test RNG, and whole-record controller_stats comparisons.
 //
 // All randomized tests derive their generators from a single base
 // seed, logged once per test binary. By default the base seed is a
@@ -13,6 +13,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "core/controller.h"
 
 namespace horam::test {
 
@@ -38,6 +43,28 @@ inline std::uint64_t seed() {
 /// generators under the same base seed.
 inline std::uint64_t seed(std::uint64_t salt) {
   return seed() ^ (salt * 0x9e3779b97f4a7c15ULL);
+}
+
+/// Expects every controller_stats counter (one per field-table row)
+/// and the latency histogram to match; a mismatch names the row's
+/// report key, followed by `context`.
+inline void expect_stats_equal(const controller_stats& a,
+                               const controller_stats& b,
+                               const std::string& context = "") {
+  controller_stats::for_each_field([&](const char* key, auto member) {
+    EXPECT_EQ(a.*member, b.*member) << key << ' ' << context;
+  });
+  EXPECT_TRUE(a.request_latency == b.request_latency)
+      << "request_latency " << context << ": count "
+      << a.request_latency.count() << " vs " << b.request_latency.count()
+      << ", max " << a.request_latency.max() << " vs "
+      << b.request_latency.max();
+}
+
+/// Expects every counter and the latency histogram to read zero.
+inline void expect_stats_zero(const controller_stats& stats,
+                              const std::string& context = "") {
+  expect_stats_equal(stats, controller_stats{}, context);
 }
 
 }  // namespace horam::test
