@@ -4,7 +4,10 @@
 // harnesses report virtual time).
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "crypto/chacha20.h"
+#include "crypto/detail/kernels.h"
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
@@ -20,6 +23,15 @@ namespace {
 
 using namespace horam;
 
+/// The batch kernels this run dispatched to, e.g. "avx512 16x chacha20,
+/// 8x siphash": crypto timings are only comparable at equal widths.
+std::string kernel_label() {
+  const crypto::detail::kernel_isa isa = crypto::detail::dispatched_isa();
+  return std::string(crypto::detail::kernel_name(isa)) + " " +
+         std::to_string(crypto::detail::chacha_lanes(isa)) + "x chacha20, " +
+         std::to_string(crypto::detail::siphash_lanes(isa)) + "x siphash";
+}
+
 void bm_chacha20_block(benchmark::State& state) {
   crypto::chacha_key key{};
   crypto::chacha_nonce nonce{};
@@ -31,6 +43,7 @@ void bm_chacha20_block(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           64);
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_chacha20_block);
 
@@ -44,6 +57,7 @@ void bm_chacha20_xor_1k(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1024);
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_chacha20_xor_1k);
 
@@ -59,6 +73,7 @@ void bm_chacha20_xor_264(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           264);
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_chacha20_xor_264);
 
@@ -70,6 +85,7 @@ void bm_siphash_1k(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1024);
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_siphash_1k);
 
@@ -85,6 +101,7 @@ void bm_seal_open_1k(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1024);
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_seal_open_1k);
 
@@ -101,6 +118,7 @@ void bm_codec_encode_decode_256(benchmark::State& state) {
     benchmark::DoNotOptimize(codec.decode(record, out));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_codec_encode_decode_256);
 
@@ -123,8 +141,48 @@ void bm_bucket_seal_open_z4_256(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_bucket_seal_open_z4_256);
+
+// One Path ORAM path window of the benchmark's shape (L buckets of
+// Z = 4, 256-B payloads; L = 9 for 256 leaves) at tree-like occupancy —
+// one real slot per bucket — opened and re-sealed the way an access
+// does it: decode_many() over the window (all MACs, then all id
+// headers, then the real payloads), then encode_plain() per bucket and
+// one seal_many() leaf to root.
+void bm_path_seal_open_z4_256(benchmark::State& state) {
+  const auto levels = static_cast<std::size_t>(state.range(0));
+  oram::bucket_codec codec(4, 256, /*seal=*/true, 1);
+  const std::vector<std::uint8_t> payload(256, 0x11);
+  std::vector<std::uint8_t> window(levels * codec.bucket_bytes());
+  std::vector<std::span<std::uint8_t>> leaf_first;
+  for (std::size_t down = 0; down < levels; ++down) {
+    leaf_first.push_back(std::span<std::uint8_t>(window).subspan(
+        (levels - 1 - down) * codec.bucket_bytes(), codec.bucket_bytes()));
+  }
+  std::vector<oram::block_id> ids(levels * 4);
+  std::vector<std::uint8_t> out(levels * 4 * 256);
+  oram::block_id id = 0;
+  const auto compose = [&] {
+    for (const std::span<std::uint8_t> bucket : leaf_first) {
+      const oram::bucket_codec::entry real{id++, payload};
+      codec.encode_plain(std::span<const oram::bucket_codec::entry>(&real, 1),
+                         bucket);
+    }
+    codec.seal_many(leaf_first);
+  };
+  compose();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec.decode_many(window, levels, ids, out));
+    compose();
+    benchmark::DoNotOptimize(window.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(kernel_label());
+}
+BENCHMARK(bm_path_seal_open_z4_256)->Arg(9)->Arg(10);
 
 // The same bucket as four per-slot codec records (the layout before
 // buckets were sealed whole), for comparison.
@@ -150,6 +208,7 @@ void bm_codec_records_z4_256(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_codec_records_z4_256);
 
@@ -209,24 +268,27 @@ void bm_bitonic_shuffle(benchmark::State& state) {
 }
 BENCHMARK(bm_bitonic_shuffle)->Arg(1024)->Arg(4096);
 
+// One write access to an in-memory Path ORAM of the repository
+// benchmark's cache-tree shape: 256 leaves (9 levels), Z = 4, 256-B
+// payloads, as many blocks as leaves.
 void bm_path_oram_access(benchmark::State& state) {
   sim::block_device memory(sim::dram_ddr4());
   const sim::cpu_model cpu(sim::cpu_aesni());
   util::pcg64 rng(5);
   oram::path_oram_config config;
-  config.leaf_count = 1024;
+  config.leaf_count = 256;
   config.bucket_size = 4;
-  config.payload_bytes = 64;
-  config.id_universe = 8192;
+  config.payload_bytes = 256;
+  config.id_universe = 256;
   config.seal = state.range(0) != 0;
   oram::path_oram oram(config, memory, nullptr, cpu, rng, nullptr);
-  std::vector<std::uint8_t> payload(64, 1);
+  std::vector<std::uint8_t> payload(256, 1);
   oram::block_id id = 0;
   for (auto _ : state) {
-    oram.access(oram::op_kind::write, id % 4096, payload, {});
+    oram.access(oram::op_kind::write, id % 256, payload, {});
     ++id;
   }
-  state.SetLabel(config.seal ? "sealed" : "plain");
+  state.SetLabel(config.seal ? "sealed, " + kernel_label() : "plain");
 }
 BENCHMARK(bm_path_oram_access)->Arg(0)->Arg(1);
 

@@ -1,7 +1,12 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+
+#include "crypto/detail/kernels.h"
+#include "util/contracts.h"
 
 namespace horam::crypto {
 
@@ -13,15 +18,19 @@ static_assert(std::endian::native == std::endian::little,
               "chacha20 word loads assume a little-endian host");
 
 /// Four 32-bit lanes; GCC and Clang lower it to SSE2 on x86-64 and NEON
-/// on AArch64 without any target flag.
+/// on AArch64 without any target flag. The wider lane types exist only
+/// inside the target-attributed kernels below.
 using u32x4 = std::uint32_t __attribute__((vector_size(16)));
 
-constexpr std::uint32_t rotl32(std::uint32_t v, int n) noexcept {
-  return (v << n) | (v >> (32 - n));
-}
+/// Words 0..3 of every ChaCha20 state ("expand 32-byte k").
+constexpr std::uint32_t sigma[4] = {0x61707865, 0x3320646e, 0x79622d32,
+                                    0x6b206574};
 
-u32x4 rotl32(u32x4 v, int n) noexcept {
-  return (v << n) | (v >> (32 - n));
+/// Rotates left in place; works on scalars and on vector lanes alike
+/// (in place, so no wide vector crosses a call boundary by value).
+template <typename Word>
+[[gnu::always_inline]] inline void rotl32(Word& v, int n) noexcept {
+  v = (v << n) | (v >> (32 - n));
 }
 
 std::uint32_t load_le32(const std::uint8_t* p) noexcept {
@@ -40,22 +49,27 @@ void store_u32x4(std::uint8_t* p, u32x4 v) noexcept {
   std::memcpy(p, &v, sizeof v);
 }
 
-/// One ChaCha quarter round; works on scalars and on u32x4 lanes alike.
+/// One ChaCha quarter round; works on scalars and on vector lanes alike.
 template <typename Word>
-void quarter_round(Word& a, Word& b, Word& c, Word& d) noexcept {
+[[gnu::always_inline]] inline void quarter_round(Word& a, Word& b, Word& c,
+                                                 Word& d) noexcept {
   a += b;
-  d = rotl32(d ^ a, 16);
+  d ^= a;
+  rotl32(d, 16);
   c += d;
-  b = rotl32(b ^ c, 12);
+  b ^= c;
+  rotl32(b, 12);
   a += b;
-  d = rotl32(d ^ a, 8);
+  d ^= a;
+  rotl32(d, 8);
   c += d;
-  b = rotl32(b ^ c, 7);
+  b ^= c;
+  rotl32(b, 7);
 }
 
 /// The 20 rounds (10 column + diagonal double rounds) over 16 words.
 template <typename Word>
-void chacha_rounds(Word (&x)[16]) noexcept {
+[[gnu::always_inline]] inline void chacha_rounds(Word (&x)[16]) noexcept {
   for (int round = 0; round < 10; ++round) {
     quarter_round(x[0], x[4], x[8], x[12]);
     quarter_round(x[1], x[5], x[9], x[13]);
@@ -68,15 +82,26 @@ void chacha_rounds(Word (&x)[16]) noexcept {
   }
 }
 
+/// The key as the eight little-endian state words 4..11.
+struct key_words {
+  std::uint32_t w[8];
+
+  explicit key_words(const chacha_key& key) noexcept {
+    for (int i = 0; i < 8; ++i) {
+      w[i] = load_le32(key.data() + 4 * i);
+    }
+  }
+};
+
 /// RFC 8439 state layout: constants, key, counter, nonce.
 void init_state(const chacha_key& key, std::uint32_t counter,
                 const chacha_nonce& nonce, std::uint32_t (&state)[16]) {
-  state[0] = 0x61707865;
-  state[1] = 0x3320646e;
-  state[2] = 0x79622d32;
-  state[3] = 0x6b206574;
+  const key_words words(key);
+  for (int i = 0; i < 4; ++i) {
+    state[i] = sigma[i];
+  }
   for (int i = 0; i < 8; ++i) {
-    state[4 + i] = load_le32(key.data() + 4 * i);
+    state[4 + i] = words.w[i];
   }
   state[12] = counter;
   for (int i = 0; i < 3; ++i) {
@@ -98,8 +123,9 @@ void keystream_block(const std::uint32_t (&state)[16],
 }
 
 /// XORs `n` <= 64 bytes of `data` with `keystream`, a word at a time.
-void xor_keystream(std::uint8_t* data, const std::uint8_t* keystream,
-                   std::size_t n) noexcept {
+[[gnu::always_inline]] inline void xor_keystream(
+    std::uint8_t* data, const std::uint8_t* keystream,
+    std::size_t n) noexcept {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     std::uint64_t d = 0;
@@ -114,43 +140,140 @@ void xor_keystream(std::uint8_t* data, const std::uint8_t* keystream,
   }
 }
 
-/// XORs 256 bytes of `data` with keystream blocks state[12] + 0..3. Lane
-/// k of every vector computes block k; a 4x4 transpose per word group
-/// then turns lanes back into contiguous keystream bytes.
-void xor_four_blocks(const std::uint32_t (&state)[16],
-                     std::uint8_t* data) noexcept {
-  u32x4 input[16];
-  for (int i = 0; i < 16; ++i) {
-    input[i] = u32x4{state[i], state[i], state[i], state[i]};
+/// One job on the scalar block function.
+void xor_one_job(const chacha_key& key, const chacha_job& job) {
+  std::uint32_t state[16];
+  init_state(key, job.counter, job.nonce, state);
+  std::uint8_t keystream[64];
+  keystream_block(state, keystream);
+  xor_keystream(job.data, keystream, job.len);
+}
+
+/// Runs 1..lanes(V) jobs, lane j computing the block of jobs[j]. Lanes
+/// past `count` repeat job 0's inputs and their output is dropped.
+template <typename V>
+[[gnu::always_inline]] inline void xor_job_group(const key_words& key,
+                                                 const chacha_job* jobs,
+                                                 std::size_t count) noexcept {
+  constexpr std::size_t lanes = sizeof(V) / sizeof(std::uint32_t);
+  // Per-lane state words 12..15: the counter and the three nonce words.
+  std::uint32_t lane_words[4][lanes];
+  for (std::size_t j = 0; j < lanes; ++j) {
+    const chacha_job& job = jobs[j < count ? j : 0];
+    lane_words[0][j] = job.counter;
+    for (int w = 0; w < 3; ++w) {
+      lane_words[1 + w][j] = load_le32(job.nonce.data() + 4 * w);
+    }
   }
-  // Lane counters wrap modulo 2^32, exactly as the scalar counter does.
-  input[12] += u32x4{0, 1, 2, 3};
-  u32x4 x[16];
+  V input[16];
+  for (int i = 0; i < 4; ++i) {
+    input[i] = V{} + sigma[i];
+  }
+  for (int i = 0; i < 8; ++i) {
+    input[4 + i] = V{} + key.w[i];
+  }
+  for (int i = 0; i < 4; ++i) {
+    std::memcpy(&input[12 + i], lane_words[i], sizeof(V));
+  }
+  V x[16];
   std::memcpy(x, input, sizeof x);
   chacha_rounds(x);
   for (int i = 0; i < 16; ++i) {
     x[i] += input[i];
   }
 
+  // Lane j holds word i of block j in x[i][j]. Each 16-byte chunk of
+  // four lanes is turned back into keystream bytes by a 4x4 transpose
+  // per group of four words. Whole-block jobs are XORed straight from
+  // the transposed rows; shorter ones go through `partial`.
+  std::uint8_t partial[lanes * 64];
   for (int group = 0; group < 4; ++group) {
-    const u32x4 a = x[4 * group];
-    const u32x4 b = x[4 * group + 1];
-    const u32x4 c = x[4 * group + 2];
-    const u32x4 d = x[4 * group + 3];
-    const u32x4 ab_lo = __builtin_shufflevector(a, b, 0, 4, 1, 5);
-    const u32x4 cd_lo = __builtin_shufflevector(c, d, 0, 4, 1, 5);
-    const u32x4 ab_hi = __builtin_shufflevector(a, b, 2, 6, 3, 7);
-    const u32x4 cd_hi = __builtin_shufflevector(c, d, 2, 6, 3, 7);
-    // rows[k] = words 4*group .. 4*group+3 of block k.
-    const u32x4 rows[4] = {__builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5),
-                           __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7),
-                           __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5),
-                           __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7)};
-    for (int k = 0; k < 4; ++k) {
-      std::uint8_t* const p = data + 64 * k + 16 * group;
-      store_u32x4(p, load_u32x4(p) ^ rows[k]);
+    for (std::size_t chunk = 0; chunk < lanes / 4 && 4 * chunk < count;
+         ++chunk) {
+      u32x4 w[4];
+      for (int i = 0; i < 4; ++i) {
+        std::memcpy(&w[i],
+                    reinterpret_cast<const std::uint8_t*>(&x[4 * group + i]) +
+                        16 * chunk,
+                    sizeof(u32x4));
+      }
+      const u32x4 ab_lo = __builtin_shufflevector(w[0], w[1], 0, 4, 1, 5);
+      const u32x4 cd_lo = __builtin_shufflevector(w[2], w[3], 0, 4, 1, 5);
+      const u32x4 ab_hi = __builtin_shufflevector(w[0], w[1], 2, 6, 3, 7);
+      const u32x4 cd_hi = __builtin_shufflevector(w[2], w[3], 2, 6, 3, 7);
+      // rows[k] = words 4*group .. 4*group+3 of block 4*chunk + k.
+      const u32x4 rows[4] = {
+          __builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5),
+          __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7),
+          __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5),
+          __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7)};
+      for (std::size_t k = 0; k < 4 && 4 * chunk + k < count; ++k) {
+        const chacha_job& job = jobs[4 * chunk + k];
+        if (job.len == 64) {
+          std::uint8_t* const p = job.data + 16 * group;
+          store_u32x4(p, load_u32x4(p) ^ rows[k]);
+        } else {
+          store_u32x4(partial + 64 * (4 * chunk + k) + 16 * group, rows[k]);
+        }
+      }
     }
   }
+  for (std::size_t j = 0; j < count; ++j) {
+    if (jobs[j].len != 64) {
+      xor_keystream(jobs[j].data, partial + 64 * j, jobs[j].len);
+    }
+  }
+}
+
+/// All of `jobs` in groups of lanes(V), the last one padded.
+template <typename V>
+[[gnu::always_inline]] inline void xor_jobs_lanes(const key_words& key,
+                                                  const chacha_job* jobs,
+                                                  std::size_t count) noexcept {
+  constexpr std::size_t lanes = sizeof(V) / sizeof(std::uint32_t);
+  for (std::size_t first = 0; first < count; first += lanes) {
+    xor_job_group<V>(key, jobs + first, std::min(lanes, count - first));
+  }
+}
+
+using jobs_kernel = void (*)(const key_words&, const chacha_job*,
+                             std::size_t) noexcept;
+
+void xor_jobs_portable(const key_words& key, const chacha_job* jobs,
+                       std::size_t count) noexcept {
+  xor_jobs_lanes<u32x4>(key, jobs, count);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void xor_jobs_avx2(
+    const key_words& key, const chacha_job* jobs,
+    std::size_t count) noexcept {
+  using u32x8 = std::uint32_t __attribute__((vector_size(32)));
+  xor_jobs_lanes<u32x8>(key, jobs, count);
+}
+
+__attribute__((target("avx512f,avx512vl"))) void xor_jobs_avx512(
+    const key_words& key, const chacha_job* jobs,
+    std::size_t count) noexcept {
+  using u32x16 = std::uint32_t __attribute__((vector_size(64)));
+  xor_jobs_lanes<u32x16>(key, jobs, count);
+}
+#endif
+
+jobs_kernel kernel_for(detail::kernel_isa isa) noexcept {
+#if defined(__x86_64__)
+  switch (isa) {
+    case detail::kernel_isa::avx512:
+      return xor_jobs_avx512;
+    case detail::kernel_isa::avx2:
+      return xor_jobs_avx2;
+    case detail::kernel_isa::portable:
+      break;
+  }
+#else
+  (void)isa;
+#endif
+  return xor_jobs_portable;
 }
 
 }  // namespace
@@ -172,38 +295,68 @@ void chacha20_xor(const chacha_key& key, const chacha_nonce& nonce,
 void chacha20_xor_at(const chacha_key& key, const chacha_nonce& nonce,
                      std::uint32_t initial_counter, std::uint64_t offset,
                      std::span<std::uint8_t> data) {
-  std::uint32_t state[16];
   // Block counters wrap modulo 2^32, as in chacha20_xor.
-  init_state(key,
-             initial_counter + static_cast<std::uint32_t>(offset / 64),
-             nonce, state);
+  std::uint32_t counter =
+      initial_counter + static_cast<std::uint32_t>(offset / 64);
   std::uint8_t* p = data.data();
   std::size_t left = data.size();
   // A start inside a keystream block uses that block's tail first.
   const std::size_t skip = offset % 64;
   if (skip != 0 && left > 0) {
-    std::uint8_t keystream[64] = {};
+    std::uint32_t state[16];
+    init_state(key, counter++, nonce, state);
+    std::uint8_t keystream[64];
     keystream_block(state, keystream);
-    ++state[12];
     const std::size_t chunk = left < 64 - skip ? left : 64 - skip;
     xor_keystream(p, keystream + skip, chunk);
     p += chunk;
     left -= chunk;
   }
-  for (; left >= 256; p += 256, left -= 256) {
-    xor_four_blocks(state, p);
-    state[12] += 4;
+  chacha_job_queue queue(key);
+  queue.add(nonce, counter, {p, left});
+  queue.flush();
+}
+
+void chacha20_xor_jobs(const chacha_key& key,
+                       std::span<const chacha_job> jobs) {
+  // The widest kernel, its last group padded; a lone job after whole
+  // groups is cheaper on the scalar block function.
+  const detail::kernel_isa widest = detail::dispatched_isa();
+  const bool lone_tail = jobs.size() % detail::chacha_lanes(widest) == 1;
+  const std::size_t vector_jobs = jobs.size() - (lone_tail ? 1 : 0);
+  if (vector_jobs > 0) {
+    kernel_for(widest)(key_words(key), jobs.data(), vector_jobs);
   }
-  while (left > 0) {
-    std::uint8_t keystream[64] = {};
-    keystream_block(state, keystream);
-    ++state[12];
-    const std::size_t chunk = left < 64 ? left : 64;
-    xor_keystream(p, keystream, chunk);
-    p += chunk;
-    left -= chunk;
+  if (lone_tail) {
+    xor_one_job(key, jobs.back());
   }
 }
+
+void chacha_job_queue::add(const chacha_nonce& nonce, std::uint32_t counter,
+                           std::span<std::uint8_t> data) {
+  for (std::size_t at = 0; at < data.size(); at += 64) {
+    if (queued_ == jobs_.size()) {
+      flush();
+    }
+    jobs_[queued_++] = chacha_job{nonce, counter++, data.data() + at,
+                                  std::min<std::size_t>(64, data.size() - at)};
+  }
+}
+
+void chacha_job_queue::flush() {
+  chacha20_xor_jobs(key_, std::span<const chacha_job>(jobs_).first(queued_));
+  queued_ = 0;
+}
+
+namespace detail {
+
+void chacha20_xor_jobs_on(kernel_isa isa, const chacha_key& key,
+                          std::span<const chacha_job> jobs) {
+  expects(host_runs(isa), "kernel not available on this host");
+  kernel_for(isa)(key_words(key), jobs.data(), jobs.size());
+}
+
+}  // namespace detail
 
 chacha_rng::chacha_rng(const chacha_key& key, std::uint64_t stream)
     : key_(key) {

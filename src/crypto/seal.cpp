@@ -1,10 +1,43 @@
 #include "crypto/seal.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/contracts.h"
 
 namespace horam::crypto {
+
+namespace {
+
+// MACs are stored little-endian, copied to and from host words.
+static_assert(std::endian::native == std::endian::little,
+              "MAC stores assume a little-endian host");
+
+/// Calls use(i, tag) with the SipHash tag of the first `mac_input` bytes
+/// (nonce || ciphertext) of every record, the tags computed side by
+/// side a bounded group at a time.
+template <typename Record, typename Use>
+void for_each_tag(const siphash_key& key, std::span<const Record> records,
+                  std::size_t mac_input, Use use) {
+  constexpr std::size_t group = 16;
+  std::array<const std::uint8_t*, group> messages;
+  std::array<std::uint64_t, group> tags;
+  for (std::size_t first = 0; first < records.size(); first += group) {
+    const std::size_t count = std::min(group, records.size() - first);
+    for (std::size_t i = 0; i < count; ++i) {
+      messages[i] = records[first + i].data();
+    }
+    siphash24_many(key,
+                   std::span<const std::uint8_t* const>(messages).first(count),
+                   mac_input, std::span<std::uint64_t>(tags).first(count));
+    for (std::size_t i = 0; i < count; ++i) {
+      use(first + i, tags[i]);
+    }
+  }
+}
+
+}  // namespace
 
 seal_keys derive_seal_keys(std::uint64_t master_seed) {
   // Expand the master seed through a ChaCha20 stream keyed off the seed;
@@ -31,9 +64,18 @@ void block_sealer::seal_in_place(std::span<std::uint8_t> record) {
 
 void block_sealer::seal_in_place(std::span<std::uint8_t> record,
                                  std::span<const keystream_piece> pieces) {
-  expects(record.size() >= seal_overhead,
+  seal_many(std::span<const std::span<std::uint8_t>>(&record, 1), pieces);
+}
+
+void block_sealer::seal_many(std::span<const std::span<std::uint8_t>> records,
+                             std::span<const keystream_piece> pieces) {
+  if (records.empty()) {
+    return;
+  }
+  const std::size_t record_size = records.front().size();
+  expects(record_size >= seal_overhead,
           "sealed record shorter than seal overhead");
-  const std::size_t payload_size = record.size() - seal_overhead;
+  const std::size_t payload_size = record_size - seal_overhead;
   std::size_t covered = 0;
   std::uint64_t keystream_end = 0;
   for (const keystream_piece& piece : pieces) {
@@ -45,49 +87,81 @@ void block_sealer::seal_in_place(std::span<std::uint8_t> record,
   }
   expects(covered == payload_size,
           "keystream pieces must cover the whole ciphertext");
-
-  // Nonce: 8-byte counter || 4 zero bytes. Unique per seal per instance.
-  chacha_nonce nonce{};
-  const std::uint64_t n = nonce_counter_++;
-  for (int i = 0; i < 8; ++i) {
-    nonce[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(n >> (8 * i));
-  }
-  std::memcpy(record.data(), nonce.data(), nonce.size());
-
-  // Ciphertext, in place over the plaintext.
-  const std::span<std::uint8_t> body =
-      record.subspan(seal_nonce_bytes, payload_size);
-  for (const keystream_piece& piece : pieces) {
-    chacha20_xor_at(keys_.encryption_key, nonce, /*initial_counter=*/1,
-                    piece.keystream_offset,
-                    body.subspan(piece.offset, piece.length));
+  for (const std::span<std::uint8_t> record : records) {
+    expects(record.size() == record_size,
+            "batched records must have one size");
   }
 
-  // MAC over nonce || ciphertext.
-  const std::uint64_t tag = siphash24(
-      keys_.mac_key, record.first(seal_nonce_bytes + payload_size));
-  std::uint8_t* const mac = record.data() + seal_nonce_bytes + payload_size;
-  for (int i = 0; i < 8; ++i) {
-    mac[i] = static_cast<std::uint8_t>(tag >> (8 * i));
+  // Ciphertext, in place over the plaintext, every record's keystream
+  // blocks sharing the lanes. Pieces adjacent in both ciphertext and
+  // keystream go in as one run.
+  range_batch batch(*this);
+  for (const std::span<std::uint8_t> record : records) {
+    // Nonce: 8-byte counter || 4 zero bytes. Unique per seal per
+    // instance.
+    chacha_nonce nonce{};
+    const std::uint64_t n = nonce_counter_++;
+    for (int i = 0; i < 8; ++i) {
+      nonce[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(n >> (8 * i));
+    }
+    std::memcpy(record.data(), nonce.data(), nonce.size());
+    const std::span<std::uint8_t> body =
+        record.subspan(seal_nonce_bytes, payload_size);
+    for (std::size_t first = 0; first < pieces.size();) {
+      std::size_t last = first;
+      while (last + 1 < pieces.size() &&
+             pieces[last + 1].keystream_offset ==
+                 pieces[last].keystream_offset + pieces[last].length) {
+        ++last;
+      }
+      batch.queue(nonce, pieces[first].keystream_offset,
+                  body.subspan(pieces[first].offset,
+                               pieces[last].offset + pieces[last].length -
+                                   pieces[first].offset));
+      first = last + 1;
+    }
   }
+  batch.flush();
+
+  // MAC over nonce || ciphertext, side by side.
+  for_each_tag(keys_.mac_key, records, seal_nonce_bytes + payload_size,
+               [&](std::size_t i, std::uint64_t tag) {
+                 std::memcpy(records[i].data() + seal_nonce_bytes +
+                                 payload_size,
+                             &tag, sizeof tag);
+               });
 }
 
 void block_sealer::verify(std::span<const std::uint8_t> sealed) const {
-  if (sealed.size() < seal_overhead) {
+  verify_many(std::span<const std::span<const std::uint8_t>>(&sealed, 1));
+}
+
+void block_sealer::verify_many(
+    std::span<const std::span<const std::uint8_t>> records) const {
+  if (records.empty()) {
+    return;
+  }
+  const std::size_t record_size = records.front().size();
+  if (record_size < seal_overhead) {
     throw crypto_error("sealed buffer shorter than seal overhead");
   }
-  const std::size_t payload_size = sealed.size() - seal_overhead;
-  const std::uint64_t expected_tag = siphash24(
-      keys_.mac_key, sealed.first(seal_nonce_bytes + payload_size));
-  std::uint64_t stored_tag = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored_tag |= static_cast<std::uint64_t>(
-                      sealed[seal_nonce_bytes + payload_size +
-                             static_cast<std::size_t>(i)])
-                  << (8 * i);
+  const std::size_t payload_size = record_size - seal_overhead;
+  for (const std::span<const std::uint8_t> record : records) {
+    expects(record.size() == record_size,
+            "batched records must have one size");
   }
-  if (stored_tag != expected_tag) {
+  bool intact = true;
+  for_each_tag(keys_.mac_key, records, seal_nonce_bytes + payload_size,
+               [&](std::size_t i, std::uint64_t tag) {
+                 std::uint64_t stored_tag = 0;
+                 std::memcpy(&stored_tag,
+                             records[i].data() + seal_nonce_bytes +
+                                 payload_size,
+                             sizeof stored_tag);
+                 intact = intact && stored_tag == tag;
+               });
+  if (!intact) {
     throw crypto_error("MAC verification failed: block tampered or corrupt");
   }
 }
@@ -95,6 +169,26 @@ void block_sealer::verify(std::span<const std::uint8_t> sealed) const {
 void block_sealer::open_range(std::span<const std::uint8_t> sealed,
                               const keystream_piece& piece,
                               std::span<std::uint8_t> plain_out) const {
+  range_batch batch(*this);
+  batch.add(sealed, piece, plain_out);
+  batch.flush();
+}
+
+void block_sealer::open_into(std::span<const std::uint8_t> sealed,
+                             std::span<std::uint8_t> plain_out) const {
+  if (sealed.size() < seal_overhead) {
+    throw crypto_error("sealed buffer shorter than seal overhead");
+  }
+  const std::size_t payload_size = sealed.size() - seal_overhead;
+  expects(plain_out.size() == payload_size,
+          "plaintext buffer must match the sealed payload size");
+  verify(sealed);
+  open_range(sealed, keystream_piece{0, payload_size, 0}, plain_out);
+}
+
+void block_sealer::range_batch::add(std::span<const std::uint8_t> sealed,
+                                    const keystream_piece& piece,
+                                    std::span<std::uint8_t> plain_out) {
   expects(sealed.size() >= seal_overhead &&
               piece.offset <= sealed.size() - seal_overhead &&
               piece.length <= sealed.size() - seal_overhead - piece.offset,
@@ -108,20 +202,24 @@ void block_sealer::open_range(std::span<const std::uint8_t> sealed,
   std::memcpy(nonce.data(), sealed.data(), nonce.size());
   std::memcpy(plain_out.data(),
               sealed.data() + seal_nonce_bytes + piece.offset, piece.length);
-  chacha20_xor_at(keys_.encryption_key, nonce, /*initial_counter=*/1,
-                  piece.keystream_offset, plain_out);
+  queue(nonce, piece.keystream_offset, plain_out);
 }
 
-void block_sealer::open_into(std::span<const std::uint8_t> sealed,
-                             std::span<std::uint8_t> plain_out) const {
-  if (sealed.size() < seal_overhead) {
-    throw crypto_error("sealed buffer shorter than seal overhead");
+void block_sealer::range_batch::queue(const chacha_nonce& nonce,
+                                      std::uint64_t keystream_offset,
+                                      std::span<std::uint8_t> data) {
+  // A start inside a keystream block: that block's tail, on its own.
+  if (const std::size_t skip = keystream_offset % 64;
+      skip != 0 && !data.empty()) {
+    const std::size_t head = std::min(data.size(), 64 - skip);
+    chacha20_xor_at(queue_.key(), nonce, /*initial_counter=*/1,
+                    keystream_offset, data.first(head));
+    data = data.subspan(head);
+    keystream_offset += head;
   }
-  const std::size_t payload_size = sealed.size() - seal_overhead;
-  expects(plain_out.size() == payload_size,
-          "plaintext buffer must match the sealed payload size");
-  verify(sealed);
-  open_range(sealed, keystream_piece{0, payload_size, 0}, plain_out);
+  // Record keystream starts at ChaCha20 block 1.
+  queue_.add(nonce, 1 + static_cast<std::uint32_t>(keystream_offset / 64),
+             data);
 }
 
 }  // namespace horam::crypto

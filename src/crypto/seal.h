@@ -4,6 +4,15 @@
 // nonce, so two ciphertexts of the same plaintext are unlinkable — the
 // property that lets H-ORAM rewrite unmodified data during path
 // write-back and shuffles without revealing that nothing changed.
+//
+// All encryption runs on the lane-parallel batch kernels
+// (chacha20_xor_jobs, siphash24_many; widest of AVX-512, AVX2, portable,
+// picked once per process). A single record's keystream pieces become
+// one job per 64-byte block, pieces adjacent in both ciphertext and
+// keystream merged first so no block is split. seal_many() and
+// verify_many() batch several records: all of their keystream blocks
+// share the lanes, and their MACs are computed side by side. A
+// range_batch does the same for open_range() calls.
 #ifndef HORAM_CRYPTO_SEAL_H
 #define HORAM_CRYPTO_SEAL_H
 
@@ -72,9 +81,20 @@ class block_sealer {
   void seal_in_place(std::span<std::uint8_t> record,
                      std::span<const keystream_piece> pieces);
 
+  /// seal_in_place(record, pieces) for every record of `records`, in
+  /// order (record i takes the i-th fresh nonce), as one batch. All
+  /// records must have the same size.
+  void seal_many(std::span<const std::span<std::uint8_t>> records,
+                 std::span<const keystream_piece> pieces);
+
   /// Checks the MAC of `sealed`. Throws crypto_error if `sealed` is
   /// shorter than seal_overhead or fails the check (tampering).
   void verify(std::span<const std::uint8_t> sealed) const;
+
+  /// verify() for every record of `records` (all of one size), the MACs
+  /// computed side by side. Throws crypto_error if any record fails.
+  void verify_many(std::span<const std::span<const std::uint8_t>> records)
+      const;
 
   /// Decrypts one piece of `sealed` into `plain_out` (piece.length
   /// bytes, not overlapping `sealed`). Checks no MAC: call it only on a
@@ -90,6 +110,31 @@ class block_sealer {
   /// `sealed`; on a failed MAC it is left untouched.
   void open_into(std::span<const std::uint8_t> sealed,
                  std::span<std::uint8_t> plain_out) const;
+
+  /// Batched open_range(): add() takes the same arguments and checks,
+  /// copies the ciphertext out and queues its keystream blocks; they
+  /// are XORed lane-parallel as the queue fills and at flush(). An
+  /// output holds plaintext only once flush() has returned. No call
+  /// allocates.
+  class range_batch {
+   public:
+    explicit range_batch(const block_sealer& sealer) noexcept
+        : queue_(sealer.keys_.encryption_key) {}
+
+    void add(std::span<const std::uint8_t> sealed,
+             const keystream_piece& piece, std::span<std::uint8_t> plain_out);
+    void flush() { queue_.flush(); }
+
+   private:
+    friend class block_sealer;
+    /// Queues the XOR of `data` with the record keystream under `nonce`
+    /// from byte `keystream_offset` on; a start inside a block is
+    /// XORed at once.
+    void queue(const chacha_nonce& nonce, std::uint64_t keystream_offset,
+               std::span<std::uint8_t> data);
+
+    chacha_job_queue queue_;
+  };
 
  private:
   seal_keys keys_;

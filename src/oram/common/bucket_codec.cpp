@@ -1,5 +1,7 @@
 #include "oram/common/bucket_codec.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -14,6 +16,9 @@ static_assert(std::endian::native == std::endian::little,
               "bucket id header assumes a little-endian host");
 
 constexpr std::size_t keystream_block_bytes = 64;
+
+/// Buckets per sealer call in the window API (a path is 9-25 buckets).
+constexpr std::size_t batch_buckets = 32;
 
 }  // namespace
 
@@ -41,6 +46,19 @@ bucket_codec::bucket_codec(std::uint32_t slots, std::size_t payload_bytes,
 
 void bucket_codec::encode(std::span<const entry> reals,
                           std::span<std::uint8_t> bucket_out) {
+  encode_plain(reals, bucket_out);
+  seal_many(std::span<const std::span<std::uint8_t>>(&bucket_out, 1));
+}
+
+std::uint32_t bucket_codec::decode(std::span<const std::uint8_t> bucket,
+                                   std::span<block_id> ids_out,
+                                   std::span<std::uint8_t> payloads_out)
+    const {
+  return decode_many(bucket, 1, ids_out, payloads_out);
+}
+
+void bucket_codec::encode_plain(std::span<const entry> reals,
+                                std::span<std::uint8_t> bucket_out) const {
   expects(reals.size() <= slots_, "more real blocks than bucket slots");
   expects(bucket_out.size() >= bucket_bytes(), "bucket buffer too small");
 
@@ -62,53 +80,94 @@ void bucket_codec::encode(std::span<const entry> reals,
     std::memset(payload + copied, 0, payload_bytes_ - copied);
     std::memcpy(bucket_out.data() + id_offset(k), &id, sizeof id);
   }
-
-  if (seal_) {
-    sealer_.seal_in_place(bucket_out.first(image_bytes()), pieces_);
-  }
   std::memset(bucket_out.data() + image_bytes(), 0,
               bucket_bytes() - image_bytes());
 }
 
-std::uint32_t bucket_codec::decode(std::span<const std::uint8_t> bucket,
-                                   std::span<block_id> ids_out,
-                                   std::span<std::uint8_t> payloads_out)
+void bucket_codec::seal_many(
+    std::span<const std::span<std::uint8_t>> buckets) {
+  if (!seal_) {
+    return;
+  }
+  std::array<std::span<std::uint8_t>, batch_buckets> images;
+  for (std::size_t first = 0; first < buckets.size();
+       first += batch_buckets) {
+    const std::size_t count =
+        std::min(batch_buckets, buckets.size() - first);
+    for (std::size_t i = 0; i < count; ++i) {
+      expects(buckets[first + i].size() >= bucket_bytes(),
+              "bucket buffer too small");
+      images[i] = buckets[first + i].first(image_bytes());
+    }
+    sealer_.seal_many(std::span(images).first(count), pieces_);
+  }
+}
+
+std::uint32_t bucket_codec::decode_many(std::span<const std::uint8_t> window,
+                                        std::size_t count,
+                                        std::span<block_id> ids_out,
+                                        std::span<std::uint8_t> payloads_out)
     const {
-  expects(bucket.size() >= bucket_bytes(), "bucket buffer too small");
-  expects(ids_out.size() == slots_, "id buffer must hold one id per slot");
+  expects(window.size() >= count * bucket_bytes(), "bucket buffer too small");
+  expects(ids_out.size() == count * slots_,
+          "id buffer must hold one id per slot");
   expects(payloads_out.empty() ||
-              payloads_out.size() == slots_ * payload_bytes_,
+              payloads_out.size() == count * slots_ * payload_bytes_,
           "payload buffer must hold one payload per slot");
 
-  const std::span<const std::uint8_t> image = bucket.first(image_bytes());
-  const std::span<std::uint8_t> id_bytes(
-      reinterpret_cast<std::uint8_t*>(ids_out.data()), 8 * ids_out.size());
+  const auto image = [&](std::size_t i) {
+    return window.subspan(i * bucket_bytes(), image_bytes());
+  };
+  const auto id_bytes = [&](std::size_t i) {
+    return std::span<std::uint8_t>(
+        reinterpret_cast<std::uint8_t*>(ids_out.data() + i * slots_),
+        8 * std::size_t{slots_});
+  };
   if (seal_) {
-    sealer_.verify(image);
-    sealer_.open_range(image, pieces_.back(), id_bytes);
+    // Every MAC of the window before any output byte.
+    std::array<std::span<const std::uint8_t>, batch_buckets> images;
+    for (std::size_t first = 0; first < count; first += batch_buckets) {
+      const std::size_t group = std::min(batch_buckets, count - first);
+      for (std::size_t i = 0; i < group; ++i) {
+        images[i] = image(first + i);
+      }
+      sealer_.verify_many(std::span(images).first(group));
+    }
+    crypto::block_sealer::range_batch headers(sealer_);
+    for (std::size_t i = 0; i < count; ++i) {
+      headers.add(image(i), pieces_.back(), id_bytes(i));
+    }
+    headers.flush();
   } else {
-    std::memcpy(id_bytes.data(), image.data() + id_offset(0),
-                id_bytes.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      std::memcpy(id_bytes(i).data(), image(i).data() + id_offset(0),
+                  8 * std::size_t{slots_});
+    }
   }
 
   std::uint32_t reals = 0;
-  for (std::uint32_t k = 0; k < slots_; ++k) {
-    if (ids_out[k] == dummy_block_id) {
-      continue;
-    }
-    ++reals;
-    if (payloads_out.empty()) {
-      continue;
-    }
-    const std::span<std::uint8_t> payload =
-        payloads_out.subspan(k * payload_bytes_, payload_bytes_);
-    if (seal_) {
-      sealer_.open_range(image, pieces_[k], payload);
-    } else {
-      std::memcpy(payload.data(), image.data() + payload_offset(k),
-                  payload_bytes_);
+  crypto::block_sealer::range_batch payloads(sealer_);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::uint32_t k = 0; k < slots_; ++k) {
+      const std::size_t slot = i * slots_ + k;
+      if (ids_out[slot] == dummy_block_id) {
+        continue;
+      }
+      ++reals;
+      if (payloads_out.empty()) {
+        continue;
+      }
+      const std::span<std::uint8_t> payload =
+          payloads_out.subspan(slot * payload_bytes_, payload_bytes_);
+      if (seal_) {
+        payloads.add(image(i), pieces_[k], payload);
+      } else {
+        std::memcpy(payload.data(), image(i).data() + payload_offset(k),
+                    payload_bytes_);
+      }
     }
   }
+  payloads.flush();
   return reals;
 }
 

@@ -16,6 +16,14 @@
 // seeking the keystream. Sealing still encrypts every slot, dummies
 // included, so each written bucket is a fresh random-looking image.
 //
+// Path ORAM opens and re-seals a whole path at a time, so the codec
+// also works on windows of buckets: decode_many() verifies every MAC of
+// the window first and writes nothing unless all pass, then decrypts
+// all id headers in one lane-parallel batch and all real payloads in
+// another; encode_plain() composes buckets and seal_many() seals a
+// list of them in one batch, nonces in list order. The bytes are those
+// of the per-bucket calls.
+//
 // A bucket occupies the Z records a store reserves for it: record_bytes
 // is block_codec's record size for the same payload, and the sealed
 // bucket (12 + Z * (8 + payload_bytes) + 8 bytes) fits in Z of them.
@@ -80,7 +88,8 @@ class bucket_codec {
 
   /// Encodes `reals` into slots 0 .. reals.size()-1 and dummies into the
   /// rest, writing bucket_bytes() bytes to `bucket_out`. At most slots()
-  /// entries; payloads must not overlap `bucket_out`.
+  /// entries; payloads must not overlap `bucket_out`. encode_plain()
+  /// then seal_many() of the one bucket.
   void encode(std::span<const entry> reals,
               std::span<std::uint8_t> bucket_out);
 
@@ -95,10 +104,40 @@ class bucket_codec {
   /// — dummy slots are never decrypted and their bytes there are left
   /// alone. Returns the number of real slots. When sealing, the MAC is
   /// checked first: on failure it throws crypto::crypto_error and writes
-  /// neither output.
+  /// neither output. decode_many() of a one-bucket window.
   std::uint32_t decode(std::span<const std::uint8_t> bucket,
                        std::span<block_id> ids_out,
                        std::span<std::uint8_t> payloads_out) const;
+
+  // ------------------------------------------------------------------
+  // Window API: many buckets per call, so the sealing kernels run with
+  // every SIMD lane busy (crypto/chacha20.h, crypto/siphash.h). A
+  // window is `count` buckets back to back, bucket i at
+  // [i * bucket_bytes(), (i + 1) * bucket_bytes()).
+
+  /// encode() without the sealing: writes the plaintext image (payloads,
+  /// then the id header; dummies as zeros) and zeroes the bytes past it.
+  /// A sealed codec's bucket is ready to store only after seal_many().
+  void encode_plain(std::span<const entry> reals,
+                    std::span<std::uint8_t> bucket_out) const;
+
+  /// Seals buckets encode_plain() composed, in list order: buckets[i]
+  /// takes the i-th fresh nonce, exactly as encode() one bucket after
+  /// another would (a path write-back lists its buckets leaf to root).
+  /// Each span holds at least bucket_bytes(). No-op when not sealing.
+  void seal_many(std::span<const std::span<std::uint8_t>> buckets);
+
+  /// decode() of every bucket of a window. `ids_out` receives count *
+  /// slots() ids, bucket by bucket; `payloads_out`, if non-empty, holds
+  /// count * slots() payloads in the same order. When sealing, every
+  /// MAC of the window is checked before anything is written: one
+  /// failing bucket throws crypto::crypto_error and leaves both
+  /// outputs untouched. Then all id headers are decrypted in one batch,
+  /// then all real slots' payloads in another. Returns the number of
+  /// real slots in the window.
+  std::uint32_t decode_many(std::span<const std::uint8_t> window,
+                            std::size_t count, std::span<block_id> ids_out,
+                            std::span<std::uint8_t> payloads_out) const;
 
  private:
   [[nodiscard]] std::size_t plain_offset() const noexcept {

@@ -88,11 +88,15 @@ path_oram::path_oram(const path_oram_config& config,
     }
   }
 
-  bucket_ids_.resize(config.bucket_size);
-  bucket_payloads_.resize(config.bucket_size * config.payload_bytes);
+  path_ids_.resize(std::size_t{level_count_} * config.bucket_size);
+  path_payloads_.resize(path_ids_.size() * config.payload_bytes);
   bucket_reals_.reserve(config.bucket_size);
   path_window_.resize(static_cast<std::size_t>(level_count_) *
                       config.bucket_size * codec_.record_bytes());
+  for (std::uint32_t down = 0; down < level_count_; ++down) {
+    leaf_first_.push_back(window_bucket(level_count_ - 1 - down));
+  }
+  zero_payload_.resize(config.payload_bytes, 0);
 
   // Start with a physically dummy-filled tree.
   reset();
@@ -141,9 +145,48 @@ std::span<std::uint8_t> path_oram::stage_bucket(std::uint64_t bucket) {
 }
 
 std::span<const std::uint8_t> path_oram::slot_payload(
-    std::uint32_t k) const {
-  return std::span<const std::uint8_t>(bucket_payloads_)
-      .subspan(std::size_t{k} * config_.payload_bytes, config_.payload_bytes);
+    std::size_t slot) const {
+  return std::span<const std::uint8_t>(path_payloads_)
+      .subspan(slot * config_.payload_bytes, config_.payload_bytes);
+}
+
+void path_oram::seal_in_windows(std::span<std::uint8_t> image) {
+  const std::size_t bucket_bytes = codec_.bucket_bytes();
+  std::vector<std::span<std::uint8_t>> batch;
+  batch.reserve(level_count_);
+  for (std::size_t at = 0; at < image.size(); at += bucket_bytes) {
+    batch.push_back(image.subspan(at, bucket_bytes));
+    codec_.encode_plain({}, batch.back());
+    if (batch.size() == level_count_ || at + bucket_bytes == image.size()) {
+      codec_.seal_many(batch);
+      batch.clear();
+    }
+  }
+}
+
+void path_oram::take_reals(std::span<const std::uint8_t> buckets,
+                           std::vector<evicted_block>& out) {
+  const std::size_t bucket_bytes = codec_.bucket_bytes();
+  const std::size_t z = config_.bucket_size;
+  const std::size_t count = buckets.size() / bucket_bytes;
+  for (std::size_t first = 0; first < count; first += level_count_) {
+    const std::size_t window = std::min<std::size_t>(level_count_,
+                                                     count - first);
+    codec_.decode_many(
+        buckets.subspan(first * bucket_bytes, window * bucket_bytes), window,
+        std::span<block_id>(path_ids_).first(window * z),
+        std::span<std::uint8_t>(path_payloads_)
+            .first(window * z * config_.payload_bytes));
+    for (std::size_t slot = 0; slot < window * z; ++slot) {
+      if (path_ids_[slot] == dummy_block_id) {
+        continue;
+      }
+      const std::span<const std::uint8_t> payload = slot_payload(slot);
+      out.push_back(evicted_block{
+          path_ids_[slot],
+          std::vector<std::uint8_t>(payload.begin(), payload.end())});
+    }
+  }
 }
 
 cost_split path_oram::read_bucket(std::uint64_t bucket,
@@ -320,28 +363,26 @@ cost_split path_oram::path_access(
   const std::uint32_t z = config_.bucket_size;
   const std::size_t record_bytes = codec_.record_bytes();
 
-  // Read the path root-to-leaf into the window, then move every real
-  // block into the stash (root-to-leaf, slot order).
+  // Read the path root-to-leaf into the window and open it in one batch
+  // (every MAC first), then move every real block into the stash
+  // (root-to-leaf, slot order).
   cost += load_path(leaf);
-  for (std::uint32_t level = 0; level < level_count_; ++level) {
-    codec_.decode(window_bucket(level), bucket_ids_, bucket_payloads_);
-    for (std::uint32_t k = 0; k < z; ++k) {
-      const block_id id = bucket_ids_[k];
-      if (id == dummy_block_id) {
-        continue;
-      }
-      invariant(positions_.contains(id),
-                "tree holds a block missing from the position map");
-      stash_.put(id, positions_.leaf_of(id), slot_payload(k));
+  codec_.decode_many(path_window_, level_count_, path_ids_, path_payloads_);
+  for (std::size_t slot = 0; slot < path_ids_.size(); ++slot) {
+    const block_id id = path_ids_[slot];
+    if (id == dummy_block_id) {
+      continue;
     }
+    invariant(positions_.contains(id),
+              "tree holds a block missing from the position map");
+    stash_.put(id, positions_.leaf_of(id), slot_payload(slot));
   }
 
   // Serve the request from the stash.
   if (requested != dummy_block_id) {
     if (!stash_.contains(requested)) {
       // First-ever touch: the block materialises zero-filled.
-      const std::vector<std::uint8_t> zeros(config_.payload_bytes, 0);
-      stash_.put(requested, positions_.leaf_of(requested), zeros);
+      stash_.put(requested, positions_.leaf_of(requested), zero_payload_);
     }
     stash_entry& entry = stash_.at(requested);
     // The request was remapped before the path read; a block that was
@@ -372,9 +413,10 @@ cost_split path_oram::path_access(
     }
   }
 
-  // Greedy write-back, deepest bucket first, composed into the window
-  // and flushed as one store_path (same device order as composing and
-  // writing level by level; under `page`, one transfer per segment).
+  // Greedy write-back, deepest bucket first, composed into the window,
+  // sealed leaf to root in one batch and flushed as one store_path (same
+  // nonces and device order as composing, sealing and writing level by
+  // level; under `page`, one transfer per segment).
   for (std::uint32_t down = 0; down < level_count_; ++down) {
     const std::uint32_t level = level_count_ - 1 - down;
     bucket_reals_.clear();
@@ -386,11 +428,12 @@ cost_split path_oram::path_access(
         }
       }
     }
-    codec_.encode(bucket_reals_, window_bucket(level));
+    codec_.encode_plain(bucket_reals_, window_bucket(level));
     for (const bucket_codec::entry& real : bucket_reals_) {
       stash_.erase(real.id);
     }
   }
+  codec_.seal_many(leaf_first_);
   cost += store_path(leaf);
 
   // Control-layer cost: decrypt + re-encrypt the full path, plus map and
@@ -491,19 +534,8 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
   const std::size_t record_bytes = codec_.record_bytes();
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
-  // 1) Stream the whole tree (sequential sweeps) and decode.
-  const auto take_reals = [&](std::span<const std::uint8_t> bucket) {
-    codec_.decode(bucket, bucket_ids_, bucket_payloads_);
-    for (std::uint32_t k = 0; k < config_.bucket_size; ++k) {
-      if (bucket_ids_[k] == dummy_block_id) {
-        continue;
-      }
-      const std::span<const std::uint8_t> payload = slot_payload(k);
-      out.push_back(evicted_block{
-          bucket_ids_[k],
-          std::vector<std::uint8_t>(payload.begin(), payload.end())});
-    }
-  };
+  // 1) Stream the whole tree (sequential sweeps) and decode it a path
+  // window's worth of buckets at a time.
   std::vector<std::uint8_t> chunk;
   const auto sweep = [&](storage::block_store& store, bool memory_lane) {
     // A sweep chunk need not end on a bucket boundary: the head of a
@@ -519,10 +551,9 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
           first, count, std::span<std::uint8_t>(chunk).subspan(carry));
       (memory_lane ? cost.memory : cost.io) += t;
       const std::size_t whole = chunk.size() / bucket_bytes;
-      for (std::size_t b = 0; b < whole; ++b) {
-        take_reals(std::span<const std::uint8_t>(
-            chunk.data() + b * bucket_bytes, bucket_bytes));
-      }
+      take_reals(std::span<const std::uint8_t>(chunk).first(whole *
+                                                            bucket_bytes),
+                 out);
       carry = chunk.size() - whole * bucket_bytes;
       std::memmove(chunk.data(), chunk.data() + whole * bucket_bytes, carry);
     }
@@ -548,10 +579,7 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
         }
         cost.io += io_store_->read_range(page_->segment_first_slot(segment),
                                          records, chunk);
-        for (std::size_t b = 0; b < page_->segment_buckets(g); ++b) {
-          take_reals(std::span<const std::uint8_t>(
-              chunk.data() + b * bucket_bytes, bucket_bytes));
-        }
+        take_reals(chunk, out);
       }
     }
   }
@@ -670,13 +698,11 @@ cost_split path_oram::reset() {
   const std::size_t record_bytes = codec_.record_bytes();
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
-  // Dummy buckets are composed where they live, then committed.
+  // Dummy buckets are composed where they live, sealed a path window's
+  // worth at a time in heap order, then committed.
   const auto rewrite = [&](storage::block_store& store, sim::sim_time& lane) {
     const std::uint64_t slots = store.slot_count();
-    const std::span<std::uint8_t> image = store.stage_range(0, slots);
-    for (std::size_t at = 0; at < image.size(); at += bucket_bytes) {
-      codec_.encode_dummy(image.subspan(at, bucket_bytes));
-    }
+    seal_in_windows(store.stage_range(0, slots));
     lane += commit_sweeps(store);
     cost.cpu += cpu_.crypto_time(slots, record_bytes);
   };
@@ -748,11 +774,15 @@ cost_split path_oram::initialize_full(
 
   // Bottom-up greedy placement: post-order DFS; each node packs up to Z
   // pending blocks (all of which have this bucket on their path) and
-  // passes the rest to its parent. Every bucket is encoded once, where
-  // it lives in its store.
+  // passes the rest to its parent. Every bucket is composed once, where
+  // it lives in its store, and sealed in post-order batches of a path
+  // window's size (the nonce order of sealing each bucket as it is
+  // composed).
   const std::uint64_t z = config_.bucket_size;
   const std::size_t record_bytes = codec_.record_bytes();
   std::vector<std::uint8_t> real_in_bucket(bucket_count_, 0);
+  std::vector<std::span<std::uint8_t>> unsealed;
+  unsealed.reserve(level_count_);
 
   const std::function<std::vector<block_id>(std::uint32_t, std::uint64_t)>
       build = [&](std::uint32_t level,
@@ -783,11 +813,17 @@ cost_split path_oram::initialize_full(
                   payloads.data() + id * config_.payload_bytes,
                   config_.payload_bytes)});
     }
-    codec_.encode(bucket_reals_, stage_bucket(bucket));
+    unsealed.push_back(stage_bucket(bucket));
+    codec_.encode_plain(bucket_reals_, unsealed.back());
+    if (unsealed.size() == level_count_) {
+      codec_.seal_many(unsealed);
+      unsealed.clear();
+    }
     pending.resize(pending.size() - take);
     return pending;
   };
   std::vector<block_id> overflow = build(0, 0);
+  codec_.seal_many(unsealed);
   for (const block_id id : overflow) {
     stash_.put(id, leaves[id],
                std::span<const std::uint8_t>(

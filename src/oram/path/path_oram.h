@@ -18,11 +18,18 @@
 //
 // The bucket is the sealed unit (oram/common/bucket_codec.h): one
 // nonce, one keystream and one MAC per bucket, payloads first and the
-// id header after them. Opening a path bucket checks its MAC, decrypts
-// the id header and then only the payloads of real slots — most slots
-// of a tree path are dummies. Every write-back re-seals each path
-// bucket whole under a fresh nonce, the re-encryption Path ORAM
-// requires. A sealed bucket fits in the Z records the store reserves
+// id header after them. An access opens its whole path window in one
+// batch (bucket_codec::decode_many): every bucket's MAC is checked
+// before any plaintext of the window is written, so a tampered bucket
+// anywhere on the path fails the access with crypto::crypto_error and
+// nothing reaches the stash. Then the id headers are decrypted, then
+// only the payloads of real slots — most slots of a tree path are
+// dummies. Every write-back re-seals each path bucket whole under a
+// fresh nonce, the re-encryption Path ORAM requires: the buckets are
+// composed in plaintext and sealed leaf to root in one batch
+// (bucket_codec::seal_many), the nonce order of sealing them one by
+// one. The whole-tree sweeps (reset, evict_all, initialize_full) seal
+// and open in batches of a path window's size. A sealed bucket fits in the Z records the store reserves
 // for it, so store geometry, device traffic and the modelled crypto
 // charges (per record) are those of per-slot records.
 #ifndef HORAM_ORAM_PATH_PATH_ORAM_H
@@ -239,9 +246,18 @@ class path_oram {
   [[nodiscard]] std::span<const std::uint8_t> peek_bucket(
       std::uint64_t bucket) const;
   [[nodiscard]] std::span<std::uint8_t> stage_bucket(std::uint64_t bucket);
-  /// Payload of slot k of the last bucket decoded into bucket_payloads_.
+  /// Payload of window slot `slot` (bucket slot / Z, slot % Z) of the
+  /// last window decoded into path_payloads_.
   [[nodiscard]] std::span<const std::uint8_t> slot_payload(
-      std::uint32_t k) const;
+      std::size_t slot) const;
+  /// Composes every bucket of `image` (whole buckets in heap order) as
+  /// all-dummy and seals them in window-sized batches, in order.
+  void seal_in_windows(std::span<std::uint8_t> image);
+  /// Opens `buckets` (whole buckets back to back) in window-sized
+  /// batches and appends their real blocks to `out`, bucket then slot
+  /// order.
+  void take_reals(std::span<const std::uint8_t> buckets,
+                  std::vector<evicted_block>& out);
   /// Reads bucket records into `out`; returns cost on the right lane.
   cost_split read_bucket(std::uint64_t bucket, std::span<std::uint8_t> out);
   cost_split write_bucket(std::uint64_t bucket,
@@ -298,13 +314,18 @@ class path_oram {
   std::unique_ptr<storage::page_layout> page_;
   std::unique_ptr<storage::valid_bit_tree> valid_;
 
-  // Reused per-access scratch: one decoded bucket, and the stash
-  // blocks picked for the bucket being written back.
-  std::vector<block_id> bucket_ids_;
-  std::vector<std::uint8_t> bucket_payloads_;
+  // Reused per-access scratch: one decoded window (slot ids and
+  // payloads, root first), and the stash blocks picked for the bucket
+  // being written back.
+  std::vector<block_id> path_ids_;
+  std::vector<std::uint8_t> path_payloads_;
   std::vector<bucket_codec::entry> bucket_reals_;
-  /// One path's bucket records (level_count_ * Z records).
+  /// One path's bucket records (level_count_ * Z records), root first.
   std::vector<std::uint8_t> path_window_;
+  /// The window's buckets leaf to root: the write-back's nonce order.
+  std::vector<std::span<std::uint8_t>> leaf_first_;
+  /// The payload a block has on its first touch.
+  std::vector<std::uint8_t> zero_payload_;
   /// Per-group segment bytes of the access in flight (page layout).
   std::vector<std::vector<std::uint8_t>> segment_buffers_;
 

@@ -84,7 +84,7 @@ TEST(ChaCha20, XorIsItsOwnInverse) {
 }
 
 // Keystream XOR one chacha20_block at a time: the reference the
-// four-block kernel must match byte for byte.
+// lane-parallel kernels must match byte for byte.
 void reference_xor(const chacha_key& key, const chacha_nonce& nonce,
                    std::uint32_t counter, std::span<std::uint8_t> data) {
   std::array<std::uint8_t, 64> keystream;
@@ -96,10 +96,11 @@ void reference_xor(const chacha_key& key, const chacha_nonce& nonce,
   }
 }
 
-// Every length from 0 to 1100 B crosses the 256-B four-block boundary
-// several times and hits every tail size. The data starts one byte into
-// a guarded buffer, so loads and stores are misaligned and any write
-// outside the span shows up in the guard bytes.
+// Every length from 0 to 1100 B crosses the group boundary of every
+// kernel width (4, 8 or 16 blocks: 256, 512 or 1024 B) and hits every
+// tail size. The data starts one byte into a guarded buffer, so loads
+// and stores are misaligned and any write outside the span shows up in
+// the guard bytes.
 void expect_xor_matches_reference(std::uint32_t initial_counter) {
   const chacha_key key = rfc_key();
   const chacha_nonce nonce = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
@@ -125,7 +126,7 @@ TEST(ChaCha20, XorMatchesBlockReferenceAtEveryLength) {
 }
 
 TEST(ChaCha20, XorCounterWrapsLikeTheBlockReference) {
-  // Lanes of one four-block step straddle the 2^32 wrap.
+  // Lanes of one kernel group straddle the 2^32 wrap.
   for (const std::uint32_t counter : {0xfffffffdU, 0xfffffffeU, 0xffffffffU}) {
     expect_xor_matches_reference(counter);
   }
@@ -134,7 +135,7 @@ TEST(ChaCha20, XorCounterWrapsLikeTheBlockReference) {
 // chacha20_xor_at must XOR exactly the keystream bytes a full-stream
 // chacha20_xor would use at that position, for every start offset and
 // length inside the first 1100 bytes (every skip into a block, every
-// four-block and tail split after it), writing nothing outside the span.
+// group and tail split after it), writing nothing outside the span.
 void expect_xor_at_matches_full_stream(std::uint32_t initial_counter) {
   const chacha_key key = rfc_key();
   const chacha_nonce nonce = {12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1};

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "crypto/chacha20.h"
+#include "crypto/detail/kernels.h"
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
 #include "oram/common/bucket_codec.h"
@@ -16,6 +17,7 @@
 #include "sim/profiles.h"
 #include "storage/block_store.h"
 #include "util/contracts.h"
+#include "util/rng.h"
 
 namespace horam::oram {
 namespace {
@@ -383,6 +385,118 @@ TEST(BucketCodec, GoldenSealedBucketIsPinned) {
   EXPECT_EQ(bucket, expected);
   EXPECT_EQ(fnv1a(bucket), 0xba438e474ca6dbd2ULL)
       << std::hex << fnv1a(bucket);
+}
+
+// ------------------------------------------------ bucket windows
+
+/// A path window of `levels` buckets with random occupancy, composed by
+/// two codecs of one key seed: `per_bucket` by encode() leaf to root,
+/// `batched` by encode_plain() and one seal_many() leaf to root.
+struct window_pair {
+  static constexpr std::uint32_t kSlots = 4;
+  static constexpr std::size_t kPayload = 256;
+  bucket_codec per_bucket_codec{kSlots, kPayload, true, 0x3a1};
+  bucket_codec batched_codec{kSlots, kPayload, true, 0x3a1};
+  std::size_t levels;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::vector<bucket_codec::entry>> reals;  // per level
+  std::vector<std::uint8_t> per_bucket;
+  std::vector<std::uint8_t> batched;
+
+  window_pair(std::size_t levels_in, util::pcg64& rng)
+      : levels(levels_in), reals(levels_in) {
+    payloads.reserve(levels * kSlots);
+    for (std::size_t level = 0; level < levels; ++level) {
+      const std::size_t count = rng.next_u64() % (kSlots + 1);
+      for (std::size_t k = 0; k < count; ++k) {
+        payloads.push_back(slot_payload(kPayload, static_cast<std::uint32_t>(
+                                                      rng.next_u64() % 97)));
+        reals[level].push_back(
+            bucket_codec::entry{level * 100 + k, payloads.back()});
+      }
+    }
+    const std::size_t bytes = per_bucket_codec.bucket_bytes();
+    per_bucket.assign(levels * bytes, 0xee);
+    batched.assign(levels * bytes, 0xdd);
+    std::vector<std::span<std::uint8_t>> leaf_first;
+    for (std::size_t down = 0; down < levels; ++down) {
+      const std::size_t level = levels - 1 - down;
+      per_bucket_codec.encode(
+          reals[level],
+          std::span<std::uint8_t>(per_bucket).subspan(level * bytes, bytes));
+      leaf_first.push_back(
+          std::span<std::uint8_t>(batched).subspan(level * bytes, bytes));
+      batched_codec.encode_plain(reals[level], leaf_first.back());
+    }
+    batched_codec.seal_many(leaf_first);
+  }
+};
+
+TEST(BucketCodecWindow, BatchIsByteIdenticalToPerBucketCalls) {
+  util::pcg64 rng(0x3a1);
+  for (const std::size_t levels : {1u, 7u, 9u, 10u, 17u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      window_pair pair(levels, rng);
+      ASSERT_EQ(pair.batched, pair.per_bucket) << levels << " buckets";
+
+      // decode_many() against decode() bucket by bucket.
+      const bucket_codec& codec = pair.batched_codec;
+      const std::size_t slots = codec.slots();
+      const std::size_t payload = codec.payload_bytes();
+      std::vector<block_id> ids(levels * slots, 0);
+      std::vector<std::uint8_t> out(levels * slots * payload, 0xcc);
+      std::vector<block_id> expected_ids(levels * slots, 0);
+      std::vector<std::uint8_t> expected_out(out.size(), 0xcc);
+      std::uint32_t expected_reals = 0;
+      for (std::size_t level = 0; level < levels; ++level) {
+        expected_reals += codec.decode(
+            std::span<const std::uint8_t>(pair.batched)
+                .subspan(level * codec.bucket_bytes(), codec.bucket_bytes()),
+            std::span<block_id>(expected_ids).subspan(level * slots, slots),
+            std::span<std::uint8_t>(expected_out)
+                .subspan(level * slots * payload, slots * payload));
+      }
+      EXPECT_EQ(codec.decode_many(pair.batched, levels, ids, out),
+                expected_reals);
+      EXPECT_EQ(ids, expected_ids);
+      EXPECT_EQ(out, expected_out);
+      // Ids alone need no payload buffer.
+      std::vector<block_id> ids_only(levels * slots, 0);
+      EXPECT_EQ(codec.decode_many(pair.batched, levels, ids_only, {}),
+                expected_reals);
+      EXPECT_EQ(ids_only, expected_ids);
+    }
+  }
+}
+
+TEST(BucketCodecWindow, TamperedBucketFailsTheWholeWindowUnwritten) {
+  util::pcg64 rng(0x7a3);
+  // The first bucket of the second MAC lane group sits on the boundary.
+  const std::size_t boundary = crypto::detail::siphash_lanes(
+      crypto::detail::dispatched_isa());
+  for (const std::size_t levels : {9u, 10u, 17u}) {
+    const window_pair pair(levels, rng);
+    const bucket_codec& codec = pair.batched_codec;
+    for (const std::size_t bucket :
+         {std::size_t{0}, std::min(boundary, levels - 1), levels - 1}) {
+      for (const std::size_t offset :
+           {std::size_t{3}, codec.payload_offset(2) + 17,
+            codec.id_offset(1) + 2, codec.mac_offset() + 5}) {
+        std::vector<std::uint8_t> tampered = pair.batched;
+        tampered[bucket * codec.bucket_bytes() + offset] ^= 0x20;
+        std::vector<block_id> ids(levels * codec.slots(), 77);
+        std::vector<std::uint8_t> out(
+            levels * codec.slots() * codec.payload_bytes(), 0xcc);
+        EXPECT_THROW(codec.decode_many(tampered, levels, ids, out),
+                     crypto::crypto_error)
+            << "bucket " << bucket << ", byte " << offset;
+        EXPECT_EQ(ids, std::vector<block_id>(ids.size(), 77))
+            << "bucket " << bucket << ", byte " << offset;
+        EXPECT_EQ(out, std::vector<std::uint8_t>(out.size(), 0xcc))
+            << "bucket " << bucket << ", byte " << offset;
+      }
+    }
+  }
 }
 
 // --------------------------------------------- fault injection e2e

@@ -421,6 +421,37 @@ TEST_P(PathOramTamper, PageStorageBucketFailsTheNextAccess) {
 
 // ------------------------------------------------- tree-top-cache split
 
+// The cache tree (every level in memory) opens a whole path window in
+// one batch. A tampered bucket at the leaf end of the requested block's
+// path must fail path_oram::access with the typed crypto error before
+// anything is decrypted: the caller's buffer and the stash stay as they
+// were.
+TEST(FaultInjection, TamperedCacheTreeBucketFailsTheAccessTyped) {
+  fixture fx;
+  path_oram oram(fx.config(64), fx.memory, nullptr, fx.cpu, fx.rng,
+                 nullptr);
+  for (block_id id = 0; id < 40; ++id) {
+    oram.access(op_kind::write, id, payload_of(static_cast<std::uint8_t>(id)),
+                {});
+  }
+  ASSERT_NO_THROW(oram.check_consistency());
+  ASSERT_EQ(oram.memory_level_count(), oram.level_count());
+
+  const block_id target = 7;
+  const std::uint32_t deepest = oram.level_count() - 1;
+  const std::uint64_t leaf_bucket =
+      ((std::uint64_t{1} << deepest) - 1) + oram.leaf_of(target);
+  const bucket_codec& codec = path_oram_test_access::codec(oram);
+  path_oram_test_access::corrupt(oram, leaf_bucket, codec.id_offset(0) + 1,
+                                 0x08);
+  const std::size_t stash_before = oram.stash_ref().size();
+  std::vector<std::uint8_t> out(16, 0xcc);
+  EXPECT_THROW(oram.access(op_kind::read, target, {}, out),
+               crypto::crypto_error);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(16, 0xcc));
+  EXPECT_EQ(oram.stash_ref().size(), stash_before);
+}
+
 TEST(PathOramSplit, LanesChargeTheRightDevices) {
   fixture fx;
   // 7 levels, top 3 in memory, bottom 4 on disk.
