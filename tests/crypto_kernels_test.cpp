@@ -141,12 +141,15 @@ TEST_P(KernelWidths, ChaChaJobsMatchTheBlockReference) {
   }
 }
 
-TEST_P(KernelWidths, ChaChaRfc8439VectorsThroughTheBatch) {
+/// RFC 8439 vectors through a job runner: the section 2.3.2 block as
+/// `lanes` + 1 identical jobs over zeros (a whole group plus one), and
+/// the section 2.4.2 message as two jobs (64 + 50 bytes).
+template <typename Run>
+void expect_rfc8439_vectors(std::size_t lanes, Run run) {
   chacha_key key;
   for (std::size_t i = 0; i < key.size(); ++i) {
     key[i] = static_cast<std::uint8_t>(i);
   }
-  // Section 2.3.2: one block, as a job over zeros, in every lane.
   const chacha_nonce block_nonce = {0x00, 0x00, 0x00, 0x09, 0x00, 0x00,
                                     0x00, 0x4a, 0x00, 0x00, 0x00, 0x00};
   constexpr std::uint8_t block_expected[64] = {
@@ -156,19 +159,17 @@ TEST_P(KernelWidths, ChaChaRfc8439VectorsThroughTheBatch) {
       0x82, 0x64, 0x46, 0x07, 0x9f, 0xaa, 0x09, 0x14, 0xc2, 0xd7, 0x05,
       0xd9, 0x8b, 0x02, 0xa2, 0xb5, 0x12, 0x9c, 0xd1, 0xde, 0x16, 0x4e,
       0xb9, 0xcb, 0xd0, 0x83, 0xe8, 0xa2, 0x50, 0x3c, 0x4e};
-  const std::size_t lanes = detail::chacha_lanes(GetParam());
-  std::vector<std::array<std::uint8_t, 64>> blocks(lanes);
+  std::vector<std::array<std::uint8_t, 64>> blocks(lanes + 1);
   std::vector<chacha_job> jobs;
   for (auto& block : blocks) {
     block.fill(0);
     jobs.push_back(chacha_job{block_nonce, 1, block.data(), 64});
   }
-  detail::chacha20_xor_jobs_on(GetParam(), key, jobs);
+  run(key, std::span<const chacha_job>(jobs));
   for (const auto& block : blocks) {
     EXPECT_EQ(std::memcmp(block.data(), block_expected, 64), 0);
   }
 
-  // Section 2.4.2: the 114-byte message as two jobs (64 + 50 bytes).
   const chacha_nonce nonce = {0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
                               0x00, 0x4a, 0x00, 0x00, 0x00, 0x00};
   const std::string plaintext =
@@ -179,7 +180,7 @@ TEST_P(KernelWidths, ChaChaRfc8439VectorsThroughTheBatch) {
   const chacha_job message[] = {
       chacha_job{nonce, 1, data.data(), 64},
       chacha_job{nonce, 2, data.data() + 64, 50}};
-  detail::chacha20_xor_jobs_on(GetParam(), key, message);
+  run(key, std::span<const chacha_job>(message));
   constexpr std::uint8_t expected_head[16] = {
       0x6e, 0x2e, 0x35, 0x9a, 0x25, 0x68, 0xf9, 0x80,
       0x41, 0xba, 0x07, 0x28, 0xdd, 0x0d, 0x69, 0x81};
@@ -187,6 +188,41 @@ TEST_P(KernelWidths, ChaChaRfc8439VectorsThroughTheBatch) {
                                              0x5e, 0x42, 0x87, 0x4d};
   EXPECT_EQ(std::memcmp(data.data(), expected_head, 16), 0);
   EXPECT_EQ(std::memcmp(data.data() + data.size() - 8, expected_tail, 8), 0);
+}
+
+/// SipHash-2-4 vectors (Aumasson & Bernstein reference code: key =
+/// 000102...0f, message = first n bytes of 00 01 02 ...) through a
+/// batch runner, `count` lanes hashing the same message.
+template <typename Run>
+void expect_siphash_vectors(std::size_t count, Run run) {
+  siphash_key key;
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i);
+  }
+  const std::uint64_t expected[] = {
+      0x726fdb47dd0e0e31ULL, 0x74f839c593dc67fdULL, 0x0d6c8009d9a94f5aULL,
+      0x85676696d7fb7e2dULL, 0xcf2794e0277187b7ULL, 0x18765564cd99a68dULL,
+      0xcbc9466e58fee3ceULL, 0xab0200f58b01d137ULL, 0x93f5f5799a932462ULL};
+  std::vector<std::uint8_t> message(std::size(expected));
+  for (std::size_t i = 0; i < message.size(); ++i) {
+    message[i] = static_cast<std::uint8_t>(i);
+  }
+  const std::vector<const std::uint8_t*> messages(count, message.data());
+  for (std::size_t n = 0; n < std::size(expected); ++n) {
+    std::vector<std::uint64_t> tags(count, 0);
+    run(key, std::span<const std::uint8_t* const>(messages), n,
+        std::span<std::uint64_t>(tags));
+    EXPECT_EQ(tags, std::vector<std::uint64_t>(count, expected[n]))
+        << "length " << n;
+  }
+}
+
+TEST_P(KernelWidths, ChaChaRfc8439VectorsThroughTheBatch) {
+  expect_rfc8439_vectors(
+      detail::chacha_lanes(GetParam()),
+      [&](const chacha_key& key, std::span<const chacha_job> jobs) {
+        detail::chacha20_xor_jobs_on(GetParam(), key, jobs);
+      });
 }
 
 TEST_P(KernelWidths, SipHashManyMatchesTheScalarReference) {
@@ -223,28 +259,13 @@ TEST_P(KernelWidths, SipHashManyMatchesTheScalarReference) {
 }
 
 TEST_P(KernelWidths, SipHashReferenceVectorsThroughTheBatch) {
-  // Aumasson & Bernstein reference code: key = 000102...0f, message =
-  // first n bytes of 00 01 02 ...; every lane hashes the same message.
-  siphash_key key;
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<std::uint8_t>(i);
-  }
-  const std::uint64_t expected[] = {
-      0x726fdb47dd0e0e31ULL, 0x74f839c593dc67fdULL, 0x0d6c8009d9a94f5aULL,
-      0x85676696d7fb7e2dULL, 0xcf2794e0277187b7ULL, 0x18765564cd99a68dULL,
-      0xcbc9466e58fee3ceULL, 0xab0200f58b01d137ULL, 0x93f5f5799a932462ULL};
-  std::vector<std::uint8_t> message(std::size(expected));
-  for (std::size_t i = 0; i < message.size(); ++i) {
-    message[i] = static_cast<std::uint8_t>(i);
-  }
-  const std::size_t count = detail::siphash_lanes(GetParam()) + 1;
-  const std::vector<const std::uint8_t*> messages(count, message.data());
-  for (std::size_t n = 0; n < std::size(expected); ++n) {
-    std::vector<std::uint64_t> tags(count, 0);
-    detail::siphash24_many_on(GetParam(), key, messages, n, tags);
-    EXPECT_EQ(tags, std::vector<std::uint64_t>(count, expected[n]))
-        << "length " << n;
-  }
+  expect_siphash_vectors(
+      detail::siphash_lanes(GetParam()) + 1,
+      [&](const siphash_key& key,
+          std::span<const std::uint8_t* const> messages, std::size_t length,
+          std::span<std::uint64_t> tags) {
+        detail::siphash24_many_on(GetParam(), key, messages, length, tags);
+      });
 }
 
 // The dispatching entry points run whole groups on the widest kernel
@@ -284,6 +305,12 @@ TEST(BatchDispatch, PublicEntryPointsMatchTheReference) {
           << "message " << i << " of " << count;
     }
   }
+}
+
+TEST(BatchDispatch, ReferenceVectorsThroughThePublicEntryPoints) {
+  const kernel_isa widest = detail::dispatched_isa();
+  expect_rfc8439_vectors(detail::chacha_lanes(widest), chacha20_xor_jobs);
+  expect_siphash_vectors(detail::siphash_lanes(widest) + 1, siphash24_many);
 }
 
 TEST(BatchDispatch, DispatchesTheWidestKernelTheHostRuns) {
