@@ -4,40 +4,32 @@
 
 namespace horam::crypto::detail {
 
-const char* kernel_name(kernel_isa isa) noexcept {
-  switch (isa) {
-    case kernel_isa::avx512:
-      return "avx512";
-    case kernel_isa::avx2:
-      return "avx2";
-    case kernel_isa::portable:
-      break;
-  }
-  return "portable";
+namespace {
+
+struct kernel_shape {
+  const char* name;
+  std::size_t chacha_lanes;
+  std::size_t siphash_lanes;
+};
+
+/// Indexed by kernel_isa.
+constexpr kernel_shape shapes[] = {
+    {"portable", 4, 1}, {"avx2", 8, 4}, {"avx512", 16, 8}};
+
+const kernel_shape& shape(kernel_isa isa) noexcept {
+  return shapes[static_cast<std::size_t>(isa)];
 }
 
+}  // namespace
+
+const char* kernel_name(kernel_isa isa) noexcept { return shape(isa).name; }
+
 std::size_t chacha_lanes(kernel_isa isa) noexcept {
-  switch (isa) {
-    case kernel_isa::avx512:
-      return 16;
-    case kernel_isa::avx2:
-      return 8;
-    case kernel_isa::portable:
-      break;
-  }
-  return 4;
+  return shape(isa).chacha_lanes;
 }
 
 std::size_t siphash_lanes(kernel_isa isa) noexcept {
-  switch (isa) {
-    case kernel_isa::avx512:
-      return 8;
-    case kernel_isa::avx2:
-      return 4;
-    case kernel_isa::portable:
-      break;
-  }
-  return 1;
+  return shape(isa).siphash_lanes;
 }
 
 bool host_runs(kernel_isa isa) noexcept {
