@@ -140,141 +140,306 @@ void keystream_block(const std::uint32_t (&state)[16],
   }
 }
 
-/// One job on the scalar block function.
-void xor_one_job(const chacha_key& key, const chacha_job& job) {
-  std::uint32_t state[16];
-  init_state(key, job.counter, job.nonce, state);
-  std::uint8_t keystream[64];
-  keystream_block(state, keystream);
-  xor_keystream(job.data, keystream, job.len);
+/// The lanes of a job list: lane j runs jobs[j].
+struct job_lanes {
+  const chacha_job* jobs;
+
+  [[gnu::always_inline]] std::uint32_t counter(std::size_t j) const noexcept {
+    return jobs[j].counter;
+  }
+  [[gnu::always_inline]] std::uint32_t nonce_word(std::size_t j,
+                                                  int w) const noexcept {
+    return load_le32(jobs[j].nonce.data() + 4 * w);
+  }
+  [[gnu::always_inline]] std::uint8_t* data(std::size_t j) const noexcept {
+    return jobs[j].data;
+  }
+  [[gnu::always_inline]] std::size_t len(std::size_t j) const noexcept {
+    return jobs[j].len;
+  }
+  [[gnu::always_inline]] job_lanes from(std::size_t first) const noexcept {
+    return {jobs + first};
+  }
+};
+
+/// The lanes of one nonce's consecutive keystream blocks over one
+/// buffer: lane j XORs bytes [64 j, 64 j + 64) with block counter + j.
+/// No job list is built, so a one-nonce stretch skips that cost.
+struct run_lanes {
+  std::uint32_t first_counter;
+  std::uint32_t nonce[3];
+  std::uint8_t* bytes;
+  std::size_t size;
+
+  [[gnu::always_inline]] std::uint32_t counter(std::size_t j) const noexcept {
+    // Wraps modulo 2^32, as chacha20_xor's counter does.
+    return first_counter + static_cast<std::uint32_t>(j);
+  }
+  [[gnu::always_inline]] std::uint32_t nonce_word(std::size_t /*j*/,
+                                                  int w) const noexcept {
+    return nonce[w];
+  }
+  [[gnu::always_inline]] std::uint8_t* data(std::size_t j) const noexcept {
+    return bytes + 64 * j;
+  }
+  [[gnu::always_inline]] std::size_t len(std::size_t j) const noexcept {
+    return std::min<std::size_t>(64, size - 64 * j);
+  }
+  [[gnu::always_inline]] run_lanes from(std::size_t first) const noexcept {
+    return {counter(first), {nonce[0], nonce[1], nonce[2]}, data(first),
+            size - 64 * first};
+  }
+};
+
+/// The keystream of one SIMD group: lane j of x[i] becomes word i of
+/// the block whose state words 12..15 sit in lane j of input[12..15].
+template <typename V>
+[[gnu::always_inline]] inline void keystream_lanes(const V (&input)[16],
+                                                   V (&x)[16]) noexcept {
+  std::memcpy(x, input, sizeof x);
+  chacha_rounds(x);
+  for (int i = 0; i < 16; ++i) {
+    x[i] += input[i];
+  }
 }
 
-/// Runs 1..lanes(V) jobs, lane j computing the block of jobs[j]. Lanes
-/// past `count` repeat job 0's inputs and their output is dropped.
+/// Keystream bytes back from lanes: rows[k] = words 4*group ..
+/// 4*group+3 of the block in lane 4*chunk + k, by a 4x4 transpose of
+/// that 16-byte chunk of four words.
 template <typename V>
-[[gnu::always_inline]] inline void xor_job_group(const key_words& key,
-                                                 const chacha_job* jobs,
-                                                 std::size_t count) noexcept {
-  constexpr std::size_t lanes = sizeof(V) / sizeof(std::uint32_t);
-  // Per-lane state words 12..15: the counter and the three nonce words.
-  std::uint32_t lane_words[4][lanes];
-  for (std::size_t j = 0; j < lanes; ++j) {
-    const chacha_job& job = jobs[j < count ? j : 0];
-    lane_words[0][j] = job.counter;
-    for (int w = 0; w < 3; ++w) {
-      lane_words[1 + w][j] = load_le32(job.nonce.data() + 4 * w);
-    }
+[[gnu::always_inline]] inline void transposed_rows(const V (&x)[16],
+                                                   int group,
+                                                   std::size_t chunk,
+                                                   u32x4 (&rows)[4]) noexcept {
+  u32x4 w[4];
+  for (int i = 0; i < 4; ++i) {
+    std::memcpy(&w[i],
+                reinterpret_cast<const std::uint8_t*>(&x[4 * group + i]) +
+                    16 * chunk,
+                sizeof(u32x4));
   }
-  V input[16];
+  const u32x4 ab_lo = __builtin_shufflevector(w[0], w[1], 0, 4, 1, 5);
+  const u32x4 cd_lo = __builtin_shufflevector(w[2], w[3], 0, 4, 1, 5);
+  const u32x4 ab_hi = __builtin_shufflevector(w[0], w[1], 2, 6, 3, 7);
+  const u32x4 cd_hi = __builtin_shufflevector(w[2], w[3], 2, 6, 3, 7);
+  rows[0] = __builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5);
+  rows[1] = __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7);
+  rows[2] = __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5);
+  rows[3] = __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7);
+}
+
+/// The state words every lane shares: constants and key (V may be a
+/// scalar word or a vector).
+template <typename V>
+[[gnu::always_inline]] inline void shared_words(const key_words& key,
+                                                V (&input)[16]) noexcept {
   for (int i = 0; i < 4; ++i) {
     input[i] = V{} + sigma[i];
   }
   for (int i = 0; i < 8; ++i) {
     input[4 + i] = V{} + key.w[i];
   }
+}
+
+/// Lane 0 of `lanes` on the scalar block function.
+template <typename Lanes>
+void xor_one(const key_words& key, const Lanes& lanes) noexcept {
+  std::uint32_t state[16];
+  shared_words(key, state);
+  state[12] = lanes.counter(0);
+  for (int w = 0; w < 3; ++w) {
+    state[13 + w] = lanes.nonce_word(0, w);
+  }
+  std::uint8_t keystream[64];
+  keystream_block(state, keystream);
+  xor_keystream(lanes.data(0), keystream, lanes.len(0));
+}
+
+/// Runs lanes 0 .. count-1 of `lanes`, 1 <= count <= lanes(V), each
+/// SIMD lane computing one keystream block. SIMD lanes past `count`
+/// repeat lane 0's inputs and their output is dropped.
+template <typename V, typename Lanes>
+[[gnu::always_inline]] inline void xor_group(const key_words& key,
+                                             const Lanes& lanes,
+                                             std::size_t count) noexcept {
+  constexpr std::size_t width = sizeof(V) / sizeof(std::uint32_t);
+  // Per-lane state words 12..15: the counter and the three nonce words.
+  std::uint32_t lane_words[4][width];
+  for (std::size_t j = 0; j < width; ++j) {
+    const std::size_t lane = j < count ? j : 0;
+    lane_words[0][j] = lanes.counter(lane);
+    for (int w = 0; w < 3; ++w) {
+      lane_words[1 + w][j] = lanes.nonce_word(lane, w);
+    }
+  }
+  V input[16];
+  shared_words(key, input);
   for (int i = 0; i < 4; ++i) {
     std::memcpy(&input[12 + i], lane_words[i], sizeof(V));
   }
   V x[16];
-  std::memcpy(x, input, sizeof x);
-  chacha_rounds(x);
-  for (int i = 0; i < 16; ++i) {
-    x[i] += input[i];
-  }
+  keystream_lanes(input, x);
 
-  // Lane j holds word i of block j in x[i][j]. Each 16-byte chunk of
-  // four lanes is turned back into keystream bytes by a 4x4 transpose
-  // per group of four words. Whole-block jobs are XORed straight from
-  // the transposed rows; shorter ones go through `partial`.
-  std::uint8_t partial[lanes * 64];
+  // Whole blocks are XORed straight from the transposed rows; shorter
+  // ones go through `partial`.
+  std::uint8_t partial[width * 64];
   for (int group = 0; group < 4; ++group) {
-    for (std::size_t chunk = 0; chunk < lanes / 4 && 4 * chunk < count;
+    for (std::size_t chunk = 0; chunk < width / 4 && 4 * chunk < count;
          ++chunk) {
-      u32x4 w[4];
-      for (int i = 0; i < 4; ++i) {
-        std::memcpy(&w[i],
-                    reinterpret_cast<const std::uint8_t*>(&x[4 * group + i]) +
-                        16 * chunk,
-                    sizeof(u32x4));
-      }
-      const u32x4 ab_lo = __builtin_shufflevector(w[0], w[1], 0, 4, 1, 5);
-      const u32x4 cd_lo = __builtin_shufflevector(w[2], w[3], 0, 4, 1, 5);
-      const u32x4 ab_hi = __builtin_shufflevector(w[0], w[1], 2, 6, 3, 7);
-      const u32x4 cd_hi = __builtin_shufflevector(w[2], w[3], 2, 6, 3, 7);
-      // rows[k] = words 4*group .. 4*group+3 of block 4*chunk + k.
-      const u32x4 rows[4] = {
-          __builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5),
-          __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7),
-          __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5),
-          __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7)};
+      u32x4 rows[4];
+      transposed_rows(x, group, chunk, rows);
       for (std::size_t k = 0; k < 4 && 4 * chunk + k < count; ++k) {
-        const chacha_job& job = jobs[4 * chunk + k];
-        if (job.len == 64) {
-          std::uint8_t* const p = job.data + 16 * group;
+        const std::size_t lane = 4 * chunk + k;
+        if (lanes.len(lane) == 64) {
+          std::uint8_t* const p = lanes.data(lane) + 16 * group;
           store_u32x4(p, load_u32x4(p) ^ rows[k]);
         } else {
-          store_u32x4(partial + 64 * (4 * chunk + k) + 16 * group, rows[k]);
+          store_u32x4(partial + 64 * lane + 16 * group, rows[k]);
         }
       }
     }
   }
   for (std::size_t j = 0; j < count; ++j) {
-    if (jobs[j].len != 64) {
-      xor_keystream(jobs[j].data, partial + 64 * j, jobs[j].len);
+    if (lanes.len(j) != 64) {
+      xor_keystream(lanes.data(j), partial + 64 * j, lanes.len(j));
     }
   }
 }
 
-/// All of `jobs` in groups of lanes(V), the last one padded.
+/// A job list has no lanes that share inputs: every group is general.
 template <typename V>
-[[gnu::always_inline]] inline void xor_jobs_lanes(const key_words& key,
-                                                  const chacha_job* jobs,
-                                                  std::size_t count) noexcept {
-  constexpr std::size_t lanes = sizeof(V) / sizeof(std::uint32_t);
-  for (std::size_t first = 0; first < count; first += lanes) {
-    xor_job_group<V>(key, jobs + first, std::min(lanes, count - first));
+[[gnu::always_inline]] inline std::size_t xor_whole_groups(
+    const key_words& /*key*/, const job_lanes& /*lanes*/,
+    std::size_t /*count*/) noexcept {
+  return 0;
+}
+
+/// The whole groups of whole blocks at the head of a one-nonce run,
+/// with the state broadcast once and the counters a lane-index offset
+/// (no per-lane gathering, no length checks). Returns the lanes done.
+template <typename V>
+[[gnu::always_inline]] inline std::size_t xor_whole_groups(
+    const key_words& key, const run_lanes& lanes, std::size_t count) noexcept {
+  constexpr std::size_t width = sizeof(V) / sizeof(std::uint32_t);
+  const std::size_t groups = std::min(count, lanes.size / 64) / width;
+  if (groups == 0) {
+    return 0;
+  }
+  V input[16];
+  shared_words(key, input);
+  V lane_index;
+  for (std::size_t j = 0; j < width; ++j) {
+    lane_index[j] = static_cast<std::uint32_t>(j);
+  }
+  // Lane counters wrap modulo 2^32, exactly as the scalar counter does.
+  input[12] = (V{} + lanes.first_counter) + lane_index;
+  for (int w = 0; w < 3; ++w) {
+    input[13 + w] = V{} + lanes.nonce[w];
+  }
+  for (std::size_t g = 0; g < groups; ++g) {
+    V x[16];
+    keystream_lanes(input, x);
+    std::uint8_t* const data = lanes.bytes + g * width * 64;
+    for (int group = 0; group < 4; ++group) {
+      for (std::size_t chunk = 0; chunk < width / 4; ++chunk) {
+        u32x4 rows[4];
+        transposed_rows(x, group, chunk, rows);
+        for (std::size_t k = 0; k < 4; ++k) {
+          std::uint8_t* const p = data + 64 * (4 * chunk + k) + 16 * group;
+          store_u32x4(p, load_u32x4(p) ^ rows[k]);
+        }
+      }
+    }
+    input[12] += static_cast<std::uint32_t>(width);
+  }
+  return groups * width;
+}
+
+/// All `count` lanes in groups of lanes(V), the last one padded.
+template <typename V, typename Lanes>
+[[gnu::always_inline]] inline void xor_groups(const key_words& key,
+                                              const Lanes& lanes,
+                                              std::size_t count) noexcept {
+  constexpr std::size_t width = sizeof(V) / sizeof(std::uint32_t);
+  for (std::size_t first = xor_whole_groups<V>(key, lanes, count);
+       first < count; first += width) {
+    xor_group<V>(key, lanes.from(first), std::min(width, count - first));
   }
 }
 
-using jobs_kernel = void (*)(const key_words&, const chacha_job*,
-                             std::size_t) noexcept;
+template <typename Lanes>
+using lanes_kernel = void (*)(const key_words&, const Lanes&,
+                              std::size_t) noexcept;
 
-void xor_jobs_portable(const key_words& key, const chacha_job* jobs,
-                       std::size_t count) noexcept {
-  xor_jobs_lanes<u32x4>(key, jobs, count);
+template <typename Lanes>
+void xor_portable(const key_words& key, const Lanes& lanes,
+                  std::size_t count) noexcept {
+  xor_groups<u32x4>(key, lanes, count);
 }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) void xor_jobs_avx2(
-    const key_words& key, const chacha_job* jobs,
-    std::size_t count) noexcept {
+template <typename Lanes>
+__attribute__((target("avx2"))) void xor_avx2(const key_words& key,
+                                               const Lanes& lanes,
+                                               std::size_t count) noexcept {
   using u32x8 = std::uint32_t __attribute__((vector_size(32)));
-  xor_jobs_lanes<u32x8>(key, jobs, count);
+  xor_groups<u32x8>(key, lanes, count);
 }
 
-__attribute__((target("avx512f,avx512vl"))) void xor_jobs_avx512(
-    const key_words& key, const chacha_job* jobs,
-    std::size_t count) noexcept {
+template <typename Lanes>
+__attribute__((target("avx512f,avx512vl"))) void xor_avx512(
+    const key_words& key, const Lanes& lanes, std::size_t count) noexcept {
   using u32x16 = std::uint32_t __attribute__((vector_size(64)));
-  xor_jobs_lanes<u32x16>(key, jobs, count);
+  xor_groups<u32x16>(key, lanes, count);
 }
 #endif
 
-jobs_kernel kernel_for(detail::kernel_isa isa) noexcept {
+template <typename Lanes>
+lanes_kernel<Lanes> kernel_for(detail::kernel_isa isa) noexcept {
 #if defined(__x86_64__)
   switch (isa) {
     case detail::kernel_isa::avx512:
-      return xor_jobs_avx512;
+      return xor_avx512<Lanes>;
     case detail::kernel_isa::avx2:
-      return xor_jobs_avx2;
+      return xor_avx2<Lanes>;
     case detail::kernel_isa::portable:
       break;
   }
 #else
   (void)isa;
 #endif
-  return xor_jobs_portable;
+  return xor_portable<Lanes>;
 }
+
+/// All `count` lanes on the widest kernel, its last group padded; a
+/// lone lane after whole groups is cheaper on the scalar block
+/// function.
+template <typename Lanes>
+void xor_dispatched(const chacha_key& key, const Lanes& lanes,
+                    std::size_t count) {
+  const key_words words(key);
+  const detail::kernel_isa widest = detail::dispatched_isa();
+  const bool lone_tail = count % detail::chacha_lanes(widest) == 1;
+  const std::size_t vector_lanes = count - (lone_tail ? 1 : 0);
+  if (vector_lanes > 0) {
+    kernel_for<Lanes>(widest)(words, lanes, vector_lanes);
+  }
+  if (lone_tail) {
+    xor_one(words, lanes.from(count - 1));
+  }
+}
+
+/// The blocks of `data` from block `counter` under `nonce` as lanes.
+run_lanes run_of(const chacha_nonce& nonce, std::uint32_t counter,
+                 std::span<std::uint8_t> data) noexcept {
+  return {counter,
+          {load_le32(nonce.data()), load_le32(nonce.data() + 4),
+           load_le32(nonce.data() + 8)},
+          data.data(),
+          data.size()};
+}
+
+std::size_t blocks_in(std::size_t bytes) noexcept { return (bytes + 63) / 64; }
 
 }  // namespace
 
@@ -312,24 +477,13 @@ void chacha20_xor_at(const chacha_key& key, const chacha_nonce& nonce,
     p += chunk;
     left -= chunk;
   }
-  chacha_job_queue queue(key);
-  queue.add(nonce, counter, {p, left});
-  queue.flush();
+  // The rest is one run of whole blocks (the last maybe partial).
+  xor_dispatched(key, run_of(nonce, counter, {p, left}), blocks_in(left));
 }
 
 void chacha20_xor_jobs(const chacha_key& key,
                        std::span<const chacha_job> jobs) {
-  // The widest kernel, its last group padded; a lone job after whole
-  // groups is cheaper on the scalar block function.
-  const detail::kernel_isa widest = detail::dispatched_isa();
-  const bool lone_tail = jobs.size() % detail::chacha_lanes(widest) == 1;
-  const std::size_t vector_jobs = jobs.size() - (lone_tail ? 1 : 0);
-  if (vector_jobs > 0) {
-    kernel_for(widest)(key_words(key), jobs.data(), vector_jobs);
-  }
-  if (lone_tail) {
-    xor_one_job(key, jobs.back());
-  }
+  xor_dispatched(key, job_lanes{jobs.data()}, jobs.size());
 }
 
 void chacha_job_queue::add(const chacha_nonce& nonce, std::uint32_t counter,
@@ -353,7 +507,16 @@ namespace detail {
 void chacha20_xor_jobs_on(kernel_isa isa, const chacha_key& key,
                           std::span<const chacha_job> jobs) {
   expects(host_runs(isa), "kernel not available on this host");
-  kernel_for(isa)(key_words(key), jobs.data(), jobs.size());
+  kernel_for<job_lanes>(isa)(key_words(key), job_lanes{jobs.data()},
+                             jobs.size());
+}
+
+void chacha20_xor_run_on(kernel_isa isa, const chacha_key& key,
+                         const chacha_nonce& nonce, std::uint32_t counter,
+                         std::span<std::uint8_t> data) {
+  expects(host_runs(isa), "kernel not available on this host");
+  kernel_for<run_lanes>(isa)(key_words(key), run_of(nonce, counter, data),
+                             blocks_in(data.size()));
 }
 
 }  // namespace detail

@@ -16,10 +16,11 @@
 // kernel in groups of its width, the last group padded with repeats
 // whose output is dropped; a single job left after whole groups runs on
 // the scalar block function instead. chacha20_xor_at() is the one-nonce
-// case of the same kernels: it feeds a contiguous stretch of keystream
-// blocks through them as jobs. Every path produces the keystream
-// chacha20_block() defines; tests compare each width against it
-// (crypto/detail/kernels.h).
+// case of the same kernels and builds no job list: whole groups of
+// whole blocks broadcast one state and step the counter per lane, and
+// only the tail goes through the per-lane path. Every path produces the
+// keystream chacha20_block() defines; tests compare each width against
+// it (crypto/detail/kernels.h).
 #ifndef HORAM_CRYPTO_CHACHA20_H
 #define HORAM_CRYPTO_CHACHA20_H
 

@@ -43,6 +43,13 @@ inline constexpr kernel_isa all_kernel_isas[] = {
 void chacha20_xor_jobs_on(kernel_isa isa, const chacha_key& key,
                           std::span<const chacha_job> jobs);
 
+/// chacha20_xor(key, nonce, counter, data) with every group, the last
+/// one padded, on the kernel `isa`: the one-nonce run chacha20_xor_at()
+/// uses. Requires host_runs(isa).
+void chacha20_xor_run_on(kernel_isa isa, const chacha_key& key,
+                         const chacha_nonce& nonce, std::uint32_t counter,
+                         std::span<std::uint8_t> data);
+
 /// siphash24_many() with every group, the last one padded, on the
 /// kernel `isa`. Requires host_runs(isa).
 void siphash24_many_on(kernel_isa isa, const siphash_key& key,

@@ -5,14 +5,15 @@
 // property that lets H-ORAM rewrite unmodified data during path
 // write-back and shuffles without revealing that nothing changed.
 //
-// All encryption runs on the lane-parallel batch kernels
-// (chacha20_xor_jobs, siphash24_many; widest of AVX-512, AVX2, portable,
-// picked once per process). A single record's keystream pieces become
-// one job per 64-byte block, pieces adjacent in both ciphertext and
-// keystream merged first so no block is split. seal_many() and
-// verify_many() batch several records: all of their keystream blocks
-// share the lanes, and their MACs are computed side by side. A
-// range_batch does the same for open_range() calls.
+// All encryption runs on the lane-parallel kernels of chacha20.h and
+// siphash.h (widest of AVX-512, AVX2, portable, picked once per
+// process). Pieces adjacent in both ciphertext and keystream are merged
+// first, so no block is split. A single record (seal_in_place,
+// open_range) goes through the one-nonce chacha20_xor_at(). seal_many()
+// and verify_many() batch several records: all of their keystream
+// blocks share the lanes as jobs (chacha20_xor_jobs), and their MACs
+// are computed side by side (siphash24_many). A range_batch does the
+// same for open_range() calls.
 #ifndef HORAM_CRYPTO_SEAL_H
 #define HORAM_CRYPTO_SEAL_H
 
@@ -82,8 +83,9 @@ class block_sealer {
                      std::span<const keystream_piece> pieces);
 
   /// seal_in_place(record, pieces) for every record of `records`, in
-  /// order (record i takes the i-th fresh nonce), as one batch. All
-  /// records must have the same size.
+  /// order (record i takes the i-th fresh nonce), as one batch. Each
+  /// record is the first seal_overhead + (total piece length) bytes of
+  /// its span; bytes past it are left alone.
   void seal_many(std::span<const std::span<std::uint8_t>> records,
                  std::span<const keystream_piece> pieces);
 
@@ -91,10 +93,11 @@ class block_sealer {
   /// shorter than seal_overhead or fails the check (tampering).
   void verify(std::span<const std::uint8_t> sealed) const;
 
-  /// verify() for every record of `records` (all of one size), the MACs
-  /// computed side by side. Throws crypto_error if any record fails.
-  void verify_many(std::span<const std::span<const std::uint8_t>> records)
-      const;
+  /// verify() of the first `record_bytes` bytes of every span of
+  /// `records`, the MACs computed side by side. Throws crypto_error if
+  /// any record fails.
+  void verify_many(std::span<const std::span<const std::uint8_t>> records,
+                   std::size_t record_bytes) const;
 
   /// Decrypts one piece of `sealed` into `plain_out` (piece.length
   /// bytes, not overlapping `sealed`). Checks no MAC: call it only on a
@@ -137,6 +140,9 @@ class block_sealer {
   };
 
  private:
+  /// Draws the next nonce and writes it to the head of `record`.
+  chacha_nonce take_nonce(std::span<std::uint8_t> record);
+
   seal_keys keys_;
   std::uint64_t nonce_counter_ = 0;
 };

@@ -88,11 +88,9 @@ std::uint64_t last_word(const std::uint8_t* data, std::size_t length) {
 /// Tags 1..lanes(V) messages, lane j hashing messages[j]. Lanes past
 /// `count` repeat message 0 and their tags are dropped.
 template <typename V>
-[[gnu::always_inline]] inline void sip_group(const siphash_key& key,
-                                             const std::uint8_t* const* messages,
-                                             std::size_t count,
-                                             std::size_t length,
-                                             std::uint64_t* tags) noexcept {
+[[gnu::always_inline]] inline void sip_group(
+    const siphash_key& key, const std::uint8_t* const* messages,
+    std::size_t count, std::size_t length, std::uint64_t* tags) noexcept {
   constexpr std::size_t lanes = sizeof(V) / sizeof(std::uint64_t);
   const std::uint8_t* m[lanes];
   for (std::size_t j = 0; j < lanes; ++j) {
@@ -123,11 +121,9 @@ template <typename V>
 
 /// All messages in groups of lanes(V), the last one padded.
 template <typename V>
-[[gnu::always_inline]] inline void sip_lanes(const siphash_key& key,
-                                             const std::uint8_t* const* messages,
-                                             std::size_t count,
-                                             std::size_t length,
-                                             std::uint64_t* tags) noexcept {
+[[gnu::always_inline]] inline void sip_lanes(
+    const siphash_key& key, const std::uint8_t* const* messages,
+    std::size_t count, std::size_t length, std::uint64_t* tags) noexcept {
   constexpr std::size_t lanes = sizeof(V) / sizeof(std::uint64_t);
   for (std::size_t first = 0; first < count; first += lanes) {
     sip_group<V>(key, messages + first, std::min(lanes, count - first),

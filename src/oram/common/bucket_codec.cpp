@@ -1,7 +1,5 @@
 #include "oram/common/bucket_codec.h"
 
-#include <algorithm>
-#include <array>
 #include <bit>
 #include <cstring>
 
@@ -16,9 +14,6 @@ static_assert(std::endian::native == std::endian::little,
               "bucket id header assumes a little-endian host");
 
 constexpr std::size_t keystream_block_bytes = 64;
-
-/// Buckets per sealer call in the window API (a path is 9-25 buckets).
-constexpr std::size_t batch_buckets = 32;
 
 }  // namespace
 
@@ -54,7 +49,8 @@ std::uint32_t bucket_codec::decode(std::span<const std::uint8_t> bucket,
                                    std::span<block_id> ids_out,
                                    std::span<std::uint8_t> payloads_out)
     const {
-  return decode_many(bucket, 1, ids_out, payloads_out);
+  return decode_many(std::span<const std::span<const std::uint8_t>>(&bucket, 1),
+                     ids_out, payloads_out);
 }
 
 void bucket_codec::encode_plain(std::span<const entry> reals,
@@ -86,29 +82,22 @@ void bucket_codec::encode_plain(std::span<const entry> reals,
 
 void bucket_codec::seal_many(
     std::span<const std::span<std::uint8_t>> buckets) {
-  if (!seal_) {
-    return;
+  for (const std::span<std::uint8_t> bucket : buckets) {
+    expects(bucket.size() >= bucket_bytes(), "bucket buffer too small");
   }
-  std::array<std::span<std::uint8_t>, batch_buckets> images;
-  for (std::size_t first = 0; first < buckets.size();
-       first += batch_buckets) {
-    const std::size_t count =
-        std::min(batch_buckets, buckets.size() - first);
-    for (std::size_t i = 0; i < count; ++i) {
-      expects(buckets[first + i].size() >= bucket_bytes(),
-              "bucket buffer too small");
-      images[i] = buckets[first + i].first(image_bytes());
-    }
-    sealer_.seal_many(std::span(images).first(count), pieces_);
+  if (seal_) {
+    // The pieces cover the image; the sealer leaves the bytes past it.
+    sealer_.seal_many(buckets, pieces_);
   }
 }
 
-std::uint32_t bucket_codec::decode_many(std::span<const std::uint8_t> window,
-                                        std::size_t count,
-                                        std::span<block_id> ids_out,
-                                        std::span<std::uint8_t> payloads_out)
-    const {
-  expects(window.size() >= count * bucket_bytes(), "bucket buffer too small");
+std::uint32_t bucket_codec::decode_many(
+    std::span<const std::span<const std::uint8_t>> buckets,
+    std::span<block_id> ids_out, std::span<std::uint8_t> payloads_out) const {
+  const std::size_t count = buckets.size();
+  for (const std::span<const std::uint8_t> bucket : buckets) {
+    expects(bucket.size() >= bucket_bytes(), "bucket buffer too small");
+  }
   expects(ids_out.size() == count * slots_,
           "id buffer must hold one id per slot");
   expects(payloads_out.empty() ||
@@ -116,7 +105,7 @@ std::uint32_t bucket_codec::decode_many(std::span<const std::uint8_t> window,
           "payload buffer must hold one payload per slot");
 
   const auto image = [&](std::size_t i) {
-    return window.subspan(i * bucket_bytes(), image_bytes());
+    return buckets[i].first(image_bytes());
   };
   const auto id_bytes = [&](std::size_t i) {
     return std::span<std::uint8_t>(
@@ -125,14 +114,7 @@ std::uint32_t bucket_codec::decode_many(std::span<const std::uint8_t> window,
   };
   if (seal_) {
     // Every MAC of the window before any output byte.
-    std::array<std::span<const std::uint8_t>, batch_buckets> images;
-    for (std::size_t first = 0; first < count; first += batch_buckets) {
-      const std::size_t group = std::min(batch_buckets, count - first);
-      for (std::size_t i = 0; i < group; ++i) {
-        images[i] = image(first + i);
-      }
-      sealer_.verify_many(std::span(images).first(group));
-    }
+    sealer_.verify_many(buckets, image_bytes());
     crypto::block_sealer::range_batch headers(sealer_);
     for (std::size_t i = 0; i < count; ++i) {
       headers.add(image(i), pieces_.back(), id_bytes(i));

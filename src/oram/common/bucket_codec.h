@@ -17,12 +17,13 @@
 // included, so each written bucket is a fresh random-looking image.
 //
 // Path ORAM opens and re-seals a whole path at a time, so the codec
-// also works on windows of buckets: decode_many() verifies every MAC of
-// the window first and writes nothing unless all pass, then decrypts
-// all id headers in one lane-parallel batch and all real payloads in
-// another; encode_plain() composes buckets and seal_many() seals a
-// list of them in one batch, nonces in list order. The bytes are those
-// of the per-bucket calls.
+// also works on windows of buckets, each a list of bucket spans handed
+// whole to the sealer (the caller picks the window's size):
+// decode_many() verifies every MAC of the window first and writes
+// nothing unless all pass, then decrypts all id headers in one
+// lane-parallel batch and all real payloads in another; encode_plain()
+// composes buckets and seal_many() seals a list of them in one batch,
+// nonces in list order. The bytes are those of the per-bucket calls.
 //
 // A bucket occupies the Z records a store reserves for it: record_bytes
 // is block_codec's record size for the same payload, and the sealed
@@ -112,8 +113,8 @@ class bucket_codec {
   // ------------------------------------------------------------------
   // Window API: many buckets per call, so the sealing kernels run with
   // every SIMD lane busy (crypto/chacha20.h, crypto/siphash.h). A
-  // window is `count` buckets back to back, bucket i at
-  // [i * bucket_bytes(), (i + 1) * bucket_bytes()).
+  // window is a list of bucket spans, each at least bucket_bytes()
+  // long; the buckets need not be adjacent.
 
   /// encode() without the sealing: writes the plaintext image (payloads,
   /// then the id header; dummies as zeros) and zeroes the bytes past it.
@@ -127,17 +128,17 @@ class bucket_codec {
   /// Each span holds at least bucket_bytes(). No-op when not sealing.
   void seal_many(std::span<const std::span<std::uint8_t>> buckets);
 
-  /// decode() of every bucket of a window. `ids_out` receives count *
-  /// slots() ids, bucket by bucket; `payloads_out`, if non-empty, holds
-  /// count * slots() payloads in the same order. When sealing, every
-  /// MAC of the window is checked before anything is written: one
+  /// decode() of every bucket of a window. `ids_out` receives
+  /// buckets.size() * slots() ids, bucket by bucket; `payloads_out`, if
+  /// non-empty, holds as many payloads in the same order. When sealing,
+  /// every MAC of the window is checked before anything is written: one
   /// failing bucket throws crypto::crypto_error and leaves both
   /// outputs untouched. Then all id headers are decrypted in one batch,
   /// then all real slots' payloads in another. Returns the number of
   /// real slots in the window.
-  std::uint32_t decode_many(std::span<const std::uint8_t> window,
-                            std::size_t count, std::span<block_id> ids_out,
-                            std::span<std::uint8_t> payloads_out) const;
+  std::uint32_t decode_many(
+      std::span<const std::span<const std::uint8_t>> buckets,
+      std::span<block_id> ids_out, std::span<std::uint8_t> payloads_out) const;
 
  private:
   [[nodiscard]] std::size_t plain_offset() const noexcept {

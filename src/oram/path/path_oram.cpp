@@ -93,8 +93,9 @@ path_oram::path_oram(const path_oram_config& config,
   bucket_reals_.reserve(config.bucket_size);
   path_window_.resize(static_cast<std::size_t>(level_count_) *
                       config.bucket_size * codec_.record_bytes());
-  for (std::uint32_t down = 0; down < level_count_; ++down) {
-    leaf_first_.push_back(window_bucket(level_count_ - 1 - down));
+  for (std::uint32_t level = 0; level < level_count_; ++level) {
+    root_first_.push_back(window_bucket(level));
+    leaf_first_.push_back(window_bucket(level_count_ - 1 - level));
   }
   zero_payload_.resize(config.payload_bytes, 0);
 
@@ -167,17 +168,18 @@ void path_oram::seal_in_windows(std::span<std::uint8_t> image) {
 void path_oram::take_reals(std::span<const std::uint8_t> buckets,
                            std::vector<evicted_block>& out) {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
-  const std::size_t z = config_.bucket_size;
-  const std::size_t count = buckets.size() / bucket_bytes;
-  for (std::size_t first = 0; first < count; first += level_count_) {
-    const std::size_t window = std::min<std::size_t>(level_count_,
-                                                     count - first);
-    codec_.decode_many(
-        buckets.subspan(first * bucket_bytes, window * bucket_bytes), window,
-        std::span<block_id>(path_ids_).first(window * z),
-        std::span<std::uint8_t>(path_payloads_)
-            .first(window * z * config_.payload_bytes));
-    for (std::size_t slot = 0; slot < window * z; ++slot) {
+  std::vector<std::span<const std::uint8_t>> batch;
+  batch.reserve(level_count_);
+  for (std::size_t at = 0; at < buckets.size(); at += bucket_bytes) {
+    batch.push_back(buckets.subspan(at, bucket_bytes));
+    if (batch.size() < level_count_ && at + bucket_bytes < buckets.size()) {
+      continue;
+    }
+    const std::size_t slots = batch.size() * config_.bucket_size;
+    codec_.decode_many(batch, std::span<block_id>(path_ids_).first(slots),
+                       std::span<std::uint8_t>(path_payloads_)
+                           .first(slots * config_.payload_bytes));
+    for (std::size_t slot = 0; slot < slots; ++slot) {
       if (path_ids_[slot] == dummy_block_id) {
         continue;
       }
@@ -186,6 +188,7 @@ void path_oram::take_reals(std::span<const std::uint8_t> buckets,
           path_ids_[slot],
           std::vector<std::uint8_t>(payload.begin(), payload.end())});
     }
+    batch.clear();
   }
 }
 
@@ -367,7 +370,7 @@ cost_split path_oram::path_access(
   // (every MAC first), then move every real block into the stash
   // (root-to-leaf, slot order).
   cost += load_path(leaf);
-  codec_.decode_many(path_window_, level_count_, path_ids_, path_payloads_);
+  codec_.decode_many(root_first_, path_ids_, path_payloads_);
   for (std::size_t slot = 0; slot < path_ids_.size(); ++slot) {
     const block_id id = path_ids_[slot];
     if (id == dummy_block_id) {

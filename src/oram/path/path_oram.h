@@ -29,9 +29,10 @@
 // composed in plaintext and sealed leaf to root in one batch
 // (bucket_codec::seal_many), the nonce order of sealing them one by
 // one. The whole-tree sweeps (reset, evict_all, initialize_full) seal
-// and open in batches of a path window's size. A sealed bucket fits in the Z records the store reserves
-// for it, so store geometry, device traffic and the modelled crypto
-// charges (per record) are those of per-slot records.
+// and open in batches of a path window's size. A sealed bucket fits in
+// the Z records the store reserves for it, so store geometry, device
+// traffic and the modelled crypto charges (per record) are those of
+// per-slot records.
 #ifndef HORAM_ORAM_PATH_PATH_ORAM_H
 #define HORAM_ORAM_PATH_PATH_ORAM_H
 
@@ -322,7 +323,9 @@ class path_oram {
   std::vector<bucket_codec::entry> bucket_reals_;
   /// One path's bucket records (level_count_ * Z records), root first.
   std::vector<std::uint8_t> path_window_;
-  /// The window's buckets leaf to root: the write-back's nonce order.
+  /// The window's buckets root to leaf (the read's order) and leaf to
+  /// root (the write-back's nonce order).
+  std::vector<std::span<const std::uint8_t>> root_first_;
   std::vector<std::span<std::uint8_t>> leaf_first_;
   /// The payload a block has on its first touch.
   std::vector<std::uint8_t> zero_payload_;

@@ -1,9 +1,10 @@
 // Equivalence tests for the lane-parallel crypto kernels: every ChaCha20
 // and SipHash kernel width this build contains is checked against the
-// scalar chacha20_block / siphash24 reference on random job lists, and
-// the RFC 8439 and SipHash reference vectors are re-run through the
-// batch entry points. A width the host CPU lacks is skipped with a
-// message naming the missing ISA, so a CI log shows which widths ran.
+// scalar chacha20_block / siphash24 reference on random job lists and
+// one-nonce runs, and the RFC 8439 and SipHash reference vectors are
+// re-run through the batch entry points. A width the host CPU lacks is
+// skipped with a message naming the missing ISA, so a CI log shows
+// which widths ran.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -137,6 +138,49 @@ TEST_P(KernelWidths, ChaChaJobsMatchTheBlockReference) {
       detail::chacha20_xor_jobs_on(GetParam(), key, list.jobs);
       ASSERT_EQ(list.buffers, expected)
           << detail::kernel_name(GetParam()) << ", " << count << " jobs";
+    }
+  }
+}
+
+TEST_P(KernelWidths, ChaChaRunsMatchTheBlockReference) {
+  util::pcg64 rng(test::seed(0x7c1));
+  const std::size_t lanes = detail::chacha_lanes(GetParam());
+  for (int trial = 0; trial < 10; ++trial) {
+    for (const std::size_t blocks : counts_around(lanes)) {
+      for (const std::size_t tail : {std::size_t{64}, std::size_t{1},
+                                     std::size_t{37}}) {
+        const chacha_key key = random_key(rng);
+        chacha_nonce nonce;
+        for (auto& byte : nonce) {
+          byte = static_cast<std::uint8_t>(rng.next_u64());
+        }
+        // Every third run starts just before the 2^32 counter wrap.
+        const std::uint32_t counter =
+            trial % 3 == 0
+                ? 0xffffffffU - static_cast<std::uint32_t>(blocks / 2)
+                : static_cast<std::uint32_t>(rng.next_u64());
+        // Data one byte into a guarded buffer: misaligned loads.
+        const std::size_t size = 64 * (blocks - 1) + tail;
+        std::vector<std::uint8_t> buffer(size + 2, 0xa5);
+        for (std::size_t b = 0; b < size; ++b) {
+          buffer[1 + b] = static_cast<std::uint8_t>(rng.next_u64());
+        }
+        std::vector<std::uint8_t> expected = buffer;
+        for (std::size_t j = 0; j < blocks; ++j) {
+          std::array<std::uint8_t, 64> block;
+          chacha20_block(key, counter + static_cast<std::uint32_t>(j), nonce,
+                         block);
+          for (std::size_t b = 0; b < 64 && 64 * j + b < size; ++b) {
+            expected[1 + 64 * j + b] ^= block[b];
+          }
+        }
+        detail::chacha20_xor_run_on(
+            GetParam(), key, nonce, counter,
+            std::span<std::uint8_t>(buffer).subspan(1, size));
+        ASSERT_EQ(buffer, expected) << detail::kernel_name(GetParam())
+                                    << ", " << blocks << " blocks, tail "
+                                    << tail;
+      }
     }
   }
 }

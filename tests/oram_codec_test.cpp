@@ -389,6 +389,16 @@ TEST(BucketCodec, GoldenSealedBucketIsPinned) {
 
 // ------------------------------------------------ bucket windows
 
+/// The buckets of `window`, `bytes` long each and held back to back.
+std::vector<std::span<const std::uint8_t>> window_buckets(
+    std::span<const std::uint8_t> window, std::size_t bytes) {
+  std::vector<std::span<const std::uint8_t>> buckets;
+  for (std::size_t at = 0; at < window.size(); at += bytes) {
+    buckets.push_back(window.subspan(at, bytes));
+  }
+  return buckets;
+}
+
 /// A path window of `levels` buckets with random occupancy, composed by
 /// two codecs of one key seed: `per_bucket` by encode() leaf to root,
 /// `batched` by encode_plain() and one seal_many() leaf to root.
@@ -456,14 +466,14 @@ TEST(BucketCodecWindow, BatchIsByteIdenticalToPerBucketCalls) {
             std::span<std::uint8_t>(expected_out)
                 .subspan(level * slots * payload, slots * payload));
       }
-      EXPECT_EQ(codec.decode_many(pair.batched, levels, ids, out),
-                expected_reals);
+      const auto buckets =
+          window_buckets(pair.batched, codec.bucket_bytes());
+      EXPECT_EQ(codec.decode_many(buckets, ids, out), expected_reals);
       EXPECT_EQ(ids, expected_ids);
       EXPECT_EQ(out, expected_out);
       // Ids alone need no payload buffer.
       std::vector<block_id> ids_only(levels * slots, 0);
-      EXPECT_EQ(codec.decode_many(pair.batched, levels, ids_only, {}),
-                expected_reals);
+      EXPECT_EQ(codec.decode_many(buckets, ids_only, {}), expected_reals);
       EXPECT_EQ(ids_only, expected_ids);
     }
   }
@@ -487,8 +497,10 @@ TEST(BucketCodecWindow, TamperedBucketFailsTheWholeWindowUnwritten) {
         std::vector<block_id> ids(levels * codec.slots(), 77);
         std::vector<std::uint8_t> out(
             levels * codec.slots() * codec.payload_bytes(), 0xcc);
-        EXPECT_THROW(codec.decode_many(tampered, levels, ids, out),
-                     crypto::crypto_error)
+        EXPECT_THROW(
+            codec.decode_many(window_buckets(tampered, codec.bucket_bytes()),
+                              ids, out),
+            crypto::crypto_error)
             << "bucket " << bucket << ", byte " << offset;
         EXPECT_EQ(ids, std::vector<block_id>(ids.size(), 77))
             << "bucket " << bucket << ", byte " << offset;
