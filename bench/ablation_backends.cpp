@@ -1,12 +1,13 @@
 // Backend matrix: the same hotspot workload through every pluggable
 // oblivious store — H-ORAM's partitioned layer, the sqrt ORAM with
-// Melbourne reshuffles, the partition ORAM with isolated shuffles, the
-// Path ORAM tree with a recursive position map, and the Ring ORAM tree
-// with one-slot-per-bucket online reads — on the paper's calibrated
-// machine. The point of the cacheable interface is that this whole
-// table is one builder argument; the numbers show what each scheme's
-// shuffle machinery (or, for the tree backends, per-access walk) costs
-// behind an identical cache, scheduler and workload.
+// Melbourne reshuffles, the Path ORAM tree with a recursive position
+// map, the Ring ORAM tree with one-slot-per-bucket online reads, and
+// the hierarchical store with batched one-round-trip probes — on the
+// paper's calibrated machine. The point of the cacheable interface is
+// that this whole table is one builder argument; the numbers show what
+// each scheme's shuffle machinery (or, for the tree backends,
+// per-access walk) costs behind an identical cache, scheduler and
+// workload.
 //
 // Every run writes BENCH_backends.json to the working directory so the
 // trajectory is machine-readable (CI uploads it as an artifact);

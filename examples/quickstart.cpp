@@ -57,11 +57,11 @@ int main() {
               session_results.size());
 
   // --- 4. Backend comparison: the paper's hotspot workload through all
-  // six oblivious stores (H-ORAM's partitioned layer, sqrt ORAM,
-  // partition ORAM, Path ORAM with a recursive position map, Ring ORAM
-  // with one-slot XOR-combined online reads, and the hierarchical
-  // backend whose succinct index batches every online access into a
-  // single device round trip).
+  // five oblivious stores (H-ORAM's partitioned layer, sqrt ORAM,
+  // Path ORAM with a recursive position map, Ring ORAM with one-slot
+  // XOR-combined online reads, and the hierarchical backend whose
+  // succinct index batches every online access into a single device
+  // round trip).
   // Everything other than the backend() call is identical. ---
   const auto measure = [](backend_kind kind) {
     client c = client_builder()
@@ -137,7 +137,7 @@ int main() {
     return util::format_time_ns(stats.total_time);
   };
 
-  std::printf("\nsame workload, six oblivious stores "
+  std::printf("\nsame workload, five oblivious stores "
               "(one .backend(...) call apart):\n");
   std::vector<std::string> header = {"Metric"};
   for (const client& c : stores) {

@@ -157,11 +157,12 @@ class oram_backend {
   /// Begins the same period as an incremental job (see shuffle_job).
   /// The default adapter wraps the monolithic shuffle_period(): one
   /// step() does everything, whatever the budget — correct for every
-  /// scheme, deamortized for none. Backends with a natural slice
-  /// granularity (the partitioned layer: partition at a time; the tree
-  /// backends: install/drain step at a time) override it; their
-  /// shuffle_period() is then the wrapper, so the two entry points stay
-  /// bit-for-bit interchangeable by construction.
+  /// scheme, deamortized for none; of the built-in backends only sqrt
+  /// runs it. Backends with a natural slice granularity (the
+  /// partitioned layer: partition at a time; the tree backends:
+  /// install/drain step at a time) override it; their shuffle_period()
+  /// is then the wrapper, so the two entry points stay bit-for-bit
+  /// interchangeable by construction.
   [[nodiscard]] virtual std::unique_ptr<shuffle_job> begin_shuffle(
       std::vector<oram::evicted_block> evicted, std::uint64_t period_index);
 

@@ -387,8 +387,7 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
   // with its hot share in trusted memory, re-permute, stream out.
   std::vector<std::uint8_t>& image = shuffle_image_scratch_;
   std::uint64_t records_read = 0;
-  cost.io_read += store_->read_partition(p, /*include_appends=*/true,
-                                         image, records_read);
+  cost.io_read += store_->read_partition(p, image, records_read);
   trace(trace_, oram::event_kind::storage_read_sweep,
         p * store_->geometry().slots_per_partition(), records_read);
   cost.cpu += cpu_.crypto_time(records_read, record_bytes);

@@ -59,7 +59,7 @@ struct enum_names {
 constexpr enum_names<backend_kind, std::size(all_backend_kinds), 3>
     kBackendNames{
         all_backend_kinds,
-        {"partitioned", "sqrt", "partition", "path", "ring", "hier"},
+        {"partitioned", "sqrt", "path", "ring", "hier"},
         {{{"horam", backend_kind::partitioned},
           {"path-oram", backend_kind::path},
           {"ring-oram", backend_kind::ring}}}};
@@ -173,9 +173,6 @@ std::unique_ptr<oram_backend> make_backend(
     case backend_kind::sqrt:
       return std::make_unique<oram::sqrt_backend>(config, device, cpu, rng,
                                                   trace, filler);
-    case backend_kind::partition:
-      return std::make_unique<oram::partition_backend>(config, device, cpu,
-                                                       rng, trace, filler);
     case backend_kind::path:
       return std::make_unique<oram::path_backend>(config, device, cpu, rng,
                                                   trace, filler, map_device);

@@ -75,7 +75,6 @@
 //                                             │  per-shard store
 //                                             ├─ partitioned (§4.1.3)
 //                                             ├─ sqrt
-//                                             ├─ partition
 //                                             ├─ path (Path ORAM +
 //                                             │     recursive map)
 //                                             ├─ ring (Ring ORAM: one
@@ -104,7 +103,6 @@
 #include "core/oram_backend.h"
 #include "oram/common/tree_backend.h"
 #include "oram/hier/hier_backend.h"
-#include "oram/partition/partition_backend.h"
 #include "oram/sqrt/sqrt_backend.h"
 #include "sim/profiles.h"
 #include "workload/generators.h"
@@ -117,8 +115,6 @@ enum class backend_kind : std::uint8_t {
   partitioned,
   /// Square-root ORAM array with Melbourne reshuffles (§2.1.3).
   sqrt,
-  /// Partition ORAM with isolated per-partition shuffles (§2.1.4).
-  partition,
   /// Path ORAM tree with a recursive position map (Stefanov et al.,
   /// "Path ORAM: An Extremely Simple Oblivious RAM Protocol").
   path,
@@ -140,11 +136,11 @@ enum class backend_kind : std::uint8_t {
 /// Every selectable backend, in presentation order (comparison tables,
 /// parameterised tests).
 inline constexpr backend_kind all_backend_kinds[] = {
-    backend_kind::partitioned, backend_kind::sqrt, backend_kind::partition,
-    backend_kind::path, backend_kind::ring, backend_kind::hier};
+    backend_kind::partitioned, backend_kind::sqrt, backend_kind::path,
+    backend_kind::ring, backend_kind::hier};
 
 /// Human-readable backend name
-/// ("partitioned" / "sqrt" / "partition" / "path" / "ring" / "hier").
+/// ("partitioned" / "sqrt" / "path" / "ring" / "hier").
 [[nodiscard]] std::string_view backend_name(backend_kind kind);
 
 /// The canonical backend names, index-aligned with all_backend_kinds —

@@ -10,7 +10,7 @@
 // in the clear, but callers still charge the modelled crypto time, so
 // virtual-time results are identical.
 //
-// Backends that read single slots — ring, hier, sqrt, partition and the
+// Backends that read single slots — ring, hier, sqrt and the
 // partitioned storage layer — use these per-slot records: each slot is
 // opened on its own, so each carries its own nonce and MAC. Path ORAM
 // only ever moves whole buckets and seals each bucket as one unit

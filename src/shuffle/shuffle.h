@@ -5,10 +5,10 @@
 //     paper cites as the O(4N)-I/O cost it wants to avoid; the sqrt
 //     backend (src/oram/sqrt/) re-permutes its store with it.
 //   * Fisher-Yates — the non-oblivious in-memory shuffle, safe only
-//     inside the trusted control layer; partition_oram includes it, and
-//     util::random_permutation, which draws the in-partition
-//     permutations of the partitioned storage layer and partition_oram,
-//     is the same algorithm.
+//     inside the trusted control layer. util::random_permutation, which
+//     draws the in-partition permutations of the partitioned storage
+//     layer, is the same algorithm; this module's fisher_yates is run
+//     by no backend.
 //   * bitonic oblivious shuffle, Waksman permutation network and
 //     CacheShuffle — exercised by the tests and the shuffle benches
 //     (ablation_shuffle_algorithms) but run by no backend: the tree

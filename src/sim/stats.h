@@ -1,6 +1,6 @@
-// Operation statistics collected by the simulated devices and caches,
-// plus the streaming latency histogram the tail-latency accounting is
-// built on.
+// Operation statistics collected by the simulated devices, plus the
+// streaming latency histogram the tail-latency accounting is built
+// on.
 #ifndef HORAM_SIM_STATS_H
 #define HORAM_SIM_STATS_H
 
@@ -52,22 +52,6 @@ struct io_stats {
   }
 
   void reset() noexcept { *this = io_stats{}; }
-};
-
-/// Counters accumulated by the buffer cache.
-struct cache_stats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t writebacks = 0;
-
-  [[nodiscard]] double hit_rate() const noexcept {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(total);
-  }
-
-  void reset() noexcept { *this = cache_stats{}; }
 };
 
 /// Streaming log-bucketed latency histogram (HDR-style): values below

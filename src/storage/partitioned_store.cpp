@@ -25,14 +25,6 @@ sim::sim_time partitioned_store::read_slot(std::uint64_t partition,
   return store_.read(main_base(partition) + index, out);
 }
 
-sim::sim_time partitioned_store::write_slot(
-    std::uint64_t partition, std::uint64_t index,
-    std::span<const std::uint8_t> in) {
-  expects(partition < geometry_.partition_count, "partition out of range");
-  expects(index < geometry_.main_capacity, "slot index out of range");
-  return store_.write(main_base(partition) + index, in);
-}
-
 sim::sim_time partitioned_store::read_append_slot(
     std::uint64_t partition, std::uint64_t index,
     std::span<std::uint8_t> out) {
@@ -64,12 +56,11 @@ std::uint64_t partitioned_store::appended_count(
 }
 
 sim::sim_time partitioned_store::read_partition(
-    std::uint64_t partition, bool include_appends,
-    std::vector<std::uint8_t>& out, std::uint64_t& records_read) {
+    std::uint64_t partition, std::vector<std::uint8_t>& out,
+    std::uint64_t& records_read) {
   expects(partition < geometry_.partition_count, "partition out of range");
   const std::uint64_t count =
-      geometry_.main_capacity +
-      (include_appends ? append_counts_[partition] : 0);
+      geometry_.main_capacity + append_counts_[partition];
   out.resize(count * store_.record_bytes());
   records_read = count;
   return store_.read_range(main_base(partition), count, out);
@@ -85,13 +76,6 @@ sim::sim_time partitioned_store::write_partition(
       main_base(partition), geometry_.main_capacity, records);
   append_counts_[partition] = 0;
   return cost;
-}
-
-std::span<const std::uint8_t> partitioned_store::peek_slot(
-    std::uint64_t partition, std::uint64_t index) const {
-  expects(partition < geometry_.partition_count, "partition out of range");
-  expects(index < geometry_.main_capacity, "slot index out of range");
-  return store_.peek(main_base(partition) + index);
 }
 
 }  // namespace horam::storage

@@ -1,5 +1,5 @@
 // Partitioned block store: the storage-layer layout used by H-ORAM's
-// group-and-partition shuffle and by the partition-ORAM baseline.
+// group-and-partition shuffle.
 //
 // The store is divided into `partition_count` partitions. Each partition
 // owns a fixed main region of `main_capacity` slots plus an append region
@@ -50,8 +50,6 @@ class partitioned_store {
   /// Random access to one slot of a partition's main region.
   sim::sim_time read_slot(std::uint64_t partition, std::uint64_t index,
                           std::span<std::uint8_t> out);
-  sim::sim_time write_slot(std::uint64_t partition, std::uint64_t index,
-                           std::span<const std::uint8_t> in);
 
   /// Random access to one slot of a partition's append region
   /// (index < appended_count(partition)).
@@ -66,10 +64,10 @@ class partitioned_store {
   /// Number of records currently in a partition's append region.
   [[nodiscard]] std::uint64_t appended_count(std::uint64_t partition) const;
 
-  /// Streaming read of a partition's main region and, optionally, its
-  /// used append region, into `out`. Returns the device cost; sets
-  /// `records_read` to the number of records delivered.
-  sim::sim_time read_partition(std::uint64_t partition, bool include_appends,
+  /// Streaming read of a partition's main region and its used append
+  /// region, into `out`. Returns the device cost; sets `records_read`
+  /// to the number of records delivered.
+  sim::sim_time read_partition(std::uint64_t partition,
                                std::vector<std::uint8_t>& out,
                                std::uint64_t& records_read);
 
@@ -77,10 +75,6 @@ class partitioned_store {
   /// reset of the partition's append region.
   sim::sim_time write_partition(std::uint64_t partition,
                                 std::span<const std::uint8_t> records);
-
-  /// Test-only view of one main-region record (no time charged).
-  [[nodiscard]] std::span<const std::uint8_t> peek_slot(
-      std::uint64_t partition, std::uint64_t index) const;
 
  private:
   [[nodiscard]] std::uint64_t main_base(std::uint64_t partition) const

@@ -1,7 +1,7 @@
 // Conformance suite for the pluggable oram_backend interface: every
-// implementation (partitioned storage layer, sqrt ORAM, partition ORAM,
-// Path ORAM with a recursive position map, Ring ORAM, hierarchical
-// ORAM with a succinct index) must satisfy the same
+// implementation (partitioned storage layer, sqrt ORAM, Path ORAM with
+// a recursive position map, Ring ORAM, hierarchical ORAM with a
+// succinct index) must satisfy the same
 // contract — residency tracking, load/dummy-load semantics,
 // shuffle-period merge, payload round-trips, deep consistency audits —
 // both driven directly and fronted by the full controller through the

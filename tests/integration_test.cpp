@@ -1,5 +1,4 @@
-// Cross-module integration tests: H-ORAM against the baseline ORAMs on
-// identical virtual machines, cost-shape properties the paper's
+// Cross-module integration tests: cost-shape properties the paper's
 // argument depends on, file-backed trace round trips, and edge /
 // degenerate configurations.
 #include <gtest/gtest.h>
@@ -9,9 +8,6 @@
 #include <fstream>
 
 #include "core/controller.h"
-#include "oram/partition/partition_oram.h"
-#include "oram/sqrt/sqrt_oram.h"
-#include "sim/buffer_cache.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -24,46 +20,6 @@ using oram::block_id;
 using oram::op_kind;
 
 // ------------------------------------------------ cost-shape checks
-
-TEST(CostShapes, HoramHitsCostLessIoThanSqrtAccesses) {
-  // The core pitch: square-root ORAM pays one storage read per access,
-  // always; H-ORAM pays one storage read per *cycle* but services c
-  // requests with it.
-  sim::block_device horam_disk(sim::hdd_paper());
-  sim::block_device horam_memory(sim::dram_ddr4());
-  sim::block_device sqrt_disk(sim::hdd_paper());
-  const sim::cpu_model cpu(sim::cpu_aesni());
-  util::pcg64 rng_a(81), rng_b(82);
-
-  horam_config config;
-  config.block_count = 1024;
-  config.memory_blocks = 128;
-  config.payload_bytes = 32;
-  config.seal = false;
-  controller horam_ctrl(config, horam_disk, horam_memory, cpu, rng_a);
-
-  oram::sqrt_oram_config sqrt_config;
-  sqrt_config.block_count = 1024;
-  sqrt_config.payload_bytes = 32;
-  sqrt_config.seal = false;
-  oram::sqrt_oram sqrt(sqrt_config, sqrt_disk, cpu, rng_b, nullptr);
-
-  // Same hot workload on both.
-  util::pcg64 wl(83);
-  workload::stream_config stream;
-  stream.request_count = 2000;
-  stream.block_count = 1024;
-  stream.payload_bytes = 32;
-  const auto requests = workload::hotspot(wl, stream, 0.8, 0.05);
-
-  horam_ctrl.run(requests);
-  for (const request& req : requests) {
-    sqrt.access(req.op, req.id, req.write_data, {});
-  }
-  // Storage reads: H-ORAM one per cycle; sqrt one per request.
-  EXPECT_LT(horam_ctrl.stats().cycles, 2000u);
-  EXPECT_GE(sqrt.stats().accesses, 2000u);
-}
 
 TEST(CostShapes, HoramAccessPeriodIoIsOneBlockPerCycle) {
   sim::block_device disk(sim::hdd_paper());
@@ -118,40 +74,6 @@ TEST(CostShapes, ShuffleTrafficIsOverwhelminglySequential) {
             10 * config.logical_block_bytes == 0
                 ? 10 * (config.payload_bytes + 8)
                 : 10 * (config.payload_bytes + 8));
-}
-
-TEST(CostShapes, PartitionOramShufflesMoreOftenButSmaller) {
-  // §2.1.4 vs §4.3: partition ORAM shuffles one partition every v
-  // accesses; H-ORAM batches a whole period then shuffles everything.
-  sim::block_device disk(sim::hdd_paper());
-  const sim::cpu_model cpu(sim::cpu_aesni());
-  util::pcg64 rng(87);
-  oram::partition_oram_config config;
-  config.block_count = 1024;
-  config.payload_bytes = 32;
-  config.seal = false;
-  oram::partition_oram oram(config, disk, cpu, rng, nullptr);
-  util::pcg64 driver(88);
-  for (int i = 0; i < 500; ++i) {
-    oram.access(op_kind::read, util::uniform_below(driver, 1024), {}, {});
-  }
-  EXPECT_GT(oram.stats().evictions, 10u);  // many small shuffles
-}
-
-// ------------------------------------------------- page-cache effect
-
-TEST(BufferCacheIntegration, CacheExplainsThesisLatencies) {
-  // A raw 7200 RPM disk costs ~8.5 ms per random read; behind a big
-  // LRU page cache, repeated touches cost microseconds — this is why
-  // the thesis's measured "HDD" latencies are far below seek time.
-  sim::block_device raw(sim::hdd_7200_raw());
-  sim::buffer_cache cache(raw, {.page_size = 4096,
-                                .capacity_pages = 1 << 14,
-                                .hit_time = 2000});
-  const sim::sim_time cold = cache.read(123456789, 1024);
-  const sim::sim_time warm = cache.read(123456789, 1024);
-  EXPECT_GT(cold, 8 * util::milliseconds);
-  EXPECT_LT(warm, 10 * util::microseconds);
 }
 
 // ------------------------------------------------- trace file round trip

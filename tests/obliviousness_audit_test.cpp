@@ -252,11 +252,7 @@ void uniform_positions_of(const oram_backend& backend,
     stream.universe = slots;
     return;
   }
-  const auto* partition =
-      dynamic_cast<const oram::partition_backend*>(&backend);
-  ASSERT_NE(partition, nullptr);
-  stream.positions = analysis::storage_read_positions(trace);
-  stream.universe = partition->geometry().total_slots();
+  FAIL() << "no uniformity stream for backend " << backend.name();
 }
 
 class BackendUniformity : public ::testing::TestWithParam<backend_kind> {};

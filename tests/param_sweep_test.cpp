@@ -1,7 +1,7 @@
 // Parameterised property sweeps across the dimensions the rest of the
 // suite holds fixed: Path ORAM bucket size Z and payload size,
-// square-root ORAM dummy/period geometry, Melbourne quotas, device
-// profile properties, and end-to-end H-ORAM bucket-size variation.
+// Melbourne quotas, device profile properties, and end-to-end H-ORAM
+// bucket-size variation.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,7 +9,6 @@
 
 #include "core/controller.h"
 #include "oram/path/path_oram.h"
-#include "oram/sqrt/sqrt_oram.h"
 #include "shuffle/melbourne.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
@@ -70,50 +69,6 @@ TEST_P(PathOramZSweep, DifferentialCorrectnessAndStashBound) {
   // Stash bound degrades as Z shrinks; Z=2 needs the loosest bound.
   const std::size_t bound = z >= 4 ? 64 : 160;
   EXPECT_LT(oram.stash_ref().peak_size(), bound) << "Z=" << z;
-}
-
-// -------------------------------------------- sqrt ORAM geometry sweep
-
-class SqrtGeometry
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
-                                                 std::uint64_t>> {};
-
-INSTANTIATE_TEST_SUITE_P(Geometries, SqrtGeometry,
-                         ::testing::Combine(::testing::Values(16u, 64u,
-                                                              100u),
-                                            ::testing::Values(2u, 8u,
-                                                              16u)));
-
-TEST_P(SqrtGeometry, CorrectAcrossDummyAndPeriodChoices) {
-  const auto [n, period] = GetParam();
-  sim::block_device disk(sim::hdd_paper());
-  const sim::cpu_model cpu(sim::cpu_aesni());
-  util::pcg64 rng(3000 + n + period);
-
-  oram::sqrt_oram_config config;
-  config.block_count = n;
-  config.dummy_count = period;  // minimum legal: one dummy per hit
-  config.period = period;
-  config.payload_bytes = 16;
-  config.seal = false;
-  oram::sqrt_oram oram(config, disk, cpu, rng, nullptr);
-
-  std::map<block_id, std::uint8_t> shadow;
-  util::pcg64 driver(4000 + n);
-  for (int step = 0; step < 600; ++step) {
-    const block_id id = util::uniform_below(driver, n);
-    if (util::bernoulli(driver, 0.5)) {
-      const auto tag = static_cast<std::uint8_t>(step);
-      oram.access(op_kind::write, id,
-                  std::vector<std::uint8_t>(16, tag), {});
-      shadow[id] = tag;
-    } else if (shadow.contains(id)) {
-      std::vector<std::uint8_t> out(16);
-      oram.access(op_kind::read, id, {}, out);
-      ASSERT_EQ(out[0], shadow[id]) << "n=" << n << " T=" << period;
-    }
-  }
-  EXPECT_GT(oram.stats().reshuffles, 0u);
 }
 
 // -------------------------------------------------- melbourne quotas

@@ -1,9 +1,7 @@
 // Unit tests for src/sim: clock, device timing model (seek vs
-// sequential), calibration of the paper profile, buffer cache, CPU
-// model.
+// sequential), calibration of the paper profile, CPU model.
 #include <gtest/gtest.h>
 
-#include "sim/buffer_cache.h"
 #include "sim/cpu_model.h"
 #include "sim/device.h"
 #include "sim/profiles.h"
@@ -213,71 +211,6 @@ TEST(Profiles, DeviceOrdering) {
   EXPECT_GT(t(hdd), t(sata));
   EXPECT_GT(t(sata), t(fast));
   EXPECT_GT(t(fast), t(ram));
-}
-
-// ---------------------------------------------------------------- cache
-
-TEST(BufferCache, HitAfterMiss) {
-  block_device device(simple_profile());
-  buffer_cache cache(device, {.page_size = 4096, .capacity_pages = 4,
-                              .hit_time = 10});
-  const sim_time miss = cache.read(0, 4096);
-  const sim_time hit = cache.read(0, 4096);
-  EXPECT_GT(miss, hit);
-  EXPECT_EQ(hit, 10);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(BufferCache, LruEvictsOldest) {
-  block_device device(simple_profile());
-  buffer_cache cache(device, {.page_size = 4096, .capacity_pages = 2,
-                              .hit_time = 10});
-  cache.read(0 * 4096, 4096);   // page 0
-  cache.read(1 * 4096, 4096);   // page 1
-  cache.read(0 * 4096, 4096);   // page 0 -> MRU
-  cache.read(2 * 4096, 4096);   // evicts page 1
-  EXPECT_EQ(cache.read(0, 4096), 10);       // still resident
-  EXPECT_GT(cache.read(1 * 4096, 4096), 10);  // was evicted
-}
-
-TEST(BufferCache, WriteBackDefersDeviceWrites) {
-  block_device device(simple_profile());
-  buffer_cache cache(device, {.page_size = 4096, .capacity_pages = 4,
-                              .hit_time = 10});
-  cache.write(0, 4096);  // full page: no fill, no device write yet
-  EXPECT_EQ(device.stats().write_ops, 0u);
-  cache.flush();
-  EXPECT_EQ(device.stats().write_ops, 1u);
-  EXPECT_EQ(cache.stats().writebacks, 1u);
-}
-
-TEST(BufferCache, PartialWriteFillsFirst) {
-  block_device device(simple_profile());
-  buffer_cache cache(device, {.page_size = 4096, .capacity_pages = 4,
-                              .hit_time = 10});
-  cache.write(100, 50);  // partial page: must read-modify-write
-  EXPECT_EQ(device.stats().read_ops, 1u);
-}
-
-TEST(BufferCache, EvictionWritesDirtyPage) {
-  block_device device(simple_profile());
-  buffer_cache cache(device, {.page_size = 4096, .capacity_pages = 1,
-                              .hit_time = 10});
-  cache.write(0, 4096);       // dirty page 0
-  cache.read(4096, 4096);     // evicts page 0 -> device write
-  EXPECT_EQ(device.stats().write_ops, 1u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(BufferCache, InvalidateDropsEverything) {
-  block_device device(simple_profile());
-  buffer_cache cache(device, {.page_size = 4096, .capacity_pages = 4,
-                              .hit_time = 10});
-  cache.write(0, 4096);
-  cache.invalidate();
-  EXPECT_EQ(cache.resident_pages(), 0u);
-  EXPECT_EQ(device.stats().write_ops, 1u);  // flushed before dropping
 }
 
 // ------------------------------------------------------------ cpu model

@@ -158,17 +158,21 @@ partition_geometry small_geometry() {
 TEST(PartitionedStore, SlotRoundTrip) {
   sim::block_device device(sim::dram_ddr4());
   partitioned_store store(device, 0, small_geometry(), 16, 16);
-  store.write_slot(2, 5, record_of(0x77, 16));
+  std::vector<std::uint8_t> image(8 * 16);
+  std::fill_n(image.begin() + 5 * 16, 16, 0x77);
+  store.write_partition(2, image);
   std::vector<std::uint8_t> out(16);
   store.read_slot(2, 5, out);
   EXPECT_EQ(out, record_of(0x77, 16));
+  store.read_slot(2, 4, out);
+  EXPECT_EQ(out, record_of(0, 16));
 }
 
 TEST(PartitionedStore, PartitionsAreDisjoint) {
   sim::block_device device(sim::dram_ddr4());
   partitioned_store store(device, 0, small_geometry(), 16, 16);
-  store.write_slot(0, 0, record_of(1, 16));
-  store.write_slot(1, 0, record_of(2, 16));
+  store.write_partition(0, record_of(1, 8 * 16));
+  store.write_partition(1, record_of(2, 8 * 16));
   std::vector<std::uint8_t> out(16);
   store.read_slot(0, 0, out);
   EXPECT_EQ(out[0], 1);
@@ -203,10 +207,8 @@ TEST(PartitionedStore, ReadPartitionIncludesAppends) {
   store.append(3, std::vector<std::uint8_t>(3 * 16, 0x11));
   std::vector<std::uint8_t> image;
   std::uint64_t records = 0;
-  store.read_partition(3, /*include_appends=*/true, image, records);
+  store.read_partition(3, image, records);
   EXPECT_EQ(records, 8u + 3u);
-  store.read_partition(3, /*include_appends=*/false, image, records);
-  EXPECT_EQ(records, 8u);
 }
 
 TEST(PartitionedStore, WritePartitionResetsAppends) {
@@ -226,7 +228,7 @@ TEST(PartitionedStore, PartitionSweepIsSequential) {
   device.reset_stats();
   std::vector<std::uint8_t> image;
   std::uint64_t records = 0;
-  store.read_partition(1, false, image, records);
+  store.read_partition(1, image, records);
   EXPECT_EQ(device.stats().read_ops, 1u);  // one streaming transfer
   EXPECT_EQ(device.stats().bytes_read, 8u * 1024u);
 }
