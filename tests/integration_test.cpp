@@ -3,11 +3,14 @@
 // degenerate configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/controller.h"
+#include "horam.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -74,6 +77,62 @@ TEST(CostShapes, ShuffleTrafficIsOverwhelminglySequential) {
             10 * config.logical_block_bytes == 0
                 ? 10 * (config.payload_bytes + 8)
                 : 10 * (config.payload_bytes + 8));
+}
+
+// The paper's case for its group-and-partition layer (§4.1.3): the
+// square-root baseline re-permutes its whole array every period with a
+// multi-pass Melbourne shuffle, while the partitioned layer streams
+// each partition in and out once. For the same hot set, on every
+// device profile, the partitioned period moves fewer bytes and costs
+// less device time.
+class ShuffleCostShapes
+    : public ::testing::TestWithParam<sim::device_profile> {};
+
+INSTANTIATE_TEST_SUITE_P(Profiles, ShuffleCostShapes,
+                         ::testing::Values(sim::hdd_paper(),
+                                           sim::hdd_7200_raw(),
+                                           sim::ssd_sata(), sim::nvme(),
+                                           sim::net_remote(),
+                                           sim::dram_ddr4()),
+                         [](const auto& info) {
+                           std::string name = info.param.name;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST_P(ShuffleCostShapes, PartitionedPeriodIsCheaperThanSqrtReshuffle) {
+  struct period_cost {
+    std::uint64_t bytes = 0;
+    sim::sim_time time = 0;
+  };
+  const auto shuffle_one_period = [&](backend_kind kind) {
+    sim::block_device disk(GetParam());
+    const sim::cpu_model cpu(sim::cpu_aesni());
+    util::pcg64 rng(89);
+    horam_config config;
+    config.block_count = 1024;
+    config.memory_blocks = 128;
+    config.payload_bytes = 32;
+    config.seal = false;
+    const std::unique_ptr<oram_backend> backend =
+        make_backend(kind, config, disk, cpu, rng, nullptr, nullptr);
+    // One access period's worth of misses on the same blocks.
+    std::vector<oram::evicted_block> evicted;
+    for (block_id id = 0; id < config.period_loads(); ++id) {
+      evicted.push_back(
+          oram::evicted_block{id * 13, backend->load_block(id * 13).payload});
+    }
+    disk.reset_stats();
+    std::vector<oram::evicted_block> overflow;
+    const shuffle_cost cost =
+        backend->shuffle_period(std::move(evicted), 0, overflow);
+    EXPECT_TRUE(overflow.empty()) << backend_name(kind);
+    return period_cost{disk.stats().total_bytes(), cost.io_read + cost.io_write};
+  };
+  const period_cost partitioned = shuffle_one_period(backend_kind::partitioned);
+  const period_cost sqrt = shuffle_one_period(backend_kind::sqrt);
+  EXPECT_LT(partitioned.bytes, sqrt.bytes);
+  EXPECT_LT(partitioned.time, sqrt.time);
 }
 
 // ------------------------------------------------- trace file round trip

@@ -1,13 +1,17 @@
 // Parameterised property sweeps across the dimensions the rest of the
-// suite holds fixed: Path ORAM bucket size Z and payload size,
-// Melbourne quotas, device profile properties, and end-to-end H-ORAM
-// bucket-size variation.
+// suite holds fixed: Path ORAM bucket size Z and payload size, the
+// geometry of the flat (sqrt and partitioned) backends, Melbourne
+// quotas, device profile properties, and end-to-end H-ORAM bucket-size
+// variation.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include "core/controller.h"
+#include "horam.h"
 #include "oram/path/path_oram.h"
 #include "shuffle/melbourne.h"
 #include "sim/profiles.h"
@@ -71,6 +75,172 @@ TEST_P(PathOramZSweep, DifferentialCorrectnessAndStashBound) {
   EXPECT_LT(oram.stash_ref().peak_size(), bound) << "Z=" << z;
 }
 
+// ------------------------------- flat backend geometry sweep
+
+// The flat backends keep every block in one slot array: sqrt in a
+// single permuted array with period-sized dummies, partitioned in
+// ~sqrt(N) partitions. Both derive their layout from (N, n), so sweep
+// block counts that are and are not perfect squares against caches
+// whose access period (n/2 loads) is below, near and above sqrt(N).
+class FlatBackendGeometry
+    : public ::testing::TestWithParam<
+          std::tuple<backend_kind, std::uint64_t, std::uint64_t>> {
+ protected:
+  horam_config config() const {
+    const auto [kind, n, memory] = GetParam();
+    horam_config c;
+    c.block_count = n;
+    c.memory_blocks = memory;
+    c.payload_bytes = 16;
+    c.seal = false;
+    return c;
+  }
+
+  std::uint64_t salt() const {
+    const auto [kind, n, memory] = GetParam();
+    return 100 * n + memory + (kind == backend_kind::sqrt ? 1 : 0);
+  }
+
+  /// Random reads and writes through `ctrl`, checked against a shadow
+  /// map; reads of never-written blocks must return zeros.
+  void expect_differential(controller& ctrl) const {
+    const std::uint64_t n = config().block_count;
+    std::map<block_id, std::uint8_t> shadow;
+    util::pcg64 driver(8000 + salt());
+    for (int step = 0; step < 400; ++step) {
+      const block_id id = util::uniform_below(driver, n);
+      if (util::bernoulli(driver, 0.5)) {
+        const auto tag = static_cast<std::uint8_t>(step | 1);
+        ctrl.write(id, std::vector<std::uint8_t>(16, tag));
+        shadow[id] = tag;
+      } else {
+        const std::uint8_t expected =
+            shadow.contains(id) ? shadow[id] : std::uint8_t{0};
+        ASSERT_EQ(ctrl.read(id)[0], expected) << "step " << step;
+      }
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, FlatBackendGeometry,
+    ::testing::Combine(::testing::Values(backend_kind::partitioned,
+                                         backend_kind::sqrt),
+                       ::testing::Values(24u, 64u, 100u),
+                       ::testing::Values(8u, 16u, 32u)),
+    [](const auto& info) {
+      return std::string(backend_name(std::get<0>(info.param))) + "_n" +
+             std::to_string(std::get<1>(info.param)) + "_m" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+// The controller's life cycle driven by hand: each period issues
+// exactly n/2 loads, every load touches a slot not read earlier in the
+// period, and payloads written into the hot set survive the shuffle.
+TEST_P(FlatBackendGeometry, HandDrivenPeriodsRoundTripData) {
+  const horam_config c = config();
+  sim::block_device disk(sim::hdd_paper());
+  const sim::cpu_model cpu(sim::cpu_aesni());
+  util::pcg64 rng(9000 + salt());
+  oram::access_trace trace;
+  const std::unique_ptr<oram_backend> backend = make_backend(
+      std::get<0>(GetParam()), c, disk, cpu, rng, &trace, nullptr);
+
+  std::map<block_id, std::vector<std::uint8_t>> cache;
+  std::map<block_id, std::uint8_t> shadow;
+  util::pcg64 driver(10000 + salt());
+  for (std::uint64_t period = 0; period < 6; ++period) {
+    trace.clear();
+    for (std::uint64_t cycle = 0; cycle < c.period_loads(); ++cycle) {
+      const block_id target = util::uniform_below(driver, c.block_count);
+      const oram_backend::load_result load =
+          util::bernoulli(driver, 0.6) && backend->in_storage(target)
+              ? backend->load_block(target)
+              : backend->dummy_load();
+      if (load.id == oram::dummy_block_id) {
+        continue;
+      }
+      const std::uint8_t expected =
+          shadow.contains(load.id) ? shadow[load.id] : std::uint8_t{0};
+      ASSERT_EQ(load.payload.at(0), expected) << "block " << load.id;
+      const auto tag = static_cast<std::uint8_t>(17 * period + cycle + 1);
+      cache[load.id] = std::vector<std::uint8_t>(16, tag);
+      shadow[load.id] = tag;
+    }
+    std::set<std::uint64_t> slots;
+    for (const oram::trace_event& event : trace.events()) {
+      if (event.kind == oram::event_kind::storage_read_slot) {
+        EXPECT_TRUE(slots.insert(event.a).second)
+            << "slot " << event.a << " read twice in period " << period;
+      }
+    }
+    EXPECT_EQ(slots.size(), c.period_loads());
+
+    std::vector<oram::evicted_block> evicted;
+    for (auto& [id, payload] : cache) {
+      evicted.push_back(oram::evicted_block{id, std::move(payload)});
+    }
+    cache.clear();
+    std::vector<oram::evicted_block> overflow;
+    backend->shuffle_period(std::move(evicted), period, overflow);
+    for (oram::evicted_block& block : overflow) {
+      cache[block.id] = std::move(block.payload);  // stays cached
+    }
+    ASSERT_NO_THROW(backend->check_consistency()) << "period " << period;
+  }
+  EXPECT_EQ(backend->stats().exhausted_dummy_loads, 0u);
+}
+
+// Fronted by the controller: reads see the last write, every cycle is
+// exactly one storage slot read, and the dummy supply sized to the
+// access period never runs dry.
+TEST_P(FlatBackendGeometry, ControllerDifferentialCorrectness) {
+  const horam_config c = config();
+  sim::block_device disk(sim::hdd_paper());
+  sim::block_device memory(sim::dram_ddr4());
+  const sim::cpu_model cpu(sim::cpu_aesni());
+  util::pcg64 rng(11000 + salt());
+  oram::access_trace trace;
+  controller ctrl(c,
+                  make_backend(std::get<0>(GetParam()), c, disk, cpu, rng,
+                               &trace, nullptr),
+                  memory, cpu, rng, &trace);
+  expect_differential(ctrl);
+
+  const controller_stats& stats = ctrl.stats();
+  EXPECT_GT(stats.periods, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, stats.requests);
+  EXPECT_EQ(stats.cycles, stats.real_loads + stats.dummy_loads);
+  std::uint64_t slot_reads = 0;
+  for (const oram::trace_event& event : trace.events()) {
+    slot_reads += event.kind == oram::event_kind::storage_read_slot ? 1 : 0;
+  }
+  EXPECT_EQ(slot_reads, stats.cycles);
+  EXPECT_EQ(ctrl.backend().stats().exhausted_dummy_loads, 0u);
+  EXPECT_NO_THROW(ctrl.backend().check_consistency());
+}
+
+// The deamortized path: shuffles stepped in one-unit slices between
+// rounds must stay coherent with the foreground requests they overlap.
+TEST_P(FlatBackendGeometry, IncrementalShuffleStaysCoherent) {
+  horam_config c = config();
+  c.shuffle = shuffle_policy::incremental;
+  c.shuffle_slice_budget = 1;
+  sim::block_device disk(sim::hdd_paper());
+  sim::block_device memory(sim::dram_ddr4());
+  const sim::cpu_model cpu(sim::cpu_aesni());
+  util::pcg64 rng(12000 + salt());
+  controller ctrl(c,
+                  make_backend(std::get<0>(GetParam()), c, disk, cpu, rng,
+                               nullptr, nullptr),
+                  memory, cpu, rng);
+  expect_differential(ctrl);
+
+  EXPECT_GT(ctrl.stats().periods, 0u);
+  EXPECT_GE(ctrl.stats().shuffle_slices, ctrl.stats().periods);
+  EXPECT_NO_THROW(ctrl.backend().check_consistency());
+}
+
 // -------------------------------------------------- melbourne quotas
 
 class MelbourneQuota : public ::testing::TestWithParam<std::uint64_t> {};
@@ -120,6 +290,7 @@ INSTANTIATE_TEST_SUITE_P(All, DeviceProfiles,
                          ::testing::Values(sim::hdd_paper(),
                                            sim::hdd_7200_raw(),
                                            sim::ssd_sata(), sim::nvme(),
+                                           sim::net_remote(),
                                            sim::dram_ddr4()),
                          [](const auto& info) {
                            std::string name = info.param.name;
