@@ -151,10 +151,6 @@ struct horam_config {
   /// so a fresh unprobed slot always exists. The schedule depends only
   /// on the access count — public by design.
   double hier_rebuild_rate = 1.0;
-  /// Bits per entry of the trusted succinct index (level tag + slot).
-  /// 0 derives the minimum from the geometry; larger values reserve
-  /// headroom (the entry is rejected if it cannot hold the geometry).
-  std::uint32_t hier_index_bits = 0;
 
   /// Places the recursive position map chain of the tree backends
   /// (path, ring) on the storage device instead of the memory device —
@@ -227,8 +223,6 @@ struct horam_config {
     expects(hier_fanout >= 2, "hier fan-out must be >= 2");
     expects(hier_rebuild_rate > 0.0,
             "hier rebuild rate must be positive");
-    expects(hier_index_bits <= 64,
-            "hier index entries are packed into 64-bit words");
     expects(map_entries_per_block >= 2,
             "map recursion needs at least two entries per block");
     expects(map_direct_threshold >= 1,

@@ -82,45 +82,31 @@ bool controller::resident(oram::block_id id) const {
 oram::cost_split controller::service_hit(const request& req,
                                          request_result* result) {
   oram::cost_split cost;
-  if (shuffle_job_ != nullptr) {
-    if (std::vector<std::uint8_t>* staged = shuffle_job_->staged(req.id)) {
-      // Block staged in the in-flight shuffle job: serve from trusted
-      // memory, cover with a dummy path access so the bus shape is
-      // unchanged (the shelter pattern); writes go through into the
-      // staged copy so the shuffle places the fresh data.
-      cost += tree_->dummy_access();
-      cost.cpu += cpu_.word_ops_time(8);
-      if (req.op == oram::op_kind::write) {
-        if (req.fetch_before_write && result != nullptr) {
-          result->read_data = *staged;
-          result->read_data.resize(config_.payload_bytes, 0);
-        }
-        staged->assign(req.write_data.begin(), req.write_data.end());
-        staged->resize(config_.payload_bytes, 0);
-      } else if (result != nullptr) {
-        result->read_data = *staged;
-        result->read_data.resize(config_.payload_bytes, 0);
-      }
-      return cost;
+  // A block staged in the in-flight shuffle job or parked in the shelter
+  // is served from trusted memory, covered by a dummy path access so the
+  // bus shape is unchanged; writes go through into the trusted copy (so
+  // a staged block's shuffle places the fresh data).
+  std::vector<std::uint8_t>* trusted =
+      shuffle_job_ != nullptr ? shuffle_job_->staged(req.id) : nullptr;
+  if (trusted == nullptr) {
+    const auto shelter_it = shelter_.find(req.id);
+    if (shelter_it != shelter_.end()) {
+      trusted = &shelter_it->second;
     }
   }
-  const auto shelter_it = shelter_.find(req.id);
-  if (shelter_it != shelter_.end()) {
-    // Shelter-resident block: serve from trusted memory, cover with a
-    // dummy path access so the bus shape is unchanged.
+  if (trusted != nullptr) {
     cost += tree_->dummy_access();
     cost.cpu += cpu_.word_ops_time(8);
-    if (req.op == oram::op_kind::write) {
-      if (req.fetch_before_write && result != nullptr) {
-        result->read_data = shelter_it->second;
-        result->read_data.resize(config_.payload_bytes, 0);
-      }
-      shelter_it->second.assign(req.write_data.begin(),
-                                req.write_data.end());
-      shelter_it->second.resize(config_.payload_bytes, 0);
-    } else if (result != nullptr) {
-      result->read_data = shelter_it->second;
+    const bool returns_data =
+        result != nullptr &&
+        (req.op != oram::op_kind::write || req.fetch_before_write);
+    if (returns_data) {
+      result->read_data = *trusted;
       result->read_data.resize(config_.payload_bytes, 0);
+    }
+    if (req.op == oram::op_kind::write) {
+      trusted->assign(req.write_data.begin(), req.write_data.end());
+      trusted->resize(config_.payload_bytes, 0);
     }
     return cost;
   }
@@ -378,10 +364,6 @@ void controller::run_shuffle_period() {
                                    reset_cost.memory + reset_cost.cpu;
   sim::sim_time charged = 0;
   switch (config_.shuffle) {
-    case shuffle_policy::foreground:
-      charged = flush_debt_ + local_work + sc.total();
-      flush_debt_ = 0;
-      break;
     case shuffle_policy::async_writeback:
       // Reads and trusted-memory work are foreground; writes are
       // absorbed by the write-back cache and drain during the next
@@ -394,10 +376,12 @@ void controller::run_shuffle_period() {
       // path; only the local tree evict + rebuild is paid.
       charged = local_work;
       break;
+    case shuffle_policy::foreground:
     case shuffle_policy::incremental:
-      // Local tree work lands at the boundary; the backend's device
-      // time lands slice by slice between rounds (pump_shuffle_slice)
-      // — or, with an unbounded budget, entirely in sc right here.
+      // Everything is foreground. Under incremental, local tree work
+      // lands at the boundary and the backend's device time lands slice
+      // by slice between rounds (pump_shuffle_slice) — or, with an
+      // unbounded budget, entirely in sc right here.
       charged = flush_debt_ + local_work + sc.total();
       flush_debt_ = 0;
       break;
@@ -411,26 +395,6 @@ void controller::run_shuffle_period() {
   ++stats_.periods;
   loads_this_period_ = 0;
   ++period_index_;
-}
-
-void controller::submit(request req) {
-  expects(req.id < config_.block_count, "request id out of range");
-  pending_.push_back(std::move(req));
-}
-
-void controller::submit(std::span<const request> requests) {
-  // Validate the whole batch before appending so a bad id cannot leave
-  // a partial prefix in the session queue.
-  for (const request& req : requests) {
-    expects(req.id < config_.block_count, "request id out of range");
-  }
-  pending_.insert(pending_.end(), requests.begin(), requests.end());
-}
-
-void controller::drain(std::vector<request_result>* results) {
-  std::vector<request> batch;
-  batch.swap(pending_);
-  run(batch, results);
 }
 
 std::vector<std::uint8_t> controller::read(oram::block_id id) {

@@ -249,20 +249,6 @@ class controller {
   void run(std::span<const request> requests,
            std::vector<request_result>* results = nullptr);
 
-  // --- Incremental session API: stream requests in, drain when ready. ---
-
-  /// Enqueues one request (validated immediately) without running it.
-  void submit(request req);
-  /// Enqueues a batch without running it.
-  void submit(std::span<const request> requests);
-  /// Requests submitted but not yet drained.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return pending_.size();
-  }
-  /// Services every pending request to completion; per-request results
-  /// (in submission order) are captured when `results` is non-null.
-  void drain(std::vector<request_result>* results = nullptr);
-
   /// Convenience single-request API (examples / interactive use); pads
   /// the group with dummies like any other cycle.
   std::vector<std::uint8_t> read(oram::block_id id);
@@ -309,10 +295,6 @@ class controller {
 
  private:
   [[nodiscard]] bool resident(oram::block_id id) const;
-  /// Executes one scheduler cycle against `requests`; returns the
-  /// number of requests serviced.
-  std::uint64_t run_cycle(std::span<const request> requests,
-                          std::vector<request_result>* results);
   void run_shuffle_period();
   /// Runs one slice of the in-flight incremental shuffle job (no-op
   /// without one); charges the slice's device time and, when the job
@@ -334,9 +316,6 @@ class controller {
   std::unique_ptr<oram_backend> storage_;
   scheduler scheduler_;
   rob_table rob_;
-
-  /// Requests submitted but not yet drained (session API).
-  std::vector<request> pending_;
 
   /// Control-layer shelter for shuffle-overflow blocks; resident from
   /// the scheduler's point of view (served with dummy path accesses).

@@ -369,84 +369,98 @@ void engine::merge_report(lane_report&& report, std::vector<completed>* out,
   }
 }
 
-std::uint64_t engine::execute_round(std::vector<std::deque<routed>>& queues,
-                                    std::vector<completed>* out) {
+std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
+                              bool one_round, std::vector<completed>* out) {
   // Coalescing implies padded rounds on every shard count (including
   // one): merging changes how many real slots a round consumes, and
   // only a public, constant round shape keeps that invisible.
   const bool padded = shard_count() > 1 || config_.coalescing;
-  const sim::sim_time round_start = now();
+  // A round pops at most round_cap() physical accesses per padded shard;
+  // a batch takes the whole queue and sizes its padding afterwards.
+  const std::size_t cap = padded && one_round ? round_cap_ : 0;
+  // note_popped bookkeeping only applies to the engine's own routing
+  // queues; run() hands in local buckets that were never submitted.
+  const bool own_queues = &queues == &queues_;
+  const sim::sim_time start = now();
   const std::size_t out_base = out != nullptr ? out->size() : 0;
 
-  // Phase 1 (coordinator): pop this round's real requests off the
-  // routing queues into per-lane task messages. The round tables are
-  // built here, before lane fan-out, so neither the queues nor the
-  // tables ever cross a thread boundary.
+  // Phase 1 (coordinator): pop real requests off the routing queues into
+  // per-lane task messages. The groups are built here, before lane
+  // fan-out, so neither the queues nor the round tables ever cross a
+  // thread boundary.
   std::vector<lane_task> tasks;
   tasks.reserve(shard_count());
   std::uint64_t serviced = 0;
+  std::uint64_t rounds = 0;
   for (std::uint32_t s = 0; s < shard_count(); ++s) {
-    // Every shard executes the full public cap when padding is on —
-    // real requests first, dummies after — so the per-shard bus shape
-    // carries no information about the routed bucket sizes (or, with
-    // coalescing, about how many requests merged).
+    std::deque<routed>& queue = queues[s];
     lane_task task;
     if (config_.coalescing) {
       // Prefix coalescing: consume the longest queue prefix whose
-      // distinct block count fits the public cap. Stopping at the
-      // first inadmissible entry (instead of skipping past it) keeps
+      // distinct block count fits the cap (0 = unbounded). Stopping at
+      // the first inadmissible entry (instead of skipping past it) keeps
       // per-tenant completion order intact.
-      coalesce::round_table table(round_cap_);
-      while (!queues[s].empty() && table.admits(queues[s].front().req.id)) {
-        routed entry = std::move(queues[s].front());
-        queues[s].pop_front();
-        note_popped(s, entry.req.id);
+      coalesce::round_table table(cap);
+      while (!queue.empty() && table.admits(queue.front().req.id)) {
+        routed entry = std::move(queue.front());
+        queue.pop_front();
+        if (own_queues) {
+          note_popped(s, entry.req.id);
+        }
         ++serviced;
         table.add(entry.tag, std::move(entry.req));
       }
       task.groups = table.take();
     } else {
       const std::size_t reals =
-          padded ? std::min<std::size_t>(round_cap_, queues[s].size())
-                 : queues[s].size();
+          cap > 0 ? std::min(cap, queue.size()) : queue.size();
       task.groups.reserve(reals);
       for (std::size_t i = 0; i < reals; ++i) {
-        routed entry = std::move(queues[s].front());
-        queues[s].pop_front();
+        routed& entry = queue.front();
         coalesce::group g;
         g.physical = std::move(entry.req);
         g.members.emplace_back().tag = entry.tag;
         task.groups.push_back(std::move(g));
+        queue.pop_front();
       }
       serviced += reals;
     }
-    const std::size_t slots = padded ? round_cap_ : task.groups.size();
-    if (slots == 0) {
-      continue;  // single-shard engine with an empty queue
+    if (padded) {
+      rounds = std::max<std::uint64_t>(
+          rounds, (task.groups.size() + round_cap_ - 1) / round_cap_);
     }
     task.shard = s;
-    task.slots = slots;
     task.want_out = out != nullptr;
     tasks.push_back(std::move(task));
+  }
+  // Every padded shard executes the same whole number of cap rounds —
+  // real requests first, dummies after — so the per-shard bus shape
+  // carries no information about the routed bucket sizes (or, with
+  // coalescing, about how many requests merged).
+  for (lane_task& task : tasks) {
+    task.slots = padded ? rounds * round_cap_ : task.groups.size();
+  }
+  std::erase_if(tasks, [](const lane_task& task) { return task.slots == 0; });
+  if (tasks.empty()) {
+    return serviced;  // nothing was queued
   }
 
   // Phase 2: execute the lanes — sequentially (sim) or on the
   // per-shard workers (threaded).
-  std::vector<lane_report> reports =
-      run_lanes(std::move(tasks), round_start);
+  std::vector<lane_report> reports = run_lanes(std::move(tasks), start);
 
-  // Phase 3 (coordinator): merge reports in task (= shard-index)
-  // order, the exact order the sequential machine produces, whatever
-  // order the lanes actually finished in.
+  // Phase 3 (coordinator): merge reports in task (= shard-index) order,
+  // the exact order the sequential machine produces, whatever order the
+  // lanes actually finished in. Lanes overlap: the execution lasts its
+  // slowest shard.
   sim::sim_time longest = 0;
   for (lane_report& report : reports) {
     merge_report(std::move(report), out, longest);
   }
-
   if (padded) {
-    log_rounds(1);
-    global_now_ = round_start + longest;
-    if (out != nullptr) {
+    log_rounds(rounds);
+    global_now_ = start + longest;
+    if (one_round && out != nullptr) {
       std::stable_sort(
           out->begin() + static_cast<std::ptrdiff_t>(out_base), out->end(),
           [](const completed& a, const completed& b) {
@@ -457,98 +471,10 @@ std::uint64_t engine::execute_round(std::vector<std::deque<routed>>& queues,
   return serviced;
 }
 
-std::uint64_t engine::run_buckets(std::vector<std::deque<routed>>& buckets,
-                                  std::vector<completed>* out) {
-  const bool padded = shard_count() > 1 || config_.coalescing;
-  const sim::sim_time start = now();
-  // note_popped bookkeeping only applies to the engine's own routing
-  // queues (drain); run() hands in local buckets that were never
-  // submitted and carry no slot accounting.
-  const bool own_queues = &buckets == &queues_;
-
-  // Open-loop batch execution: the whole bucket is known up front, so
-  // every lane runs independently — one controller batch per shard,
-  // padded up to a whole number of public-cap rounds — and the batch
-  // lasts the slowest lane. (The closed-loop incremental pump uses
-  // execute_round instead: one cap-sized round per step.) With
-  // coalescing the table is unbounded: the batch merges across the
-  // whole bucket, then sizes its padding from the distinct-block count.
-  std::vector<lane_task> tasks;
-  tasks.reserve(shard_count());
-  std::uint64_t serviced = 0;
-  std::uint64_t rounds = 0;
-  for (std::uint32_t s = 0; s < shard_count(); ++s) {
-    lane_task task;
-    if (config_.coalescing) {
-      coalesce::round_table table;
-      while (!buckets[s].empty()) {
-        routed entry = std::move(buckets[s].front());
-        buckets[s].pop_front();
-        if (own_queues) {
-          note_popped(s, entry.req.id);
-        }
-        ++serviced;
-        table.add(entry.tag, std::move(entry.req));
-      }
-      task.groups = table.take();
-    } else {
-      task.groups.reserve(buckets[s].size());
-      while (!buckets[s].empty()) {
-        routed entry = std::move(buckets[s].front());
-        buckets[s].pop_front();
-        coalesce::group g;
-        g.physical = std::move(entry.req);
-        g.members.emplace_back().tag = entry.tag;
-        task.groups.push_back(std::move(g));
-        ++serviced;
-      }
-    }
-    if (padded) {
-      const std::uint64_t need =
-          (task.groups.size() + round_cap_ - 1) / round_cap_;
-      rounds = std::max(rounds, need);
-    }
-    task.shard = s;
-    task.want_out = out != nullptr;
-    tasks.push_back(std::move(task));
-  }
-  if (padded && rounds == 0) {
-    return 0;
-  }
-  for (auto it = tasks.begin(); it != tasks.end();) {
-    it->slots = padded ? rounds * round_cap_ : it->groups.size();
-    if (it->slots == 0) {
-      it = tasks.erase(it);  // single-shard engine with an empty bucket
-    } else {
-      ++it;
-    }
-  }
-
-  std::vector<lane_report> reports = run_lanes(std::move(tasks), start);
-
-  sim::sim_time longest = 0;
-  for (lane_report& report : reports) {
-    merge_report(std::move(report), out, longest);
-  }
-
-  if (padded) {
-    log_rounds(rounds);
-    global_now_ = start + longest;
-  }
-  return serviced;
-}
-
 void engine::run(std::span<const request> requests,
                  std::vector<request_result>* results) {
   for (const request& req : requests) {
     expects(req.id < config_.block_count, "request id out of range");
-  }
-  if (shard_count() == 1 && !config_.coalescing) {
-    // Exact historical path: one controller, one batch.
-    shards_[0]->ctrl->run(requests, results);
-    stats_.real_requests += requests.size();
-    stats_.physical_accesses += requests.size();
-    return;
   }
   if (results != nullptr) {
     results->assign(requests.size(), request_result{});
@@ -562,7 +488,8 @@ void engine::run(std::span<const request> requests,
     buckets[shard_of(requests[i].id)].push_back(std::move(entry));
   }
   std::vector<completed> done;
-  (void)run_buckets(buckets, results != nullptr ? &done : nullptr);
+  (void)execute(buckets, /*one_round=*/false,
+                results != nullptr ? &done : nullptr);
   if (results != nullptr) {
     for (completed& c : done) {
       (*results)[c.tag] = std::move(c.result);
@@ -611,7 +538,7 @@ bool engine::step_round(const completion& on_complete) {
   }
   std::vector<completed> done;
   const std::uint64_t serviced =
-      execute_round(queues_, on_complete ? &done : nullptr);
+      execute(queues_, /*one_round=*/true, on_complete ? &done : nullptr);
   pending_total_ -= serviced;
   if (on_complete) {
     for (completed& c : done) {
@@ -630,8 +557,8 @@ void engine::drain(std::vector<request_result>* results) {
   }
   // The queue snapshot is a known batch: open-loop lane execution.
   std::vector<completed> done;
-  pending_total_ -=
-      run_buckets(queues_, results != nullptr ? &done : nullptr);
+  pending_total_ -= execute(queues_, /*one_round=*/false,
+                            results != nullptr ? &done : nullptr);
   invariant(pending_total_ == 0, "drain left requests behind");
   if (results != nullptr) {
     // Tokens are monotone in submission order.

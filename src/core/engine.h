@@ -21,9 +21,17 @@
 // onto the engine's global clock (lanes run in parallel: a round lasts
 // the slowest shard), so ticket/latency semantics are unchanged.
 //
-// shard_count == 1 degenerates to an exact pass-through around one
-// controller: no PRF, no padding, no time mapping — bit-for-bit the
-// historical single-controller behavior (tests assert this).
+// Every entry point — run(), drain() and step_round() — goes through one
+// executor that pops each shard's queue into a lane task, runs the lanes
+// and merges their reports. The entry points differ only in how much
+// they pop: a round takes at most round_cap() physical accesses per
+// shard, a batch takes the whole queue and pads each lane to a whole
+// number of rounds.
+//
+// shard_count == 1 without coalescing degenerates to an exact
+// pass-through around one controller: no PRF, no padding, an identity
+// time mapping — bit-for-bit the historical single-controller behavior
+// (tests assert this).
 //
 // Request coalescing (config.coalescing, src/coalesce/): each round the
 // coordinator folds same-block requests into one physical access per
@@ -74,8 +82,8 @@ namespace horam {
 
 /// Router-level counters, beyond the per-shard controller stats.
 struct engine_stats {
-  /// Padded router rounds executed (0 for single-shard engines, whose
-  /// batches pass straight through to the controller).
+  /// Padded router rounds executed (0 for a single shard without
+  /// coalescing, whose batches pass straight through to the controller).
   std::uint64_t rounds = 0;
   /// Application requests serviced.
   std::uint64_t real_requests = 0;
@@ -180,9 +188,10 @@ class engine {
 
   /// Routes and services `requests` to completion without touching the
   /// incremental queue; per-request results land in submission order
-  /// when `results` is non-null. One shard: a single controller batch,
-  /// identical to the historical controller::run. Several: padded
-  /// rounds until every bucket drains.
+  /// when `results` is non-null. The same batch execution as drain():
+  /// one controller batch per lane (padded to whole rounds when the
+  /// engine pads) — for one shard without coalescing, exactly
+  /// controller::run.
   void run(std::span<const request> requests,
            std::vector<request_result>* results = nullptr);
 
@@ -204,13 +213,14 @@ class engine {
   [[nodiscard]] std::size_t pending_slots() const noexcept {
     return config_.coalescing ? pending_slots_ : pending_total_;
   }
-  /// Executes one engine round: every shard with work runs round_cap()
-  /// request slots (all queued ones when shard_count == 1), lanes in
-  /// parallel, completions delivered in global completion order.
+  /// Executes one engine round: every padded shard runs round_cap()
+  /// request slots (an unpadded engine runs everything queued), lanes
+  /// in parallel, completions delivered in global completion order.
   /// Returns false (doing nothing) when no request is queued.
   bool step_round(const completion& on_complete = {});
-  /// Pumps rounds until the queue drains; per-request results (in
-  /// submission order) are captured when `results` is non-null.
+  /// Services the whole queue as one batch, like run(); per-request
+  /// results (in submission order) are captured when `results` is
+  /// non-null.
   void drain(std::vector<request_result>* results = nullptr);
 
   /// Requests an incremental pump should submit per scheduling round:
@@ -323,17 +333,19 @@ class engine {
   };
 
   [[nodiscard]] std::uint32_t derive_round_cap() const;
-  /// Executes one padded round over `queues` (per-shard routed
-  /// requests); appends completions to `out` (null = discard results)
-  /// and returns the number of real requests serviced.
-  std::uint64_t execute_round(std::vector<std::deque<routed>>& queues,
-                              std::vector<completed>* out);
-  /// Open-loop execution of a whole known batch: each lane runs its
-  /// entire bucket, padded to a whole number of cap rounds, as one
-  /// controller batch; lanes overlap, the batch lasts the slowest one.
-  std::uint64_t run_buckets(std::vector<std::deque<routed>>& buckets,
-                            std::vector<completed>* out);
-  /// Pure lane executor: pads task.reals to task.slots dummy-topped
+  /// The one request-execution path behind run(), step_round() and
+  /// drain(): pops `queues` (per-shard routed requests) into lane tasks
+  /// — coalesced or singleton groups — runs the lanes, merges their
+  /// reports, logs the rounds and advances the clock. `one_round` pops
+  /// at most round_cap() physical accesses per padded shard and delivers
+  /// completions in global completion order; otherwise the whole queue
+  /// runs as one controller batch per lane, padded to a whole number of
+  /// cap rounds. Unpadded engines (one shard, coalescing off) take the
+  /// whole queue either way. Appends completions to `out` (null =
+  /// discard results) and returns the number of requests serviced.
+  std::uint64_t execute(std::vector<std::deque<routed>>& queues,
+                        bool one_round, std::vector<completed>* out);
+  /// Pure lane executor: pads task.groups to task.slots dummy-topped
   /// request slots, runs them on the task's shard and maps completions
   /// onto the global clock at `start`. Touches only that shard's state
   /// (thread-confined under the threaded runtime); router bookkeeping

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <string>
 
 #include "util/contracts.h"
 
@@ -28,7 +29,7 @@ struct enum_names {
   std::array<name_alias<E>, A> aliases{};
 
   /// Parses a canonical name or alias; throws contract_error with
-  /// `unknown` (which lists the candidates) on anything else.
+  /// `unknown` followed by the canonical names on anything else.
   [[nodiscard]] E parse(std::string_view name, const char* unknown) const {
     for (std::size_t i = 0; i < N; ++i) {
       if (name == names[i]) {
@@ -40,7 +41,13 @@ struct enum_names {
         return alias.value;
       }
     }
-    expects(false, unknown);
+    std::string message(unknown);
+    for (std::size_t i = 0; i < N; ++i) {
+      message += i == 0 ? " (" : " | ";
+      message += names[i];
+    }
+    message += ")";
+    expects(false, message.c_str());
     return values[0];
   }
 
@@ -87,10 +94,7 @@ std::span<const std::string_view> backend_names() {
 }
 
 backend_kind backend_by_name(std::string_view name) {
-  return kBackendNames.parse(
-      name,
-      "unknown backend name "
-      "(partitioned | sqrt | partition | path | ring | hier)");
+  return kBackendNames.parse(name, "unknown backend name");
 }
 
 std::string_view shuffle_policy_name(shuffle_policy policy) {
@@ -102,10 +106,7 @@ std::span<const std::string_view> shuffle_policy_names() {
 }
 
 shuffle_policy shuffle_policy_by_name(std::string_view name) {
-  return kShufflePolicyNames.parse(
-      name,
-      "unknown shuffle-policy name (foreground | async-writeback | "
-      "offloaded | incremental)");
+  return kShufflePolicyNames.parse(name, "unknown shuffle-policy name");
 }
 
 std::string_view runtime_policy_name(runtime_policy policy) {
@@ -117,8 +118,7 @@ std::span<const std::string_view> runtime_policy_names() {
 }
 
 runtime_policy runtime_policy_by_name(std::string_view name) {
-  return kRuntimePolicyNames.parse(
-      name, "unknown runtime-policy name (sim | threaded)");
+  return kRuntimePolicyNames.parse(name, "unknown runtime-policy name");
 }
 
 std::string_view storage_layout_name(storage::storage_layout layout) {
@@ -130,8 +130,7 @@ std::span<const std::string_view> storage_layout_names() {
 }
 
 storage::storage_layout storage_layout_by_name(std::string_view name) {
-  return kStorageLayoutNames.parse(
-      name, "unknown storage-layout name (flat | page)");
+  return kStorageLayoutNames.parse(name, "unknown storage-layout name");
 }
 
 sim::device_profile storage_profile_by_name(std::string_view name) {
@@ -332,9 +331,7 @@ client_builder& client_builder::backend(backend_kind kind) {
 
 client_builder& client_builder::backend(std::string_view name) {
   kind_ = kBackendNames.parse(
-      name,
-      "client_builder: backend() got an unknown name "
-      "(partitioned | sqrt | partition | path | ring)");
+      name, "client_builder: backend() got an unknown name");
   return *this;
 }
 
@@ -374,13 +371,6 @@ client_builder& client_builder::hier_rebuild_rate(double rate) {
   return *this;
 }
 
-client_builder& client_builder::hier_index_bits(std::uint32_t bits) {
-  expects(bits <= 64,
-          "client_builder: hier_index_bits() packs into 64-bit words");
-  config_.hier_index_bits = bits;
-  return *this;
-}
-
 client_builder& client_builder::map_on_storage(bool enabled) {
   config_.map_on_storage = enabled;
   return *this;
@@ -398,9 +388,7 @@ client_builder& client_builder::runtime(runtime_policy policy) {
 
 client_builder& client_builder::runtime(std::string_view name) {
   config_.runtime = kRuntimePolicyNames.parse(
-      name,
-      "client_builder: runtime() got an unknown policy name "
-      "(sim | threaded)");
+      name, "client_builder: runtime() got an unknown policy name");
   return *this;
 }
 
@@ -416,7 +404,7 @@ client_builder& client_builder::layout(storage::storage_layout layout) {
 
 client_builder& client_builder::layout(std::string_view name) {
   config_.layout = kStorageLayoutNames.parse(
-      name, "client_builder: layout() got an unknown name (flat | page)");
+      name, "client_builder: layout() got an unknown name");
   return *this;
 }
 
@@ -464,9 +452,7 @@ client_builder& client_builder::shuffle(shuffle_policy policy) {
 
 client_builder& client_builder::shuffle(std::string_view name) {
   config_.shuffle = kShufflePolicyNames.parse(
-      name,
-      "client_builder: shuffle() got an unknown policy name "
-      "(foreground | async-writeback | offloaded | incremental)");
+      name, "client_builder: shuffle() got an unknown policy name");
   return *this;
 }
 

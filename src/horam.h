@@ -349,10 +349,6 @@ class client_builder {
   /// capacity (default 1.0): a level is refreshed in place after
   /// ceil(rate * capacity) probes.
   client_builder& hier_rebuild_rate(double rate);
-  /// Bits per entry of the hier backend's trusted succinct index
-  /// (default 0 = derive the minimum from the geometry; larger values
-  /// reserve headroom and are rejected if they cannot hold it).
-  client_builder& hier_index_bits(std::uint32_t bits);
   /// Places the recursive position-map chain of the tree backends
   /// (path, ring) on the storage device instead of the memory device —
   /// the honest client/server wiring, where each map level is a

@@ -66,14 +66,9 @@ hier_backend::hier_backend(
   }
   const std::uint64_t total_slots = base;
 
-  unsigned level_bits =
+  const unsigned level_bits =
       std::max(1u, util::ceil_log2(levels_.size() + 1));
-  unsigned slot_bits = std::max(1u, util::ceil_log2(max_slots));
-  if (config_.hier_index_bits != 0) {
-    expects(config_.hier_index_bits >= level_bits + slot_bits,
-            "hier_index_bits cannot hold the geometry");
-    slot_bits = config_.hier_index_bits - level_bits;
-  }
+  const unsigned slot_bits = std::max(1u, util::ceil_log2(max_slots));
   index_ = succinct_index(config_.block_count, level_bits, slot_bits);
 
   const std::size_t rec = codec_.record_bytes();

@@ -1,6 +1,7 @@
 // Tests of the sharded ORAM engine (core/engine.h): PRF routing and id
 // translation, shards(1) bit-for-bit equivalence with the historical
-// single-controller machine, conformance/replay across shard counts
+// single-controller machine, agreement of the run / submit+drain /
+// step_round entry points, conformance/replay across shard counts
 // {1, 2, 4, 8} and every backend, data-independent padded round shapes,
 // per-shard bus-distribution workload independence, per-shard seal keys,
 // cross-shard stats aggregation (controller_stats::operator+= /
@@ -209,6 +210,111 @@ TEST(EngineCompat, SingleShardMatchesBareControllerBitForBit) {
         << "event " << i;
     EXPECT_EQ(trace.events()[i].a, sharded_trace->events()[i].a);
     EXPECT_EQ(trace.events()[i].b, sharded_trace->events()[i].b);
+  }
+}
+
+void expect_results_equal(const std::vector<request_result>& a,
+                          const std::vector<request_result>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].completion_time, b[i].completion_time) << "request " << i;
+    EXPECT_EQ(a[i].hit, b[i].hit) << "request " << i;
+    EXPECT_EQ(a[i].read_data, b[i].read_data) << "request " << i;
+  }
+}
+
+/// Same router counters, round log and per-shard bus traces.
+void expect_engines_equal(const engine& a, const engine& b) {
+  EXPECT_EQ(a.now(), b.now());
+  test::expect_stats_equal(a.stats(), b.stats());
+  const engine_stats& ra = a.router_stats();
+  const engine_stats& rb = b.router_stats();
+  EXPECT_EQ(ra.rounds, rb.rounds);
+  EXPECT_EQ(ra.real_requests, rb.real_requests);
+  EXPECT_EQ(ra.pad_requests, rb.pad_requests);
+  EXPECT_EQ(ra.pad_hits, rb.pad_hits);
+  EXPECT_EQ(ra.pad_misses, rb.pad_misses);
+  EXPECT_EQ(ra.physical_accesses, rb.physical_accesses);
+  EXPECT_EQ(ra.coalesced_requests, rb.coalesced_requests);
+  EXPECT_EQ(a.round_log(), b.round_log());
+  ASSERT_EQ(a.shard_count(), b.shard_count());
+  for (std::uint32_t s = 0; s < a.shard_count(); ++s) {
+    const oram::access_trace* ta = a.shard_trace(s);
+    const oram::access_trace* tb = b.shard_trace(s);
+    ASSERT_NE(ta, nullptr);
+    ASSERT_NE(tb, nullptr);
+    ASSERT_EQ(ta->size(), tb->size()) << "shard " << s;
+    for (std::size_t i = 0; i < ta->size(); ++i) {
+      EXPECT_EQ(ta->events()[i].kind, tb->events()[i].kind)
+          << "shard " << s << " event " << i;
+      EXPECT_EQ(ta->events()[i].a, tb->events()[i].a);
+      EXPECT_EQ(ta->events()[i].b, tb->events()[i].b);
+    }
+  }
+}
+
+/// run(), submit() + drain() and — for an unpadded engine — one
+/// step_round() over the whole queue all execute a batch the same way:
+/// same results, counters, round log and bus traces, with and without
+/// coalescing, on one shard and on several.
+TEST(EngineCompat, EntryPointsAgree) {
+  util::pcg64 workload(test::seed(36));
+  std::vector<request> stream;
+  for (int i = 0; i < 300; ++i) {
+    request req;
+    req.op = util::bernoulli(workload, 0.4) ? oram::op_kind::write
+                                            : oram::op_kind::read;
+    // A hot set of 12 blocks: most requests share their block with
+    // another one, so coalescing merges plenty.
+    req.id = util::uniform_below(workload, 12);
+    if (req.op == oram::op_kind::write) {
+      req.write_data = tagged(static_cast<std::uint8_t>(i));
+    }
+    stream.push_back(std::move(req));
+  }
+
+  for (const std::uint32_t shards : {1u, 4u}) {
+    for (const bool coalescing : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << shards << " shards, coalescing "
+                                        << coalescing);
+      const auto build = [&] {
+        return engine_builder(shards, 37)
+            .coalescing(coalescing)
+            .trace(true)
+            .build();
+      };
+      client batch = build();
+      std::vector<request_result> batch_results;
+      batch.run(stream, &batch_results);
+
+      client queued = build();
+      queued.submit(stream);
+      std::vector<request_result> queued_results;
+      queued.drain(&queued_results);
+      EXPECT_EQ(queued.pending(), 0u);
+      expect_results_equal(batch_results, queued_results);
+      expect_engines_equal(batch.eng(), queued.eng());
+
+      if (shards == 1 && !coalescing) {
+        client stepped = build();
+        std::vector<std::uint64_t> tokens;
+        for (const request& req : stream) {
+          tokens.push_back(stepped.eng().submit(req));
+        }
+        std::map<std::uint64_t, request_result> by_token;
+        EXPECT_TRUE(stepped.eng().step_round(
+            [&](std::uint64_t token, request_result&& result) {
+              by_token.emplace(token, std::move(result));
+            }));
+        EXPECT_EQ(stepped.pending(), 0u);
+        std::vector<request_result> stepped_results;
+        for (const std::uint64_t token : tokens) {
+          stepped_results.push_back(by_token.at(token));
+        }
+        expect_results_equal(batch_results, stepped_results);
+        expect_engines_equal(batch.eng(), stepped.eng());
+      }
+    }
   }
 }
 
@@ -600,6 +706,27 @@ TEST(EngineScaling, FourShardsBeatOneOnBackloggedBatches) {
 
 // ------------------------------------------------------- backend names
 
+/// The names a parse diagnostic lists: the " | "-separated entries of
+/// its trailing parenthesised list.
+std::vector<std::string> listed_names(const std::string& message) {
+  std::vector<std::string> names;
+  const std::size_t open = message.rfind('(');
+  const std::size_t close = message.rfind(')');
+  if (open == std::string::npos || close == std::string::npos ||
+      close < open) {
+    return names;
+  }
+  const std::string list = message.substr(open + 1, close - open - 1);
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = list.find(" | ", begin);
+    names.push_back(list.substr(begin, end - begin));
+    if (end == std::string::npos) {
+      return names;
+    }
+    begin = end + 3;
+  }
+}
+
 TEST(BackendNames, CanonicalListRoundTrips) {
   const std::span<const std::string_view> names = backend_names();
   ASSERT_EQ(names.size(), std::size(all_backend_kinds));
@@ -611,8 +738,16 @@ TEST(BackendNames, CanonicalListRoundTrips) {
   // ORAM is not a backend, so its name must not select another one.
   EXPECT_EQ(backend_by_name("horam"), backend_kind::partitioned);
   EXPECT_EQ(backend_by_name("path-oram"), backend_kind::path);
-  EXPECT_THROW((void)backend_by_name("florb"), contract_error);
   EXPECT_THROW((void)backend_by_name("partition"), contract_error);
+  try {
+    (void)backend_by_name("florb");
+    FAIL() << "expected contract_error";
+  } catch (const contract_error& e) {
+    // The diagnostic lists exactly the canonical names.
+    EXPECT_EQ(listed_names(e.what()), std::vector<std::string>(
+                                          names.begin(), names.end()))
+        << e.what();
+  }
 }
 
 // -------------------------------------------------- builder diagnostics
@@ -641,6 +776,11 @@ TEST(EngineBuilder, NamesUnknownBackend) {
     FAIL() << "expected contract_error";
   } catch (const contract_error& e) {
     EXPECT_NE(std::string(e.what()).find("backend()"), std::string::npos)
+        << e.what();
+    // Every canonical name, and no retired one such as "partition".
+    const std::span<const std::string_view> names = backend_names();
+    EXPECT_EQ(listed_names(e.what()), std::vector<std::string>(
+                                          names.begin(), names.end()))
         << e.what();
   }
   // The named setter accepts every canonical name.

@@ -43,6 +43,18 @@ struct rig {
   }
 };
 
+/// A key with all 16 bytes drawn from `rng`.
+crypto::siphash_key random_key(util::pcg64& rng) {
+  crypto::siphash_key key{};
+  for (std::size_t i = 0; i < key.size(); i += 8) {
+    const std::uint64_t word = rng.next_u64();
+    for (std::size_t b = 0; b < 8; ++b) {
+      key[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
+    }
+  }
+  return key;
+}
+
 std::vector<std::uint8_t> tagged(block_id id) {
   std::vector<std::uint8_t> data(kPayload, 0);
   data[0] = static_cast<std::uint8_t>(id);
@@ -59,7 +71,7 @@ TEST(FeistelPrp, BijectionOverAwkwardDomains) {
   // handles the non-power-of-two sizes).
   for (const std::uint64_t domain : {1ull, 2ull, 3ull, 17ull, 64ull,
                                      100ull, 257ull, 1000ull}) {
-    const crypto::siphash_key key{rng.next_u64(), rng.next_u64()};
+    const crypto::siphash_key key = random_key(rng);
     feistel_prp prp(domain, key);
     std::set<std::uint64_t> seen;
     for (std::uint64_t rank = 0; rank < domain; ++rank) {
@@ -74,8 +86,8 @@ TEST(FeistelPrp, BijectionOverAwkwardDomains) {
 
 TEST(FeistelPrp, KeyedPermutationsDiffer) {
   util::pcg64 rng{test::seed(503)};
-  const crypto::siphash_key a{rng.next_u64(), rng.next_u64()};
-  const crypto::siphash_key b{rng.next_u64(), rng.next_u64()};
+  const crypto::siphash_key a = random_key(rng);
+  const crypto::siphash_key b = random_key(rng);
   feistel_prp prp_a(256, a);
   feistel_prp prp_b(256, b);
   std::uint64_t agreements = 0;
