@@ -171,8 +171,8 @@ int main(int argc, char** argv) {
            "device time over budget-bounded slices between rounds.\n"
            "b0 = burst / period_loads is the no-stall budget; below it "
            "the leftover is paid\nforeground at the next boundary "
-           "(Stall column). sqrt uses the default monolithic\njob "
-           "adapter (one slice = the whole burst), so its tail stays "
+           "(Stall column). sqrt's reshuffle job is a single\nunit "
+           "(one slice = the whole burst), so its tail stays "
            "at 1x by\nconstruction — the native stepped jobs "
            "(partitioned, path) are where the win is.\n"
            "(wrote BENCH_shuffle_overlap.json)\n";

@@ -336,8 +336,9 @@ void controller::run_shuffle_period() {
 
   // 2) Group-and-partition shuffle (§4.3.2) through the backend's job
   // entry point. shuffle_policy::incremental with a bounded budget
-  // defers the job to the slice pump; otherwise it runs to completion
-  // right here, which is what every backend's shuffle_period() does.
+  // defers the job to the slice pump unless it is already done (a hier
+  // period with nothing to merge); otherwise it runs to completion
+  // right here, which is what shuffle_period() does.
   const bool deferred = config_.shuffle == shuffle_policy::incremental &&
                         config_.shuffle_slice_budget > 0;
   std::vector<oram::evicted_block> overflow;
@@ -346,7 +347,7 @@ void controller::run_shuffle_period() {
       device_stats_ != nullptr ? *device_stats_ : sim::io_stats{};
   std::unique_ptr<shuffle_job> job =
       storage_->begin_shuffle(std::move(evicted), period_index_);
-  if (deferred) {
+  if (deferred && !job->done()) {
     shuffle_job_ = std::move(job);
   } else {
     sc = run_to_completion(*job, overflow);

@@ -1,82 +1,10 @@
 #include "core/oram_backend.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "util/contracts.h"
 
 namespace horam {
-
-namespace {
-
-/// Default begin_shuffle() adapter: holds the evicted set staged until
-/// the first step(), which runs the backend's monolithic
-/// shuffle_period() whole (the budget cannot split work the scheme
-/// exposes no slices of). Overflow blocks stay staged until finish()
-/// so the controller can serve them throughout.
-class monolithic_shuffle_job final : public shuffle_job {
- public:
-  monolithic_shuffle_job(oram_backend& owner,
-                         std::vector<oram::evicted_block> evicted,
-                         std::uint64_t period_index)
-      : owner_(owner), evicted_(std::move(evicted)), period_(period_index) {
-    for (std::size_t i = 0; i < evicted_.size(); ++i) {
-      staged_.emplace(evicted_[i].id, i);
-    }
-  }
-
-  shuffle_cost step(sim::sim_time /*device_budget*/) override {
-    expects(!ran_, "shuffle_job::step() after done()");
-    staged_.clear();
-    const shuffle_cost cost =
-        owner_.shuffle_period(std::move(evicted_), period_, overflow_);
-    evicted_.clear();
-    for (std::size_t i = 0; i < overflow_.size(); ++i) {
-      staged_.emplace(overflow_[i].id, i);
-    }
-    ran_ = true;
-    return cost;
-  }
-
-  [[nodiscard]] bool done() const noexcept override { return ran_; }
-
-  [[nodiscard]] bool holds(oram::block_id id) const override {
-    return staged_.contains(id);
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t>* staged(
-      oram::block_id id) override {
-    const auto it = staged_.find(id);
-    if (it == staged_.end()) {
-      return nullptr;
-    }
-    return ran_ ? &overflow_[it->second].payload
-                : &evicted_[it->second].payload;
-  }
-
-  void finish(std::vector<oram::evicted_block>& overflow_out) override {
-    expects(ran_, "shuffle_job::finish() before done()");
-    expects(!finished_, "shuffle_job::finish() called twice");
-    for (oram::evicted_block& block : overflow_) {
-      overflow_out.push_back(std::move(block));
-    }
-    overflow_.clear();
-    staged_.clear();
-    finished_ = true;
-  }
-
- private:
-  oram_backend& owner_;
-  std::vector<oram::evicted_block> evicted_;
-  std::uint64_t period_;
-  std::vector<oram::evicted_block> overflow_;
-  /// id -> index into evicted_ (before the run) / overflow_ (after).
-  std::unordered_map<oram::block_id, std::size_t> staged_;
-  bool ran_ = false;
-  bool finished_ = false;
-};
-
-}  // namespace
 
 shuffle_cost run_to_completion(
     shuffle_job& job, std::vector<oram::evicted_block>& overflow_out) {
@@ -88,10 +16,67 @@ shuffle_cost run_to_completion(
   return cost;
 }
 
-std::unique_ptr<shuffle_job> oram_backend::begin_shuffle(
-    std::vector<oram::evicted_block> evicted, std::uint64_t period_index) {
-  return std::make_unique<monolithic_shuffle_job>(*this, std::move(evicted),
-                                                  period_index);
+shuffle_cost staged_shuffle_job::step(sim::sim_time device_budget) {
+  expects(!done(), "shuffle_job::step() after done()");
+  shuffle_cost slice;
+  do {
+    run_unit(slice);
+  } while (!done() && (device_budget <= 0 || slice.total() < device_budget));
+  return slice;
+}
+
+bool staged_shuffle_job::holds(oram::block_id id) const {
+  return staging_.contains(id);
+}
+
+std::vector<std::uint8_t>* staged_shuffle_job::staged(oram::block_id id) {
+  const auto it = staging_.find(id);
+  return it == staging_.end() ? nullptr : &it->second;
+}
+
+void staged_shuffle_job::finish(
+    std::vector<oram::evicted_block>& overflow_out) {
+  expects(done(), "shuffle_job::finish() before done()");
+  expects(!finished_, "shuffle_job::finish() called twice");
+  for (const oram::block_id id : kept_) {
+    overflow_out.push_back(oram::evicted_block{id, unstage(id)});
+  }
+  invariant(staging_.empty(), "shuffle job finished with unplaced blocks");
+  finished_ = true;
+  on_finish();
+}
+
+void staged_shuffle_job::stage(oram::block_id id,
+                               std::vector<std::uint8_t> payload) {
+  const bool fresh = staging_.emplace(id, std::move(payload)).second;
+  invariant(fresh, "shuffle job staged the same block twice");
+}
+
+std::vector<std::uint8_t> staged_shuffle_job::unstage(oram::block_id id) {
+  const auto it = staging_.find(id);
+  invariant(it != staging_.end(), "shuffle job unstaged an absent block");
+  std::vector<std::uint8_t> payload = std::move(it->second);
+  staging_.erase(it);
+  return payload;
+}
+
+void staged_shuffle_job::keep(oram::block_id id) {
+  invariant(staging_.contains(id), "shuffle job kept an absent block");
+  kept_.push_back(id);
+}
+
+const std::vector<std::uint8_t>& staged_shuffle_job::payload_of(
+    oram::block_id id) const {
+  const auto it = staging_.find(id);
+  invariant(it != staging_.end(), "shuffle job has no such staged block");
+  return it->second;
+}
+
+shuffle_cost oram_backend::shuffle_period(
+    std::vector<oram::evicted_block> evicted, std::uint64_t period_index,
+    std::vector<oram::evicted_block>& overflow_out) {
+  return run_to_completion(*begin_shuffle(std::move(evicted), period_index),
+                           overflow_out);
 }
 
 }  // namespace horam

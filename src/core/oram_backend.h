@@ -15,20 +15,19 @@
 //     initialisation is not measured.
 //   * load_block(id) is only called while in_storage(id) is true; the
 //     block afterwards counts as cached (in_storage(id) == false) until
-//     a shuffle_period() re-places it.
+//     a shuffle period re-places it.
 //   * dummy_load() may opportunistically return a live block (prefetch);
 //     the controller installs whatever comes back into its cache tree.
-//   * shuffle_period() receives every cached block (tree eviction plus
-//     control-layer shelter). Blocks the scheme cannot place are handed
-//     back via `overflow_out` and return with the next period's batch.
-//   * begin_shuffle() is the deamortized form of the same contract: it
-//     returns a shuffle_job whose step()s run the period in bounded
-//     device-time slices between foreground rounds. Evicted blocks the
-//     job has not placed yet stay readable/writable through staged(),
-//     so the controller can keep serving them (covered by dummy path
-//     accesses) while the shuffle is in flight. Driving a fresh job to
-//     completion in one unbounded step is exactly shuffle_period(). The
-//     controller enters every period through begin_shuffle().
+//   * begin_shuffle() receives every cached block (tree eviction plus
+//     control-layer shelter) and returns a shuffle_job whose step()s
+//     run the shuffle period in bounded device-time slices between
+//     foreground rounds. Evicted blocks the job has not placed yet stay
+//     readable/writable through staged(), so the controller can keep
+//     serving them (covered by dummy path accesses) while the shuffle
+//     is in flight. Blocks the scheme cannot place are handed back by
+//     finish() and return with the next period's batch. The controller
+//     enters every period here; shuffle_period() is the same job run
+//     to completion.
 //   * check_consistency() performs a deep audit of the control-layer
 //     bookkeeping and throws util::contract_error on the first
 //     inconsistency (tests call it after stress runs).
@@ -38,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "oram/common/types.h"
@@ -116,10 +116,53 @@ class shuffle_job {
 };
 
 /// Drives `job` to completion in unbounded steps, then finishes it into
-/// `overflow_out`; returns the summed cost. This is what every
-/// shuffle_period() built on begin_shuffle() runs.
+/// `overflow_out`; returns the summed cost. This is what
+/// oram_backend::shuffle_period() runs.
 shuffle_cost run_to_completion(shuffle_job& job,
                                std::vector<oram::evicted_block>& overflow_out);
+
+/// The shuffle period every built-in backend runs (§4.3): the evicted
+/// hot set is staged in trusted memory — servable through holds() and
+/// staged() — until the backend places each block (unstage) or marks it
+/// for hand-back (keep). A backend supplies only its work units and
+/// done(); this base owns the staging map, the budget loop and the
+/// lifecycle checks, so every job honours the contract the same way.
+class staged_shuffle_job : public shuffle_job {
+ public:
+  /// Runs run_unit() until done() or until the slice has spent
+  /// `device_budget` (<= 0: until done()).
+  shuffle_cost step(sim::sim_time device_budget) final;
+  [[nodiscard]] bool holds(oram::block_id id) const final;
+  [[nodiscard]] std::vector<std::uint8_t>* staged(oram::block_id id) final;
+  /// Hands back the kept blocks in keep() order; every other block must
+  /// have been placed. Then runs on_finish().
+  void finish(std::vector<oram::evicted_block>& overflow_out) final;
+
+ protected:
+  /// Advances one indivisible unit of work, adding its cost to `slice`.
+  /// Only called while !done().
+  virtual void run_unit(shuffle_cost& slice) = 0;
+  /// Backend bookkeeping once the period completes.
+  virtual void on_finish() {}
+
+  /// Takes `payload` as the live copy of `id` until unstaged.
+  void stage(oram::block_id id, std::vector<std::uint8_t> payload);
+  /// Removes `id` (which must be staged) and returns its payload.
+  std::vector<std::uint8_t> unstage(oram::block_id id);
+  /// Marks staged `id` as unplaceable: finish() hands it back.
+  void keep(oram::block_id id);
+  /// The payload of staged `id`.
+  [[nodiscard]] const std::vector<std::uint8_t>& payload_of(
+      oram::block_id id) const;
+  [[nodiscard]] std::size_t staged_count() const noexcept {
+    return staging_.size();
+  }
+
+ private:
+  std::unordered_map<oram::block_id, std::vector<std::uint8_t>> staging_;
+  std::vector<oram::block_id> kept_;
+  bool finished_ = false;
+};
 
 class oram_backend {
  public:
@@ -147,24 +190,19 @@ class oram_backend {
   /// becomes cached (prefetch).
   virtual load_result dummy_load() = 0;
 
-  /// Runs one shuffle period: folds `evicted` (the controller's whole
-  /// hot set) back into the layout and re-randomises whatever the scheme
-  /// re-randomises. Blocks that cannot be placed go to `overflow_out`.
+  /// Begins one shuffle period as a job (see shuffle_job): folds
+  /// `evicted` (the controller's whole hot set) back into the layout
+  /// and re-randomises whatever the scheme re-randomises.
+  [[nodiscard]] virtual std::unique_ptr<shuffle_job> begin_shuffle(
+      std::vector<oram::evicted_block> evicted,
+      std::uint64_t period_index) = 0;
+
+  /// Runs the period begin_shuffle() would start, to completion; blocks
+  /// that cannot be placed go to `overflow_out`. Virtual only so a
+  /// wrapping backend can time it.
   virtual shuffle_cost shuffle_period(
       std::vector<oram::evicted_block> evicted, std::uint64_t period_index,
-      std::vector<oram::evicted_block>& overflow_out) = 0;
-
-  /// Begins the same period as an incremental job (see shuffle_job).
-  /// The default adapter wraps the monolithic shuffle_period(): one
-  /// step() does everything, whatever the budget — correct for every
-  /// scheme, deamortized for none; of the built-in backends only sqrt
-  /// runs it. Backends with a natural slice granularity (the
-  /// partitioned layer: partition at a time; the tree backends:
-  /// install/drain step at a time) override it; their shuffle_period()
-  /// is then the wrapper, so the two entry points stay bit-for-bit
-  /// interchangeable by construction.
-  [[nodiscard]] virtual std::unique_ptr<shuffle_job> begin_shuffle(
-      std::vector<oram::evicted_block> evicted, std::uint64_t period_index);
+      std::vector<oram::evicted_block>& overflow_out);
 
   [[nodiscard]] virtual const backend_stats& stats() const noexcept = 0;
 

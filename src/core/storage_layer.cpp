@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "util/contracts.h"
@@ -279,7 +278,8 @@ storage_layer::load_result storage_layer::dummy_load() {
 }
 
 storage_layer::shuffle_plan storage_layer::plan_shuffle(
-    std::vector<oram::evicted_block> evicted, std::uint64_t period_index) {
+    const std::vector<oram::evicted_block>& evicted,
+    std::uint64_t period_index) {
   trace(trace_, oram::event_kind::shuffle_begin, period_index);
 
   const std::uint64_t partitions = store_->geometry().partition_count;
@@ -301,22 +301,21 @@ storage_layer::shuffle_plan storage_layer::plan_shuffle(
   // room (rejection sampling; total capacity exceeds N, so placement
   // always succeeds for due partitions — segments can overflow).
   shuffle_plan plan;
-  plan.period_index = period_index;
   plan.hot.resize(partitions);
   std::vector<std::uint64_t> segment_fill(partitions, 0);
-  for (oram::evicted_block& block : evicted) {
+  for (const oram::evicted_block& block : evicted) {
     bool placed = false;
     for (int attempt = 0; attempt < 64 && !placed; ++attempt) {
       const std::uint64_t p = util::uniform_below(rng_, partitions);
       if (is_due(p)) {
         if (live[p] + plan.hot[p].size() < main_capacity) {
-          plan.hot[p].push_back(std::move(block));
+          plan.hot[p].push_back(block.id);
           placed = true;
         }
       } else if (segment_fill[p] < segment_capacity_ &&
                  pending_segments_[p] + 1 <= cadence) {
         ++segment_fill[p];
-        plan.hot[p].push_back(std::move(block));
+        plan.hot[p].push_back(block.id);
         placed = true;
       }
     }
@@ -324,28 +323,29 @@ storage_layer::shuffle_plan storage_layer::plan_shuffle(
       // Deterministic fallback: first due partition with room.
       for (std::uint64_t p = 0; p < partitions && !placed; ++p) {
         if (is_due(p) && live[p] + plan.hot[p].size() < main_capacity) {
-          plan.hot[p].push_back(std::move(block));
+          plan.hot[p].push_back(block.id);
           placed = true;
         }
       }
     }
     if (!placed) {
       ++stats_.overflow_blocks;
-      plan.overflow.push_back(std::move(block));
+      plan.overflow.push_back(block.id);
     }
   }
   return plan;
 }
 
-shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
-                                                   std::uint64_t p) {
+shuffle_cost storage_layer::shuffle_partition_step(
+    std::uint64_t p, std::uint64_t period_index,
+    std::span<const oram::evicted_block> hot,
+    std::vector<oram::evicted_block>& overflow_out) {
   shuffle_cost cost;
   const std::uint64_t main_capacity = store_->geometry().main_capacity;
   const std::size_t record_bytes = codec_.record_bytes();
   const std::uint32_t cadence = config_.shuffle_every_periods;
-  const bool due = cadence == 1 ||
-                   (p % cadence) == (plan.period_index % cadence);
-  std::vector<oram::evicted_block>& hot = plan.hot[p];
+  const bool due =
+      cadence == 1 || (p % cadence) == (period_index % cadence);
 
   if (!due) {
     // Append this period's segment (exact size; the assignment is
@@ -422,7 +422,7 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
   while (blocks.size() > main_capacity) {
     const staged& excess = blocks.back();
     locations_[excess.id] = location{residence::memory, 0, 0};
-    plan.overflow.push_back(oram::evicted_block{
+    overflow_out.push_back(oram::evicted_block{
         excess.id, std::vector<std::uint8_t>(excess.payload.begin(),
                                              excess.payload.end())});
     blocks.pop_back();
@@ -454,8 +454,6 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
     locations_[blocks[k].id] = location{
         residence::main_slot, static_cast<std::uint32_t>(p), index};
   }
-  // The hot share now lives in the partition; free its payloads.
-  hot.clear();
   cost.cpu += cpu_.crypto_time(main_capacity, record_bytes);
   cost.cpu += cpu_.word_ops_time(main_capacity);
 
@@ -481,114 +479,56 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
   return cost;
 }
 
-/// Incremental shuffle over the partitioned layout: whole partitions
-/// are the slice unit, processed strictly left to right (§4.3.2) until
-/// the device budget is spent. Hot blocks stay staged (and servable)
-/// until their partition lands.
-class partitioned_shuffle_job final : public shuffle_job {
+/// Shuffle job over the partitioned layout: whole partitions are the
+/// slice unit, processed strictly left to right (§4.3.2) until the
+/// device budget is spent. Hot blocks stay staged (and servable) until
+/// their partition lands; blocks no partition takes are kept.
+class partitioned_shuffle_job final : public staged_shuffle_job {
  public:
   partitioned_shuffle_job(storage_layer& owner,
                           std::vector<oram::evicted_block> evicted,
                           std::uint64_t period_index)
       : owner_(owner),
-        plan_(owner.plan_shuffle(std::move(evicted), period_index)) {
-    for (std::uint64_t p = 0; p < plan_.hot.size(); ++p) {
-      for (std::size_t k = 0; k < plan_.hot[p].size(); ++k) {
-        staged_.emplace(plan_.hot[p][k].id, staged_ref{p, k, false});
-      }
+        period_(period_index),
+        plan_(owner.plan_shuffle(evicted, period_index)) {
+    for (oram::evicted_block& block : evicted) {
+      stage(block.id, std::move(block.payload));
     }
-    for (std::size_t k = 0; k < plan_.overflow.size(); ++k) {
-      staged_.emplace(plan_.overflow[k].id, staged_ref{0, k, true});
+    for (const oram::block_id id : plan_.overflow) {
+      keep(id);
     }
-  }
-
-  shuffle_cost step(sim::sim_time device_budget) override {
-    expects(!done(), "shuffle_job::step() after done()");
-    shuffle_cost slice;
-    const std::uint64_t partitions = plan_.hot.size();
-    while (next_partition_ < partitions) {
-      const std::uint64_t p = next_partition_++;
-      // Snapshot this partition's hot ids before processing so the
-      // staging index can be reconciled afterwards (placed blocks drop
-      // out, merge excess moves to the overflow list).
-      ids_scratch_.clear();
-      for (const oram::evicted_block& block : plan_.hot[p]) {
-        ids_scratch_.push_back(block.id);
-      }
-      const std::size_t overflow_before = plan_.overflow.size();
-      slice += owner_.shuffle_partition_step(plan_, p);
-      for (const oram::block_id id : ids_scratch_) {
-        staged_.erase(id);
-      }
-      for (std::size_t k = overflow_before; k < plan_.overflow.size();
-           ++k) {
-        staged_[plan_.overflow[k].id] = staged_ref{0, k, true};
-      }
-      if (device_budget > 0 && slice.total() >= device_budget) {
-        break;
-      }
-    }
-    return slice;
   }
 
   [[nodiscard]] bool done() const noexcept override {
     return next_partition_ >= plan_.hot.size();
   }
 
-  [[nodiscard]] bool holds(oram::block_id id) const override {
-    return staged_.contains(id);
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t>* staged(
-      oram::block_id id) override {
-    const auto it = staged_.find(id);
-    if (it == staged_.end()) {
-      return nullptr;
-    }
-    const staged_ref& ref = it->second;
-    return ref.in_overflow ? &plan_.overflow[ref.index].payload
-                           : &plan_.hot[ref.partition][ref.index].payload;
-  }
-
-  void finish(std::vector<oram::evicted_block>& overflow_out) override {
-    expects(done(), "shuffle_job::finish() before done()");
-    expects(!finished_, "shuffle_job::finish() called twice");
-    for (oram::evicted_block& block : plan_.overflow) {
-      overflow_out.push_back(std::move(block));
-    }
-    plan_.overflow.clear();
-    staged_.clear();
-    finished_ = true;
-  }
-
  private:
-  /// Where a still-staged block lives: plan_.hot[partition][index], or
-  /// plan_.overflow[index] when in_overflow.
-  struct staged_ref {
-    std::uint64_t partition = 0;
-    std::size_t index = 0;
-    bool in_overflow = false;
-  };
+  void run_unit(shuffle_cost& slice) override {
+    const std::uint64_t p = next_partition_++;
+    std::vector<oram::evicted_block> hot;
+    hot.reserve(plan_.hot[p].size());
+    for (const oram::block_id id : plan_.hot[p]) {
+      hot.push_back(oram::evicted_block{id, unstage(id)});
+    }
+    std::vector<oram::evicted_block> excess;
+    slice += owner_.shuffle_partition_step(p, period_, hot, excess);
+    for (oram::evicted_block& block : excess) {
+      stage(block.id, std::move(block.payload));
+      keep(block.id);
+    }
+  }
 
   storage_layer& owner_;
+  std::uint64_t period_;
   storage_layer::shuffle_plan plan_;
-  std::unordered_map<oram::block_id, staged_ref> staged_;
-  std::vector<oram::block_id> ids_scratch_;
   std::uint64_t next_partition_ = 0;
-  bool finished_ = false;
 };
 
 std::unique_ptr<shuffle_job> storage_layer::begin_shuffle(
     std::vector<oram::evicted_block> evicted, std::uint64_t period_index) {
   return std::make_unique<partitioned_shuffle_job>(
       *this, std::move(evicted), period_index);
-}
-
-shuffle_cost storage_layer::shuffle_period(
-    std::vector<oram::evicted_block> evicted, std::uint64_t period_index,
-    std::vector<oram::evicted_block>& overflow_out) {
-  return run_to_completion(
-      *begin_shuffle(std::move(evicted), period_index), overflow_out);
 }
 
 std::uint64_t storage_layer::physical_bytes() const {

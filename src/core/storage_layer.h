@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -81,23 +82,14 @@ class storage_layer final : public oram_backend {
   /// becomes cached (prefetch).
   load_result dummy_load() override;
 
-  /// Runs one shuffle period: re-permutes due partitions merged with
-  /// their share of `evicted` hot blocks (plus any reinjected overflow)
-  /// and appends fixed-size segments to the rest. Blocks that cannot be
-  /// placed are moved to `overflow_out` (control-layer shelter).
-  /// Implemented as begin_shuffle() driven to completion in one
-  /// unbounded step, so the monolithic and incremental entry points
-  /// are interchangeable by construction.
-  shuffle_cost shuffle_period(
-      std::vector<oram::evicted_block> evicted, std::uint64_t period_index,
-      std::vector<oram::evicted_block>& overflow_out) override;
-
-  /// Native incremental shuffle: the hot set is assigned to partitions
-  /// up front, then each step() processes whole partitions — a due
-  /// partition's stream-in/merge/re-permute/stream-out, or a pending
-  /// partition's append segment — until the slice budget is spent.
-  /// Partition order and per-partition work are workload-independent
-  /// by construction (fixed physical sizes, left-to-right sweep).
+  /// Shuffle period as a job: the hot set (plus any reinjected
+  /// overflow) is assigned to partitions up front, then each step()
+  /// processes whole partitions — a due partition's stream-in/merge/
+  /// re-permute/stream-out, or a pending partition's append segment —
+  /// until the slice budget is spent. Partition order and per-partition
+  /// work are workload-independent by construction (fixed physical
+  /// sizes, left-to-right sweep). Blocks that cannot be placed are
+  /// handed back by finish() (control-layer shelter).
   [[nodiscard]] std::unique_ptr<shuffle_job> begin_shuffle(
       std::vector<oram::evicted_block> evicted,
       std::uint64_t period_index) override;
@@ -132,23 +124,24 @@ class storage_layer final : public oram_backend {
     std::uint32_t index = 0;  // main slot or append-region slot
   };
 
-  /// Planned period: the hot set dealt to its target partitions, plus
-  /// the blocks no partition could take.
+  /// Planned period: the hot set's ids dealt to their target
+  /// partitions, plus the ids no partition could take.
   struct shuffle_plan {
-    std::uint64_t period_index = 0;
-    std::vector<std::vector<oram::evicted_block>> hot;
-    std::vector<oram::evicted_block> overflow;
+    std::vector<std::vector<oram::block_id>> hot;
+    std::vector<oram::block_id> overflow;
   };
 
   /// Assigns `evicted` across partitions (uniform with rejection, then
-  /// a deterministic fallback) — the monolithic shuffle's planning
-  /// phase, shared with the incremental job.
-  shuffle_plan plan_shuffle(std::vector<oram::evicted_block> evicted,
+  /// a deterministic fallback): the job's planning phase.
+  shuffle_plan plan_shuffle(const std::vector<oram::evicted_block>& evicted,
                             std::uint64_t period_index);
-  /// Processes partition `p` of the plan: due partitions merge + re-
-  /// permute, pending ones take their append segment. Excess blocks go
-  /// to plan.overflow.
-  shuffle_cost shuffle_partition_step(shuffle_plan& plan, std::uint64_t p);
+  /// Processes partition `p` of period `period_index` with its hot
+  /// share `hot`: due partitions merge + re-permute, pending ones take
+  /// their append segment. Excess blocks go to `overflow_out`.
+  shuffle_cost shuffle_partition_step(
+      std::uint64_t p, std::uint64_t period_index,
+      std::span<const oram::evicted_block> hot,
+      std::vector<oram::evicted_block>& overflow_out);
 
   /// Local slot code: [0, main_capacity) = main region;
   /// [main_capacity, ...) = append region.

@@ -1,6 +1,5 @@
 #include "oram/common/tree_backend.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "util/contracts.h"
@@ -216,95 +215,74 @@ oram_backend::load_result tree_backend<Tree>::dummy_load() {
   return result;
 }
 
-/// Incremental shuffle over the tree layout: slice units are single
-/// stash re-installs, then single drain steps. Run back to back the
-/// units reproduce the monolithic period exactly; bounded budgets stop
-/// between any two units.
+/// Shuffle job over the tree layout: slice units are single stash
+/// re-installs, then single drain steps, so bounded budgets stop
+/// between any two units. Nothing is ever kept — the stash shelters
+/// whatever the drain cannot place.
 template <class Tree>
-class tree_backend<Tree>::drain_job final : public horam::shuffle_job {
+class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
  public:
   drain_job(tree_backend& owner, std::vector<evicted_block> evicted,
             std::uint64_t period_index)
-      : owner_(owner), evicted_(std::move(evicted)) {
+      : owner_(owner) {
     trace(owner_.trace_, event_kind::shuffle_begin, period_index);
-    for (std::size_t i = 0; i < evicted_.size(); ++i) {
-      expects(evicted_[i].id < owner_.config_.block_count,
+    order_.reserve(evicted.size());
+    for (evicted_block& block : evicted) {
+      expects(block.id < owner_.config_.block_count,
               "evicted id out of range");
-      staged_.emplace(evicted_[i].id, i);
+      order_.push_back(block.id);
+      stage(block.id, std::move(block.payload));
     }
     // Drain burst length: a function of the (public) eviction size
     // only, with a bounded conditional tail so a stubborn stash still
     // drains; whatever remains stays sheltered in the stash.
     const std::uint64_t z = tree_traits<Tree>::real_slots(owner_.config_);
     drain_budget_ = owner_.tree_->level_count() +
-                    2 * util::ceil_div(evicted_.size(), z);
+                    2 * util::ceil_div(order_.size(), z);
     drain_floor_ = 2 * z;
     extra_ = 4 * drain_budget_ + 64;
     owner_.last_drain_steps_ = 0;
   }
 
-  horam::shuffle_cost step(sim::sim_time device_budget) override {
-    expects(!done(), "shuffle_job::step() after done()");
-    horam::shuffle_cost slice;
-    while (!done()) {
-      if (next_install_ < evicted_.size()) {
-        install_one(slice);
-      } else if (drains_done_ < drain_budget_) {
-        ++drains_done_;
-        drain_once(slice);
-      } else if (owner_.tree_->stash_ref().size() > drain_floor_ &&
-                 extra_ > 0) {
-        --extra_;
-        drain_once(slice);
-      }
-      if (device_budget > 0 && slice.total() >= device_budget) {
-        break;
-      }
-    }
-    return slice;
-  }
-
   [[nodiscard]] bool done() const noexcept override {
-    return next_install_ >= evicted_.size() &&
+    return next_install_ >= order_.size() &&
            drains_done_ >= drain_budget_ &&
            (owner_.tree_->stash_ref().size() <= drain_floor_ ||
             extra_ == 0);
   }
 
-  [[nodiscard]] bool holds(block_id id) const override {
-    return staged_.contains(id);
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t>* staged(block_id id) override {
-    const auto it = staged_.find(id);
-    return it == staged_.end() ? nullptr : &evicted_[it->second].payload;
-  }
-
-  void finish(std::vector<evicted_block>& overflow_out) override {
-    static_cast<void>(overflow_out);  // the stash shelters; no overflow
-    expects(done(), "shuffle_job::finish() before done()");
-    expects(!finished_, "shuffle_job::finish() called twice");
-    ++owner_.stats_.partitions_shuffled;  // the one tree counts as one
-    finished_ = true;
-  }
-
  private:
+  void run_unit(horam::shuffle_cost& slice) override {
+    if (next_install_ < order_.size()) {
+      install_one(slice);
+    } else if (drains_done_ < drain_budget_) {
+      ++drains_done_;
+      drain_once(slice);
+    } else {
+      --extra_;
+      drain_once(slice);
+    }
+  }
+
+  void on_finish() override {
+    ++owner_.stats_.partitions_shuffled;  // the one tree counts as one
+  }
+
   /// Folds the next hot block back in: fresh uniform leaf, recorded in
   /// the recursive map and handed to the tree's stash.
   void install_one(horam::shuffle_cost& cost) {
-    evicted_block& block = evicted_[next_install_++];
-    invariant(owner_.cached_[block.id] != 0,
+    const block_id id = order_[next_install_++];
+    invariant(owner_.cached_[id] != 0,
               "evicted block the bitmap says is on storage");
+    const std::vector<std::uint8_t> payload = unstage(id);
     const leaf_id leaf =
         util::uniform_below(owner_.rng_, owner_.tree_->config().leaf_count);
-    const cost_split assign_cost = owner_.map_->assign(block.id, leaf);
-    const cost_split install_cost =
-        owner_.tree_->install(block.id, block.payload, leaf);
+    const cost_split assign_cost = owner_.map_->assign(id, leaf);
+    const cost_split install_cost = owner_.tree_->install(id, payload, leaf);
     cost.memory += assign_cost.memory + install_cost.memory;
     cost.cpu += assign_cost.cpu + install_cost.cpu;
-    owner_.cached_[block.id] = 0;
+    owner_.cached_[id] = 0;
     --owner_.cached_count_;
-    staged_.erase(block.id);
   }
 
   void drain_once(horam::shuffle_cost& cost) {
@@ -317,14 +295,12 @@ class tree_backend<Tree>::drain_job final : public horam::shuffle_job {
   }
 
   tree_backend& owner_;
-  std::vector<evicted_block> evicted_;
-  std::unordered_map<block_id, std::size_t> staged_;
+  std::vector<block_id> order_;  // install order (the eviction order)
   std::size_t next_install_ = 0;
   std::uint64_t drain_budget_ = 0;
   std::uint64_t drain_floor_ = 0;
   std::uint64_t drains_done_ = 0;
   std::uint64_t extra_ = 0;
-  bool finished_ = false;
 };
 
 template <class Tree>
@@ -332,14 +308,6 @@ std::unique_ptr<horam::shuffle_job> tree_backend<Tree>::begin_shuffle(
     std::vector<evicted_block> evicted, std::uint64_t period_index) {
   return std::make_unique<drain_job>(*this, std::move(evicted),
                                      period_index);
-}
-
-template <class Tree>
-horam::shuffle_cost tree_backend<Tree>::shuffle_period(
-    std::vector<evicted_block> evicted, std::uint64_t period_index,
-    std::vector<evicted_block>& overflow_out) {
-  return horam::run_to_completion(
-      *begin_shuffle(std::move(evicted), period_index), overflow_out);
 }
 
 template <class Tree>

@@ -76,14 +76,7 @@ class tree_backend final : public horam::oram_backend {
   [[nodiscard]] bool in_storage(block_id id) const override;
   load_result load_block(block_id id) override;
   load_result dummy_load() override;
-  /// begin_shuffle() driven to completion (run_to_completion), so the
-  /// monolithic and incremental entry points are interchangeable by
-  /// construction.
-  horam::shuffle_cost shuffle_period(
-      std::vector<evicted_block> evicted, std::uint64_t period_index,
-      std::vector<evicted_block>& overflow_out) override;
-
-  /// Native incremental shuffle: the slice units are single stash
+  /// Shuffle period as a job: the slice units are single stash
   /// re-installs (fresh uniform leaf + map assign) followed by single
   /// drain steps, so the deamortized pipeline can stop after any unit.
   /// Nothing is ever handed back — the stash is the scheme's trusted

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -283,9 +282,8 @@ oram_backend::load_result hier_backend::dummy_load() {
 /// fresh permutation. Slice units are single chunked range transfers
 /// (first streaming reads of the sources, then streaming writes of the
 /// composed target), so bounded budgets stop between any two chunks;
-/// blocks the job holds stay readable/writable through staged() until
-/// their chunk lands.
-class hier_shuffle_job final : public horam::shuffle_job {
+/// blocks the job holds stay staged until their chunk lands.
+class hier_shuffle_job final : public horam::staged_shuffle_job {
  public:
   hier_shuffle_job(hier_backend& owner, std::vector<evicted_block> evicted,
                    std::uint64_t period_index)
@@ -299,9 +297,7 @@ class hier_shuffle_job final : public horam::shuffle_job {
               "evicted id out of range");
       invariant(owner_.index_.level_of(block.id) == 0,
                 "evicted block the index says is on storage");
-      const bool fresh =
-          staged_.emplace(block.id, std::move(block.payload)).second;
-      invariant(fresh, "duplicate block in the evicted set");
+      stage(block.id, std::move(block.payload));
       order_.push_back(block.id);
     }
 
@@ -338,7 +334,7 @@ class hier_shuffle_job final : public horam::shuffle_job {
       }
     }
     if (sources_.empty()) {
-      if (staged_.empty()) {
+      if (staged_count() == 0) {
         skip_ = true;  // nothing anywhere: leave the layout untouched
       } else {
         begin_write();
@@ -346,45 +342,25 @@ class hier_shuffle_job final : public horam::shuffle_job {
     }
   }
 
-  horam::shuffle_cost step(sim::sim_time device_budget) override {
-    expects(!done(), "shuffle_job::step() after done()");
-    horam::shuffle_cost slice;
-    while (!done()) {
-      if (src_index_ < sources_.size()) {
-        read_unit(slice);
-      } else {
-        write_unit(slice);
-      }
-      if (device_budget > 0 && slice.total() >= device_budget) {
-        break;
-      }
-    }
-    return slice;
-  }
-
   [[nodiscard]] bool done() const noexcept override {
     return skip_ || write_done_;
   }
 
-  [[nodiscard]] bool holds(block_id id) const override {
-    return staged_.contains(id);
+ private:
+  void run_unit(horam::shuffle_cost& slice) override {
+    if (src_index_ < sources_.size()) {
+      read_unit(slice);
+    } else {
+      write_unit(slice);
+    }
   }
 
-  [[nodiscard]] std::vector<std::uint8_t>* staged(block_id id) override {
-    const auto it = staged_.find(id);
-    return it == staged_.end() ? nullptr : &it->second;
-  }
-
-  void finish(std::vector<evicted_block>& overflow_out) override {
-    static_cast<void>(overflow_out);  // capacity is guaranteed; no overflow
-    expects(done(), "shuffle_job::finish() before done()");
-    expects(!finished_, "shuffle_job::finish() called twice");
+  // Capacity is guaranteed, so nothing is ever kept.
+  void on_finish() override {
     owner_.merge_in_flight_ = false;
     ++owner_.stats_.partitions_shuffled;
-    finished_ = true;
   }
 
- private:
   /// Streams the next chunk of the current source level into the
   /// staging area; deactivates the level once drained.
   void read_unit(horam::shuffle_cost& cost) {
@@ -411,13 +387,8 @@ class hier_shuffle_job final : public horam::shuffle_job {
           owner_.index_.slot_of(id) != slot) {
         continue;  // dummy or stale copy
       }
-      const bool fresh =
-          staged_
-              .emplace(id, std::vector<std::uint8_t>(
-                               owner_.payload_scratch_.begin(),
-                               owner_.payload_scratch_.end()))
-              .second;
-      invariant(fresh, "merge staged the same block twice");
+      stage(id, std::vector<std::uint8_t>(owner_.payload_scratch_.begin(),
+                                          owner_.payload_scratch_.end()));
       order_.push_back(id);
       owner_.index_.clear(id);
       ++owner_.cached_count_;
@@ -468,7 +439,7 @@ class hier_shuffle_job final : public horam::shuffle_job {
       const std::span<std::uint8_t> out =
           std::span(owner_.level_buf_).subspan(j * rec, rec);
       if (rank < order_.size()) {
-        owner_.codec_.encode(order_[rank], staged_.at(order_[rank]), out);
+        owner_.codec_.encode(order_[rank], payload_of(order_[rank]), out);
       } else {
         owner_.codec_.encode_dummy(out);
       }
@@ -488,7 +459,7 @@ class hier_shuffle_job final : public horam::shuffle_job {
       }
       const block_id id = order_[rank];
       owner_.index_.place(id, target_, slot);
-      staged_.erase(id);
+      unstage(id);
       ++lvl.live;
       ++placed_;
       invariant(owner_.cached_count_ > 0, "cached count underflow");
@@ -498,7 +469,6 @@ class hier_shuffle_job final : public horam::shuffle_job {
                 owner_.cpu_.word_ops_time(2 * n);
     write_cursor_ += n;
     if (write_cursor_ == lvl.slot_count) {
-      invariant(staged_.empty(), "merge finished with unplaced blocks");
       // Compare against the job's own placement count, not lvl.live:
       // online loads may re-extract already-landed blocks while later
       // chunks are still being written, legitimately shrinking live.
@@ -509,7 +479,6 @@ class hier_shuffle_job final : public horam::shuffle_job {
   }
 
   hier_backend& owner_;
-  std::unordered_map<block_id, std::vector<std::uint8_t>> staged_;
   std::vector<block_id> order_;  // rank assignment of the new epoch
   std::vector<std::size_t> sources_;
   std::uint32_t target_ = 1;
@@ -519,20 +488,12 @@ class hier_shuffle_job final : public horam::shuffle_job {
   std::uint64_t placed_ = 0;
   bool skip_ = false;
   bool write_done_ = false;
-  bool finished_ = false;
 };
 
 std::unique_ptr<horam::shuffle_job> hier_backend::begin_shuffle(
     std::vector<evicted_block> evicted, std::uint64_t period_index) {
   return std::make_unique<hier_shuffle_job>(*this, std::move(evicted),
                                             period_index);
-}
-
-horam::shuffle_cost hier_backend::shuffle_period(
-    std::vector<evicted_block> evicted, std::uint64_t period_index,
-    std::vector<evicted_block>& overflow_out) {
-  return horam::run_to_completion(
-      *begin_shuffle(std::move(evicted), period_index), overflow_out);
 }
 
 std::uint32_t hier_backend::active_levels() const noexcept {

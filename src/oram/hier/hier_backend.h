@@ -74,14 +74,7 @@ class hier_backend final : public horam::oram_backend {
   [[nodiscard]] bool in_storage(block_id id) const override;
   load_result load_block(block_id id) override;
   load_result dummy_load() override;
-  /// Implemented as begin_shuffle() driven to completion in one
-  /// unbounded step, so the monolithic and incremental entry points
-  /// are interchangeable by construction.
-  horam::shuffle_cost shuffle_period(
-      std::vector<evicted_block> evicted, std::uint64_t period_index,
-      std::vector<evicted_block>& overflow_out) override;
-
-  /// Native incremental shuffle: slice units are chunked range reads of
+  /// Shuffle period as a job: slice units are chunked range reads of
   /// the source levels and chunked range writes of the rebuilt target,
   /// each one batched transfer. Merged blocks stay readable/writable
   /// through staged() until their chunk lands; nothing is ever handed

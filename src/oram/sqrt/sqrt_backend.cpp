@@ -1,6 +1,7 @@
 #include "oram/sqrt/sqrt_backend.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/contracts.h"
 #include "util/math.h"
@@ -122,10 +123,47 @@ oram_backend::load_result sqrt_backend::dummy_load() {
   return result;
 }
 
-horam::shuffle_cost sqrt_backend::shuffle_period(
-    std::vector<evicted_block> evicted, std::uint64_t period_index,
-    std::vector<evicted_block>& overflow_out) {
-  static_cast<void>(overflow_out);  // every block keeps a slot: no overflow
+/// One-unit shuffle job: the hot set stays staged (and servable) until
+/// the single step runs reshuffle().
+class sqrt_backend::reshuffle_job final : public horam::staged_shuffle_job {
+ public:
+  reshuffle_job(sqrt_backend& owner, std::vector<evicted_block> evicted,
+                std::uint64_t period_index)
+      : owner_(owner), period_(period_index) {
+    order_.reserve(evicted.size());
+    for (evicted_block& block : evicted) {
+      order_.push_back(block.id);
+      stage(block.id, std::move(block.payload));
+    }
+  }
+
+  [[nodiscard]] bool done() const noexcept override { return ran_; }
+
+ private:
+  void run_unit(horam::shuffle_cost& slice) override {
+    std::vector<evicted_block> evicted;
+    evicted.reserve(order_.size());
+    for (const block_id id : order_) {
+      evicted.push_back(evicted_block{id, unstage(id)});
+    }
+    slice += owner_.reshuffle(evicted, period_);
+    ran_ = true;
+  }
+
+  sqrt_backend& owner_;
+  std::uint64_t period_;
+  std::vector<block_id> order_;  // fold-back order (the eviction order)
+  bool ran_ = false;
+};
+
+std::unique_ptr<horam::shuffle_job> sqrt_backend::begin_shuffle(
+    std::vector<evicted_block> evicted, std::uint64_t period_index) {
+  return std::make_unique<reshuffle_job>(*this, std::move(evicted),
+                                         period_index);
+}
+
+horam::shuffle_cost sqrt_backend::reshuffle(
+    const std::vector<evicted_block>& evicted, std::uint64_t period_index) {
   horam::shuffle_cost cost;
   trace(trace_, event_kind::shuffle_begin, period_index);
 

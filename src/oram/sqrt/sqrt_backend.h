@@ -55,9 +55,12 @@ class sqrt_backend final : public horam::oram_backend {
   [[nodiscard]] bool in_storage(block_id id) const override;
   load_result load_block(block_id id) override;
   load_result dummy_load() override;
-  horam::shuffle_cost shuffle_period(
-      std::vector<evicted_block> evicted, std::uint64_t period_index,
-      std::vector<evicted_block>& overflow_out) override;
+  /// Shuffle period as a one-unit job (the Melbourne passes expose no
+  /// slices): the hot set stays staged until the single step() runs
+  /// reshuffle(). Every block keeps a slot, so nothing is handed back.
+  [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
+      std::vector<evicted_block> evicted,
+      std::uint64_t period_index) override;
   [[nodiscard]] const horam::backend_stats& stats() const noexcept override {
     return stats_;
   }
@@ -73,6 +76,8 @@ class sqrt_backend final : public horam::oram_backend {
   }
 
  private:
+  class reshuffle_job;
+
   [[nodiscard]] const storage::block_store& active() const noexcept {
     return active_is_a_ ? *array_a_ : *array_b_;
   }
@@ -81,6 +86,10 @@ class sqrt_backend final : public horam::oram_backend {
   }
   /// Reads + decodes one physical slot of the active array.
   cost_split read_slot(std::uint64_t slot, block_id& decoded_out);
+  /// Folds `evicted` into the array and Melbourne-reshuffles it: the
+  /// whole period, run by the job's one step.
+  horam::shuffle_cost reshuffle(const std::vector<evicted_block>& evicted,
+                                std::uint64_t period_index);
 
   horam_config config_;
   block_codec codec_;

@@ -272,7 +272,7 @@ TEST_P(IncrementalBounded, StagedBlocksStayCoherent) {
     // many slices.
     EXPECT_GT(stats.shuffle_slices, stats.periods);
   } else {
-    // Default monolithic adapter: exactly one (full-size) slice per
+    // sqrt's one-unit reshuffle job: exactly one (full-size) slice per
     // deferred period — correct, just not deamortized.
     EXPECT_EQ(stats.shuffle_slices, stats.periods);
   }
@@ -325,12 +325,11 @@ TEST(IncrementalBounded, ShardsShuffleWhileSiblingsServe) {
   EXPECT_GT(total.shuffle_slices, 0u);
 }
 
-/// Contract test of the default monolithic adapter, driven directly
-/// (through the controller its single slice completes within the
-/// creating cycle, so the staging accessors only matter to direct
-/// callers): staged blocks are visible and write-through before the
-/// step, the lifecycle expects() fire, and the write lands on storage.
-TEST(IncrementalBounded, DefaultAdapterStagesAndWritesThrough) {
+/// Contract test of every backend's shuffle job, driven directly:
+/// staged blocks are visible and write-through before they are placed,
+/// the lifecycle expects() fire, and the write lands on storage.
+TEST_P(IncrementalBounded, JobStagesAndWritesThrough) {
+  const backend_kind kind = GetParam();
   sim::block_device device{sim::hdd_paper()};
   sim::cpu_model cpu{sim::cpu_aesni()};
   util::pcg64 rng{test::seed(72)};
@@ -339,8 +338,7 @@ TEST(IncrementalBounded, DefaultAdapterStagesAndWritesThrough) {
   config.memory_blocks = kMemoryBlocks;
   config.payload_bytes = kPayload;
   std::unique_ptr<oram_backend> backend =
-      make_backend(backend_kind::sqrt, config, device, cpu, rng, nullptr,
-                   nullptr);
+      make_backend(kind, config, device, cpu, rng, nullptr, nullptr);
 
   // Pull two blocks into the "cache" so they become the hot set.
   std::vector<oram::evicted_block> evicted;
@@ -361,16 +359,23 @@ TEST(IncrementalBounded, DefaultAdapterStagesAndWritesThrough) {
   staged->assign(kPayload, 0xEE);  // write-through into the job
 
   EXPECT_THROW(job->finish(evicted), contract_error);  // before done()
-  const shuffle_cost cost = job->step(1);  // monolithic: one full slice
+  shuffle_cost cost;
+  std::uint64_t steps = 0;
+  while (!job->done()) {
+    cost += job->step(1);
+    ++steps;
+  }
   EXPECT_GT(cost.total(), 0);
-  EXPECT_TRUE(job->done());
+  if (kind == backend_kind::sqrt) {
+    EXPECT_EQ(steps, 1u);  // one unit: the whole reshuffle
+  }
   EXPECT_EQ(job->staged(9), nullptr);  // placed back on storage
   EXPECT_FALSE(job->holds(3));
   EXPECT_THROW((void)job->step(1), contract_error);  // after done()
 
   std::vector<oram::evicted_block> overflow;
   job->finish(overflow);
-  EXPECT_TRUE(overflow.empty());  // sqrt never overflows
+  EXPECT_TRUE(overflow.empty());
   EXPECT_THROW(job->finish(overflow), contract_error);  // twice
 
   // The staged write survived the shuffle.
@@ -378,6 +383,29 @@ TEST(IncrementalBounded, DefaultAdapterStagesAndWritesThrough) {
   const oram_backend::load_result back = backend->load_block(9);
   EXPECT_EQ(back.payload, std::vector<std::uint8_t>(kPayload, 0xEE));
   backend->check_consistency();
+}
+
+/// Regression: a hier period whose hot set is empty (every read hit the
+/// previous job's staging) right after a cascade emptied level 1 makes
+/// a job that is done on creation. The controller must finish it inline
+/// rather than hand it to the slice pump, whose step() rejects it.
+TEST(IncrementalBounded, JobDoneAtCreationFinishesInline) {
+  client oram = client_builder()
+                    .blocks(4096)
+                    .memory_blocks(64)
+                    .payload_bytes(32)
+                    .backend(backend_kind::hier)
+                    .shuffle(shuffle_policy::incremental)
+                    .shuffle_slice_budget(1)
+                    .seal(true)
+                    .seed(7)
+                    .build();
+  const std::vector<std::uint8_t> data(32, 0xA5);
+  oram.write(5, data);
+  while (oram.stats().periods < 80) {
+    ASSERT_EQ(oram.read(5), data) << "period " << oram.stats().periods;
+  }
+  oram.backend().check_consistency();
 }
 
 // ---------------------- stats plumbing: merge / aggregate / reset
