@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks of the substrates: cipher, PRF,
-// sealing, RNG, Fenwick sampling, shuffle kernels, Path ORAM access.
+// sealing, the hier Feistel permutation, RNG, Fenwick sampling, shuffle
+// kernels, Path ORAM access.
 // These measure host performance of the library code itself (the other
 // harnesses report virtual time).
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
 #include "oram/common/bucket_codec.h"
+#include "oram/hier/feistel_prp.h"
 #include "oram/path/path_oram.h"
 #include "shuffle/bitonic.h"
 #include "shuffle/fisher_yates.h"
@@ -214,6 +216,68 @@ void bm_codec_records_z4_256(benchmark::State& state) {
   state.SetLabel(kernel_label());
 }
 BENCHMARK(bm_codec_records_z4_256);
+
+// N sealed records of the benchmark's shape (8-B id + 256-B payload)
+// per call, the way the per-slot backends move a chunk: encode_plain()
+// per record and one seal_many(), then one decode_many() of the list.
+// Items are records, so /1 against /512 is the batching gain per
+// record.
+void bm_record_seal_open(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  oram::block_codec codec(256, /*seal=*/true, 1);
+  const std::vector<std::uint8_t> payload(256, 0x11);
+  std::vector<std::uint8_t> image(count * codec.record_bytes());
+  std::vector<std::span<std::uint8_t>> records;
+  std::vector<std::span<const std::uint8_t>> sealed;
+  for (std::size_t i = 0; i < count; ++i) {
+    records.push_back(std::span<std::uint8_t>(image).subspan(
+        i * codec.record_bytes(), codec.record_bytes()));
+    sealed.push_back(records.back());
+  }
+  std::vector<oram::block_id> ids(count);
+  std::vector<std::uint8_t> out(count * 256);
+  oram::block_id id = 0;
+  for (auto _ : state) {
+    for (const std::span<std::uint8_t> record : records) {
+      codec.encode_plain(id++, payload, record);
+    }
+    codec.seal_many(records);
+    codec.decode_many(sealed, ids, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * count));
+  state.SetLabel(kernel_label());
+}
+BENCHMARK(bm_record_seal_open)->Arg(1)->Arg(16)->Arg(512);
+
+// The hier rebuild's slot -> rank map over N consecutive slots of a
+// 20,736-slot level: inverse_many() for N = 512 (a merge chunk), the
+// scalar inverse() for N = 1. Items are slots.
+void bm_feistel_inverse(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t domain = 20736;
+  crypto::siphash_key key{};
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i * 29 + 5);
+  }
+  const oram::feistel_prp prp(domain, key);
+  std::vector<std::uint64_t> ranks(count);
+  std::uint64_t first = 0;
+  for (auto _ : state) {
+    if (count == 1) {
+      ranks[0] = prp.inverse(first);
+    } else {
+      prp.inverse_many(first, ranks);
+    }
+    benchmark::DoNotOptimize(ranks.data());
+    first = (first + count) % (domain - count + 1);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * count));
+}
+BENCHMARK(bm_feistel_inverse)->Arg(1)->Arg(512);
 
 void bm_pcg64(benchmark::State& state) {
   util::pcg64 rng(1);

@@ -14,6 +14,11 @@ namespace {
 constexpr std::uint32_t no_pool_position =
     std::numeric_limits<std::uint32_t>::max();
 
+/// Survivor records a due partition opens per decode_many() call: wide
+/// enough to fill the SIMD lanes, small enough to bound the codec's
+/// scratch.
+constexpr std::size_t open_batch_records = 64;
+
 }  // namespace
 
 storage_layer::storage_layer(
@@ -92,24 +97,26 @@ storage_layer::storage_layer(
       slot_block[slots[k]] = id;
     }
     cursor += count;
+    seal_spans_.clear();
     for (std::uint64_t i = 0; i < main_capacity; ++i) {
-      const std::span<std::uint8_t> record(
-          image.data() + i * codec_.record_bytes(), codec_.record_bytes());
+      seal_spans_.push_back(std::span<std::uint8_t>(
+          image.data() + i * codec_.record_bytes(), codec_.record_bytes()));
       const oram::block_id id = slot_block[i];
       if (id == oram::dummy_block_id) {
-        codec_.encode_dummy(record);
+        codec_.encode_plain(oram::dummy_block_id, {}, seal_spans_.back());
         continue;
       }
       std::fill(payload.begin(), payload.end(), 0);
       if (filler != nullptr) {
         (*filler)(id, payload);
       }
-      codec_.encode(id, payload, record);
+      codec_.encode_plain(id, payload, seal_spans_.back());
       contents_[p][i] = id;
       locations_[id] = location{residence::main_slot,
                                 static_cast<std::uint32_t>(p),
                                 static_cast<std::uint32_t>(i)};
     }
+    codec_.seal_many(seal_spans_);
     store_->write_partition(p, image);
     for (std::uint32_t i = 0; i < main_capacity; ++i) {
       pool_insert(p, i);
@@ -355,10 +362,11 @@ shuffle_cost storage_layer::shuffle_partition_step(
     }
     const std::uint64_t base = store_->appended_count(p);
     std::vector<std::uint8_t> segment(hot.size() * record_bytes);
+    seal_spans_.clear();
     for (std::uint64_t k = 0; k < hot.size(); ++k) {
-      codec_.encode(hot[k].id, hot[k].payload,
-                    std::span<std::uint8_t>(
-                        segment.data() + k * record_bytes, record_bytes));
+      seal_spans_.push_back(std::span<std::uint8_t>(
+          segment.data() + k * record_bytes, record_bytes));
+      codec_.encode_plain(hot[k].id, hot[k].payload, seal_spans_.back());
       const std::uint32_t append_index =
           static_cast<std::uint32_t>(base + k);
       locations_[hot[k].id] =
@@ -372,6 +380,7 @@ shuffle_cost storage_layer::shuffle_partition_step(
       }
       pool_insert(p, code);
     }
+    codec_.seal_many(seal_spans_);
     cost.io_write += store_->append(p, segment);
     cost.cpu += cpu_.crypto_time(hot.size(), record_bytes);
     ++pending_segments_[p];
@@ -392,26 +401,42 @@ shuffle_cost storage_layer::shuffle_partition_step(
         p * store_->geometry().slots_per_partition(), records_read);
   cost.cpu += cpu_.crypto_time(records_read, record_bytes);
 
-  // Survivors are decoded in place: each payload lands over its own
-  // record in the read image, and the staged entry points there.
+  // Survivors open in batches, all before any block moves, and decode
+  // in place: survivor i's payload lands at image[i * payload_bytes],
+  // over records already read, and the staged entry points there.
+  open_spans_.clear();
+  for (std::uint64_t code = 0; code < records_read; ++code) {
+    if (contents_[p][code] != oram::dummy_block_id) {
+      open_spans_.push_back(std::span<const std::uint8_t>(
+          image.data() + code * record_bytes, record_bytes));
+    }
+  }
+  const std::size_t survivors = open_spans_.size();
+  ids_scratch_.resize(survivors);
+  for (std::size_t first = 0; first < survivors;
+       first += open_batch_records) {
+    const std::size_t n = std::min(open_batch_records, survivors - first);
+    codec_.decode_many(std::span(open_spans_).subspan(first, n),
+                       std::span(ids_scratch_).subspan(first, n),
+                       std::span(image).subspan(first * config_.payload_bytes,
+                                                n * config_.payload_bytes));
+  }
   struct staged {
     oram::block_id id;
     std::span<const std::uint8_t> payload;
   };
   std::vector<staged> blocks;
-  blocks.reserve(records_read + hot.size());
+  blocks.reserve(survivors + hot.size());
   for (std::uint64_t code = 0; code < records_read; ++code) {
     const oram::block_id id = contents_[p][code];
     if (id == oram::dummy_block_id) {
       continue;
     }
-    const std::span<std::uint8_t> record(image.data() + code * record_bytes,
-                                         record_bytes);
-    const std::span<std::uint8_t> payload =
-        record.first(config_.payload_bytes);
-    const oram::block_id decoded = codec_.decode(record, payload);
-    invariant(decoded == id, "partition contents out of sync");
-    blocks.push_back(staged{id, payload});
+    const std::size_t i = blocks.size();
+    invariant(ids_scratch_[i] == id, "partition contents out of sync");
+    blocks.push_back(staged{
+        id, std::span<const std::uint8_t>(image).subspan(
+                i * config_.payload_bytes, config_.payload_bytes)});
   }
   for (const oram::evicted_block& block : hot) {
     blocks.push_back(staged{block.id, block.payload});
@@ -437,23 +462,25 @@ shuffle_cost storage_layer::shuffle_partition_step(
   std::fill(contents_[p].begin(), contents_[p].end(),
             oram::dummy_block_id);
   // Each slot is sealed once: block k where slot_order puts it, and a
-  // dummy in every slot left over.
+  // dummy in every slot left over; one batch, nonces in k order.
   std::vector<std::uint8_t>& out = shuffle_out_scratch_;
   out.resize(main_capacity * record_bytes);
+  seal_spans_.clear();
   for (std::uint64_t k = 0; k < main_capacity; ++k) {
     const std::uint32_t index =
         static_cast<std::uint32_t>(slot_order[k]);
-    const std::span<std::uint8_t> record(out.data() + index * record_bytes,
-                                         record_bytes);
+    seal_spans_.push_back(std::span<std::uint8_t>(
+        out.data() + index * record_bytes, record_bytes));
     if (k >= blocks.size()) {
-      codec_.encode_dummy(record);
+      codec_.encode_plain(oram::dummy_block_id, {}, seal_spans_.back());
       continue;
     }
-    codec_.encode(blocks[k].id, blocks[k].payload, record);
+    codec_.encode_plain(blocks[k].id, blocks[k].payload, seal_spans_.back());
     contents_[p][index] = blocks[k].id;
     locations_[blocks[k].id] = location{
         residence::main_slot, static_cast<std::uint32_t>(p), index};
   }
+  codec_.seal_many(seal_spans_);
   cost.cpu += cpu_.crypto_time(main_capacity, record_bytes);
   cost.cpu += cpu_.word_ops_time(main_capacity);
 

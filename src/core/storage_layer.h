@@ -116,6 +116,7 @@ class storage_layer final : public oram_backend {
 
  private:
   friend class partitioned_shuffle_job;
+  friend struct storage_layer_test_access;
 
   enum class residence : std::uint8_t { memory, main_slot, append_slot };
   struct location {
@@ -184,6 +185,10 @@ class storage_layer final : public oram_backend {
   /// per partition or per slice).
   std::vector<std::uint8_t> shuffle_image_scratch_;
   std::vector<std::uint8_t> shuffle_out_scratch_;
+  /// Record lists of the batched seals and opens, and the opened ids.
+  std::vector<std::span<std::uint8_t>> seal_spans_;
+  std::vector<std::span<const std::uint8_t>> open_spans_;
+  std::vector<oram::block_id> ids_scratch_;
 };
 
 }  // namespace horam

@@ -8,10 +8,21 @@
 // over the smallest even-bit power of two covering the domain gives both
 // directions; cycle-walking restricts it to [0, domain). The round
 // function is the codebase's keyed PRF (SipHash-2-4).
+//
+// The rebuild streams whole chunks of slots, so inverse_many() maps a
+// run of consecutive slots at once: it runs the six rounds of a group
+// of walkers in lockstep, each round one lane-parallel siphash24_many()
+// call over 8-byte messages, and cycle-walks only the walkers still
+// outside the domain, topping the group up with the next slots as
+// walkers finish. Scalar inverse() is the one-slot case (and the
+// reference tests compare against); forward() serves the online probes
+// one rank at a time.
 #ifndef HORAM_ORAM_HIER_FEISTEL_PRP_H
 #define HORAM_ORAM_HIER_FEISTEL_PRP_H
 
+#include <array>
 #include <cstdint>
+#include <span>
 
 #include "crypto/siphash.h"
 #include "util/contracts.h"
@@ -60,13 +71,78 @@ class feistel_prp {
     return v;
   }
 
+  /// out[j] = inverse(first_slot + j) for every j, the slots walked in
+  /// lockstep groups.
+  void inverse_many(std::uint64_t first_slot,
+                    std::span<std::uint64_t> out) const {
+    expects(first_slot <= domain_ && out.size() <= domain_ - first_slot,
+            "slots outside the permutation domain");
+    const std::uint64_t mask = (std::uint64_t{1} << half_bits_) - 1;
+    std::array<std::uint64_t, kGroup> left{};
+    std::array<std::uint64_t, kGroup> right{};
+    std::array<std::size_t, kGroup> index{};  // walker -> position in out
+    std::array<std::array<std::uint8_t, 8>, kGroup> messages{};
+    std::array<const std::uint8_t*, kGroup> message_ptrs{};
+    std::array<std::uint64_t, kGroup> tags{};
+    for (std::size_t w = 0; w < kGroup; ++w) {
+      message_ptrs[w] = messages[w].data();
+    }
+
+    std::size_t next = 0;  // next position of out to start walking
+    std::size_t live = 0;  // walkers in the group
+    while (live > 0 || next < out.size()) {
+      for (; live < kGroup && next < out.size(); ++live, ++next) {
+        const std::uint64_t v = first_slot + next;
+        left[live] = v >> half_bits_;
+        right[live] = v & mask;
+        index[live] = next;
+      }
+      // One unpermute_pow2() step of every walker, round by round.
+      for (unsigned round = kRounds; round-- > 0;) {
+        for (std::size_t w = 0; w < live; ++w) {
+          const std::uint64_t message =
+              (static_cast<std::uint64_t>(round) << 56) ^ left[w];
+          for (std::size_t b = 0; b < 8; ++b) {
+            messages[w][b] = static_cast<std::uint8_t>(message >> (8 * b));
+          }
+        }
+        crypto::siphash24_many(
+            key_, std::span<const std::uint8_t* const>(message_ptrs.data(),
+                                                       live),
+            8, std::span<std::uint64_t>(tags.data(), live));
+        for (std::size_t w = 0; w < live; ++w) {
+          const std::uint64_t prev = right[w] ^ (tags[w] & mask);
+          right[w] = left[w];
+          left[w] = prev;
+        }
+      }
+      // Walkers back inside the domain are done; the rest walk on.
+      std::size_t still = 0;
+      for (std::size_t w = 0; w < live; ++w) {
+        const std::uint64_t v = (left[w] << half_bits_) | right[w];
+        if (v < domain_) {
+          out[index[w]] = v;
+        } else {
+          left[still] = v >> half_bits_;
+          right[still] = v & mask;
+          index[still] = index[w];
+          ++still;
+        }
+      }
+      live = still;
+    }
+  }
+
  private:
   static constexpr unsigned kRounds = 6;
+  /// Walkers stepped in lockstep by inverse_many().
+  static constexpr std::size_t kGroup = 64;
 
   [[nodiscard]] std::uint64_t round_value(unsigned round,
                                           std::uint64_t half) const {
     // Halves are at most 32 bits, so tagging the round in the top byte
-    // never collides with the data.
+    // never collides with the data. siphash24_u64() hashes the word's
+    // little-endian bytes, as inverse_many() does.
     return crypto::siphash24_u64(
         key_, (static_cast<std::uint64_t>(round) << 56) ^ half);
   }

@@ -87,31 +87,61 @@ hier_backend::hier_backend(
   bottom.prp = feistel_prp(bottom.slot_count, fresh_key());
   horam::oram::trace(trace_, event_kind::storage_write_sweep, bottom.base,
                      bottom.slot_count);
-  std::vector<std::uint8_t> buf;
   for (std::uint64_t first = 0; first < bottom.slot_count;
        first += kChunkSlots) {
     const std::uint64_t n =
         std::min(kChunkSlots, bottom.slot_count - first);
-    buf.resize(n * rec);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t slot = first + j;
-      const std::uint64_t rank = bottom.prp.inverse(slot);
-      const std::span<std::uint8_t> out =
-          std::span(buf).subspan(j * rec, rec);
-      if (rank < config_.block_count) {
-        std::fill(payload_scratch_.begin(), payload_scratch_.end(), 0);
-        if (filler != nullptr) {
-          (*filler)(rank, payload_scratch_);
-        }
-        codec_.encode(rank, payload_scratch_, out);
-        index_.place(rank, level_count(), slot);
-      } else {
-        codec_.encode_dummy(out);
-      }
-    }
-    store_->write_range(bottom.base + first, n, buf);
+    level_buf_.resize(n * rec);
+    compose_chunk(bottom.prp, first, n, 0, config_.block_count,
+                  [&](std::uint64_t rank, std::uint64_t slot,
+                      std::span<std::uint8_t> out) {
+                    std::fill(payload_scratch_.begin(),
+                              payload_scratch_.end(), 0);
+                    if (filler != nullptr) {
+                      (*filler)(rank, payload_scratch_);
+                    }
+                    codec_.encode_plain(rank, payload_scratch_, out);
+                    index_.place(rank, level_count(), slot);
+                  });
+    store_->write_range(bottom.base + first, n, level_buf_);
   }
   device.reset_stats();
+}
+
+std::span<const std::uint64_t> hier_backend::compose_chunk(
+    const feistel_prp& prp, std::uint64_t first_slot, std::uint64_t n,
+    std::uint64_t at, std::uint64_t reals,
+    const std::function<void(std::uint64_t, std::uint64_t,
+                             std::span<std::uint8_t>)>& compose_real) {
+  const std::size_t rec = codec_.record_bytes();
+  chunk_ranks_.resize(n);
+  prp.inverse_many(first_slot, chunk_ranks_);
+  seal_spans_.clear();
+  for (std::uint64_t j = 0; j < n; ++j) {
+    seal_spans_.push_back(std::span(level_buf_).subspan((at + j) * rec, rec));
+    if (chunk_ranks_[j] < reals) {
+      compose_real(chunk_ranks_[j], first_slot + j, seal_spans_.back());
+    } else {
+      codec_.encode_plain(dummy_block_id, {}, seal_spans_.back());
+    }
+  }
+  codec_.seal_many(seal_spans_);
+  return chunk_ranks_;
+}
+
+std::span<const std::uint8_t> hier_backend::open_level_buf(
+    std::uint64_t first, std::uint64_t n) {
+  const std::size_t rec = codec_.record_bytes();
+  open_spans_.clear();
+  for (std::uint64_t j = first; j < first + n; ++j) {
+    open_spans_.push_back(
+        std::span<const std::uint8_t>(level_buf_).subspan(j * rec, rec));
+  }
+  chunk_ids_.resize(n);
+  const std::span<std::uint8_t> payloads = std::span(level_buf_).subspan(
+      first * rec, n * config_.payload_bytes);
+  codec_.decode_many(open_spans_, chunk_ids_, payloads);
+  return payloads;
 }
 
 crypto::siphash_key hier_backend::fresh_key() {
@@ -210,22 +240,27 @@ void hier_backend::refresh_level(std::size_t idx, cost_split& cost) {
   }
 
   // Survivors are the records the index still maps here; stale copies
-  // of extracted or re-merged blocks drop out.
+  // of extracted or re-merged blocks drop out. Records open a chunk at
+  // a time.
   std::vector<block_id> ids;
   std::vector<std::uint8_t> payloads;
   ids.reserve(lvl.live);
   payloads.reserve(lvl.live * config_.payload_bytes);
-  for (std::uint64_t slot = 0; slot < lvl.slot_count; ++slot) {
-    const block_id id = codec_.decode(
-        std::span<const std::uint8_t>(level_buf_).subspan(slot * rec, rec),
-        payload_scratch_);
-    if (id == dummy_block_id || index_.level_of(id) != idx + 1 ||
-        index_.slot_of(id) != slot) {
-      continue;
+  for (std::uint64_t first = 0; first < lvl.slot_count;
+       first += kChunkSlots) {
+    const std::uint64_t n = std::min(kChunkSlots, lvl.slot_count - first);
+    const std::span<const std::uint8_t> chunk = open_level_buf(first, n);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      const block_id id = chunk_ids_[j];
+      if (id == dummy_block_id || index_.level_of(id) != idx + 1 ||
+          index_.slot_of(id) != first + j) {
+        continue;
+      }
+      ids.push_back(id);
+      const auto payload = chunk.subspan(j * config_.payload_bytes,
+                                         config_.payload_bytes);
+      payloads.insert(payloads.end(), payload.begin(), payload.end());
     }
-    ids.push_back(id);
-    payloads.insert(payloads.end(), payload_scratch_.begin(),
-                    payload_scratch_.end());
   }
   invariant(ids.size() == lvl.live,
             "refresh found a live count the index disagrees with");
@@ -234,19 +269,21 @@ void hier_backend::refresh_level(std::size_t idx, cost_split& cost) {
   ++lvl.epoch;
   lvl.probes = 0;
   lvl.dummies_used = 0;
-  for (std::uint64_t slot = 0; slot < lvl.slot_count; ++slot) {
-    const std::uint64_t rank = lvl.prp.inverse(slot);
-    const std::span<std::uint8_t> out =
-        std::span(level_buf_).subspan(slot * rec, rec);
-    if (rank < ids.size()) {
-      codec_.encode(ids[rank],
-                    std::span<const std::uint8_t>(payloads).subspan(
-                        rank * config_.payload_bytes, config_.payload_bytes),
-                    out);
-      index_.place(ids[rank], static_cast<std::uint32_t>(idx + 1), slot);
-    } else {
-      codec_.encode_dummy(out);
-    }
+  for (std::uint64_t first = 0; first < lvl.slot_count;
+       first += kChunkSlots) {
+    const std::uint64_t n = std::min(kChunkSlots, lvl.slot_count - first);
+    compose_chunk(lvl.prp, first, n, first, ids.size(),
+                  [&](std::uint64_t rank, std::uint64_t slot,
+                      std::span<std::uint8_t> out) {
+                    codec_.encode_plain(
+                        ids[rank],
+                        std::span<const std::uint8_t>(payloads).subspan(
+                            rank * config_.payload_bytes,
+                            config_.payload_bytes),
+                        out);
+                    index_.place(ids[rank],
+                                 static_cast<std::uint32_t>(idx + 1), slot);
+                  });
   }
   trace(trace_, event_kind::storage_write_sweep, lvl.base, lvl.slot_count);
   {
@@ -377,18 +414,18 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
       cost.io_read += owner_.store_->read_range(lvl.base + read_cursor_, n,
                                                 owner_.level_buf_);
     }
+    // The whole chunk opens (every MAC checked) before any block moves.
+    const std::span<const std::uint8_t> payloads = owner_.open_level_buf(0, n);
     for (std::uint64_t j = 0; j < n; ++j) {
       const std::uint64_t slot = read_cursor_ + j;
-      const block_id id = owner_.codec_.decode(
-          std::span<const std::uint8_t>(owner_.level_buf_)
-              .subspan(j * rec, rec),
-          owner_.payload_scratch_);
+      const block_id id = owner_.chunk_ids_[j];
       if (id == dummy_block_id || owner_.index_.level_of(id) != idx + 1 ||
           owner_.index_.slot_of(id) != slot) {
         continue;  // dummy or stale copy
       }
-      stage(id, std::vector<std::uint8_t>(owner_.payload_scratch_.begin(),
-                                          owner_.payload_scratch_.end()));
+      const auto payload = payloads.subspan(
+          j * owner_.config_.payload_bytes, owner_.config_.payload_bytes);
+      stage(id, std::vector<std::uint8_t>(payload.begin(), payload.end()));
       order_.push_back(id);
       owner_.index_.clear(id);
       ++owner_.cached_count_;
@@ -433,17 +470,13 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
         std::min(kChunkSlots, lvl.slot_count - write_cursor_);
     const std::size_t rec = owner_.codec_.record_bytes();
     owner_.level_buf_.resize(n * rec);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t slot = write_cursor_ + j;
-      const std::uint64_t rank = lvl.prp.inverse(slot);
-      const std::span<std::uint8_t> out =
-          std::span(owner_.level_buf_).subspan(j * rec, rec);
-      if (rank < order_.size()) {
-        owner_.codec_.encode(order_[rank], payload_of(order_[rank]), out);
-      } else {
-        owner_.codec_.encode_dummy(out);
-      }
-    }
+    // Each slot's rank once, for composing and for placing.
+    const std::span<const std::uint64_t> ranks = owner_.compose_chunk(
+        lvl.prp, write_cursor_, n, 0, order_.size(),
+        [&](std::uint64_t rank, std::uint64_t, std::span<std::uint8_t> out) {
+          owner_.codec_.encode_plain(order_[rank], payload_of(order_[rank]),
+                                     out);
+        });
     trace(owner_.trace_, event_kind::storage_write_sweep,
           lvl.base + write_cursor_, n);
     {
@@ -452,13 +485,11 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
                                                   n, owner_.level_buf_);
     }
     for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t slot = write_cursor_ + j;
-      const std::uint64_t rank = lvl.prp.inverse(slot);
-      if (rank >= order_.size()) {
+      if (ranks[j] >= order_.size()) {
         continue;
       }
-      const block_id id = order_[rank];
-      owner_.index_.place(id, target_, slot);
+      const block_id id = order_[ranks[j]];
+      owner_.index_.place(id, target_, write_cursor_ + j);
       unstage(id);
       ++lvl.live;
       ++placed_;

@@ -27,6 +27,14 @@
 //     fresh permutation — chunked range transfers behind the stepped
 //     shuffle-job API, so shuffle_policy::incremental deamortizes it.
 //
+// Rebuilds (merges, refreshes and the initial build) stream levels a
+// chunk of slots at a time, and each chunk is one batch on the host:
+// its records open together (block_codec::decode_many, every MAC
+// checked before any block is staged or any index entry changes), its
+// slots' ranks come from one feistel_prp::inverse_many pass, and its
+// rewritten records seal together (block_codec::seal_many, nonces in
+// slot order). Online probes open their one real record on its own.
+//
 // Every schedule decision (probe count, refresh instants, merge target,
 // chunk boundaries) is a function of the access count and configuration
 // only — public by design; payload-dependent state never reaches the
@@ -114,6 +122,7 @@ class hier_backend final : public horam::oram_backend {
 
  private:
   friend class hier_shuffle_job;
+  friend struct hier_backend_test_access;
 
   /// Per-level epoch state; everything here is O(1) trusted memory —
   /// position state lives in the shared succinct index.
@@ -145,6 +154,24 @@ class hier_backend final : public horam::oram_backend {
 
   [[nodiscard]] crypto::siphash_key fresh_key();
 
+  // Chunk batches over level_buf_ (at most kChunkSlots records each).
+  /// Composes level slots [first_slot, first_slot + n) under `prp` into
+  /// level_buf_ records [at, at + n) and seals them in one batch, nonces
+  /// in slot order: a slot whose rank (one inverse_many() pass) is below
+  /// `reals` gets compose_real(rank, slot, record), the rest dummies.
+  /// Returns the ranks, valid until the next call.
+  std::span<const std::uint64_t> compose_chunk(
+      const feistel_prp& prp, std::uint64_t first_slot, std::uint64_t n,
+      std::uint64_t at, std::uint64_t reals,
+      const std::function<void(std::uint64_t, std::uint64_t,
+                               std::span<std::uint8_t>)>& compose_real);
+  /// Opens level_buf_ records [first, first + n) in one batch, in
+  /// place: ids to chunk_ids_, and the n payloads packed over the
+  /// chunk's first records, returned. Every MAC is checked before
+  /// anything is written.
+  std::span<const std::uint8_t> open_level_buf(std::uint64_t first,
+                                               std::uint64_t n);
+
   horam_config config_;
   const sim::cpu_model& cpu_;
   util::random_source& rng_;
@@ -166,6 +193,10 @@ class hier_backend final : public horam::oram_backend {
   std::vector<std::uint8_t> probe_buf_;
   std::vector<std::uint8_t> payload_scratch_;
   std::vector<std::uint8_t> level_buf_;
+  std::vector<std::span<std::uint8_t>> seal_spans_;
+  std::vector<std::span<const std::uint8_t>> open_spans_;
+  std::vector<block_id> chunk_ids_;
+  std::vector<std::uint64_t> chunk_ranks_;
 };
 
 }  // namespace horam::oram

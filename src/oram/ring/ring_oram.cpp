@@ -13,6 +13,9 @@ namespace {
 /// Chunk size (records) for sequential sweeps, to bound host buffers.
 constexpr std::uint64_t sweep_chunk_records = 1 << 14;
 
+/// Real records a bulk build queues before sealing them as one batch.
+constexpr std::size_t sweep_seal_records = 512;
+
 /// splitmix64 finaliser — the pad stream's mixing function.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -62,7 +65,6 @@ ring_oram::ring_oram(const ring_oram_config& config,
   record_scratch_.resize(record_bytes);
   combined_scratch_.resize(record_bytes);
   pad_scratch_.resize(record_bytes);
-  payload_scratch_.resize(config.payload_bytes);
   extracted_payload_.resize(config.payload_bytes);
 
   // Start with a physically pad-filled tree.
@@ -169,10 +171,8 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
           combined_scratch_[i] ^= pad_scratch_[i];
         }
       }
-      const block_id id = codec_.decode(combined_scratch_, payload_scratch_);
+      const block_id id = codec_.decode(combined_scratch_, extracted_payload_);
       invariant(id == target, "XOR-combined read recovered the wrong block");
-      std::memcpy(extracted_payload_.data(), payload_scratch_.data(),
-                  config_.payload_bytes);
     }
   } else {
     // Fallback: one device read per chosen slot.
@@ -184,10 +184,8 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
       }
     }
     if (found) {
-      const block_id id = codec_.decode(combined_scratch_, payload_scratch_);
+      const block_id id = codec_.decode(combined_scratch_, extracted_payload_);
       invariant(id == target, "slot read recovered the wrong block");
-      std::memcpy(extracted_payload_.data(), payload_scratch_.data(),
-                  config_.payload_bytes);
     }
   }
 
@@ -300,7 +298,8 @@ cost_split ring_oram::force_evict() {
 
 void ring_oram::compose_bucket(
     std::uint64_t bucket, std::span<const block_id> ids,
-    const std::function<std::span<const std::uint8_t>(block_id)>& payload_of,
+    const std::function<std::span<const std::uint8_t>(std::size_t)>&
+        payload_of,
     std::span<std::uint8_t> out) {
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
@@ -322,20 +321,66 @@ void ring_oram::compose_bucket(
     std::swap(slot_order_[i], slot_order_[j]);
   }
 
+  // Reals are composed here and queued for the caller's batch seal;
+  // only the slots left over get the next epoch's pad.
   const std::uint64_t base = bucket * spb;
   for (std::uint32_t k = 0; k < spb; ++k) {
     slots_[base + k] = slot_meta{dummy_block_id, false};
-    fill_pad(base + k, state.epoch,
-             std::span<std::uint8_t>(out.data() + k * record_bytes,
-                                     record_bytes));
   }
   for (std::uint32_t i = 0; i < ids.size(); ++i) {
     const std::uint32_t k = slot_order_[i];
     slots_[base + k] = slot_meta{ids[i], false};
-    codec_.encode(ids[i], payload_of(ids[i]),
-                  std::span<std::uint8_t>(out.data() + k * record_bytes,
-                                          record_bytes));
+    seal_queue_.push_back(
+        std::span<std::uint8_t>(out.data() + k * record_bytes, record_bytes));
+    codec_.encode_plain(ids[i], payload_of(i), seal_queue_.back());
   }
+  for (std::uint32_t k = 0; k < spb; ++k) {
+    if (slots_[base + k].id == dummy_block_id) {
+      fill_pad(base + k, state.epoch,
+               std::span<std::uint8_t>(out.data() + k * record_bytes,
+                                       record_bytes));
+    }
+  }
+}
+
+void ring_oram::seal_queued() {
+  codec_.seal_many(seal_queue_);
+  seal_queue_.clear();
+}
+
+void ring_oram::gather_reals(std::uint64_t bucket,
+                             std::span<const std::uint8_t> image) {
+  const std::uint32_t spb = slots_per_bucket();
+  const std::size_t record_bytes = codec_.record_bytes();
+  for (std::uint32_t k = 0; k < spb; ++k) {
+    if (slots_[bucket * spb + k].id != dummy_block_id) {
+      const auto record = image.subspan(k * record_bytes, record_bytes);
+      real_records_.insert(real_records_.end(), record.begin(), record.end());
+      real_slots_.push_back(bucket * spb + k);
+    }
+  }
+}
+
+void ring_oram::open_gathered() {
+  const std::size_t record_bytes = codec_.record_bytes();
+  open_spans_.clear();
+  for (std::size_t i = 0; i < real_slots_.size(); ++i) {
+    open_spans_.push_back(std::span<const std::uint8_t>(real_records_)
+                              .subspan(i * record_bytes, record_bytes));
+  }
+  real_ids_.resize(real_slots_.size());
+  codec_.decode_many(open_spans_, real_ids_,
+                     std::span<std::uint8_t>(real_records_)
+                         .first(real_slots_.size() * config_.payload_bytes));
+  for (std::size_t i = 0; i < real_ids_.size(); ++i) {
+    invariant(real_ids_[i] == slots_[real_slots_[i]].id,
+              "slot metadata disagrees with the record");
+  }
+}
+
+std::span<const std::uint8_t> ring_oram::real_payload(std::size_t i) const {
+  return std::span<const std::uint8_t>(real_records_)
+      .subspan(i * config_.payload_bytes, config_.payload_bytes);
 }
 
 cost_split ring_oram::reshuffle_bucket(std::uint64_t bucket) {
@@ -350,31 +395,14 @@ cost_split ring_oram::reshuffle_bucket(std::uint64_t bucket) {
   cost.io += io_store_->read_range(base, spb, bucket_scratch_);
   trace(trace_, event_kind::storage_read_sweep, base, spb);
 
-  std::vector<block_id> ids;
-  std::vector<std::uint8_t> payloads;
-  for (std::uint32_t k = 0; k < spb; ++k) {
-    const slot_meta& meta = slots_[base + k];
-    if (meta.id == dummy_block_id) {
-      continue;
-    }
-    const std::span<const std::uint8_t> record(
-        bucket_scratch_.data() + k * record_bytes, record_bytes);
-    const block_id id = codec_.decode(record, payload_scratch_);
-    invariant(id == meta.id, "slot metadata disagrees with the record");
-    ids.push_back(id);
-    payloads.insert(payloads.end(), payload_scratch_.begin(),
-                    payload_scratch_.end());
-  }
-
+  real_records_.clear();
+  real_slots_.clear();
+  gather_reals(bucket, bucket_scratch_);
+  open_gathered();
   compose_bucket(
-      bucket, ids,
-      [&](block_id id) -> std::span<const std::uint8_t> {
-        const std::uint64_t i = static_cast<std::uint64_t>(
-            std::find(ids.begin(), ids.end(), id) - ids.begin());
-        return {payloads.data() + i * config_.payload_bytes,
-                config_.payload_bytes};
-      },
+      bucket, real_ids_, [&](std::size_t i) { return real_payload(i); },
       bucket_scratch_);
+  seal_queued();
   cost.io += io_store_->write_range(base, spb, bucket_scratch_);
   trace(trace_, event_kind::storage_write_sweep, base, spb);
 
@@ -390,29 +418,30 @@ cost_split ring_oram::evict_path() {
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
 
-  // Phase 1, root to leaf: range-read every path bucket and move its
-  // residents into the stash.
+  // Phase 1, root to leaf: range-read every path bucket and keep its
+  // real records, then open them all in one batch (every MAC checked)
+  // before any block enters the stash.
+  real_records_.clear();
+  real_slots_.clear();
   for (std::uint32_t level = 0; level < level_count_; ++level) {
     const std::uint64_t bucket = bucket_on_path(leaf, level);
     const std::uint64_t base = bucket * spb;
     cost.io += io_store_->read_range(base, spb, bucket_scratch_);
     trace(trace_, event_kind::storage_read_sweep, base, spb);
-    for (std::uint32_t k = 0; k < spb; ++k) {
-      const slot_meta& meta = slots_[base + k];
-      if (meta.id == dummy_block_id) {
-        continue;
-      }
-      const std::span<const std::uint8_t> record(
-          bucket_scratch_.data() + k * record_bytes, record_bytes);
-      const block_id id = codec_.decode(record, payload_scratch_);
-      invariant(id == meta.id, "slot metadata disagrees with the record");
-      invariant(positions_.contains(id),
-                "tree holds a block missing from the position map");
-      stash_.put(id, positions_.leaf_of(id), payload_scratch_);
-    }
+    gather_reals(bucket, bucket_scratch_);
+  }
+  open_gathered();
+  for (const block_id id : real_ids_) {
+    invariant(positions_.contains(id),
+              "tree holds a block missing from the position map");
+  }
+  for (std::size_t i = 0; i < real_ids_.size(); ++i) {
+    stash_.put(real_ids_[i], positions_.leaf_of(real_ids_[i]),
+               real_payload(i));
   }
 
-  // Phase 2, leaf to root: greedy write-back under fresh permutations.
+  // Phase 2, leaf to root: greedy write-back under fresh permutations,
+  // each bucket's reals sealed as one batch.
   std::vector<block_id> selected;
   for (std::uint32_t down = 0; down < level_count_; ++down) {
     const std::uint32_t level = level_count_ - 1 - down;
@@ -429,11 +458,11 @@ cost_split ring_oram::evict_path() {
     }
     compose_bucket(
         bucket, selected,
-        [&](block_id id) -> std::span<const std::uint8_t> {
-          const stash_entry& entry = stash_.at(id);
-          return {entry.payload.data(), entry.payload.size()};
+        [&](std::size_t i) -> std::span<const std::uint8_t> {
+          return stash_.at(selected[i]).payload;
         },
         bucket_scratch_);
+    seal_queued();
     cost.io += io_store_->write_range(base, spb, bucket_scratch_);
     trace(trace_, event_kind::storage_write_sweep, base, spb);
     for (const block_id id : selected) {
@@ -548,12 +577,20 @@ cost_split ring_oram::initialize_full(
   // Compose every bucket (fresh permutations + pads) straight into the
   // store — a staged copy of the whole tree would be a store-sized
   // transient per build — and stream it out as sequential sweeps.
+  // Reals are sealed in batches of about sweep_seal_records, bucket
+  // order then slot order.
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
   for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
-    compose_bucket(bucket, bucket_ids[bucket], payload_of,
-                   io_store_->stage_range(bucket * spb, spb));
+    const std::vector<block_id>& ids = bucket_ids[bucket];
+    compose_bucket(
+        bucket, ids, [&](std::size_t i) { return payload_of(ids[i]); },
+        io_store_->stage_range(bucket * spb, spb));
+    if (seal_queue_.size() >= sweep_seal_records) {
+      seal_queued();
+    }
   }
+  seal_queued();
   const std::uint64_t slots = total_slots();
   for (std::uint64_t first = 0; first < slots;
        first += sweep_chunk_records) {

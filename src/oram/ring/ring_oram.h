@@ -178,6 +178,8 @@ class ring_oram {
   void check_consistency() const;
 
  private:
+  friend struct ring_oram_test_access;
+
   /// Trusted per-slot metadata (the client-side view of the per-bucket
   /// permutation). A slot is a live real block (id != dummy, !read), an
   /// unread dummy pad (id == dummy, !read), or consumed (read — either
@@ -209,27 +211,46 @@ class ring_oram {
 
   /// One online path read of one slot per bucket. When `target` is
   /// found in a path bucket its payload is decoded into
-  /// payload_scratch_ and the slot is consumed; `found` reports it.
+  /// extracted_payload_ and the slot is consumed; `found` reports it.
   /// Bumps read counters, then runs the reshuffle and eviction
   /// schedules.
   cost_split path_read(leaf_id leaf, block_id target, bool& found);
 
-  /// Rewrites one bucket in place: the given blocks land at fresh
-  /// uniformly random distinct slots, every other slot gets the next
-  /// epoch's pad; metadata, read bits and the read counter reset.
+  /// Rewrites one bucket in place: the given blocks (block i's payload
+  /// is payload_of(i)) land at fresh uniformly random distinct slots,
+  /// every other slot gets the next epoch's pad; metadata, read bits
+  /// and the read counter reset. The real records are composed but not
+  /// sealed: they join seal_queue_ for the caller's seal_queued().
   void compose_bucket(
       std::uint64_t bucket, std::span<const block_id> ids,
-      const std::function<std::span<const std::uint8_t>(block_id)>&
+      const std::function<std::span<const std::uint8_t>(std::size_t)>&
           payload_of,
       std::span<std::uint8_t> out);
+  /// Seals every record compose_bucket() queued, in one batch, nonces
+  /// in queue order.
+  void seal_queued();
+
+  /// Appends the real records of `bucket` (its image read into
+  /// `image`) to real_records_, and their slots to real_slots_.
+  void gather_reals(std::uint64_t bucket,
+                    std::span<const std::uint8_t> image);
+  /// Opens every gathered record in one batch, in place: record i's id
+  /// lands in real_ids_ (checked against its slot's metadata) and its
+  /// payload at real_payload(i). Every MAC is checked before anything
+  /// is written.
+  void open_gathered();
+  [[nodiscard]] std::span<const std::uint8_t> real_payload(
+      std::size_t i) const;
 
   /// Early reshuffle: whole-bucket range read, rewrite with the same
   /// residents under a fresh permutation.
   cost_split reshuffle_bucket(std::uint64_t bucket);
 
   /// Deterministic eviction of the next reverse-lexicographic path:
-  /// range-read every path bucket into the stash, greedy write-back
-  /// deepest bucket first.
+  /// range-read every path bucket, open all their reals in one batch
+  /// (nothing enters the stash unless every MAC passes), greedy
+  /// write-back deepest bucket first, each bucket's reals sealed in one
+  /// batch.
   cost_split evict_path();
 
   /// Rewrites the whole tree with epoch-0 pads and clears all state.
@@ -262,13 +283,18 @@ class ring_oram {
   std::vector<std::uint64_t> chosen_slots_;
   std::vector<std::uint32_t> slot_order_;
   std::vector<std::uint8_t> bucket_scratch_;
+  /// Composed real records awaiting seal_queued().
+  std::vector<std::span<std::uint8_t>> seal_queue_;
+  /// Real records gathered for open_gathered() (one eviction path at
+  /// most, packed), their slots, their ids, and the list it opens.
+  std::vector<std::uint8_t> real_records_;
+  std::vector<std::uint64_t> real_slots_;
+  std::vector<block_id> real_ids_;
+  std::vector<std::span<const std::uint8_t>> open_spans_;
   std::vector<std::uint8_t> record_scratch_;
   std::vector<std::uint8_t> combined_scratch_;
   std::vector<std::uint8_t> pad_scratch_;
-  std::vector<std::uint8_t> payload_scratch_;
-  /// The payload path_read() recovered for its target — separate from
-  /// payload_scratch_, which the reshuffle/eviction schedules running
-  /// inside the same call reuse as a decode buffer.
+  /// The payload path_read() recovered for its target.
   std::vector<std::uint8_t> extracted_payload_;
 };
 

@@ -43,25 +43,45 @@ sqrt_backend::sqrt_backend(
 
   record_scratch_.resize(codec_.record_bytes());
   payload_scratch_.resize(config_.payload_bytes);
+  chunk_buf_.resize(kSealChunk * codec_.record_bytes());
   cached_.assign(config_.block_count, 0);
 
-  // Initial permuted layout: virtual index v at a uniformly random slot.
+  // Initial permuted layout: virtual index v at a uniformly random
+  // slot, sealed a chunk of virtual indices at a time.
   slot_of_ = util::random_permutation(rng_, slots);
-  std::vector<std::uint8_t> record(codec_.record_bytes());
-  std::vector<std::uint8_t> payload(config_.payload_bytes, 0);
-  for (std::uint64_t v = 0; v < slots; ++v) {
-    if (v < config_.block_count) {
-      std::fill(payload.begin(), payload.end(), 0);
-      if (filler != nullptr) {
-        (*filler)(v, payload);
+  for (std::uint64_t first = 0; first < slots; first += kSealChunk) {
+    const std::uint64_t n = std::min(kSealChunk, slots - first);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      const std::uint64_t v = first + j;
+      if (v < config_.block_count) {
+        std::fill(payload_scratch_.begin(), payload_scratch_.end(), 0);
+        if (filler != nullptr) {
+          (*filler)(v, payload_scratch_);
+        }
+        codec_.encode_plain(v, payload_scratch_, chunk_record(j));
+      } else {
+        codec_.encode_plain(dummy_block_id, {}, chunk_record(j));
       }
-      codec_.encode(v, payload, record);
-    } else {
-      codec_.encode_dummy(record);
     }
-    array_a_->write(slot_of_[v], record);
+    seal_chunk(n);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      array_a_->write(slot_of_[first + j], chunk_record(j));
+    }
   }
   device.reset_stats();
+}
+
+std::span<std::uint8_t> sqrt_backend::chunk_record(std::uint64_t j) {
+  const std::size_t rec = codec_.record_bytes();
+  return std::span(chunk_buf_).subspan(j * rec, rec);
+}
+
+void sqrt_backend::seal_chunk(std::uint64_t n) {
+  seal_spans_.clear();
+  for (std::uint64_t j = 0; j < n; ++j) {
+    seal_spans_.push_back(chunk_record(j));
+  }
+  codec_.seal_many(seal_spans_);
 }
 
 bool sqrt_backend::in_storage(block_id id) const {
@@ -171,16 +191,25 @@ horam::shuffle_cost sqrt_backend::reshuffle(
   storage::block_store& target = active_is_a_ ? *array_b_ : *array_a_;
 
   // Fold the hot set back into the array: each evicted block rewrites
-  // its own (already revealed, about to be re-permuted) slot.
-  std::vector<std::uint8_t> record(codec_.record_bytes());
-  for (const evicted_block& block : evicted) {
-    expects(block.id < config_.block_count, "evicted id out of range");
-    invariant(cached_[block.id] != 0,
-              "evicted block the list says is on storage");
-    codec_.encode(block.id, block.payload, record);
-    cost.io_write += source.write(slot_of_[block.id], record);
-    trace(trace_, event_kind::storage_write_slot, slot_of_[block.id]);
-    cached_[block.id] = 0;
+  // its own (already revealed, about to be re-permuted) slot. Records
+  // are sealed a chunk at a time, in eviction order.
+  for (std::size_t first = 0; first < evicted.size(); first += kSealChunk) {
+    const std::size_t n = std::min<std::size_t>(kSealChunk,
+                                                evicted.size() - first);
+    for (std::size_t j = 0; j < n; ++j) {
+      const evicted_block& block = evicted[first + j];
+      expects(block.id < config_.block_count, "evicted id out of range");
+      invariant(cached_[block.id] != 0,
+                "evicted block the list says is on storage");
+      codec_.encode_plain(block.id, block.payload, chunk_record(j));
+      cached_[block.id] = 0;
+    }
+    seal_chunk(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const block_id id = evicted[first + j].id;
+      cost.io_write += source.write(slot_of_[id], chunk_record(j));
+      trace(trace_, event_kind::storage_write_slot, slot_of_[id]);
+    }
   }
   cost.cpu += cpu_.crypto_time(evicted.size(), codec_.record_bytes());
   invariant(std::count(cached_.begin(), cached_.end(), std::uint8_t{1}) ==

@@ -77,6 +77,7 @@ class sqrt_backend final : public horam::oram_backend {
 
  private:
   class reshuffle_job;
+  friend struct sqrt_backend_test_access;
 
   [[nodiscard]] const storage::block_store& active() const noexcept {
     return active_is_a_ ? *array_a_ : *array_b_;
@@ -84,6 +85,13 @@ class sqrt_backend final : public horam::oram_backend {
   [[nodiscard]] storage::block_store& active() noexcept {
     return active_is_a_ ? *array_a_ : *array_b_;
   }
+  /// Records a bulk write seals as one batch.
+  static constexpr std::uint64_t kSealChunk = 512;
+  /// Record j of the chunk buffer (j < kSealChunk).
+  std::span<std::uint8_t> chunk_record(std::uint64_t j);
+  /// Seals chunk records [0, n), composed by encode_plain(), in one
+  /// batch (nonces in index order).
+  void seal_chunk(std::uint64_t n);
   /// Reads + decodes one physical slot of the active array.
   cost_split read_slot(std::uint64_t slot, block_id& decoded_out);
   /// Folds `evicted` into the array and Melbourne-reshuffles it: the
@@ -116,6 +124,8 @@ class sqrt_backend final : public horam::oram_backend {
   horam::backend_stats stats_;
   std::vector<std::uint8_t> record_scratch_;
   std::vector<std::uint8_t> payload_scratch_;
+  std::vector<std::uint8_t> chunk_buf_;
+  std::vector<std::span<std::uint8_t>> seal_spans_;
 };
 
 }  // namespace horam::oram

@@ -76,6 +76,12 @@ class partitioned_store {
   sim::sim_time write_partition(std::uint64_t partition,
                                 std::span<const std::uint8_t> records);
 
+  /// The underlying record array, main and append regions alike (for
+  /// audits and tests; reading it through peek() charges nothing).
+  [[nodiscard]] const block_store& records() const noexcept {
+    return store_;
+  }
+
  private:
   [[nodiscard]] std::uint64_t main_base(std::uint64_t partition) const
       noexcept {

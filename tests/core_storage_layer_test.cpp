@@ -3,9 +3,11 @@
 // shuffle, and the partial-shuffle append/masking machinery.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <unordered_map>
 
+#include "backend_test_access.h"
 #include "core/storage_layer.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
@@ -348,6 +350,35 @@ TEST(StorageLayerPartial, DifferentialWorkloadAcrossPeriods) {
                 static_cast<std::uint8_t>(id));
     }
   }
+}
+
+// A due partition opens all its survivors (in batches) before anything
+// moves. A tampered record of its last survivor must fail the shuffle
+// step with the typed crypto error and leave every block's location and
+// every slot's contents as they were.
+TEST(FaultInjection, TamperedDuePartitionLeavesTheLayoutUntouched) {
+  fixture fx;
+  storage_layer layer = fx.make(fx.config());
+  const std::uint64_t per_partition = layer.geometry().slots_per_partition();
+  std::map<block_id, std::uint64_t> slots;
+  block_id last = dummy_block_id;
+  for (block_id id = 0; id < 256; ++id) {
+    slots[id] = storage_layer_test_access::slot_of(layer, id);
+    if (slots[id] / per_partition == 0 &&
+        (last == dummy_block_id || slots[id] > slots[last])) {
+      last = id;
+    }
+  }
+  ASSERT_NE(last, dummy_block_id);
+  std::unique_ptr<shuffle_job> job = layer.begin_shuffle({}, 0);
+  storage_layer_test_access::corrupt(layer, slots[last], 12, 0x10);
+
+  EXPECT_THROW((void)job->step(/*device_budget=*/1), crypto::crypto_error);
+  for (const auto& [id, slot] : slots) {
+    ASSERT_TRUE(layer.in_storage(id)) << id;
+    EXPECT_EQ(storage_layer_test_access::slot_of(layer, id), slot) << id;
+  }
+  EXPECT_NO_THROW(layer.check_consistency());
 }
 
 }  // namespace

@@ -511,6 +511,121 @@ TEST(BucketCodecWindow, TamperedBucketFailsTheWholeWindowUnwritten) {
   }
 }
 
+// ------------------------------------------------ record batches
+
+/// `count` records composed by two block_codecs of one key seed:
+/// `per_record` by encode() one after another, `batched` by
+/// encode_plain() and one seal_many() in the same order. Every fourth
+/// record is a dummy and every fifth payload is short.
+struct record_batch_pair {
+  static constexpr std::size_t kPayload = 256;
+  block_codec per_record_codec;
+  block_codec batched_codec;
+  std::size_t count;
+  std::vector<std::uint8_t> per_record;
+  std::vector<std::uint8_t> batched;
+
+  record_batch_pair(std::size_t count_in, bool seal)
+      : per_record_codec(kPayload, seal, 0x8ec),
+        batched_codec(kPayload, seal, 0x8ec),
+        count(count_in) {
+    const std::size_t bytes = per_record_codec.record_bytes();
+    per_record.assign(count * bytes, 0xee);
+    batched.assign(count * bytes, 0xdd);
+    std::vector<std::span<std::uint8_t>> records;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::vector<std::uint8_t> payload =
+          slot_payload(kPayload, static_cast<std::uint32_t>(i));
+      if (i % 5 == 1) {
+        payload.resize(kPayload / 2);
+      }
+      const block_id id = i % 4 == 3 ? dummy_block_id : 1000 + i;
+      if (id == dummy_block_id) {
+        payload.clear();
+      }
+      per_record_codec.encode(
+          id, payload, std::span<std::uint8_t>(per_record).subspan(
+                           i * bytes, bytes));
+      records.push_back(
+          std::span<std::uint8_t>(batched).subspan(i * bytes, bytes));
+      batched_codec.encode_plain(id, payload, records.back());
+    }
+    batched_codec.seal_many(records);
+  }
+};
+
+TEST(RecordCodecBatch, ByteIdenticalToPerRecordCalls) {
+  for (const bool seal : {false, true}) {
+    for (const std::size_t count : {1u, 7u, 8u, 9u, 16u, 17u, 512u}) {
+      record_batch_pair pair(count, seal);
+      ASSERT_EQ(pair.batched, pair.per_record)
+          << count << " records, seal " << seal;
+
+      // decode_many() against decode() record by record.
+      block_codec& codec = pair.batched_codec;
+      const std::size_t bytes = codec.record_bytes();
+      const std::size_t payload = codec.payload_bytes();
+      std::vector<block_id> expected_ids(count);
+      std::vector<std::uint8_t> expected_out(count * payload, 0xcc);
+      for (std::size_t i = 0; i < count; ++i) {
+        expected_ids[i] = codec.decode(
+            std::span<const std::uint8_t>(pair.batched)
+                .subspan(i * bytes, bytes),
+            std::span<std::uint8_t>(expected_out)
+                .subspan(i * payload, payload));
+      }
+      const auto records = window_buckets(pair.batched, bytes);
+      std::vector<block_id> ids(count, 0);
+      std::vector<std::uint8_t> out(count * payload, 0xcc);
+      codec.decode_many(records, ids, out);
+      EXPECT_EQ(ids, expected_ids) << count << " records, seal " << seal;
+      EXPECT_EQ(out, expected_out) << count << " records, seal " << seal;
+      // Ids alone need no payload buffer.
+      std::vector<block_id> ids_only(count, 0);
+      codec.decode_many(records, ids_only, {});
+      EXPECT_EQ(ids_only, expected_ids);
+      // Payloads may land over the records themselves (in place).
+      std::vector<std::uint8_t> image = pair.batched;
+      std::vector<block_id> in_place_ids(count, 0);
+      codec.decode_many(window_buckets(image, bytes), in_place_ids,
+                        std::span<std::uint8_t>(image).first(count * payload));
+      EXPECT_EQ(in_place_ids, expected_ids);
+      EXPECT_TRUE(std::equal(expected_out.begin(), expected_out.end(),
+                             image.begin()))
+          << count << " records, seal " << seal;
+    }
+  }
+}
+
+TEST(RecordCodecBatch, TamperedRecordFailsTheWholeBatchUnwritten) {
+  // The first record of the second MAC lane group sits on the boundary.
+  const std::size_t boundary = crypto::detail::siphash_lanes(
+      crypto::detail::dispatched_isa());
+  for (const std::size_t count : {9u, 17u, 512u}) {
+    const record_batch_pair pair(count, true);
+    const block_codec& codec = pair.batched_codec;
+    const std::size_t bytes = codec.record_bytes();
+    for (const std::size_t record :
+         {std::size_t{0}, std::min(boundary, count - 1), count - 1}) {
+      for (const std::size_t offset : {std::size_t{3}, std::size_t{20},
+                                       bytes - 2}) {
+        std::vector<std::uint8_t> tampered = pair.batched;
+        tampered[record * bytes + offset] ^= 0x20;
+        std::vector<block_id> ids(count, 77);
+        std::vector<std::uint8_t> out(count * codec.payload_bytes(), 0xcc);
+        EXPECT_THROW(
+            codec.decode_many(window_buckets(tampered, bytes), ids, out),
+            crypto::crypto_error)
+            << "record " << record << ", byte " << offset;
+        EXPECT_EQ(ids, std::vector<block_id>(ids.size(), 77))
+            << "record " << record << ", byte " << offset;
+        EXPECT_EQ(out, std::vector<std::uint8_t>(out.size(), 0xcc))
+            << "record " << record << ", byte " << offset;
+      }
+    }
+  }
+}
+
 // --------------------------------------------- fault injection e2e
 
 TEST(FaultInjection, TamperedStoreRecordIsRejectedOnRead) {

@@ -6,10 +6,12 @@
 // and through bounded incremental steps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "backend_test_access.h"
 #include "horam.h"
 #include "oram/hier/feistel_prp.h"
 #include "oram/hier/hier_backend.h"
@@ -97,6 +99,37 @@ TEST(FeistelPrp, KeyedPermutationsDiffer) {
   // Two random permutations of 256 agree ~1 time on average; 32 would
   // mean the key is ignored.
   EXPECT_LT(agreements, 32u);
+}
+
+// The batched inverse runs the rounds of many slots in lockstep and
+// cycle-walks only the ones still outside the domain; every rank must
+// equal the scalar inverse's, for whole domains and for chunks that
+// start and end mid-domain.
+TEST(FeistelPrp, InverseManyMatchesInverse) {
+  util::pcg64 rng{test::seed(505)};
+  for (const std::uint64_t domain :
+       {1ull, 2ull, 3ull, 17ull, 20736ull, 90000ull}) {
+    const feistel_prp prp(domain, random_key(rng));
+    std::vector<std::uint64_t> expected(domain);
+    for (std::uint64_t slot = 0; slot < domain; ++slot) {
+      expected[slot] = prp.inverse(slot);
+    }
+    std::vector<std::uint64_t> all(domain, ~0ull);
+    prp.inverse_many(0, all);
+    ASSERT_EQ(all, expected) << "domain " << domain;
+
+    const std::uint64_t chunk_starts[] = {domain / 3, domain - domain / 5,
+                                          domain - 1, domain};
+    for (const std::uint64_t first : chunk_starts) {
+      const std::uint64_t count = std::min<std::uint64_t>(513, domain - first);
+      std::vector<std::uint64_t> chunk(count, ~0ull);
+      prp.inverse_many(first, chunk);
+      EXPECT_TRUE(std::equal(chunk.begin(), chunk.end(),
+                             expected.begin() +
+                                 static_cast<std::ptrdiff_t>(first)))
+          << "domain " << domain << ", first slot " << first;
+    }
+  }
 }
 
 // ------------------------------------------------------ succinct_index
@@ -349,6 +382,56 @@ TEST(HierBackend, MergesEventuallyReachAndRebuildDeeperLevels) {
   // levels active, deep ones collapse the stack toward one.
   EXPECT_GT(*active_counts.rbegin(), 1u);
   EXPECT_NO_THROW(backend.check_consistency());
+}
+
+
+// A merge opens each source chunk in one batch before it stages any
+// block. A tampered record of the source level's last live block must
+// fail the step with the typed crypto error while every other block of
+// that level stays on storage: nothing staged, no index entry cleared.
+TEST(FaultInjection, TamperedHierMergeChunkStagesNothing) {
+  rig fx;
+  hier_backend backend = fx.make();
+  // Period 0 fills level 1 with a hot set.
+  std::vector<evicted_block> hot;
+  for (block_id id = 0; id < 12; ++id) {
+    const oram_backend::load_result load = backend.load_block(id * 5);
+    hot.push_back({load.id, load.payload});
+  }
+  std::vector<evicted_block> overflow;
+  backend.shuffle_period(std::move(hot), 0, overflow);
+  ASSERT_EQ(backend.level_live(1), 12u);
+
+  // Period 1 merges level 1 (one chunk) back into level 1.
+  std::vector<evicted_block> next;
+  const oram_backend::load_result load = backend.load_block(3);
+  next.push_back({load.id, load.payload});
+  std::unique_ptr<shuffle_job> job = backend.begin_shuffle(std::move(next), 1);
+
+  std::vector<block_id> level_one;
+  block_id last = dummy_block_id;
+  for (block_id id = 0; id < kBlocks; ++id) {
+    if (hier_backend_test_access::level_of(backend, id) != 1) {
+      continue;
+    }
+    level_one.push_back(id);
+    if (last == dummy_block_id ||
+        hier_backend_test_access::slot_of(backend, id) >
+            hier_backend_test_access::slot_of(backend, last)) {
+      last = id;
+    }
+  }
+  ASSERT_EQ(level_one.size(), 12u);
+  hier_backend_test_access::corrupt(
+      backend, hier_backend_test_access::slot_of(backend, last), 30, 0x02);
+
+  EXPECT_THROW((void)job->step(/*device_budget=*/1), crypto::crypto_error);
+  for (const block_id id : level_one) {
+    EXPECT_FALSE(job->holds(id)) << id;
+    EXPECT_TRUE(backend.in_storage(id)) << id;
+    EXPECT_EQ(hier_backend_test_access::level_of(backend, id), 1u) << id;
+  }
+  EXPECT_EQ(backend.level_live(1), 12u);
 }
 
 }  // namespace

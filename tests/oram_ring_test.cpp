@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 
+#include "backend_test_access.h"
 #include "horam.h"
 #include "oram/ring/ring_oram.h"
 #include "test_support.h"
@@ -314,6 +315,56 @@ TEST(RingOram, InitializeFullOverflowShelteredInStash) {
     }
   }
   FAIL() << "no build overflowed into the stash across 64 attempts";
+}
+
+// An eviction opens every real record on its path in one batch before
+// any block enters the stash. A tampered record in the path's deepest
+// occupied bucket, read last, must fail the eviction with the typed
+// crypto error while the stash and every slot's metadata stay as they
+// were — none of the records read before it may have moved.
+TEST(FaultInjection, TamperedRingEvictionLeavesTheStashUntouched) {
+  fixture fx;
+  ring_oram oram(fx.config(16, 4, 3, /*a=*/100000), fx.device, fx.cpu,
+                 fx.rng, nullptr);
+  oram.initialize_full(100, [](block_id id, std::span<std::uint8_t> out) {
+    out[0] = static_cast<std::uint8_t>(id);
+  });
+  for (block_id id = 100; id < 104; ++id) {
+    oram.install(id, payload_of(static_cast<std::uint8_t>(id)));
+  }
+  ASSERT_NO_THROW(oram.check_consistency());
+
+  // The real slots of the next eviction path, in the order it reads
+  // them (root to leaf).
+  const leaf_id leaf = ring_oram_test_access::next_eviction_leaf(oram);
+  const auto before = ring_oram_test_access::slot_metadata(oram);
+  std::vector<std::uint64_t> path_reals;
+  for (std::uint32_t level = 0; level < oram.level_count(); ++level) {
+    const std::uint64_t bucket =
+        ring_oram_test_access::bucket_on_path(oram, leaf, level);
+    for (std::uint32_t k = 0; k < oram.slots_per_bucket(); ++k) {
+      const std::uint64_t slot = bucket * oram.slots_per_bucket() + k;
+      if (before[slot].first != dummy_block_id) {
+        path_reals.push_back(slot);
+      }
+    }
+  }
+  ASSERT_GE(path_reals.size(), 2u);
+  ring_oram_test_access::corrupt(oram, path_reals.back(), 20, 0x04);
+
+  std::map<block_id, std::vector<std::uint8_t>> stash_before;
+  for (const auto& [id, entry] : oram.stash_ref()) {
+    stash_before[id] = entry.payload;
+  }
+  EXPECT_THROW(oram.force_evict(), crypto::crypto_error);
+
+  std::map<block_id, std::vector<std::uint8_t>> stash_after;
+  for (const auto& [id, entry] : oram.stash_ref()) {
+    stash_after[id] = entry.payload;
+  }
+  EXPECT_EQ(stash_after, stash_before);
+  EXPECT_EQ(ring_oram_test_access::slot_metadata(oram), before);
+  EXPECT_EQ(oram.resident_blocks(), 104u);
 }
 
 // ------------------------------------------------- ring-backend detail

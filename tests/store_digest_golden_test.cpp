@@ -1,0 +1,180 @@
+// Golden pins for the sealed bytes of the per-slot backends
+// (partitioned, hier, sqrt and ring). Each case builds a sealed backend
+// with fixed seeds, runs a fixed sequence of loads, dummy loads and
+// shuffle periods (monolithic and budgeted), and pins a 64-bit digest
+// of every byte of the backend's record stores after the build and
+// after each period. The sequences cover a partitioned append segment
+// and a due-partition shuffle, hier level refreshes and a merge
+// cascade, the sqrt build and reshuffle, and ring evictions and early
+// reshuffles. Sealed bytes depend on every nonce and on the order in
+// which records are sealed, so any change to how a backend composes,
+// batches or seals its records must leave every value here unchanged.
+//
+// The seeds are fixed constants rather than test::seed(): the pinned
+// values are a property of this exact run.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "backend_test_access.h"
+#include "horam.h"
+#include "oram/common/tree_backend.h"
+
+namespace horam {
+namespace {
+
+using oram::block_id;
+
+constexpr std::uint64_t kBlocks = 256;
+
+horam_config base_config() {
+  horam_config c;
+  c.block_count = kBlocks;
+  c.memory_blocks = 32;
+  c.bucket_size = 2;
+  c.payload_bytes = 16;
+  c.seal = true;
+  c.key_seed = 0x5eed5107;
+  return c;
+}
+
+/// Digest of every store the backend owns.
+std::uint64_t digest(const oram_backend& backend) {
+  if (const auto* layer = dynamic_cast<const storage_layer*>(&backend)) {
+    return store_digest(storage_layer_test_access::store(*layer));
+  }
+  if (const auto* hier = dynamic_cast<const oram::hier_backend*>(&backend)) {
+    return store_digest(oram::hier_backend_test_access::store(*hier));
+  }
+  if (const auto* sqrt = dynamic_cast<const oram::sqrt_backend*>(&backend)) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const storage::block_store* store :
+         oram::sqrt_backend_test_access::stores(*sqrt)) {
+      hash = store_digest(*store, hash);
+    }
+    return hash;
+  }
+  const auto& ring = dynamic_cast<const oram::ring_backend&>(backend);
+  return store_digest(oram::ring_oram_test_access::store(ring.tree()));
+}
+
+/// Builds `kind` with fixed seeds, runs `periods` shuffle periods of
+/// loads and dummy loads (every third period stepped in small
+/// device-time slices), and returns the store digest after the build
+/// and after each period. `inspect` sees the backend at the end.
+std::vector<std::uint64_t> run(
+    backend_kind kind, const horam_config& config, std::uint64_t periods,
+    const std::function<void(const oram_backend&)>& inspect) {
+  sim::block_device device{sim::hdd_paper()};
+  sim::block_device map_device{sim::dram_ddr4()};
+  sim::cpu_model cpu{sim::cpu_aesni()};
+  util::pcg64 rng{0x5107e};
+  const std::function<void(block_id, std::span<std::uint8_t>)> filler =
+      [](block_id id, std::span<std::uint8_t> out) {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i] = static_cast<std::uint8_t>(id * 7 + i);
+        }
+      };
+  const std::unique_ptr<oram_backend> backend = make_backend(
+      kind, config, device, cpu, rng, nullptr, &filler, &map_device);
+
+  std::vector<std::uint64_t> digests{digest(*backend)};
+  util::pcg64 workload{0xd16e57};
+  for (std::uint64_t period = 0; period < periods; ++period) {
+    std::vector<oram::evicted_block> evicted;
+    for (std::uint64_t cycle = 0; cycle < config.period_loads(); ++cycle) {
+      const block_id target = util::uniform_below(workload, kBlocks);
+      const bool real = cycle % 3 != 2 && backend->in_storage(target);
+      oram_backend::load_result load =
+          real ? backend->load_block(target) : backend->dummy_load();
+      if (load.id != oram::dummy_block_id) {
+        load.payload[0] ^= static_cast<std::uint8_t>(period + 1);
+        evicted.push_back(
+            oram::evicted_block{load.id, std::move(load.payload)});
+      }
+    }
+    std::vector<oram::evicted_block> overflow;
+    if (period % 3 != 2) {
+      backend->shuffle_period(std::move(evicted), period, overflow);
+    } else {
+      std::unique_ptr<shuffle_job> job =
+          backend->begin_shuffle(std::move(evicted), period);
+      while (!job->done()) {
+        (void)job->step(50'000);
+      }
+      job->finish(overflow);
+    }
+    // Sheltered blocks go back with the next period's hot set.
+    EXPECT_TRUE(overflow.empty() || kind == backend_kind::partitioned);
+    EXPECT_NO_THROW(backend->check_consistency());
+    digests.push_back(digest(*backend));
+  }
+  inspect(*backend);
+  return digests;
+}
+
+TEST(StoreDigestGolden, partitioned) {
+  horam_config config = base_config();
+  // Half the partitions are due each period; the rest take appends.
+  config.shuffle_every_periods = 2;
+  const std::vector<std::uint64_t> digests =
+      run(backend_kind::partitioned, config, 4, [](const oram_backend& b) {
+        EXPECT_GT(b.stats().append_segments, 0u);
+        EXPECT_GT(b.stats().partitions_shuffled, 0u);
+      });
+  const std::vector<std::uint64_t> expected{
+      0x78f9719ac19578f7ULL, 0x09aebe791a303a40ULL, 0xd7f1f55804235651ULL,
+      0xdefe483581bf5581ULL, 0xce099261cb9bb728ULL};
+  EXPECT_EQ(digests, expected);
+}
+
+TEST(StoreDigestGolden, hier) {
+  horam_config config = base_config();
+  config.hier_rebuild_rate = 0.25;  // frequent in-place refreshes
+  // Period 3 (ordinal 4 = the fan-out) cascades into level 2.
+  const std::vector<std::uint64_t> digests =
+      run(backend_kind::hier, config, 5, [](const oram_backend& b) {
+        const auto& hier = dynamic_cast<const oram::hier_backend&>(b);
+        EXPECT_GT(hier.refresh_count(), 0u);
+        EXPECT_GT(hier.level_live(2), 0u);
+      });
+  const std::vector<std::uint64_t> expected{
+      0xe83d056d0473c2dfULL, 0x14e2c601a4776a1eULL, 0xd6d5059cb0b2cad3ULL,
+      0xd3736b21ec46e4d7ULL, 0x28eeb45648596b09ULL, 0xc1789e431d3cc5aaULL};
+  EXPECT_EQ(digests, expected);
+}
+
+TEST(StoreDigestGolden, sqrt) {
+  const std::vector<std::uint64_t> digests =
+      run(backend_kind::sqrt, base_config(), 3, [](const oram_backend& b) {
+        EXPECT_EQ(b.stats().partitions_shuffled, 3u);
+      });
+  const std::vector<std::uint64_t> expected{
+      0x411bcc7b0a537da9ULL, 0xc6d3613ef166923dULL, 0x4c7612d71af34caeULL,
+      0xba207656092c2211ULL};
+  EXPECT_EQ(digests, expected);
+}
+
+TEST(StoreDigestGolden, ring) {
+  horam_config config = base_config();
+  config.ring_bucket_size = 2;
+  config.ring_spare_slots = 3;
+  config.ring_eviction_rate = 3;
+  const std::vector<std::uint64_t> digests =
+      run(backend_kind::ring, config, 3, [](const oram_backend& b) {
+        const auto& ring = dynamic_cast<const oram::ring_backend&>(b);
+        EXPECT_GT(ring.tree().stats().evictions, 0u);
+        EXPECT_GT(ring.tree().stats().early_reshuffles, 0u);
+      });
+  const std::vector<std::uint64_t> expected{
+      0x597e4678576d0672ULL, 0xc2ea10db99b1e9c1ULL, 0x3c946373d9ce99e7ULL,
+      0x214c722f52a96fcfULL};
+  EXPECT_EQ(digests, expected);
+}
+
+}  // namespace
+}  // namespace horam
