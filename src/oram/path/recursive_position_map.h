@@ -87,6 +87,8 @@ class recursive_position_map {
       const std::function<void(block_id, leaf_id)>& visit) const;
 
  private:
+  friend struct recursive_position_map_test_access;
+
   static constexpr leaf_id absent = std::numeric_limits<leaf_id>::max();
 
   /// Reads the packed map block holding `index` at `level` and returns

@@ -1,8 +1,8 @@
 // Test-only access to the record stores and trusted state of the
-// per-slot backends (friends of storage_layer, hier_backend,
-// sqrt_backend and ring_oram, in the manner of path_oram_test_access):
-// a digest of every stored byte for the store goldens, and fault
-// injection into chosen records.
+// backends (friends of storage_layer, hier_backend, sqrt_backend,
+// path_oram, recursive_position_map and ring_oram): a digest of every
+// stored byte for the store goldens, and fault injection into chosen
+// records.
 #ifndef HORAM_TESTS_BACKEND_TEST_ACCESS_H
 #define HORAM_TESTS_BACKEND_TEST_ACCESS_H
 
@@ -11,7 +11,10 @@
 #include <vector>
 
 #include "core/storage_layer.h"
+#include "oram/common/bucket_codec.h"
 #include "oram/hier/hier_backend.h"
+#include "oram/path/path_oram.h"
+#include "oram/path/recursive_position_map.h"
 #include "oram/ring/ring_oram.h"
 #include "oram/sqrt/sqrt_backend.h"
 #include "storage/block_store.h"
@@ -79,6 +82,54 @@ struct sqrt_backend_test_access {
       const sqrt_backend& backend) {
     return {backend.array_a_.get(), backend.array_b_.get(),
             backend.scratch_.get()};
+  }
+};
+
+/// Reaches the stored records of a real tree bucket, for fault
+/// injection, and the tree's stores, for the store goldens.
+struct path_oram_test_access {
+  static const bucket_codec& codec(const path_oram& tree) {
+    return tree.codec_;
+  }
+  /// The slot ids the bucket's stored image holds now.
+  static std::vector<block_id> ids(const path_oram& tree,
+                                   std::uint64_t bucket) {
+    std::vector<block_id> ids(tree.config_.bucket_size);
+    tree.codec_.decode(tree.peek_bucket(bucket), ids, {});
+    return ids;
+  }
+  /// XORs `mask` into byte `offset` of the bucket's stored image.
+  static void corrupt(const path_oram& tree, std::uint64_t bucket,
+                      std::size_t offset, std::uint8_t mask) {
+    storage::block_store& store =
+        tree.bucket_in_memory(bucket) ? *tree.memory_store_ : *tree.io_store_;
+    const std::size_t record = tree.record_bytes();
+    store.corrupt(tree.bucket_first_slot(bucket) + offset / record,
+                  offset % record, mask);
+  }
+  /// The memory lane's store, then the storage lane's (absent lanes
+  /// skipped).
+  static std::vector<const storage::block_store*> stores(
+      const path_oram& tree) {
+    std::vector<const storage::block_store*> out;
+    for (const auto* store : {tree.memory_store_.get(), tree.io_store_.get()}) {
+      if (store != nullptr) {
+        out.push_back(store);
+      }
+    }
+    return out;
+  }
+};
+
+struct recursive_position_map_test_access {
+  /// The map ORAM of every recursion level, level 0 first.
+  static std::vector<const path_oram*> levels(
+      const recursive_position_map& map) {
+    std::vector<const path_oram*> out;
+    for (const auto& level : map.levels_) {
+      out.push_back(level.get());
+    }
+    return out;
   }
 };
 

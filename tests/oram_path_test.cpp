@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "analysis/pattern_audit.h"
+#include "backend_test_access.h"
 #include "horam.h"
 #include "oram/common/tree_backend.h"
 #include "oram/path/path_oram.h"
@@ -19,30 +20,6 @@
 #include "util/rng.h"
 
 namespace horam::oram {
-
-/// Reaches the stored records of a real tree bucket (friend of
-/// path_oram), for fault injection.
-struct path_oram_test_access {
-  static const bucket_codec& codec(const path_oram& tree) {
-    return tree.codec_;
-  }
-  /// The slot ids the bucket's stored image holds now.
-  static std::vector<block_id> ids(const path_oram& tree,
-                                   std::uint64_t bucket) {
-    std::vector<block_id> ids(tree.config_.bucket_size);
-    tree.codec_.decode(tree.peek_bucket(bucket), ids, {});
-    return ids;
-  }
-  /// XORs `mask` into byte `offset` of the bucket's stored image.
-  static void corrupt(const path_oram& tree, std::uint64_t bucket,
-                      std::size_t offset, std::uint8_t mask) {
-    storage::block_store& store =
-        tree.bucket_in_memory(bucket) ? *tree.memory_store_ : *tree.io_store_;
-    const std::size_t record = tree.record_bytes();
-    store.corrupt(tree.bucket_first_slot(bucket) + offset / record,
-                  offset % record, mask);
-  }
-};
 
 namespace {
 

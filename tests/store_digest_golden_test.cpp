@@ -1,12 +1,13 @@
-// Golden pins for the sealed bytes of the per-slot backends
-// (partitioned, hier, sqrt and ring). Each case builds a sealed backend
+// Golden pins for the sealed bytes of the storage backends
+// (partitioned, hier, sqrt, path and ring). Each case builds a sealed backend
 // with fixed seeds, runs a fixed sequence of loads, dummy loads and
 // shuffle periods (monolithic and budgeted), and pins a 64-bit digest
 // of every byte of the backend's record stores after the build and
 // after each period. The sequences cover a partitioned append segment
 // and a due-partition shuffle, hier level refreshes and a merge
-// cascade, the sqrt build and reshuffle, and ring evictions and early
-// reshuffles. Sealed bytes depend on every nonce and on the order in
+// cascade, the sqrt build and reshuffle, Path ORAM extracts and stash
+// drains under the flat and page layouts (tree store and recursive-map
+// stores), and ring evictions and early reshuffles. Sealed bytes depend on every nonce and on the order in
 // which records are sealed, so any change to how a backend composes,
 // batches or seals its records must leave every value here unchanged.
 //
@@ -55,6 +56,22 @@ std::uint64_t digest(const oram_backend& backend) {
     for (const storage::block_store* store :
          oram::sqrt_backend_test_access::stores(*sqrt)) {
       hash = store_digest(*store, hash);
+    }
+    return hash;
+  }
+  if (const auto* path = dynamic_cast<const oram::path_backend*>(&backend)) {
+    // The tree's store, then every recursion level's map ORAM.
+    std::vector<const oram::path_oram*> trees{&path->tree()};
+    for (const oram::path_oram* level :
+         oram::recursive_position_map_test_access::levels(path->map())) {
+      trees.push_back(level);
+    }
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const oram::path_oram* tree : trees) {
+      for (const storage::block_store* store :
+           oram::path_oram_test_access::stores(*tree)) {
+        hash = store_digest(*store, hash);
+      }
     }
     return hash;
   }
@@ -156,6 +173,47 @@ TEST(StoreDigestGolden, sqrt) {
   const std::vector<std::uint64_t> expected{
       0x411bcc7b0a537da9ULL, 0xc6d3613ef166923dULL, 0x4c7612d71af34caeULL,
       0xba207656092c2211ULL};
+  EXPECT_EQ(digests, expected);
+}
+
+/// A path config whose recursive map keeps two ORAM levels (256 ids,
+/// 8 per map block: 32 blocks, then 4).
+horam_config path_config() {
+  horam_config config = base_config();
+  config.map_entries_per_block = 8;
+  config.map_direct_threshold = 16;
+  return config;
+}
+
+void expect_path_drains(const oram_backend& b) {
+  const auto& path = dynamic_cast<const oram::path_backend&>(b);
+  EXPECT_EQ(path.map().level_count(), 2u);
+  EXPECT_GT(path.tree().stats().installs, 0u);
+  EXPECT_GT(path.last_drain_steps(), 0u);
+}
+
+TEST(StoreDigestGolden, path_flat) {
+  const std::vector<std::uint64_t> digests =
+      run(backend_kind::path, path_config(), 3, expect_path_drains);
+  const std::vector<std::uint64_t> expected{
+      0x80018d0af1e103bcULL, 0x62cb854ec0565175ULL, 0x96d8ec1a551f96ffULL,
+      0x6bcac46c35a3b83dULL};
+  EXPECT_EQ(digests, expected);
+}
+
+TEST(StoreDigestGolden, path_page) {
+  horam_config config = path_config();
+  config.layout = storage::storage_layout::page;
+  config.page_bytes = 1024;
+  const std::vector<std::uint64_t> digests =
+      run(backend_kind::path, config, 3, [](const oram_backend& b) {
+        expect_path_drains(b);
+        const auto& path = dynamic_cast<const oram::path_backend&>(b);
+        EXPECT_GT(path.tree().page_geometry()->group_count(), 1u);
+      });
+  const std::vector<std::uint64_t> expected{
+      0xa5ce40da6b384cd9ULL, 0xad82282d060470b3ULL, 0x9826d9d924f8d2e8ULL,
+      0x89f1e624096779bbULL};
   EXPECT_EQ(digests, expected);
 }
 
