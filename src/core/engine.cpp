@@ -471,10 +471,17 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
   return serviced;
 }
 
+void engine::check_admissible(const request& req) const {
+  expects(req.id < config_.block_count, "request id out of range");
+  expects(req.op != oram::op_kind::write ||
+              req.write_data.size() <= config_.payload_bytes,
+          "write larger than the block payload");
+}
+
 void engine::run(std::span<const request> requests,
                  std::vector<request_result>* results) {
   for (const request& req : requests) {
-    expects(req.id < config_.block_count, "request id out of range");
+    check_admissible(req);
   }
   if (results != nullptr) {
     results->assign(requests.size(), request_result{});
@@ -498,7 +505,7 @@ void engine::run(std::span<const request> requests,
 }
 
 std::uint64_t engine::submit(request req) {
-  expects(req.id < config_.block_count, "request id out of range");
+  check_admissible(req);
   const std::uint32_t s = shard_of(req.id);
   routed entry;
   entry.tag = next_token_++;

@@ -201,6 +201,11 @@ class engine {
   /// Validates and queues one request on its shard; returns a token
   /// identifying it in step_round() completions.
   std::uint64_t submit(request req);
+  /// Throws util::contract_error for a request no round can serve — an
+  /// id outside the block space, or a write longer than a block
+  /// payload. Every admission path (run, submit, the client and the
+  /// tenant scheduler) calls it before queueing anything.
+  void check_admissible(const request& req) const;
   /// Requests queued but not yet serviced.
   [[nodiscard]] std::size_t pending() const noexcept {
     return pending_total_;

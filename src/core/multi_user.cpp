@@ -39,8 +39,7 @@ void tenant_scheduler::grant(std::uint32_t tenant, user_grant grant) {
 
 std::uint64_t tenant_scheduler::enqueue(std::uint32_t tenant, request req) {
   expects(tenant < lanes_.size(), "enqueue for unknown tenant");
-  expects(req.id < engine_.config().block_count,
-          "request id out of range");
+  engine_.check_admissible(req);
   // Access control before anything is queued: a rejected request leaves
   // no observable trace.
   const auto it = grants_.find(tenant);

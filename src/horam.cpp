@@ -232,10 +232,10 @@ void client::submit(request req) {
 }
 
 void client::submit(std::span<const request> requests) {
-  // Validate the whole batch before queueing so a bad id cannot leave a
-  // partial prefix in the session queue.
+  // Validate the whole batch before queueing so a bad request cannot
+  // leave a partial prefix in the session queue.
   for (const request& req : requests) {
-    expects(req.id < config().block_count, "request id out of range");
+    state_->eng->check_admissible(req);
   }
   for (const request& req : requests) {
     (void)state_->eng->submit(req);

@@ -52,10 +52,7 @@ class bucket_codec {
  public:
   /// A real block placed in a bucket. `payload` holds at most
   /// payload_bytes; shorter payloads are zero padded.
-  struct entry {
-    block_id id = dummy_block_id;
-    std::span<const std::uint8_t> payload;
-  };
+  using entry = block_ref;
 
   /// `slots` is the bucket size Z; `seal` turns real encryption + MAC
   /// on; `key_seed` derives the keys.

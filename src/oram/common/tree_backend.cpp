@@ -312,10 +312,10 @@ std::unique_ptr<horam::shuffle_job> tree_backend<Tree>::begin_shuffle(
 
 template <class Tree>
 std::uint64_t tree_backend<Tree>::physical_bytes() const {
-  const std::uint64_t logical = config_.logical_block_bytes != 0
-                                    ? config_.logical_block_bytes
-                                    : tree_->record_bytes();
-  return tree_traits<Tree>::slots(*tree_) * logical + map_->oram_bytes();
+  return tree_traits<Tree>::slots(*tree_) *
+             logical_block_bytes(config_.logical_block_bytes,
+                                 tree_->record_bytes()) +
+         map_->oram_bytes();
 }
 
 template <class Tree>

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "sim/time.h"
@@ -22,6 +23,13 @@ using leaf_id = std::uint64_t;
 
 /// Operation kind of a request.
 enum class op_kind : std::uint8_t { read, write };
+
+/// A real block and a view of its payload (bucket composition and
+/// write-back selection).
+struct block_ref {
+  block_id id = dummy_block_id;
+  std::span<const std::uint8_t> payload;
+};
 
 /// One real block leaving a cache layer with its current payload
 /// (output of path_oram::evict_all, input of oram_backend shuffles).

@@ -8,73 +8,41 @@
 
 namespace horam::oram {
 
-namespace {
-
-/// Chunk size (records) for sequential sweeps, to bound host buffers.
-constexpr std::uint64_t sweep_chunk_records = 1 << 14;
-
-/// Charges the streaming write of a whole store composed in place
-/// through stage_range(), in sweep_chunk_records sweeps.
-sim::sim_time commit_sweeps(storage::block_store& store) {
-  sim::sim_time t = 0;
-  const std::uint64_t slots = store.slot_count();
-  for (std::uint64_t first = 0; first < slots;
-       first += sweep_chunk_records) {
-    t += store.commit_range(first,
-                            std::min(sweep_chunk_records, slots - first));
-  }
-  return t;
-}
-
-}  // namespace
-
 path_oram::path_oram(const path_oram_config& config,
                      sim::block_device& memory_device,
                      sim::block_device* io_device, const sim::cpu_model& cpu,
                      util::random_source& rng, access_trace* trace)
-    : config_(config),
-      level_count_(static_cast<std::uint32_t>(
-          util::floor_log2(config.leaf_count) + 1)),
-      memory_levels_(std::min(config.memory_levels, level_count_)),
-      bucket_count_(2 * config.leaf_count - 1),
+    : tree_core(config.leaf_count, config.bucket_size, config.payload_bytes,
+                config.id_universe, cpu, rng),
+      config_(config),
+      memory_levels_(std::min(config.memory_levels, level_count())),
       memory_bucket_count_((std::uint64_t{1} << memory_levels_) - 1),
       codec_(config.bucket_size, config.payload_bytes, config.seal,
              config.key_seed),
       memory_device_(memory_device),
-      cpu_(cpu),
-      rng_(rng),
-      trace_(trace),
-      positions_(config.id_universe) {
-  expects(util::is_pow2(config.leaf_count), "leaf count must be 2^k");
-  expects(config.bucket_size > 0, "bucket size must be positive");
-  expects(config.id_universe > 0, "id universe must be positive");
-
-  const std::uint64_t logical =
-      config.logical_block_bytes != 0 ? config.logical_block_bytes
-                                      : codec_.record_bytes();
-  expects(logical >= codec_.record_bytes(),
-          "logical block smaller than the encoded record");
-  logical_bytes_ = logical;
-
+      logical_bytes_(
+          logical_block_bytes(config.logical_block_bytes,
+                              codec_.record_bytes())),
+      trace_(trace) {
   if (memory_bucket_count_ > 0) {
     memory_store_ = std::make_unique<storage::block_store>(
         memory_device, /*base_offset=*/0,
         memory_bucket_count_ * config.bucket_size, codec_.record_bytes(),
-        logical);
+        logical_bytes_);
   }
-  const std::uint64_t io_buckets = bucket_count_ - memory_bucket_count_;
+  const std::uint64_t io_buckets = bucket_count() - memory_bucket_count_;
   if (io_buckets > 0) {
     expects(io_device != nullptr,
             "tree deeper than memory_levels needs a storage device");
     io_store_ = std::make_unique<storage::block_store>(
         *io_device, /*base_offset=*/0, io_buckets * config.bucket_size,
-        codec_.record_bytes(), logical);
+        codec_.record_bytes(), logical_bytes_);
     if (config.layout == storage::storage_layout::page) {
       storage::page_layout_config page_config;
-      page_config.total_levels = level_count_;
+      page_config.total_levels = level_count();
       page_config.first_level = memory_levels_;
       page_config.bucket_size = config.bucket_size;
-      page_config.logical_block_bytes = logical;
+      page_config.logical_block_bytes = logical_bytes_;
       page_config.page_bytes = config.page_bytes;
       page_ = std::make_unique<storage::page_layout>(page_config);
       invariant(page_->total_slots() == io_store_->slot_count(),
@@ -88,31 +56,18 @@ path_oram::path_oram(const path_oram_config& config,
     }
   }
 
-  path_ids_.resize(std::size_t{level_count_} * config.bucket_size);
+  path_ids_.resize(std::size_t{level_count()} * config.bucket_size);
   path_payloads_.resize(path_ids_.size() * config.payload_bytes);
-  bucket_reals_.reserve(config.bucket_size);
-  path_window_.resize(static_cast<std::size_t>(level_count_) *
+  path_window_.resize(static_cast<std::size_t>(level_count()) *
                       config.bucket_size * codec_.record_bytes());
-  for (std::uint32_t level = 0; level < level_count_; ++level) {
+  for (std::uint32_t level = 0; level < level_count(); ++level) {
     root_first_.push_back(window_bucket(level));
-    leaf_first_.push_back(window_bucket(level_count_ - 1 - level));
+    leaf_first_.push_back(window_bucket(level_count() - 1 - level));
   }
   zero_payload_.resize(config.payload_bytes, 0);
 
   // Start with a physically dummy-filled tree.
   reset();
-}
-
-std::uint64_t path_oram::bucket_on_path(leaf_id leaf,
-                                        std::uint32_t level) const {
-  return ((std::uint64_t{1} << level) - 1) +
-         (leaf >> (level_count_ - 1 - level));
-}
-
-bool path_oram::paths_share_bucket(leaf_id a, leaf_id b,
-                                   std::uint32_t level) const {
-  const std::uint32_t shift = level_count_ - 1 - level;
-  return (a >> shift) == (b >> shift);
 }
 
 bool path_oram::bucket_in_memory(std::uint64_t bucket) const noexcept {
@@ -154,11 +109,11 @@ std::span<const std::uint8_t> path_oram::slot_payload(
 void path_oram::seal_in_windows(std::span<std::uint8_t> image) {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
   std::vector<std::span<std::uint8_t>> batch;
-  batch.reserve(level_count_);
+  batch.reserve(level_count());
   for (std::size_t at = 0; at < image.size(); at += bucket_bytes) {
     batch.push_back(image.subspan(at, bucket_bytes));
     codec_.encode_plain({}, batch.back());
-    if (batch.size() == level_count_ || at + bucket_bytes == image.size()) {
+    if (batch.size() == level_count() || at + bucket_bytes == image.size()) {
       codec_.seal_many(batch);
       batch.clear();
     }
@@ -169,10 +124,10 @@ void path_oram::take_reals(std::span<const std::uint8_t> buckets,
                            std::vector<evicted_block>& out) {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
   std::vector<std::span<const std::uint8_t>> batch;
-  batch.reserve(level_count_);
+  batch.reserve(level_count());
   for (std::size_t at = 0; at < buckets.size(); at += bucket_bytes) {
     batch.push_back(buckets.subspan(at, bucket_bytes));
-    if (batch.size() < level_count_ && at + bucket_bytes < buckets.size()) {
+    if (batch.size() < level_count() && at + bucket_bytes < buckets.size()) {
       continue;
     }
     const std::size_t slots = batch.size() * config_.bucket_size;
@@ -261,7 +216,7 @@ cost_split path_oram::load_path(leaf_id leaf) {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
-    for (std::uint32_t level = 0; level < level_count_; ++level) {
+    for (std::uint32_t level = 0; level < level_count(); ++level) {
       cost += read_bucket(bucket_on_path(leaf, level), window_bucket(level));
     }
     return cost;
@@ -293,7 +248,7 @@ cost_split path_oram::load_path(leaf_id leaf) {
     const std::uint32_t top = page_->group_top_level(g);
     for (std::uint32_t d = 0; d < page_->group_height(g); ++d) {
       const std::uint32_t level = top + d;
-      const std::uint64_t position = leaf >> (level_count_ - 1 - level);
+      const std::uint64_t position = leaf >> (level_count() - 1 - level);
       const std::uint64_t index =
           page_->bucket_index_in_segment(level, position);
       std::memcpy(window_bucket(level).data(),
@@ -308,8 +263,8 @@ cost_split path_oram::store_path(leaf_id leaf) {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
-    for (std::uint32_t down = 0; down < level_count_; ++down) {
-      const std::uint32_t level = level_count_ - 1 - down;
+    for (std::uint32_t down = 0; down < level_count(); ++down) {
+      const std::uint32_t level = level_count() - 1 - down;
       cost += write_bucket(bucket_on_path(leaf, level), window_bucket(level));
     }
     return cost;
@@ -327,7 +282,7 @@ cost_split path_oram::store_path(leaf_id leaf) {
     const std::uint32_t top = page_->group_top_level(g);
     for (std::uint32_t d = 0; d < page_->group_height(g); ++d) {
       const std::uint32_t level = top + d;
-      const std::uint64_t position = leaf >> (level_count_ - 1 - level);
+      const std::uint64_t position = leaf >> (level_count() - 1 - level);
       const std::uint64_t index =
           page_->bucket_index_in_segment(level, position);
       std::memcpy(buffer.data() + index * bucket_bytes,
@@ -345,8 +300,6 @@ cost_split path_oram::store_path(leaf_id leaf) {
   }
   return cost;
 }
-
-bool path_oram::contains(block_id id) const { return positions_.contains(id); }
 
 cost_split path_oram::path_access(
     leaf_id leaf, block_id requested, op_kind op,
@@ -393,8 +346,6 @@ cost_split path_oram::path_access(
     // write-back would strand it off its position-map path.
     entry.leaf = positions_.leaf_of(requested);
     if (op == op_kind::write) {
-      expects(write_data.size() <= config_.payload_bytes,
-              "write larger than the block payload");
       std::fill(entry.payload.begin(), entry.payload.end(), 0);
       std::memcpy(entry.payload.data(), write_data.data(),
                   write_data.size());
@@ -420,31 +371,34 @@ cost_split path_oram::path_access(
   // sealed leaf to root in one batch and flushed as one store_path (same
   // nonces and device order as composing, sealing and writing level by
   // level; under `page`, one transfer per segment).
-  for (std::uint32_t down = 0; down < level_count_; ++down) {
-    const std::uint32_t level = level_count_ - 1 - down;
-    bucket_reals_.clear();
-    for (const auto& [id, entry] : stash_) {
-      if (paths_share_bucket(entry.leaf, leaf, level)) {
-        bucket_reals_.push_back(bucket_codec::entry{id, entry.payload});
-        if (bucket_reals_.size() == z) {
-          break;
-        }
-      }
-    }
-    codec_.encode_plain(bucket_reals_, window_bucket(level));
-    for (const bucket_codec::entry& real : bucket_reals_) {
-      stash_.erase(real.id);
-    }
+  for (std::uint32_t down = 0; down < level_count(); ++down) {
+    const std::uint32_t level = level_count() - 1 - down;
+    codec_.encode_plain(select_for_bucket(leaf, level), window_bucket(level));
+    drop_selected();
   }
   codec_.seal_many(leaf_first_);
   cost += store_path(leaf);
 
   // Control-layer cost: decrypt + re-encrypt the full path, plus map and
   // stash bookkeeping.
-  const std::uint64_t records_touched = 2ULL * level_count_ * z;
+  const std::uint64_t records_touched = 2ULL * level_count() * z;
   cost.cpu += cpu_.crypto_time(records_touched, record_bytes);
   cost.cpu += cpu_.word_ops_time(records_touched + stash_.size());
   return cost;
+}
+
+leaf_id path_oram::remap(block_id id) {
+  leaf_id old_leaf = 0;
+  if (positions_.contains(id)) {
+    old_leaf = positions_.leaf_of(id);
+  } else {
+    old_leaf = random_leaf();
+    ++resident_;
+  }
+  // Remap before the path read so repeated accesses never repeat leaves.
+  positions_.assign(id, random_leaf());
+  ++stats_.real_accesses;
+  return old_leaf;
 }
 
 cost_split path_oram::access(op_kind op, block_id id,
@@ -452,18 +406,9 @@ cost_split path_oram::access(op_kind op, block_id id,
                              std::span<std::uint8_t> read_out) {
   expects(id < positions_.universe(), "block id outside the universe");
   expects(id != dummy_block_id, "cannot access the dummy id");
-
-  leaf_id old_leaf = 0;
-  if (positions_.contains(id)) {
-    old_leaf = positions_.leaf_of(id);
-  } else {
-    old_leaf = util::uniform_below(rng_, config_.leaf_count);
-    ++resident_;
-  }
-  // Remap before the path read so repeated accesses never repeat leaves.
-  positions_.assign(id, util::uniform_below(rng_, config_.leaf_count));
-  ++stats_.real_accesses;
-  return path_access(old_leaf, id, op, write_data, read_out);
+  expects(op != op_kind::write || write_data.size() <= config_.payload_bytes,
+          "write larger than the block payload");
+  return path_access(remap(id), id, op, write_data, read_out);
 }
 
 cost_split path_oram::access_rmw(
@@ -471,17 +416,7 @@ cost_split path_oram::access_rmw(
     const std::function<void(std::span<std::uint8_t>)>& updater) {
   expects(id < positions_.universe(), "block id outside the universe");
   expects(static_cast<bool>(updater), "rmw needs an updater");
-
-  leaf_id old_leaf = 0;
-  if (positions_.contains(id)) {
-    old_leaf = positions_.leaf_of(id);
-  } else {
-    old_leaf = util::uniform_below(rng_, config_.leaf_count);
-    ++resident_;
-  }
-  positions_.assign(id, util::uniform_below(rng_, config_.leaf_count));
-  ++stats_.real_accesses;
-  return path_access(old_leaf, id, op_kind::read, {}, {}, &updater);
+  return path_access(remap(id), id, op_kind::read, {}, {}, &updater);
 }
 
 cost_split path_oram::extract(block_id id,
@@ -501,29 +436,8 @@ cost_split path_oram::extract(block_id id,
 
 cost_split path_oram::dummy_access() {
   ++stats_.dummy_accesses;
-  const leaf_id leaf = util::uniform_below(rng_, config_.leaf_count);
+  const leaf_id leaf = random_leaf();
   return path_access(leaf, dummy_block_id, op_kind::read, {}, {});
-}
-
-cost_split path_oram::install(block_id id,
-                              std::span<const std::uint8_t> payload) {
-  return install(id, payload, util::uniform_below(rng_, config_.leaf_count));
-}
-
-cost_split path_oram::install(block_id id,
-                              std::span<const std::uint8_t> payload,
-                              leaf_id leaf) {
-  expects(id < positions_.universe(), "block id outside the universe");
-  expects(!positions_.contains(id), "block already resident");
-  expects(leaf < config_.leaf_count, "install leaf out of range");
-  positions_.assign(id, leaf);
-  stash_.put(id, leaf, payload);
-  ++resident_;
-  ++stats_.installs;
-
-  cost_split cost;
-  cost.cpu += cpu_.word_ops_time(4);
-  return cost;
 }
 
 cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
@@ -615,9 +529,7 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
 
   // 3) Dummies were dropped during the decode scan; clear logical state.
   invariant(out.size() == resident_, "eviction lost blocks");
-  positions_.clear();
-  stash_.clear();
-  resident_ = 0;
+  clear_client();
   return cost;
 }
 
@@ -629,7 +541,7 @@ void path_oram::for_each_resident(
   const std::size_t payload_bytes = config_.payload_bytes;
   std::vector<block_id> ids(config_.bucket_size);
   std::vector<std::uint8_t> payloads(config_.bucket_size * payload_bytes);
-  for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
+  for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
     codec_.decode(peek_bucket(bucket), ids, payloads);
     for (std::uint32_t k = 0; k < config_.bucket_size; ++k) {
       if (ids[k] == dummy_block_id) {
@@ -647,51 +559,23 @@ void path_oram::for_each_resident(
 
 void path_oram::check_consistency() const {
   std::vector<block_id> ids(config_.bucket_size);
-  std::vector<std::uint8_t> seen(positions_.universe(), 0);
-  std::uint64_t found = 0;
-
-  for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
-    const std::uint32_t reals = codec_.decode(peek_bucket(bucket), ids, {});
-    // Never-written storage buckets are skipped on the device under
-    // page; their host image must therefore still be all-dummy, or a
-    // skip would lose data.
-    invariant(reals == 0 || bucket_in_memory(bucket) || !page_ ||
-                  valid_->test(bucket - memory_bucket_count_),
-              "invalid bucket holds a real block");
-    const unsigned level = util::floor_log2(bucket + 1);
-    for (const block_id id : ids) {
-      if (id == dummy_block_id) {
-        continue;
+  check_client([&](const stored_fn& stored) {
+    for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
+      const std::uint32_t reals =
+          codec_.decode(peek_bucket(bucket), ids, {});
+      // Never-written storage buckets are skipped on the device under
+      // page; their host image must therefore still be all-dummy, or a
+      // skip would lose data.
+      invariant(reals == 0 || bucket_in_memory(bucket) || !page_ ||
+                    valid_->test(bucket - memory_bucket_count_),
+                "invalid bucket holds a real block");
+      for (const block_id id : ids) {
+        if (id != dummy_block_id) {
+          stored(id, bucket);
+        }
       }
-      invariant(id < positions_.universe(),
-                "tree holds an out-of-universe block");
-      invariant(positions_.contains(id),
-                "tree holds a block missing from the position map");
-      invariant(seen[id] == 0, "block stored in two tree slots");
-      seen[id] = 1;
-      ++found;
-      invariant(bucket == bucket_on_path(positions_.leaf_of(id), level),
-                "block stored off its position-map path");
     }
-  }
-
-  for (const auto& [id, entry] : stash_) {
-    invariant(id < positions_.universe(),
-              "stash holds an out-of-universe block");
-    invariant(positions_.contains(id),
-              "stash holds a block missing from the position map");
-    invariant(entry.leaf == positions_.leaf_of(id),
-              "stash leaf disagrees with the position map");
-    invariant(seen[id] == 0, "block in both the tree and the stash");
-    seen[id] = 1;
-    ++found;
-    invariant(entry.payload.size() == config_.payload_bytes,
-              "stash payload has the wrong size");
-  }
-
-  invariant(found == resident_, "resident counter out of sync");
-  invariant(positions_.size() == resident_,
-            "position map size disagrees with the resident count");
+  });
 }
 
 cost_split path_oram::reset() {
@@ -730,109 +614,35 @@ cost_split path_oram::reset() {
     valid_->clear();
   }
 
-  positions_.clear();
-  stash_.clear();
-  resident_ = 0;
+  clear_client();
   return cost;
 }
 
 cost_split path_oram::initialize_full(
-    std::uint64_t count,
-    const std::function<void(block_id, std::span<std::uint8_t>)>& filler,
+    std::uint64_t count, const filler_fn& filler,
     std::vector<leaf_id>* leaves_out) {
-  expects(count <= positions_.universe(), "more blocks than the universe");
-  expects(count <= capacity_blocks(), "tree cannot hold that many blocks");
   cost_split cost;
   sim::trip_scope round_trip(&memory_device_,
                              io_store_ ? &io_store_->device() : nullptr);
 
-  // Assign leaves and group ids by leaf (counting sort).
-  std::vector<leaf_id> leaves(count);
-  std::vector<std::uint64_t> leaf_counts(config_.leaf_count, 0);
-  for (block_id id = 0; id < count; ++id) {
-    leaves[id] = util::uniform_below(rng_, config_.leaf_count);
-    ++leaf_counts[leaves[id]];
-    positions_.assign(id, leaves[id]);
-  }
-  std::vector<std::uint64_t> leaf_offsets(config_.leaf_count + 1, 0);
-  for (leaf_id l = 0; l < config_.leaf_count; ++l) {
-    leaf_offsets[l + 1] = leaf_offsets[l] + leaf_counts[l];
-  }
-  std::vector<block_id> ids_by_leaf(count);
-  {
-    std::vector<std::uint64_t> cursor(leaf_offsets.begin(),
-                                      leaf_offsets.end() - 1);
-    for (block_id id = 0; id < count; ++id) {
-      ids_by_leaf[cursor[leaves[id]]++] = id;
-    }
-  }
-
-  // Materialise payloads once (indexable by id during the build).
-  std::vector<std::uint8_t> payloads(count * config_.payload_bytes, 0);
-  for (block_id id = 0; id < count; ++id) {
-    filler(id, std::span<std::uint8_t>(
-                   payloads.data() + id * config_.payload_bytes,
-                   config_.payload_bytes));
-  }
-
-  // Bottom-up greedy placement: post-order DFS; each node packs up to Z
-  // pending blocks (all of which have this bucket on their path) and
-  // passes the rest to its parent. Every bucket is composed once, where
-  // it lives in its store, and sealed in post-order batches of a path
+  // Every bucket is composed once, where it lives in its store, as the
+  // placement hands it over, and sealed in post-order batches of a path
   // window's size (the nonce order of sealing each bucket as it is
   // composed).
-  const std::uint64_t z = config_.bucket_size;
-  const std::size_t record_bytes = codec_.record_bytes();
-  std::vector<std::uint8_t> real_in_bucket(bucket_count_, 0);
+  std::vector<std::uint8_t> real_in_bucket(bucket_count(), 0);
   std::vector<std::span<std::uint8_t>> unsealed;
-  unsealed.reserve(level_count_);
-
-  const std::function<std::vector<block_id>(std::uint32_t, std::uint64_t)>
-      build = [&](std::uint32_t level,
-                  std::uint64_t node_in_level) -> std::vector<block_id> {
-    std::vector<block_id> pending;
-    if (level == level_count_ - 1) {
-      const std::uint64_t first = leaf_offsets[node_in_level];
-      const std::uint64_t last = leaf_offsets[node_in_level + 1];
-      pending.assign(ids_by_leaf.begin() + static_cast<std::ptrdiff_t>(first),
-                     ids_by_leaf.begin() + static_cast<std::ptrdiff_t>(last));
-    } else {
-      pending = build(level + 1, 2 * node_in_level);
-      std::vector<block_id> right = build(level + 1, 2 * node_in_level + 1);
-      pending.insert(pending.end(), right.begin(), right.end());
-    }
-
-    const std::uint64_t bucket =
-        ((std::uint64_t{1} << level) - 1) + node_in_level;
-    const std::uint64_t take = std::min<std::uint64_t>(z, pending.size());
-    if (take > 0) {
-      real_in_bucket[bucket] = 1;
-    }
-    bucket_reals_.clear();
-    for (std::uint64_t k = 0; k < take; ++k) {
-      const block_id id = pending[pending.size() - 1 - k];
-      bucket_reals_.push_back(bucket_codec::entry{
-          id, std::span<const std::uint8_t>(
-                  payloads.data() + id * config_.payload_bytes,
-                  config_.payload_bytes)});
-    }
-    unsealed.push_back(stage_bucket(bucket));
-    codec_.encode_plain(bucket_reals_, unsealed.back());
-    if (unsealed.size() == level_count_) {
-      codec_.seal_many(unsealed);
-      unsealed.clear();
-    }
-    pending.resize(pending.size() - take);
-    return pending;
-  };
-  std::vector<block_id> overflow = build(0, 0);
+  unsealed.reserve(level_count());
+  build_client(count, filler, leaves_out,
+               [&](std::uint64_t bucket, std::span<const block_ref> reals) {
+                 real_in_bucket[bucket] = reals.empty() ? 0 : 1;
+                 unsealed.push_back(stage_bucket(bucket));
+                 codec_.encode_plain(reals, unsealed.back());
+                 if (unsealed.size() == level_count()) {
+                   codec_.seal_many(unsealed);
+                   unsealed.clear();
+                 }
+               });
   codec_.seal_many(unsealed);
-  for (const block_id id : overflow) {
-    stash_.put(id, leaves[id],
-               std::span<const std::uint8_t>(
-                   payloads.data() + id * config_.payload_bytes,
-                   config_.payload_bytes));
-  }
 
   // Commit the composed image as sequential sweeps on both lanes.
   if (memory_store_) {
@@ -867,12 +677,7 @@ cost_split path_oram::initialize_full(
       }
     }
   }
-  cost.cpu += cpu_.crypto_time(bucket_count_ * z, record_bytes);
-
-  resident_ = count;
-  if (leaves_out != nullptr) {
-    *leaves_out = leaves;
-  }
+  cost.cpu += cpu_.crypto_time(capacity_blocks(), codec_.record_bytes());
   return cost;
 }
 

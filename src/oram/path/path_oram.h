@@ -14,7 +14,12 @@
 // Every access reads one root-to-leaf path bucket by bucket, remaps the
 // requested block to a fresh uniform leaf, and greedily writes the path
 // back from the stash. Dummy accesses (random path, write-back
-// unchanged) are indistinguishable from real ones on the bus.
+// unchanged) are indistinguishable from real ones on the bus. The
+// client state and the algorithms Path ORAM shares with Ring ORAM — tree
+// geometry, position map, stash, installs, the bulk-build placement and
+// the greedy write-back selection — live in tree_core
+// (oram/common/tree_core.h); this class adds the bucket sealing, the
+// memory/storage level split, the page layout and evict_all.
 //
 // The bucket is the sealed unit (oram/common/bucket_codec.h): one
 // nonce, one keystream and one MAC per bucket, payloads first and the
@@ -45,8 +50,7 @@
 
 #include "oram/common/access_trace.h"
 #include "oram/common/bucket_codec.h"
-#include "oram/common/position_map.h"
-#include "oram/common/stash.h"
+#include "oram/common/tree_core.h"
 #include "oram/common/types.h"
 #include "sim/cpu_model.h"
 #include "sim/device.h"
@@ -87,33 +91,15 @@ struct path_oram_config {
   std::uint64_t page_bytes = 16384;
 };
 
-/// Counters of a Path ORAM instance.
-struct path_oram_stats {
-  std::uint64_t real_accesses = 0;
-  std::uint64_t dummy_accesses = 0;
-  std::uint64_t installs = 0;
-  std::uint64_t evictions = 0;
-};
-
-class path_oram {
+class path_oram : public tree_core {
  public:
   /// `io_device` may be null when every level fits in memory.
   path_oram(const path_oram_config& config, sim::block_device& memory_device,
             sim::block_device* io_device, const sim::cpu_model& cpu,
             util::random_source& rng, access_trace* trace);
 
-  [[nodiscard]] std::uint32_t level_count() const noexcept {
-    return level_count_;
-  }
   [[nodiscard]] std::uint32_t memory_level_count() const noexcept {
     return memory_levels_;
-  }
-  [[nodiscard]] std::uint64_t bucket_count() const noexcept {
-    return bucket_count_;
-  }
-  /// Total block slots in the tree (real + dummy capacity).
-  [[nodiscard]] std::uint64_t capacity_blocks() const noexcept {
-    return bucket_count_ * config_.bucket_size;
   }
   [[nodiscard]] const path_oram_config& config() const noexcept {
     return config_;
@@ -123,10 +109,6 @@ class path_oram {
   [[nodiscard]] std::size_t record_bytes() const noexcept {
     return codec_.record_bytes();
   }
-  [[nodiscard]] const path_oram_stats& stats() const noexcept {
-    return stats_;
-  }
-  [[nodiscard]] const stash& stash_ref() const noexcept { return stash_; }
   /// Effective storage layout (`flat` when no level is
   /// storage-resident, whatever the config asked for).
   [[nodiscard]] storage::storage_layout layout() const noexcept {
@@ -142,14 +124,6 @@ class path_oram {
   /// is workload-independent.
   [[nodiscard]] std::uint64_t valid_bucket_count() const noexcept {
     return valid_ ? valid_->valid_count() : 0;
-  }
-
-  /// True iff the block currently lives in this tree (or its stash).
-  [[nodiscard]] bool contains(block_id id) const;
-
-  /// Number of real blocks currently held (tree + stash).
-  [[nodiscard]] std::uint64_t resident_blocks() const noexcept {
-    return resident_;
   }
 
   /// Performs one ORAM access. For reads, the payload lands in
@@ -170,29 +144,12 @@ class path_oram {
   /// from access() on the bus; drains the stash as a side effect.
   cost_split dummy_access();
 
-  /// Installs a block arriving from the storage layer into the stash
-  /// with a fresh uniform leaf (H-ORAM's I/O load path). Control-layer
-  /// cost only; the block reaches the tree via later write-backs.
-  cost_split install(block_id id, std::span<const std::uint8_t> payload);
-
-  /// install() with a caller-chosen leaf, so an external position map
-  /// (e.g. a recursive_position_map kept by tree_backend) can record
-  /// the same assignment the tree uses.
-  cost_split install(block_id id, std::span<const std::uint8_t> payload,
-                     leaf_id leaf);
-
   /// One path access that removes `id` from the tree: reads the block's
   /// path, copies the payload into `read_out` (payload_bytes long) and
   /// writes the path back without the block — the live copy moves to
   /// the caller's cache layer (H-ORAM's load path, the inverse of
   /// install). The block must be resident.
   cost_split extract(block_id id, std::span<std::uint8_t> read_out);
-
-  /// Current leaf of a resident block (control-layer knowledge; audits
-  /// compare it against an external position map).
-  [[nodiscard]] leaf_id leaf_of(block_id id) const {
-    return positions_.leaf_of(id);
-  }
 
   /// Visits every resident block — tree buckets first, then the stash —
   /// without charging device time (audits and peeks only).
@@ -224,20 +181,10 @@ class path_oram {
   /// When `leaves_out` is non-null it receives the leaf assigned to
   /// each id (index = id), so callers can seed an external position map
   /// with the same assignments.
-  cost_split initialize_full(
-      std::uint64_t count,
-      const std::function<void(block_id, std::span<std::uint8_t>)>& filler,
-      std::vector<leaf_id>* leaves_out = nullptr);
+  cost_split initialize_full(std::uint64_t count, const filler_fn& filler,
+                             std::vector<leaf_id>* leaves_out = nullptr);
 
  private:
-  /// Heap index of the bucket at `level` on the path to `leaf`.
-  [[nodiscard]] std::uint64_t bucket_on_path(leaf_id leaf,
-                                             std::uint32_t level) const;
-  /// True if the bucket at `level` on path-to-`a` is also on
-  /// path-to-`b` (greedy write-back test).
-  [[nodiscard]] bool paths_share_bucket(leaf_id a, leaf_id b,
-                                        std::uint32_t level) const;
-
   [[nodiscard]] bool bucket_in_memory(std::uint64_t bucket) const noexcept;
   /// Slot of the bucket's first record in its lane's store (heap order
   /// on the memory lane and under flat, segment order under page).
@@ -281,6 +228,11 @@ class path_oram {
   /// rewrites them all).
   void mark_segment_valid(storage::segment_ref segment);
 
+  /// Counts a real access of `id` and assigns it a fresh uniform leaf
+  /// ahead of its path read; returns the leaf to read (the old one, or
+  /// a uniform draw on first touch, which makes the block resident).
+  leaf_id remap(block_id id);
+
   cost_split path_access(
       leaf_id leaf, block_id requested, op_kind op,
       std::span<const std::uint8_t> write_data,
@@ -290,9 +242,7 @@ class path_oram {
       bool extract_requested = false);
 
   path_oram_config config_;
-  std::uint32_t level_count_;
   std::uint32_t memory_levels_;
-  std::uint64_t bucket_count_;
   std::uint64_t memory_bucket_count_;
 
   bucket_codec codec_;
@@ -301,14 +251,7 @@ class path_oram {
   /// Null when memory_levels == 0 (fully storage-resident tree).
   std::unique_ptr<storage::block_store> memory_store_;
   std::unique_ptr<storage::block_store> io_store_;
-  const sim::cpu_model& cpu_;
-  util::random_source& rng_;
   access_trace* trace_;
-
-  position_map positions_;
-  stash stash_;
-  std::uint64_t resident_ = 0;
-  path_oram_stats stats_;
 
   /// Page geometry + valid bits; null under storage_layout::flat (and
   /// when no level is storage-resident).
@@ -316,11 +259,9 @@ class path_oram {
   std::unique_ptr<storage::valid_bit_tree> valid_;
 
   // Reused per-access scratch: one decoded window (slot ids and
-  // payloads, root first), and the stash blocks picked for the bucket
-  // being written back.
+  // payloads, root first).
   std::vector<block_id> path_ids_;
   std::vector<std::uint8_t> path_payloads_;
-  std::vector<bucket_codec::entry> bucket_reals_;
   /// One path's bucket records (level_count_ * Z records), root first.
   std::vector<std::uint8_t> path_window_;
   /// The window's buckets root to leaf (the read's order) and leaf to

@@ -4,14 +4,10 @@
 #include <cstring>
 
 #include "util/contracts.h"
-#include "util/math.h"
 
 namespace horam::oram {
 
 namespace {
-
-/// Chunk size (records) for sequential sweeps, to bound host buffers.
-constexpr std::uint64_t sweep_chunk_records = 1 << 14;
 
 /// Real records a bulk build queues before sealing them as one batch.
 constexpr std::size_t sweep_seal_records = 512;
@@ -29,37 +25,23 @@ std::uint64_t mix64(std::uint64_t x) {
 ring_oram::ring_oram(const ring_oram_config& config,
                      sim::block_device& io_device, const sim::cpu_model& cpu,
                      util::random_source& rng, access_trace* trace)
-    : config_(config),
-      level_count_(static_cast<std::uint32_t>(
-          util::floor_log2(config.leaf_count) + 1)),
-      bucket_count_(2 * config.leaf_count - 1),
+    : tree_core(config.leaf_count, config.real_slots, config.payload_bytes,
+                config.id_universe, cpu, rng),
+      config_(config),
       codec_(config.payload_bytes, config.seal, config.key_seed),
-      cpu_(cpu),
-      rng_(rng),
-      trace_(trace),
-      positions_(config.id_universe) {
-  expects(util::is_pow2(config.leaf_count), "leaf count must be 2^k");
-  expects(config.real_slots > 0, "real slots (Z) must be positive");
+      trace_(trace) {
   expects(config.spare_slots > 0, "spare slots (S) must be positive");
   expects(config.eviction_rate > 0, "eviction rate (A) must be positive");
-  expects(config.id_universe > 0, "id universe must be positive");
-
-  const std::uint64_t logical =
-      config.logical_block_bytes != 0 ? config.logical_block_bytes
-                                      : codec_.record_bytes();
-  expects(logical >= codec_.record_bytes(),
-          "logical block smaller than the encoded record");
-  logical_bytes_ = logical;
 
   io_store_ = std::make_unique<storage::block_store>(
       io_device, /*base_offset=*/0, total_slots(), codec_.record_bytes(),
-      logical);
+      logical_block_bytes(config.logical_block_bytes, codec_.record_bytes()));
 
   slots_.resize(total_slots());
-  buckets_.resize(bucket_count_);
+  buckets_.resize(bucket_count());
 
   const std::size_t record_bytes = codec_.record_bytes();
-  chosen_slots_.reserve(level_count_);
+  chosen_slots_.reserve(level_count());
   slot_order_.resize(slots_per_bucket());
   bucket_scratch_.resize(slots_per_bucket() * record_bytes);
   record_scratch_.resize(record_bytes);
@@ -71,20 +53,8 @@ ring_oram::ring_oram(const ring_oram_config& config,
   reset();
 }
 
-std::uint64_t ring_oram::bucket_on_path(leaf_id leaf,
-                                        std::uint32_t level) const {
-  return ((std::uint64_t{1} << level) - 1) +
-         (leaf >> (level_count_ - 1 - level));
-}
-
-bool ring_oram::paths_share_bucket(leaf_id a, leaf_id b,
-                                   std::uint32_t level) const {
-  const std::uint32_t shift = level_count_ - 1 - level;
-  return (a >> shift) == (b >> shift);
-}
-
 leaf_id ring_oram::reverse_lex_leaf(std::uint64_t counter) const {
-  const std::uint32_t bits = level_count_ - 1;
+  const std::uint32_t bits = level_count() - 1;
   std::uint64_t g = counter & (config_.leaf_count - 1);
   leaf_id leaf = 0;
   for (std::uint32_t i = 0; i < bits; ++i) {
@@ -119,7 +89,7 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
   // the two choices are identically distributed on the bus.
   chosen_slots_.clear();
   std::uint64_t real_slot = 0;
-  for (std::uint32_t level = 0; level < level_count_; ++level) {
+  for (std::uint32_t level = 0; level < level_count(); ++level) {
     const std::uint64_t bucket = bucket_on_path(leaf, level);
     const std::uint64_t base = bucket * spb;
     std::uint64_t chosen = total_slots();
@@ -201,14 +171,14 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
 
   // Control-layer cost: pad regeneration + decode along the path, plus
   // metadata bookkeeping.
-  cost.cpu += cpu_.crypto_time(level_count_ + 1, record_bytes);
-  cost.cpu += cpu_.word_ops_time(static_cast<std::uint64_t>(level_count_) *
+  cost.cpu += cpu_.crypto_time(level_count() + 1, record_bytes);
+  cost.cpu += cpu_.word_ops_time(static_cast<std::uint64_t>(level_count()) *
                                      spb +
                                  stash_.size());
 
   // Early reshuffles: any path bucket out of spare slots is rewritten
   // now, which keeps an unread dummy available for every future access.
-  for (std::uint32_t level = 0; level < level_count_; ++level) {
+  for (std::uint32_t level = 0; level < level_count(); ++level) {
     const std::uint64_t bucket = bucket_on_path(leaf, level);
     if (buckets_[bucket].read_count >= config_.spare_slots) {
       cost += reshuffle_bucket(bucket);
@@ -265,30 +235,9 @@ cost_split ring_oram::extract(block_id id, std::span<std::uint8_t> read_out) {
 cost_split ring_oram::dummy_access() {
   ++stats_.dummy_accesses;
   sim::trip_scope round_trip(&io_store_->device());
-  const leaf_id leaf = util::uniform_below(rng_, config_.leaf_count);
+  const leaf_id leaf = random_leaf();
   bool found = false;
   return path_read(leaf, dummy_block_id, found);
-}
-
-cost_split ring_oram::install(block_id id,
-                              std::span<const std::uint8_t> payload) {
-  return install(id, payload, util::uniform_below(rng_, config_.leaf_count));
-}
-
-cost_split ring_oram::install(block_id id,
-                              std::span<const std::uint8_t> payload,
-                              leaf_id leaf) {
-  expects(id < positions_.universe(), "block id outside the universe");
-  expects(!positions_.contains(id), "block already resident");
-  expects(leaf < config_.leaf_count, "install leaf out of range");
-  positions_.assign(id, leaf);
-  stash_.put(id, leaf, payload);
-  ++resident_;
-  ++stats_.installs;
-
-  cost_split cost;
-  cost.cpu += cpu_.word_ops_time(4);
-  return cost;
 }
 
 cost_split ring_oram::force_evict() {
@@ -296,14 +245,12 @@ cost_split ring_oram::force_evict() {
   return evict_path();
 }
 
-void ring_oram::compose_bucket(
-    std::uint64_t bucket, std::span<const block_id> ids,
-    const std::function<std::span<const std::uint8_t>(std::size_t)>&
-        payload_of,
-    std::span<std::uint8_t> out) {
+void ring_oram::compose_bucket(std::uint64_t bucket,
+                               std::span<const block_ref> reals,
+                               std::span<std::uint8_t> out) {
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
-  expects(ids.size() <= config_.real_slots, "bucket overfull");
+  expects(reals.size() <= config_.real_slots, "bucket overfull");
   expects(out.size() >= spb * record_bytes, "bucket buffer too small");
 
   bucket_state& state = buckets_[bucket];
@@ -315,7 +262,7 @@ void ring_oram::compose_bucket(
   for (std::uint32_t k = 0; k < spb; ++k) {
     slot_order_[k] = k;
   }
-  for (std::uint32_t i = 0; i < ids.size(); ++i) {
+  for (std::uint32_t i = 0; i < reals.size(); ++i) {
     const std::uint32_t j = static_cast<std::uint32_t>(
         util::uniform_in(rng_, i, spb - 1));
     std::swap(slot_order_[i], slot_order_[j]);
@@ -327,12 +274,12 @@ void ring_oram::compose_bucket(
   for (std::uint32_t k = 0; k < spb; ++k) {
     slots_[base + k] = slot_meta{dummy_block_id, false};
   }
-  for (std::uint32_t i = 0; i < ids.size(); ++i) {
+  for (std::uint32_t i = 0; i < reals.size(); ++i) {
     const std::uint32_t k = slot_order_[i];
-    slots_[base + k] = slot_meta{ids[i], false};
+    slots_[base + k] = slot_meta{reals[i].id, false};
     seal_queue_.push_back(
         std::span<std::uint8_t>(out.data() + k * record_bytes, record_bytes));
-    codec_.encode_plain(ids[i], payload_of(i), seal_queue_.back());
+    codec_.encode_plain(reals[i].id, reals[i].payload, seal_queue_.back());
   }
   for (std::uint32_t k = 0; k < spb; ++k) {
     if (slots_[base + k].id == dummy_block_id) {
@@ -372,15 +319,15 @@ void ring_oram::open_gathered() {
   codec_.decode_many(open_spans_, real_ids_,
                      std::span<std::uint8_t>(real_records_)
                          .first(real_slots_.size() * config_.payload_bytes));
+  opened_.clear();
   for (std::size_t i = 0; i < real_ids_.size(); ++i) {
     invariant(real_ids_[i] == slots_[real_slots_[i]].id,
               "slot metadata disagrees with the record");
+    opened_.push_back(block_ref{
+        real_ids_[i], std::span<const std::uint8_t>(real_records_)
+                          .subspan(i * config_.payload_bytes,
+                                   config_.payload_bytes)});
   }
-}
-
-std::span<const std::uint8_t> ring_oram::real_payload(std::size_t i) const {
-  return std::span<const std::uint8_t>(real_records_)
-      .subspan(i * config_.payload_bytes, config_.payload_bytes);
 }
 
 cost_split ring_oram::reshuffle_bucket(std::uint64_t bucket) {
@@ -399,9 +346,7 @@ cost_split ring_oram::reshuffle_bucket(std::uint64_t bucket) {
   real_slots_.clear();
   gather_reals(bucket, bucket_scratch_);
   open_gathered();
-  compose_bucket(
-      bucket, real_ids_, [&](std::size_t i) { return real_payload(i); },
-      bucket_scratch_);
+  compose_bucket(bucket, opened_, bucket_scratch_);
   seal_queued();
   cost.io += io_store_->write_range(base, spb, bucket_scratch_);
   trace(trace_, event_kind::storage_write_sweep, base, spb);
@@ -423,7 +368,7 @@ cost_split ring_oram::evict_path() {
   // before any block enters the stash.
   real_records_.clear();
   real_slots_.clear();
-  for (std::uint32_t level = 0; level < level_count_; ++level) {
+  for (std::uint32_t level = 0; level < level_count(); ++level) {
     const std::uint64_t bucket = bucket_on_path(leaf, level);
     const std::uint64_t base = bucket * spb;
     cost.io += io_store_->read_range(base, spb, bucket_scratch_);
@@ -431,47 +376,29 @@ cost_split ring_oram::evict_path() {
     gather_reals(bucket, bucket_scratch_);
   }
   open_gathered();
-  for (const block_id id : real_ids_) {
-    invariant(positions_.contains(id),
+  for (const block_ref& real : opened_) {
+    invariant(positions_.contains(real.id),
               "tree holds a block missing from the position map");
   }
-  for (std::size_t i = 0; i < real_ids_.size(); ++i) {
-    stash_.put(real_ids_[i], positions_.leaf_of(real_ids_[i]),
-               real_payload(i));
+  for (const block_ref& real : opened_) {
+    stash_.put(real.id, positions_.leaf_of(real.id), real.payload);
   }
 
   // Phase 2, leaf to root: greedy write-back under fresh permutations,
   // each bucket's reals sealed as one batch.
-  std::vector<block_id> selected;
-  for (std::uint32_t down = 0; down < level_count_; ++down) {
-    const std::uint32_t level = level_count_ - 1 - down;
+  for (std::uint32_t down = 0; down < level_count(); ++down) {
+    const std::uint32_t level = level_count() - 1 - down;
     const std::uint64_t bucket = bucket_on_path(leaf, level);
     const std::uint64_t base = bucket * spb;
-    selected.clear();
-    for (const auto& [id, entry] : stash_) {
-      if (paths_share_bucket(entry.leaf, leaf, level)) {
-        selected.push_back(id);
-        if (selected.size() == config_.real_slots) {
-          break;
-        }
-      }
-    }
-    compose_bucket(
-        bucket, selected,
-        [&](std::size_t i) -> std::span<const std::uint8_t> {
-          return stash_.at(selected[i]).payload;
-        },
-        bucket_scratch_);
+    compose_bucket(bucket, select_for_bucket(leaf, level), bucket_scratch_);
     seal_queued();
     cost.io += io_store_->write_range(base, spb, bucket_scratch_);
     trace(trace_, event_kind::storage_write_sweep, base, spb);
-    for (const block_id id : selected) {
-      stash_.erase(id);
-    }
+    drop_selected();
   }
 
   const std::uint64_t records_touched =
-      2ULL * level_count_ * spb;
+      2ULL * level_count() * spb;
   cost.cpu += cpu_.crypto_time(records_touched, record_bytes);
   cost.cpu += cpu_.word_ops_time(records_touched + stash_.size());
   return cost;
@@ -479,100 +406,34 @@ cost_split ring_oram::evict_path() {
 
 void ring_oram::reset() {
   const std::size_t record_bytes = codec_.record_bytes();
-  for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
-    buckets_[bucket] = bucket_state{};
-  }
+  std::fill(buckets_.begin(), buckets_.end(), bucket_state{});
   std::fill(slots_.begin(), slots_.end(), slot_meta{});
 
-  const std::uint64_t slots = total_slots();
-  for (std::uint64_t first = 0; first < slots;
-       first += sweep_chunk_records) {
-    const std::uint64_t count = std::min(sweep_chunk_records, slots - first);
-    const std::span<std::uint8_t> chunk = io_store_->stage_range(first, count);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      fill_pad(first + k, 0, chunk.subspan(k * record_bytes, record_bytes));
-    }
-    io_store_->commit_range(first, count);
+  const std::span<std::uint8_t> image =
+      io_store_->stage_range(0, total_slots());
+  for (std::uint64_t slot = 0; slot < total_slots(); ++slot) {
+    fill_pad(slot, 0, image.subspan(slot * record_bytes, record_bytes));
   }
-
-  positions_.clear();
-  stash_.clear();
-  resident_ = 0;
+  (void)commit_sweeps(*io_store_);
+  clear_client();
 }
 
 cost_split ring_oram::initialize_full(
-    std::uint64_t count,
-    const std::function<void(block_id, std::span<std::uint8_t>)>& filler,
+    std::uint64_t count, const filler_fn& filler,
     std::vector<leaf_id>* leaves_out) {
-  expects(count <= positions_.universe(), "more blocks than the universe");
-  expects(count <= capacity_blocks(), "tree cannot hold that many blocks");
   cost_split cost;
   sim::trip_scope round_trip(&io_store_->device());
 
-  // Assign leaves and group ids by leaf (counting sort).
-  std::vector<leaf_id> leaves(count);
-  std::vector<std::uint64_t> leaf_counts(config_.leaf_count, 0);
-  for (block_id id = 0; id < count; ++id) {
-    leaves[id] = util::uniform_below(rng_, config_.leaf_count);
-    ++leaf_counts[leaves[id]];
-    positions_.assign(id, leaves[id]);
-  }
-  std::vector<std::uint64_t> leaf_offsets(config_.leaf_count + 1, 0);
-  for (leaf_id l = 0; l < config_.leaf_count; ++l) {
-    leaf_offsets[l + 1] = leaf_offsets[l] + leaf_counts[l];
-  }
-  std::vector<block_id> ids_by_leaf(count);
-  {
-    std::vector<std::uint64_t> cursor(leaf_offsets.begin(),
-                                      leaf_offsets.end() - 1);
-    for (block_id id = 0; id < count; ++id) {
-      ids_by_leaf[cursor[leaves[id]]++] = id;
-    }
-  }
-
-  // Materialise payloads once (indexable by id during the build).
-  std::vector<std::uint8_t> payloads(count * config_.payload_bytes, 0);
-  for (block_id id = 0; id < count; ++id) {
-    filler(id, std::span<std::uint8_t>(
-                   payloads.data() + id * config_.payload_bytes,
-                   config_.payload_bytes));
-  }
-  const auto payload_of = [&](block_id id) -> std::span<const std::uint8_t> {
-    return {payloads.data() + id * config_.payload_bytes,
-            config_.payload_bytes};
-  };
-
-  // Bottom-up greedy placement with capacity Z per bucket.
-  std::vector<std::vector<block_id>> bucket_ids(bucket_count_);
-  const std::function<std::vector<block_id>(std::uint32_t, std::uint64_t)>
-      build = [&](std::uint32_t level,
-                  std::uint64_t node_in_level) -> std::vector<block_id> {
-    std::vector<block_id> pending;
-    if (level == level_count_ - 1) {
-      const std::uint64_t first = leaf_offsets[node_in_level];
-      const std::uint64_t last = leaf_offsets[node_in_level + 1];
-      pending.assign(ids_by_leaf.begin() + static_cast<std::ptrdiff_t>(first),
-                     ids_by_leaf.begin() + static_cast<std::ptrdiff_t>(last));
-    } else {
-      pending = build(level + 1, 2 * node_in_level);
-      std::vector<block_id> right = build(level + 1, 2 * node_in_level + 1);
-      pending.insert(pending.end(), right.begin(), right.end());
-    }
-
-    const std::uint64_t bucket =
-        ((std::uint64_t{1} << level) - 1) + node_in_level;
-    const std::uint64_t take =
-        std::min<std::uint64_t>(config_.real_slots, pending.size());
-    for (std::uint64_t k = 0; k < take; ++k) {
-      bucket_ids[bucket].push_back(pending[pending.size() - 1 - k]);
-    }
-    pending.resize(pending.size() - take);
-    return pending;
-  };
-  std::vector<block_id> overflow = build(0, 0);
-  for (const block_id id : overflow) {
-    stash_.put(id, leaves[id], payload_of(id));
-  }
+  // The placement is recorded first; the buckets are composed after it
+  // in heap order.
+  std::vector<std::vector<block_id>> bucket_ids(bucket_count());
+  const std::vector<std::uint8_t> payloads = build_client(
+      count, filler, leaves_out,
+      [&](std::uint64_t bucket, std::span<const block_ref> reals) {
+        for (const block_ref& real : reals) {
+          bucket_ids[bucket].push_back(real.id);
+        }
+      });
 
   // Compose every bucket (fresh permutations + pads) straight into the
   // store — a staged copy of the whole tree would be a store-sized
@@ -580,29 +441,22 @@ cost_split ring_oram::initialize_full(
   // Reals are sealed in batches of about sweep_seal_records, bucket
   // order then slot order.
   const std::uint32_t spb = slots_per_bucket();
-  const std::size_t record_bytes = codec_.record_bytes();
-  for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
-    const std::vector<block_id>& ids = bucket_ids[bucket];
-    compose_bucket(
-        bucket, ids, [&](std::size_t i) { return payload_of(ids[i]); },
-        io_store_->stage_range(bucket * spb, spb));
+  std::vector<block_ref> reals;
+  for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
+    reals.clear();
+    for (const block_id id : bucket_ids[bucket]) {
+      reals.push_back(block_ref{
+          id, std::span<const std::uint8_t>(payloads).subspan(
+                  id * config_.payload_bytes, config_.payload_bytes)});
+    }
+    compose_bucket(bucket, reals, io_store_->stage_range(bucket * spb, spb));
     if (seal_queue_.size() >= sweep_seal_records) {
       seal_queued();
     }
   }
   seal_queued();
-  const std::uint64_t slots = total_slots();
-  for (std::uint64_t first = 0; first < slots;
-       first += sweep_chunk_records) {
-    const std::uint64_t n = std::min(sweep_chunk_records, slots - first);
-    cost.io += io_store_->commit_range(first, n);
-  }
-  cost.cpu += cpu_.crypto_time(slots, record_bytes);
-
-  resident_ = count;
-  if (leaves_out != nullptr) {
-    *leaves_out = leaves;
-  }
+  cost.io += commit_sweeps(*io_store_);
+  cost.cpu += cpu_.crypto_time(total_slots(), codec_.record_bytes());
   return cost;
 }
 
@@ -628,63 +482,37 @@ void ring_oram::for_each_resident(
 void ring_oram::check_consistency() const {
   std::vector<std::uint8_t> payload(config_.payload_bytes);
   std::vector<std::uint8_t> pad(codec_.record_bytes());
-  std::vector<std::uint8_t> seen(positions_.universe(), 0);
-  std::uint64_t found = 0;
   const std::uint32_t spb = slots_per_bucket();
 
-  for (std::uint64_t bucket = 0; bucket < bucket_count_; ++bucket) {
-    const bucket_state& state = buckets_[bucket];
-    invariant(state.read_count < config_.spare_slots,
-              "bucket consumed all its spare slots without a reshuffle");
-    std::uint32_t reals = 0;
-    for (std::uint32_t k = 0; k < spb; ++k) {
-      const std::uint64_t slot = bucket * spb + k;
-      const slot_meta& meta = slots_[slot];
-      if (meta.id != dummy_block_id) {
-        invariant(!meta.read, "live real slot marked consumed");
-        ++reals;
-        const block_id id = codec_.decode(io_store_->peek(slot), payload);
-        invariant(id == meta.id, "slot metadata disagrees with the record");
-        invariant(id < positions_.universe(),
-                  "tree holds an out-of-universe block");
-        invariant(positions_.contains(id),
-                  "tree holds a block missing from the position map");
-        invariant(seen[id] == 0, "block stored in two tree slots");
-        seen[id] = 1;
-        ++found;
-        const unsigned level = util::floor_log2(bucket + 1);
-        invariant(bucket == bucket_on_path(positions_.leaf_of(id), level),
-                  "block stored off its position-map path");
-      } else if (!meta.read) {
-        // An unread dummy must hold its deterministic pad byte for
-        // byte, or the XOR reconstruction would corrupt real reads.
-        fill_pad(slot, state.epoch, pad);
-        const std::span<const std::uint8_t> host = io_store_->peek(slot);
-        invariant(std::equal(pad.begin(), pad.end(), host.begin()),
-                  "unread dummy slot diverged from its pad");
+  check_client([&](const stored_fn& stored) {
+    for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
+      const bucket_state& state = buckets_[bucket];
+      invariant(state.read_count < config_.spare_slots,
+                "bucket consumed all its spare slots without a reshuffle");
+      std::uint32_t reals = 0;
+      for (std::uint32_t k = 0; k < spb; ++k) {
+        const std::uint64_t slot = bucket * spb + k;
+        const slot_meta& meta = slots_[slot];
+        if (meta.id != dummy_block_id) {
+          invariant(!meta.read, "live real slot marked consumed");
+          ++reals;
+          const block_id id = codec_.decode(io_store_->peek(slot), payload);
+          invariant(id == meta.id,
+                    "slot metadata disagrees with the record");
+          stored(id, bucket);
+        } else if (!meta.read) {
+          // An unread dummy must hold its deterministic pad byte for
+          // byte, or the XOR reconstruction would corrupt real reads.
+          fill_pad(slot, state.epoch, pad);
+          const std::span<const std::uint8_t> host = io_store_->peek(slot);
+          invariant(std::equal(pad.begin(), pad.end(), host.begin()),
+                    "unread dummy slot diverged from its pad");
+        }
       }
+      invariant(reals <= config_.real_slots,
+                "bucket holds more reals than Z slots");
     }
-    invariant(reals <= config_.real_slots,
-              "bucket holds more reals than Z slots");
-  }
-
-  for (const auto& [id, entry] : stash_) {
-    invariant(id < positions_.universe(),
-              "stash holds an out-of-universe block");
-    invariant(positions_.contains(id),
-              "stash holds a block missing from the position map");
-    invariant(entry.leaf == positions_.leaf_of(id),
-              "stash leaf disagrees with the position map");
-    invariant(seen[id] == 0, "block in both the tree and the stash");
-    seen[id] = 1;
-    ++found;
-    invariant(entry.payload.size() == config_.payload_bytes,
-              "stash payload has the wrong size");
-  }
-
-  invariant(found == resident_, "resident counter out of sync");
-  invariant(positions_.size() == resident_,
-            "position map size disagrees with the resident count");
+  });
 }
 
 }  // namespace horam::oram

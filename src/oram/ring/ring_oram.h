@@ -22,7 +22,11 @@
 // Like oram/path/path_oram.h in backend mode, the tree is driven
 // through extract/install: extract removes the live copy (the caller's
 // cache layer takes over), install stages a returning block in the
-// stash for the next evictions to place.
+// stash for the next evictions to place. Both trees derive from
+// tree_core (oram/common/tree_core.h), which holds the geometry,
+// position map, stash, installs, bulk-build placement and greedy
+// write-back selection; this class adds the slot metadata, the pads,
+// the XOR reads, the reshuffles and the eviction schedule.
 #ifndef HORAM_ORAM_RING_RING_ORAM_H
 #define HORAM_ORAM_RING_RING_ORAM_H
 
@@ -34,8 +38,7 @@
 
 #include "oram/common/access_trace.h"
 #include "oram/common/block_codec.h"
-#include "oram/common/position_map.h"
-#include "oram/common/stash.h"
+#include "oram/common/tree_core.h"
 #include "oram/common/types.h"
 #include "sim/cpu_model.h"
 #include "sim/device.h"
@@ -72,61 +75,25 @@ struct ring_oram_config {
   bool xor_reads = true;
 };
 
-/// Counters of a Ring ORAM instance.
-struct ring_oram_stats {
-  std::uint64_t real_accesses = 0;
-  std::uint64_t dummy_accesses = 0;
-  std::uint64_t installs = 0;
-  /// Deterministic reverse-lexicographic path evictions.
-  std::uint64_t evictions = 0;
-  /// Single-bucket reshuffles triggered by the read counter hitting S.
-  std::uint64_t early_reshuffles = 0;
-};
-
-class ring_oram {
+class ring_oram : public tree_core {
  public:
   ring_oram(const ring_oram_config& config, sim::block_device& io_device,
             const sim::cpu_model& cpu, util::random_source& rng,
             access_trace* trace);
 
-  [[nodiscard]] std::uint32_t level_count() const noexcept {
-    return level_count_;
-  }
-  [[nodiscard]] std::uint64_t bucket_count() const noexcept {
-    return bucket_count_;
-  }
   /// Slots per bucket (Z + S).
   [[nodiscard]] std::uint32_t slots_per_bucket() const noexcept {
     return config_.real_slots + config_.spare_slots;
   }
-  /// Real-block capacity (Z per bucket; spares never hold blocks).
-  [[nodiscard]] std::uint64_t capacity_blocks() const noexcept {
-    return bucket_count_ * config_.real_slots;
-  }
-  /// Total physical slots (real + spare).
+  /// Total physical slots (real + spare; spares never hold blocks).
   [[nodiscard]] std::uint64_t total_slots() const noexcept {
-    return bucket_count_ * slots_per_bucket();
+    return bucket_count() * slots_per_bucket();
   }
   [[nodiscard]] const ring_oram_config& config() const noexcept {
     return config_;
   }
   [[nodiscard]] std::size_t record_bytes() const noexcept {
     return codec_.record_bytes();
-  }
-  [[nodiscard]] const ring_oram_stats& stats() const noexcept {
-    return stats_;
-  }
-  [[nodiscard]] const stash& stash_ref() const noexcept { return stash_; }
-
-  /// True iff the block currently lives in this tree (or its stash).
-  [[nodiscard]] bool contains(block_id id) const {
-    return positions_.contains(id);
-  }
-  [[nodiscard]] std::uint64_t resident_blocks() const noexcept {
-    return resident_;
-  }
-  [[nodiscard]] leaf_id leaf_of(block_id id) const {
-    return positions_.leaf_of(id);
   }
 
   /// One online access that removes `id` from the tree: reads one slot
@@ -141,15 +108,6 @@ class ring_oram {
   /// reshuffle/eviction schedules.
   cost_split dummy_access();
 
-  /// Stages a block arriving from the cache layer in the stash with a
-  /// fresh uniform leaf; later evictions place it in the tree.
-  cost_split install(block_id id, std::span<const std::uint8_t> payload);
-
-  /// install() with a caller-chosen leaf, so an external position map
-  /// can record the same assignment the tree uses.
-  cost_split install(block_id id, std::span<const std::uint8_t> payload,
-                     leaf_id leaf);
-
   /// One deterministic eviction outside the access schedule (shuffle
   /// drains use this to push staged blocks into the tree). Advances the
   /// same reverse-lexicographic order as scheduled evictions.
@@ -158,10 +116,8 @@ class ring_oram {
   /// Bulk-builds the tree with every id in [0, count); overflow lands
   /// in the stash. `leaves_out` (index = id) mirrors the assignments
   /// for an external position map.
-  cost_split initialize_full(
-      std::uint64_t count,
-      const std::function<void(block_id, std::span<std::uint8_t>)>& filler,
-      std::vector<leaf_id>* leaves_out = nullptr);
+  cost_split initialize_full(std::uint64_t count, const filler_fn& filler,
+                             std::vector<leaf_id>* leaves_out = nullptr);
 
   /// Visits every resident block — tree buckets first, then the stash —
   /// without charging device time (audits and peeks only).
@@ -195,10 +151,6 @@ class ring_oram {
     std::uint64_t epoch = 0;
   };
 
-  [[nodiscard]] std::uint64_t bucket_on_path(leaf_id leaf,
-                                             std::uint32_t level) const;
-  [[nodiscard]] bool paths_share_bucket(leaf_id a, leaf_id b,
-                                        std::uint32_t level) const;
   /// Leaf of the g-th deterministic eviction (reverse-lexicographic
   /// order: bit-reversed counter).
   [[nodiscard]] leaf_id reverse_lex_leaf(std::uint64_t counter) const;
@@ -216,16 +168,13 @@ class ring_oram {
   /// schedules.
   cost_split path_read(leaf_id leaf, block_id target, bool& found);
 
-  /// Rewrites one bucket in place: the given blocks (block i's payload
-  /// is payload_of(i)) land at fresh uniformly random distinct slots,
-  /// every other slot gets the next epoch's pad; metadata, read bits
-  /// and the read counter reset. The real records are composed but not
-  /// sealed: they join seal_queue_ for the caller's seal_queued().
-  void compose_bucket(
-      std::uint64_t bucket, std::span<const block_id> ids,
-      const std::function<std::span<const std::uint8_t>(std::size_t)>&
-          payload_of,
-      std::span<std::uint8_t> out);
+  /// Rewrites one bucket in place: the given blocks land at fresh
+  /// uniformly random distinct slots, every other slot gets the next
+  /// epoch's pad; metadata, read bits and the read counter reset. The
+  /// real records are composed but not sealed: they join seal_queue_
+  /// for the caller's seal_queued().
+  void compose_bucket(std::uint64_t bucket, std::span<const block_ref> reals,
+                      std::span<std::uint8_t> out);
   /// Seals every record compose_bucket() queued, in one batch, nonces
   /// in queue order.
   void seal_queued();
@@ -234,13 +183,10 @@ class ring_oram {
   /// `image`) to real_records_, and their slots to real_slots_.
   void gather_reals(std::uint64_t bucket,
                     std::span<const std::uint8_t> image);
-  /// Opens every gathered record in one batch, in place: record i's id
-  /// lands in real_ids_ (checked against its slot's metadata) and its
-  /// payload at real_payload(i). Every MAC is checked before anything
-  /// is written.
+  /// Opens every gathered record in one batch, in place, into opened_
+  /// (ids checked against their slots' metadata, payloads viewing
+  /// real_records_). Every MAC is checked before anything is written.
   void open_gathered();
-  [[nodiscard]] std::span<const std::uint8_t> real_payload(
-      std::size_t i) const;
 
   /// Early reshuffle: whole-bucket range read, rewrite with the same
   /// residents under a fresh permutation.
@@ -257,20 +203,9 @@ class ring_oram {
   void reset();
 
   ring_oram_config config_;
-  std::uint32_t level_count_;
-  std::uint64_t bucket_count_;
-
   block_codec codec_;
-  std::uint64_t logical_bytes_ = 0;
   std::unique_ptr<storage::block_store> io_store_;
-  const sim::cpu_model& cpu_;
-  util::random_source& rng_;
   access_trace* trace_;
-
-  position_map positions_;
-  stash stash_;
-  std::uint64_t resident_ = 0;
-  ring_oram_stats stats_;
 
   std::vector<slot_meta> slots_;
   std::vector<bucket_state> buckets_;
@@ -286,11 +221,13 @@ class ring_oram {
   /// Composed real records awaiting seal_queued().
   std::vector<std::span<std::uint8_t>> seal_queue_;
   /// Real records gathered for open_gathered() (one eviction path at
-  /// most, packed), their slots, their ids, and the list it opens.
+  /// most, packed), their slots, their ids, the list it opens and the
+  /// blocks it opened.
   std::vector<std::uint8_t> real_records_;
   std::vector<std::uint64_t> real_slots_;
   std::vector<block_id> real_ids_;
   std::vector<std::span<const std::uint8_t>> open_spans_;
+  std::vector<block_ref> opened_;
   std::vector<std::uint8_t> record_scratch_;
   std::vector<std::uint8_t> combined_scratch_;
   std::vector<std::uint8_t> pad_scratch_;

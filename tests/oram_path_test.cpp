@@ -86,6 +86,24 @@ TEST(PathOram, UnwrittenBlocksReadAsZeros) {
   EXPECT_TRUE(oram.contains(3));  // materialised by the touch
 }
 
+TEST(PathOram, OversizedWriteLeavesTheTreeUntouched) {
+  fixture fx;
+  path_oram oram(fx.config(16), fx.memory, nullptr, fx.cpu, fx.rng,
+                 nullptr);
+  const std::vector<std::uint8_t> oversized(17, 0x5a);
+  EXPECT_THROW(oram.access(op_kind::write, 3, oversized, {}),
+               contract_error);
+  EXPECT_FALSE(oram.contains(3));
+  EXPECT_EQ(oram.resident_blocks(), 0u);
+  EXPECT_EQ(oram.stats().real_accesses, 0u);
+  EXPECT_NO_THROW(oram.check_consistency());
+  const auto data = payload_of(0x42);
+  oram.access(op_kind::write, 3, data, {});
+  std::vector<std::uint8_t> out(16);
+  oram.access(op_kind::read, 3, {}, out);
+  EXPECT_EQ(out, data);
+}
+
 TEST(PathOram, ShadowMapDifferentialTest) {
   // Random reads/writes against a std::map shadow; every read must
   // return the latest write.

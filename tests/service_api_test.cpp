@@ -427,6 +427,44 @@ TEST(ServiceApi, GrantsRejectAtAdmissionWithoutTrace) {
             std::vector<std::uint8_t>(kPayload, 0));
 }
 
+TEST(ServiceApi, OversizedWritesRejectAtAdmission) {
+  // A write one byte longer than a block payload is refused at the call
+  // on every admission path and leaves nothing queued; the same client
+  // and the same service keep returning correct bytes afterwards.
+  const std::vector<std::uint8_t> oversized(kPayload + 1, 0x5a);
+  request bad;
+  bad.op = oram::op_kind::write;
+  bad.id = 7;
+  bad.write_data = oversized;
+  request good = bad;
+  good.write_data = tagged(0x11);
+
+  client oram = small_builder().build();
+  EXPECT_THROW(oram.write(7, oversized), contract_error);
+  EXPECT_THROW(oram.submit(bad), contract_error);
+  const std::vector<request> batch{good, bad};
+  EXPECT_THROW(oram.submit(batch), contract_error);
+  EXPECT_EQ(oram.pending(), 0u);
+  EXPECT_THROW(oram.run(batch), contract_error);
+  oram.write(7, tagged(0x11));
+  EXPECT_EQ(oram.read(7), tagged(0x11));
+  oram.submit(good);
+  oram.drain();
+  EXPECT_EQ(oram.read(7), tagged(0x11));
+
+  service svc = small_builder().build_service();
+  session alice = svc.open_session();
+  session bob = svc.open_session();
+  (void)bob.async_write(3, tagged(0x22));
+  EXPECT_THROW((void)alice.async_write(7, oversized), contract_error);
+  EXPECT_EQ(alice.pending(), 0u);
+  EXPECT_EQ(svc.pending(), 1u);
+  svc.run_until_idle();
+  EXPECT_EQ(alice.async_read(3).result().payload, tagged(0x22));
+  EXPECT_EQ(bob.async_read(7).result().payload,
+            std::vector<std::uint8_t>(kPayload, 0));
+}
+
 TEST(ServiceApi, UngrantedTenantsAreUnrestricted) {
   service svc = small_builder().build_service();
   session restricted = svc.open_session();
