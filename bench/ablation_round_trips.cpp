@@ -11,12 +11,13 @@
 // recursive position map before they can touch the data tree, so each
 // load pays (map levels + 1) dependent trips; the hier backend keeps a
 // succinct in-memory index and ships all per-level probes as one
-// batched scatter read, so a load costs one trip regardless of depth
-// (plus the occasional level-refresh sweep, the ±epsilon). The gap is
-// invisible on throughput-style metrics — path may move fewer bytes —
-// and only shows up in trip-dominated profiles, so the sweep includes
-// nvme (fast but per-op-priced) and net-remote (200us RTT-dominated),
-// where hier's total virtual time must come in below path and ring.
+// batched scatter read, so a load costs exactly one trip regardless of
+// depth (its dummy pools outlast every level's epoch, so no load ever
+// waits on a level rebuild). The gap is invisible on throughput-style
+// metrics — path may move fewer bytes — and only shows up in
+// trip-dominated profiles, so the sweep includes nvme (fast but
+// per-op-priced) and net-remote (200us RTT-dominated), where hier's
+// total virtual time must come in below path and ring.
 //
 // Path and ring rows run with map_on_storage=true so their map walks
 // hit the same counted device as the data accesses; the default
@@ -167,11 +168,10 @@ int main(int argc, char** argv) {
            "position map level by level before touching\nthe tree "
            "(map levels + 1 trips), hier resolves the level in its "
            "in-memory\nsuccinct index and ships every per-level probe "
-           "as one batched scatter read\n(~1 trip; level refreshes are "
-           "the small excess). RT/req dilutes by cache\nhits. The time "
-           "columns show where it matters: trip-priced profiles "
-           "(nvme,\nnet-remote), not seek-priced ones "
-           "(hdd).\n(wrote BENCH_round_trips.json)\n";
+           "as one batched scatter read\n(exactly 1 trip). RT/req "
+           "dilutes by cache hits. The time columns show\nwhere it "
+           "matters: trip-priced profiles (nvme, net-remote), not "
+           "seek-priced\nones (hdd).\n(wrote BENCH_round_trips.json)\n";
   }
   return 0;
 }

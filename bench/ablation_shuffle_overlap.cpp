@@ -22,6 +22,8 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -78,9 +80,13 @@ int main(int argc, char** argv) {
                           "p50", "p99", "max", "p99 vs fg", "Slices",
                           "Stall", "Total time"});
 
+  // `rung` names the budget's place on the ladder below. It labels the
+  // row for tools/check_bench_regression.py: the derived budget itself
+  // moves with any change to the modelled shuffle time.
   const auto emit = [&](backend_kind kind, std::uint32_t shards,
-                        shuffle_policy policy, sim::sim_time budget,
-                        const system_run& run, sim::sim_time fg_p99) {
+                        shuffle_policy policy, std::string_view rung,
+                        sim::sim_time budget, const system_run& run,
+                        sim::sim_time fg_p99) {
     const double p99_ratio =
         fg_p99 > 0 ? static_cast<double>(run.latency_p99()) /
                          static_cast<double>(fg_p99)
@@ -105,6 +111,7 @@ int main(int argc, char** argv) {
     json += "    {\"backend\": " + json_escape(backend_name(kind)) +
             ", \"shards\": " + std::to_string(shards) +
             ", \"policy\": " + json_escape(shuffle_policy_name(policy)) +
+            ", \"budget_rung\": " + json_escape(rung) +
             ", \"slice_budget_ns\": " + std::to_string(budget) +
             ", \"p99_vs_foreground\": " + json_number(p99_ratio) +
             ", " + json_fields(run) + "}";
@@ -124,7 +131,7 @@ int main(int argc, char** argv) {
       // Foreground baseline: the latency cliff to beat.
       const system_run fg = run_horam(
           data, recipe, hw, tweak(shuffle_policy::foreground, 0), kind);
-      emit(kind, shards, shuffle_policy::foreground, 0, fg,
+      emit(kind, shards, shuffle_policy::foreground, "foreground", 0, fg,
            fg.latency_p99());
 
       // b0: smallest slice budget that retires a period's burst within
@@ -146,11 +153,13 @@ int main(int argc, char** argv) {
       // approaching the foreground cliff again).
       const sim::sim_time quarter_burst =
           std::max<sim::sim_time>(4 * b0, mean_burst / 4);
-      for (const sim::sim_time budget : {b0, 4 * b0, quarter_burst}) {
+      const std::pair<std::string_view, sim::sim_time> ladder[] = {
+          {"b0", b0}, {"4xb0", 4 * b0}, {"quarter-burst", quarter_burst}};
+      for (const auto& [rung, budget] : ladder) {
         const system_run run = run_horam(
             data, recipe, hw,
             tweak(shuffle_policy::incremental, budget), kind);
-        emit(kind, shards, shuffle_policy::incremental, budget, run,
+        emit(kind, shards, shuffle_policy::incremental, rung, budget, run,
              fg.latency_p99());
       }
     }

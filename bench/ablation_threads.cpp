@@ -81,13 +81,7 @@ int main(int argc, char** argv) {
             data, recipe, hw,
             [shards, threads](horam_config& config) {
               config.shard_count = shards;
-              if (threads > 0) {
-                config.runtime = runtime_policy::threaded;
-                config.worker_threads = threads;
-              } else {
-                config.runtime = runtime_policy::sim;
-                config.worker_threads = 0;
-              }
+              config.worker_threads = threads;
             },
             kind);
         cell.emplace_back(threads, run);

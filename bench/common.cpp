@@ -221,7 +221,7 @@ system_run run_horam(
       .seal(false)  // modelled crypto time; full runs stay fast
       .seed(recipe.seed ^ 0x605a);
   if (g_cli_threads > 0) {
-    // CLI-wide threading; a per-run config_tweak setting the runtime
+    // CLI-wide threading; a per-run config_tweak setting worker_threads
     // itself still wins (tweaks apply later, inside build()).
     builder.threads(g_cli_threads);
   }
@@ -245,7 +245,7 @@ system_run run_horam(
     run.storage_bytes += ctrl.eng().shard(s).backend().physical_bytes();
     run.io += ctrl.eng().shard_storage(s).stats();
   }
-  run.runtime = std::string(runtime_policy_name(ctrl.config().runtime));
+  run.runtime = ctrl.config().worker_threads > 0 ? "threaded" : "sim";
   run.threads = ctrl.eng().worker_threads();
   run.wall_seconds = wall_seconds;
   run.host_seconds = seconds_since(start);

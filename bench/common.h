@@ -40,8 +40,9 @@ struct system_run {
   /// machine construction, unlike host_seconds) — the wall-clock
   /// number the threaded runtime moves while total_time stays put.
   double wall_seconds = 0.0;
-  /// Execution runtime ("sim" / "threaded") and the worker threads
-  /// actually spawned (0 under sim and for single-shard machines).
+  /// Execution runtime ("sim" when no worker threads were requested,
+  /// else "threaded") and the worker threads actually spawned (0 under
+  /// sim and for single-shard machines).
   std::string runtime = "sim";
   std::uint32_t threads = 0;
 
@@ -146,10 +147,10 @@ struct bench_options {
   /// Shrunken configuration for CI smoke runs.
   bool small = false;
   /// Worker threads for every H-ORAM run in the harness: 0 keeps the
-  /// sim runtime, N > 0 selects runtime_policy::threaded with N
-  /// workers. Applies through run_horam, so every existing ablation
-  /// bench runs threaded without code changes; per-run config tweaks
-  /// still win when they set the runtime themselves.
+  /// sim runtime, N > 0 runs the shard lanes on N workers. Applies
+  /// through run_horam, so every existing ablation bench runs threaded
+  /// without code changes; per-run config tweaks still win when they
+  /// set worker_threads themselves.
   std::uint32_t threads = 0;
   /// Restrict profile-sweeping benches to one storage profile
   /// (hdd | hdd-raw | ssd | nvme | net-remote | dram); empty sweeps

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/runtime_policy.h"
 #include "sim/time.h"
 #include "storage/page_layout.h"
 #include "util/contracts.h"
@@ -86,14 +85,10 @@ struct horam_config {
   /// Number of independent controller shards the engine stripes the
   /// block space over (core/engine.h). 1 = a single controller with the
   /// exact historical behavior; > 1 routes requests by a keyed PRF over
-  /// the block id and pads every per-shard round to shard_round_cap so
+  /// the block id and pads every per-shard round to the engine's round
+  /// cap (engine::round_cap(), derived from the scheduler geometry) so
   /// the per-shard bus shape stays data-independent.
   std::uint32_t shard_count = 1;
-  /// Request slots every shard executes per engine round when
-  /// shard_count > 1 (real requests topped up with dummies). 0 derives
-  /// the cap from the scheduler geometry. Public information by design:
-  /// the cap may depend on the configuration, never on the workload.
-  std::uint32_t shard_round_cap = 0;
   /// Seed of the keyed SipHash PRF that routes block ids to shards.
   std::uint64_t route_key_seed = 0x726f757465;  // "route"
 
@@ -101,22 +96,20 @@ struct horam_config {
   /// same-block requests merge into one physical access per round and
   /// the result fans back out to every waiting completion. Coalescing
   /// only changes how many *real* slots a round consumes — every shard
-  /// still executes exactly shard_round_cap public slots per round
+  /// still executes exactly engine::round_cap() public slots per round
   /// (dummy-topped), including single-shard engines, so the bus shape
   /// stays data-independent whatever the duplicate rate. Off (default)
   /// is bit-for-bit the non-coalescing machine.
   bool coalescing = false;
 
-  /// How the engine executes its shard lanes (runtime/runtime_policy.h):
-  /// the single-threaded discrete-event machine, or one worker thread
-  /// per shard. Traces, stats and completion times are identical either
-  /// way for a fixed seed — the runtime only changes wall-clock time.
-  runtime_policy runtime = runtime_policy::sim;
-  /// Worker threads under runtime_policy::threaded. 0 = one per shard;
-  /// values above shard_count are clamped (a shard is confined to one
-  /// thread, so extra workers could never receive work). Ignored by
-  /// runtime_policy::sim and by single-shard engines, which have no
-  /// lanes to overlap.
+  /// Worker threads executing the engine's shard lanes (src/runtime/).
+  /// 0 = the single-threaded discrete-event machine: lanes run one after
+  /// another on the calling thread. n >= 1 = n workers, clamped to
+  /// shard_count (a shard is confined to one thread, so extra workers
+  /// could never receive work); single-shard engines, which have no
+  /// lanes to overlap, get no workers either way. Traces, stats and
+  /// completion times are identical for every value under a fixed seed
+  /// — threads only change wall-clock time.
   std::uint32_t worker_threads = 0;
 
   /// Ring ORAM backend (oram/ring/): real block slots per bucket (the
@@ -146,11 +139,6 @@ struct horam_config {
   /// capacity of level i). Larger fan-outs mean fewer levels — fewer
   /// probes per access — at the price of bigger, rarer merges.
   std::uint32_t hier_fanout = 4;
-  /// Dummy budget per level as a fraction of its real capacity: level i
-  /// is refreshed (re-permuted in place) after ceil(rate * r_i) probes,
-  /// so a fresh unprobed slot always exists. The schedule depends only
-  /// on the access count — public by design.
-  double hier_rebuild_rate = 1.0;
 
   /// Places the recursive position map chain of the tree backends
   /// (path, ring) on the storage device instead of the memory device —
@@ -221,8 +209,6 @@ struct horam_config {
     expects(ring_eviction_rate >= 1,
             "ring eviction rate (A) must be >= 1");
     expects(hier_fanout >= 2, "hier fan-out must be >= 2");
-    expects(hier_rebuild_rate > 0.0,
-            "hier rebuild rate must be positive");
     expects(map_entries_per_block >= 2,
             "map recursion needs at least two entries per block");
     expects(map_direct_threshold >= 1,

@@ -160,16 +160,13 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
     queued_counts_.resize(count);
   }
 
-  if (config_.runtime == runtime_policy::threaded && count > 1) {
-    // One worker per shard by default; explicit worker_threads clamps
-    // to the shard count (shard s is confined to worker s % threads, so
-    // extra workers could never receive work). A single-shard engine
-    // stays on the calling thread: it is a pure pass-through with no
-    // lanes to overlap, and spawning a worker would only add a hop.
-    const std::uint32_t threads =
-        config_.worker_threads == 0
-            ? count
-            : std::min(config_.worker_threads, count);
+  if (config_.worker_threads > 0 && count > 1) {
+    // Worker counts clamp to the shard count (shard s is confined to
+    // worker s % threads, so extra workers could never receive work). A
+    // single-shard engine stays on the calling thread: it is a pure
+    // pass-through with no lanes to overlap, and spawning a worker would
+    // only add a hop.
+    const std::uint32_t threads = std::min(config_.worker_threads, count);
     reports_ = std::make_unique<runtime::mailbox<lane_report>>(count);
     // Job-queue capacity: a round posts at most ceil(count / threads)
     // jobs per worker; sizing boxes at the shard count means post()
@@ -181,9 +178,6 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
 engine::~engine() = default;
 
 std::uint32_t engine::derive_round_cap() const {
-  if (config_.shard_round_cap > 0) {
-    return config_.shard_round_cap;
-  }
   // Mirror of scheduler::round_budget at the widest stage: enough to
   // keep a shard's prefetch window full for a whole round.
   std::uint32_t max_c = 1;
@@ -297,7 +291,7 @@ std::vector<engine::lane_report> engine::run_lanes(
     std::vector<lane_task>&& tasks, sim::sim_time start) {
   std::vector<lane_report> reports(tasks.size());
   if (pool_ == nullptr || tasks.size() <= 1) {
-    // Sim runtime (or a degenerate fan-out): lanes run sequentially on
+    // No workers (or a degenerate fan-out): lanes run sequentially on
     // the calling thread, failures surface immediately.
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       reports[i] = service_lane(std::move(tasks[i]), start);
@@ -308,7 +302,7 @@ std::vector<engine::lane_report> engine::run_lanes(
     return reports;
   }
 
-  // Threaded runtime: shard s is pinned to worker s % threads (its
+  // Workers: shard s is pinned to worker s % threads (its
   // thread-confinement home), reports come back through the mailbox in
   // whatever order lanes finish and are placed by their task index.
   // Every report is collected before any error is rethrown — abandoning

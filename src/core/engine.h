@@ -16,7 +16,9 @@
 // engine executes in *rounds*: each round every shard runs exactly
 // round_cap() request slots — real requests from its queue, topped up
 // with dummy requests on uniformly random shard-local blocks — so the
-// per-shard bus shape is data-independent whatever the skew. A
+// per-shard bus shape is data-independent whatever the skew. The cap
+// derives from the scheduler geometry alone (enough to keep a shard's
+// prefetch window full for a round), so it is public by construction. A
 // completion-ordering layer maps shard-local completion sim-times back
 // onto the engine's global clock (lanes run in parallel: a round lasts
 // the slowest shard), so ticket/latency semantics are unchanged.
@@ -42,17 +44,17 @@
 // duplicate rate. Off is bit-for-bit the non-coalescing machine (the
 // pad stream is never drawn on a single shard with coalescing off).
 //
-// Execution runtime: lanes are serviced either by the historical
-// single-threaded machine (runtime_policy::sim) or by per-shard worker
-// threads (runtime_policy::threaded, src/runtime/). Either way a
-// shard's controller, backend, devices, RNG and trace are touched by
-// exactly one thread at a time: under the threaded runtime shard s is
-// confined to worker s % worker_threads(), the coordinator keeps the
-// routing queues, and the only data crossing threads are lane_task
-// messages in and lane_report messages out through bounded mailboxes.
-// Reports merge in shard-index order regardless of finish order, so a
-// fixed seed produces bit-for-bit identical traces, stats and
-// completion times under both runtimes.
+// Execution runtime: config.worker_threads = 0 services lanes on the
+// historical single-threaded machine; n >= 1 spawns n worker threads
+// (clamped to the shard count; src/runtime/) when there is more than
+// one shard. Either way a shard's controller, backend, devices, RNG and
+// trace are touched by exactly one thread at a time: with workers,
+// shard s is confined to worker s % worker_threads(), the coordinator
+// keeps the routing queues, and the only data crossing threads are
+// lane_task messages in and lane_report messages out through bounded
+// mailboxes. Reports merge in shard-index order regardless of finish
+// order, so a fixed seed produces bit-for-bit identical traces, stats
+// and completion times whatever the thread count.
 #ifndef HORAM_CORE_ENGINE_H
 #define HORAM_CORE_ENGINE_H
 
@@ -161,13 +163,14 @@ class engine {
   [[nodiscard]] std::uint32_t shard_of(oram::block_id id) const;
   /// `id` translated into its shard's local block space.
   [[nodiscard]] oram::block_id shard_local_id(oram::block_id id) const;
-  /// Request slots every shard executes per round (public by design).
+  /// Request slots every shard executes per round: a function of the
+  /// scheduler stages and prefetch factor only (public by design).
   [[nodiscard]] std::uint32_t round_cap() const noexcept {
     return round_cap_;
   }
-  /// Worker threads servicing shard lanes: 0 under runtime_policy::sim
-  /// (and for single-shard engines, which have nothing to overlap),
-  /// otherwise the clamped thread count actually spawned.
+  /// Worker threads servicing shard lanes: 0 when config.worker_threads
+  /// is 0 (and for single-shard engines, which have nothing to
+  /// overlap), otherwise the clamped thread count actually spawned.
   [[nodiscard]] std::uint32_t worker_threads() const noexcept {
     return pool_ != nullptr ? static_cast<std::uint32_t>(pool_->size()) : 0;
   }
@@ -404,7 +407,7 @@ class engine {
   /// Cache backing the stats() reference.
   mutable controller_stats aggregate_;
 
-  /// Threaded runtime (null under runtime_policy::sim and for
+  /// Worker threads (null when config.worker_threads is 0 and for
   /// single-shard engines). Declared last so workers are stopped and
   /// joined before anything they might reference is torn down.
   std::unique_ptr<runtime::mailbox<lane_report>> reports_;

@@ -56,14 +56,13 @@ storage_layer::storage_layer(
           ? segment_capacity_ * config_.shuffle_every_periods
           : 0;
 
-  const std::uint64_t logical = config_.logical_block_bytes != 0
-                                    ? config_.logical_block_bytes
-                                    : codec_.record_bytes();
   store_ = std::make_unique<storage::partitioned_store>(
       device, /*base_offset=*/0,
       storage::partition_geometry{partitions, main_capacity,
                                   append_capacity},
-      codec_.record_bytes(), logical);
+      codec_.record_bytes(),
+      oram::logical_block_bytes(config_.logical_block_bytes,
+                                codec_.record_bytes()));
 
   locations_.resize(config_.block_count);
   contents_.assign(partitions, std::vector<oram::block_id>(
@@ -559,10 +558,9 @@ std::unique_ptr<shuffle_job> storage_layer::begin_shuffle(
 }
 
 std::uint64_t storage_layer::physical_bytes() const {
-  const std::uint64_t logical = config_.logical_block_bytes != 0
-                                    ? config_.logical_block_bytes
-                                    : codec_.record_bytes();
-  return store_->geometry().total_slots() * logical;
+  return store_->geometry().total_slots() *
+         oram::logical_block_bytes(config_.logical_block_bytes,
+                                   codec_.record_bytes());
 }
 
 std::uint64_t storage_layer::control_memory_bytes() const {

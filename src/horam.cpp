@@ -77,9 +77,6 @@ constexpr enum_names<shuffle_policy, std::size(all_shuffle_policies), 1>
         {"foreground", "async-writeback", "offloaded", "incremental"},
         {{{"async_writeback", shuffle_policy::async_writeback}}}};
 
-constexpr enum_names<runtime_policy, std::size(all_runtime_policies)>
-    kRuntimePolicyNames{all_runtime_policies, {"sim", "threaded"}};
-
 constexpr enum_names<storage::storage_layout, std::size(all_storage_layouts)>
     kStorageLayoutNames{all_storage_layouts, {"flat", "page"}};
 
@@ -107,18 +104,6 @@ std::span<const std::string_view> shuffle_policy_names() {
 
 shuffle_policy shuffle_policy_by_name(std::string_view name) {
   return kShufflePolicyNames.parse(name, "unknown shuffle-policy name");
-}
-
-std::string_view runtime_policy_name(runtime_policy policy) {
-  return kRuntimePolicyNames.name_of(policy, "unknown runtime policy");
-}
-
-std::span<const std::string_view> runtime_policy_names() {
-  return kRuntimePolicyNames.names;
-}
-
-runtime_policy runtime_policy_by_name(std::string_view name) {
-  return kRuntimePolicyNames.parse(name, "unknown runtime-policy name");
 }
 
 std::string_view storage_layout_name(storage::storage_layout layout) {
@@ -180,7 +165,7 @@ std::unique_ptr<oram_backend> make_backend(
                                                   trace, filler, map_device);
     case backend_kind::hier:
       return std::make_unique<oram::hier_backend>(config, device, cpu, rng,
-                                                  trace, filler, map_device);
+                                                  trace, filler);
   }
   expects(false, "unknown backend kind");
   return nullptr;
@@ -364,13 +349,6 @@ client_builder& client_builder::hier_fanout(std::uint32_t g) {
   return *this;
 }
 
-client_builder& client_builder::hier_rebuild_rate(double rate) {
-  expects(rate > 0.0,
-          "client_builder: hier_rebuild_rate() must be positive");
-  config_.hier_rebuild_rate = rate;
-  return *this;
-}
-
 client_builder& client_builder::map_on_storage(bool enabled) {
   config_.map_on_storage = enabled;
   return *this;
@@ -378,17 +356,6 @@ client_builder& client_builder::map_on_storage(bool enabled) {
 
 client_builder& client_builder::shards(std::uint32_t count) {
   config_.shard_count = count;
-  return *this;
-}
-
-client_builder& client_builder::runtime(runtime_policy policy) {
-  config_.runtime = policy;
-  return *this;
-}
-
-client_builder& client_builder::runtime(std::string_view name) {
-  config_.runtime = kRuntimePolicyNames.parse(
-      name, "client_builder: runtime() got an unknown policy name");
   return *this;
 }
 
@@ -416,10 +383,9 @@ client_builder& client_builder::page_bytes(std::uint64_t bytes) {
 
 client_builder& client_builder::threads(std::uint32_t n) {
   expects(n >= 1,
-          "client_builder: threads() must be at least 1 — select "
-          "runtime(runtime_policy::sim) to stay single-threaded");
+          "client_builder: threads() must be at least 1 — leave it unset "
+          "to stay single-threaded");
   config_.worker_threads = n;
-  config_.runtime = runtime_policy::threaded;
   return *this;
 }
 
@@ -541,6 +507,11 @@ client client_builder::build() const {
   expects(config.block_count > 0, "client_builder: blocks() not set");
   expects(config.payload_bytes > 0,
           "client_builder: payload_bytes() not set");
+  expects(config.logical_block_bytes == 0 ||
+              config.logical_block_bytes >=
+                  oram::record_bytes_for(config.payload_bytes, config.seal),
+          "client_builder: logical_block_bytes() cannot hold a record — "
+          "it needs 8 id bytes + payload_bytes(), plus 20 when sealing");
   expects(config.memory_blocks > 0,
           "client_builder: memory_blocks() or cache_ratio() not set");
   expects(config.memory_blocks >= 2 * config.bucket_size,

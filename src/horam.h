@@ -128,8 +128,8 @@ enum class backend_kind : std::uint8_t {
   /// levels of permuted slots with a trusted-memory succinct index, so
   /// every online access ships all its per-level probes — real probe at
   /// the resident level, fresh dummy probes elsewhere — as one batched
-  /// exchange with the device. Level merges and refreshes are streaming
-  /// range transfers behind the stepped shuffle-job API.
+  /// exchange with the device. Level merges are streaming range
+  /// transfers behind the stepped shuffle-job API.
   hier,
 };
 
@@ -171,18 +171,6 @@ inline constexpr shuffle_policy all_shuffle_policies[] = {
 /// Parses a shuffle-policy name (canonical names plus the alias
 /// "async_writeback"); throws contract_error on unknown names.
 [[nodiscard]] shuffle_policy shuffle_policy_by_name(std::string_view name);
-
-/// Human-readable runtime-policy name ("sim" / "threaded").
-[[nodiscard]] std::string_view runtime_policy_name(runtime_policy policy);
-
-/// The canonical runtime-policy names, index-aligned with
-/// all_runtime_policies (runtime/runtime_policy.h) — the single list
-/// name parsing, CLIs, benches and tests share.
-[[nodiscard]] std::span<const std::string_view> runtime_policy_names();
-
-/// Parses a runtime-policy name; throws contract_error on unknown
-/// names.
-[[nodiscard]] runtime_policy runtime_policy_by_name(std::string_view name);
 
 /// Every storage layout, in presentation order (comparison tables,
 /// parameterised tests).
@@ -317,7 +305,9 @@ class client_builder {
   client_builder& cache_ratio(double ratio);
   /// Application payload bytes per block. Required.
   client_builder& payload_bytes(std::size_t bytes);
-  /// Block size used for device timing (0 = encoded record size).
+  /// Block size used for device timing (0 = encoded record size). A
+  /// nonzero value must hold one record: 8 id bytes, payload_bytes(),
+  /// and 20 more when sealing; build() rejects smaller values.
   client_builder& logical_block_bytes(std::uint64_t bytes);
   /// Path ORAM bucket size (Z).
   client_builder& bucket_size(std::uint32_t z);
@@ -345,10 +335,6 @@ class client_builder {
   /// batched access — at the price of bigger, rarer merges. Only the
   /// hier backend reads it.
   client_builder& hier_fanout(std::uint32_t g);
-  /// Hier backend dummy budget per level as a fraction of its real
-  /// capacity (default 1.0): a level is refreshed in place after
-  /// ceil(rate * capacity) probes.
-  client_builder& hier_rebuild_rate(double rate);
   /// Places the recursive position-map chain of the tree backends
   /// (path, ring) on the storage device instead of the memory device —
   /// the honest client/server wiring, where each map level is a
@@ -368,15 +354,6 @@ class client_builder {
   /// The memory budget splits evenly across shards; each shard gets its
   /// own backend instance and storage/memory device lane.
   client_builder& shards(std::uint32_t count);
-  /// Execution runtime for the shard lanes (default: sim, the
-  /// single-threaded discrete-event machine). threaded confines each
-  /// shard to a worker thread (src/runtime/); traces, stats and
-  /// completion times are identical either way for a fixed seed — only
-  /// wall-clock time differs.
-  client_builder& runtime(runtime_policy policy);
-  /// Runtime by name (see runtime_policy_names()), for configs and
-  /// CLIs; throws contract_error naming this setter on unknown names.
-  client_builder& runtime(std::string_view name);
   /// Round-scoped request coalescing (src/coalesce/): merge same-block
   /// requests of one engine round into a single physical access and fan
   /// the result back to every waiting ticket. Default off, which is
@@ -385,9 +362,12 @@ class client_builder {
   client_builder& coalescing(bool enabled);
   /// Deleted so a string literal cannot read as coalescing(true).
   client_builder& coalescing(const char*) = delete;
-  /// Shorthand for the threaded runtime with `n` worker threads
-  /// (n >= 1; clamped to the shard count at engine construction, since
-  /// a shard is confined to exactly one thread).
+  /// Runs the shard lanes on `n` real worker threads (src/runtime/;
+  /// n >= 1, clamped to the shard count at engine construction, since a
+  /// shard is confined to exactly one thread). Without this call the
+  /// lanes run on the single-threaded discrete-event machine. Traces,
+  /// stats and completion times are identical either way for a fixed
+  /// seed — only wall-clock time differs.
   client_builder& threads(std::uint32_t n);
   /// Device-side layout of the tree-resident storage lane (default:
   /// flat, bit-for-bit the historical machine). `page` packs page-sized

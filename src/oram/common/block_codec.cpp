@@ -6,12 +6,18 @@
 
 namespace horam::oram {
 
+std::uint64_t logical_block_bytes(std::uint64_t configured,
+                                  std::size_t record_bytes) {
+  const std::uint64_t logical = configured != 0 ? configured : record_bytes;
+  expects(logical >= record_bytes, "logical block cannot hold the record");
+  return logical;
+}
+
 block_codec::block_codec(std::size_t payload_bytes, bool seal,
                          std::uint64_t key_seed)
     : payload_bytes_(payload_bytes),
       seal_(seal),
-      record_bytes_(8 + payload_bytes +
-                    (seal ? crypto::seal_overhead : 0)),
+      record_bytes_(record_bytes_for(payload_bytes, seal)),
       sealer_(crypto::derive_seal_keys(key_seed)),
       opened_(8 + payload_bytes) {
   expects(payload_bytes > 0, "payload must be non-empty");

@@ -18,16 +18,16 @@
 // only ever moves whole buckets and seals each bucket as one unit
 // instead (oram/common/bucket_codec.h), in the same store geometry.
 //
-// Wherever a backend moves many records at once — hier merges,
-// refreshes and builds, partition shuffles and deals, ring evictions,
-// reshuffles and builds, the sqrt fold-back and build — it seals and
-// opens them in batches, so their keystreams and MACs share the SIMD
-// lanes of the sealing kernels (crypto/chacha20.h, crypto/siphash.h):
-// encode_plain() composes records and seal_many() seals a list of them,
-// nonces in list order; decode_many() checks every MAC of a list before
-// it writes any output, then decrypts all of them in one batch. The
-// bytes are those of one encode() or decode() per record, which are
-// the one-record batches.
+// Wherever a backend moves many records at once — hier merges and
+// builds, partition shuffles and deals, ring evictions, reshuffles and
+// builds, the sqrt fold-back and build — it seals and opens them in
+// batches, so their keystreams and MACs share the SIMD lanes of the
+// sealing kernels (crypto/chacha20.h, crypto/siphash.h): encode_plain()
+// composes records and seal_many() seals a list of them, nonces in list
+// order; decode_many() checks every MAC of a list before it writes any
+// output, then decrypts all of them in one batch. The bytes are those
+// of one encode() or decode() per record, which are the one-record
+// batches.
 //
 // Neither encode nor decode allocates. encode writes the plaintext
 // straight into the caller's record and seals it there; decoding opens
@@ -46,6 +46,19 @@
 #include "oram/common/types.h"
 
 namespace horam::oram {
+
+/// Bytes of one store record carrying `payload_bytes`: the 8-byte id,
+/// the payload and, when sealing, the nonce and MAC.
+[[nodiscard]] constexpr std::size_t record_bytes_for(
+    std::size_t payload_bytes, bool seal) noexcept {
+  return 8 + payload_bytes + (seal ? crypto::seal_overhead : 0);
+}
+
+/// The logical block size a backend times its device traffic with:
+/// `configured`, or the record size when 0. Throws
+/// util::contract_error when the record would not fit.
+[[nodiscard]] std::uint64_t logical_block_bytes(std::uint64_t configured,
+                                                std::size_t record_bytes);
 
 /// Encodes and decodes (id, payload) pairs to fixed-size records.
 class block_codec {

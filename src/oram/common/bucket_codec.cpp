@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "oram/common/block_codec.h"
 #include "util/contracts.h"
 
 namespace horam::oram {
@@ -22,7 +23,7 @@ bucket_codec::bucket_codec(std::uint32_t slots, std::size_t payload_bytes,
     : slots_(slots),
       payload_bytes_(payload_bytes),
       seal_(seal),
-      record_bytes_(8 + payload_bytes + (seal ? crypto::seal_overhead : 0)),
+      record_bytes_(record_bytes_for(payload_bytes, seal)),
       sealer_(crypto::derive_seal_keys(key_seed)) {
   expects(slots > 0, "bucket needs at least one slot");
   expects(payload_bytes > 0, "payload must be non-empty");

@@ -7,14 +7,6 @@
 
 namespace horam::oram {
 
-std::uint64_t logical_block_bytes(std::uint64_t configured,
-                                  std::size_t record_bytes) {
-  const std::uint64_t logical = configured != 0 ? configured : record_bytes;
-  expects(logical >= record_bytes,
-          "logical block smaller than the encoded record");
-  return logical;
-}
-
 sim::sim_time commit_sweeps(storage::block_store& store) {
   sim::sim_time t = 0;
   const std::uint64_t slots = store.slot_count();

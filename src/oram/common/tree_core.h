@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "oram/common/block_codec.h"
 #include "oram/common/position_map.h"
 #include "oram/common/stash.h"
 #include "oram/common/types.h"
@@ -32,12 +33,6 @@ namespace horam::oram {
 /// Records per chunk of a sequential whole-store sweep, to bound host
 /// buffers.
 inline constexpr std::uint64_t sweep_chunk_records = 1 << 14;
-
-/// The logical block size a tree times its device traffic with:
-/// `configured`, or the record size when 0. Throws
-/// util::contract_error when the record would not fit.
-std::uint64_t logical_block_bytes(std::uint64_t configured,
-                                  std::size_t record_bytes);
 
 /// Charges the streaming write of a whole store composed in place
 /// through stage_range(), in sweep_chunk_records chunks.

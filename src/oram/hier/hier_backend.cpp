@@ -1,7 +1,6 @@
 #include "oram/hier/hier_backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <unordered_set>
 #include <utility>
@@ -23,22 +22,21 @@ hier_backend::hier_backend(
     const horam_config& config, sim::block_device& device,
     const sim::cpu_model& cpu, util::random_source& rng,
     access_trace* trace,
-    const std::function<void(block_id, std::span<std::uint8_t>)>* filler,
-    sim::block_device* map_device)
+    const std::function<void(block_id, std::span<std::uint8_t>)>* filler)
     : config_(config),
       cpu_(cpu),
       rng_(rng),
       trace_(trace),
       codec_(config.payload_bytes, config.seal,
              config.key_seed ^ 0x4869) {  // "Hi"
-  static_cast<void>(map_device);  // no map chain: the index is the map
   config_.validate();
 
   // Geometric levels: the top level holds the controller's hot set, the
-  // bottom level holds the dataset. Each level carries a dummy pool of
-  // one slot per probe of its refresh budget, plus slack for the probes
-  // that keep arriving while a merge suppresses refreshes (at most a
-  // bounded number of access periods; exhaustion fail-stops loudly).
+  // bottom level holds the dataset. Each level's dummy pool covers every
+  // probe of its longest epoch: the merge cascade rebuilds level i at
+  // least every g^(i-1) access periods of n/2 probes each, fewer than
+  // r_i = n * g^(i-1), and 4n + 256 more slots cover the periods a
+  // merge is in flight (exhaustion fail-stops loudly).
   const std::uint64_t top = std::max<std::uint64_t>(16, config_.memory_blocks);
   std::vector<std::uint64_t> reals;
   for (std::uint64_t r = top;; r *= config_.hier_fanout) {
@@ -53,11 +51,7 @@ hier_backend::hier_backend(
   for (std::size_t i = 0; i < reals.size(); ++i) {
     level_state& lvl = levels_[i];
     lvl.real_capacity = reals[i];
-    lvl.refresh_after = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(std::ceil(
-               config_.hier_rebuild_rate * static_cast<double>(reals[i]))));
-    lvl.dummy_capacity =
-        lvl.refresh_after + 4 * config_.memory_blocks + 256;
+    lvl.dummy_capacity = reals[i] + 4 * config_.memory_blocks + 256;
     lvl.slot_count = lvl.real_capacity + lvl.dummy_capacity;
     lvl.base = base;
     base += lvl.slot_count;
@@ -71,11 +65,9 @@ hier_backend::hier_backend(
   index_ = succinct_index(config_.block_count, level_bits, slot_bits);
 
   const std::size_t rec = codec_.record_bytes();
-  const std::uint64_t logical =
-      config_.logical_block_bytes != 0 ? config_.logical_block_bytes : rec;
-  expects(logical >= rec, "logical block cannot hold the sealed record");
-  store_ = std::make_unique<storage::block_store>(device, 0, total_slots,
-                                                  rec, logical);
+  store_ = std::make_unique<storage::block_store>(
+      device, 0, total_slots, rec,
+      logical_block_bytes(config_.logical_block_bytes, rec));
   payload_scratch_.assign(config_.payload_bytes, 0);
 
   // Every block starts at the bottom level (rank = id) under a fresh
@@ -175,12 +167,11 @@ cost_split hier_backend::probe_all(block_id target,
       probe_slots_.push_back(lvl.base + index_.slot_of(target));
     } else {
       invariant(lvl.dummies_used < lvl.dummy_capacity,
-                "hier dummy pool exhausted before its refresh");
+                "hier dummy pool exhausted before the level's rebuild");
       probe_slots_.push_back(
           lvl.base + lvl.prp.forward(lvl.real_capacity + lvl.dummies_used));
       ++lvl.dummies_used;
     }
-    ++lvl.probes;
   }
   invariant(!probe_slots_.empty(), "hier has no active level to probe");
   invariant(target == dummy_block_id || target_pos != npos,
@@ -218,83 +209,6 @@ cost_split hier_backend::probe_all(block_id target,
   return cost;
 }
 
-void hier_backend::refresh_due_levels(cost_split& cost) {
-  if (merge_in_flight_) {
-    return;  // the dummy pools carry the slack until the merge lands
-  }
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (levels_[i].active && levels_[i].probes >= levels_[i].refresh_after) {
-      refresh_level(i, cost);
-    }
-  }
-}
-
-void hier_backend::refresh_level(std::size_t idx, cost_split& cost) {
-  level_state& lvl = levels_[idx];
-  const std::size_t rec = codec_.record_bytes();
-  level_buf_.resize(lvl.slot_count * rec);
-  trace(trace_, event_kind::storage_read_sweep, lvl.base, lvl.slot_count);
-  {
-    sim::trip_scope round_trip(&store_->device());
-    cost.io += store_->read_range(lvl.base, lvl.slot_count, level_buf_);
-  }
-
-  // Survivors are the records the index still maps here; stale copies
-  // of extracted or re-merged blocks drop out. Records open a chunk at
-  // a time.
-  std::vector<block_id> ids;
-  std::vector<std::uint8_t> payloads;
-  ids.reserve(lvl.live);
-  payloads.reserve(lvl.live * config_.payload_bytes);
-  for (std::uint64_t first = 0; first < lvl.slot_count;
-       first += kChunkSlots) {
-    const std::uint64_t n = std::min(kChunkSlots, lvl.slot_count - first);
-    const std::span<const std::uint8_t> chunk = open_level_buf(first, n);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const block_id id = chunk_ids_[j];
-      if (id == dummy_block_id || index_.level_of(id) != idx + 1 ||
-          index_.slot_of(id) != first + j) {
-        continue;
-      }
-      ids.push_back(id);
-      const auto payload = chunk.subspan(j * config_.payload_bytes,
-                                         config_.payload_bytes);
-      payloads.insert(payloads.end(), payload.begin(), payload.end());
-    }
-  }
-  invariant(ids.size() == lvl.live,
-            "refresh found a live count the index disagrees with");
-
-  lvl.prp = feistel_prp(lvl.slot_count, fresh_key());
-  ++lvl.epoch;
-  lvl.probes = 0;
-  lvl.dummies_used = 0;
-  for (std::uint64_t first = 0; first < lvl.slot_count;
-       first += kChunkSlots) {
-    const std::uint64_t n = std::min(kChunkSlots, lvl.slot_count - first);
-    compose_chunk(lvl.prp, first, n, first, ids.size(),
-                  [&](std::uint64_t rank, std::uint64_t slot,
-                      std::span<std::uint8_t> out) {
-                    codec_.encode_plain(
-                        ids[rank],
-                        std::span<const std::uint8_t>(payloads).subspan(
-                            rank * config_.payload_bytes,
-                            config_.payload_bytes),
-                        out);
-                    index_.place(ids[rank],
-                                 static_cast<std::uint32_t>(idx + 1), slot);
-                  });
-  }
-  trace(trace_, event_kind::storage_write_sweep, lvl.base, lvl.slot_count);
-  {
-    sim::trip_scope round_trip(&store_->device());
-    cost.io += store_->write_range(lvl.base, lvl.slot_count, level_buf_);
-  }
-  cost.cpu += cpu_.crypto_time(2 * lvl.slot_count, rec) +
-              cpu_.word_ops_time(2 * lvl.slot_count);
-  ++refreshes_;
-}
-
 oram_backend::load_result hier_backend::load_block(block_id id) {
   expects(in_storage(id), "block is not on storage");
   load_result result;
@@ -302,7 +216,6 @@ oram_backend::load_result hier_backend::load_block(block_id id) {
   result.cost += probe_all(id, payload_scratch_);
   result.id = id;
   result.payload.assign(payload_scratch_.begin(), payload_scratch_.end());
-  refresh_due_levels(result.cost);
   return result;
 }
 
@@ -310,7 +223,6 @@ oram_backend::load_result hier_backend::dummy_load() {
   load_result result;
   ++stats_.dummy_loads;
   result.cost += probe_all(dummy_block_id, {});
-  refresh_due_levels(result.cost);
   return result;
 }
 
@@ -437,7 +349,6 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
     if (read_cursor_ == lvl.slot_count) {
       invariant(lvl.live == 0, "merge drained a level but blocks remain");
       lvl.active = false;
-      lvl.probes = 0;
       lvl.dummies_used = 0;
       read_cursor_ = 0;
       ++src_index_;
@@ -458,7 +369,6 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
     lvl.prp = feistel_prp(lvl.slot_count, owner_.fresh_key());
     lvl.active = true;
     ++lvl.epoch;
-    lvl.probes = 0;
     lvl.dummies_used = 0;
   }
 

@@ -18,27 +18,27 @@
 //   * a dummy probe reads the slot of the next unused dummy rank, so
 //     every active level is probed exactly once per access and no slot
 //     repeats within an epoch — the adversary sees fresh uniform slots
-//     regardless of the workload;
-//   * after a level's public probe budget is spent it is refreshed in
-//     place (re-permuted under a new key) by two streaming sweeps — the
-//     rare extra round trips behind the "≈1 trip per request" headline;
+//     regardless of the workload; a level's dummy pool outlasts its
+//     longest epoch (the merge cascade below rebuilds level i at least
+//     every g^(i-1) access periods), so every access is exactly one
+//     round trip;
 //   * the shuffle period merges the evicted hot set and all levels
 //     above a schedule-chosen target into that target, rebuilt under a
 //     fresh permutation — chunked range transfers behind the stepped
 //     shuffle-job API, so shuffle_policy::incremental deamortizes it.
 //
-// Rebuilds (merges, refreshes and the initial build) stream levels a
-// chunk of slots at a time, and each chunk is one batch on the host:
-// its records open together (block_codec::decode_many, every MAC
-// checked before any block is staged or any index entry changes), its
-// slots' ranks come from one feistel_prp::inverse_many pass, and its
-// rewritten records seal together (block_codec::seal_many, nonces in
-// slot order). Online probes open their one real record on its own.
+// Rebuilds (merges and the initial build) stream levels a chunk of
+// slots at a time, and each chunk is one batch on the host: its records
+// open together (block_codec::decode_many, every MAC checked before any
+// block is staged or any index entry changes), its slots' ranks come
+// from one feistel_prp::inverse_many pass, and its rewritten records
+// seal together (block_codec::seal_many, nonces in slot order). Online
+// probes open their one real record on its own.
 //
-// Every schedule decision (probe count, refresh instants, merge target,
-// chunk boundaries) is a function of the access count and configuration
-// only — public by design; payload-dependent state never reaches the
-// device outside sealed records.
+// Every schedule decision (probe count, merge target, chunk boundaries)
+// is a function of the access count and configuration only — public by
+// design; payload-dependent state never reaches the device outside
+// sealed records.
 #ifndef HORAM_ORAM_HIER_HIER_BACKEND_H
 #define HORAM_ORAM_HIER_HIER_BACKEND_H
 
@@ -65,16 +65,15 @@ class hier_backend final : public horam::oram_backend {
  public:
   /// Builds the hierarchy with every block of [0, config.block_count)
   /// at the bottom level; `filler` provides initial payloads (null =
-  /// zero-filled). `map_device` is accepted for interface parity with
-  /// the tree backends and ignored — the position state is the trusted
-  /// in-memory index, which is the point of the scheme. Device
-  /// statistics are reset afterwards so initialisation is not measured.
+  /// zero-filled). There is no position-map device: the position state
+  /// is the trusted in-memory index, which is the point of the scheme.
+  /// Device statistics are reset afterwards so initialisation is not
+  /// measured.
   hier_backend(const horam_config& config, sim::block_device& device,
                const sim::cpu_model& cpu, util::random_source& rng,
                access_trace* trace,
                const std::function<void(block_id,
-                                        std::span<std::uint8_t>)>* filler,
-               sim::block_device* map_device = nullptr);
+                                        std::span<std::uint8_t>)>* filler);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "hier";
@@ -115,10 +114,6 @@ class hier_backend final : public horam::oram_backend {
   [[nodiscard]] unsigned index_entry_bits() const noexcept {
     return index_.entry_bits();
   }
-  /// In-place level refreshes performed so far.
-  [[nodiscard]] std::uint64_t refresh_count() const noexcept {
-    return refreshes_;
-  }
 
  private:
   friend class hier_shuffle_job;
@@ -131,10 +126,8 @@ class hier_backend final : public horam::oram_backend {
     std::uint64_t dummy_capacity = 0;  // dummy pool d_i
     std::uint64_t slot_count = 0;      // c_i = r_i + d_i
     std::uint64_t base = 0;            // first global slot
-    std::uint64_t refresh_after = 0;   // probes before an in-place refresh
     bool active = false;
     std::uint64_t live = 0;            // blocks the index maps here
-    std::uint64_t probes = 0;          // probes since epoch start
     std::uint64_t dummies_used = 0;    // dummy ranks consumed this epoch
     std::uint64_t epoch = 0;
     feistel_prp prp;                   // rank -> level-local slot
@@ -145,12 +138,6 @@ class hier_backend final : public horam::oram_backend {
   /// otherwise the resident level is probed for real and the target's
   /// payload lands in `payload_out` (the block becomes cached).
   cost_split probe_all(block_id target, std::span<std::uint8_t> payload_out);
-
-  /// Refreshes every active level whose probe budget is spent
-  /// (suppressed while a merge is in flight; the dummy pools carry the
-  /// slack). Public schedule: depends on probe counts only.
-  void refresh_due_levels(cost_split& cost);
-  void refresh_level(std::size_t idx, cost_split& cost);
 
   [[nodiscard]] crypto::siphash_key fresh_key();
 
@@ -186,7 +173,6 @@ class hier_backend final : public horam::oram_backend {
   /// in-flight merge job's staging area): ids with index level 0.
   std::uint64_t cached_count_ = 0;
   bool merge_in_flight_ = false;
-  std::uint64_t refreshes_ = 0;
 
   horam::backend_stats stats_;
   std::vector<std::uint64_t> probe_slots_;

@@ -26,9 +26,8 @@ sqrt_backend::sqrt_backend(
                           config_.period_loads());
 
   const std::uint64_t slots = total_slots();
-  const std::uint64_t logical = config_.logical_block_bytes != 0
-                                    ? config_.logical_block_bytes
-                                    : codec_.record_bytes();
+  const std::uint64_t logical =
+      logical_block_bytes(config_.logical_block_bytes, codec_.record_bytes());
   const std::uint64_t scratch_slots =
       shuffle::melbourne_scratch_records(slots, reshuffle_);
 
@@ -242,12 +241,10 @@ horam::shuffle_cost sqrt_backend::reshuffle(
 }
 
 std::uint64_t sqrt_backend::physical_bytes() const {
-  const std::uint64_t logical = config_.logical_block_bytes != 0
-                                    ? config_.logical_block_bytes
-                                    : codec_.record_bytes();
   return (array_a_->slot_count() + array_b_->slot_count() +
           scratch_->slot_count()) *
-         logical;
+         logical_block_bytes(config_.logical_block_bytes,
+                             codec_.record_bytes());
 }
 
 std::uint64_t sqrt_backend::control_memory_bytes() const {

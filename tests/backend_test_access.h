@@ -74,6 +74,16 @@ struct hier_backend_test_access {
                       std::size_t offset, std::uint8_t mask) {
     backend.store_->corrupt(slot, offset, mask);
   }
+  /// Dummy-pool state of one level in its current epoch.
+  struct dummy_pool {
+    bool active = false;
+    std::uint64_t used = 0;
+    std::uint64_t capacity = 0;
+  };
+  static dummy_pool pool(const hier_backend& backend, std::uint32_t level) {
+    const hier_backend::level_state& lvl = backend.levels_.at(level - 1);
+    return {lvl.active, lvl.dummies_used, lvl.dummy_capacity};
+  }
 };
 
 struct sqrt_backend_test_access {

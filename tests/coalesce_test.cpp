@@ -303,7 +303,8 @@ struct off_grid_point {
   backend_kind backend;
   std::uint32_t shards;
   shuffle_policy shuffle;
-  runtime_policy runtime;
+  /// Shard lanes on one worker thread each, or the sim machine.
+  bool threaded;
 };
 
 class CoalesceOffGrid : public ::testing::TestWithParam<off_grid_point> {};
@@ -316,9 +317,8 @@ INSTANTIATE_TEST_SUITE_P(
         for (const std::uint32_t shards : {1u, 4u}) {
           for (const shuffle_policy shuffle :
                {shuffle_policy::foreground, shuffle_policy::incremental}) {
-            for (const runtime_policy runtime :
-                 {runtime_policy::sim, runtime_policy::threaded}) {
-              grid.push_back(off_grid_point{kind, shards, shuffle, runtime});
+            for (const bool threaded : {false, true}) {
+              grid.push_back(off_grid_point{kind, shards, shuffle, threaded});
             }
           }
         }
@@ -329,7 +329,7 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(backend_name(info.param.backend)) + "_x" +
              std::to_string(info.param.shards) + "_" +
              std::string(shuffle_policy_name(info.param.shuffle)) + "_" +
-             std::string(runtime_policy_name(info.param.runtime));
+             (info.param.threaded ? "threaded" : "sim");
     });
 
 std::vector<request> off_grid_stream(std::uint64_t seed) {
@@ -379,8 +379,10 @@ TEST_P(CoalesceOffGrid, OffIsBitForBitTheNonCoalescingMachine) {
     client_builder builder = coalesce_builder(GetParam().shards, 73)
                                  .backend(GetParam().backend)
                                  .shuffle(GetParam().shuffle)
-                                 .runtime(GetParam().runtime)
                                  .trace(true);
+    if (GetParam().threaded) {
+      builder.threads(GetParam().shards);
+    }
     if (touch_setter) {
       builder.coalescing(false);
     }
@@ -408,8 +410,7 @@ TEST_P(CoalesceOffGrid, OffIsBitForBitTheNonCoalescingMachine) {
   EXPECT_EQ(off.eng().router_stats().coalesced_requests, 0u);
   expect_same_traces(off, untouched);
 
-  if (GetParam().shards == 1 &&
-      GetParam().runtime == runtime_policy::sim) {
+  if (GetParam().shards == 1 && !GetParam().threaded) {
     // The engine-free reference: a bare controller wired exactly as the
     // pre-engine facade did it.
     sim::block_device storage{sim::hdd_paper()};
@@ -454,13 +455,15 @@ TEST(CoalesceRuntimeParity, ThreadedMatchesSimBitForBit) {
   // so the threaded runtime must replay the sim machine exactly —
   // results, stats, router counters and per-shard traces — with
   // coalescing on.
-  const auto drive = [](runtime_policy runtime,
+  // `threads` = 0 drives the sim machine.
+  const auto drive = [](std::uint32_t threads,
                         std::vector<request_result>* results) {
-    client oram = coalesce_builder(4, 75)
-                      .coalescing(true)
-                      .runtime(runtime)
-                      .trace(true)
-                      .build();
+    client_builder builder =
+        coalesce_builder(4, 75).coalescing(true).trace(true);
+    if (threads > 0) {
+      builder.threads(threads);
+    }
+    client oram = builder.build();
     workload::stream_config wl;
     wl.request_count = 240;
     wl.block_count = kBlocks;
@@ -485,9 +488,8 @@ TEST(CoalesceRuntimeParity, ThreadedMatchesSimBitForBit) {
 
   std::vector<request_result> sim_results;
   std::vector<request_result> threaded_results;
-  client sim_machine = drive(runtime_policy::sim, &sim_results);
-  client threaded_machine =
-      drive(runtime_policy::threaded, &threaded_results);
+  client sim_machine = drive(0, &sim_results);
+  client threaded_machine = drive(4, &threaded_results);
 
   ASSERT_EQ(sim_results.size(), threaded_results.size());
   for (std::size_t i = 0; i < sim_results.size(); ++i) {

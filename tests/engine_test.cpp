@@ -452,18 +452,9 @@ TEST(EngineObliviousness, RoundShapesAreWorkloadIndependent) {
   }
 }
 
-TEST(EngineObliviousness, RoundCapIsConfigurableAndPublic) {
-  // The cap derives from the scheduler geometry by default and can be
-  // pinned explicitly; the scheduler hands the engine shard_count * cap
-  // requests per pump round.
-  client pinned = engine_builder(4)
-                      .config_tweak([](horam_config& c) {
-                        c.shard_round_cap = 10;
-                      })
-                      .build();
-  EXPECT_EQ(pinned.eng().round_cap(), 10u);
-  EXPECT_EQ(pinned.eng().round_budget(), 40u);
-
+TEST(EngineObliviousness, RoundCapIsDerivedAndPublic) {
+  // The cap derives from the scheduler geometry alone; the scheduler
+  // hands the engine shard_count * cap requests per pump round.
   client derived = engine_builder(4).build();
   EXPECT_GT(derived.eng().round_cap(), 0u);
   EXPECT_EQ(derived.eng().round_budget(),

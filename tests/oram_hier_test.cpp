@@ -1,9 +1,9 @@
 // Tests for the single-round-trip hierarchical backend (oram/hier/):
 // the cycle-walking Feistel permutation, the packed succinct index,
 // level geometry, the one-batched-probe online path (one device round
-// trip per load, distinct slots within an epoch), in-place level
-// refreshes, and data survival across merges driven both monolithically
-// and through bounded incremental steps.
+// trip per load, distinct slots within an epoch), dummy pools that
+// outlast every level's epoch, and data survival across merges driven
+// both monolithically and through bounded incremental steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,9 +225,7 @@ TEST(HierBackend, LoadIsOneRoundTripAndOneProbePerActiveLevel) {
 
 TEST(HierBackend, ProbedSlotsNeverRepeatWithinAnEpoch) {
   rig fx;
-  horam_config config = fx.config();
-  // Generous rebuild budget so no refresh interrupts the window.
-  config.hier_rebuild_rate = 8.0;
+  const horam_config config = fx.config();
   hier_backend backend(config, fx.device, fx.cpu, fx.rng, nullptr,
                        nullptr);
   access_trace trace;
@@ -251,25 +249,6 @@ TEST(HierBackend, ProbedSlotsNeverRepeatWithinAnEpoch) {
     }
   }
   EXPECT_NO_THROW(traced.check_consistency());
-}
-
-TEST(HierBackend, RefreshRepermutesASpentLevelInPlace) {
-  rig fx;
-  horam_config config = fx.config();
-  // Tight budget: the bottom level's probes run out quickly.
-  config.hier_rebuild_rate = 0.05;
-  hier_backend backend(config, fx.device, fx.cpu, fx.rng, nullptr,
-                       nullptr);
-  ASSERT_EQ(backend.refresh_count(), 0u);
-  for (int round = 0; round < 64; ++round) {
-    (void)backend.dummy_load();
-  }
-  EXPECT_GT(backend.refresh_count(), 0u);
-  // Refreshed levels still serve every resident block.
-  std::vector<std::uint8_t> expect_payload(kPayload, 0);
-  const oram_backend::load_result load = backend.load_block(7);
-  EXPECT_EQ(load.payload, expect_payload);
-  EXPECT_NO_THROW(backend.check_consistency());
 }
 
 // -------------------------------------------------------------- merges
@@ -384,6 +363,154 @@ TEST(HierBackend, MergesEventuallyReachAndRebuildDeeperLevels) {
   EXPECT_NO_THROW(backend.check_consistency());
 }
 
+
+// ------------------------------------------------ dummy-pool schedule
+
+/// Forwards every call to a hier backend and, at each period boundary
+/// (the controller opening a shuffle), checks that every active level's
+/// dummy pool still holds a whole period of probes. Each active level
+/// is probed once per load through the period that starts there —
+/// because its epoch goes on or because the merge draining it is still
+/// in flight — so this headroom is what keeps every probe off an
+/// exhausted pool.
+class pool_auditor final : public horam::oram_backend {
+ public:
+  pool_auditor(std::unique_ptr<hier_backend> inner,
+               std::uint64_t period_loads)
+      : inner_(std::move(inner)), period_loads_(period_loads) {}
+
+  [[nodiscard]] const hier_backend& inner() const { return *inner_; }
+  /// Period boundaries audited so far.
+  [[nodiscard]] std::uint64_t boundaries() const { return boundaries_; }
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+  [[nodiscard]] bool in_storage(block_id id) const override {
+    return inner_->in_storage(id);
+  }
+  load_result load_block(block_id id) override {
+    ++loads_;
+    return inner_->load_block(id);
+  }
+  load_result dummy_load() override {
+    ++loads_;
+    return inner_->dummy_load();
+  }
+  [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
+      std::vector<evicted_block> evicted,
+      std::uint64_t period_index) override {
+    EXPECT_EQ(loads_, period_loads_) << "period " << period_index;
+    loads_ = 0;
+    for (std::uint32_t level = 1; level <= inner_->level_count(); ++level) {
+      const auto pool = hier_backend_test_access::pool(*inner_, level);
+      if (pool.active) {
+        EXPECT_LE(pool.used + period_loads_, pool.capacity)
+            << "level " << level << " at period " << period_index;
+      }
+    }
+    ++boundaries_;
+    return inner_->begin_shuffle(std::move(evicted), period_index);
+  }
+  [[nodiscard]] const horam::backend_stats& stats() const noexcept override {
+    return inner_->stats();
+  }
+  [[nodiscard]] std::uint64_t physical_bytes() const override {
+    return inner_->physical_bytes();
+  }
+  [[nodiscard]] std::uint64_t control_memory_bytes() const override {
+    return inner_->control_memory_bytes();
+  }
+  void check_consistency() const override { inner_->check_consistency(); }
+
+ private:
+  std::unique_ptr<hier_backend> inner_;
+  std::uint64_t period_loads_;
+  std::uint64_t loads_ = 0;
+  std::uint64_t boundaries_ = 0;
+};
+
+/// The pool sizing the backend relies on instead of rebuilding a level
+/// in place: over a whole merge cascade (the bottom level rebuilt at
+/// least once), no active level ever enters a period with fewer than
+/// period_loads dummies left, across dataset sizes, cache ratios, shard
+/// counts, and foreground or one-chunk-per-slice incremental merges.
+TEST(HierBackend, DummyPoolsOutlastEveryActivation) {
+  const sim::cpu_model cpu{sim::cpu_aesni()};
+  for (const std::uint64_t blocks : {1024u, 4096u, 16384u}) {
+    for (const std::uint64_t ratio : {8u, 16u, 64u}) {
+      for (const std::uint32_t shards : {1u, 4u}) {
+        for (const bool incremental : {false, true}) {
+          horam_config config;
+          config.block_count = blocks;
+          config.memory_blocks = blocks / ratio;
+          config.payload_bytes = kPayload;
+          config.seal = false;  // modelled crypto; same pool accounting
+          config.shard_count = shards;
+          if (incremental) {
+            config.shuffle = shuffle_policy::incremental;
+            config.shuffle_slice_budget = 1;  // one chunk per slice
+          }
+          if (config.memory_blocks / shards < 2 * config.bucket_size) {
+            continue;  // the builder rejects under a bucket pair per shard
+          }
+          SCOPED_TRACE(::testing::Message()
+                       << blocks << " blocks, cache 1/" << ratio << ", "
+                       << shards << " shards, "
+                       << (incremental ? "incremental" : "foreground"));
+
+          std::vector<pool_auditor*> auditors;
+          const horam::engine::shard_factory factory =
+              [&auditors](std::uint32_t, const horam_config& shard_config,
+                          sim::block_device& storage, sim::block_device&,
+                          const sim::cpu_model& shard_cpu,
+                          util::random_source& rng, access_trace* trace,
+                          std::span<const block_id>)
+              -> std::unique_ptr<horam::oram_backend> {
+            auto audited = std::make_unique<pool_auditor>(
+                std::make_unique<hier_backend>(shard_config, storage,
+                                               shard_cpu, rng, trace,
+                                               nullptr),
+                shard_config.period_loads());
+            auditors.push_back(audited.get());
+            return audited;
+          };
+          horam::engine::options opts;
+          opts.storage_profile = sim::hdd_paper();
+          opts.memory_profile = sim::dram_ddr4();
+          opts.seed = test::seed(506);
+          horam::engine eng(config, cpu, factory, opts);
+
+          // A full cascade: period g^(L-1) - 1 merges into the bottom
+          // level; audit the boundary after it too.
+          std::uint64_t cascade = 1;
+          for (std::uint32_t l = 1; l < auditors[0]->inner().level_count();
+               ++l) {
+            cascade *= config.hier_fanout;
+          }
+          const auto min_boundaries = [&auditors] {
+            std::uint64_t least = auditors[0]->boundaries();
+            for (const pool_auditor* auditor : auditors) {
+              least = std::min(least, auditor->boundaries());
+            }
+            return least;
+          };
+          util::pcg64 gen{test::seed(507)};
+          while (min_boundaries() <= cascade && !HasFailure()) {
+            std::vector<horam::request> batch(512);
+            for (horam::request& req : batch) {
+              req.id = util::uniform_below(gen, blocks);
+            }
+            eng.run(batch);
+          }
+          for (const pool_auditor* auditor : auditors) {
+            EXPECT_NO_THROW(auditor->check_consistency());
+          }
+        }
+      }
+    }
+  }
+}
 
 // A merge opens each source chunk in one batch before it stages any
 // block. A tampered record of the source level's last live block must

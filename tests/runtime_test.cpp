@@ -320,17 +320,6 @@ TEST(ShardSeeds, RouteKeySelectsTheStreamFamily) {
 
 // --------------------------------------------- builder / engine wiring
 
-TEST(RuntimeApi, PolicyNamesRoundTrip) {
-  ASSERT_EQ(runtime_policy_names().size(),
-            std::size(all_runtime_policies));
-  for (const runtime_policy policy : all_runtime_policies) {
-    EXPECT_EQ(runtime_policy_by_name(runtime_policy_name(policy)), policy);
-  }
-  EXPECT_EQ(runtime_policy_name(runtime_policy::sim), "sim");
-  EXPECT_EQ(runtime_policy_name(runtime_policy::threaded), "threaded");
-  EXPECT_THROW((void)runtime_policy_by_name("florb"), contract_error);
-}
-
 TEST(RuntimeApi, BuilderDiagnostics) {
   try {
     (void)base_builder(4).threads(0);
@@ -340,30 +329,24 @@ TEST(RuntimeApi, BuilderDiagnostics) {
               std::string::npos)
         << "diagnostic should name the setter: " << error.what();
   }
-  EXPECT_THROW((void)base_builder(4).runtime("florb"), contract_error);
-  EXPECT_NO_THROW((void)base_builder(4).runtime("threaded").build());
-  EXPECT_NO_THROW((void)base_builder(4).runtime("sim").build());
+  EXPECT_NO_THROW((void)base_builder(4).threads(4).build());
 }
 
 TEST(RuntimeApi, WorkerThreadsAccessorAndClamping) {
-  // Sim runtime: no pool.
-  EXPECT_EQ(base_builder(4).build().eng().worker_threads(), 0u);
+  // No threads() call: the sim machine, no pool.
+  const client sim_machine = base_builder(4).build();
+  EXPECT_EQ(sim_machine.config().worker_threads, 0u);
+  EXPECT_EQ(sim_machine.eng().worker_threads(), 0u);
   // Single shard: pure pass-through, no pool even when threaded.
   EXPECT_EQ(base_builder(1).threads(4).build().eng().worker_threads(), 0u);
-  // Default thread count: one per shard.
-  EXPECT_EQ(base_builder(4)
-                .runtime(runtime_policy::threaded)
-                .build()
-                .eng()
-                .worker_threads(),
-            4u);
-  // Explicit counts clamp to the shard count.
+  // One worker per shard.
+  EXPECT_EQ(base_builder(4).threads(4).build().eng().worker_threads(), 4u);
+  // Counts above the shard count clamp to it.
   EXPECT_EQ(base_builder(4).threads(8).build().eng().worker_threads(), 4u);
   EXPECT_EQ(base_builder(4).threads(2).build().eng().worker_threads(), 2u);
   // The config records what was asked for.
-  const client threaded = base_builder(4).threads(2).build();
-  EXPECT_EQ(threaded.config().runtime, runtime_policy::threaded);
-  EXPECT_EQ(threaded.config().worker_threads, 2u);
+  const client threaded = base_builder(4).threads(8).build();
+  EXPECT_EQ(threaded.config().worker_threads, 8u);
 }
 
 // ------------------------------- determinism grid: threaded == sim
@@ -399,12 +382,15 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-client grid_client(const grid_point& p, runtime_policy runtime) {
+/// `threads` = 0 builds the sim machine.
+client grid_client(const grid_point& p, std::uint32_t threads) {
   client_builder builder = base_builder(p.shards, 67)
                                .backend(p.kind)
                                .shuffle(p.shuffle)
-                               .trace(true)
-                               .runtime(runtime);
+                               .trace(true);
+  if (threads > 0) {
+    builder.threads(threads);
+  }
   if (p.shuffle == shuffle_policy::incremental) {
     builder.shuffle_slice_budget(1'000'000);  // bounded: real slicing
   }
@@ -415,8 +401,8 @@ client grid_client(const grid_point& p, runtime_policy runtime) {
 /// bit-for-bit the sim machine — same per-request results, same virtual
 /// clock, same aggregate and router stats, same per-shard bus traces.
 TEST_P(ThreadedDeterminism, TraceAndStatsBitForBit) {
-  client sim_oram = grid_client(GetParam(), runtime_policy::sim);
-  client thr_oram = grid_client(GetParam(), runtime_policy::threaded);
+  client sim_oram = grid_client(GetParam(), 0);
+  client thr_oram = grid_client(GetParam(), GetParam().shards);
 
   // Open-loop batch (run/drain path).
   const std::vector<request> batch = make_stream(96, 68);
@@ -519,11 +505,8 @@ TEST(ThreadedRuntime, ResetStatsUnderThreadsMatchesSim) {
 /// The multi-tenant service pumps the engine through the same surface
 /// in both runtimes: per-tenant stats must agree exactly.
 TEST(ThreadedRuntime, ServiceLayerMatchesSim) {
-  const auto build = [](runtime_policy runtime) {
-    return base_builder(4, 77).runtime(runtime).build_service();
-  };
-  service sim_svc = build(runtime_policy::sim);
-  service thr_svc = build(runtime_policy::threaded);
+  service sim_svc = base_builder(4, 77).build_service();
+  service thr_svc = base_builder(4, 77).threads(4).build_service();
   EXPECT_EQ(thr_svc.underlying().eng().worker_threads(), 4u);
 
   const auto drive = [](service& svc) {

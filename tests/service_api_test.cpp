@@ -629,6 +629,42 @@ TEST(ServiceApi, BuilderNamesOversizedMemory) {
   }
 }
 
+/// A nonzero logical block must hold one record: the 8-byte id, the
+/// payload and, when sealing, the 20-byte nonce and MAC. Every backend
+/// rejects a smaller one at build() with a diagnostic naming the setter
+/// instead of failing inside its store.
+TEST(ServiceApi, BuilderNamesUndersizedLogicalBlock) {
+  constexpr std::size_t kRecordPayload = 256;
+  const auto build = [](backend_kind kind, std::uint64_t logical,
+                        bool seal) {
+    return client_builder()
+        .blocks(1024)
+        .memory_blocks(64)
+        .payload_bytes(kRecordPayload)
+        .logical_block_bytes(logical)
+        .backend(kind)
+        .seal(seal)
+        .build();
+  };
+  for (const backend_kind kind : all_backend_kinds) {
+    SCOPED_TRACE(backend_name(kind));
+    for (const std::uint64_t logical :
+         {std::uint64_t{200}, std::uint64_t{8 + kRecordPayload + 19}}) {
+      try {
+        (void)build(kind, logical, /*seal=*/true);
+        ADD_FAILURE() << "logical block " << logical << " accepted";
+      } catch (const contract_error& e) {
+        EXPECT_NE(std::string(e.what()).find("logical_block_bytes()"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW((void)build(kind, 8 + kRecordPayload + 20, true));
+    EXPECT_NO_THROW((void)build(kind, 8 + kRecordPayload, false));
+    EXPECT_NO_THROW((void)build(kind, 0, true));
+  }
+}
+
 // ----------------------------------------------------- obliviousness
 
 /// Drives `svc` with one multi-tenant workload shape and returns the

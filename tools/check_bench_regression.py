@@ -60,7 +60,7 @@ IDENTITY_KEYS = {
         "backend",
         "shards",
         "policy",
-        "slice_budget_ns",
+        "budget_rung",
     ),
     "ablation_round_trips": ("storage_profile", "backend"),
 }
