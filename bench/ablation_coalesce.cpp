@@ -64,6 +64,7 @@ struct cell_run {
   std::uint64_t physical = 0;
   std::uint64_t merged = 0;
   double ios_per_request = 1.0;
+  double memory_ops_per_request = 0.0;
   std::uint32_t round_cap = 0;
   std::uint64_t rounds = 0;
   sim::sim_time total_time = 0;
@@ -113,6 +114,8 @@ cell_run run_cell(const std::vector<request>& stream, backend_kind kind,
   run.physical = router.physical_accesses;
   run.merged = router.coalesced_requests;
   run.ios_per_request = router.ios_per_logical_request();
+  run.memory_ops_per_request = memory_ops_per_request(
+      shard_memory_stats(svc.underlying().eng()), run.requests);
   run.round_cap = svc.underlying().eng().round_cap();
   run.rounds = router.rounds;
   run.total_time = svc.now() - epoch;
@@ -223,6 +226,8 @@ int main(int argc, char** argv) {
                   ", \"ios_per_logical_request\": " +
                   json_number(run.ios_per_request) +
                   ", \"io_reduction_vs_off\": " + json_number(reduction) +
+                  ", \"memory_ops_per_request\": " +
+                  json_number(run.memory_ops_per_request) +
                   ", \"round_cap\": " + std::to_string(run.round_cap) +
                   ", \"rounds\": " + std::to_string(run.rounds) +
                   ", \"sim_total_ns\": " + std::to_string(run.total_time) +

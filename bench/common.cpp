@@ -162,6 +162,21 @@ std::string json_number(double value) {
   return out.str();
 }
 
+sim::io_stats shard_memory_stats(const engine& eng) {
+  sim::io_stats total;
+  for (std::uint32_t s = 0; s < eng.shard_count(); ++s) {
+    total += eng.shard_memory(s).stats();
+  }
+  return total;
+}
+
+double memory_ops_per_request(const sim::io_stats& memory_io,
+                              std::uint64_t requests) {
+  return requests > 0 ? static_cast<double>(memory_io.total_ops()) /
+                            static_cast<double>(requests)
+                      : 0.0;
+}
+
 std::string json_fields(const system_run& run) {
   std::ostringstream out;
   out << "\"name\": " << json_escape(run.name);
@@ -190,6 +205,8 @@ std::string json_fields(const system_run& run) {
                          ? static_cast<double>(run.online_round_trips()) /
                                static_cast<double>(requests)
                          : 0.0)
+      << ", \"memory_ops_per_request\": "
+      << json_number(memory_ops_per_request(run.memory_io, requests))
       << ", \"online_device_ops\": " << run.online_device_ops()
       << ", \"online_device_bytes\": " << run.online_device_bytes()
       << ", \"host_seconds\": " << json_number(run.host_seconds)
@@ -245,6 +262,7 @@ system_run run_horam(
     run.storage_bytes += ctrl.eng().shard(s).backend().physical_bytes();
     run.io += ctrl.eng().shard_storage(s).stats();
   }
+  run.memory_io = shard_memory_stats(ctrl.eng());
   run.runtime = ctrl.config().worker_threads > 0 ? "threaded" : "sim";
   run.threads = ctrl.eng().worker_threads();
   run.wall_seconds = wall_seconds;
@@ -307,6 +325,7 @@ system_run run_tree_top_path(const dataset& data,
   run.storage_bytes = (2 * config.leaf_count - 1) * config.bucket_size *
                       data.block_bytes;
   run.io = storage_device.stats();
+  run.memory_io = memory_device.stats();
   run.wall_seconds = seconds_since(stream_start);
   run.host_seconds = seconds_since(start);
   return run;

@@ -34,6 +34,9 @@ struct system_run {
   controller_stats stats;
   /// Storage-device counters of the stream, summed over shard lanes.
   sim::io_stats io;
+  /// Memory-device counters (the cache trees' bus), summed over shard
+  /// lanes.
+  sim::io_stats memory_io;
   std::uint64_t storage_bytes = 0;
   double host_seconds = 0.0;  // real time spent simulating
   /// Real time spent inside the request stream itself (excludes
@@ -184,6 +187,14 @@ bench_options parse_bench_args(int argc, char** argv);
 /// runs and {hdd, hdd-raw, ssd, dram} for full runs.
 [[nodiscard]] std::vector<sim::device_profile> bench_storage_profiles(
     const bench_options& options);
+
+/// Memory-device counters of every shard lane of `eng`, summed.
+[[nodiscard]] sim::io_stats shard_memory_stats(const engine& eng);
+
+/// Memory-device ops (reads plus writes) per request; 0 without
+/// requests.
+[[nodiscard]] double memory_ops_per_request(const sim::io_stats& memory_io,
+                                            std::uint64_t requests);
 
 /// JSON string literal with escaping.
 std::string json_escape(std::string_view text);

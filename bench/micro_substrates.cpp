@@ -359,6 +359,37 @@ void bm_path_oram_access(benchmark::State& state) {
 }
 BENCHMARK(bm_path_oram_access)->Arg(0)->Arg(1);
 
+// One sealed cache-tree cycle of k path accesses (one write, k - 1
+// dummy padding accesses) on the bm_path_oram_access shape, read and
+// written back as one path union; items are path accesses.
+void bm_path_oram_cycle(benchmark::State& state) {
+  sim::block_device memory(sim::dram_ddr4());
+  const sim::cpu_model cpu(sim::cpu_aesni());
+  util::pcg64 rng(5);
+  oram::path_oram_config config;
+  config.leaf_count = 256;
+  config.bucket_size = 4;
+  config.payload_bytes = 256;
+  config.id_universe = 256;
+  config.seal = true;
+  oram::path_oram oram(config, memory, nullptr, cpu, rng, nullptr);
+  const std::vector<std::uint8_t> payload(256, 1);
+  std::vector<oram::path_oram::request> cycle(
+      static_cast<std::size_t>(state.range(0)));
+  cycle[0].op = oram::op_kind::write;
+  cycle[0].write_data = payload;
+  oram::block_id id = 0;
+  for (auto _ : state) {
+    cycle[0].id = id % 256;
+    benchmark::DoNotOptimize(oram.access_batch(cycle));
+    ++id;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel("sealed, " + kernel_label());
+}
+BENCHMARK(bm_path_oram_cycle)->Arg(1)->Arg(3)->Arg(5);
+
 }  // namespace
 
 BENCHMARK_MAIN();

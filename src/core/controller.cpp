@@ -1,7 +1,6 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/contracts.h"
 #include "util/math.h"
@@ -79,76 +78,31 @@ bool controller::resident(oram::block_id id) const {
          (shuffle_job_ != nullptr && shuffle_job_->holds(id));
 }
 
-oram::cost_split controller::service_hit(const request& req,
-                                         request_result* result) {
-  oram::cost_split cost;
-  // A block staged in the in-flight shuffle job or parked in the shelter
-  // is served from trusted memory, covered by a dummy path access so the
-  // bus shape is unchanged; writes go through into the trusted copy (so
-  // a staged block's shuffle places the fresh data).
-  std::vector<std::uint8_t>* trusted =
-      shuffle_job_ != nullptr ? shuffle_job_->staged(req.id) : nullptr;
-  if (trusted == nullptr) {
-    const auto shelter_it = shelter_.find(req.id);
-    if (shelter_it != shelter_.end()) {
-      trusted = &shelter_it->second;
-    }
+std::vector<std::uint8_t>* controller::trusted_copy(oram::block_id id) {
+  std::vector<std::uint8_t>* staged =
+      shuffle_job_ != nullptr ? shuffle_job_->staged(id) : nullptr;
+  if (staged != nullptr) {
+    return staged;
   }
-  if (trusted != nullptr) {
-    cost += tree_->dummy_access();
-    cost.cpu += cpu_.word_ops_time(8);
-    const bool returns_data =
-        result != nullptr &&
-        (req.op != oram::op_kind::write || req.fetch_before_write);
-    if (returns_data) {
-      result->read_data = *trusted;
-      result->read_data.resize(config_.payload_bytes, 0);
-    }
-    if (req.op == oram::op_kind::write) {
-      trusted->assign(req.write_data.begin(), req.write_data.end());
-      trusted->resize(config_.payload_bytes, 0);
-    }
-    return cost;
-  }
+  const auto shelter_it = shelter_.find(id);
+  return shelter_it != shelter_.end() ? &shelter_it->second : nullptr;
+}
 
-  if (req.op == oram::op_kind::write) {
-    if (req.fetch_before_write && result != nullptr) {
-      // One path access serves both halves: the updater sees the old
-      // payload in the stash, copies it out, then overwrites in place —
-      // same bus shape and same RNG draws as a plain write.
-      expects(req.write_data.size() <= config_.payload_bytes,
-              "write larger than the block payload");
-      cost += tree_->access_rmw(
-          req.id, [&](std::span<std::uint8_t> payload) {
-            result->read_data.assign(payload.begin(), payload.end());
-            std::fill(payload.begin(), payload.end(), 0);
-            if (!req.write_data.empty()) {
-              std::memcpy(payload.data(), req.write_data.data(),
-                          req.write_data.size());
-            }
-          });
-    } else {
-      cost += tree_->access(oram::op_kind::write, req.id, req.write_data,
-                            {});
-    }
-  } else if (result != nullptr) {
-    result->read_data.resize(config_.payload_bytes);
-    cost += tree_->access(oram::op_kind::read, req.id, {},
-                          result->read_data);
-  } else {
-    cost += tree_->access(oram::op_kind::read, req.id, {}, {});
-  }
-  return cost;
+void check_admissible(const request& req, const horam_config& config) {
+  expects(req.id < config.block_count, "request id out of range");
+  expects(req.op != oram::op_kind::write ||
+              req.write_data.size() <= config.payload_bytes,
+          "write larger than the block payload");
 }
 
 void controller::run(std::span<const request> requests,
                      std::vector<request_result>* results) {
   invariant(rob_.empty(), "previous batch left requests in the ROB");
+  for (const request& req : requests) {
+    check_admissible(req, config_);
+  }
   if (results != nullptr) {
     results->assign(requests.size(), request_result{});
-  }
-  for (const request& req : requests) {
-    expects(req.id < config_.block_count, "request id out of range");
   }
 
   std::vector<std::uint8_t> was_scheduled_miss(requests.size(), 0);
@@ -187,18 +141,47 @@ void controller::run(std::span<const request> requests,
       ++stats_.dummy_loads;
     }
 
-    // --- Memory lane: c path accesses (real hits + dummy padding). ---
+    // --- Memory lane: the cycle's c path accesses in one batch: the
+    // hits in plan order, then the padding dummies. A block staged in
+    // the in-flight shuffle job or parked in the shelter is served from
+    // trusted memory, covered by a dummy at its own position so the bus
+    // shape is unchanged; writes go through into the trusted copy (so a
+    // staged block's shuffle places the fresh data). ---
     oram::cost_split memory_cost;
+    cycle_accesses_.clear();
     for (const std::size_t position : plan.hit_positions) {
       const std::uint64_t request_index = rob_.at(position).request_index;
+      const request& req = requests[request_index];
       request_result* result =
           results != nullptr ? &(*results)[request_index] : nullptr;
-      memory_cost += service_hit(requests[request_index], result);
+      const bool is_write = req.op == oram::op_kind::write;
+      const bool returns_data =
+          result != nullptr && (!is_write || req.fetch_before_write);
+      oram::path_oram::request& access = cycle_accesses_.emplace_back();
+      if (std::vector<std::uint8_t>* trusted = trusted_copy(req.id)) {
+        memory_cost.cpu += cpu_.word_ops_time(8);
+        if (returns_data) {
+          result->read_data = *trusted;
+          result->read_data.resize(config_.payload_bytes, 0);
+        }
+        if (is_write) {
+          trusted->assign(req.write_data.begin(), req.write_data.end());
+          trusted->resize(config_.payload_bytes, 0);
+        }
+        continue;
+      }
+      access.id = req.id;
+      access.op = req.op;
+      access.write_data = req.write_data;
+      if (returns_data) {
+        // A fetch_before_write write returns the payload it replaces.
+        result->read_data.resize(config_.payload_bytes);
+        access.read_out = result->read_data;
+      }
     }
-    for (std::uint32_t k = 0; k < plan.dummy_hits; ++k) {
-      memory_cost += tree_->dummy_access();
-      ++stats_.dummy_path_accesses;
-    }
+    cycle_accesses_.resize(cycle_accesses_.size() + plan.dummy_hits);
+    stats_.dummy_path_accesses += plan.dummy_hits;
+    memory_cost += tree_->access_batch(cycle_accesses_);
 
     // The loaded block lands in the tree stash at cycle end.
     oram::cost_split install_cost;

@@ -6,10 +6,14 @@
 // Operation (§4.1): during an access period each cycle issues exactly
 // one storage load (real miss, or a dummy that may prefetch) in
 // parallel with c in-memory path accesses; the cycle lasts
-// max(io lane, memory lane) of virtual time. After n/2 loads the
-// controller runs the shuffle period: oblivious tree evict, group-and-
-// partition shuffle, tree re-initialisation. The shuffle's device time
-// is charged according to the configured shuffle_policy (foreground /
+// max(io lane, memory lane) of virtual time. The c accesses — the
+// cycle's hits in plan order, then the padding dummies — reach the
+// cache tree as one batch (path_oram::access_batch): the union of
+// their c uniform paths is read, opened, re-sealed and written back
+// once, so the memory lane is charged per union bucket. After n/2 loads
+// the controller runs the shuffle period: oblivious tree evict, group-
+// and-partition shuffle, tree re-initialisation. The shuffle's device
+// time is charged according to the configured shuffle_policy (foreground /
 // page-cache-style async write-back / fully offloaded — Figure 5-2 —
 // or deamortized: shuffle_policy::incremental turns the period into a
 // backend shuffle_job whose budget-bounded slices run between access
@@ -64,6 +68,12 @@ struct request_result {
   bool hit = false;
   std::vector<std::uint8_t> read_data;
 };
+
+/// Throws util::contract_error for a request no cycle can serve — an id
+/// outside [0, config.block_count), or a write longer than
+/// config.payload_bytes. Every admission path (controller::run and the
+/// engine's) calls it before anything is queued, loaded or drawn.
+void check_admissible(const request& req, const horam_config& config);
 
 /// Aggregate counters of a controller run.
 struct controller_stats {
@@ -303,8 +313,9 @@ class controller {
   /// Accumulates the storage-device op/byte growth since `before` into
   /// the shuffle_device_* counters (no-op without an attached device).
   void charge_shuffle_device_delta(const sim::io_stats& before) noexcept;
-  /// Services one hit request via the memory lane; returns its cost.
-  oram::cost_split service_hit(const request& req, request_result* result);
+  /// The trusted-memory copy of a block staged in the in-flight shuffle
+  /// job or parked in the shelter; null for any other block.
+  [[nodiscard]] std::vector<std::uint8_t>* trusted_copy(oram::block_id id);
 
   horam_config config_;
   const sim::cpu_model& cpu_;
@@ -329,6 +340,10 @@ class controller {
   /// Storage-device counters for the shuffle/online traffic split
   /// (attach_device_stats); null = split not measured.
   const sim::io_stats* device_stats_ = nullptr;
+
+  /// The cycle's cache-tree accesses (per-cycle scratch; its views into
+  /// the run's requests and results are used within the cycle only).
+  std::vector<oram::path_oram::request> cycle_accesses_;
 
   std::uint64_t loads_this_period_ = 0;
   std::uint64_t period_index_ = 0;

@@ -466,10 +466,7 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
 }
 
 void engine::check_admissible(const request& req) const {
-  expects(req.id < config_.block_count, "request id out of range");
-  expects(req.op != oram::op_kind::write ||
-              req.write_data.size() <= config_.payload_bytes,
-          "write larger than the block payload");
+  horam::check_admissible(req, config_);
 }
 
 void engine::run(std::span<const request> requests,

@@ -56,14 +56,10 @@ path_oram::path_oram(const path_oram_config& config,
     }
   }
 
+  // The whole-tree sweeps decode a path's worth of buckets at a time;
+  // plan_union() grows the window for larger batches.
   path_ids_.resize(std::size_t{level_count()} * config.bucket_size);
   path_payloads_.resize(path_ids_.size() * config.payload_bytes);
-  path_window_.resize(static_cast<std::size_t>(level_count()) *
-                      config.bucket_size * codec_.record_bytes());
-  for (std::uint32_t level = 0; level < level_count(); ++level) {
-    root_first_.push_back(window_bucket(level));
-    leaf_first_.push_back(window_bucket(level_count() - 1 - level));
-  }
   zero_payload_.resize(config.payload_bytes, 0);
 
   // Start with a physically dummy-filled tree.
@@ -177,9 +173,40 @@ cost_split path_oram::write_bucket(std::uint64_t bucket,
   return cost;
 }
 
-std::span<std::uint8_t> path_oram::window_bucket(std::uint32_t level) {
+std::span<std::uint8_t> path_oram::window_bucket(std::size_t i) {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
-  return {path_window_.data() + level * bucket_bytes, bucket_bytes};
+  return {path_window_.data() + i * bucket_bytes, bucket_bytes};
+}
+
+void path_oram::plan_union() {
+  union_buckets_.clear();
+  union_level_begin_.clear();
+  for (std::uint32_t level = 0; level < level_count(); ++level) {
+    const std::size_t first = union_buckets_.size();
+    union_level_begin_.push_back(first);
+    for (const leaf_id leaf : batch_leaves_) {
+      union_buckets_.push_back(bucket_on_path(leaf, level));
+    }
+    const auto level_begin =
+        union_buckets_.begin() + static_cast<std::ptrdiff_t>(first);
+    std::sort(level_begin, union_buckets_.end());
+    union_buckets_.erase(std::unique(level_begin, union_buckets_.end()),
+                         union_buckets_.end());
+  }
+  union_level_begin_.push_back(union_buckets_.size());
+
+  const std::size_t buckets = union_buckets_.size();
+  const std::size_t slots = buckets * config_.bucket_size;
+  if (path_ids_.size() < slots) {
+    path_ids_.resize(slots);
+    path_payloads_.resize(slots * config_.payload_bytes);
+  }
+  path_window_.resize(
+      std::max(path_window_.size(), buckets * codec_.bucket_bytes()));
+  root_first_.clear();
+  for (std::size_t i = 0; i < buckets; ++i) {
+    root_first_.push_back(window_bucket(i));
+  }
 }
 
 bool path_oram::segment_valid(storage::segment_ref segment) const {
@@ -211,17 +238,19 @@ void path_oram::mark_segment_valid(storage::segment_ref segment) {
   }
 }
 
-cost_split path_oram::load_path(leaf_id leaf) {
+cost_split path_oram::load_union() {
   cost_split cost;
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
-    for (std::uint32_t level = 0; level < level_count(); ++level) {
-      cost += read_bucket(bucket_on_path(leaf, level), window_bucket(level));
+    for (std::size_t i = 0; i < union_buckets_.size(); ++i) {
+      cost += read_bucket(union_buckets_[i], window_bucket(i));
     }
     return cost;
   }
 
+  // Page layout: one path, so union position i is level i.
+  const leaf_id leaf = batch_leaves_.front();
   // Memory levels stay bucket-granular on the memory lane.
   for (std::uint32_t level = 0; level < memory_levels_; ++level) {
     cost += read_bucket(bucket_on_path(leaf, level), window_bucket(level));
@@ -258,21 +287,25 @@ cost_split path_oram::load_path(leaf_id leaf) {
   return cost;
 }
 
-cost_split path_oram::store_path(leaf_id leaf) {
+cost_split path_oram::store_union() {
   cost_split cost;
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
     for (std::uint32_t down = 0; down < level_count(); ++down) {
       const std::uint32_t level = level_count() - 1 - down;
-      cost += write_bucket(bucket_on_path(leaf, level), window_bucket(level));
+      for (std::size_t i = union_level_begin_[level];
+           i < union_level_begin_[level + 1]; ++i) {
+        cost += write_bucket(union_buckets_[i], window_bucket(i));
+      }
     }
     return cost;
   }
 
+  const leaf_id leaf = batch_leaves_.front();
   // Leaf-to-root: deepest group's segment first, then up, then the
   // memory buckets. Path buckets are spliced into the segment buffer
-  // load_path filled; sibling bytes go back unchanged. The write makes
+  // load_union filled; sibling bytes go back unchanged. The write makes
   // every covered bucket's device image authoritative, so the whole
   // segment turns valid.
   for (std::uint32_t up = 0; up < page_->group_count(); ++up) {
@@ -301,30 +334,62 @@ cost_split path_oram::store_path(leaf_id leaf) {
   return cost;
 }
 
-cost_split path_oram::path_access(
-    leaf_id leaf, block_id requested, op_kind op,
-    std::span<const std::uint8_t> write_data,
-    std::span<std::uint8_t> read_out,
-    const std::function<void(std::span<std::uint8_t>)>* updater,
-    bool extract_requested) {
+cost_split path_oram::access_batch(std::span<const request> batch) {
+  expects(!batch.empty(), "empty access batch");
+  expects(!page_ || batch.size() == 1,
+          "the page layout serves one path per access");
+  for (const request& req : batch) {
+    if (req.id == dummy_block_id) {
+      continue;
+    }
+    expects(req.id < positions_.universe(), "block id outside the universe");
+    expects(req.op != op_kind::write ||
+                req.write_data.size() <= config_.payload_bytes,
+            "write larger than the block payload");
+    expects(req.read_out.empty() ||
+                req.read_out.size() >= config_.payload_bytes,
+            "read buffer too small");
+    expects(!req.extract || positions_.contains(req.id),
+            "extract of a non-resident block");
+  }
+
   cost_split cost;
-  // One access = one dependent exchange per lane: the whole path is
-  // read, served from the stash and written back before the caller can
-  // issue anything that depends on the result. A recursive map walk of
-  // k levels is k of these scopes, so it counts k round trips.
+  // One batch = one dependent exchange per lane: the union is read,
+  // served from the stash and written back before the caller can issue
+  // anything that depends on the result. A recursive map walk of k
+  // levels is k of these scopes, so it counts k round trips.
   sim::trip_scope round_trip(&memory_device_,
                              io_store_ ? &io_store_->device() : nullptr);
-  trace(trace_, event_kind::memory_path_access, leaf, config_.leaf_count);
 
-  const std::uint32_t z = config_.bucket_size;
-  const std::size_t record_bytes = codec_.record_bytes();
+  // Draw the leaves in list order, as one access after another would:
+  // an extracted block leaves the tree, so its path is read without a
+  // remap and never correlates with a future access.
+  batch_leaves_.clear();
+  for (const request& req : batch) {
+    if (req.id == dummy_block_id) {
+      ++stats_.dummy_accesses;
+      batch_leaves_.push_back(random_leaf());
+    } else if (req.extract) {
+      ++stats_.real_accesses;
+      batch_leaves_.push_back(positions_.leaf_of(req.id));
+    } else {
+      batch_leaves_.push_back(remap(req.id));
+    }
+    trace(trace_, event_kind::memory_path_access, batch_leaves_.back(),
+          config_.leaf_count);
+  }
 
-  // Read the path root-to-leaf into the window and open it in one batch
-  // (every MAC first), then move every real block into the stash
-  // (root-to-leaf, slot order).
-  cost += load_path(leaf);
-  codec_.decode_many(root_first_, path_ids_, path_payloads_);
-  for (std::size_t slot = 0; slot < path_ids_.size(); ++slot) {
+  // Read the union root level first into the window and open it in one
+  // batch (every MAC first), then move every real block into the stash
+  // (window order, slot order).
+  plan_union();
+  const std::size_t slots = union_buckets_.size() * config_.bucket_size;
+  cost += load_union();
+  codec_.decode_many(root_first_,
+                     std::span<block_id>(path_ids_).first(slots),
+                     std::span<std::uint8_t>(path_payloads_)
+                         .first(slots * config_.payload_bytes));
+  for (std::size_t slot = 0; slot < slots; ++slot) {
     const block_id id = path_ids_[slot];
     if (id == dummy_block_id) {
       continue;
@@ -334,55 +399,69 @@ cost_split path_oram::path_access(
     stash_.put(id, positions_.leaf_of(id), slot_payload(slot));
   }
 
-  // Serve the request from the stash.
-  if (requested != dummy_block_id) {
-    if (!stash_.contains(requested)) {
-      // First-ever touch: the block materialises zero-filled.
-      stash_.put(requested, positions_.leaf_of(requested), zero_payload_);
+  // Serve the requests from the stash, in list order.
+  for (const request& req : batch) {
+    if (req.id == dummy_block_id) {
+      continue;
     }
-    stash_entry& entry = stash_.at(requested);
-    // The request was remapped before the path read; a block that was
+    if (!stash_.contains(req.id)) {
+      // First-ever touch: the block materialises zero-filled.
+      stash_.put(req.id, positions_.leaf_of(req.id), zero_payload_);
+    }
+    stash_entry& entry = stash_.at(req.id);
+    // The request was remapped before the read; a block that was
     // already sheltering in the stash must follow its new leaf, or the
     // write-back would strand it off its position-map path.
-    entry.leaf = positions_.leaf_of(requested);
-    if (op == op_kind::write) {
-      std::fill(entry.payload.begin(), entry.payload.end(), 0);
-      std::memcpy(entry.payload.data(), write_data.data(),
-                  write_data.size());
-    } else if (!read_out.empty()) {
-      expects(read_out.size() >= config_.payload_bytes,
-              "read buffer too small");
-      std::memcpy(read_out.data(), entry.payload.data(),
+    entry.leaf = positions_.leaf_of(req.id);
+    if (!req.read_out.empty()) {
+      std::memcpy(req.read_out.data(), entry.payload.data(),
                   config_.payload_bytes);
     }
-    if (updater != nullptr) {
-      (*updater)(std::span<std::uint8_t>(entry.payload.data(),
-                                         entry.payload.size()));
+    if (req.op == op_kind::write) {
+      std::fill(entry.payload.begin(), entry.payload.end(), 0);
+      std::memcpy(entry.payload.data(), req.write_data.data(),
+                  req.write_data.size());
     }
-    if (extract_requested) {
+    if (req.updater != nullptr) {
+      (*req.updater)(std::span<std::uint8_t>(entry.payload.data(),
+                                             entry.payload.size()));
+    }
+    if (req.extract) {
       // The live copy leaves the tree: drop it from the stash and the
-      // position map before the write-back re-places the path.
-      stash_.erase(requested);
-      positions_.remove(requested);
+      // position map before the write-back re-places the union.
+      stash_.erase(req.id);
+      positions_.remove(req.id);
+      --resident_;
     }
   }
 
-  // Greedy write-back, deepest bucket first, composed into the window,
-  // sealed leaf to root in one batch and flushed as one store_path (same
-  // nonces and device order as composing, sealing and writing level by
-  // level; under `page`, one transfer per segment).
+  // Greedy write-back over the union, deepest level first (the buckets
+  // of one level take disjoint candidates, so their order within the
+  // level places nothing differently), composed into the window, sealed
+  // in that order in one batch and flushed as one store_union (same
+  // nonces and device order as composing, sealing and writing bucket by
+  // bucket; under `page`, one transfer per segment).
+  leaf_first_.clear();
   for (std::uint32_t down = 0; down < level_count(); ++down) {
     const std::uint32_t level = level_count() - 1 - down;
-    codec_.encode_plain(select_for_bucket(leaf, level), window_bucket(level));
-    drop_selected();
+    const std::uint32_t shift = level_count() - 1 - level;
+    for (std::size_t i = union_level_begin_[level];
+         i < union_level_begin_[level + 1]; ++i) {
+      // Any leaf below the bucket selects the same candidates.
+      const leaf_id below =
+          (union_buckets_[i] - ((std::uint64_t{1} << level) - 1)) << shift;
+      codec_.encode_plain(select_for_bucket(below, level), window_bucket(i));
+      drop_selected();
+      leaf_first_.push_back(window_bucket(i));
+    }
   }
   codec_.seal_many(leaf_first_);
-  cost += store_path(leaf);
+  cost += store_union();
 
-  // Control-layer cost: decrypt + re-encrypt the full path, plus map and
-  // stash bookkeeping.
-  const std::uint64_t records_touched = 2ULL * level_count() * z;
-  cost.cpu += cpu_.crypto_time(records_touched, record_bytes);
+  // Control-layer cost: decrypt + re-encrypt every union bucket, plus
+  // map and stash bookkeeping.
+  const std::uint64_t records_touched = 2ULL * slots;
+  cost.cpu += cpu_.crypto_time(records_touched, codec_.record_bytes());
   cost.cpu += cpu_.word_ops_time(records_touched + stash_.size());
   return cost;
 }
@@ -404,40 +483,41 @@ leaf_id path_oram::remap(block_id id) {
 cost_split path_oram::access(op_kind op, block_id id,
                              std::span<const std::uint8_t> write_data,
                              std::span<std::uint8_t> read_out) {
-  expects(id < positions_.universe(), "block id outside the universe");
   expects(id != dummy_block_id, "cannot access the dummy id");
-  expects(op != op_kind::write || write_data.size() <= config_.payload_bytes,
-          "write larger than the block payload");
-  return path_access(remap(id), id, op, write_data, read_out);
+  request req;
+  req.id = id;
+  req.op = op;
+  req.write_data = write_data;
+  if (op == op_kind::read) {
+    req.read_out = read_out;
+  }
+  return access_batch({&req, 1});
 }
 
 cost_split path_oram::access_rmw(
     block_id id,
     const std::function<void(std::span<std::uint8_t>)>& updater) {
-  expects(id < positions_.universe(), "block id outside the universe");
+  expects(id != dummy_block_id, "cannot access the dummy id");
   expects(static_cast<bool>(updater), "rmw needs an updater");
-  return path_access(remap(id), id, op_kind::read, {}, {}, &updater);
+  request req;
+  req.id = id;
+  req.updater = &updater;
+  return access_batch({&req, 1});
 }
 
 cost_split path_oram::extract(block_id id,
                               std::span<std::uint8_t> read_out) {
-  expects(id < positions_.universe(), "block id outside the universe");
-  expects(positions_.contains(id), "extract of a non-resident block");
-  // No remap: the block leaves the tree, so its (about to be read) path
-  // is never correlated with a future access.
-  const leaf_id old_leaf = positions_.leaf_of(id);
-  ++stats_.real_accesses;
-  const cost_split cost = path_access(old_leaf, id, op_kind::read, {},
-                                      read_out, nullptr,
-                                      /*extract_requested=*/true);
-  --resident_;
-  return cost;
+  expects(id != dummy_block_id, "cannot access the dummy id");
+  request req;
+  req.id = id;
+  req.read_out = read_out;
+  req.extract = true;
+  return access_batch({&req, 1});
 }
 
 cost_split path_oram::dummy_access() {
-  ++stats_.dummy_accesses;
-  const leaf_id leaf = random_leaf();
-  return path_access(leaf, dummy_block_id, op_kind::read, {}, {});
+  const request req;
+  return access_batch({&req, 1});
 }
 
 cost_split path_oram::evict_all(std::vector<evicted_block>& out) {

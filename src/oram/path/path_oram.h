@@ -11,33 +11,41 @@
 //     oram_backend (oram/common/tree_backend.h), driven through
 //     extract/install instead of plain accesses.
 //
-// Every access reads one root-to-leaf path bucket by bucket, remaps the
-// requested block to a fresh uniform leaf, and greedily writes the path
-// back from the stash. Dummy accesses (random path, write-back
-// unchanged) are indistinguishable from real ones on the bus. The
-// client state and the algorithms Path ORAM shares with Ring ORAM — tree
-// geometry, position map, stash, installs, the bulk-build placement and
-// the greedy write-back selection — live in tree_core
-// (oram/common/tree_core.h); this class adds the bucket sealing, the
-// memory/storage level split, the page layout and evict_all.
+// Every access reads one root-to-leaf path, remaps the requested block
+// to a fresh uniform leaf, and greedily writes the path back from the
+// stash. Dummy accesses (random path, write-back unchanged) are
+// indistinguishable from real ones on the bus. One routine,
+// access_batch(), serves a list of k accesses at once: it draws their k
+// leaves in list order, reads the union of the k paths once (root
+// level first), serves every request from the stash in list order,
+// and writes the union back once (deepest level first) — the path
+// overlap Fork Path ORAM removes, so the top levels are opened and
+// re-sealed once per batch instead of k times. access(), access_rmw(),
+// extract() and dummy_access() are its k = 1 case, whose union is the
+// path itself. The client state and the algorithms Path ORAM shares
+// with Ring ORAM — tree geometry, position map, stash, installs, the
+// bulk-build placement and the greedy write-back selection — live in
+// tree_core (oram/common/tree_core.h); this class adds the bucket
+// sealing, the memory/storage level split, the page layout and
+// evict_all.
 //
 // The bucket is the sealed unit (oram/common/bucket_codec.h): one
 // nonce, one keystream and one MAC per bucket, payloads first and the
-// id header after them. An access opens its whole path window in one
-// batch (bucket_codec::decode_many): every bucket's MAC is checked
-// before any plaintext of the window is written, so a tampered bucket
-// anywhere on the path fails the access with crypto::crypto_error and
-// nothing reaches the stash. Then the id headers are decrypted, then
-// only the payloads of real slots — most slots of a tree path are
-// dummies. Every write-back re-seals each path bucket whole under a
-// fresh nonce, the re-encryption Path ORAM requires: the buckets are
-// composed in plaintext and sealed leaf to root in one batch
-// (bucket_codec::seal_many), the nonce order of sealing them one by
-// one. The whole-tree sweeps (reset, evict_all, initialize_full) seal
-// and open in batches of a path window's size. A sealed bucket fits in
-// the Z records the store reserves for it, so store geometry, device
-// traffic and the modelled crypto charges (per record) are those of
-// per-slot records.
+// id header after them. An access opens its whole window (the path, or
+// a batch's path union) in one batch (bucket_codec::decode_many): every
+// bucket's MAC is checked before any plaintext of the window is
+// written, so a tampered bucket anywhere in it fails the access with
+// crypto::crypto_error and nothing reaches the stash. Then the id
+// headers are decrypted, then only the payloads of real slots — most
+// slots of a tree path are dummies. Every write-back re-seals each
+// window bucket whole under a fresh nonce, the re-encryption Path ORAM
+// requires: the buckets are composed in plaintext and sealed deepest
+// level first in one batch (bucket_codec::seal_many), the nonce order
+// of sealing them one by one. The whole-tree sweeps (reset, evict_all,
+// initialize_full) seal and open in batches of a path's size. A sealed
+// bucket fits in the Z records the store reserves for it, so store
+// geometry, device traffic and the modelled crypto charges (per
+// record) are those of per-slot records.
 #ifndef HORAM_ORAM_PATH_PATH_ORAM_H
 #define HORAM_ORAM_PATH_PATH_ORAM_H
 
@@ -126,9 +134,43 @@ class path_oram : public tree_core {
     return valid_ ? valid_->valid_count() : 0;
   }
 
-  /// Performs one ORAM access. For reads, the payload lands in
-  /// `read_out` (payload_bytes long); absent blocks read as zeros and
-  /// become resident. For writes, `write_data` replaces the payload.
+  /// One access of a batch (access_batch()).
+  struct request {
+    /// The block to access; dummy_block_id makes a dummy access (a
+    /// uniform path read and write-back that serves nothing).
+    block_id id = dummy_block_id;
+    op_kind op = op_kind::read;
+    /// Replaces the payload on writes (at most payload_bytes long).
+    std::span<const std::uint8_t> write_data;
+    /// When non-empty (payload_bytes long), receives the payload as
+    /// this access finds it, before its own write: a write with a
+    /// read_out also returns the old payload.
+    std::span<std::uint8_t> read_out;
+    /// Edits the payload in place after the read and the write.
+    const std::function<void(std::span<std::uint8_t>)>* updater = nullptr;
+    /// Removes the block from the tree instead of remapping it: the
+    /// live copy moves to the caller's cache layer. The block must be
+    /// resident.
+    bool extract = false;
+  };
+
+  /// Serves `batch` with one read and one write-back of its path union.
+  /// Leaves are drawn in list order, exactly as one access after
+  /// another would draw them: the block's current leaf (and its fresh
+  /// one) for a real access, a uniform leaf for a dummy. The bus sees
+  /// one memory_path_access per request, then the union's buckets read
+  /// root level first and written deepest level first (ascending heap
+  /// order within a level), all of it a function of the k leaves. Every
+  /// request is served from the stash in list order, so a later request
+  /// for the same block sees the earlier one's write. Each union bucket
+  /// costs one device read and one write plus the crypto of 2 * Z
+  /// records. Absent blocks read as zeros and become resident. Under
+  /// storage_layout::page the batch holds one request.
+  cost_split access_batch(std::span<const request> batch);
+
+  /// One ORAM access (access_batch() of one request). For reads, the
+  /// payload lands in `read_out` (payload_bytes long); for writes,
+  /// `write_data` replaces the payload.
   cost_split access(op_kind op, block_id id,
                     std::span<const std::uint8_t> write_data,
                     std::span<std::uint8_t> read_out);
@@ -211,16 +253,20 @@ class path_oram : public tree_core {
   cost_split write_bucket(std::uint64_t bucket,
                           std::span<const std::uint8_t> records);
 
-  /// The path window: level `level`'s bucket records of the access in
-  /// flight (level_count_ buckets of Z records each).
-  [[nodiscard]] std::span<std::uint8_t> window_bucket(std::uint32_t level);
-  /// Fills the path window for the path to `leaf` (device reads; under
-  /// `page`, one transfer per segment with valid-bit skipping).
-  cost_split load_path(leaf_id leaf);
-  /// Writes the path window back along the path to `leaf`, leaf to
-  /// root (under `page`, sibling bytes of each segment are rewritten
-  /// unchanged from the buffer load_path filled).
-  cost_split store_path(leaf_id leaf);
+  /// The window: the records of the batch's i-th union bucket (root
+  /// level first; on a single path, i is the level).
+  [[nodiscard]] std::span<std::uint8_t> window_bucket(std::size_t i);
+  /// Lists the union of the paths to batch_leaves_ and sizes the
+  /// window for it.
+  void plan_union();
+  /// Fills the window from the union's buckets (device reads; under
+  /// `page`, one transfer per segment of the single path with
+  /// valid-bit skipping).
+  cost_split load_union();
+  /// Writes the window back, deepest level first (under `page`,
+  /// sibling bytes of each segment are rewritten unchanged from the
+  /// buffer load_union filled).
+  cost_split store_union();
 
   /// True iff any bucket of the segment has been written since reset.
   [[nodiscard]] bool segment_valid(storage::segment_ref segment) const;
@@ -232,14 +278,6 @@ class path_oram : public tree_core {
   /// ahead of its path read; returns the leaf to read (the old one, or
   /// a uniform draw on first touch, which makes the block resident).
   leaf_id remap(block_id id);
-
-  cost_split path_access(
-      leaf_id leaf, block_id requested, op_kind op,
-      std::span<const std::uint8_t> write_data,
-      std::span<std::uint8_t> read_out,
-      const std::function<void(std::span<std::uint8_t>)>* updater =
-          nullptr,
-      bool extract_requested = false);
 
   path_oram_config config_;
   std::uint32_t memory_levels_;
@@ -258,14 +296,19 @@ class path_oram : public tree_core {
   std::unique_ptr<storage::page_layout> page_;
   std::unique_ptr<storage::valid_bit_tree> valid_;
 
-  // Reused per-access scratch: one decoded window (slot ids and
-  // payloads, root first).
+  // Per-batch scratch, sized for the largest union seen (a batch of one
+  // needs one path): the leaves drawn, the union's heap indices root
+  // level first with each level's first position (level_count_ + 1
+  // offsets), its bucket records, and the decoded window (slot ids and
+  // payloads).
+  std::vector<leaf_id> batch_leaves_;
+  std::vector<std::uint64_t> union_buckets_;
+  std::vector<std::size_t> union_level_begin_;
+  std::vector<std::uint8_t> path_window_;
   std::vector<block_id> path_ids_;
   std::vector<std::uint8_t> path_payloads_;
-  /// One path's bucket records (level_count_ * Z records), root first.
-  std::vector<std::uint8_t> path_window_;
-  /// The window's buckets root to leaf (the read's order) and leaf to
-  /// root (the write-back's nonce order).
+  /// The window's buckets root level first (the read's order) and
+  /// deepest level first (the write-back's nonce order).
   std::vector<std::span<const std::uint8_t>> root_first_;
   std::vector<std::span<std::uint8_t>> leaf_first_;
   /// The payload a block has on its first touch.

@@ -139,6 +139,28 @@ TEST(Controller, LastWriteWinsWithinBatch) {
   EXPECT_EQ(results[2].read_data, tagged(2));
 }
 
+TEST(Controller, OversizedWriteLeavesControllerUsable) {
+  // A write longer than the payload is rejected at admission, before
+  // any load, remap or draw — for a cached block and for one still on
+  // storage — so no request is left in the ROB and the controller keeps
+  // serving the data it held.
+  fixture fx;
+  controller ctrl(fx.config(), fx.disk, fx.memory, fx.cpu, fx.rng);
+  ctrl.write(100, tagged(0x5c));
+  const controller_stats before = ctrl.stats();
+  const std::vector<std::uint8_t> oversized(40, 0xee);
+  EXPECT_THROW(ctrl.write(100, oversized), contract_error);
+  EXPECT_THROW(ctrl.write(200, oversized), contract_error);
+  EXPECT_EQ(ctrl.stats().cycles, before.cycles);
+  EXPECT_EQ(ctrl.stats().requests, before.requests);
+
+  EXPECT_EQ(ctrl.read(100), tagged(0x5c));
+  EXPECT_EQ(ctrl.read(200), std::vector<std::uint8_t>(16, 0));
+  ctrl.write(200, tagged(0x21));
+  EXPECT_EQ(ctrl.read(200), tagged(0x21));
+  EXPECT_EQ(ctrl.read(100), tagged(0x5c));
+}
+
 TEST(Controller, PeriodEndsAfterHalfMemoryLoads) {
   fixture fx;
   controller ctrl(fx.config(512, 64), fx.disk, fx.memory, fx.cpu, fx.rng);

@@ -567,5 +567,163 @@ TEST(HierObliviousness, LevelProbeStreamsAreWorkloadIndependent) {
       << report.samples_b << " samples";
 }
 
+// ------------------------------------------ batched cache-tree cycles
+
+/// One access cycle of the cache tree as the memory bus shows it.
+struct tree_cycle {
+  std::uint32_t c = 0;
+  std::vector<std::uint64_t> leaves;
+  std::vector<std::uint64_t> reads;
+  std::vector<std::uint64_t> writes;
+};
+
+/// Runs `stream` through a sealed controller with the trace on and
+/// splits the cache tree's memory events by cycle (a period boundary
+/// or a shuffle slice ends the cycle before it).
+std::vector<tree_cycle> cache_tree_cycles(const std::vector<request>& stream,
+                                          std::uint64_t salt,
+                                          std::uint64_t& leaf_count,
+                                          std::uint32_t& level_count) {
+  sim::block_device disk{sim::hdd_paper()};
+  sim::block_device memory{sim::dram_ddr4()};
+  const sim::cpu_model cpu{sim::cpu_aesni()};
+  util::pcg64 rng(test::seed(salt));
+  oram::access_trace trace;
+  horam_config config;
+  config.block_count = 4096;
+  config.memory_blocks = 2048;  // a 256-leaf cache tree
+  config.payload_bytes = kPayload;
+  config.seal = true;
+  controller ctrl(config, disk, memory, cpu, rng, &trace);
+  leaf_count = ctrl.memory_tree().config().leaf_count;
+  level_count = ctrl.memory_tree().level_count();
+  ctrl.run(stream);
+
+  std::vector<tree_cycle> cycles;
+  bool in_cycle = false;
+  for (const oram::trace_event& event : trace.events()) {
+    switch (event.kind) {
+      case oram::event_kind::cycle_begin:
+        cycles.emplace_back().c = static_cast<std::uint32_t>(event.b);
+        in_cycle = true;
+        break;
+      case oram::event_kind::period_begin:
+      case oram::event_kind::shuffle_begin:
+      case oram::event_kind::shuffle_slice:
+        in_cycle = false;
+        break;
+      case oram::event_kind::memory_path_access:
+        if (in_cycle && event.b == leaf_count) {
+          cycles.back().leaves.push_back(event.a);
+        }
+        break;
+      case oram::event_kind::memory_bucket_read:
+        if (in_cycle) {
+          cycles.back().reads.push_back(event.a);
+        }
+        break;
+      case oram::event_kind::memory_bucket_write:
+        if (in_cycle) {
+          cycles.back().writes.push_back(event.a);
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return cycles;
+}
+
+TEST(ControllerObliviousness, BatchedCycleShapeDependsOnlyOnLeaves) {
+  // Each cycle's c cache-tree accesses are read and written back as one
+  // path union. What the memory bus shows of a cycle must be a function
+  // of its c public leaves alone: the union's buckets read root level
+  // first and written deepest level first, ascending within a level.
+  // The leaves are uniform, and per stage the union sizes of a hotspot
+  // and a uniform stream come from one distribution.
+  const auto make_stream = [](double hot_probability, std::uint64_t salt) {
+    util::pcg64 driver(test::seed(salt));
+    std::vector<request> stream;
+    for (int i = 0; i < 6000; ++i) {
+      request req;
+      req.op = util::bernoulli(driver, 0.5) ? op_kind::write : op_kind::read;
+      req.id = util::bernoulli(driver, hot_probability)
+                   ? util::uniform_below(driver, 48)
+                   : util::uniform_below(driver, 4096);
+      if (req.op == op_kind::write) {
+        req.write_data.assign(kPayload, static_cast<std::uint8_t>(i));
+      }
+      stream.push_back(std::move(req));
+    }
+    return stream;
+  };
+
+  std::uint64_t leaf_count = 0;
+  std::uint32_t levels = 0;
+  std::map<std::uint32_t, std::vector<std::uint64_t>> union_sizes[2];
+  for (int arm = 0; arm < 2; ++arm) {
+    const std::vector<request> stream =
+        make_stream(arm == 0 ? 0.9 : 0.0, 281 + arm);
+    const std::vector<tree_cycle> cycles =
+        cache_tree_cycles(stream, 291 + arm, leaf_count, levels);
+    ASSERT_GT(cycles.size(), 1000u);
+
+    std::uint64_t mismatched = 0;
+    std::vector<std::uint64_t> leaves;
+    for (const tree_cycle& cycle : cycles) {
+      std::vector<std::uint64_t> reads;
+      std::vector<std::vector<std::uint64_t>> by_level(levels);
+      for (std::uint32_t level = 0; level < levels; ++level) {
+        for (const std::uint64_t leaf : cycle.leaves) {
+          by_level[level].push_back(((std::uint64_t{1} << level) - 1) +
+                                    (leaf >> (levels - 1 - level)));
+        }
+        std::sort(by_level[level].begin(), by_level[level].end());
+        by_level[level].erase(
+            std::unique(by_level[level].begin(), by_level[level].end()),
+            by_level[level].end());
+        reads.insert(reads.end(), by_level[level].begin(),
+                     by_level[level].end());
+      }
+      std::vector<std::uint64_t> writes;
+      for (std::uint32_t down = 0; down < levels; ++down) {
+        const std::vector<std::uint64_t>& level = by_level[levels - 1 - down];
+        writes.insert(writes.end(), level.begin(), level.end());
+      }
+      if (cycle.leaves.size() != cycle.c || cycle.reads != reads ||
+          cycle.writes != writes) {
+        ++mismatched;
+      }
+      leaves.insert(leaves.end(), cycle.leaves.begin(), cycle.leaves.end());
+      union_sizes[arm][cycle.c].push_back(reads.size());
+    }
+    EXPECT_EQ(mismatched, 0u) << "arm " << arm << ": of " << cycles.size()
+                              << " cycles";
+
+    const analysis::uniformity_report uniform =
+        analysis::audit_uniformity(leaves, leaf_count);
+    EXPECT_TRUE(uniform.passed())
+        << "arm " << arm << ": chi2 " << uniform.chi_square << " (<= "
+        << uniform.chi_threshold << "), ks " << uniform.ks << " (<= "
+        << uniform.ks_threshold << ") over " << uniform.samples
+        << " leaves";
+  }
+
+  ASSERT_EQ(union_sizes[0].size(), union_sizes[1].size());
+  for (const auto& [c, hot] : union_sizes[0]) {
+    const std::vector<std::uint64_t>& flat = union_sizes[1][c];
+    ASSERT_GT(hot.size(), 100u) << "stage c = " << c;
+    ASSERT_GT(flat.size(), 100u) << "stage c = " << c;
+    const analysis::equality_report report =
+        analysis::audit_distribution_equality(hot, flat,
+                                              std::uint64_t{c} * levels + 1);
+    EXPECT_TRUE(report.passed())
+        << "stage c = " << c << ": ks " << report.ks << " (<= "
+        << report.ks_threshold << "), chi2 " << report.chi_square
+        << " (<= " << report.chi_threshold << ") over " << report.samples_a
+        << " vs " << report.samples_b << " cycles";
+  }
+}
+
 }  // namespace
 }  // namespace horam

@@ -143,6 +143,129 @@ TEST(PathOram, StashStaysBounded) {
   EXPECT_LT(oram.stash_ref().peak_size(), 64u);
 }
 
+TEST(PathOram, BatchServesRequestsInListOrder) {
+  // One batch behaves like its requests one after another: a later
+  // request for the same block sees the earlier one's write, a write
+  // with a read_out returns the payload it replaces, and dummies at any
+  // position serve nothing.
+  fixture fx;
+  path_oram oram(fx.config(64), fx.memory, nullptr, fx.cpu, fx.rng,
+                 &fx.trace);
+  oram.access(op_kind::write, 7, payload_of(1), {});
+  const std::vector<std::uint8_t> two = payload_of(2);
+  const std::vector<std::uint8_t> three = payload_of(3);
+  std::vector<std::uint8_t> before(16);
+  std::vector<std::uint8_t> after(16);
+  std::vector<std::uint8_t> fresh(16, 0xff);
+  std::vector<path_oram::request> batch(5);
+  batch[0].id = 7;
+  batch[0].op = op_kind::write;
+  batch[0].write_data = two;
+  batch[0].read_out = before;
+  batch[2].id = 7;
+  batch[2].read_out = after;
+  batch[3].id = 9;
+  batch[3].op = op_kind::write;
+  batch[3].write_data = three;
+  batch[4].id = 11;
+  batch[4].read_out = fresh;
+  fx.trace.clear();
+  oram.access_batch(batch);
+  EXPECT_EQ(before, payload_of(1));
+  EXPECT_EQ(after, payload_of(2));
+  EXPECT_EQ(fresh, std::vector<std::uint8_t>(16, 0));
+  EXPECT_EQ(oram.stats().dummy_accesses, 1u);
+  EXPECT_EQ(oram.stats().real_accesses, 5u);
+  EXPECT_EQ(oram.resident_blocks(), 3u);
+  std::size_t paths = 0;
+  for (const trace_event& event : fx.trace.events()) {
+    paths += event.kind == event_kind::memory_path_access ? 1 : 0;
+  }
+  EXPECT_EQ(paths, 5u);
+  oram.check_consistency();
+
+  std::vector<std::uint8_t> out(16);
+  oram.access(op_kind::read, 9, {}, out);
+  EXPECT_EQ(out, payload_of(3));
+  oram.access(op_kind::read, 7, {}, out);
+  EXPECT_EQ(out, payload_of(2));
+}
+
+TEST(PathOram, BatchedCycleStashStaysBounded) {
+  // A cycle of c accesses written back once over their path union keeps
+  // the stash as small as c accesses written back one by one. 256
+  // leaves at Z = 4 with 1024 resident blocks (half of the 2044 slots)
+  // and half of the accesses real; the steady-state stash (after each
+  // cycle's write-back) is tracked over 20 seeds, after a warm-up.
+  constexpr int kSeeds = 20;
+  constexpr int kWarmup = 4000;
+  constexpr int kCycles = 20000;
+  constexpr std::uint64_t kResident = 1024;
+  struct run_result {
+    std::size_t worst = 0;
+    std::vector<std::uint8_t> sizes;
+  };
+  const auto run = [&](std::uint32_t c, int seed_index, bool batched) {
+    sim::block_device memory{sim::dram_ddr4()};
+    const sim::cpu_model cpu{sim::cpu_aesni()};
+    util::pcg64 rng(test::seed(700 + static_cast<std::uint64_t>(seed_index)));
+    util::pcg64 driver(
+        test::seed(800 + static_cast<std::uint64_t>(seed_index)));
+    path_oram_config config;
+    config.leaf_count = 256;
+    config.bucket_size = 4;
+    config.payload_bytes = 8;
+    config.id_universe = kResident;
+    config.seal = false;
+    path_oram oram(config, memory, nullptr, cpu, rng, nullptr);
+    oram.initialize_full(kResident, [](block_id, std::span<std::uint8_t>) {});
+    run_result result;
+    result.sizes.reserve(kCycles);
+    std::vector<path_oram::request> cycle(c);
+    for (int step = 0; step < kWarmup + kCycles; ++step) {
+      for (path_oram::request& req : cycle) {
+        req.id = util::bernoulli(driver, 0.5)
+                     ? util::uniform_below(driver, kResident)
+                     : dummy_block_id;
+      }
+      if (batched) {
+        oram.access_batch(cycle);
+      } else {
+        for (const path_oram::request& req : cycle) {
+          if (req.id == dummy_block_id) {
+            oram.dummy_access();
+          } else {
+            oram.access(op_kind::read, req.id, {}, {});
+          }
+        }
+      }
+      if (step >= kWarmup) {
+        const std::size_t size = oram.stash_ref().size();
+        result.worst = std::max(result.worst, size);
+        result.sizes.push_back(static_cast<std::uint8_t>(
+            std::min<std::size_t>(size, 255)));
+      }
+    }
+    return result;
+  };
+  for (const std::uint32_t c : {1u, 2u, 4u, 8u}) {
+    std::size_t worst_batched = 0;
+    std::size_t worst_serial = 0;
+    for (int seed_index = 0; seed_index < kSeeds; ++seed_index) {
+      const run_result batched = run(c, seed_index, /*batched=*/true);
+      const run_result serial = run(c, seed_index, /*batched=*/false);
+      if (c == 1) {
+        ASSERT_EQ(batched.sizes, serial.sizes) << "seed " << seed_index;
+      }
+      worst_batched = std::max(worst_batched, batched.worst);
+      worst_serial = std::max(worst_serial, serial.worst);
+    }
+    EXPECT_LE(worst_batched, worst_serial)
+        << "c = " << c << ": worst steady-state stash " << worst_batched
+        << " batched against " << worst_serial << " one by one";
+  }
+}
+
 TEST(PathOram, RepeatedAccessNeverRepeatsLeaf) {
   // Remap-before-read: consecutive accesses to the same block follow
   // independently drawn paths.

@@ -12,6 +12,9 @@ and, where a run emits it, the online ``round_trips_per_request``
 field (dependency-aware storage exchanges per request) under the same
 tolerance band — a backend quietly growing an extra dependent hop per
 request is exactly the regression the hier backend exists to avoid.
+Likewise ``memory_ops_per_request`` (memory-device reads plus writes
+per request, summed over the shard lanes: the cache trees' bus bill),
+gated where both documents emit it.
 
 The simulator is deterministic, so the committed numbers are exactly
 reproducible on any host; the tolerance band exists to absorb benign
@@ -85,20 +88,26 @@ def ops_per_request(run):
     return ops / requests
 
 
-def round_trips_per_request(run):
-    # Gated only when the run emits it (older baselines predate the
-    # counter); requests==0 rows gate nothing, like ops_per_request.
-    value = run.get("round_trips_per_request")
-    if value is None or not run.get("requests", 0):
-        return None
-    return float(value)
+def emitted(field):
+    """Extractor for a per-request field a run may emit: gated only when
+    the run emits it (older baselines predate the counter);
+    requests==0 rows gate nothing, like ops_per_request."""
+
+    def extract(run):
+        value = run.get(field)
+        if value is None or not run.get("requests", 0):
+            return None
+        return float(value)
+
+    return extract
 
 
 # Gated metrics: (label, extractor). An extractor returning None for
 # either side of a row skips that metric for that row.
 METRICS = (
     ("device ops/request", ops_per_request),
-    ("round trips/request", round_trips_per_request),
+    ("round trips/request", emitted("round_trips_per_request")),
+    ("memory ops/request", emitted("memory_ops_per_request")),
 )
 
 
