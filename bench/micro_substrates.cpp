@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the substrates: cipher, PRF,
 // sealing, the hier Feistel permutation, RNG, Fenwick sampling, shuffle
-// kernels, Path ORAM access.
+// kernels, Path ORAM access, Ring ORAM eviction unions.
 // These measure host performance of the library code itself (the other
 // harnesses report virtual time).
 #include <benchmark/benchmark.h>
@@ -15,6 +15,7 @@
 #include "oram/common/bucket_codec.h"
 #include "oram/hier/feistel_prp.h"
 #include "oram/path/path_oram.h"
+#include "oram/ring/ring_oram.h"
 #include "shuffle/bitonic.h"
 #include "shuffle/fisher_yates.h"
 #include "sim/profiles.h"
@@ -389,6 +390,37 @@ void bm_path_oram_cycle(benchmark::State& state) {
   state.SetLabel("sealed, " + kernel_label());
 }
 BENCHMARK(bm_path_oram_cycle)->Arg(1)->Arg(3)->Arg(5);
+
+// One sealed Ring ORAM eviction union of k reverse-lexicographic paths
+// on a zipf-tenants shard's tree (4096 blocks of 256 B, 256 leaves,
+// Z = 16, S = 25): every union bucket is range-read, opened, written
+// back and resealed once. k = 1 is the online eviction, k = 39 a shard
+// drain's budget; items are evicted paths.
+void bm_ring_drain(benchmark::State& state) {
+  sim::block_device storage(sim::nvme());
+  const sim::cpu_model cpu(sim::cpu_aesni());
+  util::pcg64 rng(5);
+  oram::ring_oram_config config;
+  config.leaf_count = 256;
+  config.real_slots = 16;
+  config.spare_slots = 25;
+  config.payload_bytes = 256;
+  config.id_universe = 4096;
+  config.seal = true;
+  oram::ring_oram oram(config, storage, cpu, rng, nullptr);
+  oram.initialize_full(config.id_universe,
+                       [](oram::block_id id, std::span<std::uint8_t> out) {
+                         out[0] = static_cast<std::uint8_t>(id);
+                       });
+  const auto paths = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oram.force_evict(paths));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel("sealed, " + kernel_label());
+}
+BENCHMARK(bm_ring_drain)->Arg(1)->Arg(8)->Arg(39);
 
 }  // namespace
 

@@ -89,14 +89,23 @@ double ks_uniform_statistic(std::span<const std::uint64_t> samples,
   const double n = static_cast<double>(sorted.size());
   const double u = static_cast<double>(universe);
   double d = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    // Discrete uniform CDF: F(x) = (x + 1) / U, F(x^-) = x / U.
+  std::size_t i = 0;
+  while (i < sorted.size()) {
+    // One step per distinct value: the empirical CDF just before its
+    // run of ties (i / n) and just after it (j / n), against the
+    // discrete uniform CDF F(x^-) = x / U and F(x) = (x + 1) / U.
+    // Gaps taken inside a run would compare a partial count with the
+    // whole step and read at least about 1/U on a small universe.
+    std::size_t j = i;
+    while (j < sorted.size() && sorted[j] == sorted[i]) {
+      ++j;
+    }
     const double x = static_cast<double>(sorted[i]);
-    const double above = std::abs((static_cast<double>(i) + 1.0) / n -
-                                  (x + 1.0) / u);
-    const double below =
-        std::abs(static_cast<double>(i) / n - x / u);
+    const double below = std::abs(static_cast<double>(i) / n - x / u);
+    const double above =
+        std::abs(static_cast<double>(j) / n - (x + 1.0) / u);
     d = std::max(d, std::max(above, below));
+    i = j;
   }
   return d;
 }

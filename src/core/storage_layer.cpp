@@ -360,7 +360,8 @@ shuffle_cost storage_layer::shuffle_partition_step(
       return cost;
     }
     const std::uint64_t base = store_->appended_count(p);
-    std::vector<std::uint8_t> segment(hot.size() * record_bytes);
+    std::vector<std::uint8_t>& segment = shuffle_out_scratch_;
+    segment.resize(hot.size() * record_bytes);
     seal_spans_.clear();
     for (std::uint64_t k = 0; k < hot.size(); ++k) {
       seal_spans_.push_back(std::span<std::uint8_t>(

@@ -184,6 +184,8 @@ class storage_layer final : public oram_backend {
   /// calls (MB-scale at bench geometry; one allocation per layer, not
   /// per partition or per slice).
   std::vector<std::uint8_t> shuffle_image_scratch_;
+  /// The records a step composes and writes: a due partition's
+  /// re-permuted main region, or a pending partition's append segment.
   std::vector<std::uint8_t> shuffle_out_scratch_;
   /// Record lists of the batched seals and opens, and the opened ids.
   std::vector<std::span<std::uint8_t>> seal_spans_;

@@ -1,5 +1,7 @@
 #include "oram/common/tree_backend.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "util/contracts.h"
@@ -42,9 +44,12 @@ struct tree_traits<path_oram> {
     return std::make_unique<path_oram>(tree, device, &device, cpu, rng,
                                        trace);
   }
-  /// One drain step: a dummy path access, whose greedy write-back
+  /// Drain steps one unit may run: one, since access_batch takes a
+  /// single access under layout(page).
+  static constexpr std::uint64_t max_drain_unit = 1;
+  /// One drain unit: a dummy path access, whose greedy write-back
   /// places stash blocks along a random path.
-  static cost_split drain_step(path_oram& tree) {
+  static cost_split drain(path_oram& tree, std::uint64_t /*steps*/) {
     return tree.dummy_access();
   }
   /// Storage slots behind physical_bytes().
@@ -83,10 +88,13 @@ struct tree_traits<ring_oram> {
                                          access_trace* trace) {
     return std::make_unique<ring_oram>(tree, device, cpu, rng, trace);
   }
-  /// One drain step: a forced deterministic eviction (the scheme's own
-  /// write path), which absorbs up to Z stash blocks at the root alone.
-  static cost_split drain_step(ring_oram& tree) {
-    return tree.force_evict();
+  /// Drain steps one unit may run: any number, as one eviction union.
+  static constexpr std::uint64_t max_drain_unit = UINT64_MAX;
+  /// One drain unit: `steps` forced deterministic evictions (the
+  /// scheme's own write path) as one union, each union bucket read and
+  /// written back once.
+  static cost_split drain(ring_oram& tree, std::uint64_t steps) {
+    return tree.force_evict(steps);
   }
   /// Storage slots behind physical_bytes(): real and spare slots.
   static std::uint64_t slots(const ring_oram& tree) {
@@ -216,9 +224,12 @@ oram_backend::load_result tree_backend<Tree>::dummy_load() {
 }
 
 /// Shuffle job over the tree layout: slice units are single stash
-/// re-installs, then single drain steps, so bounded budgets stop
-/// between any two units. Nothing is ever kept — the stash shelters
-/// whatever the drain cannot place.
+/// re-installs, then drain units, so bounded budgets stop between any
+/// two units. The drain budget runs in as few units as the scheme
+/// allows (Path ORAM: one dummy access per unit; Ring ORAM: the whole
+/// budget as one eviction union, which a bounded slice cannot split),
+/// and the conditional tail one step per unit. Nothing is ever kept —
+/// the stash shelters whatever the drain cannot place.
 template <class Tree>
 class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
  public:
@@ -235,7 +246,8 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
     }
     // Drain burst length: a function of the (public) eviction size
     // only, with a bounded conditional tail so a stubborn stash still
-    // drains; whatever remains stays sheltered in the stash.
+    // drains; whatever remains stays sheltered in the stash. The steps
+    // count evictions, however many of them one unit runs.
     const std::uint64_t z = tree_traits<Tree>::real_slots(owner_.config_);
     drain_budget_ = owner_.tree_->level_count() +
                     2 * util::ceil_div(order_.size(), z);
@@ -256,11 +268,13 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
     if (next_install_ < order_.size()) {
       install_one(slice);
     } else if (drains_done_ < drain_budget_) {
-      ++drains_done_;
-      drain_once(slice);
+      const std::uint64_t steps = std::min(
+          drain_budget_ - drains_done_, tree_traits<Tree>::max_drain_unit);
+      drains_done_ += steps;
+      drain(steps, slice);
     } else {
       --extra_;
-      drain_once(slice);
+      drain(1, slice);
     }
   }
 
@@ -285,13 +299,14 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
     --owner_.cached_count_;
   }
 
-  void drain_once(horam::shuffle_cost& cost) {
-    const cost_split step_cost = tree_traits<Tree>::drain_step(*owner_.tree_);
+  void drain(std::uint64_t steps, horam::shuffle_cost& cost) {
+    const cost_split step_cost =
+        tree_traits<Tree>::drain(*owner_.tree_, steps);
     cost.io_read += step_cost.io / 2;
     cost.io_write += step_cost.io - step_cost.io / 2;
     cost.memory += step_cost.memory;
     cost.cpu += step_cost.cpu;
-    ++owner_.last_drain_steps_;
+    owner_.last_drain_steps_ += steps;
   }
 
   tree_backend& owner_;

@@ -18,9 +18,10 @@
 //     every evicted block re-enters the stash with a fresh uniform leaf
 //     (the same leaf is recorded in the recursive map), and a burst of
 //     drain steps — its length a function of the (public) eviction size
-//     only — pushes the stash back into the tree. Blocks the drain
-//     cannot place simply stay in the stash: the stash is the scheme's
-//     trusted holding area, so no overflow is ever handed back.
+//     only — pushes the stash back into the tree (Ring ORAM evicts the
+//     burst's paths as one union). Blocks the drain cannot place
+//     simply stay in the stash: the stash is the scheme's trusted
+//     holding area, so no overflow is ever handed back.
 //
 // The adapter keeps the recursive map authoritative at the interface:
 // every load first walks the map and verifies the answer against the
@@ -29,12 +30,12 @@
 // map chain.
 //
 // What differs between schemes — the tree config built from
-// horam_config, the key-seed domains, the drain step (a dummy path
-// access for Path ORAM, a forced deterministic eviction for Ring ORAM),
-// the slot count behind physical_bytes() and any extra trusted state —
-// lives in one tree_traits<Tree> specialisation per scheme
-// (tree_backend.cpp). A new tree scheme adds a specialisation and an
-// explicit instantiation there.
+// horam_config, the key-seed domains, the drain unit (a dummy path
+// access for Path ORAM, a union of forced deterministic evictions for
+// Ring ORAM), the slot count behind physical_bytes() and any extra
+// trusted state — lives in one tree_traits<Tree> specialisation per
+// scheme (tree_backend.cpp). A new tree scheme adds a specialisation
+// and an explicit instantiation there.
 #ifndef HORAM_ORAM_COMMON_TREE_BACKEND_H
 #define HORAM_ORAM_COMMON_TREE_BACKEND_H
 
@@ -77,8 +78,9 @@ class tree_backend final : public horam::oram_backend {
   load_result load_block(block_id id) override;
   load_result dummy_load() override;
   /// Shuffle period as a job: the slice units are single stash
-  /// re-installs (fresh uniform leaf + map assign) followed by single
-  /// drain steps, so the deamortized pipeline can stop after any unit.
+  /// re-installs (fresh uniform leaf + map assign) followed by drain
+  /// units (Ring ORAM's budgeted evictions form one unit), so the
+  /// deamortized pipeline can stop after any unit.
   /// Nothing is ever handed back — the stash is the scheme's trusted
   /// holding area.
   [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
@@ -95,7 +97,8 @@ class tree_backend final : public horam::oram_backend {
   [[nodiscard]] const recursive_position_map& map() const noexcept {
     return *map_;
   }
-  /// Drain steps issued by the last shuffle period's stash drain.
+  /// Drain steps (dummy accesses or evictions, not units) issued by the
+  /// last shuffle period's stash drain.
   [[nodiscard]] std::uint64_t last_drain_steps() const noexcept {
     return last_drain_steps_;
   }

@@ -189,7 +189,7 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
   // depends only on the access count.
   ++access_count_;
   if (access_count_ % config_.eviction_rate == 0) {
-    cost += evict_path();
+    cost += evict_union(1);
   }
   return cost;
 }
@@ -240,9 +240,9 @@ cost_split ring_oram::dummy_access() {
   return path_read(leaf, dummy_block_id, found);
 }
 
-cost_split ring_oram::force_evict() {
+cost_split ring_oram::force_evict(std::uint64_t count) {
   sim::trip_scope round_trip(&io_store_->device());
-  return evict_path();
+  return evict_union(count);
 }
 
 void ring_oram::compose_bucket(std::uint64_t bucket,
@@ -356,20 +356,40 @@ cost_split ring_oram::reshuffle_bucket(std::uint64_t bucket) {
   return cost;
 }
 
-cost_split ring_oram::evict_path() {
+cost_split ring_oram::evict_union(std::uint64_t count) {
+  expects(count > 0, "an eviction evicts at least one path");
   cost_split cost;
-  ++stats_.evictions;
-  const leaf_id leaf = reverse_lex_leaf(evict_counter_++);
+  stats_.evictions += count;
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
 
-  // Phase 1, root to leaf: range-read every path bucket and keep its
-  // real records, then open them all in one batch (every MAC checked)
-  // before any block enters the stash.
+  // The union of the next `count` reverse-lexicographic paths, level by
+  // level in ascending heap order. A leaf's bucket at `level` depends
+  // only on its counter modulo 2^level, so the first min(count, 2^level)
+  // counters name every distinct bucket of that level.
+  union_buckets_.clear();
+  union_level_begin_.clear();
+  for (std::uint32_t level = 0; level < level_count(); ++level) {
+    const std::size_t first = union_buckets_.size();
+    union_level_begin_.push_back(first);
+    const std::uint64_t distinct =
+        std::min(count, std::uint64_t{1} << level);
+    for (std::uint64_t i = 0; i < distinct; ++i) {
+      union_buckets_.push_back(
+          bucket_on_path(reverse_lex_leaf(evict_counter_ + i), level));
+    }
+    std::sort(union_buckets_.begin() + static_cast<std::ptrdiff_t>(first),
+              union_buckets_.end());
+  }
+  union_level_begin_.push_back(union_buckets_.size());
+  evict_counter_ += count;
+
+  // Phase 1, root level first: range-read every union bucket once and
+  // keep its real records, then open them all in one batch (every MAC
+  // checked) before any block enters the stash.
   real_records_.clear();
   real_slots_.clear();
-  for (std::uint32_t level = 0; level < level_count(); ++level) {
-    const std::uint64_t bucket = bucket_on_path(leaf, level);
+  for (const std::uint64_t bucket : union_buckets_) {
     const std::uint64_t base = bucket * spb;
     cost.io += io_store_->read_range(base, spb, bucket_scratch_);
     trace(trace_, event_kind::storage_read_sweep, base, spb);
@@ -384,21 +404,33 @@ cost_split ring_oram::evict_path() {
     stash_.put(real.id, positions_.leaf_of(real.id), real.payload);
   }
 
-  // Phase 2, leaf to root: greedy write-back under fresh permutations,
-  // each bucket's reals sealed as one batch.
+  // Phase 2, deepest level first: greedy write-back under fresh
+  // permutations, each bucket's reals sealed as one batch. Every union
+  // bucket's ancestors are in the union, so the blocks eligible at a
+  // bucket share their remaining choices and filling it greedily
+  // places as many blocks as any assignment could; the buckets of one
+  // level take disjoint candidates, so their order places nothing
+  // differently.
   for (std::uint32_t down = 0; down < level_count(); ++down) {
     const std::uint32_t level = level_count() - 1 - down;
-    const std::uint64_t bucket = bucket_on_path(leaf, level);
-    const std::uint64_t base = bucket * spb;
-    compose_bucket(bucket, select_for_bucket(leaf, level), bucket_scratch_);
-    seal_queued();
-    cost.io += io_store_->write_range(base, spb, bucket_scratch_);
-    trace(trace_, event_kind::storage_write_sweep, base, spb);
-    drop_selected();
+    const std::uint32_t shift = level_count() - 1 - level;
+    for (std::size_t i = union_level_begin_[level];
+         i < union_level_begin_[level + 1]; ++i) {
+      const std::uint64_t bucket = union_buckets_[i];
+      const std::uint64_t base = bucket * spb;
+      // Any leaf below the bucket selects the same candidates.
+      const leaf_id below =
+          (bucket - ((std::uint64_t{1} << level) - 1)) << shift;
+      compose_bucket(bucket, select_for_bucket(below, level),
+                     bucket_scratch_);
+      seal_queued();
+      cost.io += io_store_->write_range(base, spb, bucket_scratch_);
+      trace(trace_, event_kind::storage_write_sweep, base, spb);
+      drop_selected();
+    }
   }
 
-  const std::uint64_t records_touched =
-      2ULL * level_count() * spb;
+  const std::uint64_t records_touched = 2ULL * union_buckets_.size() * spb;
   cost.cpu += cpu_.crypto_time(records_touched, record_bytes);
   cost.cpu += cpu_.word_ops_time(records_touched + stash_.size());
   return cost;

@@ -13,11 +13,16 @@
 // known dummy pads, collapsing the whole online path read to one
 // device transfer.
 //
-// Writes are decoupled from reads: every `eviction_rate` accesses one
-// deterministic reverse-lexicographic path is evicted (read whole
-// buckets, greedy write-back from the stash), and any bucket whose
-// unread slots run low (read_count reaching S) is reshuffled early on
-// its own. Both are range operations on a public schedule.
+// Writes are decoupled from reads. Evictions follow one deterministic
+// reverse-lexicographic order of paths, and every eviction is a union
+// pass: the next `count` paths are evicted together, each bucket of
+// their union range-read once (root level first) and written back once
+// (deepest level first) by a greedy write-back from the stash. The
+// online eviction every `eviction_rate` accesses is the count = 1 case,
+// whose union is its one path; a shuffle drain evicts its whole budget
+// as one union (force_evict). Any bucket whose unread slots run low
+// (read_count reaching S) is reshuffled early on its own. All of these
+// are range operations on a public schedule.
 //
 // Like oram/path/path_oram.h in backend mode, the tree is driven
 // through extract/install: extract removes the live copy (the caller's
@@ -108,10 +113,12 @@ class ring_oram : public tree_core {
   /// reshuffle/eviction schedules.
   cost_split dummy_access();
 
-  /// One deterministic eviction outside the access schedule (shuffle
-  /// drains use this to push staged blocks into the tree). Advances the
-  /// same reverse-lexicographic order as scheduled evictions.
-  cost_split force_evict();
+  /// Deterministic evictions outside the access schedule (shuffle
+  /// drains use this to push staged blocks into the tree): the next
+  /// `count` reverse-lexicographic paths, evicted as one union in one
+  /// round trip. Advances the same order as scheduled evictions, by
+  /// `count`.
+  cost_split force_evict(std::uint64_t count = 1);
 
   /// Bulk-builds the tree with every id in [0, count); overflow lands
   /// in the stash. `leaves_out` (index = id) mirrors the assignments
@@ -192,12 +199,15 @@ class ring_oram : public tree_core {
   /// residents under a fresh permutation.
   cost_split reshuffle_bucket(std::uint64_t bucket);
 
-  /// Deterministic eviction of the next reverse-lexicographic path:
-  /// range-read every path bucket, open all their reals in one batch
-  /// (nothing enters the stash unless every MAC passes), greedy
-  /// write-back deepest bucket first, each bucket's reals sealed in one
-  /// batch.
-  cost_split evict_path();
+  /// Deterministic eviction of the next `count` reverse-lexicographic
+  /// paths as one union (count = 1 is the scheduled online eviction,
+  /// whose union is its path): range-read every union bucket once, root
+  /// level first and ascending within a level; open all their reals in
+  /// one batch (nothing enters the stash unless every MAC passes);
+  /// greedy write-back over the union, deepest level first and
+  /// ascending within a level, each bucket under a fresh permutation
+  /// and pads, its reals sealed in one batch and written once.
+  cost_split evict_union(std::uint64_t count);
 
   /// Rewrites the whole tree with epoch-0 pads and clears all state.
   void reset();
@@ -220,9 +230,14 @@ class ring_oram : public tree_core {
   std::vector<std::uint8_t> bucket_scratch_;
   /// Composed real records awaiting seal_queued().
   std::vector<std::span<std::uint8_t>> seal_queue_;
-  /// Real records gathered for open_gathered() (one eviction path at
-  /// most, packed), their slots, their ids, the list it opens and the
-  /// blocks it opened.
+  /// The last eviction's union: heap indices root level first,
+  /// ascending within a level, and where each level starts (one more
+  /// entry than levels).
+  std::vector<std::uint64_t> union_buckets_;
+  std::vector<std::size_t> union_level_begin_;
+  /// Real records gathered for open_gathered() (one eviction union at
+  /// most, packed; sized for the largest union seen and reused), their
+  /// slots, their ids, the list it opens and the blocks it opened.
   std::vector<std::uint8_t> real_records_;
   std::vector<std::uint64_t> real_slots_;
   std::vector<block_id> real_ids_;

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -63,6 +64,19 @@ TEST(ObliviousnessPrimitives, KsAcceptsUniformSamples) {
     sample = util::uniform_below(rng, 1000);
   }
   const double d = analysis::ks_uniform_statistic(samples, 1000);
+  EXPECT_LE(d, analysis::ks_one_sample_threshold(samples.size()));
+}
+
+TEST(ObliviousnessPrimitives, KsUniformHandlesTies) {
+  // On a small universe every value repeats many times. The statistic
+  // must compare the empirical CDF once per distinct value, not at
+  // every tied sample, or a uniform stream reads about 1/U.
+  util::pcg64 rng(test::seed(204));
+  std::vector<std::uint64_t> samples(22000);
+  for (auto& sample : samples) {
+    sample = util::uniform_below(rng, 32);
+  }
+  const double d = analysis::ks_uniform_statistic(samples, 32);
   EXPECT_LE(d, analysis::ks_one_sample_threshold(samples.size()));
 }
 
@@ -723,6 +737,120 @@ TEST(ControllerObliviousness, BatchedCycleShapeDependsOnlyOnLeaves) {
         << " (<= " << report.chi_threshold << ") over " << report.samples_a
         << " vs " << report.samples_b << " cycles";
   }
+}
+
+TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
+  // A ring shuffle drain evicts public reverse-lexicographic paths: its
+  // budget as one union, then any tail one path at a time. What the
+  // storage bus shows of a drain must be those unions recomputed from
+  // the eviction counter and each unit's count alone (a range read of
+  // every union bucket, root level first, then a range write of each,
+  // deepest level first, ascending within a level), so two runs that
+  // evict different blocks show identical drains.
+  horam_config config;
+  config.block_count = 1000;
+  config.memory_blocks = 128;
+  config.payload_bytes = kPayload;
+  config.seal = true;
+  using sweep = std::array<std::uint64_t, 3>;  // kind, first slot, count
+  std::vector<std::vector<sweep>> drains[2];
+  for (int arm = 0; arm < 2; ++arm) {
+    sim::block_device device{sim::hdd_paper()};
+    sim::block_device map_device{sim::dram_ddr4()};
+    sim::cpu_model cpu{sim::cpu_aesni()};
+    util::pcg64 rng{test::seed(331)};
+    oram::access_trace trace;
+    oram::ring_backend backend(config, device, cpu, rng, &trace, nullptr,
+                               &map_device);
+    const std::uint32_t levels = backend.tree().level_count();
+    const std::uint64_t leaves = backend.tree().config().leaf_count;
+    const std::uint64_t spb = backend.tree().slots_per_bucket();
+
+    // The sweeps of one union of `count` paths from eviction `counter`.
+    const auto union_sweeps = [&](std::uint64_t counter,
+                                  std::uint64_t count,
+                                  std::vector<sweep>& out) {
+      std::vector<std::vector<std::uint64_t>> by_level(levels);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t g = (counter + i) % leaves;
+        std::uint64_t leaf = 0;  // g bit-reversed over log2(leaves) bits
+        for (std::uint32_t bit = 0; bit + 1 < levels; ++bit) {
+          leaf = (leaf << 1) | ((g >> bit) & 1);
+        }
+        for (std::uint32_t level = 0; level < levels; ++level) {
+          by_level[level].push_back(((std::uint64_t{1} << level) - 1) +
+                                    (leaf >> (levels - 1 - level)));
+        }
+      }
+      for (std::vector<std::uint64_t>& level : by_level) {
+        std::sort(level.begin(), level.end());
+        level.erase(std::unique(level.begin(), level.end()), level.end());
+      }
+      for (const std::vector<std::uint64_t>& level : by_level) {
+        for (const std::uint64_t bucket : level) {
+          out.push_back(
+              {static_cast<std::uint64_t>(oram::event_kind::storage_read_sweep),
+               bucket * spb, spb});
+        }
+      }
+      for (std::uint32_t down = 0; down < levels; ++down) {
+        for (const std::uint64_t bucket : by_level[levels - 1 - down]) {
+          out.push_back({static_cast<std::uint64_t>(
+                             oram::event_kind::storage_write_sweep),
+                         bucket * spb, spb});
+        }
+      }
+    };
+
+    // Arm 0 loads ids from the lower half, arm 1 from the upper half:
+    // the same number of loads each period, disjoint evicted sets.
+    util::pcg64 driver{test::seed(333)};
+    const std::uint64_t half = config.block_count / 2;
+    for (std::uint64_t period = 0; period < 4; ++period) {
+      std::vector<block_id> ids(half);
+      for (std::uint64_t i = 0; i < half; ++i) {
+        ids[i] = arm * half + i;
+      }
+      std::vector<oram::evicted_block> evicted;
+      for (std::uint64_t i = 0; i < config.period_loads(); ++i) {
+        std::swap(ids[i], ids[i + util::uniform_below(driver, half - i)]);
+        oram_backend::load_result load = backend.load_block(ids[i]);
+        evicted.push_back(
+            oram::evicted_block{load.id, std::move(load.payload)});
+      }
+      const std::uint64_t counter = backend.tree().stats().evictions;
+      const std::size_t first = trace.size();
+      std::vector<oram::evicted_block> overflow;
+      (void)backend.shuffle_period(std::move(evicted), period, overflow);
+      EXPECT_TRUE(overflow.empty());
+
+      std::vector<sweep> seen;
+      for (std::size_t i = first; i < trace.size(); ++i) {
+        const oram::trace_event& event = trace.events()[i];
+        if (event.kind == oram::event_kind::storage_read_sweep ||
+            event.kind == oram::event_kind::storage_write_sweep) {
+          seen.push_back(
+              {static_cast<std::uint64_t>(event.kind), event.a, event.b});
+        }
+      }
+      const std::uint64_t budget =
+          levels + 2 * ((config.period_loads() + config.ring_bucket_size -
+                         1) /
+                        config.ring_bucket_size);
+      const std::uint64_t steps = backend.last_drain_steps();
+      ASSERT_GE(steps, budget);
+      EXPECT_EQ(backend.tree().stats().evictions, counter + steps);
+      std::vector<sweep> expected;
+      union_sweeps(counter, budget, expected);
+      for (std::uint64_t step = budget; step < steps; ++step) {
+        union_sweeps(counter + step, 1, expected);
+      }
+      EXPECT_EQ(seen, expected) << "arm " << arm << ", period " << period;
+      drains[arm].push_back(std::move(seen));
+    }
+    EXPECT_NO_THROW(backend.check_consistency());
+  }
+  EXPECT_EQ(drains[0], drains[1]);
 }
 
 }  // namespace

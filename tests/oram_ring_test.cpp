@@ -251,6 +251,102 @@ TEST(RingOram, ForceEvictDrainsTheStash) {
   EXPECT_NO_THROW(oram.check_consistency());
 }
 
+TEST(RingOram, UnionDrainStashStaysBounded) {
+  // Evicting the same paths one at a time is one way to place blocks
+  // into the buckets of their union. The union pass fills the union
+  // greedily, deepest level first: the blocks eligible at a bucket
+  // share its remaining ancestors, so no placement keeps more blocks
+  // out of the stash. From one pre-drain state, a union drain may
+  // never leave a larger stash than the path-at-a-time drain, and both
+  // must hold the same blocks with the same payloads.
+  struct shape {
+    std::uint64_t leaves;
+    std::uint32_t z;
+    std::uint32_t s;
+    std::uint32_t a;
+    std::uint64_t blocks;  // bulk-built, then `moved` re-installed
+    std::uint64_t moved;
+  };
+  const shape shapes[] = {{16, 2, 5, 3, 24, 12},        // the golden shape
+                          {64, 16, 25, 20, 1000, 300}};  // the default
+  struct ring_run {
+    sim::block_device device{sim::dram_ddr4()};
+    sim::cpu_model cpu{sim::cpu_aesni()};
+    util::pcg64 rng;
+    ring_oram oram;
+    ring_run(const ring_oram_config& config, std::uint64_t seed)
+        : rng(seed), oram(config, device, cpu, rng, nullptr) {}
+
+    /// Bulk build, then `moved` extracts (online reads, reshuffles and
+    /// scheduled evictions) whose blocks are installed back into the
+    /// stash under fresh leaves.
+    void prepare(const shape& sh, std::uint64_t seed) {
+      oram.initialize_full(sh.blocks,
+                           [](block_id id, std::span<std::uint8_t> out) {
+                             out[0] = static_cast<std::uint8_t>(id);
+                             out[1] = static_cast<std::uint8_t>(id >> 8);
+                           });
+      util::pcg64 driver(seed);
+      std::vector<block_id> ids(sh.blocks);
+      for (block_id id = 0; id < sh.blocks; ++id) {
+        ids[id] = id;
+      }
+      std::vector<std::uint8_t> out(16);
+      for (std::uint64_t i = 0; i < sh.moved; ++i) {
+        std::swap(ids[i], ids[i + util::uniform_below(driver, sh.blocks - i)]);
+        oram.extract(ids[i], out);
+        out[2] = static_cast<std::uint8_t>(i);
+        oram.install(ids[i], out);
+      }
+    }
+    std::map<block_id, std::vector<std::uint8_t>> residents() const {
+      std::map<block_id, std::vector<std::uint8_t>> out;
+      oram.for_each_resident(
+          [&](block_id id, leaf_id, std::span<const std::uint8_t> payload) {
+            out[id].assign(payload.begin(), payload.end());
+          });
+      return out;
+    }
+  };
+
+  fixture fx;
+  for (const shape& sh : shapes) {
+    ring_oram_config config = fx.config(sh.leaves, sh.z, sh.s, sh.a);
+    config.id_universe = sh.blocks;
+    for (std::uint64_t round = 0; round < 20; ++round) {
+      const std::uint64_t seed = test::seed(311 + round);
+      for (int variant = 0; variant < 3; ++variant) {
+        ring_run by_union(config, seed);
+        ring_run by_path(config, seed);
+        // Two paths, one path per level, and a shuffle drain's budget.
+        const std::uint64_t levels = by_union.oram.level_count();
+        const std::uint64_t count =
+            variant == 0   ? 2
+            : variant == 1 ? levels
+                           : levels + 2 * ((sh.moved + sh.z - 1) / sh.z);
+        by_union.prepare(sh, seed ^ 0x5eed);
+        by_path.prepare(sh, seed ^ 0x5eed);
+        ASSERT_EQ(by_union.oram.stash_ref().size(),
+                  by_path.oram.stash_ref().size());
+        ASSERT_GT(by_union.oram.stash_ref().size(), 0u);
+
+        by_union.oram.force_evict(count);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          by_path.oram.force_evict();
+        }
+        EXPECT_EQ(by_union.oram.stats().evictions,
+                  by_path.oram.stats().evictions);
+        EXPECT_LE(by_union.oram.stash_ref().size(),
+                  by_path.oram.stash_ref().size())
+            << "Z = " << sh.z << ", round " << round << ", count " << count;
+        ASSERT_NO_THROW(by_union.oram.check_consistency());
+        ASSERT_NO_THROW(by_path.oram.check_consistency());
+        EXPECT_EQ(by_union.residents(), by_path.residents());
+      }
+    }
+  }
+}
+
 TEST(RingOram, InitializeFullPlacesAndRoundTripsEveryBlock) {
   fixture fx;
   ring_oram oram(fx.config(16), fx.device, fx.cpu, fx.rng, nullptr);

@@ -227,8 +227,8 @@ TEST(StoreDigestGolden, ring) {
         EXPECT_GT(ring.tree().stats().early_reshuffles, 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0x597e4678576d0672ULL, 0xc2ea10db99b1e9c1ULL, 0x3c946373d9ce99e7ULL,
-      0x214c722f52a96fcfULL};
+      0x597e4678576d0672ULL, 0xd3a1e8d0b1462c95ULL, 0x12dd27afd1c05640ULL,
+      0x9260539a23f07006ULL};
   EXPECT_EQ(digests, expected);
 }
 
