@@ -141,6 +141,49 @@ std::vector<std::uint8_t> tree_core::build_client(
   return payloads;
 }
 
+void tree_core::plan_union(std::span<const leaf_id> leaves) {
+  union_buckets_.clear();
+  union_level_begin_.clear();
+  for (std::uint32_t level = 0; level < level_count_; ++level) {
+    const std::size_t first = union_buckets_.size();
+    union_level_begin_.push_back(first);
+    for (const leaf_id leaf : leaves) {
+      union_buckets_.push_back(bucket_on_path(leaf, level));
+    }
+    const auto level_begin =
+        union_buckets_.begin() + static_cast<std::ptrdiff_t>(first);
+    std::sort(level_begin, union_buckets_.end());
+    union_buckets_.erase(std::unique(level_begin, union_buckets_.end()),
+                         union_buckets_.end());
+  }
+  union_level_begin_.push_back(union_buckets_.size());
+}
+
+void tree_core::stash_opened(std::span<const block_ref> reals) {
+  for (const block_ref& real : reals) {
+    invariant(positions_.contains(real.id),
+              "tree holds a block missing from the position map");
+  }
+  for (const block_ref& real : reals) {
+    stash_.put(real.id, positions_.leaf_of(real.id), real.payload);
+  }
+}
+
+void tree_core::write_back_union(
+    const std::function<void(std::size_t, std::span<const block_ref>)>&
+        place) {
+  for_each_union_leaf_first([&](std::size_t i, std::uint32_t level) {
+    // Any leaf below the bucket selects the same candidates.
+    const leaf_id below =
+        (union_buckets_[i] - ((std::uint64_t{1} << level) - 1))
+        << (level_count_ - 1 - level);
+    place(i, select_for_bucket(below, level));
+    for (const block_ref& real : selected_) {
+      stash_.erase(real.id);
+    }
+  });
+}
+
 std::span<const block_ref> tree_core::select_for_bucket(leaf_id leaf,
                                                         std::uint32_t level) {
   selected_.clear();
@@ -153,12 +196,6 @@ std::span<const block_ref> tree_core::select_for_bucket(leaf_id leaf,
     }
   }
   return selected_;
-}
-
-void tree_core::drop_selected() {
-  for (const block_ref& real : selected_) {
-    stash_.erase(real.id);
-  }
 }
 
 void tree_core::check_client(

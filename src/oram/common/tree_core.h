@@ -4,8 +4,15 @@
 // = bucket 0, children of b at 2b + 1 and 2b + 2); this core holds
 // that state and those algorithms once: the geometry, the position
 // map, stash and counters, installs, the client half of a bulk build,
-// the greedy write-back selection and the client half of the deep
-// audit.
+// the union pass and the client half of the deep audit.
+//
+// The union pass serves a list of paths with one read and one
+// write-back of their union (the path overlap Fork Path ORAM removes):
+// plan_union() lists the union's buckets, the tree reads them and opens
+// their real blocks, stash_opened() hands those to the stash, and
+// write_back_union() refills the union from the stash by Path ORAM's
+// greedy write-back, deepest level first. Path ORAM's batched accesses
+// and Ring ORAM's evictions both run it.
 //
 // path_oram and ring_oram derive from tree_core and keep only what
 // differs between them: how a bucket is stored and sealed, and the
@@ -138,14 +145,40 @@ class tree_core {
       const std::function<void(std::uint64_t bucket,
                                std::span<const block_ref> reals)>& place);
 
-  /// Greedy write-back selection: up to Z stash blocks, in stash
-  /// iteration order, whose path to their leaf passes the bucket at
-  /// `level` on the path to `leaf`. The views stay valid until
-  /// drop_selected() or the next stash change.
-  std::span<const block_ref> select_for_bucket(leaf_id leaf,
-                                               std::uint32_t level);
-  /// Erases the last selection from the stash once it is written back.
-  void drop_selected();
+  /// Lists the union of the paths to `leaves` in union_buckets(): each
+  /// distinct bucket once, root level first, ascending heap order
+  /// within a level (the read order). Position i of that list is the
+  /// `i` write_back_union() and for_each_union_leaf_first() name.
+  void plan_union(std::span<const leaf_id> leaves);
+  [[nodiscard]] std::span<const std::uint64_t> union_buckets() const noexcept {
+    return union_buckets_;
+  }
+  /// Calls visit(i, level) for the union's positions deepest level
+  /// first, ascending heap order within a level (the write-back order).
+  template <class Visit>
+  void for_each_union_leaf_first(Visit&& visit) const {
+    for (std::uint32_t level = level_count_; level-- > 0;) {
+      for (std::size_t i = union_level_begin_[level];
+           i < union_level_begin_[level + 1]; ++i) {
+        visit(i, level);
+      }
+    }
+  }
+  /// Hands the real blocks opened from the union to the stash: checks
+  /// every one against the position map first, then puts them in list
+  /// order, each under its position-map leaf.
+  void stash_opened(std::span<const block_ref> reals);
+  /// Greedy write-back over the union, in for_each_union_leaf_first()
+  /// order: each bucket receives up to Z stash blocks whose path passes
+  /// it, taken in stash iteration order; `place(i, blocks)` stores them
+  /// and they leave the stash. Every union bucket's ancestors are in
+  /// the union, so the blocks eligible at a bucket share their
+  /// remaining choices and filling it greedily places as many blocks as
+  /// any assignment could; the buckets of one level take disjoint
+  /// candidates, so their order places nothing differently.
+  void write_back_union(
+      const std::function<void(std::size_t i, std::span<const block_ref>)>&
+          place);
 
   /// Deep audit of the client state. `scan_tree` must report every
   /// real block the tree stores, with its bucket; the audit checks that
@@ -169,8 +202,18 @@ class tree_core {
   std::size_t payload_bytes_;
   std::uint32_t level_count_;
   std::uint64_t bucket_count_;
+
+  /// Up to Z stash blocks, in stash iteration order, whose path passes
+  /// the bucket at `level` on the path to `leaf`, into selected_.
+  std::span<const block_ref> select_for_bucket(leaf_id leaf,
+                                               std::uint32_t level);
+
   /// The last select_for_bucket() result (and build placement scratch).
   std::vector<block_ref> selected_;
+  /// The planned union's heap indices, root level first, and where each
+  /// level starts (one more entry than levels); reused across passes.
+  std::vector<std::uint64_t> union_buckets_;
+  std::vector<std::size_t> union_level_begin_;
 };
 
 }  // namespace horam::oram

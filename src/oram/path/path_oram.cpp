@@ -178,24 +178,8 @@ std::span<std::uint8_t> path_oram::window_bucket(std::size_t i) {
   return {path_window_.data() + i * bucket_bytes, bucket_bytes};
 }
 
-void path_oram::plan_union() {
-  union_buckets_.clear();
-  union_level_begin_.clear();
-  for (std::uint32_t level = 0; level < level_count(); ++level) {
-    const std::size_t first = union_buckets_.size();
-    union_level_begin_.push_back(first);
-    for (const leaf_id leaf : batch_leaves_) {
-      union_buckets_.push_back(bucket_on_path(leaf, level));
-    }
-    const auto level_begin =
-        union_buckets_.begin() + static_cast<std::ptrdiff_t>(first);
-    std::sort(level_begin, union_buckets_.end());
-    union_buckets_.erase(std::unique(level_begin, union_buckets_.end()),
-                         union_buckets_.end());
-  }
-  union_level_begin_.push_back(union_buckets_.size());
-
-  const std::size_t buckets = union_buckets_.size();
+void path_oram::size_window() {
+  const std::size_t buckets = union_buckets().size();
   const std::size_t slots = buckets * config_.bucket_size;
   if (path_ids_.size() < slots) {
     path_ids_.resize(slots);
@@ -209,33 +193,30 @@ void path_oram::plan_union() {
   }
 }
 
-bool path_oram::segment_valid(storage::segment_ref segment) const {
+void path_oram::for_each_segment_bucket(
+    storage::segment_ref segment,
+    const std::function<void(std::uint64_t)>& visit) const {
   const std::uint32_t top = page_->group_top_level(segment.group);
   for (std::uint32_t d = 0; d < page_->group_height(segment.group); ++d) {
     const std::uint32_t level = top + d;
     for (std::uint64_t j = 0; j < (std::uint64_t{1} << d); ++j) {
-      const std::uint64_t position = (segment.index << d) | j;
-      const std::uint64_t bucket =
-          ((std::uint64_t{1} << level) - 1) + position;
-      if (valid_->test(bucket - memory_bucket_count_)) {
-        return true;
-      }
+      visit(((std::uint64_t{1} << level) - 1) + ((segment.index << d) | j));
     }
   }
-  return false;
+}
+
+bool path_oram::segment_valid(storage::segment_ref segment) const {
+  bool valid = false;
+  for_each_segment_bucket(segment, [&](std::uint64_t bucket) {
+    valid = valid || valid_->test(bucket - memory_bucket_count_);
+  });
+  return valid;
 }
 
 void path_oram::mark_segment_valid(storage::segment_ref segment) {
-  const std::uint32_t top = page_->group_top_level(segment.group);
-  for (std::uint32_t d = 0; d < page_->group_height(segment.group); ++d) {
-    const std::uint32_t level = top + d;
-    for (std::uint64_t j = 0; j < (std::uint64_t{1} << d); ++j) {
-      const std::uint64_t position = (segment.index << d) | j;
-      const std::uint64_t bucket =
-          ((std::uint64_t{1} << level) - 1) + position;
-      valid_->set(bucket - memory_bucket_count_);
-    }
-  }
+  for_each_segment_bucket(segment, [&](std::uint64_t bucket) {
+    valid_->set(bucket - memory_bucket_count_);
+  });
 }
 
 cost_split path_oram::load_union() {
@@ -243,8 +224,8 @@ cost_split path_oram::load_union() {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
-    for (std::size_t i = 0; i < union_buckets_.size(); ++i) {
-      cost += read_bucket(union_buckets_[i], window_bucket(i));
+    for (std::size_t i = 0; i < union_buckets().size(); ++i) {
+      cost += read_bucket(union_buckets()[i], window_bucket(i));
     }
     return cost;
   }
@@ -292,13 +273,9 @@ cost_split path_oram::store_union() {
   const std::size_t bucket_bytes = codec_.bucket_bytes();
 
   if (!page_) {
-    for (std::uint32_t down = 0; down < level_count(); ++down) {
-      const std::uint32_t level = level_count() - 1 - down;
-      for (std::size_t i = union_level_begin_[level];
-           i < union_level_begin_[level + 1]; ++i) {
-        cost += write_bucket(union_buckets_[i], window_bucket(i));
-      }
-    }
+    for_each_union_leaf_first([&](std::size_t i, std::uint32_t) {
+      cost += write_bucket(union_buckets()[i], window_bucket(i));
+    });
     return cost;
   }
 
@@ -380,24 +357,23 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
   }
 
   // Read the union root level first into the window and open it in one
-  // batch (every MAC first), then move every real block into the stash
+  // batch (every MAC first), then hand every real block to the stash
   // (window order, slot order).
-  plan_union();
-  const std::size_t slots = union_buckets_.size() * config_.bucket_size;
+  plan_union(batch_leaves_);
+  size_window();
+  const std::size_t slots = union_buckets().size() * config_.bucket_size;
   cost += load_union();
   codec_.decode_many(root_first_,
                      std::span<block_id>(path_ids_).first(slots),
                      std::span<std::uint8_t>(path_payloads_)
                          .first(slots * config_.payload_bytes));
+  window_reals_.clear();
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    const block_id id = path_ids_[slot];
-    if (id == dummy_block_id) {
-      continue;
+    if (path_ids_[slot] != dummy_block_id) {
+      window_reals_.push_back(block_ref{path_ids_[slot], slot_payload(slot)});
     }
-    invariant(positions_.contains(id),
-              "tree holds a block missing from the position map");
-    stash_.put(id, positions_.leaf_of(id), slot_payload(slot));
   }
+  stash_opened(window_reals_);
 
   // Serve the requests from the stash, in list order.
   for (const request& req : batch) {
@@ -435,26 +411,16 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
     }
   }
 
-  // Greedy write-back over the union, deepest level first (the buckets
-  // of one level take disjoint candidates, so their order within the
-  // level places nothing differently), composed into the window, sealed
-  // in that order in one batch and flushed as one store_union (same
-  // nonces and device order as composing, sealing and writing bucket by
-  // bucket; under `page`, one transfer per segment).
+  // Greedy write-back over the union, deepest level first, composed
+  // into the window, sealed in that order in one batch and flushed as
+  // one store_union (same nonces and device order as composing, sealing
+  // and writing bucket by bucket; under `page`, one transfer per
+  // segment).
   leaf_first_.clear();
-  for (std::uint32_t down = 0; down < level_count(); ++down) {
-    const std::uint32_t level = level_count() - 1 - down;
-    const std::uint32_t shift = level_count() - 1 - level;
-    for (std::size_t i = union_level_begin_[level];
-         i < union_level_begin_[level + 1]; ++i) {
-      // Any leaf below the bucket selects the same candidates.
-      const leaf_id below =
-          (union_buckets_[i] - ((std::uint64_t{1} << level) - 1)) << shift;
-      codec_.encode_plain(select_for_bucket(below, level), window_bucket(i));
-      drop_selected();
-      leaf_first_.push_back(window_bucket(i));
-    }
-  }
+  write_back_union([&](std::size_t i, std::span<const block_ref> reals) {
+    codec_.encode_plain(reals, window_bucket(i));
+    leaf_first_.push_back(window_bucket(i));
+  });
   codec_.seal_many(leaf_first_);
   cost += store_union();
 
@@ -737,18 +703,12 @@ cost_split path_oram::initialize_full(
     // depends on the uniform leaf draw alone.
     valid_->clear();
     for (std::uint32_t g = 0; g < page_->group_count(); ++g) {
-      const std::uint32_t top = page_->group_top_level(g);
       for (std::uint64_t s = 0; s < page_->segment_count(g); ++s) {
         const storage::segment_ref segment{g, s};
         bool has_real = false;
-        for (std::uint32_t d = 0; d < page_->group_height(g); ++d) {
-          const std::uint32_t level = top + d;
-          for (std::uint64_t j = 0; j < (std::uint64_t{1} << d); ++j) {
-            const std::uint64_t bucket =
-                ((std::uint64_t{1} << level) - 1) + ((s << d) | j);
-            has_real = has_real || real_in_bucket[bucket] != 0;
-          }
-        }
+        for_each_segment_bucket(segment, [&](std::uint64_t bucket) {
+          has_real = has_real || real_in_bucket[bucket] != 0;
+        });
         if (has_real) {
           cost.io += io_store_->commit_range(
               page_->segment_first_slot(segment), page_->segment_records(g));

@@ -16,16 +16,15 @@
 // stash. Dummy accesses (random path, write-back unchanged) are
 // indistinguishable from real ones on the bus. One routine,
 // access_batch(), serves a list of k accesses at once: it draws their k
-// leaves in list order, reads the union of the k paths once (root
-// level first), serves every request from the stash in list order,
-// and writes the union back once (deepest level first) — the path
-// overlap Fork Path ORAM removes, so the top levels are opened and
-// re-sealed once per batch instead of k times. access(), access_rmw(),
-// extract() and dummy_access() are its k = 1 case, whose union is the
-// path itself. The client state and the algorithms Path ORAM shares
-// with Ring ORAM — tree geometry, position map, stash, installs, the
-// bulk-build placement and the greedy write-back selection — live in
-// tree_core (oram/common/tree_core.h); this class adds the bucket
+// leaves in list order and runs tree_core's union pass over them,
+// serving every request from the stash in list order between the read
+// and the write-back, so the top levels are opened and re-sealed once
+// per batch instead of k times. access(), access_rmw(), extract() and
+// dummy_access() are its k = 1 case, whose union is the path itself.
+// The client state and the algorithms Path ORAM shares with Ring ORAM
+// — tree geometry, position map, stash, installs, the bulk-build
+// placement and the union pass — live in tree_core
+// (oram/common/tree_core.h); this class adds the bucket format and
 // sealing, the memory/storage level split, the page layout and
 // evict_all.
 //
@@ -256,9 +255,8 @@ class path_oram : public tree_core {
   /// The window: the records of the batch's i-th union bucket (root
   /// level first; on a single path, i is the level).
   [[nodiscard]] std::span<std::uint8_t> window_bucket(std::size_t i);
-  /// Lists the union of the paths to batch_leaves_ and sizes the
-  /// window for it.
-  void plan_union();
+  /// Sizes the window for the planned union.
+  void size_window();
   /// Fills the window from the union's buckets (device reads; under
   /// `page`, one transfer per segment of the single path with
   /// valid-bit skipping).
@@ -268,6 +266,11 @@ class path_oram : public tree_core {
   /// buffer load_union filled).
   cost_split store_union();
 
+  /// Visits the heap index of every bucket the segment covers, its
+  /// subtree in breadth-first order.
+  void for_each_segment_bucket(
+      storage::segment_ref segment,
+      const std::function<void(std::uint64_t bucket)>& visit) const;
   /// True iff any bucket of the segment has been written since reset.
   [[nodiscard]] bool segment_valid(storage::segment_ref segment) const;
   /// Marks every bucket the segment covers valid (a segment write
@@ -297,16 +300,13 @@ class path_oram : public tree_core {
   std::unique_ptr<storage::valid_bit_tree> valid_;
 
   // Per-batch scratch, sized for the largest union seen (a batch of one
-  // needs one path): the leaves drawn, the union's heap indices root
-  // level first with each level's first position (level_count_ + 1
-  // offsets), its bucket records, and the decoded window (slot ids and
-  // payloads).
+  // needs one path): the leaves drawn, the union's bucket records, the
+  // decoded window (slot ids and payloads) and its real blocks.
   std::vector<leaf_id> batch_leaves_;
-  std::vector<std::uint64_t> union_buckets_;
-  std::vector<std::size_t> union_level_begin_;
   std::vector<std::uint8_t> path_window_;
   std::vector<block_id> path_ids_;
   std::vector<std::uint8_t> path_payloads_;
+  std::vector<block_ref> window_reals_;
   /// The window's buckets root level first (the read's order) and
   /// deepest level first (the write-back's nonce order).
   std::vector<std::span<const std::uint8_t>> root_first_;

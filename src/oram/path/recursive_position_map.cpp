@@ -93,100 +93,61 @@ std::uint64_t recursive_position_map::oram_bytes() const noexcept {
   return total;
 }
 
-cost_split recursive_position_map::level_access(
-    std::size_t level, std::uint64_t index,
-    std::optional<leaf_id> new_value, leaf_id& current_out) {
-  path_oram& oram = *levels_[level];
-  const std::uint64_t block = index / config_.entries_per_block;
-  const std::uint64_t offset =
-      (index % config_.entries_per_block) * sizeof(leaf_id);
-
-  leaf_id current = absent;
-  const cost_split cost = oram.access_rmw(
-      block, [&](std::span<std::uint8_t> payload) {
-        std::memcpy(&current, payload.data() + offset, sizeof(leaf_id));
-        if (new_value.has_value()) {
-          const leaf_id value = *new_value;
-          std::memcpy(payload.data() + offset, &value, sizeof(leaf_id));
-        }
-      });
-  current_out = current;
-  return cost;
-}
-
-cost_split recursive_position_map::lookup(block_id id,
-                                          std::optional<leaf_id>& out) {
+cost_split recursive_position_map::walk(block_id id,
+                                        std::optional<leaf_id> write,
+                                        leaf_id& current) {
   expects(id < config_.universe, "block id outside the universe");
-  cost_split cost;
-
   if (levels_.empty()) {
-    const leaf_id value = residue_[id];
-    out = value == absent ? std::nullopt : std::optional<leaf_id>(value);
-    return cost;
+    current = residue_[id];
+    if (write.has_value()) {
+      residue_[id] = *write;
+    }
+    return {};
   }
 
   // Walk deepest-first, mirroring the real protocol's order: the
   // residue seeds the deepest map ORAM access, each level's entry
   // locates the next-shallower map block, level 0 yields the answer.
   // (Deeper levels carry pattern and cost; the authoritative value
-  // lives in level 0's packed payloads.)
-  for (std::size_t level = levels_.size(); level-- > 1;) {
-    leaf_id ignored = absent;
-    // Index of the level-(k-1) map block this id routes through.
+  // lives in level 0's packed payloads.) A write also refreshes the
+  // deeper levels' pattern-bearing entries.
+  cost_split cost;
+  for (std::size_t level = levels_.size(); level-- > 0;) {
+    // Index of the entry this id routes through at `level`.
     std::uint64_t index = id;
     for (std::size_t k = 0; k < level; ++k) {
       index /= config_.entries_per_block;
     }
-    cost += level_access(level, index, std::nullopt, ignored);
+    const std::uint64_t offset =
+        (index % config_.entries_per_block) * sizeof(leaf_id);
+    const std::optional<leaf_id> value =
+        level == 0 || !write.has_value() ? write
+                                         : std::optional<leaf_id>(0);
+    current = absent;
+    cost += levels_[level]->access_rmw(
+        index / config_.entries_per_block,
+        [&](std::span<std::uint8_t> payload) {
+          std::memcpy(&current, payload.data() + offset, sizeof(leaf_id));
+          if (value.has_value()) {
+            std::memcpy(payload.data() + offset, &*value, sizeof(leaf_id));
+          }
+        });
   }
+  return cost;
+}
+
+cost_split recursive_position_map::lookup(block_id id,
+                                          std::optional<leaf_id>& out) {
   leaf_id value = absent;
-  cost += level_access(0, id, std::nullopt, value);
+  const cost_split cost = walk(id, std::nullopt, value);
   out = value == absent ? std::nullopt : std::optional<leaf_id>(value);
   return cost;
 }
 
 cost_split recursive_position_map::assign(block_id id, leaf_id leaf) {
-  expects(id < config_.universe, "block id outside the universe");
   expects(leaf != absent, "reserved leaf value");
-  cost_split cost;
-  if (levels_.empty()) {
-    residue_[id] = leaf;
-    return cost;
-  }
-  for (std::size_t level = levels_.size(); level-- > 1;) {
-    leaf_id ignored = absent;
-    std::uint64_t index = id;
-    for (std::size_t k = 0; k < level; ++k) {
-      index /= config_.entries_per_block;
-    }
-    // Deeper map levels refresh their (pattern-bearing) entries too.
-    cost += level_access(level, index, std::optional<leaf_id>(0),
-                         ignored);
-  }
   leaf_id ignored = absent;
-  cost += level_access(0, id, std::optional<leaf_id>(leaf), ignored);
-  return cost;
-}
-
-cost_split recursive_position_map::remove(block_id id) {
-  expects(id < config_.universe, "block id outside the universe");
-  cost_split cost;
-  if (levels_.empty()) {
-    residue_[id] = absent;
-    return cost;
-  }
-  for (std::size_t level = levels_.size(); level-- > 1;) {
-    leaf_id ignored = absent;
-    std::uint64_t index = id;
-    for (std::size_t k = 0; k < level; ++k) {
-      index /= config_.entries_per_block;
-    }
-    cost += level_access(level, index, std::optional<leaf_id>(0),
-                         ignored);
-  }
-  leaf_id ignored = absent;
-  cost += level_access(0, id, std::optional<leaf_id>(absent), ignored);
-  return cost;
+  return walk(id, leaf, ignored);
 }
 
 void recursive_position_map::for_each_assigned(

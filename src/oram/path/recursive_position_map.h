@@ -77,9 +77,6 @@ class recursive_position_map {
   /// Assigns a leaf. Cost: one ORAM read-modify-write per level.
   cost_split assign(block_id id, leaf_id leaf);
 
-  /// Removes an assignment (same cost as assign).
-  cost_split remove(block_id id);
-
   /// Visits every assigned (id, leaf) entry without charging device
   /// time (audits only; backends compare against the data ORAM's own
   /// bookkeeping).
@@ -91,11 +88,12 @@ class recursive_position_map {
 
   static constexpr leaf_id absent = std::numeric_limits<leaf_id>::max();
 
-  /// Reads the packed map block holding `index` at `level` and returns
-  /// the entry; with `new_value` set, writes it back modified.
-  cost_split level_access(std::size_t level, std::uint64_t index,
-                          std::optional<leaf_id> new_value,
-                          leaf_id& current_out);
+  /// The one map walk: one read-modify-write per level, deepest level
+  /// first, each reading the entry `id` routes through. `current`
+  /// receives id's level-0 entry as found; with `write` set, level 0's
+  /// entry becomes *write and every deeper entry is rewritten as 0.
+  cost_split walk(block_id id, std::optional<leaf_id> write,
+                  leaf_id& current);
 
   recursive_map_config config_;
   /// levels_[0] holds the data-level entries; deeper levels hold the

@@ -295,21 +295,27 @@ void ring_oram::seal_queued() {
   seal_queue_.clear();
 }
 
-void ring_oram::gather_reals(std::uint64_t bucket,
-                             std::span<const std::uint8_t> image) {
+cost_split ring_oram::read_reals(std::span<const std::uint64_t> buckets) {
+  cost_split cost;
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
-  for (std::uint32_t k = 0; k < spb; ++k) {
-    if (slots_[bucket * spb + k].id != dummy_block_id) {
-      const auto record = image.subspan(k * record_bytes, record_bytes);
-      real_records_.insert(real_records_.end(), record.begin(), record.end());
-      real_slots_.push_back(bucket * spb + k);
+  real_records_.clear();
+  real_slots_.clear();
+  for (const std::uint64_t bucket : buckets) {
+    const std::uint64_t base = bucket * spb;
+    cost.io += io_store_->read_range(base, spb, bucket_scratch_);
+    trace(trace_, event_kind::storage_read_sweep, base, spb);
+    for (std::uint32_t k = 0; k < spb; ++k) {
+      if (slots_[base + k].id != dummy_block_id) {
+        const auto record = std::span<const std::uint8_t>(bucket_scratch_)
+                                .subspan(k * record_bytes, record_bytes);
+        real_records_.insert(real_records_.end(), record.begin(),
+                             record.end());
+        real_slots_.push_back(base + k);
+      }
     }
   }
-}
 
-void ring_oram::open_gathered() {
-  const std::size_t record_bytes = codec_.record_bytes();
   open_spans_.clear();
   for (std::size_t i = 0; i < real_slots_.size(); ++i) {
     open_spans_.push_back(std::span<const std::uint8_t>(real_records_)
@@ -328,110 +334,57 @@ void ring_oram::open_gathered() {
                           .subspan(i * config_.payload_bytes,
                                    config_.payload_bytes)});
   }
+  return cost;
+}
+
+cost_split ring_oram::rewrite_bucket(std::uint64_t bucket,
+                                     std::span<const block_ref> reals) {
+  cost_split cost;
+  const std::uint32_t spb = slots_per_bucket();
+  compose_bucket(bucket, reals, bucket_scratch_);
+  seal_queued();
+  cost.io += io_store_->write_range(bucket * spb, spb, bucket_scratch_);
+  trace(trace_, event_kind::storage_write_sweep, bucket * spb, spb);
+  return cost;
 }
 
 cost_split ring_oram::reshuffle_bucket(std::uint64_t bucket) {
-  cost_split cost;
   ++stats_.early_reshuffles;
   const std::uint32_t spb = slots_per_bucket();
-  const std::size_t record_bytes = codec_.record_bytes();
-  const std::uint64_t base = bucket * spb;
 
   // Whole-bucket range read; the residents keep their paths, only the
   // permutation and the pads are refreshed.
-  cost.io += io_store_->read_range(base, spb, bucket_scratch_);
-  trace(trace_, event_kind::storage_read_sweep, base, spb);
-
-  real_records_.clear();
-  real_slots_.clear();
-  gather_reals(bucket, bucket_scratch_);
-  open_gathered();
-  compose_bucket(bucket, opened_, bucket_scratch_);
-  seal_queued();
-  cost.io += io_store_->write_range(base, spb, bucket_scratch_);
-  trace(trace_, event_kind::storage_write_sweep, base, spb);
-
-  cost.cpu += cpu_.crypto_time(2ULL * spb, record_bytes);
+  cost_split cost = read_reals({&bucket, 1});
+  cost += rewrite_bucket(bucket, opened_);
+  cost.cpu += cpu_.crypto_time(2ULL * spb, codec_.record_bytes());
   cost.cpu += cpu_.word_ops_time(spb);
   return cost;
 }
 
 cost_split ring_oram::evict_union(std::uint64_t count) {
   expects(count > 0, "an eviction evicts at least one path");
-  cost_split cost;
   stats_.evictions += count;
-  const std::uint32_t spb = slots_per_bucket();
-  const std::size_t record_bytes = codec_.record_bytes();
-
-  // The union of the next `count` reverse-lexicographic paths, level by
-  // level in ascending heap order. A leaf's bucket at `level` depends
-  // only on its counter modulo 2^level, so the first min(count, 2^level)
-  // counters name every distinct bucket of that level.
-  union_buckets_.clear();
-  union_level_begin_.clear();
-  for (std::uint32_t level = 0; level < level_count(); ++level) {
-    const std::size_t first = union_buckets_.size();
-    union_level_begin_.push_back(first);
-    const std::uint64_t distinct =
-        std::min(count, std::uint64_t{1} << level);
-    for (std::uint64_t i = 0; i < distinct; ++i) {
-      union_buckets_.push_back(
-          bucket_on_path(reverse_lex_leaf(evict_counter_ + i), level));
-    }
-    std::sort(union_buckets_.begin() + static_cast<std::ptrdiff_t>(first),
-              union_buckets_.end());
+  evict_leaves_.clear();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    evict_leaves_.push_back(reverse_lex_leaf(evict_counter_ + i));
   }
-  union_level_begin_.push_back(union_buckets_.size());
   evict_counter_ += count;
 
-  // Phase 1, root level first: range-read every union bucket once and
-  // keep its real records, then open them all in one batch (every MAC
-  // checked) before any block enters the stash.
-  real_records_.clear();
-  real_slots_.clear();
-  for (const std::uint64_t bucket : union_buckets_) {
-    const std::uint64_t base = bucket * spb;
-    cost.io += io_store_->read_range(base, spb, bucket_scratch_);
-    trace(trace_, event_kind::storage_read_sweep, base, spb);
-    gather_reals(bucket, bucket_scratch_);
-  }
-  open_gathered();
-  for (const block_ref& real : opened_) {
-    invariant(positions_.contains(real.id),
-              "tree holds a block missing from the position map");
-  }
-  for (const block_ref& real : opened_) {
-    stash_.put(real.id, positions_.leaf_of(real.id), real.payload);
-  }
+  // Root level first: range-read every union bucket once and open all
+  // their reals in one batch (every MAC checked) before any block
+  // enters the stash. Then the greedy write-back, deepest level first,
+  // rewrites each bucket under a fresh permutation and pads, its reals
+  // sealed as one batch.
+  plan_union(evict_leaves_);
+  cost_split cost = read_reals(union_buckets());
+  stash_opened(opened_);
+  write_back_union([&](std::size_t i, std::span<const block_ref> reals) {
+    cost += rewrite_bucket(union_buckets()[i], reals);
+  });
 
-  // Phase 2, deepest level first: greedy write-back under fresh
-  // permutations, each bucket's reals sealed as one batch. Every union
-  // bucket's ancestors are in the union, so the blocks eligible at a
-  // bucket share their remaining choices and filling it greedily
-  // places as many blocks as any assignment could; the buckets of one
-  // level take disjoint candidates, so their order places nothing
-  // differently.
-  for (std::uint32_t down = 0; down < level_count(); ++down) {
-    const std::uint32_t level = level_count() - 1 - down;
-    const std::uint32_t shift = level_count() - 1 - level;
-    for (std::size_t i = union_level_begin_[level];
-         i < union_level_begin_[level + 1]; ++i) {
-      const std::uint64_t bucket = union_buckets_[i];
-      const std::uint64_t base = bucket * spb;
-      // Any leaf below the bucket selects the same candidates.
-      const leaf_id below =
-          (bucket - ((std::uint64_t{1} << level) - 1)) << shift;
-      compose_bucket(bucket, select_for_bucket(below, level),
-                     bucket_scratch_);
-      seal_queued();
-      cost.io += io_store_->write_range(base, spb, bucket_scratch_);
-      trace(trace_, event_kind::storage_write_sweep, base, spb);
-      drop_selected();
-    }
-  }
-
-  const std::uint64_t records_touched = 2ULL * union_buckets_.size() * spb;
-  cost.cpu += cpu_.crypto_time(records_touched, record_bytes);
+  const std::uint64_t records_touched =
+      2ULL * union_buckets().size() * slots_per_bucket();
+  cost.cpu += cpu_.crypto_time(records_touched, codec_.record_bytes());
   cost.cpu += cpu_.word_ops_time(records_touched + stash_.size());
   return cost;
 }

