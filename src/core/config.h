@@ -79,7 +79,11 @@ struct horam_config {
   /// period boundary, reproducing the foreground machine bit for bit.
   /// Public information by design: the budget — and therefore every
   /// slice boundary — depends only on the configuration, never on the
-  /// workload.
+  /// workload. A slice always runs at least one indivisible unit of its
+  /// job, so a budget below one unit's device time yields unit-long
+  /// slices: hier's unit is one 512-slot chunk transfer, about 4.6 ms
+  /// of 1 KiB blocks on net-remote (200 us per op, 120 MB/s), so a
+  /// 2 ms budget there runs 4.6 ms slices.
   sim::sim_time shuffle_slice_budget = 0;
 
   /// Number of independent controller shards the engine stripes the

@@ -32,11 +32,20 @@ hier_backend::hier_backend(
   config_.validate();
 
   // Geometric levels: the top level holds the controller's hot set, the
-  // bottom level holds the dataset. Each level's dummy pool covers every
-  // probe of its longest epoch: the merge cascade rebuilds level i at
-  // least every g^(i-1) access periods of n/2 probes each, fewer than
-  // r_i = n * g^(i-1), and 4n + 256 more slots cover the periods a
-  // merge is in flight (exhaustion fail-stops loudly).
+  // bottom level holds the dataset. Each level's dummy pool is exactly
+  // the probes of its longest epoch, (g^(i-1) + 1) * n/2 for 1-based
+  // level i (exhaustion fail-stops loudly):
+  //   * merge k targets level 1 + nu_g(k + 1) capped at L, and drains
+  //     every active level above and at its target, so level i is read
+  //     as a merge source at least every g^(i-1) periods; escalation
+  //     only rebuilds earlier;
+  //   * a period is exactly period_loads() = n/2 cycles of one load
+  //     each, and a load draws at most one dummy per active level;
+  //   * a merge is in flight for at most one period: the controller
+  //     drains an in-flight job before it begins the next, and every
+  //     other policy runs the job to completion at the boundary.
+  // So an epoch spans the period its merge writes it in plus g^(i-1)
+  // more, the last of which drains it.
   const std::uint64_t top = std::max<std::uint64_t>(16, config_.memory_blocks);
   std::vector<std::uint64_t> reals;
   for (std::uint64_t r = top;; r *= config_.hier_fanout) {
@@ -48,10 +57,12 @@ hier_backend::hier_backend(
   levels_.resize(reals.size());
   std::uint64_t base = 0;
   std::uint64_t max_slots = 0;
+  std::uint64_t epoch_periods = 1;  // g^(i-1), 1-based level i
   for (std::size_t i = 0; i < reals.size(); ++i) {
     level_state& lvl = levels_[i];
     lvl.real_capacity = reals[i];
-    lvl.dummy_capacity = reals[i] + 4 * config_.memory_blocks + 256;
+    lvl.dummy_capacity = (epoch_periods + 1) * config_.period_loads();
+    epoch_periods *= config_.hier_fanout;
     lvl.slot_count = lvl.real_capacity + lvl.dummy_capacity;
     lvl.base = base;
     base += lvl.slot_count;

@@ -18,10 +18,12 @@
 //   * a dummy probe reads the slot of the next unused dummy rank, so
 //     every active level is probed exactly once per access and no slot
 //     repeats within an epoch — the adversary sees fresh uniform slots
-//     regardless of the workload; a level's dummy pool outlasts its
-//     longest epoch (the merge cascade below rebuilds level i at least
-//     every g^(i-1) access periods), so every access is exactly one
-//     round trip;
+//     regardless of the workload; a level's dummy pool is exactly the
+//     probes of its longest epoch, (g^(i-1) + 1) * n/2 slots: the merge
+//     cascade below drains level i at least every g^(i-1) access
+//     periods of n/2 loads, plus the one period the merge that built
+//     it may still be in flight, so every access is exactly one round
+//     trip;
 //   * the shuffle period merges the evicted hot set and all levels
 //     above a schedule-chosen target into that target, rebuilt under a
 //     fresh permutation — chunked range transfers behind the stepped

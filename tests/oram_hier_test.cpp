@@ -1,9 +1,10 @@
 // Tests for the single-round-trip hierarchical backend (oram/hier/):
 // the cycle-walking Feistel permutation, the packed succinct index,
 // level geometry, the one-batched-probe online path (one device round
-// trip per load, distinct slots within an epoch), dummy pools that
-// outlast every level's epoch, and data survival across merges driven
-// both monolithically and through bounded incremental steps.
+// trip per load, distinct slots within an epoch), dummy pools sized
+// exactly to each level's longest epoch, and data survival across
+// merges driven both monolithically and through bounded incremental
+// steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -187,7 +188,53 @@ TEST(HierBackend, GeometryGrowsGeometricallyToCoverTheDataset) {
               backend.level_real_capacity(level))
         << "level " << level << " has no dummy pool";
   }
+  // Each dummy pool is its epoch bound, (g^(i-1) + 1) * n/2: 2, 5 and
+  // 17 periods of 16 loads.
+  const std::uint64_t period_loads = fx.config().period_loads();
+  std::uint64_t epoch_periods = 1;
+  for (std::uint32_t level = 1; level <= 3; ++level) {
+    EXPECT_EQ(backend.level_slot_count(level),
+              backend.level_real_capacity(level) +
+                  (epoch_periods + 1) * period_loads)
+        << "level " << level;
+    epoch_periods *= 4;
+  }
   EXPECT_NO_THROW(backend.check_consistency());
+}
+
+TEST(HierBackend, DummyPoolsAreTheEpochBound) {
+  for (const std::uint32_t fanout : {2u, 4u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "fan-out " << fanout);
+    rig fx;
+    horam_config config = fx.config();
+    config.hier_fanout = fanout;
+    hier_backend backend(config, fx.device, fx.cpu, fx.rng, nullptr,
+                         nullptr);
+    // Level i is drained at least every g^(i-1) periods and its epoch
+    // opens while the merge that builds it is in flight: one period
+    // more of n/2 loads.
+    std::uint64_t epoch_periods = 1;
+    for (std::uint32_t level = 1; level <= backend.level_count(); ++level) {
+      const std::uint64_t bound = (epoch_periods + 1) * config.period_loads();
+      EXPECT_EQ(hier_backend_test_access::pool(backend, level).capacity,
+                bound)
+          << "level " << level;
+      EXPECT_EQ(backend.level_slot_count(level),
+                backend.level_real_capacity(level) + bound)
+          << "level " << level;
+      epoch_periods *= fanout;
+    }
+    // The bottom level's first epoch serves exactly its bound of dummy
+    // probes; one more fail-stops instead of repeating a slot.
+    const std::uint64_t bottom_pool =
+        hier_backend_test_access::pool(backend, backend.level_count())
+            .capacity;
+    for (std::uint64_t k = 0; k < bottom_pool; ++k) {
+      (void)backend.dummy_load();
+    }
+    EXPECT_NO_THROW(backend.check_consistency());
+    EXPECT_THROW((void)backend.dummy_load(), contract_error);
+  }
 }
 
 TEST(HierBackend, ControlMemoryIsTheIndexNotTheDataset) {

@@ -158,8 +158,8 @@ TEST(StoreDigestGolden, hier) {
         EXPECT_GT(hier.level_live(2), 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0x75f6bb60f21abf91ULL, 0xfc37023dd708b1a1ULL, 0x365fff34e4b98ecbULL,
-      0xadee6c202a1a9ebdULL, 0x4150886ff2f753d6ULL, 0x38f81ddfb71d34b7ULL};
+      0xfc9a4a97769304d1ULL, 0xf72a44c880247a09ULL, 0xe683640940ad1fe3ULL,
+      0x4e7e9d0647a4269eULL, 0x755c1b96822a81a0ULL, 0xd11af327c2f14e3dULL};
   EXPECT_EQ(digests, expected);
 }
 
