@@ -58,8 +58,10 @@ int main(int argc, char** argv) {
 
   std::vector<backend_kind> backends;
   if (options.small) {
-    // The two native stepped-job backends cover the smoke run.
-    backends = {backend_kind::partitioned, backend_kind::path};
+    // The two native stepped-job backends, plus hier, whose merge
+    // units are sized to a bounded budget, cover the smoke run.
+    backends = {backend_kind::partitioned, backend_kind::path,
+                backend_kind::hier};
   } else {
     backends.assign(std::begin(all_backend_kinds),
                     std::end(all_backend_kinds));
@@ -182,8 +184,8 @@ int main(int argc, char** argv) {
            "the leftover is paid\nforeground at the next boundary "
            "(Stall column). sqrt's reshuffle job is a single\nunit "
            "(one slice = the whole burst), so its tail stays "
-           "at 1x by\nconstruction — the native stepped jobs "
-           "(partitioned, path) are where the win is.\n"
+           "at 1x by\nconstruction — the stepped jobs "
+           "(partitioned, path, hier) are where the win is.\n"
            "(wrote BENCH_shuffle_overlap.json)\n";
   }
   return 0;

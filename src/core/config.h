@@ -78,12 +78,16 @@ struct horam_config {
   /// policies ignore it). 0 = unbounded: the whole job runs at the
   /// period boundary, reproducing the foreground machine bit for bit.
   /// Public information by design: the budget — and therefore every
-  /// slice boundary — depends only on the configuration, never on the
-  /// workload. A slice always runs at least one indivisible unit of its
-  /// job, so a budget below one unit's device time yields unit-long
-  /// slices: hier's unit is one 512-slot chunk transfer, about 4.6 ms
-  /// of 1 KiB blocks on net-remote (200 us per op, 120 MB/s), so a
-  /// 2 ms budget there runs 4.6 ms slices.
+  /// slice boundary — depends only on the configuration and the public
+  /// bus trace, never on the workload. A slice always runs at least one
+  /// indivisible unit of its job, so a budget below one unit's device
+  /// time yields unit-long slices. hier sizes its merge unit to the
+  /// budget: the largest chunk (at most 512 slots, at least one) whose
+  /// modelled device time — command, seek and transfer at the slower
+  /// bandwidth — fits it, 210 slots of 1 KiB on net-remote at 2 ms, so
+  /// its slices stay within the budget. The partitioned unit (a whole
+  /// partition) and the tree backends' drain union are not split and
+  /// still overshoot a budget smaller than them.
   sim::sim_time shuffle_slice_budget = 0;
 
   /// Number of independent controller shards the engine stripes the

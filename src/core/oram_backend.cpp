@@ -21,7 +21,10 @@ shuffle_cost staged_shuffle_job::step(sim::sim_time device_budget) {
   shuffle_cost slice;
   do {
     run_unit(slice);
-  } while (!done() && (device_budget <= 0 || slice.total() < device_budget));
+  } while (!done() &&
+           (device_budget <= 0 ||
+            (slice.total() < device_budget &&
+             slice.total() + next_unit_bound() <= device_budget)));
   return slice;
 }
 

@@ -129,8 +129,9 @@ shuffle_cost run_to_completion(shuffle_job& job,
 /// lifecycle checks, so every job honours the contract the same way.
 class staged_shuffle_job : public shuffle_job {
  public:
-  /// Runs run_unit() until done() or until the slice has spent
-  /// `device_budget` (<= 0: until done()).
+  /// Runs run_unit() until done(), until the slice has spent
+  /// `device_budget`, or until next_unit_bound() says the next unit
+  /// would overrun it (<= 0: until done()). The first unit always runs.
   shuffle_cost step(sim::sim_time device_budget) final;
   [[nodiscard]] bool holds(oram::block_id id) const final;
   [[nodiscard]] std::vector<std::uint8_t>* staged(oram::block_id id) final;
@@ -144,6 +145,12 @@ class staged_shuffle_job : public shuffle_job {
   virtual void run_unit(shuffle_cost& slice) = 0;
   /// Backend bookkeeping once the period completes.
   virtual void on_finish() {}
+  /// Upper bound of the device time the next run_unit() spends, or 0
+  /// when the job cannot tell (the slice then runs units until it has
+  /// spent its budget).
+  [[nodiscard]] virtual sim::sim_time next_unit_bound() const noexcept {
+    return 0;
+  }
 
   /// Takes `payload` as the live copy of `id` until unstaged.
   void stage(oram::block_id id, std::vector<std::uint8_t> payload);

@@ -12,9 +12,27 @@ namespace horam::oram {
 
 namespace {
 
-/// Slots moved per merge slice unit: one chunked range transfer. Public
-/// information by design — a pure constant of the implementation.
+/// Slots moved per merge slice unit: one chunked transfer. Public
+/// information by design — a pure constant of the implementation; a
+/// bounded incremental budget shrinks the merge unit below it.
 constexpr std::uint64_t kChunkSlots = 512;
+
+/// What a merge's frozen probed set holds for a slot some probe
+/// consumed (the merge skips it); no block id reaches it.
+constexpr block_id kProbed = dummy_block_id - 1;
+
+/// Modelled device time of one merge chunk of `slots` slots: one
+/// command, one seek and the transfer at the slower of the read and
+/// write bandwidths — an upper bound on the chunk in either direction.
+sim::sim_time chunk_device_time(const sim::device_profile& profile,
+                                std::uint64_t block_bytes,
+                                std::uint64_t slots) {
+  const double bytes_per_second = std::min(profile.read_bytes_per_second,
+                                           profile.write_bytes_per_second);
+  return profile.per_op_time + profile.seek_time +
+         static_cast<sim::sim_time>(static_cast<double>(slots * block_bytes) *
+                                    1e9 / bytes_per_second);
+}
 
 }  // namespace
 
@@ -87,6 +105,7 @@ hier_backend::hier_backend(
   bottom.active = true;
   bottom.epoch = 1;
   bottom.live = config_.block_count;
+  bottom.reals_placed = config_.block_count;
   bottom.prp = feistel_prp(bottom.slot_count, fresh_key());
   horam::oram::trace(trace_, event_kind::storage_write_sweep, bottom.base,
                      bottom.slot_count);
@@ -239,10 +258,10 @@ oram_backend::load_result hier_backend::dummy_load() {
 
 /// Incremental merge of the evicted hot set plus every active level
 /// above the schedule-chosen target into that target, rebuilt under a
-/// fresh permutation. Slice units are single chunked range transfers
-/// (first streaming reads of the sources, then streaming writes of the
-/// composed target), so bounded budgets stop between any two chunks;
-/// blocks the job holds stay staged until their chunk lands.
+/// fresh permutation. Slice units are single chunk transfers (first
+/// scatter reads of the sources' unprobed slots, then streaming writes
+/// of the composed target), so bounded budgets stop between any two
+/// chunks; blocks the job holds stay staged until their chunk lands.
 class hier_shuffle_job final : public horam::staged_shuffle_job {
  public:
   hier_shuffle_job(hier_backend& owner, std::vector<evicted_block> evicted,
@@ -252,9 +271,25 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
     owner_.merge_in_flight_ = true;
     trace(owner_.trace_, event_kind::shuffle_begin, period_index);
 
+    // Merge unit: a kChunkSlots chunk, or under a bounded incremental
+    // budget the largest chunk whose modelled device time fits it (at
+    // least one slot), so no slice overruns the budget. A function of
+    // the configuration and the device profile only.
+    const horam_config& config = owner_.config_;
+    const sim::device_profile& profile = owner_.store_->device().profile();
+    const std::uint64_t block_bytes = owner_.store_->logical_block_bytes();
+    if (config.shuffle == shuffle_policy::incremental &&
+        config.shuffle_slice_budget > 0) {
+      while (chunk_slots_ > 1 &&
+             chunk_device_time(profile, block_bytes, chunk_slots_) >
+                 config.shuffle_slice_budget) {
+        --chunk_slots_;
+      }
+    }
+    chunk_bound_ = chunk_device_time(profile, block_bytes, chunk_slots_);
+
     for (evicted_block& block : evicted) {
-      expects(block.id < owner_.config_.block_count,
-              "evicted id out of range");
+      expects(block.id < config.block_count, "evicted id out of range");
       invariant(owner_.index_.level_of(block.id) == 0,
                 "evicted block the index says is on storage");
       stage(block.id, std::move(block.payload));
@@ -266,7 +301,7 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
     // hierarchical cascade, a function of the period index only. If an
     // off-schedule hot set would not fit, escalate minimally.
     const std::uint32_t level_total = owner_.level_count();
-    const std::uint64_t fanout = owner_.config_.hier_fanout;
+    const std::uint64_t fanout = config.hier_fanout;
     std::uint64_t ordinal = period_index + 1;
     std::uint32_t target = 1;
     while (target < level_total && ordinal % fanout == 0) {
@@ -315,59 +350,130 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
     }
   }
 
+  [[nodiscard]] sim::sim_time next_unit_bound() const noexcept override {
+    return chunk_bound_;
+  }
+
   // Capacity is guaranteed, so nothing is ever kept.
   void on_finish() override {
     owner_.merge_in_flight_ = false;
     ++owner_.stats_.partitions_shuffled;
   }
 
-  /// Streams the next chunk of the current source level into the
-  /// staging area; deactivates the level once drained.
+  /// Freezes the probed set of source level `idx` as its drain begins,
+  /// as what each slot must hold: the id of a block still live there
+  /// (one index pass), dummy_block_id for a filler or unconsumed dummy
+  /// rank (one rank pass), and kProbed for a consumed dummy rank or a
+  /// real rank whose block a probe extracted.
+  void freeze(std::size_t idx, horam::shuffle_cost& cost) {
+    const hier_backend::level_state& lvl = owner_.levels_[idx];
+    frozen_.assign(lvl.slot_count, kProbed);
+    for (block_id id = 0; id < owner_.config_.block_count; ++id) {
+      if (owner_.index_.level_of(id) == idx + 1) {
+        frozen_[owner_.index_.slot_of(id)] = id;
+      }
+    }
+    const std::uint64_t consumed_end = lvl.real_capacity + lvl.dummies_used;
+    std::vector<std::uint64_t>& ranks = owner_.chunk_ranks_;
+    for (std::uint64_t first = 0; first < lvl.slot_count;
+         first += kChunkSlots) {
+      ranks.resize(std::min(kChunkSlots, lvl.slot_count - first));
+      lvl.prp.inverse_many(first, ranks);
+      for (std::size_t j = 0; j < ranks.size(); ++j) {
+        if (ranks[j] >= lvl.reals_placed &&
+            (ranks[j] < lvl.real_capacity || ranks[j] >= consumed_end)) {
+          frozen_[first + j] = dummy_block_id;
+        }
+      }
+    }
+    cost.cpu += owner_.cpu_.word_ops_time(owner_.config_.block_count +
+                                          lvl.slot_count);
+  }
+
+  /// Reads the current source level's next chunk — up to chunk_slots_
+  /// unprobed slots within kChunkSlots, as one scatter read, plus the
+  /// probed slots up to the next unprobed one — stages the blocks
+  /// still indexed there, and deactivates the level once drained. A
+  /// slot holding another id than the frozen set expects fails the
+  /// step: the store moved a record.
   void read_unit(horam::shuffle_cost& cost) {
     const std::size_t idx = sources_[src_index_];
     hier_backend::level_state& lvl = owner_.levels_[idx];
-    const std::uint64_t n =
+    if (read_cursor_ == 0) {
+      freeze(idx, cost);
+    }
+    const std::uint64_t window =
         std::min(kChunkSlots, lvl.slot_count - read_cursor_);
+    // The chunk ends just before an unprobed slot it has no room for,
+    // so unless the window caps it, the unit count is the unprobed
+    // count over chunk_slots_: a function of the schedule.
+    read_slots_.clear();
+    std::uint64_t span = 0;
+    for (; span < window; ++span) {
+      if (frozen_[read_cursor_ + span] == kProbed) {
+        continue;
+      }
+      if (read_slots_.size() == chunk_slots_) {
+        break;
+      }
+      read_slots_.push_back(lvl.base + read_cursor_ + span);
+    }
+    const std::size_t k = read_slots_.size();
     const std::size_t rec = owner_.codec_.record_bytes();
-    owner_.level_buf_.resize(n * rec);
-    trace(owner_.trace_, event_kind::storage_read_sweep,
-          lvl.base + read_cursor_, n);
-    {
-      sim::trip_scope round_trip(&owner_.store_->device());
-      cost.io_read += owner_.store_->read_range(lvl.base + read_cursor_, n,
-                                                owner_.level_buf_);
-    }
-    // The whole chunk opens (every MAC checked) before any block moves.
-    const std::span<const std::uint8_t> payloads = owner_.open_level_buf(0, n);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t slot = read_cursor_ + j;
-      const block_id id = owner_.chunk_ids_[j];
-      if (id == dummy_block_id || owner_.index_.level_of(id) != idx + 1 ||
-          owner_.index_.slot_of(id) != slot) {
-        continue;  // dummy or stale copy
+    if (k > 0) {
+      for (std::size_t run = 0; run < k;) {
+        std::size_t end = run + 1;
+        while (end < k && read_slots_[end] == read_slots_[end - 1] + 1) {
+          ++end;
+        }
+        trace(owner_.trace_, event_kind::storage_read_sweep, read_slots_[run],
+              end - run);
+        run = end;
       }
-      const auto payload = payloads.subspan(
-          j * owner_.config_.payload_bytes, owner_.config_.payload_bytes);
-      stage(id, std::vector<std::uint8_t>(payload.begin(), payload.end()));
-      order_.push_back(id);
-      owner_.index_.clear(id);
-      ++owner_.cached_count_;
-      invariant(lvl.live > 0, "level live count underflow");
-      --lvl.live;
-    }
-    cost.cpu += owner_.cpu_.crypto_time(n, rec);
-    read_cursor_ += n;
-    if (read_cursor_ == lvl.slot_count) {
-      invariant(lvl.live == 0, "merge drained a level but blocks remain");
-      lvl.active = false;
-      lvl.dummies_used = 0;
-      read_cursor_ = 0;
-      ++src_index_;
-      if (src_index_ == sources_.size()) {
-        // Activate the target in the same indivisible unit so online
-        // probes never see a gap with every merged level inactive.
-        begin_write();
+      owner_.level_buf_.resize(k * rec);
+      {
+        sim::trip_scope round_trip(&owner_.store_->device());
+        cost.io_read += owner_.store_->read_scatter(read_slots_,
+                                                    owner_.level_buf_);
       }
+      // Every record opens (every MAC checked) and holds its expected
+      // id before any block moves.
+      const std::span<const std::uint8_t> payloads =
+          owner_.open_level_buf(0, k);
+      for (std::size_t i = 0; i < k; ++i) {
+        invariant(owner_.chunk_ids_[i] == frozen_[read_slots_[i] - lvl.base],
+                  "hier merge read a record its rank does not place there");
+      }
+      for (std::size_t i = 0; i < k; ++i) {
+        const block_id id = owner_.chunk_ids_[i];
+        if (id == dummy_block_id || owner_.index_.level_of(id) != idx + 1 ||
+            lvl.base + owner_.index_.slot_of(id) != read_slots_[i]) {
+          continue;  // a dummy, or extracted since the freeze
+        }
+        const auto payload = payloads.subspan(
+            i * owner_.config_.payload_bytes, owner_.config_.payload_bytes);
+        stage(id, std::vector<std::uint8_t>(payload.begin(), payload.end()));
+        order_.push_back(id);
+        owner_.index_.clear(id);
+        ++owner_.cached_count_;
+        invariant(lvl.live > 0, "level live count underflow");
+        --lvl.live;
+      }
+      cost.cpu += owner_.cpu_.crypto_time(k, rec);
+    }
+    read_cursor_ += span;
+    if (read_cursor_ < lvl.slot_count) {
+      return;
+    }
+    invariant(lvl.live == 0, "merge drained a level but blocks remain");
+    lvl.active = false;
+    lvl.dummies_used = 0;
+    read_cursor_ = 0;
+    ++src_index_;
+    if (src_index_ == sources_.size()) {
+      // Activate the target in the same indivisible unit so online
+      // probes never see a gap with every merged level inactive.
+      begin_write();
     }
   }
 
@@ -381,6 +487,7 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
     lvl.active = true;
     ++lvl.epoch;
     lvl.dummies_used = 0;
+    lvl.reals_placed = order_.size();
   }
 
   /// Composes and writes the next chunk of the target, then flips the
@@ -388,7 +495,7 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
   void write_unit(horam::shuffle_cost& cost) {
     hier_backend::level_state& lvl = owner_.levels_[target_ - 1];
     const std::uint64_t n =
-        std::min(kChunkSlots, lvl.slot_count - write_cursor_);
+        std::min(chunk_slots_, lvl.slot_count - write_cursor_);
     const std::size_t rec = owner_.codec_.record_bytes();
     owner_.level_buf_.resize(n * rec);
     // Each slot's rank once, for composing and for placing.
@@ -431,6 +538,8 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
   }
 
   hier_backend& owner_;
+  std::uint64_t chunk_slots_ = kChunkSlots;  // slots per merge unit
+  sim::sim_time chunk_bound_ = 0;  // modelled device time of one unit
   std::vector<block_id> order_;  // rank assignment of the new epoch
   std::vector<std::size_t> sources_;
   std::uint32_t target_ = 1;
@@ -438,6 +547,10 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
   std::uint64_t read_cursor_ = 0;
   std::uint64_t write_cursor_ = 0;
   std::uint64_t placed_ = 0;
+  // What each slot of the source level being drained must hold, frozen
+  // at its first chunk, and the current chunk's unprobed slots.
+  std::vector<block_id> frozen_;
+  std::vector<std::uint64_t> read_slots_;
   bool skip_ = false;
   bool write_done_ = false;
 };

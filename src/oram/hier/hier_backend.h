@@ -26,21 +26,45 @@
 //     trip;
 //   * the shuffle period merges the evicted hot set and all levels
 //     above a schedule-chosen target into that target, rebuilt under a
-//     fresh permutation — chunked range transfers behind the stepped
+//     fresh permutation — chunked transfers behind the stepped
 //     shuffle-job API, so shuffle_policy::incremental deamortizes it.
 //
-// Rebuilds (merges and the initial build) stream levels a chunk of
-// slots at a time, and each chunk is one batch on the host: its records
-// open together (block_codec::decode_many, every MAC checked before any
+// A merge reads only the complement of each source level's probed set.
+// When it starts reading a level it freezes that set: the consumed
+// dummy ranks [r_i, r_i + dummies_used) and the real ranks below
+// reals_placed whose block the index no longer maps there (one index
+// pass, a transient slot -> id map; no trusted state persists). Those
+// slots hold an extracted real or a spent dummy, and the bus trace has
+// already shown them: every load probes each active level once, at a
+// slot never probed before in the epoch. So the read set is a function
+// of the public trace, and its size — the level's slots minus the
+// loads since the epoch began — of the schedule alone. Every slot read
+// must hold the id its rank implies (the frozen live block, or a
+// dummy); anything else fails the merge (a moved record), and a block
+// is staged only if it is still indexed there (probes after the freeze
+// read like any other slot).
+//
+// Under a bounded incremental budget the merge unit is the largest
+// chunk whose modelled device time (command + seek + transfer at the
+// slower bandwidth) fits the budget, at most 512 slots and at least
+// one: a read unit reads that many unprobed slots within 512, a write
+// unit writes that many slots. An unbounded budget, and every other
+// policy, keeps 512-slot units.
+//
+// Rebuilds (merges and the initial build) move levels a chunk of slots
+// at a time, and each chunk is one batch on the host: its records open
+// together (block_codec::decode_many, every MAC checked before any
 // block is staged or any index entry changes), its slots' ranks come
 // from one feistel_prp::inverse_many pass, and its rewritten records
 // seal together (block_codec::seal_many, nonces in slot order). Online
 // probes open their one real record on its own.
 //
 // Every schedule decision (probe count, merge target, chunk boundaries)
-// is a function of the access count and configuration only — public by
-// design; payload-dependent state never reaches the device outside
-// sealed records.
+// is a function of the access count, the configuration and the public
+// probe trace — public by design; payload-dependent state never reaches
+// the device outside sealed records. The one exception is an escalated
+// merge target: a hot set too large for the scheduled target sends the
+// merge deeper, which shows the hot set's size on the bus.
 #ifndef HORAM_ORAM_HIER_HIER_BACKEND_H
 #define HORAM_ORAM_HIER_HIER_BACKEND_H
 
@@ -83,11 +107,11 @@ class hier_backend final : public horam::oram_backend {
   [[nodiscard]] bool in_storage(block_id id) const override;
   load_result load_block(block_id id) override;
   load_result dummy_load() override;
-  /// Shuffle period as a job: slice units are chunked range reads of
-  /// the source levels and chunked range writes of the rebuilt target,
-  /// each one batched transfer. Merged blocks stay readable/writable
-  /// through staged() until their chunk lands; nothing is ever handed
-  /// back.
+  /// Shuffle period as a job: slice units are chunked scatter reads of
+  /// the source levels' unprobed slots and chunked range writes of the
+  /// rebuilt target, each one batched transfer. Merged blocks stay
+  /// readable/writable through staged() until their chunk lands;
+  /// nothing is ever handed back.
   [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
       std::vector<evicted_block> evicted,
       std::uint64_t period_index) override;
@@ -130,6 +154,7 @@ class hier_backend final : public horam::oram_backend {
     std::uint64_t base = 0;            // first global slot
     bool active = false;
     std::uint64_t live = 0;            // blocks the index maps here
+    std::uint64_t reals_placed = 0;    // ranks [0, this) hold real blocks
     std::uint64_t dummies_used = 0;    // dummy ranks consumed this epoch
     std::uint64_t epoch = 0;
     feistel_prp prp;                   // rank -> level-local slot

@@ -7,6 +7,7 @@
 #define HORAM_TESTS_BACKEND_TEST_ACCESS_H
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,6 +74,19 @@ struct hier_backend_test_access {
   static void corrupt(const hier_backend& backend, std::uint64_t slot,
                       std::size_t offset, std::uint8_t mask) {
     backend.store_->corrupt(slot, offset, mask);
+  }
+  /// Copies the stored record of store slot `from` over the one at
+  /// `to`, bypassing the device like corrupt(): a store that moves a
+  /// sealed record instead of altering it.
+  static void copy_slot(const hier_backend& backend, std::uint64_t from,
+                        std::uint64_t to) {
+    const std::span<const std::uint8_t> source = backend.store_->peek(from);
+    const std::span<const std::uint8_t> target = backend.store_->peek(to);
+    for (std::size_t byte = 0; byte < source.size(); ++byte) {
+      backend.store_->corrupt(to, byte,
+                              static_cast<std::uint8_t>(source[byte] ^
+                                                        target[byte]));
+    }
   }
   /// Dummy-pool state of one level in its current epoch.
   struct dummy_pool {

@@ -2,14 +2,16 @@
 // the cycle-walking Feistel permutation, the packed succinct index,
 // level geometry, the one-batched-probe online path (one device round
 // trip per load, distinct slots within an epoch), dummy pools sized
-// exactly to each level's longest epoch, and data survival across
-// merges driven both monolithically and through bounded incremental
-// steps.
+// exactly to each level's longest epoch, data survival across merges
+// driven both monolithically and through bounded incremental steps,
+// merge units sized to the slice budget, and merges that fail on a
+// tampered or moved record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "backend_test_access.h"
@@ -559,6 +561,110 @@ TEST(HierBackend, DummyPoolsOutlastEveryActivation) {
   }
 }
 
+// ------------------------------------------------ budget-sized slices
+
+/// Device bill of one shuffle_job::step().
+struct step_bill {
+  sim::sim_time device = 0;         // io_read + io_write
+  std::uint64_t slots_written = 0;  // logical blocks written
+};
+
+/// Drives a 3-level hier backend on `profile` through a whole merge
+/// cascade the way the controller does: period_loads() loads a period,
+/// one step(step_budget) of the in-flight merge after each load, the
+/// rest drained at the next boundary. Returns every step's bill.
+std::vector<step_bill> stepped_cascade(const sim::device_profile& profile,
+                                       shuffle_policy policy,
+                                       sim::sim_time config_budget,
+                                       sim::sim_time step_budget) {
+  sim::block_device device{profile};
+  const sim::cpu_model cpu{sim::cpu_aesni()};
+  util::pcg64 rng{test::seed(508)};
+  horam_config config;
+  config.block_count = 4096;
+  config.memory_blocks = 256;
+  config.payload_bytes = kPayload;
+  config.logical_block_bytes = 1024;
+  config.seal = false;  // modelled crypto; the same transfers
+  config.shuffle = policy;
+  config.shuffle_slice_budget = config_budget;
+  hier_backend backend(config, device, cpu, rng, nullptr, nullptr);
+  EXPECT_EQ(backend.level_count(), 3u);
+
+  std::vector<step_bill> bills;
+  std::unique_ptr<shuffle_job> job;
+  const auto step = [&] {
+    const std::uint64_t written = device.stats().bytes_written;
+    const shuffle_cost cost = job->step(step_budget);
+    bills.push_back({cost.io_read + cost.io_write,
+                     (device.stats().bytes_written - written) /
+                         config.logical_block_bytes});
+  };
+  util::pcg64 gen{test::seed(509)};
+  std::vector<evicted_block> cached;
+  // Period 15 (16 = fan-out squared) merges into the bottom level.
+  for (std::uint64_t period = 0; period <= 16; ++period) {
+    for (std::uint64_t load = 0; load < config.period_loads(); ++load) {
+      const block_id id = util::uniform_below(gen, config.block_count);
+      oram_backend::load_result result = backend.in_storage(id)
+                                             ? backend.load_block(id)
+                                             : backend.dummy_load();
+      if (result.id != dummy_block_id) {
+        cached.push_back({result.id, std::move(result.payload)});
+      }
+      if (job != nullptr && !job->done()) {
+        step();
+      }
+    }
+    if (job != nullptr) {
+      while (!job->done()) {
+        step();
+      }
+      std::vector<evicted_block> overflow;
+      job->finish(overflow);
+      EXPECT_TRUE(overflow.empty());
+    }
+    job = backend.begin_shuffle(std::move(cached), period);
+    cached.clear();
+  }
+  EXPECT_NO_THROW(backend.check_consistency());
+  return bills;
+}
+
+/// Under a bounded incremental budget a merge unit is the largest chunk
+/// whose modelled device time (command + seek + transfer at the slower
+/// bandwidth) fits it, so no step overruns the budget: 210 slots of
+/// 1 KiB on net-remote, 104 on the HDD at 2 ms. An unbounded budget,
+/// and any other policy, keeps whole 512-slot units.
+TEST(HierBackend, SlicesFitTheBudget) {
+  constexpr sim::sim_time kBudget = 2 * util::milliseconds;
+  const std::pair<sim::device_profile, std::uint64_t> cases[] = {
+      {sim::net_remote(), 210}, {sim::hdd_paper(), 104}};
+  for (const auto& [profile, chunk] : cases) {
+    SCOPED_TRACE(profile.name);
+    const std::vector<step_bill> bills = stepped_cascade(
+        profile, shuffle_policy::incremental, kBudget, kBudget);
+    std::uint64_t widest = 0;
+    for (const step_bill& bill : bills) {
+      EXPECT_LE(bill.device, kBudget);
+      widest = std::max(widest, bill.slots_written);
+    }
+    EXPECT_EQ(widest, chunk);
+  }
+  for (const shuffle_policy policy :
+       {shuffle_policy::incremental, shuffle_policy::foreground}) {
+    SCOPED_TRACE(shuffle_policy_name(policy));
+    // A 1 ns step runs exactly one unit.
+    const std::vector<step_bill> bills =
+        stepped_cascade(sim::net_remote(), policy, 0, 1);
+    std::uint64_t widest = 0;
+    for (const step_bill& bill : bills) {
+      widest = std::max(widest, bill.slots_written);
+    }
+    EXPECT_EQ(widest, 512u);
+  }
+}
+
 // A merge opens each source chunk in one batch before it stages any
 // block. A tampered record of the source level's last live block must
 // fail the step with the typed crypto error while every other block of
@@ -606,6 +712,79 @@ TEST(FaultInjection, TamperedHierMergeChunkStagesNothing) {
     EXPECT_EQ(hier_backend_test_access::level_of(backend, id), 1u) << id;
   }
   EXPECT_EQ(backend.level_live(1), 12u);
+}
+
+// With every slot's rank known, each slot a merge reads has an expected
+// id. A store that copies one live level-1 record over another (a valid
+// sealed record in the wrong place) fails the merge with a typed error
+// at the chunk that reads the overwritten slot — not skipped as a
+// stale copy until the level ends — and the block it hid stays put.
+TEST(FaultInjection, MovedHierRecordFailsTheMergeAtItsChunk) {
+  rig fx;
+  horam_config config = fx.config();
+  config.logical_block_bytes = 1024;
+  config.shuffle = shuffle_policy::incremental;
+  // Fits 8 slots of 1 KiB per unit on the HDD profile: level 1's 64
+  // slots span several units.
+  config.shuffle_slice_budget = 220 * util::microseconds;
+  access_trace trace;
+  hier_backend backend(config, fx.device, fx.cpu, fx.rng, &trace, nullptr);
+  std::vector<evicted_block> hot;
+  for (block_id id = 0; id < 12; ++id) {
+    const oram_backend::load_result load = backend.load_block(id * 5);
+    hot.push_back({load.id, load.payload});
+  }
+  std::vector<evicted_block> overflow;
+  backend.shuffle_period(std::move(hot), 0, overflow);
+  ASSERT_EQ(backend.level_live(1), 12u);
+
+  std::vector<evicted_block> next;
+  const oram_backend::load_result load = backend.load_block(3);
+  next.push_back({load.id, load.payload});
+  std::unique_ptr<shuffle_job> job = backend.begin_shuffle(std::move(next), 1);
+
+  // Copy the level's last live record over its first.
+  block_id first = dummy_block_id;
+  block_id last = dummy_block_id;
+  for (block_id id = 0; id < kBlocks; ++id) {
+    if (hier_backend_test_access::level_of(backend, id) != 1) {
+      continue;
+    }
+    const std::uint64_t slot = hier_backend_test_access::slot_of(backend, id);
+    if (first == dummy_block_id ||
+        slot < hier_backend_test_access::slot_of(backend, first)) {
+      first = id;
+    }
+    if (last == dummy_block_id ||
+        slot > hier_backend_test_access::slot_of(backend, last)) {
+      last = id;
+    }
+  }
+  const std::uint64_t victim = hier_backend_test_access::slot_of(backend, first);
+  hier_backend_test_access::copy_slot(
+      backend, hier_backend_test_access::slot_of(backend, last), victim);
+
+  bool threw = false;
+  for (int steps = 0; !threw && steps < 64; ++steps) {
+    const std::size_t before = trace.size();
+    try {
+      (void)job->step(/*device_budget=*/1);
+    } catch (const contract_error&) {
+      threw = true;
+      // The failing step is the one that read the overwritten slot.
+      bool read_victim = false;
+      for (std::size_t i = before; i < trace.size(); ++i) {
+        const trace_event& event = trace.events()[i];
+        read_victim |= event.kind == event_kind::storage_read_sweep &&
+                       event.a <= victim && victim < event.a + event.b;
+      }
+      EXPECT_TRUE(read_victim);
+    }
+    ASSERT_FALSE(job->done());
+  }
+  ASSERT_TRUE(threw);
+  EXPECT_FALSE(job->holds(first));
+  EXPECT_EQ(hier_backend_test_access::level_of(backend, first), 1u);
 }
 
 }  // namespace
