@@ -145,7 +145,9 @@ struct horam_config {
   /// Hierarchical backend (oram/hier/): geometric growth factor between
   /// consecutive levels (level i+1 holds hier_fanout times the real
   /// capacity of level i). Larger fan-outs mean fewer levels — fewer
-  /// probes per access — at the price of bigger, rarer merges.
+  /// probes per access — at the price of bigger, rarer merges. It sets
+  /// the level growth only: the merge cascade's radix at each level
+  /// follows from that level's capacity over the period's hot set.
   std::uint32_t hier_fanout = 4;
 
   /// Places the recursive position map chain of the tree backends

@@ -34,6 +34,17 @@ sim::sim_time chunk_device_time(const sim::device_profile& profile,
                                     1e9 / bytes_per_second);
 }
 
+/// Merge radix b_i = floor(r_i / (s_i * n/2)) + 1 of a level with real
+/// capacity r_i whose scheduled merges come every s_i = `epoch_periods`
+/// periods of n/2 = `period_loads` loads: the merges one cycle of the
+/// level takes before its contents move deeper, b_i - 1 of them, each
+/// holding at most the hot sets since the level was last drained.
+std::uint64_t merge_radix(std::uint64_t real_capacity,
+                          std::uint64_t epoch_periods,
+                          std::uint64_t period_loads) {
+  return real_capacity / (epoch_periods * period_loads) + 1;
+}
+
 }  // namespace
 
 hier_backend::hier_backend(
@@ -51,19 +62,19 @@ hier_backend::hier_backend(
 
   // Geometric levels: the top level holds the controller's hot set, the
   // bottom level holds the dataset. Each level's dummy pool is exactly
-  // the probes of its longest epoch, (g^(i-1) + 1) * n/2 for 1-based
-  // level i (exhaustion fail-stops loudly):
-  //   * merge k targets level 1 + nu_g(k + 1) capped at L, and drains
-  //     every active level above and at its target, so level i is read
-  //     as a merge source at least every g^(i-1) periods; escalation
-  //     only rebuilds earlier;
+  // the probes of its longest epoch, (s_i + 1) * n/2 for 1-based level
+  // i, with s_1 = 1 and s_(i+1) = s_i * merge_radix (exhaustion
+  // fail-stops loudly):
+  //   * merges follow the mixed-radix cascade (hier_shuffle_job) and
+  //     drain every active level above and at their target, so level i
+  //     is read as a merge source every s_i periods;
   //   * a period is exactly period_loads() = n/2 cycles of one load
   //     each, and a load draws at most one dummy per active level;
   //   * a merge is in flight for at most one period: the controller
   //     drains an in-flight job before it begins the next, and every
   //     other policy runs the job to completion at the boundary.
-  // So an epoch spans the period its merge writes it in plus g^(i-1)
-  // more, the last of which drains it.
+  // So an epoch spans the period its merge writes it in plus s_i more,
+  // the last of which drains it.
   const std::uint64_t top = std::max<std::uint64_t>(16, config_.memory_blocks);
   std::vector<std::uint64_t> reals;
   for (std::uint64_t r = top;; r *= config_.hier_fanout) {
@@ -75,12 +86,13 @@ hier_backend::hier_backend(
   levels_.resize(reals.size());
   std::uint64_t base = 0;
   std::uint64_t max_slots = 0;
-  std::uint64_t epoch_periods = 1;  // g^(i-1), 1-based level i
+  std::uint64_t epoch_periods = 1;  // s_i, 1-based level i
   for (std::size_t i = 0; i < reals.size(); ++i) {
     level_state& lvl = levels_[i];
     lvl.real_capacity = reals[i];
     lvl.dummy_capacity = (epoch_periods + 1) * config_.period_loads();
-    epoch_periods *= config_.hier_fanout;
+    epoch_periods *= merge_radix(lvl.real_capacity, epoch_periods,
+                                 config_.period_loads());
     lvl.slot_count = lvl.real_capacity + lvl.dummy_capacity;
     lvl.base = base;
     base += lvl.slot_count;
@@ -296,29 +308,32 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
       order_.push_back(block.id);
     }
 
-    // Merge target: level 1 by default, one level deeper for every
-    // power of the fan-out dividing the period ordinal — the classic
-    // hierarchical cascade, a function of the period index only. If an
-    // off-schedule hot set would not fit, escalate minimally.
+    // Merge target: level 1 plus the trailing zero digits of the period
+    // ordinal in the merge radices (b_1, b_2, ...), capped at L — a
+    // function of the period index and the level geometry only. A
+    // period's hot set is at most its n/2 loads, so the m-th merge into
+    // level i since its last drain holds at most m * s_i * n/2 blocks,
+    // and m < b_i keeps that within r_i; the bottom level holds the
+    // whole dataset. Every merge fits its target.
     const std::uint32_t level_total = owner_.level_count();
-    const std::uint64_t fanout = config.hier_fanout;
     std::uint64_t ordinal = period_index + 1;
+    std::uint64_t epoch_periods = 1;
     std::uint32_t target = 1;
-    while (target < level_total && ordinal % fanout == 0) {
+    while (target < level_total) {
+      const std::uint64_t radix =
+          merge_radix(owner_.levels_[target - 1].real_capacity,
+                      epoch_periods, config.period_loads());
+      if (ordinal % radix != 0) {
+        break;
+      }
+      ordinal /= radix;
+      epoch_periods *= radix;
       ++target;
-      ordinal /= fanout;
     }
     std::uint64_t incoming = order_.size();
     for (std::uint32_t l = 1; l <= target; ++l) {
       incoming += owner_.levels_[l - 1].active ? owner_.levels_[l - 1].live
                                                : 0;
-    }
-    while (incoming > owner_.levels_[target - 1].real_capacity &&
-           target < level_total) {
-      ++target;
-      incoming += owner_.levels_[target - 1].active
-                      ? owner_.levels_[target - 1].live
-                      : 0;
     }
     invariant(incoming <= owner_.levels_[target - 1].real_capacity,
               "hier merge target cannot hold its inputs");

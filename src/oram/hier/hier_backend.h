@@ -19,15 +19,26 @@
 //     every active level is probed exactly once per access and no slot
 //     repeats within an epoch — the adversary sees fresh uniform slots
 //     regardless of the workload; a level's dummy pool is exactly the
-//     probes of its longest epoch, (g^(i-1) + 1) * n/2 slots: the merge
-//     cascade below drains level i at least every g^(i-1) access
-//     periods of n/2 loads, plus the one period the merge that built
-//     it may still be in flight, so every access is exactly one round
-//     trip;
+//     probes of its longest epoch, (s_i + 1) * n/2 slots: the merge
+//     cascade below drains level i every s_i access periods of n/2
+//     loads, plus the one period the merge that built it may still be
+//     in flight, so every access is exactly one round trip;
 //   * the shuffle period merges the evicted hot set and all levels
 //     above a schedule-chosen target into that target, rebuilt under a
 //     fresh permutation — chunked transfers behind the stepped
 //     shuffle-job API, so shuffle_policy::incremental deamortizes it.
+//
+// The merge schedule is a mixed-radix counter derived from the level
+// capacities. A period's hot set is at most its n/2 loads (the cache is
+// emptied every period), so level i can take b_i - 1 merges before it
+// must move deeper, with b_i = floor(r_i / (s_i * n/2)) + 1, s_1 = 1 and
+// s_(i+1) = s_i * b_i. Merge k targets level 1 plus the number of
+// trailing zero digits of k + 1 in radices (b_1, b_2, ...), capped at
+// L: the m-th merge into level i since its last drain holds at most
+// m * s_i hot sets, which fits r_i for every m < b_i, and the bottom
+// level holds the dataset. With r_1 = n (two hot sets), g = 4 and three
+// levels that is b = (3, 3): a 9-period cycle L1, L1, L2, L1, L1, L2,
+// L1, L1, L3.
 //
 // A merge reads only the complement of each source level's probed set.
 // When it starts reading a level it freezes that set: the consumed
@@ -62,9 +73,7 @@
 // Every schedule decision (probe count, merge target, chunk boundaries)
 // is a function of the access count, the configuration and the public
 // probe trace — public by design; payload-dependent state never reaches
-// the device outside sealed records. The one exception is an escalated
-// merge target: a hot set too large for the scheduled target sends the
-// merge deeper, which shows the hot set's size on the bus.
+// the device outside sealed records.
 #ifndef HORAM_ORAM_HIER_HIER_BACKEND_H
 #define HORAM_ORAM_HIER_HIER_BACKEND_H
 

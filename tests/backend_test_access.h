@@ -98,6 +98,31 @@ struct hier_backend_test_access {
     const hier_backend::level_state& lvl = backend.levels_.at(level - 1);
     return {lvl.active, lvl.dummies_used, lvl.dummy_capacity};
   }
+  /// Periods s_i between two scheduled merges into 1-based `level`,
+  /// from the level capacities and the period's n/2 loads: s_1 = 1 and
+  /// s_(i+1) = s_i * b_i with radix b_i = floor(r_i / (s_i * n/2)) + 1.
+  /// Level L's s_L is the bottom cycle.
+  static std::uint64_t epoch_periods(const hier_backend& backend,
+                                     std::uint32_t level) {
+    const std::uint64_t period_loads = backend.config_.period_loads();
+    std::uint64_t periods = 1;
+    for (std::uint32_t l = 1; l < level; ++l) {
+      periods *= backend.level_real_capacity(l) / (periods * period_loads) + 1;
+    }
+    return periods;
+  }
+  /// 1-based level merge `period` targets: the deepest level i <= L
+  /// whose s_i divides period + 1 — level 1 plus the trailing zero
+  /// digits of period + 1 in radices (b_1, b_2, ...).
+  static std::uint32_t merge_target(const hier_backend& backend,
+                                    std::uint64_t period) {
+    std::uint32_t target = 1;
+    while (target < backend.level_count() &&
+           (period + 1) % epoch_periods(backend, target + 1) == 0) {
+      ++target;
+    }
+    return target;
+  }
 };
 
 struct sqrt_backend_test_access {

@@ -31,6 +31,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -637,6 +638,7 @@ struct merge_view {
   std::vector<level_drain> drains;
   std::uint64_t read_slots = 0;
   std::uint64_t slices = 0;
+  std::size_t target = 0;  // 1-based level its first write sweep lands in
 };
 
 /// Splits the trace into merges, dropping the last (it may still be in
@@ -645,6 +647,7 @@ struct merge_view {
 /// drain of a level opens at its first read sweep there, which freezes
 /// those probes (later ones are ignored), and closes once it has read
 /// every other slot of the level, or when the merge reads elsewhere.
+/// The merge's target is the level its write sweeps land in.
 std::vector<merge_view> merges_of(const hier_run& run) {
   const auto level_of = [&run](std::uint64_t slot) {
     for (std::size_t l = 0; l < run.bases.size(); ++l) {
@@ -705,6 +708,11 @@ std::vector<merge_view> merges_of(const hier_run& run) {
         }
         break;
       }
+      case oram::event_kind::storage_write_sweep:
+        if (!merges.empty() && merges.back().target == 0) {
+          merges.back().target = level_of(event.a) + 1;
+        }
+        break;
       default:
         break;
     }
@@ -782,13 +790,10 @@ TEST(HierObliviousness, MergeReadsAreTheUnprobedSlots) {
 
 // Every load probes each active level exactly once, so how many slots a
 // merge reads depends only on the schedule, and so do its budget-sized
-// slices. Hotspot and uniform streams through the same configuration
-// and seed must show identical per-merge read volumes and slice counts.
-// Fan-out 2 keeps the merge targets on schedule: each level takes at
-// most the hot sets of the periods since its last drain, which always
-// fit. At fan-out 4, level 1 takes three periods' hot sets, and a large
-// one escalates the merge to level 2 — a target that depends on the
-// hot set, not on the read volume checked here.
+// slices; the merge target is a function of the period index alone.
+// Hotspot and uniform streams through the same configuration and seed
+// must show identical per-merge target levels, read volumes and slice
+// counts, at the default fan-out.
 TEST(HierObliviousness, MergeReadVolumeIsWorkloadIndependent) {
   workload::stream_config config;
   config.request_count = 6000;
@@ -804,15 +809,16 @@ TEST(HierObliviousness, MergeReadVolumeIsWorkloadIndependent) {
     const std::vector<merge_view> merges =
         merges_of(run_hier(stream, shuffle_policy::incremental,
                            2 * util::milliseconds, sim::net_remote(),
-                           /*fanout=*/2));
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+                           /*fanout=*/4));
+    std::vector<std::tuple<std::size_t, std::uint64_t, std::uint64_t>> out;
     for (const merge_view& merge : merges) {
-      out.emplace_back(merge.read_slots, merge.slices);
+      out.emplace_back(merge.target, merge.read_slots, merge.slices);
     }
     return out;
   };
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> a = volumes(hot);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> b =
+  std::vector<std::tuple<std::size_t, std::uint64_t, std::uint64_t>> a =
+      volumes(hot);
+  std::vector<std::tuple<std::size_t, std::uint64_t, std::uint64_t>> b =
       volumes(uniform_stream(277));
   const std::size_t common = std::min(a.size(), b.size());
   ASSERT_GE(common, 16u) << "the runs never completed a merge cascade";

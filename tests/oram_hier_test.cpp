@@ -190,16 +190,19 @@ TEST(HierBackend, GeometryGrowsGeometricallyToCoverTheDataset) {
               backend.level_real_capacity(level))
         << "level " << level << " has no dummy pool";
   }
-  // Each dummy pool is its epoch bound, (g^(i-1) + 1) * n/2: 2, 5 and
-  // 17 periods of 16 loads.
+  // Each dummy pool is its epoch bound, (s_i + 1) * n/2: level 1 takes
+  // two hot sets of 16 blocks (b_1 = 3), level 2 two merges of three
+  // (b_2 = 3), so 2, 4 and 10 periods of 16 loads.
   const std::uint64_t period_loads = fx.config().period_loads();
-  std::uint64_t epoch_periods = 1;
+  const std::uint64_t epoch_periods[] = {1, 3, 9};
   for (std::uint32_t level = 1; level <= 3; ++level) {
+    EXPECT_EQ(hier_backend_test_access::epoch_periods(backend, level),
+              epoch_periods[level - 1])
+        << "level " << level;
     EXPECT_EQ(backend.level_slot_count(level),
               backend.level_real_capacity(level) +
-                  (epoch_periods + 1) * period_loads)
+                  (epoch_periods[level - 1] + 1) * period_loads)
         << "level " << level;
-    epoch_periods *= 4;
   }
   EXPECT_NO_THROW(backend.check_consistency());
 }
@@ -212,19 +215,19 @@ TEST(HierBackend, DummyPoolsAreTheEpochBound) {
     config.hier_fanout = fanout;
     hier_backend backend(config, fx.device, fx.cpu, fx.rng, nullptr,
                          nullptr);
-    // Level i is drained at least every g^(i-1) periods and its epoch
-    // opens while the merge that builds it is in flight: one period
-    // more of n/2 loads.
-    std::uint64_t epoch_periods = 1;
+    // Level i is drained every s_i periods and its epoch opens while
+    // the merge that builds it is in flight: one period more of n/2
+    // loads.
     for (std::uint32_t level = 1; level <= backend.level_count(); ++level) {
-      const std::uint64_t bound = (epoch_periods + 1) * config.period_loads();
+      const std::uint64_t bound =
+          (hier_backend_test_access::epoch_periods(backend, level) + 1) *
+          config.period_loads();
       EXPECT_EQ(hier_backend_test_access::pool(backend, level).capacity,
                 bound)
           << "level " << level;
       EXPECT_EQ(backend.level_slot_count(level),
                 backend.level_real_capacity(level) + bound)
           << "level " << level;
-      epoch_periods *= fanout;
     }
     // The bottom level's first epoch serves exactly its bound of dummy
     // probes; one more fail-stops instead of repeating a slot.
@@ -353,11 +356,17 @@ TEST(HierBackend, SteppedMergeKeepsStagedBlocksReadable) {
   std::vector<evicted_block> evicted;
   evicted.push_back({5, tagged(5)});
 
-  // Period 15 (16 = fan-out squared) escalates the merge to the bottom
-  // level, whose slot count spans several transfer chunks — a bounded
-  // budget genuinely needs multiple steps.
+  // The last period of the bottom cycle merges into the bottom level,
+  // whose slot count spans several transfer chunks — a bounded budget
+  // genuinely needs multiple steps.
+  const std::uint64_t bottom_merge =
+      hier_backend_test_access::epoch_periods(backend,
+                                              backend.level_count()) -
+      1;
+  ASSERT_EQ(hier_backend_test_access::merge_target(backend, bottom_merge),
+            backend.level_count());
   std::unique_ptr<shuffle_job> job =
-      backend.begin_shuffle(std::move(evicted), 15);
+      backend.begin_shuffle(std::move(evicted), bottom_merge);
   ASSERT_NE(job, nullptr);
   // Until its chunk lands the merged block lives in the job's staging
   // area: still absent from storage, readable through staged().
@@ -390,8 +399,9 @@ TEST(HierBackend, MergesEventuallyReachAndRebuildDeeperLevels) {
   rig fx;
   hier_backend backend = fx.make();
   util::pcg64 gen{test::seed(505)};
-  // Period indices 0,1,2,3: with fan-out 4 the schedule escalates the
-  // target level at period 3 (g | period+1 once -> level 2).
+  // Level 1 takes two hot sets of 16 blocks (b_1 = 3), so periods 0
+  // and 1 merge into level 1, period 2 into level 2 and period 8 into
+  // the bottom level (b_2 = 3).
   std::set<std::uint32_t> active_counts;
   for (std::uint64_t period = 0; period < 16; ++period) {
     std::vector<evicted_block> evicted;
@@ -410,6 +420,65 @@ TEST(HierBackend, MergesEventuallyReachAndRebuildDeeperLevels) {
   // levels active, deep ones collapse the stack toward one.
   EXPECT_GT(*active_counts.rbegin(), 1u);
   EXPECT_NO_THROW(backend.check_consistency());
+}
+
+/// The merge target is a mixed-radix counter over the level capacities,
+/// and it never needs to escalate: with a full hot set every period (n/2
+/// freshly loaded blocks, the most a period can evict), each merge lands
+/// on the scheduled level, fits it, and every probe finds a fresh dummy,
+/// over two bottom cycles, across fan-outs and cache ratios. A merge
+/// drains every level above its target, so the target is the shallowest
+/// active level after it.
+TEST(HierBackend, MergeTargetsFollowTheCapacitySchedule) {
+  constexpr std::uint64_t blocks = 4096;
+  for (const std::uint32_t fanout : {2u, 4u, 8u}) {
+    for (const std::uint64_t ratio : {8u, 16u, 64u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "fan-out " << fanout << ", cache 1/" << ratio);
+      sim::block_device device{sim::hdd_paper()};
+      const sim::cpu_model cpu{sim::cpu_aesni()};
+      util::pcg64 rng{test::seed(510)};
+      horam_config config;
+      config.block_count = blocks;
+      config.memory_blocks = blocks / ratio;
+      config.payload_bytes = kPayload;
+      config.seal = false;  // modelled crypto; the same schedule
+      config.hier_fanout = fanout;
+      hier_backend backend(config, device, cpu, rng, nullptr, nullptr);
+      const std::uint32_t levels = backend.level_count();
+      ASSERT_GE(levels, 2u);
+      const std::uint64_t cycle =
+          hier_backend_test_access::epoch_periods(backend, levels);
+
+      util::pcg64 gen{test::seed(511)};
+      std::set<std::uint32_t> targets;
+      for (std::uint64_t period = 0; period < 2 * cycle; ++period) {
+        std::vector<evicted_block> hot;
+        while (hot.size() < config.period_loads()) {
+          const block_id id = util::uniform_below(gen, blocks);
+          if (backend.in_storage(id)) {
+            oram_backend::load_result load = backend.load_block(id);
+            hot.push_back({load.id, std::move(load.payload)});
+          }
+        }
+        std::vector<evicted_block> overflow;
+        ASSERT_NO_THROW(
+            backend.shuffle_period(std::move(hot), period, overflow))
+            << "period " << period;
+        EXPECT_TRUE(overflow.empty());
+        const std::uint32_t expected =
+            hier_backend_test_access::merge_target(backend, period);
+        std::uint32_t shallowest = 1;
+        while (!hier_backend_test_access::pool(backend, shallowest).active) {
+          ++shallowest;
+        }
+        ASSERT_EQ(shallowest, expected) << "period " << period;
+        targets.insert(expected);
+      }
+      EXPECT_EQ(targets.size(), levels) << "some level was never a target";
+      EXPECT_NO_THROW(backend.check_consistency());
+    }
+  }
 }
 
 
@@ -530,13 +599,11 @@ TEST(HierBackend, DummyPoolsOutlastEveryActivation) {
           opts.seed = test::seed(506);
           horam::engine eng(config, cpu, factory, opts);
 
-          // A full cascade: period g^(L-1) - 1 merges into the bottom
+          // A full cascade: period s_L - 1 merges into the bottom
           // level; audit the boundary after it too.
-          std::uint64_t cascade = 1;
-          for (std::uint32_t l = 1; l < auditors[0]->inner().level_count();
-               ++l) {
-            cascade *= config.hier_fanout;
-          }
+          const hier_backend& shard = auditors[0]->inner();
+          const std::uint64_t cascade = hier_backend_test_access::epoch_periods(
+              shard, shard.level_count());
           const auto min_boundaries = [&auditors] {
             std::uint64_t least = auditors[0]->boundaries();
             for (const pool_auditor* auditor : auditors) {
@@ -602,8 +669,11 @@ std::vector<step_bill> stepped_cascade(const sim::device_profile& profile,
   };
   util::pcg64 gen{test::seed(509)};
   std::vector<evicted_block> cached;
-  // Period 15 (16 = fan-out squared) merges into the bottom level.
-  for (std::uint64_t period = 0; period <= 16; ++period) {
+  // Period s_3 - 1 merges into the bottom level; the boundary after it
+  // drains that merge.
+  const std::uint64_t cycle =
+      hier_backend_test_access::epoch_periods(backend, 3);
+  for (std::uint64_t period = 0; period <= cycle; ++period) {
     for (std::uint64_t load = 0; load < config.period_loads(); ++load) {
       const block_id id = util::uniform_below(gen, config.block_count);
       oram_backend::load_result result = backend.in_storage(id)

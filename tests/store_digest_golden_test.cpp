@@ -151,15 +151,16 @@ TEST(StoreDigestGolden, partitioned) {
 }
 
 TEST(StoreDigestGolden, hier) {
-  // Period 3 (ordinal 4 = the fan-out) cascades into level 2.
+  // Level 1 takes two hot sets (radix b_1 = 3), so period 2 (ordinal 3)
+  // cascades into level 2.
   const std::vector<std::uint64_t> digests =
       run(backend_kind::hier, base_config(), 5, [](const oram_backend& b) {
         const auto& hier = dynamic_cast<const oram::hier_backend&>(b);
         EXPECT_GT(hier.level_live(2), 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0xfc9a4a97769304d1ULL, 0xf72a44c880247a09ULL, 0xe683640940ad1fe3ULL,
-      0x4e7e9d0647a4269eULL, 0x755c1b96822a81a0ULL, 0xd11af327c2f14e3dULL};
+      0xcd61c2d334512f95ULL, 0x0a0db15c7a60368aULL, 0x7b485064fde1f98bULL,
+      0xdc0038a1554b142aULL, 0x4faf77267fffa0fdULL, 0x829e1ecd50370b2bULL};
   EXPECT_EQ(digests, expected);
 }
 
