@@ -394,8 +394,9 @@ BENCHMARK(bm_path_oram_cycle)->Arg(1)->Arg(3)->Arg(5);
 // One sealed Ring ORAM eviction union of k reverse-lexicographic paths
 // on a zipf-tenants shard's tree (4096 blocks of 256 B, 256 leaves,
 // Z = 16, S = 25): every union bucket is range-read, opened, written
-// back and resealed once. k = 1 is the online eviction, k = 39 a shard
-// drain's budget; items are evicted paths.
+// back and resealed once. k = 1 is the online eviction, k = 13 a shard
+// drain's budget (⌈n/A⌉ for n ≈ 247 re-installed blocks at A = 20);
+// items are evicted paths.
 void bm_ring_drain(benchmark::State& state) {
   sim::block_device storage(sim::nvme());
   const sim::cpu_model cpu(sim::cpu_aesni());
@@ -420,7 +421,7 @@ void bm_ring_drain(benchmark::State& state) {
                           state.range(0));
   state.SetLabel("sealed, " + kernel_label());
 }
-BENCHMARK(bm_ring_drain)->Arg(1)->Arg(8)->Arg(39);
+BENCHMARK(bm_ring_drain)->Arg(1)->Arg(8)->Arg(13);
 
 }  // namespace
 

@@ -44,6 +44,12 @@ struct tree_traits<path_oram> {
     return std::make_unique<path_oram>(tree, device, &device, cpu, rng,
                                        trace);
   }
+  /// Drain steps for `n` re-installed blocks: a path's worth of dummy
+  /// accesses plus two per bucket's worth of blocks.
+  static std::uint64_t drain_budget(const horam_config& config,
+                                    const path_oram& tree, std::uint64_t n) {
+    return tree.level_count() + 2 * util::ceil_div(n, real_slots(config));
+  }
   /// Drain steps one unit may run: one, since access_batch takes a
   /// single access under layout(page).
   static constexpr std::uint64_t max_drain_unit = 1;
@@ -87,6 +93,15 @@ struct tree_traits<ring_oram> {
                                          util::random_source& rng,
                                          access_trace* trace) {
     return std::make_unique<ring_oram>(tree, device, cpu, rng, trace);
+  }
+  /// Drain steps for `n` re-installed blocks: Ring ORAM's own schedule,
+  /// one eviction per A stash insertions (Ren et al., "Constants
+  /// Count"), so ⌈n/A⌉ — the rate whose stash bound the online
+  /// evictions already rely on.
+  static std::uint64_t drain_budget(const horam_config& config,
+                                    const ring_oram& /*tree*/,
+                                    std::uint64_t n) {
+    return util::ceil_div(n, config.ring_eviction_rate);
   }
   /// Drain steps one unit may run: any number, as one eviction union.
   static constexpr std::uint64_t max_drain_unit = UINT64_MAX;
@@ -225,11 +240,14 @@ oram_backend::load_result tree_backend<Tree>::dummy_load() {
 
 /// Shuffle job over the tree layout: slice units are single stash
 /// re-installs, then drain units, so bounded budgets stop between any
-/// two units. The drain budget runs in as few units as the scheme
-/// allows (Path ORAM: one dummy access per unit; Ring ORAM: the whole
-/// budget as one eviction union, which a bounded slice cannot split),
-/// and the conditional tail one step per unit. Nothing is ever kept —
-/// the stash shelters whatever the drain cannot place.
+/// two units. The drain budget is a per-scheme function of the public
+/// eviction size n (Path ORAM: levels + 2·⌈n/Z⌉; Ring ORAM: ⌈n/A⌉, one
+/// eviction per A insertions as in its online schedule) and runs in as
+/// few units as the scheme allows (Path ORAM: one dummy access per
+/// unit; Ring ORAM: the whole budget as one eviction union, which a
+/// bounded slice cannot split), and the conditional tail one step per
+/// unit. Nothing is ever kept — the stash shelters whatever the drain
+/// cannot place.
 template <class Tree>
 class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
  public:
@@ -244,14 +262,14 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
       order_.push_back(block.id);
       stage(block.id, std::move(block.payload));
     }
-    // Drain burst length: a function of the (public) eviction size
-    // only, with a bounded conditional tail so a stubborn stash still
-    // drains; whatever remains stays sheltered in the stash. The steps
-    // count evictions, however many of them one unit runs.
-    const std::uint64_t z = tree_traits<Tree>::real_slots(owner_.config_);
-    drain_budget_ = owner_.tree_->level_count() +
-                    2 * util::ceil_div(order_.size(), z);
-    drain_floor_ = 2 * z;
+    // Drain burst length: a function of the (public) eviction size n
+    // and the scheme's public shape only, with a bounded conditional
+    // tail so a stubborn stash still drains; whatever remains stays
+    // sheltered in the stash. The steps count evictions, however many
+    // of them one unit runs.
+    drain_budget_ = tree_traits<Tree>::drain_budget(
+        owner_.config_, *owner_.tree_, order_.size());
+    drain_floor_ = 2 * tree_traits<Tree>::real_slots(owner_.config_);
     extra_ = 4 * drain_budget_ + 64;
     owner_.last_drain_steps_ = 0;
   }

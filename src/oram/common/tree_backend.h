@@ -18,10 +18,14 @@
 //     every evicted block re-enters the stash with a fresh uniform leaf
 //     (the same leaf is recorded in the recursive map), and a burst of
 //     drain steps — its length a function of the (public) eviction size
-//     only — pushes the stash back into the tree (Ring ORAM evicts the
-//     burst's paths as one union). Blocks the drain cannot place
-//     simply stay in the stash: the stash is the scheme's trusted
-//     holding area, so no overflow is ever handed back.
+//     n only — pushes the stash back into the tree. Path ORAM runs
+//     levels + 2·⌈n/Z⌉ dummy accesses; Ring ORAM runs ⌈n/A⌉ forced
+//     evictions as one union, the one-eviction-per-A-insertions rate of
+//     its own schedule (Ren et al., "Constants Count"), so its stash
+//     bound covers the drain as it covers online accesses. A bounded
+//     conditional tail runs only if the stash still exceeds 2Z. Blocks
+//     the drain cannot place simply stay in the stash: the stash is the
+//     scheme's trusted holding area, so no overflow is ever handed back.
 //
 // The adapter keeps the recursive map authoritative at the interface:
 // every load first walks the map and verifies the answer against the
@@ -30,10 +34,10 @@
 // map chain.
 //
 // What differs between schemes — the tree config built from
-// horam_config, the key-seed domains, the drain unit (a dummy path
-// access for Path ORAM, a union of forced deterministic evictions for
-// Ring ORAM), the slot count behind physical_bytes() and any extra
-// trusted state — lives in one tree_traits<Tree> specialisation per
+// horam_config, the key-seed domains, the drain budget and unit (a
+// dummy path access for Path ORAM, a union of forced deterministic
+// evictions for Ring ORAM), the slot count behind physical_bytes() and
+// any extra trusted state — lives in one tree_traits<Tree> specialisation per
 // scheme (tree_backend.cpp). A new tree scheme adds a specialisation
 // and an explicit instantiation there.
 #ifndef HORAM_ORAM_COMMON_TREE_BACKEND_H

@@ -1080,9 +1080,8 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
         }
       }
       const std::uint64_t budget =
-          levels + 2 * ((config.period_loads() + config.ring_bucket_size -
-                         1) /
-                        config.ring_bucket_size);
+          (config.period_loads() + config.ring_eviction_rate - 1) /
+          config.ring_eviction_rate;
       const std::uint64_t steps = backend.last_drain_steps();
       ASSERT_GE(steps, budget);
       EXPECT_EQ(backend.tree().stats().evictions, counter + steps);

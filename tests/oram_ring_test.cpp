@@ -323,7 +323,7 @@ TEST(RingOram, UnionDrainStashStaysBounded) {
         const std::uint64_t count =
             variant == 0   ? 2
             : variant == 1 ? levels
-                           : levels + 2 * ((sh.moved + sh.z - 1) / sh.z);
+                           : (sh.moved + sh.a - 1) / sh.a;
         by_union.prepare(sh, seed ^ 0x5eed);
         by_path.prepare(sh, seed ^ 0x5eed);
         ASSERT_EQ(by_union.oram.stash_ref().size(),
@@ -506,6 +506,75 @@ TEST(FaultInjection, TamperedRingEvictionLeavesTheStashUntouched) {
 constexpr std::uint64_t kBlocks = 256;
 constexpr std::uint64_t kMemoryBlocks = 32;
 constexpr std::size_t kPayload = 16;
+
+// A shuffle drain of n re-installed blocks runs ⌈n/A⌉ evictions, Ring
+// ORAM's own one-per-A-insertions rate. On every shipped (Z, S, A)
+// shape that budget alone must bring the stash back to at most 2Z, so
+// the conditional tail stays idle. The golden shape (Z = 2) may fire
+// the tail now and then; there only the floor it drains to is checked.
+TEST(RingOram, DrainRunsAtTheEvictionRate) {
+  struct shape {
+    std::uint32_t z;
+    std::uint32_t s;
+    std::uint32_t a;
+    bool tail_idle;
+  };
+  const shape shapes[] = {{2, 5, 3, false},
+                          {4, 6, 3, true},
+                          {8, 13, 10, true},
+                          {16, 25, 20, true},
+                          {32, 49, 40, true}};
+  constexpr std::uint64_t kDrainBlocks = 4096;
+  for (const shape& sh : shapes) {
+    for (std::uint64_t round = 0; round < 2; ++round) {
+      horam_config config;
+      config.block_count = kDrainBlocks;
+      config.memory_blocks = 512;
+      config.payload_bytes = kPayload;
+      config.seal = false;  // placement does not depend on sealing
+      config.ring_bucket_size = sh.z;
+      config.ring_spare_slots = sh.s;
+      config.ring_eviction_rate = sh.a;
+      sim::block_device device{sim::hdd_paper()};
+      sim::block_device map_device{sim::dram_ddr4()};
+      sim::cpu_model cpu{sim::cpu_aesni()};
+      util::pcg64 rng{test::seed(341 + round)};
+      ring_backend backend(config, device, cpu, rng, nullptr, nullptr,
+                           &map_device);
+      util::pcg64 driver{test::seed(343 + round)};
+      for (std::uint64_t period = 0; period < 50; ++period) {
+        std::vector<evicted_block> evicted;
+        for (std::uint64_t i = 0; i < config.period_loads(); ++i) {
+          const block_id target = util::uniform_below(driver, kDrainBlocks);
+          oram_backend::load_result load = backend.in_storage(target)
+                                               ? backend.load_block(target)
+                                               : backend.dummy_load();
+          if (load.id != dummy_block_id) {
+            evicted.push_back(evicted_block{load.id, std::move(load.payload)});
+          }
+        }
+        const std::uint64_t budget = (evicted.size() + sh.a - 1) / sh.a;
+        std::vector<evicted_block> overflow;
+        (void)backend.shuffle_period(std::move(evicted), period, overflow);
+        EXPECT_TRUE(overflow.empty());
+        const std::uint64_t steps = backend.last_drain_steps();
+        const std::size_t stash = backend.tree().stash_ref().size();
+        // The tail is capped at 4·budget + 64 single evictions.
+        ASSERT_GE(steps, budget);
+        ASSERT_LE(steps, 5 * budget + 64);
+        if (sh.tail_idle) {
+          EXPECT_EQ(steps, budget)
+              << "Z = " << sh.z << ", round " << round << ", period "
+              << period;
+        }
+        EXPECT_LE(stash, 2u * sh.z)
+            << "Z = " << sh.z << ", round " << round << ", period "
+            << period;
+        ASSERT_NO_THROW(backend.check_consistency());
+      }
+    }
+  }
+}
 
 // The facade's (Z, S, A) knobs reach the tree, including sizes with no
 // power-of-two relationship to anything.

@@ -205,8 +205,8 @@ TEST(TreeBackendGolden, RingXor) {
   config.ring_eviction_rate = 3;
   config.ring_xor = true;
   const golden expected{
-      1055u, 911u, 286924u, 280588u, 147u, 1918u, 1918u, 352912u, 352912u,
-      548u, 7505u, 0xc47704e91970be67ULL, {52, 52, 52}, {0, 0, 0}, 99724908,
+      776u, 632u, 200992u, 194656u, 147u, 1918u, 1918u, 352912u, 352912u,
+      548u, 6947u, 0x15404dc555f33ef0ULL, {15, 15, 15}, {0, 0, 0}, 90505156,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }
@@ -218,8 +218,8 @@ TEST(TreeBackendGolden, RingPerSlot) {
   config.ring_eviction_rate = 3;
   config.ring_xor = false;
   const golden expected{
-      2063u, 911u, 331276u, 280588u, 147u, 1918u, 1918u, 352912u, 352912u,
-      548u, 7505u, 0xc47704e91970be67ULL, {52, 52, 52}, {0, 0, 0}, 170512332,
+      1784u, 632u, 245344u, 194656u, 147u, 1918u, 1918u, 352912u, 352912u,
+      548u, 6947u, 0x15404dc555f33ef0ULL, {15, 15, 15}, {0, 0, 0}, 161493580,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }
