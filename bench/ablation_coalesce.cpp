@@ -67,6 +67,8 @@ struct cell_run {
   double memory_ops_per_request = 0.0;
   std::uint32_t round_cap = 0;
   std::uint64_t rounds = 0;
+  std::uint64_t shuffle_rounds = 0;
+  std::uint64_t early_period_ends = 0;
   sim::sim_time total_time = 0;
   double throughput = 0.0;
   double wall_seconds = 0.0;
@@ -118,6 +120,8 @@ cell_run run_cell(const std::vector<request>& stream, backend_kind kind,
       shard_memory_stats(svc.underlying().eng()), run.requests);
   run.round_cap = svc.underlying().eng().round_cap();
   run.rounds = router.rounds;
+  run.shuffle_rounds = router.shuffle_rounds;
+  run.early_period_ends = router.early_period_ends;
   run.total_time = svc.now() - epoch;
   run.throughput = run.total_time > 0
                        ? static_cast<double>(run.requests) * 1e9 /
@@ -230,6 +234,10 @@ int main(int argc, char** argv) {
                   json_number(run.memory_ops_per_request) +
                   ", \"round_cap\": " + std::to_string(run.round_cap) +
                   ", \"rounds\": " + std::to_string(run.rounds) +
+                  ", \"shuffle_rounds\": " +
+                  std::to_string(run.shuffle_rounds) +
+                  ", \"early_period_ends\": " +
+                  std::to_string(run.early_period_ends) +
                   ", \"sim_total_ns\": " + std::to_string(run.total_time) +
                   ", \"throughput_rps\": " + json_number(run.throughput) +
                   ", \"wall_seconds\": " + json_number(run.wall_seconds) +

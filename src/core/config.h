@@ -95,7 +95,13 @@ struct horam_config {
   /// exact historical behavior; > 1 routes requests by a keyed PRF over
   /// the block id and pads every per-shard round to the engine's round
   /// cap (engine::round_cap(), derived from the scheduler geometry) so
-  /// the per-shard bus shape stays data-independent.
+  /// the per-shard bus shape stays data-independent. The shards' shuffle
+  /// periods end together: when one shard's n/2-load period ends in a
+  /// round, or a round leaves some shard round_cap() loads or fewer,
+  /// every shard ends its period with that round, so a round carries at
+  /// most one shuffle stall and it follows the round's completions.
+  /// Deferred shuffles (defers_shuffles()) keep each shard on its own
+  /// n/2-load cadence.
   std::uint32_t shard_count = 1;
   /// Seed of the keyed SipHash PRF that routes block ids to shards.
   std::uint64_t route_key_seed = 0x726f757465;  // "route"
@@ -191,6 +197,13 @@ struct horam_config {
   /// Derived: storage loads per access period (n/2).
   [[nodiscard]] std::uint64_t period_loads() const {
     return memory_blocks / 2;
+  }
+  /// Derived: a shuffle outlives its period boundary as a job pumped
+  /// slice by slice (shuffle_policy::incremental with a bounded budget);
+  /// every other configuration runs it to completion at the boundary.
+  [[nodiscard]] bool defers_shuffles() const {
+    return shuffle == shuffle_policy::incremental &&
+           shuffle_slice_budget > 0;
   }
 
   /// Validates the invariants the components rely on.

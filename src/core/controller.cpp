@@ -237,7 +237,7 @@ void controller::run(std::span<const request> requests,
 
     // Period bookkeeping: every cycle consumes one of the n/2 loads.
     if (++loads_this_period_ >= config_.period_loads()) {
-      run_shuffle_period();
+      end_period();
     }
 
     // Deamortization point: one budget-bounded slice of any in-flight
@@ -295,7 +295,7 @@ void controller::charge_shuffle_device_delta(
   });
 }
 
-void controller::run_shuffle_period() {
+void controller::end_period() {
   // An incremental job still in flight blocks the next period: drain
   // it foreground now — the latency cliff a well-sized slice budget
   // avoids (budget * period_loads should cover a whole shuffle).
@@ -322,8 +322,7 @@ void controller::run_shuffle_period() {
   // defers the job to the slice pump unless it is already done (a hier
   // period with nothing to merge); otherwise it runs to completion
   // right here, which is what shuffle_period() does.
-  const bool deferred = config_.shuffle == shuffle_policy::incremental &&
-                        config_.shuffle_slice_budget > 0;
+  const bool deferred = config_.defers_shuffles();
   std::vector<oram::evicted_block> overflow;
   shuffle_cost sc;
   const sim::io_stats device_before =

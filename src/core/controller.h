@@ -10,9 +10,12 @@
 // cycle's hits in plan order, then the padding dummies — reach the
 // cache tree as one batch (path_oram::access_batch): the union of
 // their c uniform paths is read, opened, re-sealed and written back
-// once, so the memory lane is charged per union bucket. After n/2 loads
-// the controller runs the shuffle period: oblivious tree evict, group-
-// and-partition shuffle, tree re-initialisation. The shuffle's device
+// once, so the memory lane is charged per union bucket. A period is at
+// most n/2 loads: after n/2 loads the controller runs the shuffle
+// period — oblivious tree evict, group-and-partition shuffle, tree
+// re-initialisation — and a caller may end it earlier between batches
+// (end_period(); the sharded engine ends every shard's period together,
+// at the end of a round). The shuffle's device
 // time is charged according to the configured shuffle_policy (foreground /
 // page-cache-style async write-back / fully offloaded — Figure 5-2 —
 // or deamortized: shuffle_policy::incremental turns the period into a
@@ -286,6 +289,16 @@ class controller {
   [[nodiscard]] bool shuffle_in_flight() const noexcept {
     return shuffle_job_ != nullptr;
   }
+  /// Ends the current access period now, before its n/2 loads are used
+  /// up: runs the shuffle period exactly as the load budget would. An
+  /// incremental job still in flight is first drained foreground (a
+  /// stall, counted in shuffle_stall_time); callers that must not stall
+  /// check shuffle_in_flight() first. Call between run() batches only.
+  void end_period();
+  /// Loads the current period has left before its budget ends it.
+  [[nodiscard]] std::uint64_t period_loads_left() const noexcept {
+    return config_.period_loads() - loads_this_period_;
+  }
   [[nodiscard]] sim::sim_time now() const noexcept { return clock_.now(); }
   [[nodiscard]] const horam_config& config() const noexcept {
     return config_;
@@ -305,7 +318,6 @@ class controller {
 
  private:
   [[nodiscard]] bool resident(oram::block_id id) const;
-  void run_shuffle_period();
   /// Runs one slice of the in-flight incremental shuffle job (no-op
   /// without one); charges the slice's device time and, when the job
   /// completes, shelters its overflow.

@@ -207,6 +207,15 @@ engine::lane_report engine::service_lane(lane_task&& task,
   }
   try {
     shard_state& sh = *shards_[task.shard];
+    if (task.end_period) {
+      // Aligned end. Shuffles are never deferred here, so no job is in
+      // flight for end_period() to drain in the foreground.
+      const sim::sim_time local_start = sh.ctrl->now();
+      sh.ctrl->end_period();
+      report.elapsed = sh.ctrl->now() - local_start;
+      return report;
+    }
+    const std::uint64_t periods_before = sh.ctrl->stats().periods;
     const std::size_t physical = task.groups.size();
     std::vector<request> batch;
     batch.reserve(task.slots);
@@ -278,6 +287,8 @@ engine::lane_report engine::service_lane(lane_task&& task,
       }
     }
     report.elapsed = sh.ctrl->now() - local_start;
+    report.period_ended = sh.ctrl->stats().periods != periods_before;
+    report.loads_left = sh.ctrl->period_loads_left();
   } catch (...) {
     // Workers must not throw (an escape would terminate the process);
     // the failure crosses back to the coordinator as data and is
@@ -290,9 +301,9 @@ engine::lane_report engine::service_lane(lane_task&& task,
 std::vector<engine::lane_report> engine::run_lanes(
     std::vector<lane_task>&& tasks, sim::sim_time start) {
   std::vector<lane_report> reports(tasks.size());
-  if (pool_ == nullptr || tasks.size() <= 1) {
-    // No workers (or a degenerate fan-out): lanes run sequentially on
-    // the calling thread, failures surface immediately.
+  if (pool_ == nullptr) {
+    // No workers: lanes run sequentially on the calling thread,
+    // failures surface immediately.
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       reports[i] = service_lane(std::move(tasks[i]), start);
       if (reports[i].error != nullptr) {
@@ -344,6 +355,56 @@ void engine::log_rounds(std::uint64_t rounds) {
     }
   }
   stats_.rounds += rounds;
+}
+
+bool engine::next_round_may_end_a_period(
+    const std::vector<lane_report>& reports) const {
+  // A round lane makes one load per cycle and retires each of its
+  // round_cap() slots in about one cycle: round_cap() + 1 when every
+  // slot misses, as the last load is served a cycle later. A budget
+  // reached on the lane's last cycle shuffles after all of its
+  // completions; one reached earlier shuffles before the lane's later
+  // completions, and the stall lands in their latencies. So a shard
+  // with round_cap() loads left or fewer ends every period now, after
+  // this round's completions. Should a round ever need more loads, the
+  // budget still ends the period at its n/2-th.
+  //
+  // Looking ahead gives up to round_cap() loads of a period. Where a
+  // period cannot hold two whole rounds, that would cut most periods to
+  // a single round — a shuffle after every round, more than the stalls
+  // it moves — so there the budget alone ends periods. Every shard has
+  // the same budget (the memory splits evenly).
+  const std::uint64_t round_loads =
+      static_cast<std::uint64_t>(round_cap_) + 1;
+  if (shards_.front()->config.period_loads() <= 2 * round_loads) {
+    return false;
+  }
+  return std::any_of(reports.begin(), reports.end(),
+                     [this](const lane_report& r) {
+                       return r.loads_left <= round_cap_;
+                     });
+}
+
+void engine::align_period_ends(std::vector<lane_report>& reports,
+                               sim::sim_time start) {
+  std::vector<lane_task> ends;
+  std::vector<lane_report*> extended;
+  for (lane_report& report : reports) {
+    if (!report.period_ended) {
+      lane_task& task = ends.emplace_back();
+      task.shard = report.shard;
+      task.end_period = true;
+      extended.push_back(&report);
+    }
+  }
+  // Each end runs on its shard's own worker, like the lane it extends.
+  // The lane's shuffle lengthens it, so the round lasts the slowest
+  // lane-plus-shuffle; completions already happened before the end.
+  const std::vector<lane_report> forced = run_lanes(std::move(ends), start);
+  for (std::size_t i = 0; i < forced.size(); ++i) {
+    extended[i]->elapsed += forced[i].elapsed;
+  }
+  stats_.early_period_ends += forced.size();
 }
 
 void engine::merge_report(lane_report&& report, std::vector<completed>* out,
@@ -440,8 +501,24 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
   }
 
   // Phase 2: execute the lanes — sequentially (sim) or on the
-  // per-shard workers (threaded).
+  // per-shard workers (threaded) — then, if a shard's period ended, or
+  // a round left too few loads for the next one, end every other
+  // shard's period in the same execution. Deferred shuffles spread
+  // their device time over slices instead of stalling one round, so
+  // there aligning would only add periods: those shards keep their own
+  // n/2-load cadence.
   std::vector<lane_report> reports = run_lanes(std::move(tasks), start);
+  bool period_ended = std::any_of(
+      reports.begin(), reports.end(),
+      [](const lane_report& r) { return r.period_ended; });
+  if (shard_count() > 1 && !config_.defers_shuffles() &&
+      (period_ended || (one_round && next_round_may_end_a_period(reports)))) {
+    align_period_ends(reports, start);
+    period_ended = true;
+  }
+  if (padded && period_ended) {
+    ++stats_.shuffle_rounds;
+  }
 
   // Phase 3 (coordinator): merge reports in task (= shard-index) order,
   // the exact order the sequential machine produces, whatever order the

@@ -23,6 +23,35 @@
 // onto the engine's global clock (lanes run in parallel: a round lasts
 // the slowest shard), so ticket/latency semantics are unchanged.
 //
+// Aligned period ends: because a round lasts its slowest shard, a
+// shard's shuffle stalls every lane of the round it falls in. Left to
+// their own n/2-load budgets the shards' periods drift apart and their
+// shuffles land in different rounds, each stalling the whole engine.
+// So when any padded shard's period ends during an execution, every
+// other shard ends its period at the end of that same execution (a
+// second lane pass of controller::end_period, on each shard's own
+// worker when threaded; the shuffle time extends that lane, and
+// completions are untouched). A period that ends mid-lane still
+// stalls that lane's later completions, so a round that leaves some
+// shard round_cap() loads or fewer also ends every shard's period: a
+// round lane makes at most about one load per slot (round_cap() + 1
+// when every slot misses), so the next round cannot reach a budget
+// before its lanes' last cycle, and no completion waits for a shuffle.
+// Looking ahead gives up to round_cap() loads of a period, so it needs
+// a period that holds two whole rounds (period_loads() > 2 ·
+// (round_cap() + 1)); shorter periods would shrink to one round each.
+// The load budget still ends a period at n/2 loads, so aligning only
+// shortens periods. Only padded multi-shard rounds (step_round())
+// look ahead; a batch runs whole periods anyway. Deferred shuffles
+// (horam_config::defers_shuffles(): incremental with a bounded budget)
+// are not aligned: their device time is spread over slices, not one
+// round's stall, so aligning them would only add periods, and a forced
+// end could find a job still in flight and drain it in the foreground.
+// The rule is oblivious: its trigger is a function of each shard's
+// load count and the public configuration (round_cap() included), and
+// every cycle makes one visible load, so those counts are already on
+// the bus.
+//
 // Every entry point — run(), drain() and step_round() — goes through one
 // executor that pops each shard's queue into a lane task, runs the lanes
 // and merges their reports. The entry points differ only in how much
@@ -102,6 +131,14 @@ struct engine_stats {
   /// physical access of their own (real_requests - physical_accesses);
   /// 0 with coalescing off.
   std::uint64_t coalesced_requests = 0;
+  /// Padded executions in which any shard's period ended — at most one
+  /// per step_round() round; a batch (run(), drain()) counts once.
+  std::uint64_t shuffle_rounds = 0;
+  /// Shard periods ended before their own budget by the aligned-end
+  /// rule: another shard's period ended in the same execution, or some
+  /// shard had round_cap() loads or fewer left after the round (0 under
+  /// deferred shuffles).
+  std::uint64_t early_period_ends = 0;
 
   /// Physical ORAM accesses per logical request — the constant factor
   /// coalescing attacks (1.0 with coalescing off; lower is better).
@@ -318,6 +355,8 @@ class engine {
     std::size_t slots = 0;
     /// Whether the caller wants real-request completions back.
     bool want_out = false;
+    /// Aligned-end pass: no requests, end the shard's period instead.
+    bool end_period = false;
   };
   /// Completion-records-out message: the lane's whole observable
   /// outcome, merged by the coordinator in shard-index order so the
@@ -335,6 +374,10 @@ class engine {
     std::uint64_t pad_requests = 0;
     std::uint64_t pad_hits = 0;
     std::uint64_t pad_misses = 0;
+    /// The shard's period ended during the lane.
+    bool period_ended = false;
+    /// Loads the shard's period has left after the lane.
+    std::uint64_t loads_left = 0;
     std::vector<completed> completions;
     /// Failure shipped back as data; workers must not throw.
     std::exception_ptr error;
@@ -343,8 +386,9 @@ class engine {
   [[nodiscard]] std::uint32_t derive_round_cap() const;
   /// The one request-execution path behind run(), step_round() and
   /// drain(): pops `queues` (per-shard routed requests) into lane tasks
-  /// — coalesced or singleton groups — runs the lanes, merges their
-  /// reports, logs the rounds and advances the clock. `one_round` pops
+  /// — coalesced or singleton groups — runs the lanes, aligns the
+  /// shards' period ends, merges the reports, logs the rounds and
+  /// advances the clock. `one_round` pops
   /// at most round_cap() physical accesses per padded shard and delivers
   /// completions in global completion order; otherwise the whole queue
   /// runs as one controller batch per lane, padded to a whole number of
@@ -355,7 +399,8 @@ class engine {
                         bool one_round, std::vector<completed>* out);
   /// Pure lane executor: pads task.groups to task.slots dummy-topped
   /// request slots, runs them on the task's shard and maps completions
-  /// onto the global clock at `start`. Touches only that shard's state
+  /// onto the global clock at `start` — or, for an end_period task,
+  /// ends the shard's period. Touches only that shard's state
   /// (thread-confined under the threaded runtime); router bookkeeping
   /// travels back in the report. Never throws — failures ship as
   /// report.error.
@@ -367,6 +412,16 @@ class engine {
   /// after every report is in.
   std::vector<lane_report> run_lanes(std::vector<lane_task>&& tasks,
                                      sim::sim_time start);
+  /// Aligned-end pass, run when some report's period ended or a round
+  /// left some shard few loads: ends the period of every reporting
+  /// shard whose period did not end in its lane, on its own lane, and
+  /// adds that shuffle time to the shard's report.elapsed.
+  void align_period_ends(std::vector<lane_report>& reports,
+                         sim::sim_time start);
+  /// Whether some reporting shard has so few loads left in its period
+  /// that the next round could reach its budget mid-lane.
+  [[nodiscard]] bool next_round_may_end_a_period(
+      const std::vector<lane_report>& reports) const;
   /// Merges one lane's report into router state: stats, completions,
   /// the round's longest-lane tracking.
   void merge_report(lane_report&& report, std::vector<completed>* out,

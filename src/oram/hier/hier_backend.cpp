@@ -290,8 +290,7 @@ class hier_shuffle_job final : public horam::staged_shuffle_job {
     const horam_config& config = owner_.config_;
     const sim::device_profile& profile = owner_.store_->device().profile();
     const std::uint64_t block_bytes = owner_.store_->logical_block_bytes();
-    if (config.shuffle == shuffle_policy::incremental &&
-        config.shuffle_slice_budget > 0) {
+    if (config.defers_shuffles()) {
       while (chunk_slots_ > 1 &&
              chunk_device_time(profile, block_bytes, chunk_slots_) >
                  config.shuffle_slice_budget) {

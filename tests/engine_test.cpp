@@ -675,6 +675,83 @@ TEST(EngineStats, RoundTripSplitSumsToDeviceTotal) {
   }
 }
 
+// ------------------------------------------------ aligned period ends
+
+TEST(Engine, ShardPeriodsEndInOneRound) {
+  // 1,024 cache blocks split four ways give every shard a 128-load
+  // period, several rounds long: left to their own budgets the shards'
+  // periods would end in different rounds. The service pump's shape —
+  // refill to round_budget(), step one round — with half the traffic on
+  // a hot 1/16th keeps the shards' hit rates, and so their cycle
+  // counts, apart.
+  constexpr std::uint64_t kAlignedBlocks = 4096;
+  for (const char* backend : {"ring", "partitioned"}) {
+    SCOPED_TRACE(backend);
+    client oram = client_builder()
+                      .blocks(kAlignedBlocks)
+                      .memory_blocks(1024)
+                      .payload_bytes(kPayload)
+                      .backend(backend)
+                      .shards(4)
+                      .shuffle(shuffle_policy::foreground)
+                      .trace(true)
+                      .seed(test::seed(49))
+                      .build();
+    engine& eng = oram.eng();
+    util::pcg64 gen(test::seed(50));
+    std::vector<std::uint64_t> periods(eng.shard_count(), 0);
+    std::vector<std::size_t> traced(eng.shard_count(), 0);
+    std::uint64_t rounds_with_ends = 0;
+    for (int round = 0; round < 120; ++round) {
+      while (eng.pending() < eng.round_budget()) {
+        request req;
+        req.op = oram::op_kind::read;
+        req.id = util::bernoulli(gen, 0.5)
+                     ? util::uniform_below(gen, kAlignedBlocks / 16)
+                     : util::uniform_below(gen, kAlignedBlocks);
+        (void)eng.submit(std::move(req));
+      }
+      ASSERT_TRUE(eng.step_round());
+      std::uint32_t advanced = 0;
+      for (std::uint32_t s = 0; s < eng.shard_count(); ++s) {
+        const std::uint64_t now = eng.shard(s).stats().periods;
+        advanced += now != periods[s] ? 1 : 0;
+        periods[s] = now;
+        // A period ends after the round's last cycle, so no completion
+        // of the round waits for its shuffle.
+        const std::vector<oram::trace_event>& events =
+            eng.shard_trace(s)->events();
+        bool shuffled = false;
+        for (; traced[s] < events.size(); ++traced[s]) {
+          const oram::event_kind kind = events[traced[s]].kind;
+          shuffled = shuffled || kind == oram::event_kind::period_begin;
+          EXPECT_FALSE(shuffled && kind == oram::event_kind::cycle_begin)
+              << "round " << round << ", shard " << s
+              << ": a cycle after the period's end";
+        }
+      }
+      EXPECT_TRUE(advanced == 0 || advanced == eng.shard_count())
+          << "round " << round << ": " << advanced << " of "
+          << eng.shard_count() << " shards ended their period";
+      rounds_with_ends += advanced > 0 ? 1 : 0;
+    }
+    EXPECT_GE(rounds_with_ends, 3u);
+    EXPECT_EQ(eng.router_stats().shuffle_rounds, rounds_with_ends);
+    EXPECT_GT(eng.router_stats().early_period_ends, 0u);
+
+    // Aligning only ever shortens a period.
+    for (std::uint32_t s = 0; s < eng.shard_count(); ++s) {
+      const std::uint64_t budget = eng.shard(s).config().period_loads();
+      const std::vector<std::uint64_t> loads =
+          test::loads_per_period(*eng.shard_trace(s));
+      ASSERT_EQ(loads.size(), periods[s] + 1) << "shard " << s;
+      for (std::size_t p = 0; p < loads.size(); ++p) {
+        EXPECT_LE(loads[p], budget) << "shard " << s << ", period " << p;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------- scaling & performance
 
 TEST(EngineScaling, FourShardsBeatOneOnBackloggedBatches) {

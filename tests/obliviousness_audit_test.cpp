@@ -1098,5 +1098,104 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
   EXPECT_EQ(drains[0], drains[1]);
 }
 
+TEST(ObliviousnessAudit, ShardPeriodEndsFollowFromLoadCounts) {
+  // A sharded engine ends every shard's period in the round the first
+  // one ends, and ends them all after a round that leaves some shard
+  // round_cap() loads or fewer. Where each shard's periods end must
+  // follow from what the bus already shows: every shard's cycle count
+  // per round (one visible load each), the round log and the public
+  // round cap. So the period_begin positions are rebuilt from those
+  // alone — a period ends at its period_loads()-th load, or at the end
+  // of a round in which another shard's period ended or some shard's
+  // loads left fell to round_cap() — and must match the traces for a
+  // hotspot and a uniform stream (the look-ahead needs a period that
+  // holds two whole rounds). 1,024 cache blocks over four shards make
+  // each period several rounds long, so periods end early.
+  constexpr std::uint64_t kShardedBlocks = 4096;
+  for (const bool hotspot : {true, false}) {
+    SCOPED_TRACE(hotspot ? "hotspot" : "uniform");
+    client oram = client_builder()
+                      .blocks(kShardedBlocks)
+                      .memory_blocks(1024)
+                      .payload_bytes(kPayload)
+                      .backend(backend_kind::ring)
+                      .shards(4)
+                      .trace(true)
+                      .seed(test::seed(341))
+                      .build();
+    engine& eng = oram.eng();
+    const std::uint32_t shards = eng.shard_count();
+
+    // Each shard's trace length after every round: the round
+    // boundaries on the bus.
+    std::vector<std::vector<std::size_t>> round_ends;
+    util::pcg64 gen{test::seed(hotspot ? 342 : 343)};
+    for (int round = 0; round < 100; ++round) {
+      while (eng.pending() < eng.round_budget()) {
+        request req;
+        req.id = hotspot ? util::uniform_below(gen, kShardedBlocks / 16)
+                         : util::uniform_below(gen, kShardedBlocks);
+        (void)eng.submit(std::move(req));
+      }
+      ASSERT_TRUE(eng.step_round());
+      std::vector<std::size_t>& ends = round_ends.emplace_back();
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        ends.push_back(eng.shard_trace(s)->size());
+      }
+    }
+    ASSERT_EQ(eng.round_log().size(), round_ends.size());
+    ASSERT_GT(eng.router_stats().early_period_ends, 0u);
+
+    // Period ends as cycle ordinals: predicted from the load counts,
+    // and as the traces record them.
+    std::vector<std::vector<std::uint64_t>> predicted(shards);
+    std::vector<std::vector<std::uint64_t>> recorded(shards);
+    std::vector<std::uint64_t> cycles(shards, 0);
+    std::vector<std::uint64_t> loads(shards, 0);
+    std::vector<std::size_t> cursor(shards, 0);
+    for (const std::vector<std::size_t>& ends : round_ends) {
+      std::vector<bool> ended(shards, false);
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        const std::uint64_t budget = eng.shard(s).config().period_loads();
+        const std::vector<oram::trace_event>& events =
+            eng.shard_trace(s)->events();
+        for (; cursor[s] < ends[s]; ++cursor[s]) {
+          const oram::event_kind kind = events[cursor[s]].kind;
+          if (kind == oram::event_kind::period_begin) {
+            recorded[s].push_back(cycles[s]);
+          } else if (kind == oram::event_kind::cycle_begin) {
+            ++cycles[s];
+            if (++loads[s] == budget) {
+              predicted[s].push_back(cycles[s]);
+              loads[s] = 0;
+              ended[s] = true;
+            }
+          }
+        }
+      }
+      // Looking ahead needs a period that holds two whole rounds.
+      bool align = std::find(ended.begin(), ended.end(), true) != ended.end();
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        const std::uint64_t budget = eng.shard(s).config().period_loads();
+        align = align || (budget > 2 * (eng.round_cap() + 1ULL) &&
+                          budget - loads[s] <= eng.round_cap());
+      }
+      if (!align) {
+        continue;
+      }
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        if (!ended[s]) {
+          predicted[s].push_back(cycles[s]);
+          loads[s] = 0;
+        }
+      }
+    }
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      EXPECT_GT(recorded[s].size(), 2u) << "shard " << s;
+      EXPECT_EQ(predicted[s], recorded[s]) << "shard " << s;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace horam

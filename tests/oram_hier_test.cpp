@@ -485,8 +485,12 @@ TEST(HierBackend, MergeTargetsFollowTheCapacitySchedule) {
 // ------------------------------------------------ dummy-pool schedule
 
 /// Forwards every call to a hier backend and, at each period boundary
-/// (the controller opening a shuffle), checks that every active level's
-/// dummy pool still holds a whole period of probes. Each active level
+/// (the controller opening a shuffle), checks that the period just
+/// closed made exactly period_loads loads — at most that many when
+/// `exact` is off: a sharded engine ends a foreground period early to
+/// align it with its sibling shards' — and that every
+/// active level's dummy pool still holds a whole period of probes. Each
+/// active level
 /// is probed once per load through the period that starts there —
 /// because its epoch goes on or because the merge draining it is still
 /// in flight — so this headroom is what keeps every probe off an
@@ -494,8 +498,9 @@ TEST(HierBackend, MergeTargetsFollowTheCapacitySchedule) {
 class pool_auditor final : public horam::oram_backend {
  public:
   pool_auditor(std::unique_ptr<hier_backend> inner,
-               std::uint64_t period_loads)
-      : inner_(std::move(inner)), period_loads_(period_loads) {}
+               std::uint64_t period_loads, bool exact)
+      : inner_(std::move(inner)), period_loads_(period_loads),
+        exact_(exact) {}
 
   [[nodiscard]] const hier_backend& inner() const { return *inner_; }
   /// Period boundaries audited so far.
@@ -518,7 +523,11 @@ class pool_auditor final : public horam::oram_backend {
   [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
       std::vector<evicted_block> evicted,
       std::uint64_t period_index) override {
-    EXPECT_EQ(loads_, period_loads_) << "period " << period_index;
+    if (exact_) {
+      EXPECT_EQ(loads_, period_loads_) << "period " << period_index;
+    } else {
+      EXPECT_LE(loads_, period_loads_) << "period " << period_index;
+    }
     loads_ = 0;
     for (std::uint32_t level = 1; level <= inner_->level_count(); ++level) {
       const auto pool = hier_backend_test_access::pool(*inner_, level);
@@ -544,6 +553,7 @@ class pool_auditor final : public horam::oram_backend {
  private:
   std::unique_ptr<hier_backend> inner_;
   std::uint64_t period_loads_;
+  bool exact_;
   std::uint64_t loads_ = 0;
   std::uint64_t boundaries_ = 0;
 };
@@ -577,9 +587,12 @@ TEST(HierBackend, DummyPoolsOutlastEveryActivation) {
                        << shards << " shards, "
                        << (incremental ? "incremental" : "foreground"));
 
+          // One shard, or deferred merges: every shard keeps its own
+          // n/2-load cadence, so every period is exactly full.
+          const bool exact = shards == 1 || incremental;
           std::vector<pool_auditor*> auditors;
           const horam::engine::shard_factory factory =
-              [&auditors](std::uint32_t, const horam_config& shard_config,
+              [&auditors, exact](std::uint32_t, const horam_config& shard_config,
                           sim::block_device& storage, sim::block_device&,
                           const sim::cpu_model& shard_cpu,
                           util::random_source& rng, access_trace* trace,
@@ -589,7 +602,7 @@ TEST(HierBackend, DummyPoolsOutlastEveryActivation) {
                 std::make_unique<hier_backend>(shard_config, storage,
                                                shard_cpu, rng, trace,
                                                nullptr),
-                shard_config.period_loads());
+                shard_config.period_loads(), exact);
             auditors.push_back(audited.get());
             return audited;
           };

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "horam.h"
@@ -78,6 +79,8 @@ void expect_router_stats_equal(const engine_stats& a,
   EXPECT_EQ(a.pad_requests, b.pad_requests);
   EXPECT_EQ(a.pad_hits, b.pad_hits);
   EXPECT_EQ(a.pad_misses, b.pad_misses);
+  EXPECT_EQ(a.shuffle_rounds, b.shuffle_rounds);
+  EXPECT_EQ(a.early_period_ends, b.early_period_ends);
 }
 
 /// Bit-for-bit comparison of every shard's observable bus trace.
@@ -552,6 +555,69 @@ TEST(ThreadedRuntime, ServiceLayerMatchesSim) {
     EXPECT_EQ(a.latency.p99(), b.latency.p99()) << "tenant " << tenant;
   }
   test::expect_stats_equal(sim_svc.stats(), thr_svc.stats());
+}
+
+/// The aligned-end rule runs a second lane pass (each shard's forced
+/// end on its own worker) in the rounds where a period ends. With 1,024
+/// cache blocks over four shards a period spans several rounds, so
+/// forced ends happen; for worker_threads 0/1/2/4 the completion
+/// streams, clocks, stats and bus traces must still be identical.
+TEST(ThreadedRuntime, AlignedPeriodEndsMatchAcrossThreadCounts) {
+  constexpr std::uint64_t kAlignedBlocks = 4096;
+  const auto build = [](std::uint32_t threads) {
+    client_builder builder = client_builder()
+                                 .blocks(kAlignedBlocks)
+                                 .memory_blocks(1024)
+                                 .payload_bytes(kPayload)
+                                 .backend(backend_kind::ring)
+                                 .shards(4)
+                                 .trace(true)
+                                 .seed(test::seed(79));
+    if (threads > 0) {
+      builder.threads(threads);
+    }
+    return builder.build();
+  };
+  using completion_record = std::tuple<std::uint64_t, sim::sim_time, bool>;
+  const auto drive = [](client& oram) {
+    std::vector<completion_record> seen;
+    const engine::completion collect = [&seen](std::uint64_t token,
+                                               request_result&& result) {
+      seen.emplace_back(token, result.completion_time, result.hit);
+    };
+    engine& eng = oram.eng();
+    util::pcg64 rng(test::seed(80));
+    for (int round = 0; round < 60; ++round) {
+      while (eng.pending() < eng.round_budget()) {
+        request req;
+        req.id = util::bernoulli(rng, 0.5)
+                     ? util::uniform_below(rng, kAlignedBlocks / 16)
+                     : util::uniform_below(rng, kAlignedBlocks);
+        if (util::bernoulli(rng, 0.25)) {
+          req.op = oram::op_kind::write;
+          req.write_data.assign(kPayload, static_cast<std::uint8_t>(round));
+        }
+        (void)eng.submit(std::move(req));
+      }
+      EXPECT_TRUE(eng.step_round(collect));
+    }
+    return seen;
+  };
+
+  client sim_oram = build(0);
+  const std::vector<completion_record> sim_seen = drive(sim_oram);
+  ASSERT_GT(sim_oram.eng().router_stats().early_period_ends, 0u);
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    client thr_oram = build(threads);
+    ASSERT_EQ(thr_oram.eng().worker_threads(), threads);
+    EXPECT_EQ(drive(thr_oram), sim_seen);
+    EXPECT_EQ(sim_oram.now(), thr_oram.now());
+    test::expect_stats_equal(sim_oram.stats(), thr_oram.stats());
+    expect_router_stats_equal(sim_oram.eng().router_stats(),
+                              thr_oram.eng().router_stats());
+    expect_traces_equal(sim_oram.eng(), thr_oram.eng());
+  }
 }
 
 /// Same machine, different runtimes, interleaved lifetimes: engines are

@@ -325,6 +325,85 @@ TEST(IncrementalBounded, ShardsShuffleWhileSiblingsServe) {
   EXPECT_GT(total.shuffle_slices, 0u);
 }
 
+/// The engine ends every shard's period in the round the first one
+/// ends, except under deferred shuffles: a bounded incremental job
+/// spreads its device time over slices rather than stalling one round,
+/// and a forced end could find it still in flight and drain it in the
+/// foreground. So every shard keeps its own n/2-load cadence — every
+/// closed period is a full period_loads loads, no end is forced — and a
+/// budget that finishes each job within its own period never stalls.
+/// The tight hier budget keeps jobs in flight across a sibling's end,
+/// so some rounds end only part of the shards.
+TEST(IncrementalBounded, DeferredShardsKeepTheirOwnPeriods) {
+  constexpr std::uint64_t kDeferredBlocks = 4096;
+  struct scenario {
+    backend_kind kind;
+    sim::sim_time budget;
+    bool stall_free;
+  };
+  for (const scenario& sc : {scenario{backend_kind::hier, 300'000, true},
+                             scenario{backend_kind::partitioned, 100'000,
+                                      true},
+                             scenario{backend_kind::hier, 100'000, false}}) {
+    SCOPED_TRACE(std::string(backend_name(sc.kind)) + ", budget " +
+                 std::to_string(sc.budget));
+    client oram = client_builder()
+                      .blocks(kDeferredBlocks)
+                      .memory_blocks(1024)
+                      .payload_bytes(kPayload)
+                      .backend(sc.kind)
+                      .shards(4)
+                      .shuffle(shuffle_policy::incremental)
+                      .shuffle_slice_budget(sc.budget)
+                      .trace(true)
+                      .seed(test::seed(60))
+                      .build();
+    engine& eng = oram.eng();
+    const std::uint32_t shards = eng.shard_count();
+    util::pcg64 rng(test::seed(61));
+    std::vector<std::uint64_t> periods(shards, 0);
+    std::uint64_t ending_rounds = 0;
+    std::uint64_t split_rounds = 0;
+    for (int round = 0; round < 150; ++round) {
+      while (eng.pending() < eng.round_budget()) {
+        request req;
+        req.id = util::bernoulli(rng, 0.5)
+                     ? util::uniform_below(rng, kDeferredBlocks / 16)
+                     : util::uniform_below(rng, kDeferredBlocks);
+        (void)eng.submit(std::move(req));
+      }
+      ASSERT_TRUE(eng.step_round());
+      std::uint32_t advanced = 0;
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        const std::uint64_t now_periods = eng.shard(s).stats().periods;
+        ASSERT_LE(now_periods, periods[s] + 1) << "shard " << s;
+        advanced += now_periods != periods[s] ? 1 : 0;
+        periods[s] = now_periods;
+      }
+      ending_rounds += advanced > 0 ? 1 : 0;
+      split_rounds += advanced > 0 && advanced < shards ? 1 : 0;
+    }
+    EXPECT_EQ(eng.router_stats().early_period_ends, 0u);
+    EXPECT_EQ(eng.router_stats().shuffle_rounds, ending_rounds);
+    EXPECT_GT(split_rounds, 0u);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      const controller_stats& lane = eng.shard(s).stats();
+      EXPECT_GT(lane.shuffle_slices, 0u) << "shard " << s;
+      if (sc.stall_free) {
+        EXPECT_EQ(lane.shuffle_stall_time, 0) << "shard " << s;
+      }
+      std::vector<std::uint64_t> loads =
+          test::loads_per_period(*eng.shard_trace(s));
+      ASSERT_EQ(loads.size(), periods[s] + 1) << "shard " << s;
+      loads.pop_back();  // the open period
+      for (std::size_t p = 0; p < loads.size(); ++p) {
+        EXPECT_EQ(loads[p], eng.shard(s).config().period_loads())
+            << "shard " << s << ", period " << p;
+      }
+    }
+  }
+}
+
 /// Contract test of every backend's shuffle job, driven directly:
 /// staged blocks are visible and write-through before they are placed,
 /// the lifecycle expects() fire, and the write lands on storage.

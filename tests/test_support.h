@@ -1,5 +1,6 @@
 // Shared test machinery: one reproducible seed for every randomized
-// test RNG, and whole-record controller_stats comparisons.
+// test RNG, whole-record controller_stats comparisons, and the load
+// count of every period in a bus trace.
 //
 // All randomized tests derive their generators from a single base
 // seed, logged once per test binary. By default the base seed is a
@@ -14,10 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/controller.h"
+#include "oram/common/access_trace.h"
 
 namespace horam::test {
 
@@ -65,6 +68,21 @@ inline void expect_stats_equal(const controller_stats& a,
 inline void expect_stats_zero(const controller_stats& stats,
                               const std::string& context = "") {
   expect_stats_equal(stats, controller_stats{}, context);
+}
+
+/// Cycle_begin events between consecutive period_begin events of one
+/// bus trace: the load count of every period, the open one last.
+inline std::vector<std::uint64_t> loads_per_period(
+    const oram::access_trace& trace) {
+  std::vector<std::uint64_t> loads(1, 0);
+  for (const oram::trace_event& event : trace.events()) {
+    if (event.kind == oram::event_kind::cycle_begin) {
+      ++loads.back();
+    } else if (event.kind == oram::event_kind::period_begin) {
+      loads.push_back(0);
+    }
+  }
+  return loads;
 }
 
 }  // namespace horam::test
