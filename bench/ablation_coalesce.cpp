@@ -65,6 +65,7 @@ struct cell_run {
   std::uint64_t merged = 0;
   double ios_per_request = 1.0;
   double memory_ops_per_request = 0.0;
+  std::uint64_t trusted_bytes = 0;
   std::uint32_t round_cap = 0;
   std::uint64_t rounds = 0;
   std::uint64_t shuffle_rounds = 0;
@@ -118,6 +119,7 @@ cell_run run_cell(const std::vector<request>& stream, backend_kind kind,
   run.ios_per_request = router.ios_per_logical_request();
   run.memory_ops_per_request = memory_ops_per_request(
       shard_memory_stats(svc.underlying().eng()), run.requests);
+  run.trusted_bytes = svc.underlying().eng().control_memory_bytes();
   run.round_cap = svc.underlying().eng().round_cap();
   run.rounds = router.rounds;
   run.shuffle_rounds = router.shuffle_rounds;
@@ -232,6 +234,8 @@ int main(int argc, char** argv) {
                   ", \"io_reduction_vs_off\": " + json_number(reduction) +
                   ", \"memory_ops_per_request\": " +
                   json_number(run.memory_ops_per_request) +
+                  ", \"trusted_bytes\": " +
+                  std::to_string(run.trusted_bytes) +
                   ", \"round_cap\": " + std::to_string(run.round_cap) +
                   ", \"rounds\": " + std::to_string(run.rounds) +
                   ", \"shuffle_rounds\": " +

@@ -194,6 +194,7 @@ std::string json_fields(const system_run& run) {
       << ", \"hit_rate\": " << json_number(run.hit_rate())
       << ", \"avg_c\": " << json_number(run.avg_c())
       << ", \"storage_bytes\": " << run.storage_bytes
+      << ", \"trusted_bytes\": " << run.trusted_bytes
       << ", \"device_read_ops\": " << run.io.read_ops
       << ", \"device_write_ops\": " << run.io.write_ops
       << ", \"device_read_bytes\": " << run.io.bytes_read
@@ -263,6 +264,7 @@ system_run run_horam(
     run.io += ctrl.eng().shard_storage(s).stats();
   }
   run.memory_io = shard_memory_stats(ctrl.eng());
+  run.trusted_bytes = ctrl.control_memory_bytes();
   run.runtime = ctrl.config().worker_threads > 0 ? "threaded" : "sim";
   run.threads = ctrl.eng().worker_threads();
   run.wall_seconds = wall_seconds;
@@ -326,6 +328,10 @@ system_run run_tree_top_path(const dataset& data,
                       data.block_bytes;
   run.io = storage_device.stats();
   run.memory_io = memory_device.stats();
+  // Trusted state: the position map and the stash.
+  run.trusted_bytes = oram.position_map_bytes() +
+                      oram.stash_ref().size() *
+                          (data.payload_bytes + sizeof(oram::stash_entry));
   run.wall_seconds = seconds_since(stream_start);
   run.host_seconds = seconds_since(start);
   return run;

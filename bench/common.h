@@ -38,6 +38,9 @@ struct system_run {
   /// lanes.
   sim::io_stats memory_io;
   std::uint64_t storage_bytes = 0;
+  /// Trusted control-layer bytes at the end of the run, summed over
+  /// shards (client::control_memory_bytes()).
+  std::uint64_t trusted_bytes = 0;
   double host_seconds = 0.0;  // real time spent simulating
   /// Real time spent inside the request stream itself (excludes
   /// machine construction, unlike host_seconds) — the wall-clock

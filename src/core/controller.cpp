@@ -399,12 +399,12 @@ void controller::write(oram::block_id id,
 }
 
 std::uint64_t controller::control_memory_bytes() const {
-  // Position map + backend bookkeeping + ROB + stash payloads (rough,
-  // for the Figure 4-1 style report).
-  const std::uint64_t position_map = config_.block_count * 8;
+  // Cache-tree position map + backend bookkeeping + stash payloads
+  // (for the Figure 4-1 style report).
   const std::uint64_t stash_bytes =
       tree_->stash_ref().size() * (config_.payload_bytes + 16);
-  return position_map + storage_->control_memory_bytes() + stash_bytes;
+  return tree_->position_map_bytes() + storage_->control_memory_bytes() +
+         stash_bytes;
 }
 
 }  // namespace horam

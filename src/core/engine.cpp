@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/contracts.h"
@@ -80,13 +81,15 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
 
   std::vector<std::vector<oram::block_id>> members(count);
   if (count > 1) {
+    expects(config_.block_count <= std::numeric_limits<std::uint32_t>::max(),
+            "sharding needs block ids that fit 32 bits");
     shard_index_of_.resize(config_.block_count);
     local_id_of_.resize(config_.block_count);
     for (oram::block_id id = 0; id < config_.block_count; ++id) {
       const auto s = static_cast<std::uint32_t>(
           crypto::siphash24_u64(route_key_, id) % count);
       shard_index_of_[id] = s;
-      local_id_of_[id] = members[s].size();
+      local_id_of_[id] = static_cast<std::uint32_t>(members[s].size());
       members[s].push_back(id);
     }
   }
@@ -740,8 +743,8 @@ std::uint64_t engine::control_memory_bytes() const {
     total += sh->ctrl->control_memory_bytes();
     total += sh->blocks.size() * sizeof(oram::block_id);
   }
-  total += shard_index_of_.size() * sizeof(std::uint32_t);
-  total += local_id_of_.size() * sizeof(oram::block_id);
+  total += shard_index_of_.size() * sizeof(shard_index_of_[0]);
+  total += local_id_of_.size() * sizeof(local_id_of_[0]);
   return total;
 }
 

@@ -436,9 +436,11 @@ class engine {
   horam_config config_;
   crypto::siphash_key route_key_{};
   std::vector<std::unique_ptr<shard_state>> shards_;
-  /// Global-id routing tables (empty for one shard: identity).
+  /// Global-id routing tables (empty for one shard: identity). A
+  /// shard-local id fits 32 bits: sharding requires fewer than 2^32
+  /// blocks per shard.
   std::vector<std::uint32_t> shard_index_of_;
-  std::vector<oram::block_id> local_id_of_;
+  std::vector<std::uint32_t> local_id_of_;
 
   std::uint32_t round_cap_ = 0;
   /// Parallel-lane global clock (shard_count > 1; one shard reads the

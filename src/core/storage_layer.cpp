@@ -64,10 +64,14 @@ storage_layer::storage_layer(
       oram::logical_block_bytes(config_.logical_block_bytes,
                                 codec_.record_bytes()));
 
+  expects(config_.block_count < empty_slot,
+          "the partitioned layer needs block ids below 2^32 - 1");
+  expects(partitions < (std::uint64_t{1} << 24),
+          "the partitioned layer needs fewer than 2^24 partitions");
   locations_.resize(config_.block_count);
-  contents_.assign(partitions, std::vector<oram::block_id>(
-                                   main_capacity + append_capacity,
-                                   oram::dummy_block_id));
+  contents_.assign(partitions,
+                   std::vector<std::uint32_t>(main_capacity + append_capacity,
+                                              empty_slot));
   pool_.resize(partitions);
   pool_position_.assign(partitions,
                         std::vector<std::uint32_t>(
@@ -110,7 +114,7 @@ storage_layer::storage_layer(
         (*filler)(id, payload);
       }
       codec_.encode_plain(id, payload, seal_spans_.back());
-      contents_[p][i] = id;
+      contents_[p][i] = static_cast<std::uint32_t>(id);
       locations_[id] = location{residence::main_slot,
                                 static_cast<std::uint32_t>(p),
                                 static_cast<std::uint32_t>(i)};
@@ -175,7 +179,7 @@ oram::cost_split storage_layer::consume_slot(std::uint64_t partition,
 void storage_layer::mark_cached(oram::block_id id) {
   location& loc = locations_[id];
   invariant(loc.where != residence::memory, "block already cached");
-  contents_[loc.partition][code_of(loc)] = oram::dummy_block_id;
+  contents_[loc.partition][code_of(loc)] = empty_slot;
   loc.where = residence::memory;
 }
 
@@ -197,14 +201,14 @@ oram::cost_split storage_layer::masking_reads(std::uint64_t partition) {
     for (int attempt = 0; attempt < 16 && !pool.empty(); ++attempt) {
       const std::uint32_t candidate = pool[static_cast<std::size_t>(
           util::uniform_below(rng_, pool.size()))];
-      if (contents_[partition][candidate] == oram::dummy_block_id) {
+      if (contents_[partition][candidate] == empty_slot) {
         chosen = candidate;
         break;
       }
     }
     if (chosen == no_pool_position) {
       for (const std::uint32_t candidate : pool) {
-        if (contents_[partition][candidate] == oram::dummy_block_id) {
+        if (contents_[partition][candidate] == empty_slot) {
           chosen = candidate;
           break;
         }
@@ -298,8 +302,8 @@ storage_layer::shuffle_plan storage_layer::plan_shuffle(
   // Current live occupancy per partition (merge capacity planning).
   std::vector<std::uint64_t> live(partitions, 0);
   for (std::uint64_t p = 0; p < partitions; ++p) {
-    for (const oram::block_id id : contents_[p]) {
-      live[p] += id != oram::dummy_block_id ? 1 : 0;
+    for (const std::uint32_t id : contents_[p]) {
+      live[p] += id != empty_slot ? 1 : 0;
     }
   }
 
@@ -406,7 +410,7 @@ shuffle_cost storage_layer::shuffle_partition_step(
   // over records already read, and the staged entry points there.
   open_spans_.clear();
   for (std::uint64_t code = 0; code < records_read; ++code) {
-    if (contents_[p][code] != oram::dummy_block_id) {
+    if (contents_[p][code] != empty_slot) {
       open_spans_.push_back(std::span<const std::uint8_t>(
           image.data() + code * record_bytes, record_bytes));
     }
@@ -428,10 +432,10 @@ shuffle_cost storage_layer::shuffle_partition_step(
   std::vector<staged> blocks;
   blocks.reserve(survivors + hot.size());
   for (std::uint64_t code = 0; code < records_read; ++code) {
-    const oram::block_id id = contents_[p][code];
-    if (id == oram::dummy_block_id) {
+    if (contents_[p][code] == empty_slot) {
       continue;
     }
+    const oram::block_id id = contents_[p][code];
     const std::size_t i = blocks.size();
     invariant(ids_scratch_[i] == id, "partition contents out of sync");
     blocks.push_back(staged{
@@ -459,8 +463,7 @@ shuffle_cost storage_layer::shuffle_partition_step(
   // it reduces to a uniform in-memory shuffle).
   const std::vector<std::uint64_t> slot_order =
       util::random_permutation(rng_, main_capacity);
-  std::fill(contents_[p].begin(), contents_[p].end(),
-            oram::dummy_block_id);
+  std::fill(contents_[p].begin(), contents_[p].end(), empty_slot);
   // Each slot is sealed once: block k where slot_order puts it, and a
   // dummy in every slot left over; one batch, nonces in k order.
   std::vector<std::uint8_t>& out = shuffle_out_scratch_;
@@ -476,7 +479,7 @@ shuffle_cost storage_layer::shuffle_partition_step(
       continue;
     }
     codec_.encode_plain(blocks[k].id, blocks[k].payload, seal_spans_.back());
-    contents_[p][index] = blocks[k].id;
+    contents_[p][index] = static_cast<std::uint32_t>(blocks[k].id);
     locations_[blocks[k].id] = location{
         residence::main_slot, static_cast<std::uint32_t>(p), index};
   }
@@ -565,9 +568,17 @@ std::uint64_t storage_layer::physical_bytes() const {
 }
 
 std::uint64_t storage_layer::control_memory_bytes() const {
-  // Permutation list (residence bit + partition + slot, ~9 bytes per
-  // block) plus the unaccessed-slot pools and their position index.
-  return config_.block_count * 9 + store_->geometry().total_slots() * 8;
+  // Permutation list (residence, partition and slot per block), slot
+  // contents, and the unaccessed-slot pools with their position index.
+  // A pool can hold every slot of its partition, so it is priced at
+  // that size, like its index.
+  std::uint64_t bytes = locations_.size() * sizeof(location);
+  for (std::uint64_t p = 0; p < contents_.size(); ++p) {
+    bytes += contents_[p].size() * sizeof(contents_[p][0]) +
+             pool_position_[p].size() *
+                 (sizeof(pool_position_[p][0]) + sizeof(pool_[p][0]));
+  }
+  return bytes;
 }
 
 std::uint64_t storage_layer::pending_segments(
@@ -606,10 +617,10 @@ void storage_layer::check_consistency() const {
   std::uint64_t live = 0;
   for (std::uint64_t p = 0; p < partitions; ++p) {
     for (std::uint32_t code = 0; code < contents_[p].size(); ++code) {
-      const oram::block_id id = contents_[p][code];
-      if (id == oram::dummy_block_id) {
+      if (contents_[p][code] == empty_slot) {
         continue;
       }
+      const oram::block_id id = contents_[p][code];
       ++live;
       invariant(id < config_.block_count, "slot holds an unknown block");
       invariant(locations_[id].where != residence::memory,

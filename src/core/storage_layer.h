@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -119,11 +120,17 @@ class storage_layer final : public oram_backend {
   friend struct storage_layer_test_access;
 
   enum class residence : std::uint8_t { memory, main_slot, append_slot };
+  /// One permutation-list entry, packed into 8 bytes (fewer than 2^24
+  /// partitions).
   struct location {
-    residence where = residence::memory;
-    std::uint32_t partition = 0;
+    residence where : 8 = residence::memory;
+    std::uint32_t partition : 24 = 0;
     std::uint32_t index = 0;  // main slot or append-region slot
   };
+  static_assert(sizeof(location) == 8);
+  /// contents_ entry of a slot that holds no live block.
+  static constexpr std::uint32_t empty_slot =
+      std::numeric_limits<std::uint32_t>::max();
 
   /// Planned period: the hot set's ids dealt to their target
   /// partitions, plus the ids no partition could take.
@@ -169,8 +176,9 @@ class storage_layer final : public oram_backend {
   std::uint64_t segment_capacity_ = 0;
 
   std::vector<location> locations_;
-  /// contents[p][code] = live block at that local slot (dummy if none).
-  std::vector<std::vector<oram::block_id>> contents_;
+  /// contents[p][code] = live block at that local slot (empty_slot if
+  /// none).
+  std::vector<std::vector<std::uint32_t>> contents_;
   /// Unaccessed-slot pools, one per partition, with O(1) removal.
   std::vector<std::vector<std::uint32_t>> pool_;
   std::vector<std::vector<std::uint32_t>> pool_position_;

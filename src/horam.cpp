@@ -532,6 +532,12 @@ client client_builder::build() const {
             "bucket pair (2 * bucket_size()) per shard — lower shards() "
             "or raise memory_blocks()");
   }
+  if (kind_ == backend_kind::ring) {
+    expects(std::uint64_t{config.ring_bucket_size} + config.ring_spare_slots <=
+                256,
+            "client_builder: ring_bucket_size() + ring_spare_slots() must be "
+            "at most 256 — a ring bucket's slot offsets are 8-bit");
+  }
   config.validate();
 
   auto state = std::make_unique<client::machine_state>(cpu_profile_);

@@ -317,7 +317,8 @@ class client_builder {
   client_builder& ring_bucket_size(std::uint32_t z);
   /// Ring ORAM dummy (spare) slots per bucket (S; default 25). Each
   /// online read consumes one slot per path bucket; a bucket reshuffles
-  /// early once S slots are consumed.
+  /// early once S slots are consumed. Under the ring backend build()
+  /// rejects Z + S above 256: slot offsets are stored in 8 bits.
   client_builder& ring_spare_slots(std::uint32_t s);
   /// Ring ORAM eviction rate (A; default 20): one deterministic
   /// reverse-lexicographic path eviction every A online reads.

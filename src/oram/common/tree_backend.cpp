@@ -116,11 +116,9 @@ struct tree_traits<ring_oram> {
     return tree.total_slots();
   }
   /// Trusted bytes beyond the map, stash and residency bitmap: the
-  /// per-slot permutation metadata and the per-bucket counters.
+  /// per-bucket permutation records.
   static std::uint64_t extra_trusted_bytes(const ring_oram& tree) {
-    return tree.total_slots() * (sizeof(block_id) + 1) +
-           tree.bucket_count() *
-               (sizeof(std::uint32_t) + sizeof(std::uint64_t));
+    return tree.metadata_bytes();
   }
 };
 
@@ -354,7 +352,7 @@ std::uint64_t tree_backend<Tree>::physical_bytes() const {
 template <class Tree>
 std::uint64_t tree_backend<Tree>::control_memory_bytes() const {
   // Trusted state: the map residue, the stash, the residency bitmap,
-  // and whatever per-slot state the scheme keeps.
+  // and whatever per-bucket state the scheme keeps.
   return map_->trusted_bytes() +
          tree_->stash_ref().size() *
              (config_.payload_bytes + sizeof(stash_entry)) +

@@ -23,7 +23,7 @@ tree_core::tree_core(std::uint64_t leaf_count, std::uint32_t real_slots,
                      const sim::cpu_model& cpu, util::random_source& rng)
     : cpu_(cpu),
       rng_(rng),
-      positions_(id_universe),
+      positions_(id_universe, leaf_count),
       leaf_count_(leaf_count),
       real_slots_(real_slots),
       payload_bytes_(payload_bytes),

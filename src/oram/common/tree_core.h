@@ -90,6 +90,10 @@ class tree_core {
   [[nodiscard]] leaf_id leaf_of(block_id id) const {
     return positions_.leaf_of(id);
   }
+  /// Trusted bytes of the tree's own position map.
+  [[nodiscard]] std::uint64_t position_map_bytes() const noexcept {
+    return positions_.memory_bytes();
+  }
 
   /// Stages a block arriving from another layer in the stash with a
   /// fresh uniform leaf; later write-backs place it in the tree.

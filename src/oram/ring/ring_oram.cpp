@@ -1,9 +1,12 @@
 #include "oram/ring/ring_oram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
 
 #include "util/contracts.h"
+#include "util/math.h"
 
 namespace horam::oram {
 
@@ -20,6 +23,14 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Bit k of a slot bitmask of 64-bit words.
+bool has_slot(const std::uint64_t* words, std::uint32_t k) {
+  return ((words[k / 64] >> (k % 64)) & 1) != 0;
+}
+void add_slot(std::uint64_t* words, std::uint32_t k) {
+  words[k / 64] |= std::uint64_t{1} << (k % 64);
+}
+
 }  // namespace
 
 ring_oram::ring_oram(const ring_oram_config& config,
@@ -32,13 +43,23 @@ ring_oram::ring_oram(const ring_oram_config& config,
       trace_(trace) {
   expects(config.spare_slots > 0, "spare slots (S) must be positive");
   expects(config.eviction_rate > 0, "eviction rate (A) must be positive");
+  expects(config.real_slots + config.spare_slots <= max_slots_per_bucket,
+          "Z + S must be at most 256 slots per bucket (8-bit slot offsets)");
+  expects(config.id_universe <=
+              std::uint64_t{std::numeric_limits<std::uint32_t>::max()} + 1,
+          "ring block ids must fit 32 bits");
 
   io_store_ = std::make_unique<storage::block_store>(
       io_device, /*base_offset=*/0, total_slots(), codec_.record_bytes(),
       logical_block_bytes(config.logical_block_bytes, codec_.record_bytes()));
 
-  slots_.resize(total_slots());
-  buckets_.resize(bucket_count());
+  mask_words_ = static_cast<std::uint32_t>(
+      util::ceil_div(slots_per_bucket(), 64));
+  real_ids_.resize(bucket_count() * config.real_slots);
+  real_offsets_.resize(bucket_count() * config.real_slots);
+  real_counts_.resize(bucket_count());
+  read_masks_.resize(bucket_count() * mask_words_);
+  epochs_.resize(bucket_count());
 
   const std::size_t record_bytes = codec_.record_bytes();
   chosen_slots_.reserve(level_count());
@@ -62,6 +83,51 @@ leaf_id ring_oram::reverse_lex_leaf(std::uint64_t counter) const {
     g >>= 1;
   }
   return leaf;
+}
+
+ring_oram::slot_mask ring_oram::real_mask(std::uint64_t bucket) const {
+  slot_mask mask{};
+  const std::uint64_t first = bucket * config_.real_slots;
+  for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
+    const std::uint32_t k = real_offsets_[first + i];
+    add_slot(mask.data(), k);
+  }
+  return mask;
+}
+
+bool ring_oram::is_read(std::uint64_t bucket, std::uint32_t k) const {
+  return has_slot(&read_masks_[bucket * mask_words_], k);
+}
+
+std::uint32_t ring_oram::read_count(std::uint64_t bucket) const {
+  std::uint32_t count = 0;
+  for (std::uint32_t w = 0; w < mask_words_; ++w) {
+    count += std::popcount(read_masks_[bucket * mask_words_ + w]);
+  }
+  return count;
+}
+
+void ring_oram::remove_real(std::uint64_t bucket, std::uint32_t k) {
+  const std::uint64_t first = bucket * config_.real_slots;
+  const std::uint32_t count = real_counts_[bucket];
+  std::uint32_t i = 0;
+  while (i < count && real_offsets_[first + i] != k) {
+    ++i;
+  }
+  invariant(i < count, "no live real at that slot");
+  for (; i + 1 < count; ++i) {
+    real_ids_[first + i] = real_ids_[first + i + 1];
+    real_offsets_[first + i] = real_offsets_[first + i + 1];
+  }
+  --real_counts_[bucket];
+}
+
+std::uint64_t ring_oram::metadata_bytes() const noexcept {
+  return real_ids_.size() * sizeof(real_ids_[0]) +
+         real_offsets_.size() * sizeof(real_offsets_[0]) +
+         real_counts_.size() * sizeof(real_counts_[0]) +
+         read_masks_.size() * sizeof(read_masks_[0]) +
+         epochs_.size() * sizeof(epochs_[0]);
 }
 
 void ring_oram::fill_pad(std::uint64_t slot, std::uint64_t epoch,
@@ -94,9 +160,11 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
     const std::uint64_t base = bucket * spb;
     std::uint64_t chosen = total_slots();
     if (target != dummy_block_id) {
-      for (std::uint32_t k = 0; k < spb; ++k) {
-        if (slots_[base + k].id == target) {
-          invariant(!slots_[base + k].read, "real slot already consumed");
+      const std::uint64_t first = bucket * config_.real_slots;
+      for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
+        if (real_ids_[first + i] == target) {
+          const std::uint32_t k = real_offsets_[first + i];
+          invariant(!is_read(bucket, k), "real slot already consumed");
           chosen = base + k;
           found = true;
           real_slot = chosen;
@@ -105,11 +173,19 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
       }
     }
     if (chosen == total_slots()) {
+      // The unread dummies in ascending slot order: neither a live
+      // real nor consumed.
+      const slot_mask reals = real_mask(bucket);
       std::uint32_t candidates = 0;
-      for (std::uint32_t k = 0; k < spb; ++k) {
-        const slot_meta& meta = slots_[base + k];
-        if (meta.id == dummy_block_id && !meta.read) {
-          slot_order_[candidates++] = k;
+      for (std::uint32_t w = 0; w < mask_words_; ++w) {
+        const std::uint32_t width = std::min<std::uint32_t>(64, spb - w * 64);
+        std::uint64_t unread =
+            ~(reals[w] | read_masks_[bucket * mask_words_ + w]);
+        if (width < 64) {
+          unread &= (std::uint64_t{1} << width) - 1;
+        }
+        for (; unread != 0; unread &= unread - 1) {
+          slot_order_[candidates++] = w * 64 + std::countr_zero(unread);
         }
       }
       invariant(candidates > 0,
@@ -136,7 +212,7 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
         if (slot == real_slot) {
           continue;
         }
-        fill_pad(slot, buckets_[slot / spb].epoch, pad_scratch_);
+        fill_pad(slot, epochs_[slot / spb], pad_scratch_);
         for (std::size_t i = 0; i < record_bytes; ++i) {
           combined_scratch_[i] ^= pad_scratch_[i];
         }
@@ -162,11 +238,12 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
   // Consume the chosen slots; an extracted real slot becomes a spent
   // dummy until the bucket's next rewrite.
   for (const std::uint64_t slot : chosen_slots_) {
-    slots_[slot].read = true;
+    const std::uint64_t bucket = slot / spb;
+    const std::uint32_t k = static_cast<std::uint32_t>(slot % spb);
+    add_slot(&read_masks_[bucket * mask_words_], k);
     if (found && slot == real_slot) {
-      slots_[slot].id = dummy_block_id;
+      remove_real(bucket, k);
     }
-    ++buckets_[slot / spb].read_count;
   }
 
   // Control-layer cost: pad regeneration + decode along the path, plus
@@ -180,7 +257,7 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
   // now, which keeps an unread dummy available for every future access.
   for (std::uint32_t level = 0; level < level_count(); ++level) {
     const std::uint64_t bucket = bucket_on_path(leaf, level);
-    if (buckets_[bucket].read_count >= config_.spare_slots) {
+    if (read_count(bucket) >= config_.spare_slots) {
       cost += reshuffle_bucket(bucket);
     }
   }
@@ -253,9 +330,8 @@ void ring_oram::compose_bucket(std::uint64_t bucket,
   expects(reals.size() <= config_.real_slots, "bucket overfull");
   expects(out.size() >= spb * record_bytes, "bucket buffer too small");
 
-  bucket_state& state = buckets_[bucket];
-  ++state.epoch;
-  state.read_count = 0;
+  const std::uint64_t epoch = ++epochs_[bucket];
+  std::fill_n(read_masks_.begin() + bucket * mask_words_, mask_words_, 0);
 
   // Fresh secret permutation: the reals land at uniformly random
   // distinct slots (partial Fisher–Yates), everything else is a pad.
@@ -268,22 +344,30 @@ void ring_oram::compose_bucket(std::uint64_t bucket,
     std::swap(slot_order_[i], slot_order_[j]);
   }
 
-  // Reals are composed here and queued for the caller's batch seal;
-  // only the slots left over get the next epoch's pad.
+  // Reals are composed here, in draw order, and queued for the
+  // caller's batch seal; the record lists them in slot order (insertion
+  // sort). Only the slots left over get the next epoch's pad.
   const std::uint64_t base = bucket * spb;
-  for (std::uint32_t k = 0; k < spb; ++k) {
-    slots_[base + k] = slot_meta{dummy_block_id, false};
-  }
+  const std::uint64_t first = bucket * config_.real_slots;
+  slot_mask reals_at{};
   for (std::uint32_t i = 0; i < reals.size(); ++i) {
     const std::uint32_t k = slot_order_[i];
-    slots_[base + k] = slot_meta{reals[i].id, false};
+    std::uint32_t j = i;
+    for (; j > 0 && real_offsets_[first + j - 1] > k; --j) {
+      real_ids_[first + j] = real_ids_[first + j - 1];
+      real_offsets_[first + j] = real_offsets_[first + j - 1];
+    }
+    real_ids_[first + j] = static_cast<std::uint32_t>(reals[i].id);
+    real_offsets_[first + j] = static_cast<std::uint8_t>(k);
+    add_slot(reals_at.data(), k);
     seal_queue_.push_back(
         std::span<std::uint8_t>(out.data() + k * record_bytes, record_bytes));
     codec_.encode_plain(reals[i].id, reals[i].payload, seal_queue_.back());
   }
+  real_counts_[bucket] = static_cast<std::uint8_t>(reals.size());
   for (std::uint32_t k = 0; k < spb; ++k) {
-    if (slots_[base + k].id == dummy_block_id) {
-      fill_pad(base + k, state.epoch,
+    if (!has_slot(reals_at.data(), k)) {
+      fill_pad(base + k, epoch,
                std::span<std::uint8_t>(out.data() + k * record_bytes,
                                        record_bytes));
     }
@@ -300,39 +384,40 @@ cost_split ring_oram::read_reals(std::span<const std::uint64_t> buckets) {
   const std::uint32_t spb = slots_per_bucket();
   const std::size_t record_bytes = codec_.record_bytes();
   real_records_.clear();
-  real_slots_.clear();
+  expected_ids_.clear();
   for (const std::uint64_t bucket : buckets) {
     const std::uint64_t base = bucket * spb;
     cost.io += io_store_->read_range(base, spb, bucket_scratch_);
     trace(trace_, event_kind::storage_read_sweep, base, spb);
-    for (std::uint32_t k = 0; k < spb; ++k) {
-      if (slots_[base + k].id != dummy_block_id) {
-        const auto record = std::span<const std::uint8_t>(bucket_scratch_)
-                                .subspan(k * record_bytes, record_bytes);
-        real_records_.insert(real_records_.end(), record.begin(),
-                             record.end());
-        real_slots_.push_back(base + k);
-      }
+    // The bucket's reals in slot order.
+    const std::uint64_t first = bucket * config_.real_slots;
+    for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
+      const std::uint32_t k = real_offsets_[first + i];
+      const auto record = std::span<const std::uint8_t>(bucket_scratch_)
+                              .subspan(k * record_bytes, record_bytes);
+      real_records_.insert(real_records_.end(), record.begin(),
+                           record.end());
+      expected_ids_.push_back(real_ids_[first + i]);
     }
   }
 
   open_spans_.clear();
-  for (std::size_t i = 0; i < real_slots_.size(); ++i) {
+  for (std::size_t i = 0; i < expected_ids_.size(); ++i) {
     open_spans_.push_back(std::span<const std::uint8_t>(real_records_)
                               .subspan(i * record_bytes, record_bytes));
   }
-  real_ids_.resize(real_slots_.size());
-  codec_.decode_many(open_spans_, real_ids_,
+  opened_ids_.resize(expected_ids_.size());
+  codec_.decode_many(open_spans_, opened_ids_,
                      std::span<std::uint8_t>(real_records_)
-                         .first(real_slots_.size() * config_.payload_bytes));
+                         .first(expected_ids_.size() * config_.payload_bytes));
   opened_.clear();
-  for (std::size_t i = 0; i < real_ids_.size(); ++i) {
-    invariant(real_ids_[i] == slots_[real_slots_[i]].id,
+  for (std::size_t i = 0; i < opened_ids_.size(); ++i) {
+    invariant(opened_ids_[i] == expected_ids_[i],
               "slot metadata disagrees with the record");
     opened_.push_back(block_ref{
-        real_ids_[i], std::span<const std::uint8_t>(real_records_)
-                          .subspan(i * config_.payload_bytes,
-                                   config_.payload_bytes)});
+        opened_ids_[i], std::span<const std::uint8_t>(real_records_)
+                            .subspan(i * config_.payload_bytes,
+                                     config_.payload_bytes)});
   }
   return cost;
 }
@@ -391,8 +476,9 @@ cost_split ring_oram::evict_union(std::uint64_t count) {
 
 void ring_oram::reset() {
   const std::size_t record_bytes = codec_.record_bytes();
-  std::fill(buckets_.begin(), buckets_.end(), bucket_state{});
-  std::fill(slots_.begin(), slots_.end(), slot_meta{});
+  std::fill(real_counts_.begin(), real_counts_.end(), 0);
+  std::fill(read_masks_.begin(), read_masks_.end(), 0);
+  std::fill(epochs_.begin(), epochs_.end(), 0);
 
   const std::span<std::uint8_t> image =
       io_store_->stage_range(0, total_slots());
@@ -450,14 +536,16 @@ void ring_oram::for_each_resident(
                              std::span<const std::uint8_t>)>& visit)
     const {
   std::vector<std::uint8_t> payload(config_.payload_bytes);
-  for (std::uint64_t slot = 0; slot < total_slots(); ++slot) {
-    const slot_meta& meta = slots_[slot];
-    if (meta.id == dummy_block_id) {
-      continue;
+  const std::uint32_t spb = slots_per_bucket();
+  for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
+    const std::uint64_t first = bucket * config_.real_slots;
+    for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
+      const block_id id = codec_.decode(
+          io_store_->peek(bucket * spb + real_offsets_[first + i]), payload);
+      invariant(id == real_ids_[first + i],
+                "slot metadata disagrees with the record");
+      visit(id, positions_.leaf_of(id), payload);
     }
-    const block_id id = codec_.decode(io_store_->peek(slot), payload);
-    invariant(id == meta.id, "slot metadata disagrees with the record");
-    visit(id, positions_.leaf_of(id), payload);
   }
   for (const auto& [id, entry] : stash_) {
     visit(id, entry.leaf, entry.payload);
@@ -471,31 +559,35 @@ void ring_oram::check_consistency() const {
 
   check_client([&](const stored_fn& stored) {
     for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
-      const bucket_state& state = buckets_[bucket];
-      invariant(state.read_count < config_.spare_slots,
+      invariant(read_count(bucket) < config_.spare_slots,
                 "bucket consumed all its spare slots without a reshuffle");
-      std::uint32_t reals = 0;
-      for (std::uint32_t k = 0; k < spb; ++k) {
-        const std::uint64_t slot = bucket * spb + k;
-        const slot_meta& meta = slots_[slot];
-        if (meta.id != dummy_block_id) {
-          invariant(!meta.read, "live real slot marked consumed");
-          ++reals;
-          const block_id id = codec_.decode(io_store_->peek(slot), payload);
-          invariant(id == meta.id,
-                    "slot metadata disagrees with the record");
-          stored(id, bucket);
-        } else if (!meta.read) {
-          // An unread dummy must hold its deterministic pad byte for
-          // byte, or the XOR reconstruction would corrupt real reads.
-          fill_pad(slot, state.epoch, pad);
-          const std::span<const std::uint8_t> host = io_store_->peek(slot);
-          invariant(std::equal(pad.begin(), pad.end(), host.begin()),
-                    "unread dummy slot diverged from its pad");
-        }
-      }
-      invariant(reals <= config_.real_slots,
+      invariant(real_counts_[bucket] <= config_.real_slots,
                 "bucket holds more reals than Z slots");
+      const std::uint64_t first = bucket * config_.real_slots;
+      for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
+        const std::uint32_t k = real_offsets_[first + i];
+        invariant(k < spb && (i == 0 || real_offsets_[first + i - 1] < k),
+                  "bucket record's slot offsets out of order");
+        invariant(!is_read(bucket, k), "live real slot marked consumed");
+        const block_id id =
+            codec_.decode(io_store_->peek(bucket * spb + k), payload);
+        invariant(id == real_ids_[first + i],
+                  "slot metadata disagrees with the record");
+        stored(id, bucket);
+      }
+      const slot_mask reals = real_mask(bucket);
+      for (std::uint32_t k = 0; k < spb; ++k) {
+        if (has_slot(reals.data(), k) || is_read(bucket, k)) {
+          continue;
+        }
+        // An unread dummy must hold its deterministic pad byte for
+        // byte, or the XOR reconstruction would corrupt real reads.
+        const std::uint64_t slot = bucket * spb + k;
+        fill_pad(slot, epochs_[bucket], pad);
+        const std::span<const std::uint8_t> host = io_store_->peek(slot);
+        invariant(std::equal(pad.begin(), pad.end(), host.begin()),
+                  "unread dummy slot diverged from its pad");
+      }
     }
   });
 }

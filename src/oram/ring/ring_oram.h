@@ -30,12 +30,20 @@
 // stash for the next evictions to place. Both trees derive from
 // tree_core (oram/common/tree_core.h), which holds the geometry,
 // position map, stash, installs, bulk-build placement and the union
-// pass; this class adds the bucket format (slot metadata, per-bucket
+// pass; this class adds the bucket format (per-bucket records,
 // permutations, pads), the XOR reads, the reshuffles and the eviction
 // schedule.
+//
+// The trusted view of a bucket's permutation is one compact record per
+// bucket, nothing per slot: its live real blocks as 32-bit ids with
+// their 8-bit slot offsets (so Z + S is at most 256, and ids stay
+// below 2^32), a bitmask of its consumed slots and its epoch. The read
+// count is the mask's population count. At Z = 16, S = 25 that is 97
+// trusted bytes per bucket.
 #ifndef HORAM_ORAM_RING_RING_ORAM_H
 #define HORAM_ORAM_RING_RING_ORAM_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -134,6 +142,10 @@ class ring_oram : public tree_core {
                                std::span<const std::uint8_t>)>& visit)
       const;
 
+  /// Trusted bytes of the per-bucket records: the sizes of the
+  /// containers that hold them.
+  [[nodiscard]] std::uint64_t metadata_bytes() const noexcept;
+
   /// Deep audit: every real slot decodes to its metadata id and lies on
   /// its position-map path, every unread dummy slot holds its
   /// deterministic pad byte for byte, read counters stay below S, and
@@ -144,20 +156,22 @@ class ring_oram : public tree_core {
  private:
   friend struct ring_oram_test_access;
 
-  /// Trusted per-slot metadata (the client-side view of the per-bucket
-  /// permutation). A slot is a live real block (id != dummy, !read), an
-  /// unread dummy pad (id == dummy, !read), or consumed (read — either
-  /// a spent dummy or an extracted real; its bytes are stale until the
-  /// bucket's next rewrite and it is never chosen again).
-  struct slot_meta {
-    block_id id = dummy_block_id;
-    bool read = false;
-  };
-  /// Trusted per-bucket state.
-  struct bucket_state {
-    std::uint32_t read_count = 0;
-    std::uint64_t epoch = 0;
-  };
+  /// Largest Z + S: slot offsets are stored in 8 bits.
+  static constexpr std::uint32_t max_slots_per_bucket = 256;
+  /// A set of slots of one bucket, bit k = slot offset k.
+  using slot_mask = std::array<std::uint64_t, max_slots_per_bucket / 64>;
+
+  /// Slots of `bucket` holding live reals (from its real offsets).
+  [[nodiscard]] slot_mask real_mask(std::uint64_t bucket) const;
+  /// Whether slot offset `k` of `bucket` has been consumed.
+  [[nodiscard]] bool is_read(std::uint64_t bucket, std::uint32_t k) const;
+  /// Slots of `bucket` consumed since its last rewrite (its read
+  /// count: every online read consumes exactly one unread slot per
+  /// path bucket).
+  [[nodiscard]] std::uint32_t read_count(std::uint64_t bucket) const;
+  /// Drops the live real at slot offset `k` of `bucket` from its
+  /// record, keeping the rest in slot order.
+  void remove_real(std::uint64_t bucket, std::uint32_t k);
 
   /// Leaf of the g-th deterministic eviction (reverse-lexicographic
   /// order: bit-reversed counter).
@@ -178,9 +192,9 @@ class ring_oram : public tree_core {
 
   /// Rewrites one bucket in place: the given blocks land at fresh
   /// uniformly random distinct slots, every other slot gets the next
-  /// epoch's pad; metadata, read bits and the read counter reset. The
-  /// real records are composed but not sealed: they join seal_queue_
-  /// for the caller's seal_queued().
+  /// epoch's pad; the bucket's record lists the new reals and its read
+  /// bits clear. The real records are composed but not sealed: they
+  /// join seal_queue_ for the caller's seal_queued().
   void compose_bucket(std::uint64_t bucket, std::span<const block_ref> reals,
                       std::span<std::uint8_t> out);
   /// Seals every record compose_bucket() queued, in one batch, nonces
@@ -190,7 +204,7 @@ class ring_oram : public tree_core {
   /// The one way a bucket is read: range-reads each of `buckets` in
   /// order (one traced sweep each) and gathers their real records, then
   /// opens them all in one batch into opened_ (ids checked against their
-  /// slots' metadata, payloads viewing real_records_). Every MAC is
+  /// buckets' records, payloads viewing real_records_). Every MAC is
   /// checked before anything is written.
   cost_split read_reals(std::span<const std::uint64_t> buckets);
   /// The one way a bucket is rewritten: compose_bucket() with `reals`,
@@ -216,8 +230,22 @@ class ring_oram : public tree_core {
   std::unique_ptr<storage::block_store> io_store_;
   access_trace* trace_;
 
-  std::vector<slot_meta> slots_;
-  std::vector<bucket_state> buckets_;
+  /// Trusted per-bucket records, flat and bucket-indexed. A slot is a
+  /// live real block (listed in its bucket's record), an unread dummy
+  /// pad (neither listed nor read), or consumed (its read bit set:
+  /// either a spent dummy or an extracted real; its bytes are stale
+  /// until the bucket's next rewrite and it is never chosen again).
+  /// Bucket b's live reals are entries [b * Z, b * Z + real_counts_[b])
+  /// of real_ids_ (shard-local ids) and real_offsets_ (their slots),
+  /// in ascending slot order.
+  std::vector<std::uint32_t> real_ids_;
+  std::vector<std::uint8_t> real_offsets_;
+  std::vector<std::uint8_t> real_counts_;
+  /// Bucket b's consumed slots: words [b * mask_words_, ...).
+  std::vector<std::uint64_t> read_masks_;
+  std::uint32_t mask_words_ = 0;
+  /// Rewrites of each bucket (the pad stream's epoch).
+  std::vector<std::uint64_t> epochs_;
   /// Online accesses since construction (drives the eviction schedule).
   std::uint64_t access_count_ = 0;
   /// Deterministic evictions issued (drives the reverse-lex order).
@@ -232,11 +260,12 @@ class ring_oram : public tree_core {
   /// The leaves of the eviction in flight.
   std::vector<leaf_id> evict_leaves_;
   /// Real records read_reals() gathered (one eviction union at most,
-  /// packed; sized for the largest union seen and reused), their slots,
-  /// their ids, the list it opens and the blocks it opened.
+  /// packed; sized for the largest union seen and reused), the ids
+  /// their records must hold, the ids they did hold, the list it opens
+  /// and the blocks it opened.
   std::vector<std::uint8_t> real_records_;
-  std::vector<std::uint64_t> real_slots_;
-  std::vector<block_id> real_ids_;
+  std::vector<block_id> expected_ids_;
+  std::vector<block_id> opened_ids_;
   std::vector<std::span<const std::uint8_t>> open_spans_;
   std::vector<block_ref> opened_;
   std::vector<std::uint8_t> record_scratch_;

@@ -194,13 +194,22 @@ struct ring_oram_test_access {
                                       std::uint32_t level) {
     return tree.bucket_on_path(leaf, level);
   }
-  /// Every slot's trusted metadata: (block id, read bit).
+  /// Every slot's trusted metadata, (block id, read bit), rebuilt from
+  /// the per-bucket records: a slot not listed as a live real reads as
+  /// dummy_block_id.
   static std::vector<std::pair<block_id, bool>> slot_metadata(
       const ring_oram& tree) {
-    std::vector<std::pair<block_id, bool>> out;
-    out.reserve(tree.slots_.size());
-    for (const ring_oram::slot_meta& meta : tree.slots_) {
-      out.emplace_back(meta.id, meta.read);
+    const std::uint32_t spb = tree.slots_per_bucket();
+    std::vector<std::pair<block_id, bool>> out(tree.total_slots());
+    for (std::uint64_t bucket = 0; bucket < tree.bucket_count(); ++bucket) {
+      for (std::uint32_t k = 0; k < spb; ++k) {
+        out[bucket * spb + k] = {dummy_block_id, tree.is_read(bucket, k)};
+      }
+      const std::uint64_t first = bucket * tree.config().real_slots;
+      for (std::uint32_t i = 0; i < tree.real_counts_[bucket]; ++i) {
+        out[bucket * spb + tree.real_offsets_[first + i]].first =
+            tree.real_ids_[first + i];
+      }
     }
     return out;
   }

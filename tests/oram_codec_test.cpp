@@ -668,7 +668,7 @@ TEST(FaultInjection, EveryByteOfTheRecordIsProtected) {
 // ------------------------------------------------------ position map
 
 TEST(PositionMap, AssignLookupRemove) {
-  position_map map(100);
+  position_map map(100, 64);
   EXPECT_FALSE(map.contains(5));
   map.assign(5, 17);
   EXPECT_TRUE(map.contains(5));
@@ -681,13 +681,13 @@ TEST(PositionMap, AssignLookupRemove) {
 }
 
 TEST(PositionMap, BoundsChecked) {
-  position_map map(10);
+  position_map map(10, 16);
   EXPECT_THROW(static_cast<void>(map.contains(10)), contract_error);
   EXPECT_THROW(map.assign(10, 0), contract_error);
 }
 
 TEST(PositionMap, SizeAndClear) {
-  position_map map(50);
+  position_map map(50, 64);
   for (block_id id = 0; id < 20; ++id) {
     map.assign(id, id);
   }
@@ -696,10 +696,29 @@ TEST(PositionMap, SizeAndClear) {
   EXPECT_EQ(map.size(), 0u);
 }
 
-TEST(PositionMap, MemoryBytesMatchesPaperFigure) {
-  // Figure 4-1 annotates "Position map (4MB)": 2^19 entries * 8 B.
-  position_map map(1 << 19);
-  EXPECT_EQ(map.memory_bytes(), (1ULL << 19) * 8);
+TEST(PositionMap, MemoryBytesFollowLeafWidth) {
+  // Figure 4-1 annotates a flat 8-byte map, "Position map (4MB)" at
+  // 2^19 entries. Leaves are stored at the tree's width instead: 2 B
+  // below 65,535 leaves, 4 B from there on.
+  EXPECT_EQ(position_map(1 << 19, 1 << 15).memory_bytes(), (1ULL << 19) * 2);
+  EXPECT_EQ(position_map(1 << 19, 1 << 16).memory_bytes(), (1ULL << 19) * 4);
+}
+
+TEST(PositionMap, EveryLeafOfTheWidthRoundTrips) {
+  // The largest leaf of each width is a real leaf, not the absent mark.
+  position_map narrow(4, 1 << 15);
+  narrow.assign(1, (1 << 15) - 1);
+  EXPECT_EQ(narrow.leaf_of(1), (1u << 15) - 1);
+  EXPECT_FALSE(narrow.contains(0));
+  EXPECT_THROW(narrow.assign(2, 65535), contract_error);
+
+  position_map wide(4, 1 << 20);
+  wide.assign(1, 65535);
+  EXPECT_EQ(wide.leaf_of(1), 65535u);
+  wide.assign(2, (1 << 20) - 1);
+  EXPECT_EQ(wide.leaf_of(2), (1u << 20) - 1);
+  EXPECT_FALSE(wide.contains(0));
+  EXPECT_EQ(wide.size(), 2u);
 }
 
 // ------------------------------------------------------------- stash

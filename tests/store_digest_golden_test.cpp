@@ -83,10 +83,12 @@ std::uint64_t digest(const oram_backend& backend) {
 /// Builds `kind` with fixed seeds, runs `periods` shuffle periods of
 /// loads and dummy loads (every third period stepped in small
 /// device-time slices), and returns the store digest after the build
-/// and after each period. `inspect` sees the backend at the end.
+/// and after each period. `inspect` sees the backend at the end; a
+/// non-null `trace` records the backend's bus events.
 std::vector<std::uint64_t> run(
     backend_kind kind, const horam_config& config, std::uint64_t periods,
-    const std::function<void(const oram_backend&)>& inspect) {
+    const std::function<void(const oram_backend&)>& inspect,
+    oram::access_trace* trace = nullptr) {
   sim::block_device device{sim::hdd_paper()};
   sim::block_device map_device{sim::dram_ddr4()};
   sim::cpu_model cpu{sim::cpu_aesni()};
@@ -98,7 +100,7 @@ std::vector<std::uint64_t> run(
         }
       };
   const std::unique_ptr<oram_backend> backend = make_backend(
-      kind, config, device, cpu, rng, nullptr, &filler, &map_device);
+      kind, config, device, cpu, rng, trace, &filler, &map_device);
 
   std::vector<std::uint64_t> digests{digest(*backend)};
   util::pcg64 workload{0xd16e57};
@@ -231,6 +233,46 @@ TEST(StoreDigestGolden, ring) {
       0x597e4678576d0672ULL, 0x0e78957558e71e39ULL, 0x75d89e92c5b378e7ULL,
       0x4ceec52daeb91b30ULL};
   EXPECT_EQ(digests, expected);
+}
+
+/// FNV-1a over every event of `trace`: which slots were read, which
+/// buckets swept, in order.
+std::uint64_t trace_digest(const oram::access_trace& trace) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const oram::trace_event& event : trace.events()) {
+    for (const std::uint64_t word :
+         {static_cast<std::uint64_t>(event.kind), event.a, event.b}) {
+      hash = (hash ^ word) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+// Z + S = 81 slots per bucket: a bucket's read bitmask spans two
+// 64-bit words, and its real-slot offsets range past 64. The bus trace
+// pins every slot choice as well: its length and its digest.
+TEST(StoreDigestGolden, ring_wide) {
+  horam_config config = base_config();
+  config.ring_bucket_size = 32;
+  config.ring_spare_slots = 49;
+  config.ring_eviction_rate = 64;
+  // 64 loads per period: the root reaches S reads between drains.
+  config.memory_blocks = 128;
+  oram::access_trace trace;
+  const std::vector<std::uint64_t> digests = run(
+      backend_kind::ring, config, 4,
+      [](const oram_backend& b) {
+        const auto& ring = dynamic_cast<const oram::ring_backend&>(b);
+        EXPECT_GT(ring.tree().stats().evictions, 0u);
+        EXPECT_GT(ring.tree().stats().early_reshuffles, 0u);
+      },
+      &trace);
+  const std::vector<std::uint64_t> expected{
+      0xac9e41063066bafeULL, 0x616decee20da0194ULL, 0xfc4390987407a840ULL,
+      0xb6fc0a0cd2af086eULL, 0x5796ebfc0189ba23ULL};
+  EXPECT_EQ(digests, expected);
+  EXPECT_EQ(trace.size(), 1356u);
+  EXPECT_EQ(trace_digest(trace), 0x076b0f159cc6e22bULL);
 }
 
 }  // namespace

@@ -14,7 +14,9 @@ tolerance band — a backend quietly growing an extra dependent hop per
 request is exactly the regression the hier backend exists to avoid.
 Likewise ``memory_ops_per_request`` (memory-device reads plus writes
 per request, summed over the shard lanes: the cache trees' bus bill),
-gated where both documents emit it.
+gated where both documents emit it. And ``trusted_bytes``, the trusted
+control-layer bytes at the end of the run (client-side state a
+backend's bookkeeping costs), under the same band.
 
 The simulator is deterministic, so the committed numbers are exactly
 reproducible on any host; the tolerance band exists to absorb benign
@@ -40,7 +42,9 @@ With ``--report-moved`` the script gates nothing: for every matched run
 it prints each numeric field whose fresh value differs from the
 baseline, then a total "N of M fields moved". Host-timed fields
 (``host_*``, ``wall_*``) are left out, since they differ on every run.
-A change that should move nothing reports 0 moved.
+A change that should move nothing reports 0 moved. Numeric fields only
+the fresh run emits are listed as new and counted apart, so a new
+column shows up without counting as a move.
 """
 
 import argparse
@@ -114,6 +118,7 @@ METRICS = (
     ("device ops/request", ops_per_request),
     ("round trips/request", emitted("round_trips_per_request")),
     ("memory ops/request", emitted("memory_ops_per_request")),
+    ("trusted bytes", emitted("trusted_bytes")),
 )
 
 
@@ -185,9 +190,14 @@ def report_moved(baseline_dir, fresh_dir):
     problems = []
     moved = 0
     compared = 0
+    added = 0
     for bench, key, baseline_run, fresh_run in matched_runs(
         baseline_dir, fresh_dir, problems
     ):
+        for field, fresh_value in fresh_run.items():
+            if field not in baseline_run and is_number(fresh_value):
+                added += 1
+                print(f"{bench} [{label(key)}]: new {field} {fresh_value}")
         for field, baseline_value in baseline_run.items():
             fresh_value = fresh_run.get(field)
             if (
@@ -205,7 +215,7 @@ def report_moved(baseline_dir, fresh_dir):
                 )
     for problem in problems:
         print(f"unmatched: {problem}")
-    print(f"{moved} of {compared} fields moved")
+    print(f"{moved} of {compared} fields moved, {added} new")
     return 0
 
 
