@@ -393,8 +393,8 @@ BENCHMARK(bm_path_oram_cycle)->Arg(1)->Arg(3)->Arg(5);
 
 // One sealed Ring ORAM eviction union of k reverse-lexicographic paths
 // on a zipf-tenants shard's tree (4096 blocks of 256 B, 256 leaves,
-// Z = 16, S = 25): every union bucket is range-read, opened, written
-// back and resealed once. k = 1 is the online eviction, k = 13 a shard
+// Z = 16, S = 25): every union bucket has Z of its slots read and its
+// reals opened, then is written back whole and resealed once. k = 1 is the online eviction, k = 13 a shard
 // drain's budget (⌈n/A⌉ for n ≈ 247 re-installed blocks at A = 20);
 // items are evicted paths.
 void bm_ring_drain(benchmark::State& state) {

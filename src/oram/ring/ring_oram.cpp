@@ -63,6 +63,7 @@ ring_oram::ring_oram(const ring_oram_config& config,
 
   const std::size_t record_bytes = codec_.record_bytes();
   chosen_slots_.reserve(level_count());
+  bucket_slots_.reserve(config.real_slots);
   slot_order_.resize(slots_per_bucket());
   bucket_scratch_.resize(slots_per_bucket() * record_bytes);
   record_scratch_.resize(record_bytes);
@@ -122,6 +123,23 @@ void ring_oram::remove_real(std::uint64_t bucket, std::uint32_t k) {
   --real_counts_[bucket];
 }
 
+std::uint32_t ring_oram::unread_dummies(std::uint64_t bucket,
+                                        const slot_mask& reals) {
+  const std::uint32_t spb = slots_per_bucket();
+  std::uint32_t count = 0;
+  for (std::uint32_t w = 0; w < mask_words_; ++w) {
+    const std::uint32_t width = std::min<std::uint32_t>(64, spb - w * 64);
+    std::uint64_t unread = ~(reals[w] | read_masks_[bucket * mask_words_ + w]);
+    if (width < 64) {
+      unread &= (std::uint64_t{1} << width) - 1;
+    }
+    for (; unread != 0; unread &= unread - 1) {
+      slot_order_[count++] = w * 64 + std::countr_zero(unread);
+    }
+  }
+  return count;
+}
+
 std::uint64_t ring_oram::metadata_bytes() const noexcept {
   return real_ids_.size() * sizeof(real_ids_[0]) +
          real_offsets_.size() * sizeof(real_offsets_[0]) +
@@ -173,21 +191,8 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
       }
     }
     if (chosen == total_slots()) {
-      // The unread dummies in ascending slot order: neither a live
-      // real nor consumed.
-      const slot_mask reals = real_mask(bucket);
-      std::uint32_t candidates = 0;
-      for (std::uint32_t w = 0; w < mask_words_; ++w) {
-        const std::uint32_t width = std::min<std::uint32_t>(64, spb - w * 64);
-        std::uint64_t unread =
-            ~(reals[w] | read_masks_[bucket * mask_words_ + w]);
-        if (width < 64) {
-          unread &= (std::uint64_t{1} << width) - 1;
-        }
-        for (; unread != 0; unread &= unread - 1) {
-          slot_order_[candidates++] = w * 64 + std::countr_zero(unread);
-        }
-      }
+      const std::uint32_t candidates =
+          unread_dummies(bucket, real_mask(bucket));
       invariant(candidates > 0,
                 "bucket ran out of unread dummies before its reshuffle");
       chosen = base + slot_order_[util::uniform_below(rng_, candidates)];
@@ -382,19 +387,52 @@ void ring_oram::seal_queued() {
 cost_split ring_oram::read_reals(std::span<const std::uint64_t> buckets) {
   cost_split cost;
   const std::uint32_t spb = slots_per_bucket();
+  const std::uint32_t z = config_.real_slots;
   const std::size_t record_bytes = codec_.record_bytes();
   real_records_.clear();
   expected_ids_.clear();
   for (const std::uint64_t bucket : buckets) {
+    // Ring ORAM's ReadBucket: exactly Z unread slots, every live real
+    // plus Z - r unread dummies drawn uniformly (partial Fisher–Yates).
+    // A bucket is reshuffled once S of its Z + S slots are read, so Z
+    // unread slots always remain and the chosen set is a uniform
+    // Z-subset of them whatever the occupancy.
+    slot_mask chosen = real_mask(bucket);
+    const std::uint32_t reals = real_counts_[bucket];
+    const std::uint32_t candidates = unread_dummies(bucket, chosen);
+    invariant(candidates + reals >= z,
+              "bucket has fewer than Z unread slots before its reshuffle");
+    for (std::uint32_t i = 0; i < z - reals; ++i) {
+      const std::uint32_t j = static_cast<std::uint32_t>(
+          util::uniform_in(rng_, i, candidates - 1));
+      std::swap(slot_order_[i], slot_order_[j]);
+      add_slot(chosen.data(), slot_order_[i]);
+    }
+
+    // One scatter read of the Z slots in ascending order, each traced.
     const std::uint64_t base = bucket * spb;
-    cost.io += io_store_->read_range(base, spb, bucket_scratch_);
-    trace(trace_, event_kind::storage_read_sweep, base, spb);
-    // The bucket's reals in slot order.
-    const std::uint64_t first = bucket * config_.real_slots;
-    for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
-      const std::uint32_t k = real_offsets_[first + i];
+    bucket_slots_.clear();
+    for (std::uint32_t w = 0; w < mask_words_; ++w) {
+      for (std::uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+        bucket_slots_.push_back(base + w * 64 + std::countr_zero(bits));
+      }
+    }
+    cost.io += io_store_->read_scatter(bucket_slots_, bucket_scratch_);
+    for (const std::uint64_t slot : bucket_slots_) {
+      trace(trace_, event_kind::storage_read_slot, slot);
+    }
+
+    // The bucket's reals in slot order: the record lists them ascending,
+    // so they appear in the read in the same order.
+    const std::uint64_t first = bucket * z;
+    std::size_t at = 0;
+    for (std::uint32_t i = 0; i < reals; ++i) {
+      const std::uint64_t slot = base + real_offsets_[first + i];
+      while (bucket_slots_[at] != slot) {
+        ++at;
+      }
       const auto record = std::span<const std::uint8_t>(bucket_scratch_)
-                              .subspan(k * record_bytes, record_bytes);
+                              .subspan(at * record_bytes, record_bytes);
       real_records_.insert(real_records_.end(), record.begin(),
                            record.end());
       expected_ids_.push_back(real_ids_[first + i]);
@@ -437,8 +475,8 @@ cost_split ring_oram::reshuffle_bucket(std::uint64_t bucket) {
   ++stats_.early_reshuffles;
   const std::uint32_t spb = slots_per_bucket();
 
-  // Whole-bucket range read; the residents keep their paths, only the
-  // permutation and the pads are refreshed.
+  // A Z-slot read of its remaining reals; the residents keep their
+  // paths, only the permutation and the pads are refreshed.
   cost_split cost = read_reals({&bucket, 1});
   cost += rewrite_bucket(bucket, opened_);
   cost.cpu += cpu_.crypto_time(2ULL * spb, codec_.record_bytes());
@@ -455,8 +493,8 @@ cost_split ring_oram::evict_union(std::uint64_t count) {
   }
   evict_counter_ += count;
 
-  // Root level first: range-read every union bucket once and open all
-  // their reals in one batch (every MAC checked) before any block
+  // Root level first: read Z slots of every union bucket once and open
+  // all their reals in one batch (every MAC checked) before any block
   // enters the stash. Then the greedy write-back, deepest level first,
   // rewrites each bucket under a fresh permutation and pads, its reals
   // sealed as one batch.

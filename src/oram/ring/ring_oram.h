@@ -16,13 +16,15 @@
 // Writes are decoupled from reads. Evictions follow one deterministic
 // reverse-lexicographic order of paths, and every eviction runs
 // tree_core's union pass over the next `count` paths: each bucket of
-// their union is range-read once and rewritten once. The online
-// eviction every `eviction_rate` accesses is the count = 1 case, whose
-// union is its one path; a shuffle drain evicts its whole budget as one
-// union (force_evict). Any bucket whose unread slots run low
-// (read_count reaching S) is reshuffled early on its own. All of these
-// are range operations on a public schedule, and all of them read a
-// bucket one way (read_reals) and rewrite it one way (rewrite_bucket).
+// their union is read once and rewritten once. The online eviction
+// every `eviction_rate` accesses is the count = 1 case, whose union is
+// its one path; a shuffle drain evicts its whole budget as one union
+// (force_evict). Any bucket whose unread slots run low (read_count
+// reaching S) is reshuffled early on its own. All of these run on a
+// public schedule, and all of them read a bucket one way (read_reals:
+// Z unread slots, Ring ORAM's ReadBucket) and rewrite it one way
+// (rewrite_bucket: all Z + S slots). So one eviction of L + 1 buckets
+// reads Z·(L+1) slots and writes (Z+S)·(L+1).
 //
 // Like oram/path/path_oram.h in backend mode, the tree is driven
 // through extract/install: extract removes the live copy (the caller's
@@ -201,18 +203,24 @@ class ring_oram : public tree_core {
   /// in queue order.
   void seal_queued();
 
-  /// The one way a bucket is read: range-reads each of `buckets` in
-  /// order (one traced sweep each) and gathers their real records, then
-  /// opens them all in one batch into opened_ (ids checked against their
-  /// buckets' records, payloads viewing real_records_). Every MAC is
-  /// checked before anything is written.
+  /// Unread dummy slots of `bucket` (neither in `reals` nor consumed)
+  /// into slot_order_, ascending; returns how many.
+  std::uint32_t unread_dummies(std::uint64_t bucket, const slot_mask& reals);
+
+  /// The one way a bucket is read: for each of `buckets` in order, one
+  /// scatter read of exactly Z unread slots — its live reals plus Z − r
+  /// unread dummies drawn uniformly, in ascending slot order, each slot
+  /// traced — gathering the real records; then opens them all in one
+  /// batch into opened_ (ids checked against their buckets' records,
+  /// payloads viewing real_records_). Every MAC is checked before
+  /// anything is written.
   cost_split read_reals(std::span<const std::uint64_t> buckets);
   /// The one way a bucket is rewritten: compose_bucket() with `reals`,
   /// seal them, and one traced range write of the whole bucket.
   cost_split rewrite_bucket(std::uint64_t bucket,
                             std::span<const block_ref> reals);
 
-  /// Early reshuffle: whole-bucket range read, rewrite with the same
+  /// Early reshuffle: a Z-slot read (read_reals), rewrite with the same
   /// residents under a fresh permutation.
   cost_split reshuffle_bucket(std::uint64_t bucket);
 
@@ -253,6 +261,8 @@ class ring_oram : public tree_core {
 
   // Reused per-access scratch.
   std::vector<std::uint64_t> chosen_slots_;
+  /// The Z slots read_reals() reads of one bucket, ascending.
+  std::vector<std::uint64_t> bucket_slots_;
   std::vector<std::uint32_t> slot_order_;
   std::vector<std::uint8_t> bucket_scratch_;
   /// Composed real records awaiting seal_queued().

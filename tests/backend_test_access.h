@@ -218,6 +218,89 @@ struct ring_oram_test_access {
                       std::size_t offset, std::uint8_t mask) {
     tree.io_store_->corrupt(slot, offset, mask);
   }
+
+  /// One bucket read of an eviction or an early reshuffle, replayed from
+  /// the trace: the bucket, the in-bucket offsets it read (as traced),
+  /// whether the bucket's own rewrite followed at once (a reshuffle),
+  /// and the bucket's state just before the read: its consumed offsets
+  /// and, unless the same operation had already rewritten it, its live
+  /// reals' offsets.
+  struct bucket_read {
+    std::uint64_t bucket = 0;
+    std::vector<std::uint32_t> offsets;
+    bool reshuffle = false;
+    bool reals_known = false;
+    std::vector<std::uint32_t> real_offsets;
+    std::vector<std::uint32_t> consumed_offsets;
+  };
+
+  /// Replays `events` — what operations on `tree` traced after
+  /// slot_metadata() returned `slots` — and returns their bucket reads in
+  /// order. An online read (the slot events after a path access of this
+  /// tree) consumes its slots; a bucket's rewrite leaves every slot
+  /// unread with reals the trace does not show. A reshuffle is a bucket
+  /// read alone, its rewrite next; an eviction reads its whole union
+  /// before the first rewrite.
+  static std::vector<bucket_read> bucket_reads(
+      const ring_oram& tree, std::vector<std::pair<block_id, bool>> slots,
+      std::span<const trace_event> events) {
+    const std::uint32_t spb = tree.slots_per_bucket();
+    std::vector<bool> rewritten(tree.bucket_count(), false);
+    std::vector<bucket_read> reads;
+    std::size_t last_read_end = 0;
+    bool last_read_alone = false;
+    for (std::size_t i = 0; i < events.size();) {
+      const trace_event& event = events[i];
+      if (event.kind == event_kind::memory_path_access &&
+          event.b == tree.config().leaf_count) {
+        for (std::uint32_t level = 1; level <= tree.level_count(); ++level) {
+          slots[events[i + level].a] = {dummy_block_id, true};
+        }
+        i += 1 + tree.level_count();
+        continue;
+      }
+      if (event.kind == event_kind::storage_write_sweep) {
+        const std::uint64_t bucket = event.a / spb;
+        rewritten[bucket] = true;
+        for (std::uint64_t s = event.a; s < event.a + event.b; ++s) {
+          slots[s] = {dummy_block_id, false};
+        }
+        if (last_read_end == i && last_read_alone &&
+            reads.back().bucket == bucket) {
+          reads.back().reshuffle = true;
+        }
+        ++i;
+        continue;
+      }
+      if (event.kind != event_kind::storage_read_slot) {
+        ++i;
+        continue;
+      }
+      last_read_alone = last_read_end != i;
+      bucket_read read;
+      read.bucket = event.a / spb;
+      read.reals_known = !rewritten[read.bucket];
+      for (std::uint32_t k = 0; k < spb; ++k) {
+        const auto& [id, consumed] = slots[read.bucket * spb + k];
+        if (id != dummy_block_id) {
+          read.real_offsets.push_back(k);
+        }
+        if (consumed) {
+          read.consumed_offsets.push_back(k);
+        }
+      }
+      for (; i < events.size() &&
+             events[i].kind == event_kind::storage_read_slot &&
+             events[i].a / spb == read.bucket;
+           ++i) {
+        read.offsets.push_back(static_cast<std::uint32_t>(events[i].a % spb));
+        slots[events[i].a].second = true;
+      }
+      reads.push_back(std::move(read));
+      last_read_end = i;
+    }
+    return reads;
+  }
 };
 
 }  // namespace horam::oram

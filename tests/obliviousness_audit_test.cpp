@@ -14,7 +14,8 @@
 //   * ring — the leaf of every online path read (uniformity), plus the
 //     in-bucket slot index of every chosen slot, which exposes the
 //     per-bucket permutation: its distribution must not depend on the
-//     workload (real hits and dummy covers must blend);
+//     workload (real hits and dummy covers must blend), nor, for the Z
+//     slots an eviction reads of a bucket, on how many reals it holds;
 //   * hier — the level-local offset of every batched probe: real hits
 //     and dummy ranks alike are outputs of the epoch's secret
 //     permutation at never-repeated inputs, so each level's probe
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "analysis/obliviousness.h"
+#include "backend_test_access.h"
 #include "horam.h"
 #include "test_support.h"
 
@@ -462,8 +464,9 @@ TEST(RingObliviousness, PermutedSlotIndicesAreWorkloadIndependent) {
       run_service_workload(backend_kind::ring, flat, 247);
 
   // At this universe the recursive map resolves directly from trusted
-  // memory, so every storage_read_slot event is a ring tree online
-  // read; fold the global slot down to its in-bucket index.
+  // memory, so every storage_read_slot event is a ring tree read (an
+  // online read's one slot per bucket, or an eviction's or reshuffle's
+  // Z); fold the global slot down to its in-bucket index.
   const horam_config defaults;
   const std::uint64_t slots_per_bucket =
       defaults.ring_bucket_size + defaults.ring_spare_slots;
@@ -486,6 +489,149 @@ TEST(RingObliviousness, PermutedSlotIndicesAreWorkloadIndependent) {
       << report.ks_threshold << "), chi2 " << report.chi_square << " (<= "
       << report.chi_threshold << ") over " << report.samples_a << " vs "
       << report.samples_b << " samples";
+}
+
+// Ring-specific: an eviction or an early reshuffle reads Z slots of a
+// bucket, its remaining reals plus unread dummies. Which offsets it
+// names must not depend on how many reals the bucket holds, or the bus
+// would show occupancy, and with it the hit rate that drains the tree.
+// Each bucket read of runs at three hit rates is replayed against the
+// trusted records from before its operation; the offsets read in
+// sparse and in full buckets must share one distribution, uniform over
+// the bucket. Reading the reals plus the lowest-index unread dummies,
+// applied to the same bucket states, must fail that audit.
+TEST(RingObliviousness, BucketReadOffsetsIgnoreOccupancy) {
+  using test_access = oram::ring_oram_test_access;
+  horam_config config;
+  config.block_count = 1024;
+  config.memory_blocks = 64;
+  config.payload_bytes = kPayload;
+  config.seal = false;  // which slots are read does not depend on sealing
+  config.ring_bucket_size = 8;
+  config.ring_spare_slots = 12;
+  config.ring_eviction_rate = 8;
+
+  // Bucket reads whose reals are known, from runs where 10 %, 50 % and
+  // 90 % of loads are real (the rest are dummy loads: cache hits).
+  std::vector<test_access::bucket_read> reads;
+  std::uint32_t z = 0;
+  std::uint32_t spb = 0;
+  for (const double real_fraction : {0.1, 0.5, 0.9}) {
+    sim::block_device device{sim::hdd_paper()};
+    sim::block_device map_device{sim::dram_ddr4()};
+    const sim::cpu_model cpu{sim::cpu_aesni()};
+    util::pcg64 rng(test::seed(261));
+    oram::access_trace trace;
+    oram::ring_backend backend(config, device, cpu, rng, &trace, nullptr,
+                               &map_device);
+    const oram::ring_oram& tree = backend.tree();
+    z = tree.config().real_slots;
+    spb = tree.slots_per_bucket();
+    // Every backend call, replayed against the records from before it.
+    const auto traced = [&](const auto& call) {
+      auto slots = test_access::slot_metadata(tree);
+      trace.clear();
+      call();
+      for (auto& read :
+           test_access::bucket_reads(tree, std::move(slots), trace.events())) {
+        if (read.reals_known) {
+          reads.push_back(std::move(read));
+        }
+      }
+    };
+
+    util::pcg64 gen(test::seed(263));
+    std::map<block_id, std::vector<std::uint8_t>> cached;
+    for (std::uint64_t period = 0; period < 40; ++period) {
+      for (std::uint64_t i = 0; i < config.period_loads(); ++i) {
+        const block_id target =
+            util::uniform_below(gen, config.block_count);
+        oram_backend::load_result load;
+        traced([&] {
+          load = util::bernoulli(gen, real_fraction) &&
+                         backend.in_storage(target)
+                     ? backend.load_block(target)
+                     : backend.dummy_load();
+        });
+        if (load.id != oram::dummy_block_id) {
+          cached[load.id] = std::move(load.payload);
+        }
+      }
+      std::vector<oram::evicted_block> evicted;
+      for (auto& [id, payload] : cached) {
+        evicted.push_back(oram::evicted_block{id, std::move(payload)});
+      }
+      cached.clear();
+      std::vector<oram::evicted_block> overflow;
+      traced([&] {
+        (void)backend.shuffle_period(std::move(evicted), period, overflow);
+      });
+      for (oram::evicted_block& block : overflow) {
+        cached.emplace(block.id, std::move(block.payload));
+      }
+    }
+  }
+
+  // The offsets a chooser reads, split by the bucket's real count.
+  struct split {
+    std::vector<std::uint64_t> sparse;
+    std::vector<std::uint64_t> full;
+    std::vector<std::uint64_t> all;
+  };
+  const std::size_t sparse_reals = 1;
+  const std::size_t full_reals = 4;
+  const auto split_by_occupancy = [&](const auto& chooser) {
+    split out;
+    for (const auto& read : reads) {
+      const std::vector<std::uint32_t> offsets = chooser(read);
+      const std::size_t reals = read.real_offsets.size();
+      for (const std::uint32_t k : offsets) {
+        out.all.push_back(k);
+        if (reals <= sparse_reals) {
+          out.sparse.push_back(k);
+        } else if (reals >= full_reals) {
+          out.full.push_back(k);
+        }
+      }
+    }
+    return out;
+  };
+  const split actual =
+      split_by_occupancy([](const auto& read) { return read.offsets; });
+  const split lowest = split_by_occupancy([&](const auto& read) {
+    std::vector<std::uint32_t> offsets = read.real_offsets;
+    for (std::uint32_t k = 0; offsets.size() < z; ++k) {
+      const auto taken = [&](const std::vector<std::uint32_t>& set) {
+        return std::find(set.begin(), set.end(), k) != set.end();
+      };
+      if (!taken(read.real_offsets) && !taken(read.consumed_offsets)) {
+        offsets.push_back(k);
+      }
+    }
+    return offsets;
+  });
+
+  ASSERT_GT(actual.sparse.size(), 2000u);
+  ASSERT_GT(actual.full.size(), 2000u);
+  const analysis::equality_report equal =
+      analysis::audit_distribution_equality(actual.sparse, actual.full, spb,
+                                            spb);
+  EXPECT_TRUE(equal.passed())
+      << "ring bucket reads by occupancy: ks " << equal.ks << " (<= "
+      << equal.ks_threshold << "), chi2 " << equal.chi_square << " (<= "
+      << equal.chi_threshold << ") over " << equal.samples_a << " vs "
+      << equal.samples_b << " samples";
+  const analysis::uniformity_report uniform =
+      analysis::audit_uniformity(actual.all, spb, spb);
+  EXPECT_TRUE(uniform.passed())
+      << "ring bucket read offsets: chi2 " << uniform.chi_square << " (<= "
+      << uniform.chi_threshold << "), ks " << uniform.ks << " (<= "
+      << uniform.ks_threshold << ")";
+
+  EXPECT_FALSE(analysis::audit_distribution_equality(lowest.sparse,
+                                                     lowest.full, spb, spb)
+                   .passed());
+  EXPECT_FALSE(analysis::audit_uniformity(lowest.all, spb, spb).passed());
 }
 
 // Hier-specific: the probe stream of EVERY level — not just the
@@ -989,16 +1135,19 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
   // A ring shuffle drain evicts public reverse-lexicographic paths: its
   // budget as one union, then any tail one path at a time. What the
   // storage bus shows of a drain must be those unions recomputed from
-  // the eviction counter and each unit's count alone (a range read of
-  // every union bucket, root level first, then a range write of each,
-  // deepest level first, ascending within a level), so two runs that
-  // evict different blocks show identical drains.
+  // the eviction counter and each unit's count alone (Z ascending slot
+  // reads in every union bucket, root level first, then a range write
+  // of each, deepest level first, ascending within a level), so two
+  // runs that evict different blocks show identical drains. Which Z
+  // slots a bucket read names is random; its bucket and count are not.
   horam_config config;
   config.block_count = 1000;
   config.memory_blocks = 128;
   config.payload_bytes = kPayload;
   config.seal = true;
-  using sweep = std::array<std::uint64_t, 3>;  // kind, first slot, count
+  // kind, first slot of the bucket, slots: a bucket's run of slot reads
+  // or one sweep.
+  using sweep = std::array<std::uint64_t, 3>;
   std::vector<std::vector<sweep>> drains[2];
   for (int arm = 0; arm < 2; ++arm) {
     sim::block_device device{sim::hdd_paper()};
@@ -1011,6 +1160,7 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
     const std::uint32_t levels = backend.tree().level_count();
     const std::uint64_t leaves = backend.tree().config().leaf_count;
     const std::uint64_t spb = backend.tree().slots_per_bucket();
+    const std::uint64_t z = backend.tree().config().real_slots;
 
     // The sweeps of one union of `count` paths from eviction `counter`.
     const auto union_sweeps = [&](std::uint64_t counter,
@@ -1035,8 +1185,8 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
       for (const std::vector<std::uint64_t>& level : by_level) {
         for (const std::uint64_t bucket : level) {
           out.push_back(
-              {static_cast<std::uint64_t>(oram::event_kind::storage_read_sweep),
-               bucket * spb, spb});
+              {static_cast<std::uint64_t>(oram::event_kind::storage_read_slot),
+               bucket * spb, z});
         }
       }
       for (std::uint32_t down = 0; down < levels; ++down) {
@@ -1071,12 +1221,23 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
       EXPECT_TRUE(overflow.empty());
 
       std::vector<sweep> seen;
+      std::uint64_t last_read = 0;
       for (std::size_t i = first; i < trace.size(); ++i) {
         const oram::trace_event& event = trace.events()[i];
-        if (event.kind == oram::event_kind::storage_read_sweep ||
-            event.kind == oram::event_kind::storage_write_sweep) {
-          seen.push_back(
-              {static_cast<std::uint64_t>(event.kind), event.a, event.b});
+        const auto kind = static_cast<std::uint64_t>(event.kind);
+        if (event.kind == oram::event_kind::storage_read_slot) {
+          const std::uint64_t base = event.a / spb * spb;
+          if (!seen.empty() && seen.back()[0] == kind &&
+              seen.back()[1] == base) {
+            EXPECT_LT(last_read, event.a) << "bucket reads ascend";
+            ++seen.back()[2];
+          } else {
+            seen.push_back({kind, base, 1});
+          }
+          last_read = event.a;
+        } else if (event.kind == oram::event_kind::storage_read_sweep ||
+                   event.kind == oram::event_kind::storage_write_sweep) {
+          seen.push_back({kind, event.a, event.b});
         }
       }
       const std::uint64_t budget =

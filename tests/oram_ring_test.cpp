@@ -7,6 +7,7 @@
 // Path ORAM (backend_conformance_test, TreeBackendDetail).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -349,9 +350,9 @@ TEST(RingOram, UnionDrainStashStaysBounded) {
 
 TEST(RingOram, EvictionWiderThanTheTreeTouchesEachBucketOnce) {
   // An eviction of 3 x leaf_count paths names every leaf three times;
-  // its union is still the whole tree, each bucket read in one sweep
-  // (root level first, ascending) and written in one sweep (deepest
-  // level first, ascending within a level).
+  // its union is still the whole tree, each bucket read once as Z
+  // ascending slot reads (root level first, ascending) and written in
+  // one sweep (deepest level first, ascending within a level).
   fixture fx;
   ring_oram oram(fx.config(16, 2, 5, 3), fx.device, fx.cpu, fx.rng,
                  &fx.trace);
@@ -365,23 +366,132 @@ TEST(RingOram, EvictionWiderThanTheTreeTouchesEachBucketOnce) {
   EXPECT_EQ(oram.stats().evictions, evictions + count);
 
   const std::uint64_t spb = oram.slots_per_bucket();
-  std::vector<trace_event> expected;
+  const std::uint64_t z = oram.config().real_slots;
+  ASSERT_EQ(fx.trace.size(), oram.bucket_count() * (z + 1));
+  std::size_t at = 0;
   for (std::uint64_t bucket = 0; bucket < oram.bucket_count(); ++bucket) {
-    expected.push_back({event_kind::storage_read_sweep, bucket * spb, spb});
+    for (std::uint64_t i = 0; i < z; ++i, ++at) {
+      const trace_event& event = fx.trace.events()[at];
+      EXPECT_EQ(event.kind, event_kind::storage_read_slot) << "event " << at;
+      EXPECT_EQ(event.a / spb, bucket) << "event " << at;
+      EXPECT_TRUE(i == 0 || fx.trace.events()[at - 1].a < event.a)
+          << "event " << at;
+    }
   }
   for (std::uint32_t level = oram.level_count(); level-- > 0;) {
     const std::uint64_t first = (std::uint64_t{1} << level) - 1;
     for (std::uint64_t bucket = first; bucket < 2 * first + 1; ++bucket) {
-      expected.push_back({event_kind::storage_write_sweep, bucket * spb, spb});
+      const trace_event& event = fx.trace.events()[at];
+      EXPECT_EQ(event.kind, event_kind::storage_write_sweep) << "event " << at;
+      EXPECT_EQ(event.a, bucket * spb) << "event " << at;
+      EXPECT_EQ(event.b, spb) << "event " << at;
+      ++at;
     }
   }
-  ASSERT_EQ(fx.trace.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(fx.trace.events()[i].kind, expected[i].kind) << "event " << i;
-    EXPECT_EQ(fx.trace.events()[i].a, expected[i].a) << "event " << i;
-    EXPECT_EQ(fx.trace.events()[i].b, expected[i].b) << "event " << i;
-  }
   EXPECT_EQ(oram.resident_blocks(), 24u);
+  EXPECT_NO_THROW(oram.check_consistency());
+}
+
+// Ring ORAM's ReadBucket: every eviction, drain and early reshuffle
+// reads exactly Z slots of each bucket it rewrites — every remaining
+// real plus unread dummies, each slot unread before the read — as one
+// device read of Z logical blocks per bucket. The op count and round
+// trips are those of a whole-bucket read: one read and one write per
+// union bucket, one round trip per eviction.
+TEST(RingOram, BucketReadsAreZUnreadSlotsWithEveryReal) {
+  fixture fx;
+  // S < A, so the root and its children run out of spares between
+  // evictions and reshuffle early.
+  ring_oram oram(fx.config(64, 4, 3, 5), fx.device, fx.cpu, fx.rng,
+                 &fx.trace);
+  const std::uint32_t z = oram.config().real_slots;
+  const std::uint64_t block =
+      ring_oram_test_access::store(oram).logical_block_bytes();
+  std::vector<block_id> residents;
+  oram.initialize_full(220, [](block_id id, std::span<std::uint8_t> out) {
+    out[0] = static_cast<std::uint8_t>(id);
+  });
+  for (block_id id = 0; id < 220; ++id) {
+    residents.push_back(id);
+  }
+
+  util::pcg64 gen{test::seed(307)};
+  std::vector<std::uint8_t> out(16);
+  std::map<std::uint64_t, std::uint64_t> drains;  // paths -> count
+  std::uint64_t reads = 0;
+  std::uint64_t with_reals = 0;
+  std::uint64_t reshuffles = 0;
+  for (int step = 0; step < 1500; ++step) {
+    auto slots = ring_oram_test_access::slot_metadata(oram);
+    const sim::io_stats io = fx.device.stats();
+    const std::uint64_t evictions = oram.stats().evictions;
+    fx.trace.clear();
+    const std::uint64_t choice = util::uniform_below(gen, 10);
+    std::uint64_t drain = 0;
+    if (choice < 6) {
+      // An online read of a resident, returned to the stash.
+      const std::size_t i = util::uniform_below(gen, residents.size());
+      oram.extract(residents[i], out);
+      oram.install(residents[i], out);
+    } else if (choice < 8) {
+      oram.dummy_access();
+    } else {
+      constexpr std::uint64_t counts[] = {1, 8, 13};
+      drain = counts[util::uniform_below(gen, 3)];
+      oram.force_evict(drain);
+      ++drains[drain];
+    }
+
+    const auto bucket_reads = ring_oram_test_access::bucket_reads(
+        oram, std::move(slots), fx.trace.events());
+    for (const auto& read : bucket_reads) {
+      ++reads;
+      ASSERT_EQ(read.offsets.size(), z) << "step " << step;
+      for (std::size_t i = 0; i < read.offsets.size(); ++i) {
+        const std::uint32_t k = read.offsets[i];
+        EXPECT_TRUE(i == 0 || read.offsets[i - 1] < k) << "step " << step;
+        EXPECT_EQ(std::count(read.consumed_offsets.begin(),
+                             read.consumed_offsets.end(), k),
+                  0)
+            << "step " << step << ": slot " << k << " read twice";
+      }
+      if (read.reals_known) {
+        ++with_reals;
+        for (const std::uint32_t k : read.real_offsets) {
+          EXPECT_EQ(std::count(read.offsets.begin(), read.offsets.end(), k),
+                    1)
+              << "step " << step << ": real at slot " << k << " left unread";
+        }
+      }
+      reshuffles += read.reshuffle ? 1 : 0;
+    }
+
+    if (drain > 0) {
+      // The union's buckets: each read once and written once.
+      const std::uint64_t buckets = bucket_reads.size();
+      std::set<std::uint64_t> distinct;
+      for (const auto& read : bucket_reads) {
+        distinct.insert(read.bucket);
+      }
+      EXPECT_EQ(distinct.size(), buckets);
+      EXPECT_EQ(oram.stats().evictions, evictions + drain);
+      const sim::io_stats& now = fx.device.stats();
+      EXPECT_EQ(now.read_ops - io.read_ops, buckets);
+      EXPECT_EQ(now.write_ops - io.write_ops, buckets);
+      EXPECT_EQ(now.round_trips - io.round_trips, 1u);
+      EXPECT_EQ(now.bytes_read - io.bytes_read, buckets * z * block);
+      EXPECT_EQ(now.bytes_written - io.bytes_written,
+                buckets * oram.slots_per_bucket() * block);
+    }
+  }
+  EXPECT_GT(drains[1], 0u);
+  EXPECT_GT(drains[8], 0u);
+  EXPECT_GT(drains[13], 0u);
+  EXPECT_GT(oram.stats().evictions,
+            drains[1] + 8 * drains[8] + 13 * drains[13]);  // scheduled too
+  EXPECT_GT(reshuffles, 0u);
+  EXPECT_EQ(reshuffles, oram.stats().early_reshuffles);
+  EXPECT_GT(with_reals, reads / 2);
   EXPECT_NO_THROW(oram.check_consistency());
 }
 

@@ -230,8 +230,8 @@ TEST(StoreDigestGolden, ring) {
         EXPECT_GT(ring.tree().stats().early_reshuffles, 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0x597e4678576d0672ULL, 0x0e78957558e71e39ULL, 0x75d89e92c5b378e7ULL,
-      0x4ceec52daeb91b30ULL};
+      0x597e4678576d0672ULL, 0x20b68230b4011146ULL, 0x83f6a9d2fb8385e5ULL,
+      0x865aa1c1f76db066ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -268,11 +268,11 @@ TEST(StoreDigestGolden, ring_wide) {
       },
       &trace);
   const std::vector<std::uint64_t> expected{
-      0xac9e41063066bafeULL, 0x616decee20da0194ULL, 0xfc4390987407a840ULL,
-      0xb6fc0a0cd2af086eULL, 0x5796ebfc0189ba23ULL};
+      0xac9e41063066bafeULL, 0x0e33db74306efb3bULL, 0x763939ad32994cc0ULL,
+      0x6fa9c4f07b5176daULL, 0x9069b2c070c81892ULL};
   EXPECT_EQ(digests, expected);
-  EXPECT_EQ(trace.size(), 1356u);
-  EXPECT_EQ(trace_digest(trace), 0x076b0f159cc6e22bULL);
+  EXPECT_EQ(trace.size(), 2472u);
+  EXPECT_EQ(trace_digest(trace), 0x423ac4345be25abbULL);
 }
 
 }  // namespace

@@ -205,8 +205,8 @@ TEST(TreeBackendGolden, RingXor) {
   config.ring_eviction_rate = 3;
   config.ring_xor = true;
   const golden expected{
-      776u, 632u, 200992u, 194656u, 147u, 1918u, 1918u, 352912u, 352912u,
-      548u, 6947u, 0x15404dc555f33ef0ULL, {15, 15, 15}, {0, 0, 0}, 90505156,
+      780u, 636u, 62304u, 195888u, 147u, 1918u, 1918u, 352912u, 352912u,
+      548u, 7591u, 0xa8b4d607109271f4ULL, {15, 15, 15}, {0, 0, 0}, 96631164,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }
@@ -218,8 +218,8 @@ TEST(TreeBackendGolden, RingPerSlot) {
   config.ring_eviction_rate = 3;
   config.ring_xor = false;
   const golden expected{
-      1784u, 632u, 245344u, 194656u, 147u, 1918u, 1918u, 352912u, 352912u,
-      548u, 6947u, 0x15404dc555f33ef0ULL, {15, 15, 15}, {0, 0, 0}, 161493580,
+      1788u, 636u, 106656u, 195888u, 147u, 1918u, 1918u, 352912u, 352912u,
+      548u, 7591u, 0xa8b4d607109271f4ULL, {15, 15, 15}, {0, 0, 0}, 168155588,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }

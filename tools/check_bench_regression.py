@@ -8,6 +8,12 @@ computed uniformly from the fields every bench emits via json_fields():
 
     (device_read_ops + device_write_ops) / requests
 
+and device bytes per request, gated where both documents emit the two
+byte counters (a return to whole-bucket ring reads moves bytes, not
+ops):
+
+    (device_read_bytes + device_write_bytes) / requests
+
 and, where a run emits it, the online ``round_trips_per_request``
 field (dependency-aware storage exchanges per request) under the same
 tolerance band — a backend quietly growing an extra dependent hop per
@@ -98,6 +104,15 @@ def ops_per_request(run):
     return ops / requests
 
 
+def bytes_per_request(run):
+    requests = run.get("requests", 0)
+    read = run.get("device_read_bytes")
+    written = run.get("device_write_bytes")
+    if not requests or read is None or written is None:
+        return None
+    return (read + written) / requests
+
+
 def emitted(field):
     """Extractor for a per-request field a run may emit: gated only when
     the run emits it (older baselines predate the counter);
@@ -116,6 +131,7 @@ def emitted(field):
 # either side of a row skips that metric for that row.
 METRICS = (
     ("device ops/request", ops_per_request),
+    ("device bytes/request", bytes_per_request),
     ("round trips/request", emitted("round_trips_per_request")),
     ("memory ops/request", emitted("memory_ops_per_request")),
     ("trusted bytes", emitted("trusted_bytes")),
