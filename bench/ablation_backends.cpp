@@ -1,9 +1,8 @@
 // Backend matrix: the same hotspot workload through every pluggable
-// oblivious store — H-ORAM's partitioned layer, the sqrt ORAM with
-// Melbourne reshuffles, the Path ORAM tree with a recursive position
-// map, the Ring ORAM tree with one-slot-per-bucket online reads, and
-// the hierarchical store with batched one-round-trip probes — on the
-// paper's calibrated machine. The point of the cacheable interface is
+// oblivious store — H-ORAM's partitioned layer, the Path ORAM tree with
+// a recursive position map, the Ring ORAM tree with one-slot-per-bucket
+// online reads, and the hierarchical store with batched one-round-trip
+// probes — on the paper's calibrated machine. The point of the cacheable interface is
 // that this whole table is one builder argument; the numbers show what
 // each scheme's shuffle machinery (or, for the tree backends,
 // per-access walk) costs behind an identical cache, scheduler and
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
   data.memory_bytes = data.data_bytes / 8;
 
   if (!options.json) {
-    std::cout << "=== One workload, five oblivious stores ("
+    std::cout << "=== One workload, four oblivious stores ("
               << util::format_bytes(data.data_bytes) << " dataset, 1/8 "
               << "memory, "
               << util::format_count(recipe.request_count)

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
 
   std::vector<backend_kind> backends;
   if (options.small) {
-    // The two native stepped-job backends, plus hier, whose merge
-    // units are sized to a bounded budget, cover the smoke run.
+    // partitioned and path, plus hier, whose merge units are sized to
+    // a bounded budget, cover the smoke run; the full run adds ring.
     backends = {backend_kind::partitioned, backend_kind::path,
                 backend_kind::hier};
   } else {
@@ -182,10 +182,7 @@ int main(int argc, char** argv) {
            "device time over budget-bounded slices between rounds.\n"
            "b0 = burst / period_loads is the no-stall budget; below it "
            "the leftover is paid\nforeground at the next boundary "
-           "(Stall column). sqrt's reshuffle job is a single\nunit "
-           "(one slice = the whole burst), so its tail stays "
-           "at 1x by\nconstruction — the stepped jobs "
-           "(partitioned, path, hier) are where the win is.\n"
+           "(Stall column).\n"
            "(wrote BENCH_shuffle_overlap.json)\n";
   }
   return 0;

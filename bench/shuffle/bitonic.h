@@ -4,7 +4,7 @@
 // through Batcher's bitonic network. The sequence of index pairs the
 // network touches is a pure function of n — an adversary watching memory
 // learns nothing about the realised permutation. This is the oblivious
-// shuffle H-ORAM runs during the tree evict (§4.3.1).
+// shuffle the paper names for the tree evict (§4.3.1).
 //
 // Cost: O(n log^2 n) compare-exchanges; every compare-exchange touches
 // both records, so bytes_moved = 2 * record_bytes per operation.

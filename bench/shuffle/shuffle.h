@@ -1,20 +1,22 @@
-// Common types for the shuffle library.
+// Common types for the bench-side shuffle algorithms.
 //
-// The paper's shuffle cast (§3.2, §4.3), and which code runs each:
+// The paper's shuffle cast (§3.2, §4.3). No backend runs any of these:
+// the tree evict streams every bucket in a fixed order, and the
+// group-and-partition shuffle permutes each partition in trusted
+// memory, where Fisher-Yates suffices. They live next to the benches
+// (compiled into horam_bench_common, not the horam library) so the
+// comparisons that motivate the partitioned design stay measurable:
 //   * Melbourne shuffle — the external-memory oblivious shuffle the
-//     paper cites as the O(4N)-I/O cost it wants to avoid; the sqrt
-//     backend (src/oram/sqrt/) re-permutes its store with it.
+//     paper cites as the O(4N)-I/O cost it wants to avoid;
+//     ablation_shuffle_algorithms' "melbourne (external)" row is that
+//     number.
 //   * Fisher-Yates — the non-oblivious in-memory shuffle, safe only
 //     inside the trusted control layer. util::random_permutation, which
 //     draws the in-partition permutations of the partitioned storage
-//     layer, is the same algorithm; this module's fisher_yates is run
-//     by no backend.
+//     layer, is the same algorithm.
 //   * bitonic oblivious shuffle, Waksman permutation network and
-//     CacheShuffle — exercised by the tests and the shuffle benches
-//     (ablation_shuffle_algorithms) but run by no backend: the tree
-//     evict streams every bucket in a fixed order, and the
-//     group-and-partition shuffle permutes each partition in trusted
-//     memory, where Fisher-Yates suffices.
+//     CacheShuffle — the in-memory oblivious alternatives, compared by
+//     ablation_shuffle_algorithms and micro_substrates.
 //
 // Permutation convention: pi[i] is the NEW position of element i
 // (destination mapping); apply_permutation writes out[pi[i]] = in[i].

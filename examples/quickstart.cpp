@@ -57,11 +57,10 @@ int main() {
               session_results.size());
 
   // --- 4. Backend comparison: the paper's hotspot workload through all
-  // five oblivious stores (H-ORAM's partitioned layer, sqrt ORAM,
-  // Path ORAM with a recursive position map, Ring ORAM with one-slot
-  // XOR-combined online reads, and the hierarchical backend whose
-  // succinct index batches every online access into a single device
-  // round trip).
+  // four oblivious stores (H-ORAM's partitioned layer, Path ORAM with a
+  // recursive position map, Ring ORAM with one-slot XOR-combined online
+  // reads, and the hierarchical backend whose succinct index batches
+  // every online access into a single device round trip).
   // Everything other than the backend() call is identical. ---
   const auto measure = [](backend_kind kind) {
     client c = client_builder()
@@ -137,7 +136,7 @@ int main() {
     return util::format_time_ns(stats.total_time);
   };
 
-  std::printf("\nsame workload, five oblivious stores "
+  std::printf("\nsame workload, four oblivious stores "
               "(one .backend(...) call apart):\n");
   std::vector<std::string> header = {"Metric"};
   for (const client& c : stores) {

@@ -38,8 +38,8 @@ namespace horam::analysis {
 // ------------------------------------------------------- extraction
 
 /// Global slot indices of every storage_read_slot event, in order.
-/// The right position stream for the flat layouts (partitioned, sqrt,
-/// partition); for the path backend the slot is a tree bucket whose
+/// The right position stream for the flat partitioned layout; for the
+/// path backend the slot is a tree bucket whose
 /// marginal distribution is fixed but not uniform — audit its leaves.
 std::vector<std::uint64_t> storage_read_positions(
     const oram::access_trace& trace);

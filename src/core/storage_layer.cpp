@@ -314,6 +314,9 @@ storage_layer::shuffle_plan storage_layer::plan_shuffle(
   plan.hot.resize(partitions);
   std::vector<std::uint64_t> segment_fill(partitions, 0);
   for (const oram::evicted_block& block : evicted) {
+    expects(block.id < config_.block_count, "evicted id out of range");
+    invariant(locations_[block.id].where == residence::memory,
+              "evicted block the layout says is on storage");
     bool placed = false;
     for (int attempt = 0; attempt < 64 && !placed; ++attempt) {
       const std::uint64_t p = util::uniform_below(rng_, partitions);

@@ -66,7 +66,7 @@ struct enum_names {
 constexpr enum_names<backend_kind, std::size(all_backend_kinds), 3>
     kBackendNames{
         all_backend_kinds,
-        {"partitioned", "sqrt", "path", "ring", "hier"},
+        {"partitioned", "path", "ring", "hier"},
         {{{"horam", backend_kind::partitioned},
           {"path-oram", backend_kind::path},
           {"ring-oram", backend_kind::ring}}}};
@@ -154,9 +154,6 @@ std::unique_ptr<oram_backend> make_backend(
     case backend_kind::partitioned:
       return std::make_unique<storage_layer>(config, device, cpu, rng,
                                              trace, filler);
-    case backend_kind::sqrt:
-      return std::make_unique<oram::sqrt_backend>(config, device, cpu, rng,
-                                                  trace, filler);
     case backend_kind::path:
       return std::make_unique<oram::path_backend>(config, device, cpu, rng,
                                                   trace, filler, map_device);

@@ -74,7 +74,6 @@
 //                                       └─► oram_backend — pluggable
 //                                             │  per-shard store
 //                                             ├─ partitioned (§4.1.3)
-//                                             ├─ sqrt
 //                                             ├─ path (Path ORAM +
 //                                             │     recursive map)
 //                                             ├─ ring (Ring ORAM: one
@@ -103,7 +102,6 @@
 #include "core/oram_backend.h"
 #include "oram/common/tree_backend.h"
 #include "oram/hier/hier_backend.h"
-#include "oram/sqrt/sqrt_backend.h"
 #include "sim/profiles.h"
 #include "workload/generators.h"
 
@@ -113,8 +111,6 @@ namespace horam {
 enum class backend_kind : std::uint8_t {
   /// H-ORAM's partitioned storage layer (§4.1.3) — the default.
   partitioned,
-  /// Square-root ORAM array with Melbourne reshuffles (§2.1.3).
-  sqrt,
   /// Path ORAM tree with a recursive position map (Stefanov et al.,
   /// "Path ORAM: An Extremely Simple Oblivious RAM Protocol").
   path,
@@ -136,11 +132,11 @@ enum class backend_kind : std::uint8_t {
 /// Every selectable backend, in presentation order (comparison tables,
 /// parameterised tests).
 inline constexpr backend_kind all_backend_kinds[] = {
-    backend_kind::partitioned, backend_kind::sqrt, backend_kind::path,
-    backend_kind::ring, backend_kind::hier};
+    backend_kind::partitioned, backend_kind::path, backend_kind::ring,
+    backend_kind::hier};
 
 /// Human-readable backend name
-/// ("partitioned" / "sqrt" / "path" / "ring" / "hier").
+/// ("partitioned" / "path" / "ring" / "hier").
 [[nodiscard]] std::string_view backend_name(backend_kind kind);
 
 /// The canonical backend names, index-aligned with all_backend_kinds —

@@ -12,22 +12,21 @@
 // times differ from a sealed run's only through the 20-byte seal
 // overhead its records lack.
 //
-// Backends that read single slots — ring, hier, sqrt and the
-// partitioned storage layer — use these per-slot records: each slot is
-// opened on its own, so each carries its own nonce and MAC. Path ORAM
-// only ever moves whole buckets and seals each bucket as one unit
-// instead (oram/common/bucket_codec.h), in the same store geometry.
+// Backends that read single slots — ring, hier and the partitioned
+// storage layer — use these per-slot records: each slot is opened on
+// its own, so each carries its own nonce and MAC. Path ORAM only ever
+// moves whole buckets and seals each bucket as one unit instead
+// (oram/common/bucket_codec.h), in the same store geometry.
 //
 // Wherever a backend moves many records at once — hier merges and
 // builds, partition shuffles and deals, ring evictions, reshuffles and
-// builds, the sqrt fold-back and build — it seals and opens them in
-// batches, so their keystreams and MACs share the SIMD lanes of the
-// sealing kernels (crypto/chacha20.h, crypto/siphash.h): encode_plain()
-// composes records and seal_many() seals a list of them, nonces in list
-// order; decode_many() checks every MAC of a list before it writes any
-// output, then decrypts all of them in one batch. The bytes are those
-// of one encode() or decode() per record, which are the one-record
-// batches.
+// builds — it seals and opens them in batches, so their keystreams and
+// MACs share the SIMD lanes of the sealing kernels (crypto/chacha20.h,
+// crypto/siphash.h): encode_plain() composes records and seal_many()
+// seals a list of them, nonces in list order; decode_many() checks
+// every MAC of a list before it writes any output, then decrypts all of
+// them in one batch. The bytes are those of one encode() or decode()
+// per record, which are the one-record batches.
 //
 // Neither encode nor decode allocates. encode writes the plaintext
 // straight into the caller's record and seals it there; decoding opens

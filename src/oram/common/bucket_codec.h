@@ -32,7 +32,7 @@
 // exactly.
 //
 // Only Path ORAM reads and writes whole buckets. Backends that read
-// single slots (ring, hier, sqrt, partitioned) keep per-slot
+// single slots (ring, hier, partitioned) keep per-slot
 // block_codec records, since opening one slot of a sealed bucket would
 // still mean a MAC pass over all of it.
 #ifndef HORAM_ORAM_COMMON_BUCKET_CODEC_H

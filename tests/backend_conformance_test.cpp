@@ -1,17 +1,21 @@
 // Conformance suite for the pluggable oram_backend interface: every
-// implementation (partitioned storage layer, sqrt ORAM, Path ORAM with
-// a recursive position map, Ring ORAM, hierarchical ORAM with a
-// succinct index) must satisfy the same
-// contract — residency tracking, load/dummy-load semantics,
-// shuffle-period merge, payload round-trips, deep consistency audits —
-// both driven directly and fronted by the full controller through the
-// public client facade.
+// implementation (partitioned storage layer, Path ORAM with a
+// recursive position map, Ring ORAM, hierarchical ORAM with a succinct
+// index) must satisfy the same contract — residency tracking, load/dummy-load semantics,
+// shuffle-period merge, payload round-trips, deep consistency audits,
+// unmeasured construction, seeded layouts, logical-block transfer
+// sizes and rejection of ids it never handed out — both driven
+// directly and fronted by the full controller through the public
+// client facade.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "horam.h"
 #include "test_support.h"
@@ -335,6 +339,189 @@ TEST_P(BackendConformance, NameRoundTripsThroughParserAndBuilder) {
                     .build();
   EXPECT_EQ(oram.kind(), GetParam());
   EXPECT_EQ(oram.read(5), std::vector<std::uint8_t>(8, 0));
+}
+
+// ------------------------------------------- construction and misuse
+
+/// Filler that stamps each block's id into its first two bytes.
+const std::function<void(block_id, std::span<std::uint8_t>)>& id_filler() {
+  static const std::function<void(block_id, std::span<std::uint8_t>)>
+      filler = [](block_id id, std::span<std::uint8_t> out) {
+        out[0] = static_cast<std::uint8_t>(id);
+        out[1] = static_cast<std::uint8_t>(id >> 8);
+      };
+  return filler;
+}
+
+bool filled(const std::vector<std::uint8_t>& payload, block_id id) {
+  return payload.size() == kPayload &&
+         payload[0] == static_cast<std::uint8_t>(id) &&
+         payload[1] == static_cast<std::uint8_t>(id >> 8);
+}
+
+/// Every event of `trace`, as (kind, a, b) triples.
+std::vector<std::tuple<oram::event_kind, std::uint64_t, std::uint64_t>>
+trace_events(const oram::access_trace& trace) {
+  std::vector<std::tuple<oram::event_kind, std::uint64_t, std::uint64_t>>
+      events;
+  for (const oram::trace_event& event : trace.events()) {
+    events.emplace_back(event.kind, event.a, event.b);
+  }
+  return events;
+}
+
+// The filler seeds every block's initial payload, whatever the scheme
+// does with it on the way to storage.
+TEST_P(BackendConformance, FillerSeedsInitialPayloads) {
+  rig fx;
+  const std::unique_ptr<oram_backend> backend =
+      make_backend(GetParam(), fx.config(), fx.device, fx.cpu, fx.rng,
+                   /*trace=*/nullptr, &id_filler(), &fx.map_device);
+  for (const block_id id : {block_id{0}, block_id{1}, block_id{200},
+                            block_id{kBlocks - 1}}) {
+    const oram_backend::load_result load = backend->load_block(id);
+    EXPECT_EQ(load.id, id);
+    EXPECT_TRUE(filled(load.payload, id)) << "block " << id;
+  }
+  EXPECT_NO_THROW(backend->check_consistency());
+}
+
+// Building the initial layout is setup, not service: the devices start
+// with clean counters and the backend with no loads.
+TEST_P(BackendConformance, ConstructionIsNotMeasured) {
+  rig fx;
+  const std::unique_ptr<oram_backend> backend =
+      make_backend(GetParam(), fx.config(), fx.device, fx.cpu, fx.rng,
+                   /*trace=*/nullptr, &id_filler(), &fx.map_device);
+  EXPECT_EQ(fx.device.stats().total_ops(), 0u);
+  EXPECT_EQ(fx.map_device.stats().total_ops(), 0u);
+  EXPECT_EQ(backend->stats().real_loads, 0u);
+  EXPECT_EQ(backend->stats().dummy_loads, 0u);
+}
+
+// Payloads the cache changed come back changed after a shuffle; blocks
+// the period never touched keep their initial payloads.
+TEST_P(BackendConformance, ShuffleWritesBackEvictedPayloads) {
+  rig fx;
+  const std::unique_ptr<oram_backend> backend =
+      make_backend(GetParam(), fx.config(), fx.device, fx.cpu, fx.rng,
+                   /*trace=*/nullptr, &id_filler(), &fx.map_device);
+  std::vector<oram::evicted_block> evicted;
+  for (block_id id = 10; id < 26; ++id) {
+    oram_backend::load_result load = backend->load_block(id);
+    load.payload[2] = 0xA5;  // the cache mutated the block
+    evicted.push_back(oram::evicted_block{id, load.payload});
+  }
+  std::vector<oram::evicted_block> overflow;
+  (void)backend->shuffle_period(std::move(evicted), 0, overflow);
+  EXPECT_TRUE(overflow.empty());
+  ASSERT_NO_THROW(backend->check_consistency());
+  for (block_id id = 10; id < 26; ++id) {
+    ASSERT_TRUE(backend->in_storage(id)) << "block " << id;
+    const oram_backend::load_result load = backend->load_block(id);
+    EXPECT_TRUE(filled(load.payload, id)) << "block " << id;
+    EXPECT_EQ(load.payload[2], 0xA5) << "block " << id;
+  }
+  const oram_backend::load_result untouched = backend->load_block(31);
+  EXPECT_TRUE(filled(untouched.payload, 31));
+  EXPECT_EQ(untouched.payload[2], 0);
+}
+
+// A shuffle period must receive only blocks the backend handed out, and
+// only ids inside the universe.
+TEST_P(BackendConformance, ShuffleRejectsBlocksItNeverHandedOut) {
+  rig fx;
+  const std::unique_ptr<oram_backend> backend = fx.make(GetParam());
+  std::vector<oram::evicted_block> overflow;
+  EXPECT_THROW(
+      (void)backend->shuffle_period(
+          {oram::evicted_block{7, std::vector<std::uint8_t>(kPayload)}}, 0,
+          overflow),
+      contract_error);
+  EXPECT_THROW(
+      (void)backend->shuffle_period(
+          {oram::evicted_block{kBlocks, std::vector<std::uint8_t>(kPayload)}},
+          0, overflow),
+      contract_error);
+}
+
+// A logical block wider than the sealed record models a deployment's
+// block: every slot the layout occupies, and every transfer a load
+// makes, is a whole number of logical blocks.
+TEST_P(BackendConformance, LogicalBlockBytesSetTheFootprintAndTransferSize) {
+  constexpr std::uint64_t kLogical = 4096;
+  rig fx;
+  horam_config config = fx.config();
+  config.logical_block_bytes = kLogical;
+  const std::unique_ptr<oram_backend> backend =
+      make_backend(GetParam(), config, fx.device, fx.cpu, fx.rng,
+                   /*trace=*/nullptr, &id_filler(), &fx.map_device);
+  EXPECT_EQ(backend->physical_bytes() % kLogical, 0u);
+  EXPECT_GE(backend->physical_bytes(), kBlocks * kLogical);
+  for (const block_id id : {block_id{77}, block_id{78}}) {
+    fx.device.reset_stats();
+    const oram_backend::load_result load = backend->load_block(id);
+    EXPECT_TRUE(filled(load.payload, id)) << "block " << id;
+    EXPECT_GT(fx.device.stats().bytes_read, 0u);
+    EXPECT_EQ(fx.device.stats().bytes_read % kLogical, 0u) << "block " << id;
+  }
+  fx.device.reset_stats();
+  (void)backend->dummy_load();
+  EXPECT_GT(fx.device.stats().bytes_read, 0u);
+  EXPECT_EQ(fx.device.stats().bytes_read % kLogical, 0u);
+}
+
+TEST_P(BackendConformance, OutOfRangeIdsAreContractViolations) {
+  rig fx;
+  const std::unique_ptr<oram_backend> backend = fx.make(GetParam());
+  EXPECT_THROW((void)backend->in_storage(kBlocks), contract_error);
+  EXPECT_THROW((void)backend->load_block(kBlocks), contract_error);
+}
+
+// The layout is a function of the seed alone: the same seed replays the
+// same storage trace, another seed gives another one.
+TEST_P(BackendConformance, LayoutIsDeterministicPerSeed) {
+  const auto trace_of = [&](std::uint64_t seed) {
+    rig fx;
+    fx.rng = util::pcg64(seed);
+    oram::access_trace trace;
+    const std::unique_ptr<oram_backend> backend =
+        make_backend(GetParam(), fx.config(), fx.device, fx.cpu, fx.rng,
+                     &trace, /*filler=*/nullptr, &fx.map_device);
+    trace.clear();
+    for (block_id id = 0; id < 16; ++id) {
+      (void)backend->load_block(id);
+    }
+    return trace_events(trace);
+  };
+  const auto first = trace_of(test::seed(43));
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, trace_of(test::seed(43)));
+  EXPECT_NE(first, trace_of(test::seed(44)));
+}
+
+// The dummy supply is sized to the access period and a shuffle refills
+// it: period after period of all-dummy loads never runs dry.
+TEST_P(BackendConformance, ShuffleRestoresTheDummyBudget) {
+  rig fx;
+  const std::unique_ptr<oram_backend> backend = fx.make(GetParam());
+  const std::uint64_t period_loads = fx.config().period_loads();
+  for (std::uint64_t period = 0; period < 3; ++period) {
+    std::vector<oram::evicted_block> prefetched;
+    for (std::uint64_t i = 0; i < period_loads; ++i) {
+      oram_backend::load_result load = backend->dummy_load();
+      if (load.id != oram::dummy_block_id) {
+        prefetched.push_back(
+            oram::evicted_block{load.id, std::move(load.payload)});
+      }
+    }
+    std::vector<oram::evicted_block> overflow;
+    (void)backend->shuffle_period(std::move(prefetched), period, overflow);
+    EXPECT_TRUE(overflow.empty());
+    ASSERT_NO_THROW(backend->check_consistency()) << "period " << period;
+  }
+  EXPECT_EQ(backend->stats().dummy_loads, 3 * period_loads);
+  EXPECT_EQ(backend->stats().exhausted_dummy_loads, 0u);
 }
 
 // ------------------------------------------------- tree-backend detail

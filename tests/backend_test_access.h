@@ -1,6 +1,6 @@
 // Test-only access to the record stores and trusted state of the
-// backends (friends of storage_layer, hier_backend, sqrt_backend,
-// path_oram, recursive_position_map and ring_oram): a digest of every
+// backends (friends of storage_layer, hier_backend, path_oram,
+// recursive_position_map and ring_oram): a digest of every
 // stored byte for the store goldens, and fault injection into chosen
 // records.
 #ifndef HORAM_TESTS_BACKEND_TEST_ACCESS_H
@@ -17,7 +17,6 @@
 #include "oram/path/path_oram.h"
 #include "oram/path/recursive_position_map.h"
 #include "oram/ring/ring_oram.h"
-#include "oram/sqrt/sqrt_backend.h"
 #include "storage/block_store.h"
 
 namespace horam {
@@ -122,15 +121,6 @@ struct hier_backend_test_access {
       ++target;
     }
     return target;
-  }
-};
-
-struct sqrt_backend_test_access {
-  /// Array A, array B and the Melbourne scratch, in device order.
-  static std::vector<const storage::block_store*> stores(
-      const sqrt_backend& backend) {
-    return {backend.array_a_.get(), backend.array_b_.get(),
-            backend.scratch_.get()};
   }
 };
 

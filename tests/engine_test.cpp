@@ -802,11 +802,13 @@ TEST(BackendNames, CanonicalListRoundTrips) {
     EXPECT_EQ(backend_by_name(names[i]), all_backend_kinds[i]);
     EXPECT_EQ(backend_name(all_backend_kinds[i]), names[i]);
   }
-  // Aliases still parse; junk throws, and so does "partition": Partition
-  // ORAM is not a backend, so its name must not select another one.
+  // Aliases still parse; junk throws, and so do the retired
+  // "partition" and "sqrt": neither is a backend any more, so their
+  // names must not select another one.
   EXPECT_EQ(backend_by_name("horam"), backend_kind::partitioned);
   EXPECT_EQ(backend_by_name("path-oram"), backend_kind::path);
   EXPECT_THROW((void)backend_by_name("partition"), contract_error);
+  EXPECT_THROW((void)backend_by_name("sqrt"), contract_error);
   try {
     (void)backend_by_name("florb");
     FAIL() << "expected contract_error";

@@ -1,12 +1,12 @@
-// Statistical obliviousness audit: the access traces of all six
+// Statistical obliviousness audit: the access traces of all four
 // backends are checked for (a) uniformity of the bus-visible positions
 // they touch and (b) workload-independence of the position
 // distribution under the async service scheduler. Negative controls
 // prove the tests have the power to catch a leaky trace.
 //
 // What "position" means per scheme:
-//   * partitioned / sqrt / partition — the storage slot of every read
-//     (uniform without replacement within a period by construction);
+//   * partitioned — the storage slot of every read (uniform without
+//     replacement within a period by construction);
 //   * path — the leaf of every path access (buckets are hit with the
 //     fixed, non-uniform marginal any tree walk induces, so the
 //     uniformity claim lives at the leaf level; the bucket stream is
@@ -237,12 +237,6 @@ void uniform_positions_of(const oram_backend& backend,
     }
     stream.universe =
         geometry.partition_count * geometry.main_capacity;
-    return;
-  }
-  if (const auto* sqrt_store =
-          dynamic_cast<const oram::sqrt_backend*>(&backend)) {
-    stream.positions = analysis::storage_read_positions(trace);
-    stream.universe = sqrt_store->total_slots();
     return;
   }
   if (const auto* ring = dynamic_cast<const oram::ring_backend*>(&backend)) {

@@ -339,15 +339,15 @@ TEST_P(DefaultLayoutIsFlat, TracesMatchBitForBit) {
   }
 }
 
-// The page layout is a tree-bucket concept: backends without a bucket
-// tree on the storage lane (sqrt, partitioned) must ignore layout(page)
+// The page layout is a tree-bucket concept: a backend without a bucket
+// tree on the storage lane (partitioned, hier) must ignore layout(page)
 // entirely — identical results, clocks and bus traces vs flat. Guards
 // against the knob silently perturbing a scheme it doesn't apply to.
 class PageLayoutInert : public ::testing::TestWithParam<backend_kind> {};
 
 INSTANTIATE_TEST_SUITE_P(
     NonTreeBackends, PageLayoutInert,
-    ::testing::Values(backend_kind::sqrt, backend_kind::partitioned),
+    ::testing::Values(backend_kind::partitioned, backend_kind::hier),
     [](const ::testing::TestParamInfo<backend_kind>& info) {
       return std::string(backend_name(info.param));
     });

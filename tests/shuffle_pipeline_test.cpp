@@ -266,16 +266,9 @@ TEST_P(IncrementalBounded, StagedBlocksStayCoherent) {
 
   const controller_stats& stats = oram.stats();
   EXPECT_GT(stats.periods, 2u);
-  if (kind == backend_kind::partitioned || kind == backend_kind::path ||
-      kind == backend_kind::ring || kind == backend_kind::hier) {
-    // Native stepped jobs: a one-unit budget splits every period into
-    // many slices.
-    EXPECT_GT(stats.shuffle_slices, stats.periods);
-  } else {
-    // sqrt's one-unit reshuffle job: exactly one (full-size) slice per
-    // deferred period — correct, just not deamortized.
-    EXPECT_EQ(stats.shuffle_slices, stats.periods);
-  }
+  // Every backend's job is natively stepped: a one-unit budget splits
+  // every period into many slices.
+  EXPECT_GT(stats.shuffle_slices, stats.periods);
   EXPECT_EQ(stats.request_latency.count(), stats.requests);
   oram.backend().check_consistency();
 }
@@ -439,15 +432,10 @@ TEST_P(IncrementalBounded, JobStagesAndWritesThrough) {
 
   EXPECT_THROW(job->finish(evicted), contract_error);  // before done()
   shuffle_cost cost;
-  std::uint64_t steps = 0;
   while (!job->done()) {
     cost += job->step(1);
-    ++steps;
   }
   EXPECT_GT(cost.total(), 0);
-  if (kind == backend_kind::sqrt) {
-    EXPECT_EQ(steps, 1u);  // one unit: the whole reshuffle
-  }
   EXPECT_EQ(job->staged(9), nullptr);  // placed back on storage
   EXPECT_FALSE(job->holds(3));
   EXPECT_THROW((void)job->step(1), contract_error);  // after done()

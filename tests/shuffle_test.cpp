@@ -1,12 +1,18 @@
-// Tests for src/shuffle: permutation helpers, the four shuffle
+// Tests for bench/shuffle: permutation helpers, the four shuffle
 // algorithms (correctness, obliviousness, uniformity) and their cost
-// accounting. Parameterised suites sweep sizes, including non-powers of
-// two and degenerate cases.
+// accounting, including the whole-array square-root reshuffle that the
+// partitioned shuffle period undercuts on every device profile.
+// Parameterised suites sweep sizes, including non-powers of two and
+// degenerate cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
+#include <string>
 
+#include "horam.h"
+#include "oram/common/block_codec.h"
 #include "shuffle/bitonic.h"
 #include "shuffle/cache_shuffle.h"
 #include "shuffle/fisher_yates.h"
@@ -15,6 +21,7 @@
 #include "shuffle/waksman.h"
 #include "sim/profiles.h"
 #include "storage/block_store.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace horam::shuffle {
@@ -358,6 +365,124 @@ TEST(Melbourne, TinyQuotaEventuallyThrows) {
   EXPECT_THROW(
       melbourne_shuffle(*fx.input, *fx.scratch, *fx.output, rng, config),
       std::runtime_error);
+}
+
+class MelbourneQuota : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Quotas, MelbourneQuota,
+                         ::testing::Values(4, 6, 10, 16));
+
+TEST_P(MelbourneQuota, ShuffleSucceedsAcrossQuotas) {
+  const std::uint64_t quota = GetParam();
+  constexpr std::uint64_t n = 128;
+  sim::block_device device(sim::dram_ddr4());
+  const melbourne_config config{.message_quota = quota,
+                                .max_retries = 128};
+  storage::block_store input(device, 0, n, 16, 16);
+  storage::block_store scratch(
+      device, n * 16, melbourne_scratch_records(n, config), 16, 16);
+  storage::block_store output(
+      device, (n + melbourne_scratch_records(n, config)) * 16, n, 16, 16);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::vector<std::uint8_t> record(16,
+                                     static_cast<std::uint8_t>(i));
+    input.write(i, record);
+  }
+  util::pcg64 rng(5000 + quota);
+  const auto result =
+      melbourne_shuffle(input, scratch, output, rng, config);
+  ASSERT_TRUE(is_permutation(result.pi));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(output.peek(result.pi[i])[0],
+              static_cast<std::uint8_t>(i));
+  }
+  // Smaller quotas retry more; all must eventually succeed.
+  if (quota >= 10) {
+    EXPECT_EQ(result.stats.retries, 0u);
+  }
+}
+
+// The paper's case for its group-and-partition layer (§4.1.3): a
+// square-root ORAM writes its hot set back and then re-permutes its
+// whole array of N reals plus max(sqrt(N), n/2) dummies every period
+// with the multi-pass Melbourne shuffle, while the partitioned layer
+// streams each partition in and out once. For the same hot set, on
+// every device profile, the partitioned period moves fewer bytes and
+// costs less device time.
+class ShuffleCostShapes
+    : public ::testing::TestWithParam<sim::device_profile> {};
+
+INSTANTIATE_TEST_SUITE_P(Profiles, ShuffleCostShapes,
+                         ::testing::Values(sim::hdd_paper(),
+                                           sim::hdd_7200_raw(),
+                                           sim::ssd_sata(), sim::nvme(),
+                                           sim::net_remote(),
+                                           sim::dram_ddr4()),
+                         [](const auto& info) {
+                           std::string name = info.param.name;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST_P(ShuffleCostShapes, PartitionedPeriodIsCheaperThanSqrtReshuffle) {
+  horam_config config;
+  config.block_count = 1024;
+  config.memory_blocks = 128;
+  config.payload_bytes = 32;
+  config.seal = false;
+  const std::size_t record =
+      oram::block_codec(config.payload_bytes, config.seal, 0).record_bytes();
+  const std::uint64_t logical =
+      oram::logical_block_bytes(config.logical_block_bytes, record);
+
+  // Partitioned: one access period's worth of misses, then its shuffle.
+  sim::block_device partitioned_disk(GetParam());
+  const sim::cpu_model cpu(sim::cpu_aesni());
+  util::pcg64 rng(89);
+  const std::unique_ptr<oram_backend> backend =
+      make_backend(backend_kind::partitioned, config, partitioned_disk, cpu,
+                   rng, nullptr, nullptr);
+  std::vector<oram::evicted_block> evicted;
+  for (oram::block_id id = 0; id < config.period_loads(); ++id) {
+    evicted.push_back(
+        oram::evicted_block{id * 13, backend->load_block(id * 13).payload});
+  }
+  partitioned_disk.reset_stats();
+  std::vector<oram::evicted_block> overflow;
+  const shuffle_cost cost =
+      backend->shuffle_period(std::move(evicted), 0, overflow);
+  EXPECT_TRUE(overflow.empty());
+  const std::uint64_t partitioned_bytes =
+      partitioned_disk.stats().total_bytes();
+  const sim::sim_time partitioned_time = cost.io_read + cost.io_write;
+
+  // Square root: arrays A and B of N + D slots and Melbourne scratch on
+  // one device. The hot set is written back to the slots its loads
+  // revealed, then A is shuffled into B.
+  sim::block_device sqrt_disk(GetParam());
+  const std::uint64_t slots =
+      config.block_count +
+      std::max(util::isqrt_ceil(config.block_count), config.period_loads());
+  const melbourne_config reshuffle;
+  const std::uint64_t scratch_slots =
+      melbourne_scratch_records(slots, reshuffle);
+  storage::block_store array_a(sqrt_disk, 0, slots, record, logical);
+  storage::block_store array_b(sqrt_disk, slots * logical, slots, record,
+                               logical);
+  storage::block_store scratch(sqrt_disk, 2 * slots * logical, scratch_slots,
+                               record, logical);
+  const std::vector<std::uint8_t> hot_record(record, 0);
+  sim::sim_time sqrt_time = 0;
+  const permutation revealed = util::random_permutation(rng, slots);
+  for (std::uint64_t i = 0; i < config.period_loads(); ++i) {
+    sqrt_time += array_a.write(revealed[i], hot_record);
+  }
+  sqrt_time += melbourne_shuffle(array_a, scratch, array_b, rng, reshuffle)
+                   .io_time;
+  const std::uint64_t sqrt_bytes = sqrt_disk.stats().total_bytes();
+
+  EXPECT_LT(partitioned_bytes, sqrt_bytes);
+  EXPECT_LT(partitioned_time, sqrt_time);
 }
 
 TEST(CacheShuffle, UniformityOverSmallDomain) {

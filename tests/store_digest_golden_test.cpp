@@ -1,13 +1,12 @@
 // Golden pins for the sealed bytes of the storage backends
-// (partitioned, hier, sqrt, path and ring). Each case builds a sealed backend
+// (partitioned, hier, path and ring). Each case builds a sealed backend
 // with fixed seeds, runs a fixed sequence of loads, dummy loads and
 // shuffle periods (monolithic and budgeted), and pins a 64-bit digest
 // of every byte of the backend's record stores after the build and
 // after each period. The sequences cover a partitioned append segment
-// and a due-partition shuffle, a hier merge cascade, the sqrt build and
-// reshuffle, Path ORAM extracts and stash drains under the flat and
-// page layouts (tree store and recursive-map stores), and ring
-// evictions and early reshuffles. Sealed bytes depend on every nonce
+// and a due-partition shuffle, a hier merge cascade, Path ORAM extracts
+// and stash drains under the flat and page layouts (tree store and
+// recursive-map stores), and ring evictions and early reshuffles. Sealed bytes depend on every nonce
 // and on the order in which records are sealed, so any change to how a
 // backend composes, batches or seals its records must leave every value
 // here unchanged.
@@ -51,14 +50,6 @@ std::uint64_t digest(const oram_backend& backend) {
   }
   if (const auto* hier = dynamic_cast<const oram::hier_backend*>(&backend)) {
     return store_digest(oram::hier_backend_test_access::store(*hier));
-  }
-  if (const auto* sqrt = dynamic_cast<const oram::sqrt_backend*>(&backend)) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const storage::block_store* store :
-         oram::sqrt_backend_test_access::stores(*sqrt)) {
-      hash = store_digest(*store, hash);
-    }
-    return hash;
   }
   if (const auto* path = dynamic_cast<const oram::path_backend*>(&backend)) {
     // The tree's store, then every recursion level's map ORAM.
@@ -163,17 +154,6 @@ TEST(StoreDigestGolden, hier) {
   const std::vector<std::uint64_t> expected{
       0xcd61c2d334512f95ULL, 0x0a0db15c7a60368aULL, 0x7b485064fde1f98bULL,
       0xdc0038a1554b142aULL, 0x4faf77267fffa0fdULL, 0x829e1ecd50370b2bULL};
-  EXPECT_EQ(digests, expected);
-}
-
-TEST(StoreDigestGolden, sqrt) {
-  const std::vector<std::uint64_t> digests =
-      run(backend_kind::sqrt, base_config(), 3, [](const oram_backend& b) {
-        EXPECT_EQ(b.stats().partitions_shuffled, 3u);
-      });
-  const std::vector<std::uint64_t> expected{
-      0x411bcc7b0a537da9ULL, 0xc6d3613ef166923dULL, 0x4c7612d71af34caeULL,
-      0xba207656092c2211ULL};
   EXPECT_EQ(digests, expected);
 }
 

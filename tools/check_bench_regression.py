@@ -50,7 +50,10 @@ baseline, then a total "N of M fields moved". Host-timed fields
 (``host_*``, ``wall_*``) are left out, since they differ on every run.
 A change that should move nothing reports 0 moved. Numeric fields only
 the fresh run emits are listed as new and counted apart, so a new
-column shows up without counting as a move.
+column shows up without counting as a move. Likewise every fresh run
+whose document has a baseline but which no baseline run matches is
+listed and counted in the final line, so a row added to a bench shows
+up rather than passing without mention.
 """
 
 import argparse
@@ -167,10 +170,12 @@ def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def matched_runs(baseline_dir, fresh_dir, problems):
+def matched_runs(baseline_dir, fresh_dir, problems, fresh_only=None):
     """Yields (bench, key, baseline_run, fresh_run) for every baseline
     run with a fresh counterpart; appends a message to `problems` for
-    every document or run that has none."""
+    every document or run that has none, and (bench, key) to
+    `fresh_only`, when given, for every fresh run of a baselined
+    document that has no baseline counterpart."""
     baselines = sorted(baseline_dir.glob("BENCH_*.json"))
     if not baselines:
         raise SystemExit(f"no BENCH_*.json baselines under {baseline_dir}")
@@ -189,6 +194,10 @@ def matched_runs(baseline_dir, fresh_dir, problems):
                 f"('{bench}' -> '{fresh_bench}')"
             )
             continue
+        if fresh_only is not None:
+            fresh_only.extend(
+                (bench, key) for key in fresh_runs if key not in baseline_runs
+            )
         for key, baseline_run in baseline_runs.items():
             if ops_per_request(baseline_run) is None:
                 continue  # a baseline row with no requests gates nothing
@@ -204,11 +213,12 @@ def matched_runs(baseline_dir, fresh_dir, problems):
 
 def report_moved(baseline_dir, fresh_dir):
     problems = []
+    fresh_only = []
     moved = 0
     compared = 0
     added = 0
     for bench, key, baseline_run, fresh_run in matched_runs(
-        baseline_dir, fresh_dir, problems
+        baseline_dir, fresh_dir, problems, fresh_only
     ):
         for field, fresh_value in fresh_run.items():
             if field not in baseline_run and is_number(fresh_value):
@@ -231,7 +241,12 @@ def report_moved(baseline_dir, fresh_dir):
                 )
     for problem in problems:
         print(f"unmatched: {problem}")
-    print(f"{moved} of {compared} fields moved, {added} new")
+    for bench, key in fresh_only:
+        print(f"{bench} [{label(key)}]: fresh run has no baseline")
+    print(
+        f"{moved} of {compared} fields moved, {added} new, "
+        f"{len(fresh_only)} fresh run(s) without baseline"
+    )
     return 0
 
 
