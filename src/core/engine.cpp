@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -68,8 +69,6 @@ struct engine::shard_state {
 
   std::unique_ptr<lane_state> lane;
   std::unique_ptr<controller> ctrl;
-  /// Local id -> global id (empty = identity, the single-shard case).
-  std::vector<oram::block_id> blocks;
 };
 
 engine::engine(const horam_config& config, const sim::cpu_model& cpu,
@@ -79,18 +78,27 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
   config_.validate();
   const std::uint32_t count = config_.shard_count;
 
+  // The shards' global-id lists live only while the factories build
+  // the shards; routing afterwards recomputes the PRF and keeps just
+  // the local ids, packed at the widest shard's bits.
   std::vector<std::vector<oram::block_id>> members(count);
   if (count > 1) {
     expects(config_.block_count <= std::numeric_limits<std::uint32_t>::max(),
             "sharding needs block ids that fit 32 bits");
-    shard_index_of_.resize(config_.block_count);
-    local_id_of_.resize(config_.block_count);
     for (oram::block_id id = 0; id < config_.block_count; ++id) {
-      const auto s = static_cast<std::uint32_t>(
-          crypto::siphash24_u64(route_key_, id) % count);
-      shard_index_of_[id] = s;
-      local_id_of_[id] = static_cast<std::uint32_t>(members[s].size());
-      members[s].push_back(id);
+      members[route(id)].push_back(id);
+    }
+    std::uint64_t widest = 1;
+    for (const std::vector<oram::block_id>& ids : members) {
+      widest = std::max<std::uint64_t>(widest, ids.size());
+    }
+    local_id_of_ = util::packed_array(
+        config_.block_count,
+        std::max(1u, static_cast<unsigned>(std::bit_width(widest - 1))));
+    for (const std::vector<oram::block_id>& ids : members) {
+      for (std::uint64_t local = 0; local < ids.size(); ++local) {
+        local_id_of_.set(ids[local], local);
+      }
     }
   }
   round_cap_ = derive_round_cap();
@@ -155,7 +163,6 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
     // Wire the lane's device counters so each shard controller can
     // split its device traffic into shuffle vs online access rounds.
     state->ctrl->attach_device_stats(&state->lane->storage.stats());
-    state->blocks = std::move(members[s]);
     shards_.push_back(std::move(state));
   }
   queues_.resize(count);
@@ -190,14 +197,19 @@ std::uint32_t engine::derive_round_cap() const {
   return 2 * (config_.prefetch_factor * max_c + 1) + 4;
 }
 
+std::uint32_t engine::route(oram::block_id id) const {
+  return static_cast<std::uint32_t>(crypto::siphash24_u64(route_key_, id) %
+                                    config_.shard_count);
+}
+
 std::uint32_t engine::shard_of(oram::block_id id) const {
   expects(id < config_.block_count, "shard_of: id out of range");
-  return shards_.size() == 1 ? 0 : shard_index_of_[id];
+  return shards_.size() == 1 ? 0 : route(id);
 }
 
 oram::block_id engine::shard_local_id(oram::block_id id) const {
   expects(id < config_.block_count, "shard_local_id: id out of range");
-  return shards_.size() == 1 ? id : local_id_of_[id];
+  return shards_.size() == 1 ? id : local_id_of_.get(id);
 }
 
 engine::lane_report engine::service_lane(lane_task&& task,
@@ -731,20 +743,24 @@ const oram::access_trace* engine::shard_trace(std::uint32_t index) const {
   return sh.lane->trace.has_value() ? &*sh.lane->trace : nullptr;
 }
 
-std::span<const oram::block_id> engine::shard_blocks(
-    std::uint32_t index) const {
+std::vector<oram::block_id> engine::shard_blocks(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
-  return shards_[index]->blocks;
+  std::vector<oram::block_id> blocks;
+  if (shards_.size() > 1) {
+    for (oram::block_id id = 0; id < config_.block_count; ++id) {
+      if (route(id) == index) {
+        blocks.push_back(id);
+      }
+    }
+  }
+  return blocks;
 }
 
 std::uint64_t engine::control_memory_bytes() const {
-  std::uint64_t total = 0;
+  std::uint64_t total = local_id_of_.memory_bytes();
   for (const std::unique_ptr<shard_state>& sh : shards_) {
     total += sh->ctrl->control_memory_bytes();
-    total += sh->blocks.size() * sizeof(oram::block_id);
   }
-  total += shard_index_of_.size() * sizeof(shard_index_of_[0]);
-  total += local_id_of_.size() * sizeof(local_id_of_[0]);
   return total;
 }
 

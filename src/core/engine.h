@@ -12,8 +12,9 @@
 // Routing privacy: a bare deterministic shard index would let the bus
 // adversary count per-shard access frequencies and recover cross-shard
 // workload skew. Requests are therefore routed by a keyed SipHash PRF
-// over the block id (the mapping is secret and balanced), and the
-// engine executes in *rounds*: each round every shard runs exactly
+// over the block id (the mapping is secret and balanced; the engine
+// recomputes it per request and keeps only a packed global-to-local id
+// table in trusted memory), and the engine executes in *rounds*: each round every shard runs exactly
 // round_cap() request slots — real requests from its queue, topped up
 // with dummy requests on uniformly random shard-local blocks — so the
 // per-shard bus shape is data-independent whatever the skew. The cap
@@ -107,6 +108,7 @@
 #include "runtime/worker_pool.h"
 #include "sim/cpu_model.h"
 #include "sim/device.h"
+#include "util/packed_array.h"
 #include "util/rng.h"
 
 namespace horam {
@@ -318,13 +320,14 @@ class engine {
   /// The shard's bus trace (null when tracing is off).
   [[nodiscard]] const oram::access_trace* shard_trace(
       std::uint32_t index) const;
-  /// Global ids of the blocks shard `index` owns (empty = identity,
-  /// the single-shard case).
-  [[nodiscard]] std::span<const oram::block_id> shard_blocks(
+  /// Global ids of the blocks shard `index` owns, ascending (empty =
+  /// identity, the single-shard case). Recomputed from the routing PRF
+  /// on every call: the engine keeps no per-shard id lists.
+  [[nodiscard]] std::vector<oram::block_id> shard_blocks(
       std::uint32_t index) const;
 
   /// Trusted-memory bytes: every shard's control layer plus the
-  /// router's id-translation tables.
+  /// router's packed local ids.
   [[nodiscard]] std::uint64_t control_memory_bytes() const;
 
  private:
@@ -384,6 +387,8 @@ class engine {
   };
 
   [[nodiscard]] std::uint32_t derive_round_cap() const;
+  /// The routing PRF: shard of global `id` among config_.shard_count.
+  [[nodiscard]] std::uint32_t route(oram::block_id id) const;
   /// The one request-execution path behind run(), step_round() and
   /// drain(): pops `queues` (per-shard routed requests) into lane tasks
   /// — coalesced or singleton groups — runs the lanes, aligns the
@@ -436,11 +441,11 @@ class engine {
   horam_config config_;
   crypto::siphash_key route_key_{};
   std::vector<std::unique_ptr<shard_state>> shards_;
-  /// Global-id routing tables (empty for one shard: identity). A
-  /// shard-local id fits 32 bits: sharding requires fewer than 2^32
-  /// blocks per shard.
-  std::vector<std::uint32_t> shard_index_of_;
-  std::vector<std::uint32_t> local_id_of_;
+  /// Global id -> shard-local id, packed at ⌈log₂ largest shard⌉ bits
+  /// (empty for one shard: identity). The shard itself is not stored:
+  /// route() recomputes the keyed PRF, SipHash-2-4(route key, id) mod
+  /// shard count.
+  util::packed_array local_id_of_;
 
   std::uint32_t round_cap_ = 0;
   /// Parallel-lane global clock (shard_count > 1; one shard reads the

@@ -1,6 +1,7 @@
 #include "core/storage_layer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -10,9 +11,6 @@
 namespace horam {
 
 namespace {
-
-constexpr std::uint32_t no_pool_position =
-    std::numeric_limits<std::uint32_t>::max();
 
 /// Survivor records a due partition opens per decode_many() call: wide
 /// enough to fill the SIMD lanes, small enough to bound the codec's
@@ -64,19 +62,27 @@ storage_layer::storage_layer(
       oram::logical_block_bytes(config_.logical_block_bytes,
                                 codec_.record_bytes()));
 
-  expects(config_.block_count < empty_slot,
-          "the partitioned layer needs block ids below 2^32 - 1");
-  expects(partitions < (std::uint64_t{1} << 24),
-          "the partitioned layer needs fewer than 2^24 partitions");
-  locations_.resize(config_.block_count);
-  contents_.assign(partitions,
-                   std::vector<std::uint32_t>(main_capacity + append_capacity,
-                                              empty_slot));
-  pool_.resize(partitions);
-  pool_position_.assign(partitions,
-                        std::vector<std::uint32_t>(
-                            main_capacity + append_capacity,
-                            no_pool_position));
+  slots_per_partition_ = main_capacity + append_capacity;
+  expects(partitions <= std::uint64_t{1} << 32 &&
+              slots_per_partition_ <= std::uint64_t{1} << 32,
+          "the partitioned layer needs 32-bit partition indices and slot "
+          "codes");
+  partition_bits_ = static_cast<unsigned>(std::bit_width(partitions - 1));
+  const auto code_bits =
+      static_cast<unsigned>(std::bit_width(slots_per_partition_ - 1));
+  expects(2 + partition_bits_ + code_bits <= 64,
+          "permutation-list entries must fit 64 bits");
+  locations_ =
+      util::packed_array(config_.block_count, 2 + partition_bits_ + code_bits);
+  const std::uint64_t total_slots = partitions * slots_per_partition_;
+  live_ = util::packed_array(total_slots, 1);
+  // Pool entries and positions are below slots_per_partition_; the
+  // all-ones value of that width marks a slot outside its pool.
+  const auto pool_bits =
+      static_cast<unsigned>(std::bit_width(slots_per_partition_));
+  pool_ = util::packed_array(total_slots, pool_bits);
+  pool_position_ = util::packed_array(total_slots, pool_bits,
+                                      (std::uint64_t{1} << pool_bits) - 1);
   pending_segments_.assign(partitions, 0);
   record_scratch_.resize(codec_.record_bytes());
   payload_scratch_.resize(config_.payload_bytes);
@@ -114,47 +120,80 @@ storage_layer::storage_layer(
         (*filler)(id, payload);
       }
       codec_.encode_plain(id, payload, seal_spans_.back());
-      contents_[p][i] = static_cast<std::uint32_t>(id);
-      locations_[id] = location{residence::main_slot,
+      live_.set(slot_index(p, static_cast<std::uint32_t>(i)), 1);
+      set_location(id, location{residence::main_slot,
                                 static_cast<std::uint32_t>(p),
-                                static_cast<std::uint32_t>(i)};
+                                static_cast<std::uint32_t>(i)});
     }
     codec_.seal_many(seal_spans_);
     store_->write_partition(p, image);
+    // Every main slot enters the empty pool in slot order, as
+    // pool_insert(p, 0 .. main_capacity - 1) would place them.
     for (std::uint32_t i = 0; i < main_capacity; ++i) {
-      pool_insert(p, i);
+      pool_.set(slot_index(p, i), i);
+      pool_position_.set(slot_index(p, i), i);
     }
+    pool_weight_.add(p, static_cast<std::int64_t>(main_capacity));
   }
   invariant(cursor == config_.block_count, "initial deal lost blocks");
   device.reset_stats();
 }
 
-std::uint32_t storage_layer::code_of(const location& loc) const {
-  return loc.where == residence::main_slot
-             ? loc.index
-             : static_cast<std::uint32_t>(store_->geometry().main_capacity) +
-                   loc.index;
+storage_layer::location storage_layer::location_of(oram::block_id id) const {
+  const std::uint64_t entry = locations_.get(id);
+  location loc;
+  loc.where = static_cast<residence>(entry & 3);
+  loc.partition = static_cast<std::uint32_t>(
+      (entry >> 2) & ((std::uint64_t{1} << partition_bits_) - 1));
+  loc.code = static_cast<std::uint32_t>(entry >> (2 + partition_bits_));
+  return loc;
+}
+
+void storage_layer::set_location(oram::block_id id, const location& loc) {
+  locations_.set(id, static_cast<std::uint64_t>(loc.where) |
+                         (std::uint64_t{loc.partition} << 2) |
+                         (std::uint64_t{loc.code} << (2 + partition_bits_)));
+}
+
+std::uint64_t storage_layer::live_count(std::uint64_t partition) const {
+  std::uint64_t count = 0;
+  for (std::uint32_t code = 0; code < slots_per_partition_; ++code) {
+    count += live(partition, code) ? 1 : 0;
+  }
+  return count;
+}
+
+void storage_layer::check_live_slot(std::uint64_t partition,
+                                    std::uint32_t code,
+                                    oram::block_id id) const {
+  invariant(id < config_.block_count,
+            "a live slot holds no block of the dataset");
+  const location loc = location_of(id);
+  invariant(loc.where != residence::memory && loc.partition == partition &&
+                loc.code == code,
+            "a live slot holds a block the permutation list places "
+            "elsewhere");
 }
 
 void storage_layer::pool_insert(std::uint64_t partition,
                                 std::uint32_t code) {
-  invariant(pool_position_[partition][code] == no_pool_position,
-            "slot already in the unaccessed pool");
-  pool_position_[partition][code] =
-      static_cast<std::uint32_t>(pool_[partition].size());
-  pool_[partition].push_back(code);
+  invariant(!in_pool(partition, code), "slot already in the unaccessed pool");
+  const std::uint64_t position = pool_size(partition);
+  pool_position_.set(slot_index(partition, code), position);
+  pool_.set(slot_index(partition, 0) + position, code);
   pool_weight_.add(partition, 1);
 }
 
 void storage_layer::pool_remove(std::uint64_t partition,
                                 std::uint32_t code) {
-  const std::uint32_t position = pool_position_[partition][code];
-  invariant(position != no_pool_position, "slot not in the unaccessed pool");
-  const std::uint32_t last = pool_[partition].back();
-  pool_[partition][position] = last;
-  pool_position_[partition][last] = position;
-  pool_[partition].pop_back();
-  pool_position_[partition][code] = no_pool_position;
+  invariant(in_pool(partition, code), "slot not in the unaccessed pool");
+  const std::uint64_t position =
+      pool_position_.get(slot_index(partition, code));
+  const std::uint32_t last = pool_at(partition, pool_size(partition) - 1);
+  pool_.set(slot_index(partition, 0) + position, last);
+  pool_position_.set(slot_index(partition, last), position);
+  pool_position_.set(slot_index(partition, code),
+                     pool_position_.max_value());
   pool_weight_.add(partition, -1);
 }
 
@@ -177,45 +216,40 @@ oram::cost_split storage_layer::consume_slot(std::uint64_t partition,
 }
 
 void storage_layer::mark_cached(oram::block_id id) {
-  location& loc = locations_[id];
+  const location loc = location_of(id);
   invariant(loc.where != residence::memory, "block already cached");
-  contents_[loc.partition][code_of(loc)] = empty_slot;
-  loc.where = residence::memory;
+  live_.set(slot_index(loc.partition, loc.code), 0);
+  set_location(id, location{});
 }
 
 bool storage_layer::in_storage(oram::block_id id) const {
   expects(id < config_.block_count, "block id out of range");
-  return locations_[id].where != residence::memory;
+  return location_of(id).where != residence::memory;
 }
 
 oram::cost_split storage_layer::masking_reads(std::uint64_t partition) {
-  // One extra read per pending segment, drawn from the partition's dead
-  // unaccessed slots so live blocks are not consumed. Dead slots are
-  // uniformly interspersed by the layout permutation, so the reads are
-  // indistinguishable from real ones.
+  // One extra read per pending segment, drawn uniformly from the
+  // partition's dead unaccessed slots so live blocks are not consumed.
+  // Dead slots are uniformly interspersed by the layout permutation, so
+  // the reads are indistinguishable from real ones.
   oram::cost_split cost;
   const std::uint32_t masks = pending_segments_[partition];
   for (std::uint32_t m = 0; m < masks; ++m) {
-    auto& pool = pool_[partition];
-    std::uint32_t chosen = no_pool_position;
-    for (int attempt = 0; attempt < 16 && !pool.empty(); ++attempt) {
-      const std::uint32_t candidate = pool[static_cast<std::size_t>(
-          util::uniform_below(rng_, pool.size()))];
-      if (contents_[partition][candidate] == empty_slot) {
-        chosen = candidate;
+    const std::uint64_t pooled = pool_size(partition);
+    std::uint64_t dead = 0;
+    for (std::uint64_t position = 0; position < pooled; ++position) {
+      dead += live(partition, pool_at(partition, position)) ? 0 : 1;
+    }
+    if (dead == 0) {
+      break;  // no dead slot left; skip the mask (degenerate configs)
+    }
+    std::uint64_t rank = util::uniform_below(rng_, dead);
+    std::uint32_t chosen = 0;
+    for (std::uint64_t position = 0;; ++position) {
+      chosen = pool_at(partition, position);
+      if (!live(partition, chosen) && rank-- == 0) {
         break;
       }
-    }
-    if (chosen == no_pool_position) {
-      for (const std::uint32_t candidate : pool) {
-        if (contents_[partition][candidate] == empty_slot) {
-          chosen = candidate;
-          break;
-        }
-      }
-    }
-    if (chosen == no_pool_position) {
-      break;  // no dead slot left; skip the mask (degenerate configs)
     }
     pool_remove(partition, chosen);
     oram::block_id discarded = oram::dummy_block_id;
@@ -230,13 +264,12 @@ storage_layer::load_result storage_layer::load_block(oram::block_id id) {
   load_result result;
   ++stats_.real_loads;
 
-  const location loc = locations_[id];
-  const std::uint32_t target_code = code_of(loc);
-  pool_remove(loc.partition, target_code);
+  const location loc = location_of(id);
+  pool_remove(loc.partition, loc.code);
   result.cost += masking_reads(loc.partition);
 
   oram::block_id decoded = oram::dummy_block_id;
-  result.cost += consume_slot(loc.partition, target_code, decoded);
+  result.cost += consume_slot(loc.partition, loc.code, decoded);
   invariant(decoded == id, "permutation list out of sync with storage");
   result.id = id;
   result.payload.assign(payload_scratch_.begin(), payload_scratch_.end());
@@ -269,7 +302,7 @@ storage_layer::load_result storage_layer::dummy_load() {
   const std::int64_t within =
       offset - pool_weight_.prefix_sum(partition);
   const std::uint32_t code =
-      pool_[partition][static_cast<std::size_t>(within)];
+      pool_at(partition, static_cast<std::uint64_t>(within));
   pool_remove(partition, code);
   result.cost += masking_reads(partition);
 
@@ -277,8 +310,8 @@ storage_layer::load_result storage_layer::dummy_load() {
   result.cost += consume_slot(partition, code, decoded);
 
   // A live block found by a dummy load is cached for free (prefetch).
-  if (decoded != oram::dummy_block_id &&
-      contents_[partition][code] == decoded) {
+  if (live(partition, code)) {
+    check_live_slot(partition, code, decoded);
     result.id = decoded;
     result.payload.assign(payload_scratch_.begin(), payload_scratch_.end());
     mark_cached(decoded);
@@ -302,9 +335,7 @@ storage_layer::shuffle_plan storage_layer::plan_shuffle(
   // Current live occupancy per partition (merge capacity planning).
   std::vector<std::uint64_t> live(partitions, 0);
   for (std::uint64_t p = 0; p < partitions; ++p) {
-    for (const std::uint32_t id : contents_[p]) {
-      live[p] += id != empty_slot ? 1 : 0;
-    }
+    live[p] = live_count(p);
   }
 
   // Assign every evicted block to a uniformly random partition with
@@ -315,7 +346,7 @@ storage_layer::shuffle_plan storage_layer::plan_shuffle(
   std::vector<std::uint64_t> segment_fill(partitions, 0);
   for (const oram::evicted_block& block : evicted) {
     expects(block.id < config_.block_count, "evicted id out of range");
-    invariant(locations_[block.id].where == residence::memory,
+    invariant(location_of(block.id).where == residence::memory,
               "evicted block the layout says is on storage");
     bool placed = false;
     for (int attempt = 0; attempt < 64 && !placed; ++attempt) {
@@ -374,15 +405,12 @@ shuffle_cost storage_layer::shuffle_partition_step(
       seal_spans_.push_back(std::span<std::uint8_t>(
           segment.data() + k * record_bytes, record_bytes));
       codec_.encode_plain(hot[k].id, hot[k].payload, seal_spans_.back());
-      const std::uint32_t append_index =
-          static_cast<std::uint32_t>(base + k);
-      locations_[hot[k].id] =
-          location{residence::append_slot,
-                   static_cast<std::uint32_t>(p), append_index};
-      const std::uint32_t code =
-          static_cast<std::uint32_t>(main_capacity) + append_index;
-      contents_[p][code] = hot[k].id;
-      if (pool_position_[p][code] != no_pool_position) {
+      const auto code =
+          static_cast<std::uint32_t>(main_capacity + base + k);
+      set_location(hot[k].id, location{residence::append_slot,
+                                       static_cast<std::uint32_t>(p), code});
+      live_.set(slot_index(p, code), 1);
+      if (in_pool(p, code)) {
         pool_remove(p, code);  // stale pool entry from a prior epoch
       }
       pool_insert(p, code);
@@ -412,8 +440,8 @@ shuffle_cost storage_layer::shuffle_partition_step(
   // in place: survivor i's payload lands at image[i * payload_bytes],
   // over records already read, and the staged entry points there.
   open_spans_.clear();
-  for (std::uint64_t code = 0; code < records_read; ++code) {
-    if (contents_[p][code] != empty_slot) {
+  for (std::uint32_t code = 0; code < records_read; ++code) {
+    if (live(p, code)) {
       open_spans_.push_back(std::span<const std::uint8_t>(
           image.data() + code * record_bytes, record_bytes));
     }
@@ -434,13 +462,13 @@ shuffle_cost storage_layer::shuffle_partition_step(
   };
   std::vector<staged> blocks;
   blocks.reserve(survivors + hot.size());
-  for (std::uint64_t code = 0; code < records_read; ++code) {
-    if (contents_[p][code] == empty_slot) {
+  for (std::uint32_t code = 0; code < records_read; ++code) {
+    if (!live(p, code)) {
       continue;
     }
-    const oram::block_id id = contents_[p][code];
     const std::size_t i = blocks.size();
-    invariant(ids_scratch_[i] == id, "partition contents out of sync");
+    const oram::block_id id = ids_scratch_[i];
+    check_live_slot(p, code, id);
     blocks.push_back(staged{
         id, std::span<const std::uint8_t>(image).subspan(
                 i * config_.payload_bytes, config_.payload_bytes)});
@@ -453,7 +481,7 @@ shuffle_cost storage_layer::shuffle_partition_step(
   // shelter until the next period (bounded by the capacity slack).
   while (blocks.size() > main_capacity) {
     const staged& excess = blocks.back();
-    locations_[excess.id] = location{residence::memory, 0, 0};
+    set_location(excess.id, location{});
     overflow_out.push_back(oram::evicted_block{
         excess.id, std::vector<std::uint8_t>(excess.payload.begin(),
                                              excess.payload.end())});
@@ -466,7 +494,9 @@ shuffle_cost storage_layer::shuffle_partition_step(
   // it reduces to a uniform in-memory shuffle).
   const std::vector<std::uint64_t> slot_order =
       util::random_permutation(rng_, main_capacity);
-  std::fill(contents_[p].begin(), contents_[p].end(), empty_slot);
+  for (std::uint32_t code = 0; code < slots_per_partition_; ++code) {
+    live_.set(slot_index(p, code), 0);
+  }
   // Each slot is sealed once: block k where slot_order puts it, and a
   // dummy in every slot left over; one batch, nonces in k order.
   std::vector<std::uint8_t>& out = shuffle_out_scratch_;
@@ -482,9 +512,10 @@ shuffle_cost storage_layer::shuffle_partition_step(
       continue;
     }
     codec_.encode_plain(blocks[k].id, blocks[k].payload, seal_spans_.back());
-    contents_[p][index] = static_cast<std::uint32_t>(blocks[k].id);
-    locations_[blocks[k].id] = location{
-        residence::main_slot, static_cast<std::uint32_t>(p), index};
+    live_.set(slot_index(p, index), 1);
+    set_location(blocks[k].id, location{residence::main_slot,
+                                        static_cast<std::uint32_t>(p),
+                                        index});
   }
   codec_.seal_many(seal_spans_);
   cost.cpu += cpu_.crypto_time(main_capacity, record_bytes);
@@ -497,14 +528,13 @@ shuffle_cost storage_layer::shuffle_partition_step(
   ++stats_.partitions_shuffled;
 
   // Every slot of the re-permuted partition is fresh again.
-  for (std::uint32_t code = 0;
-       code < contents_[p].size(); ++code) {
-    const bool in_pool = pool_position_[p][code] != no_pool_position;
+  for (std::uint32_t code = 0; code < slots_per_partition_; ++code) {
+    const bool pooled = in_pool(p, code);
     if (code < main_capacity) {
-      if (!in_pool) {
+      if (!pooled) {
         pool_insert(p, code);
       }
-    } else if (in_pool) {
+    } else if (pooled) {
       pool_remove(p, code);  // append region is empty after the merge
     }
   }
@@ -571,17 +601,13 @@ std::uint64_t storage_layer::physical_bytes() const {
 }
 
 std::uint64_t storage_layer::control_memory_bytes() const {
-  // Permutation list (residence, partition and slot per block), slot
-  // contents, and the unaccessed-slot pools with their position index.
-  // A pool can hold every slot of its partition, so it is priced at
-  // that size, like its index.
-  std::uint64_t bytes = locations_.size() * sizeof(location);
-  for (std::uint64_t p = 0; p < contents_.size(); ++p) {
-    bytes += contents_[p].size() * sizeof(contents_[p][0]) +
-             pool_position_[p].size() *
-                 (sizeof(pool_position_[p][0]) + sizeof(pool_[p][0]));
-  }
-  return bytes;
+  // Permutation list, live bits, the unaccessed-slot pools with their
+  // position index, and the pools' Fenwick weights. A pool can hold
+  // every slot of its partition, so it is priced at that size, like
+  // its index.
+  return locations_.memory_bytes() + live_.memory_bytes() +
+         pool_.memory_bytes() + pool_position_.memory_bytes() +
+         pool_weight_.memory_bytes();
 }
 
 std::uint64_t storage_layer::pending_segments(
@@ -598,61 +624,59 @@ void storage_layer::check_consistency() const {
   const std::uint64_t partitions = store_->geometry().partition_count;
   const std::uint64_t main_capacity = store_->geometry().main_capacity;
 
-  // 1) Locations vs slot contents: every storage-resident block must
-  // sit exactly where its permutation-list entry says.
+  // 1) Locations vs live bits: every storage-resident block must sit
+  // in a live slot of its region that no other block claims.
+  util::packed_array claimed(partitions * slots_per_partition_, 1);
   std::uint64_t storage_resident = 0;
   for (oram::block_id id = 0; id < config_.block_count; ++id) {
-    const location& loc = locations_[id];
+    const location loc = location_of(id);
     if (loc.where == residence::memory) {
       continue;
     }
     ++storage_resident;
     invariant(loc.partition < partitions,
               "location points outside the partition space");
-    const std::uint32_t code = code_of(loc);
-    invariant(code < contents_[loc.partition].size(),
+    invariant(loc.code < slots_per_partition_,
               "location points outside the slot space");
-    invariant(contents_[loc.partition][code] == id,
-              "slot contents disagree with the permutation list");
+    invariant((loc.where == residence::main_slot) == (loc.code < main_capacity),
+              "location's residence disagrees with its slot region");
+    invariant(live(loc.partition, loc.code),
+              "a storage-resident block's slot is not live");
+    const std::uint64_t slot = slot_index(loc.partition, loc.code);
+    invariant(claimed.get(slot) == 0, "two blocks located in one slot");
+    claimed.set(slot, 1);
   }
 
-  // 2) Contents vs locations (the other direction), and live census.
-  std::uint64_t live = 0;
+  // 2) Live census: with the slots claimed distinct, equal counts mean
+  // every live slot is some block's location.
+  std::uint64_t live_slots = 0;
   for (std::uint64_t p = 0; p < partitions; ++p) {
-    for (std::uint32_t code = 0; code < contents_[p].size(); ++code) {
-      if (contents_[p][code] == empty_slot) {
-        continue;
-      }
-      const oram::block_id id = contents_[p][code];
-      ++live;
-      invariant(id < config_.block_count, "slot holds an unknown block");
-      invariant(locations_[id].where != residence::memory,
-                "slot holds a block the list says is cached");
-      invariant(code_of(locations_[id]) == code &&
-                    locations_[id].partition == p,
-                "slot holds a block mapped elsewhere");
-    }
+    live_slots += live_count(p);
   }
-  invariant(live == storage_resident,
+  invariant(live_slots == storage_resident,
             "live census disagrees with the permutation list");
 
   // 3) Pools vs their position index and the Fenwick weights.
   std::int64_t pooled = 0;
   for (std::uint64_t p = 0; p < partitions; ++p) {
-    invariant(pool_weight_.prefix_sum(p + 1) - pool_weight_.prefix_sum(p) ==
-                  static_cast<std::int64_t>(pool_[p].size()),
-              "Fenwick weight disagrees with the pool size");
-    pooled += static_cast<std::int64_t>(pool_[p].size());
-    for (std::uint32_t position = 0; position < pool_[p].size();
-         ++position) {
-      const std::uint32_t code = pool_[p][position];
-      invariant(pool_position_[p][code] == position,
+    const std::uint64_t size = pool_size(p);
+    invariant(size <= slots_per_partition_, "pool larger than its partition");
+    pooled += static_cast<std::int64_t>(size);
+    for (std::uint64_t position = 0; position < size; ++position) {
+      const std::uint32_t code = pool_at(p, position);
+      invariant(code < slots_per_partition_, "pool entry outside the slots");
+      invariant(pool_position_.get(slot_index(p, code)) == position,
                 "pool position index out of sync");
       // Pool entries only reference the main region or used appends.
       invariant(code < main_capacity ||
                     code - main_capacity < store_->appended_count(p),
                 "pool references an unused append slot");
     }
+    std::uint64_t indexed = 0;
+    for (std::uint32_t code = 0; code < slots_per_partition_; ++code) {
+      indexed += in_pool(p, code) ? 1 : 0;
+    }
+    invariant(indexed == size, "pool position index lists a stale slot");
   }
   invariant(pooled == pool_weight_.total(),
             "Fenwick total disagrees with the pools");

@@ -1,10 +1,23 @@
 // H-ORAM storage layer (§4.1.3) plus its control-layer bookkeeping.
 //
 // The flat dataset lives in ~sqrt(N) partitions on the storage device.
-// The control layer keeps the paper's "permutation list": per block, a
-// bit saying whether it is currently cached in memory and, if not, its
-// exact storage location (main slot or, under partial shuffling, a slot
-// in a pending append segment).
+// The control layer keeps the paper's "permutation list": per block, its
+// residence (cached in memory, a main slot or, under partial shuffling,
+// a slot in a pending append segment) and, on storage, its partition
+// and local slot code. Every trusted table is stored at the bits its
+// values need, in util::packed_array:
+//   * the permutation list: residence (2 bits) ‖ partition
+//     (⌈log₂ P⌉ bits) ‖ slot code (⌈log₂ slots per partition⌉ bits);
+//   * one live bit per slot: set iff the slot holds the live copy of
+//     the block the permutation list places there. Which block that is
+//     is never stored per slot — reading the slot yields its id, and
+//     the permutation list must agree (a live slot that decodes to a
+//     block located elsewhere is a contract_error);
+//   * the unaccessed-slot pools and their position index, at
+//     ⌈log₂(slots per partition + 1)⌉ bits (the all-ones value marks a
+//     slot outside its pool);
+//   * the Fenwick weights over the pools (one 64-bit count per
+//     partition, which is also each pool's size).
 //
 // Per access period every observable storage read touches a distinct,
 // uniformly distributed not-yet-accessed slot: real misses consume the
@@ -21,7 +34,8 @@
 // With partial shuffling (§5.3.1) only 1/k of the partitions are due
 // each period; the others receive a fixed-size append segment, and
 // misses to a partition with s pending segments issue s extra masking
-// reads ("the less we shuffle, the more redundant accesses").
+// reads ("the less we shuffle, the more redundant accesses"), each a
+// uniform draw among the partition's dead unaccessed slots.
 //
 // config.layout (storage/page_layout.h) is neutral here by design: the
 // scheme's foreground accesses are single-slot draws from a random
@@ -34,7 +48,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -49,6 +62,7 @@
 #include "sim/device.h"
 #include "storage/partitioned_store.h"
 #include "util/fenwick.h"
+#include "util/packed_array.h"
 #include "util/rng.h"
 
 namespace horam {
@@ -103,14 +117,16 @@ class storage_layer final : public oram_backend {
   }
   /// Physical bytes the storage layout occupies (reporting).
   [[nodiscard]] std::uint64_t physical_bytes() const override;
-  /// Permutation list + unaccessed-slot pools (Figure 4-1 report).
+  /// Permutation list, live bits, unaccessed-slot pools and their
+  /// Fenwick weights (Figure 4-1 report).
   [[nodiscard]] std::uint64_t control_memory_bytes() const override;
   [[nodiscard]] std::uint64_t pending_segments(std::uint64_t partition) const;
   [[nodiscard]] std::uint64_t unaccessed_slot_count() const;
 
-  /// Deep consistency audit of the control-layer state: every block's
-  /// location agrees with the slot contents, pools and the Fenwick
-  /// index agree with each other, and the live block count equals N.
+  /// Deep consistency audit of the control-layer state: every
+  /// storage-resident block's location is a distinct live slot and
+  /// every live slot is some block's location, pools and the Fenwick
+  /// index agree with each other.
   /// Throws contract_error on the first inconsistency (tests call this
   /// after stress runs; O(N + slots)).
   void check_consistency() const override;
@@ -120,17 +136,14 @@ class storage_layer final : public oram_backend {
   friend struct storage_layer_test_access;
 
   enum class residence : std::uint8_t { memory, main_slot, append_slot };
-  /// One permutation-list entry, packed into 8 bytes (fewer than 2^24
-  /// partitions).
+  /// One permutation-list entry, decoded. `code` is the local slot code:
+  /// [0, main_capacity) = main region, [main_capacity, ...) = append
+  /// region.
   struct location {
-    residence where : 8 = residence::memory;
-    std::uint32_t partition : 24 = 0;
-    std::uint32_t index = 0;  // main slot or append-region slot
+    residence where = residence::memory;
+    std::uint32_t partition = 0;
+    std::uint32_t code = 0;
   };
-  static_assert(sizeof(location) == 8);
-  /// contents_ entry of a slot that holds no live block.
-  static constexpr std::uint32_t empty_slot =
-      std::numeric_limits<std::uint32_t>::max();
 
   /// Planned period: the hot set's ids dealt to their target
   /// partitions, plus the ids no partition could take.
@@ -151,12 +164,41 @@ class storage_layer final : public oram_backend {
       std::span<const oram::evicted_block> hot,
       std::vector<oram::evicted_block>& overflow_out);
 
-  /// Local slot code: [0, main_capacity) = main region;
-  /// [main_capacity, ...) = append region.
-  [[nodiscard]] std::uint32_t code_of(const location& loc) const;
+  [[nodiscard]] location location_of(oram::block_id id) const;
+  void set_location(oram::block_id id, const location& loc);
+  /// Index of a partition's local slot in the per-slot tables.
+  [[nodiscard]] std::uint64_t slot_index(std::uint64_t partition,
+                                         std::uint32_t code) const {
+    return partition * slots_per_partition_ + code;
+  }
+  [[nodiscard]] bool live(std::uint64_t partition, std::uint32_t code) const {
+    return live_.get(slot_index(partition, code)) != 0;
+  }
+  /// Live slots of `partition` (main and append region).
+  [[nodiscard]] std::uint64_t live_count(std::uint64_t partition) const;
+  /// Checks that the live slot (partition, code) decoded as `id` is
+  /// where the permutation list places `id`.
+  void check_live_slot(std::uint64_t partition, std::uint32_t code,
+                       oram::block_id id) const;
+  /// Unaccessed slots of `partition` (its pool's size).
+  [[nodiscard]] std::uint64_t pool_size(std::uint64_t partition) const {
+    return static_cast<std::uint64_t>(pool_weight_.value(partition));
+  }
+  [[nodiscard]] std::uint32_t pool_at(std::uint64_t partition,
+                                      std::uint64_t position) const {
+    return static_cast<std::uint32_t>(
+        pool_.get(slot_index(partition, 0) + position));
+  }
+  [[nodiscard]] bool in_pool(std::uint64_t partition,
+                             std::uint32_t code) const {
+    return pool_position_.get(slot_index(partition, code)) !=
+           pool_position_.max_value();
+  }
   /// Partial-shuffle masking: one extra dead-slot read per pending
   /// segment of `partition`, issued for real and dummy loads alike so
   /// the per-load read count depends only on the partition touched.
+  /// Each mask is a uniform draw among the partition's dead unaccessed
+  /// slots.
   oram::cost_split masking_reads(std::uint64_t partition);
   void pool_insert(std::uint64_t partition, std::uint32_t code);
   void pool_remove(std::uint64_t partition, std::uint32_t code);
@@ -175,13 +217,22 @@ class storage_layer final : public oram_backend {
   std::unique_ptr<storage::partitioned_store> store_;
   std::uint64_t segment_capacity_ = 0;
 
-  std::vector<location> locations_;
-  /// contents[p][code] = live block at that local slot (empty_slot if
-  /// none).
-  std::vector<std::vector<std::uint32_t>> contents_;
-  /// Unaccessed-slot pools, one per partition, with O(1) removal.
-  std::vector<std::vector<std::uint32_t>> pool_;
-  std::vector<std::vector<std::uint32_t>> pool_position_;
+  /// Main plus append slots of one partition (the per-slot tables
+  /// hold partition p's slots at [p · this, (p + 1) · this)).
+  std::uint64_t slots_per_partition_ = 0;
+  /// Width of a permutation-list entry's partition field, between its
+  /// 2 residence bits and the slot code.
+  unsigned partition_bits_ = 0;
+  /// Permutation list, one packed location per block.
+  util::packed_array locations_;
+  /// One bit per slot: it holds the live copy of a storage-resident
+  /// block.
+  util::packed_array live_;
+  /// Unaccessed-slot pools: partition p's pool is its first
+  /// pool_size(p) entries, and pool_position_ maps each pooled slot to
+  /// its place there (swap-remove keeps removal O(1)).
+  util::packed_array pool_;
+  util::packed_array pool_position_;
   util::fenwick_tree pool_weight_;
   std::vector<std::uint32_t> pending_segments_;
 

@@ -179,7 +179,7 @@ tree_backend<Tree>::tree_backend(
       map_config, map_device != nullptr ? *map_device : device, cpu, rng_,
       trace_, leaves);
 
-  cached_.assign(config_.block_count, 0);
+  cached_ = util::packed_array(config_.block_count, 1);
   payload_scratch_.resize(config_.payload_bytes);
   device.reset_stats();
   if (map_device != nullptr) {
@@ -195,7 +195,7 @@ std::string_view tree_backend<Tree>::name() const noexcept {
 template <class Tree>
 bool tree_backend<Tree>::in_storage(block_id id) const {
   expects(id < config_.block_count, "block id out of range");
-  return cached_[id] == 0;
+  return cached_.get(id) == 0;
 }
 
 template <class Tree>
@@ -215,7 +215,7 @@ oram_backend::load_result tree_backend<Tree>::load_block(block_id id) {
   result.cost += tree_->extract(id, payload_scratch_);
   result.id = id;
   result.payload.assign(payload_scratch_.begin(), payload_scratch_.end());
-  cached_[id] = 1;
+  cached_.set(id, 1);
   ++cached_count_;
   return result;
 }
@@ -302,7 +302,7 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
   /// the recursive map and handed to the tree's stash.
   void install_one(horam::shuffle_cost& cost) {
     const block_id id = order_[next_install_++];
-    invariant(owner_.cached_[id] != 0,
+    invariant(owner_.cached_.get(id) != 0,
               "evicted block the bitmap says is on storage");
     const std::vector<std::uint8_t> payload = unstage(id);
     const leaf_id leaf =
@@ -311,7 +311,7 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
     const cost_split install_cost = owner_.tree_->install(id, payload, leaf);
     cost.memory += assign_cost.memory + install_cost.memory;
     cost.cpu += assign_cost.cpu + install_cost.cpu;
-    owner_.cached_[id] = 0;
+    owner_.cached_.set(id, 0);
     --owner_.cached_count_;
   }
 
@@ -351,12 +351,14 @@ std::uint64_t tree_backend<Tree>::physical_bytes() const {
 
 template <class Tree>
 std::uint64_t tree_backend<Tree>::control_memory_bytes() const {
-  // Trusted state: the map residue, the stash, the residency bitmap,
-  // and whatever per-bucket state the scheme keeps.
-  return map_->trusted_bytes() +
+  // Trusted state: the map residue, the tree's own position map (the
+  // leaf per block install() records and extract() reads), the stash,
+  // the residency bits, and whatever per-bucket state the scheme keeps.
+  return map_->trusted_bytes() + tree_->position_map_bytes() +
          tree_->stash_ref().size() *
              (config_.payload_bytes + sizeof(stash_entry)) +
-         cached_.size() + tree_traits<Tree>::extra_trusted_bytes(*tree_);
+         cached_.memory_bytes() +
+         tree_traits<Tree>::extra_trusted_bytes(*tree_);
 }
 
 template <class Tree>
@@ -366,7 +368,7 @@ void tree_backend<Tree>::check_consistency() const {
   invariant(cached_count_ <= config_.block_count, "cached counter overran");
   std::uint64_t cached_blocks = 0;
   for (block_id id = 0; id < config_.block_count; ++id) {
-    const bool cached = cached_[id] != 0;
+    const bool cached = cached_.get(id) != 0;
     invariant(cached != tree_->contains(id),
               "residency bitmap disagrees with the tree");
     cached_blocks += cached ? 1 : 0;
@@ -381,7 +383,7 @@ void tree_backend<Tree>::check_consistency() const {
   // (cached blocks may carry stale entries until re-install).
   map_->for_each_assigned([&](block_id id, leaf_id leaf) {
     invariant(id < config_.block_count, "map entry outside the universe");
-    if (cached_[id] != 0) {
+    if (cached_.get(id) != 0) {
       return;
     }
     invariant(tree_->contains(id),

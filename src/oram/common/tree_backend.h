@@ -58,6 +58,7 @@
 #include "oram/ring/ring_oram.h"
 #include "sim/cpu_model.h"
 #include "sim/device.h"
+#include "util/packed_array.h"
 #include "util/rng.h"
 
 namespace horam::oram {
@@ -117,8 +118,8 @@ class tree_backend final : public horam::oram_backend {
   std::unique_ptr<Tree> tree_;
   std::unique_ptr<recursive_position_map> map_;
 
-  /// cached_[id] != 0 iff the live copy moved to the controller's cache.
-  std::vector<std::uint8_t> cached_;
+  /// Bit `id` is set iff the live copy moved to the controller's cache.
+  util::packed_array cached_;
   std::uint64_t cached_count_ = 0;
   std::uint64_t last_drain_steps_ = 0;
 

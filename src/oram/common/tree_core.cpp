@@ -23,7 +23,10 @@ tree_core::tree_core(std::uint64_t leaf_count, std::uint32_t real_slots,
                      const sim::cpu_model& cpu, util::random_source& rng)
     : cpu_(cpu),
       rng_(rng),
-      positions_(id_universe, leaf_count),
+      // A tree whose real slots cover under half its id universe (the
+      // controller's cache tree) keys its map by the blocks it holds.
+      positions_(id_universe, leaf_count,
+                 2 * (2 * leaf_count - 1) * real_slots < id_universe),
       leaf_count_(leaf_count),
       real_slots_(real_slots),
       payload_bytes_(payload_bytes),

@@ -90,7 +90,9 @@ class tree_core {
   [[nodiscard]] leaf_id leaf_of(block_id id) const {
     return positions_.leaf_of(id);
   }
-  /// Trusted bytes of the tree's own position map.
+  /// Trusted bytes of the tree's own position map: dense over the id
+  /// universe, or resident-only when the tree's real slots cover under
+  /// half of it.
   [[nodiscard]] std::uint64_t position_map_bytes() const noexcept {
     return positions_.memory_bytes();
   }

@@ -9,16 +9,16 @@
 // recursive position map costs one dependent trip per map level.
 //
 // The entry width is ceil(log2(L + 1)) + ceil(log2(max slots per
-// level)) bits — a few bytes per hundred blocks — and the structure is
-// a flat bit array, so lookups and updates are O(1) word arithmetic.
+// level)) bits — a few bytes per hundred blocks — held in a
+// util::packed_array, so lookups and updates are O(1) word arithmetic.
 #ifndef HORAM_ORAM_HIER_SUCCINCT_INDEX_H
 #define HORAM_ORAM_HIER_SUCCINCT_INDEX_H
 
 #include <cstdint>
-#include <vector>
 
 #include "oram/common/types.h"
 #include "util/contracts.h"
+#include "util/packed_array.h"
 
 namespace horam::oram {
 
@@ -29,22 +29,22 @@ class succinct_index {
 
   succinct_index(std::uint64_t universe, unsigned level_bits,
                  unsigned slot_bits)
-      : universe_(universe),
-        level_bits_(level_bits),
-        slot_bits_(slot_bits),
-        entry_bits_(level_bits + slot_bits) {
+      : level_bits_(level_bits), slot_bits_(slot_bits) {
     expects(universe > 0, "index universe must be non-empty");
     expects(level_bits >= 1 && slot_bits >= 1, "index fields need bits");
-    expects(entry_bits_ <= 64, "index entries are packed into 64-bit words");
-    // +1 pad word so a straddling entry's second-word touch stays in
-    // bounds.
-    words_.assign((universe * entry_bits_ + 63) / 64 + 1, 0);
+    expects(level_bits + slot_bits <= 64,
+            "index entries are packed into 64-bit words");
+    entries_ = util::packed_array(universe, level_bits + slot_bits);
   }
 
-  [[nodiscard]] std::uint64_t universe() const noexcept { return universe_; }
-  [[nodiscard]] unsigned entry_bits() const noexcept { return entry_bits_; }
+  [[nodiscard]] std::uint64_t universe() const noexcept {
+    return entries_.size();
+  }
+  [[nodiscard]] unsigned entry_bits() const noexcept {
+    return entries_.bits();
+  }
   [[nodiscard]] std::uint64_t bytes() const noexcept {
-    return words_.size() * sizeof(std::uint64_t);
+    return entries_.memory_bytes();
   }
 
   /// Resident level of `id`; 0 means cached (not on storage).
@@ -76,36 +76,18 @@ class succinct_index {
   }
 
   [[nodiscard]] std::uint64_t raw(block_id id) const {
-    expects(id < universe_, "block id outside the index universe");
-    const std::uint64_t bit = id * entry_bits_;
-    const std::uint64_t word = bit >> 6;
-    const unsigned shift = static_cast<unsigned>(bit & 63);
-    std::uint64_t value = words_[word] >> shift;
-    if (shift + entry_bits_ > 64) {
-      value |= words_[word + 1] << (64 - shift);
-    }
-    return value & field_mask(entry_bits_);
+    expects(id < entries_.size(), "block id outside the index universe");
+    return entries_.get(id);
   }
 
   void set_raw(block_id id, std::uint64_t value) {
-    expects(id < universe_, "block id outside the index universe");
-    const std::uint64_t bit = id * entry_bits_;
-    const std::uint64_t word = bit >> 6;
-    const unsigned shift = static_cast<unsigned>(bit & 63);
-    const std::uint64_t mask = field_mask(entry_bits_);
-    words_[word] = (words_[word] & ~(mask << shift)) | (value << shift);
-    if (shift + entry_bits_ > 64) {
-      const unsigned spill = 64 - shift;
-      words_[word + 1] =
-          (words_[word + 1] & ~(mask >> spill)) | (value >> spill);
-    }
+    expects(id < entries_.size(), "block id outside the index universe");
+    entries_.set(id, value);
   }
 
-  std::uint64_t universe_ = 0;
   unsigned level_bits_ = 0;
   unsigned slot_bits_ = 0;
-  unsigned entry_bits_ = 0;
-  std::vector<std::uint64_t> words_;
+  util::packed_array entries_;
 };
 
 }  // namespace horam::oram

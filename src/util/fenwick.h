@@ -45,6 +45,17 @@ class fenwick_tree {
   /// Total weight.
   [[nodiscard]] std::int64_t total() const { return prefix_sum(size()); }
 
+  /// Weight at `index`.
+  [[nodiscard]] std::int64_t value(std::size_t index) const {
+    expects(index < size(), "fenwick index out of range");
+    return prefix_sum(index + 1) - prefix_sum(index);
+  }
+
+  /// Bytes of the tree's weights (trusted-memory reporting).
+  [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
+    return tree_.size() * sizeof(tree_[0]);
+  }
+
   /// Smallest index such that prefix_sum(index + 1) > target, i.e. the
   /// element that covers offset `target` when the weights are laid out
   /// consecutively. target must be < total().

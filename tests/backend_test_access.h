@@ -38,9 +38,8 @@ struct storage_layer_test_access {
   }
   /// Store slot holding the storage-resident block `id`.
   static std::uint64_t slot_of(const storage_layer& layer, oram::block_id id) {
-    const storage_layer::location& loc = layer.locations_[id];
-    return loc.partition * layer.geometry().slots_per_partition() +
-           layer.code_of(loc);
+    const storage_layer::location loc = layer.location_of(id);
+    return loc.partition * layer.geometry().slots_per_partition() + loc.code;
   }
   /// XORs `mask` into byte `offset` of the record at store slot `slot`.
   /// The partitioned store hands out a read-only view; fault injection
@@ -49,6 +48,32 @@ struct storage_layer_test_access {
                       std::size_t offset, std::uint8_t mask) {
     const_cast<storage::block_store&>(store(layer))
         .corrupt(slot, offset, mask);
+  }
+  /// Copies the stored record of store slot `from` over the one at
+  /// `to`: a store that moves a sealed record instead of altering it.
+  static void copy_slot(const storage_layer& layer, std::uint64_t from,
+                        std::uint64_t to) {
+    const std::vector<std::uint8_t> source(store(layer).peek(from).begin(),
+                                           store(layer).peek(from).end());
+    const std::span<const std::uint8_t> target = store(layer).peek(to);
+    for (std::size_t byte = 0; byte < source.size(); ++byte) {
+      corrupt(layer, to, byte,
+              static_cast<std::uint8_t>(source[byte] ^ target[byte]));
+    }
+  }
+  /// Local slot codes of `partition`'s unaccessed slots that hold no
+  /// live block, in pool order.
+  static std::vector<std::uint32_t> dead_pooled(const storage_layer& layer,
+                                                std::uint64_t partition) {
+    std::vector<std::uint32_t> dead;
+    for (std::uint64_t position = 0; position < layer.pool_size(partition);
+         ++position) {
+      const std::uint32_t code = layer.pool_at(partition, position);
+      if (!layer.live(partition, code)) {
+        dead.push_back(code);
+      }
+    }
+    return dead;
   }
 };
 

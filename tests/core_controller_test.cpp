@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "analysis/pattern_audit.h"
 #include "core/controller.h"
@@ -456,6 +458,16 @@ struct sweep_params {
   std::uint32_t shuffle_every;
 };
 
+/// The fields by name: gtest's default printer would dump the struct's
+/// bytes, padding included, into the test IDs.
+std::string sweep_name(const sweep_params& p) {
+  return "blocks" + std::to_string(p.block_count) + "_memory" +
+         std::to_string(p.memory_blocks) + "_every" +
+         std::to_string(p.shuffle_every);
+}
+
+void PrintTo(const sweep_params& p, std::ostream* os) { *os << sweep_name(p); }
+
 class ControllerSweep : public ::testing::TestWithParam<sweep_params> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -464,7 +476,8 @@ INSTANTIATE_TEST_SUITE_P(
                       sweep_params{256, 64, 1}, sweep_params{512, 32, 1},
                       sweep_params{256, 32, 2}, sweep_params{256, 32, 4},
                       sweep_params{1024, 128, 1},
-                      sweep_params{1024, 128, 4}));
+                      sweep_params{1024, 128, 4}),
+    [](const auto& info) { return sweep_name(info.param); });
 
 TEST_P(ControllerSweep, DifferentialCorrectnessAndInvariants) {
   const sweep_params params = GetParam();

@@ -3,6 +3,8 @@
 // shuffle, and the partial-shuffle append/masking machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -298,6 +300,67 @@ TEST(StorageLayerPartial, MaskingReadsMatchPendingSegments) {
   EXPECT_GT(layer.stats().masking_reads, masks_before);
 }
 
+TEST(StorageLayerPartial, MaskingReadsDrawUniformlyAmongDeadSlots) {
+  // Each masking read is a uniform draw among its partition's dead
+  // unaccessed slots. With ~89 % of a partition's slots live, a bounded
+  // rejection sampler that falls back to the first dead slot in pool
+  // order (an order the bus can rebuild) would pick that slot far more
+  // often than 1 / (dead slots). Over many masks, the first-in-order
+  // pick must match the uniform expectation within 4 sigma.
+  double expected_first = 0.0;
+  double variance = 0.0;
+  std::uint64_t first = 0;
+  std::uint64_t masks = 0;
+  for (std::uint64_t trial = 0; trial < 120; ++trial) {
+    fixture fx;
+    fx.rng = util::pcg64(7000 + trial);
+    horam_config cfg = fx.config(1024, 128, /*shuffle_every=*/2);
+    cfg.partition_slack = 1.1;
+    storage_layer layer = fx.make(cfg, /*with_filler=*/false);
+    const std::uint64_t per_partition =
+        layer.geometry().slots_per_partition();
+    std::vector<evicted_block> evicted;
+    for (block_id id = 0; id < 64; ++id) {
+      evicted.push_back(evicted_block{id, layer.load_block(id).payload});
+    }
+    std::vector<evicted_block> overflow;
+    layer.shuffle_period(std::move(evicted), 0, overflow);
+
+    for (block_id id = 64; id < 128; ++id) {
+      if (!layer.in_storage(id)) {
+        continue;
+      }
+      const std::uint64_t p =
+          storage_layer_test_access::slot_of(layer, id) / per_partition;
+      if (layer.pending_segments(p) == 0) {
+        continue;
+      }
+      const std::vector<std::uint32_t> dead =
+          storage_layer_test_access::dead_pooled(layer, p);
+      if (dead.empty()) {
+        continue;  // the mask is skipped; nothing to draw from
+      }
+      fx.trace.clear();
+      layer.load_block(id);
+      const oram::trace_event& mask = fx.trace.events().front();
+      ASSERT_EQ(mask.kind, oram::event_kind::storage_read_slot);
+      const auto code = static_cast<std::uint32_t>(mask.a - p * per_partition);
+      const auto it = std::find(dead.begin(), dead.end(), code);
+      ASSERT_NE(it, dead.end()) << "a mask read a live or accessed slot";
+      const double q = 1.0 / static_cast<double>(dead.size());
+      expected_first += q;
+      variance += q * (1.0 - q);
+      first += it == dead.begin() ? 1 : 0;
+      ++masks;
+    }
+  }
+  ASSERT_GT(masks, 1000u);
+  EXPECT_LT(std::abs(static_cast<double>(first) - expected_first),
+            4.0 * std::sqrt(variance))
+      << first << " first-in-order picks in " << masks << " masks, "
+      << expected_first << " expected";
+}
+
 TEST(StorageLayerPartial, RoundRobinCoversAllPartitionsEventually) {
   fixture fx;
   storage_layer layer = fx.make(fx.config(256, 64, /*shuffle_every=*/4));
@@ -379,6 +442,29 @@ TEST(FaultInjection, TamperedDuePartitionLeavesTheLayoutUntouched) {
     EXPECT_EQ(storage_layer_test_access::slot_of(layer, id), slot) << id;
   }
   EXPECT_NO_THROW(layer.check_consistency());
+}
+
+// A store that copies block 1's sealed record over block 2's slot: the
+// copy opens, and the slot is live, so the dummy load that draws it
+// must reject an id the permutation list places elsewhere rather than
+// skip the prefetch, and block 2 stays on storage.
+TEST(FaultInjection, MovedRecordFailsTheDummyLoadThatReadsIt) {
+  fixture fx;
+  storage_layer layer = fx.make(fx.config());
+  storage_layer_test_access::copy_slot(
+      layer, storage_layer_test_access::slot_of(layer, 1),
+      storage_layer_test_access::slot_of(layer, 2));
+  bool failed = false;
+  while (!failed && layer.unaccessed_slot_count() > 0) {
+    try {
+      const storage_layer::load_result result = layer.dummy_load();
+      EXPECT_NE(result.id, 2u);
+    } catch (const contract_error&) {
+      failed = true;
+    }
+  }
+  EXPECT_TRUE(failed);
+  EXPECT_TRUE(layer.in_storage(2));
 }
 
 }  // namespace

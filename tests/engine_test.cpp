@@ -58,7 +58,7 @@ TEST(EngineRouting, PrfPartitionsTheBlockSpace) {
   // and the shard_blocks lists partition the global id space.
   std::set<block_id> seen;
   for (std::uint32_t s = 0; s < eng.shard_count(); ++s) {
-    const std::span<const block_id> blocks = eng.shard_blocks(s);
+    const std::vector<block_id> blocks = eng.shard_blocks(s);
     EXPECT_GT(blocks.size(), 0u) << "shard " << s << " owns no blocks";
     EXPECT_EQ(eng.shard(s).config().block_count, blocks.size());
     for (std::size_t local = 0; local < blocks.size(); ++local) {

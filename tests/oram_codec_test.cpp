@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 
 #include "crypto/chacha20.h"
@@ -719,6 +720,75 @@ TEST(PositionMap, EveryLeafOfTheWidthRoundTrips) {
   EXPECT_EQ(wide.leaf_of(2), (1u << 20) - 1);
   EXPECT_FALSE(wide.contains(0));
   EXPECT_EQ(wide.size(), 2u);
+}
+
+TEST(PositionMap, ResidentOnlyMatchesAStdMapOracle) {
+  // Random assigns, reassigns and removes over a 5,000-id universe with
+  // at most ~300 residents, against std::map: every lookup agrees,
+  // including ids whose probe runs were shifted by a removal.
+  for (const std::uint64_t leaves : {std::uint64_t{1} << 10,
+                                     std::uint64_t{1} << 17}) {
+    position_map map(5000, leaves, /*resident_only=*/true);
+    std::map<block_id, leaf_id> oracle;
+    util::pcg64 rng(leaves);
+    for (int step = 0; step < 20000; ++step) {
+      // Ids cluster in a narrow band so probe runs collide and wrap.
+      const block_id id = util::uniform_below(rng, 600) * 7 % 5000;
+      if (oracle.size() < 300 && util::uniform_below(rng, 3) != 0) {
+        const leaf_id leaf = util::uniform_below(rng, leaves);
+        map.assign(id, leaf);
+        oracle[id] = leaf;
+      } else {
+        map.remove(id);
+        oracle.erase(id);
+      }
+      ASSERT_EQ(map.size(), oracle.size()) << "step " << step;
+      if (step % 97 == 0) {
+        for (block_id probe = 0; probe < 5000; probe += 1) {
+          const auto it = oracle.find(probe);
+          ASSERT_EQ(map.contains(probe), it != oracle.end()) << probe;
+          if (it != oracle.end()) {
+            ASSERT_EQ(map.leaf_of(probe), it->second) << probe;
+          }
+        }
+      }
+    }
+    map.clear();
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_FALSE(map.contains(0));
+  }
+}
+
+TEST(PositionMap, ResidentOnlyGrowsAtHalfLoadAndIsPricedAtCapacity) {
+  // An entry is a 32-bit id plus a leaf at the map's width. The table
+  // starts at 16 slots and doubles when an insert would take it past
+  // half full; removals never shrink it.
+  position_map narrow(1 << 20, 1 << 10, /*resident_only=*/true);
+  EXPECT_EQ(narrow.memory_bytes(), 16u * (4 + 2));
+  for (block_id k = 0; k < 8; ++k) {
+    narrow.assign(k * 4099, k);
+  }
+  EXPECT_EQ(narrow.memory_bytes(), 16u * (4 + 2));
+  narrow.assign(1, 1);  // the 9th resident passes load ½ of 16
+  EXPECT_EQ(narrow.memory_bytes(), 32u * (4 + 2));
+  for (block_id k = 0; k < 1000; ++k) {
+    narrow.assign(k * 1021 + 7, k);
+  }
+  EXPECT_EQ(narrow.size(), 1009u);
+  EXPECT_EQ(narrow.memory_bytes(), 2048u * (4 + 2));
+  for (block_id k = 0; k < 1000; ++k) {
+    narrow.remove(k * 1021 + 7);
+  }
+  EXPECT_EQ(narrow.size(), 9u);
+  EXPECT_EQ(narrow.memory_bytes(), 2048u * (4 + 2));
+
+  position_map wide(1 << 20, 1 << 17, /*resident_only=*/true);
+  EXPECT_EQ(wide.memory_bytes(), 16u * (4 + 4));
+  wide.assign(3, (1 << 17) - 1);
+  EXPECT_EQ(wide.leaf_of(3), (1u << 17) - 1);
+  EXPECT_THROW(wide.assign(1 << 20, 0), contract_error);
+  EXPECT_THROW(position_map(std::uint64_t{1} << 32, 16, true),
+               contract_error);
 }
 
 // ------------------------------------------------------------- stash

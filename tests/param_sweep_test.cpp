@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -434,6 +435,20 @@ TEST_P(HierGeometry, IncrementalShuffleStaysCoherent) {
 }
 
 // ------------------------------------------------ device properties
+
+}  // namespace
+
+namespace sim {
+
+/// Prints a profile by its name: gtest's default printer would dump the
+/// struct's bytes, a heap pointer included, into the test IDs.
+void PrintTo(const device_profile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
+}  // namespace sim
+
+namespace {
 
 class DeviceProfiles
     : public ::testing::TestWithParam<sim::device_profile> {};

@@ -1,13 +1,19 @@
 // Trusted-memory pricing: every control_memory_bytes() figure is the
 // byte size of the containers it names, at the width they are stored
 // in. Ring keeps one record per bucket (32-bit real ids, 8-bit slot
-// offsets, a read bitmask and an epoch) and nothing per slot; tree
-// position maps store 16-bit leaves below 65,535 leaves; the
-// partitioned layer keeps an 8-byte location per block and 4-byte slot
-// contents, pool entries and pool positions; a sharded engine keeps a
-// 32-bit shard index and a 32-bit local id per block.
+// offsets, a read bitmask and an epoch) and nothing per slot; a tree
+// that holds its whole universe keeps a dense position map of 16-bit
+// leaves below 65,535 leaves, and the controller's cache tree, whose
+// real slots cover under half its universe, a resident-only table of
+// 32-bit ids and 16-bit leaves priced at its capacity; a tree backend
+// keeps one residency bit per block; the partitioned layer packs its
+// permutation list, live bits and pools at the bits their values need
+// and keeps 64-bit Fenwick weights; a sharded engine keeps one packed
+// local id per block.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -26,6 +32,25 @@ using oram::block_id;
 
 constexpr std::uint64_t kBlocks = 2048;
 constexpr std::size_t kPayload = 16;
+
+/// Bytes of a packed array of `entries` fields of `bits` bits: whole
+/// 64-bit words.
+std::uint64_t packed_bytes(std::uint64_t entries, std::uint64_t bits) {
+  return (entries * bits + 63) / 64 * 8;
+}
+
+/// The controller's cache tree keys its map by resident blocks: a
+/// power-of-two table of 4-byte ids and 2-byte leaves, grown past its
+/// 16 initial slots to keep at least twice the residents' slots.
+void expect_resident_only_map(const controller& ctrl) {
+  const std::uint64_t bytes = ctrl.memory_tree().position_map_bytes();
+  ASSERT_EQ(bytes % 6, 0u) << bytes;
+  const std::uint64_t capacity = bytes / 6;
+  EXPECT_TRUE(std::has_single_bit(capacity)) << capacity;
+  EXPECT_GT(capacity, 16u);
+  EXPECT_GE(capacity, 2 * ctrl.memory_tree().resident_blocks());
+  EXPECT_LT(bytes, kBlocks * 2);  // below the dense map it replaces
+}
 
 /// Stash bytes as the controller prices them.
 std::uint64_t controller_stash_bytes(const controller& ctrl) {
@@ -76,23 +101,23 @@ TEST(TrustedMemory, PricedBytesMatchContainers) {
         << "Z = " << z << ", S = " << s;
   }
 
-  // A ring backend prices its map residue, stash, residency bitmap and
-  // the tree's bucket records.
+  // A ring backend prices its map residue, its tree's dense position
+  // map (2 B per block), stash, residency bits and the tree's bucket
+  // records.
   {
     const client c = build(backend_kind::ring, 1);
     const auto& ring =
         dynamic_cast<const oram::ring_backend&>(c.backend());
     const oram::ring_oram& tree = ring.tree();
+    EXPECT_EQ(tree.position_map_bytes(), kBlocks * 2);
     EXPECT_EQ(ring.control_memory_bytes(),
-              ring.map().trusted_bytes() +
+              ring.map().trusted_bytes() + kBlocks * 2 +
                   tree.stash_ref().size() *
                       (kPayload + sizeof(oram::stash_entry)) +
-                  kBlocks + tree.metadata_bytes());
+                  packed_bytes(kBlocks, 1) + tree.metadata_bytes());
 
-    // The controller prices its cache tree's position map at the
-    // tree's leaf width: 2 B per block below 65,535 leaves.
     const controller& ctrl = c.eng().shard(0);
-    EXPECT_EQ(ctrl.memory_tree().position_map_bytes(), kBlocks * 2);
+    expect_resident_only_map(ctrl);
     EXPECT_EQ(ctrl.control_memory_bytes(),
               ctrl.memory_tree().position_map_bytes() +
                   ring.control_memory_bytes() +
@@ -100,29 +125,61 @@ TEST(TrustedMemory, PricedBytesMatchContainers) {
     EXPECT_EQ(c.control_memory_bytes(), ctrl.control_memory_bytes());
   }
 
-  // Partitioned: an 8-byte location per block; per slot, 4-byte
-  // contents, a 4-byte pool entry and a 4-byte pool position.
+  // Path prices the same containers minus ring's bucket records.
+  {
+    const client c = build(backend_kind::path, 1);
+    const auto& path =
+        dynamic_cast<const oram::path_backend&>(c.backend());
+    EXPECT_EQ(path.tree().position_map_bytes(), kBlocks * 2);
+    EXPECT_EQ(path.control_memory_bytes(),
+              path.map().trusted_bytes() + kBlocks * 2 +
+                  path.tree().stash_ref().size() *
+                      (kPayload + sizeof(oram::stash_entry)) +
+                  packed_bytes(kBlocks, 1));
+  }
+
+  // Partitioned: per block a location of residence (2 bits), partition
+  // and slot code; per slot a live bit, a pool entry and a pool
+  // position at ⌈log₂(slots per partition + 1)⌉ bits; per partition a
+  // 64-bit Fenwick weight (plus the tree's unused root word).
   {
     const client c = build(backend_kind::partitioned, 1);
     const auto& layer = dynamic_cast<const storage_layer&>(c.backend());
+    const storage::partition_geometry& g = layer.geometry();
+    const std::uint64_t location_bits =
+        2 + std::bit_width(g.partition_count - 1) +
+        std::bit_width(g.slots_per_partition() - 1);
+    const std::uint64_t pool_bits = std::bit_width(g.slots_per_partition());
     EXPECT_EQ(layer.control_memory_bytes(),
-              kBlocks * 8 + layer.geometry().total_slots() * 12);
+              packed_bytes(kBlocks, location_bits) +
+                  packed_bytes(g.total_slots(), 1) +
+                  2 * packed_bytes(g.total_slots(), pool_bits) +
+                  (g.partition_count + 1) * 8);
+    const controller& ctrl = c.eng().shard(0);
+    expect_resident_only_map(ctrl);
+    EXPECT_EQ(ctrl.control_memory_bytes(),
+              ctrl.memory_tree().position_map_bytes() +
+                  layer.control_memory_bytes() +
+                  controller_stash_bytes(ctrl));
   }
 
-  // A sharded engine adds, per block, its shard's global-id list entry
-  // (8 B), a 32-bit shard index and a 32-bit local id.
+  // A sharded engine adds one local id per block, packed at the bits
+  // of its largest shard; it keeps no shard index or global-id lists.
   {
     const client c = build(backend_kind::ring, 4);
     const engine& eng = c.eng();
     std::uint64_t shards = 0;
     std::uint64_t listed = 0;
+    std::uint64_t widest = 0;
     for (std::uint32_t s = 0; s < eng.shard_count(); ++s) {
       shards += eng.shard(s).control_memory_bytes();
-      listed += eng.shard_blocks(s).size();
+      const std::uint64_t size = eng.shard_blocks(s).size();
+      listed += size;
+      widest = std::max(widest, size);
     }
     EXPECT_EQ(listed, kBlocks);
     EXPECT_EQ(eng.control_memory_bytes(),
-              shards + listed * sizeof(block_id) + kBlocks * (4 + 4));
+              shards + packed_bytes(kBlocks, std::bit_width(widest - 1)));
   }
 }
 

@@ -9,6 +9,7 @@
 #include "util/contracts.h"
 #include "util/fenwick.h"
 #include "util/math.h"
+#include "util/packed_array.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -237,6 +238,64 @@ TEST(Fenwick, FindByOffsetMatchesLinearScan) {
     }
     EXPECT_EQ(tree.find_by_offset(offset), expected) << "offset " << offset;
   }
+}
+
+// -------------------------------------------------------- packed array
+
+TEST(PackedArray, EveryWidthMatchesAVectorOracle) {
+  // Every width 1..64, over a length whose entries straddle word
+  // boundaries at every width that does not divide 64; random sets in
+  // random order, each checked against a std::vector oracle, including
+  // the neighbours a straddling write could clobber.
+  pcg64 rng(41);
+  for (unsigned bits = 1; bits <= 64; ++bits) {
+    const std::uint64_t n = 131;
+    const std::uint64_t max =
+        bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    packed_array packed(n, bits);
+    std::vector<std::uint64_t> oracle(n, 0);
+    EXPECT_EQ(packed.size(), n);
+    EXPECT_EQ(packed.bits(), bits);
+    EXPECT_EQ(packed.max_value(), max);
+    EXPECT_EQ(packed.memory_bytes(), (n * bits + 63) / 64 * 8) << bits;
+    std::uint64_t straddling = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      straddling += (i * bits) / 64 != (i * bits + bits - 1) / 64 ? 1 : 0;
+    }
+    EXPECT_EQ(straddling > 0, 64 % bits != 0) << bits;
+    for (int round = 0; round < 600; ++round) {
+      const std::uint64_t i = uniform_below(rng, n);
+      // All-ones, zero and random values, so every bit of a straddling
+      // entry is written both ways.
+      const std::uint64_t pick = uniform_below(rng, 4);
+      const std::uint64_t value =
+          pick == 0 ? max : pick == 1 ? 0 : rng.next_u64() & max;
+      packed.set(i, value);
+      oracle[i] = value;
+      for (std::uint64_t j = (i == 0 ? 0 : i - 1); j <= i + 1 && j < n; ++j) {
+        ASSERT_EQ(packed.get(j), oracle[j])
+            << "bits " << bits << ", entry " << j << " after setting " << i;
+      }
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(packed.get(i), oracle[i]) << "bits " << bits << ", entry " << i;
+    }
+  }
+}
+
+TEST(PackedArray, FillAndContracts) {
+  const packed_array filled(100, 7, 127);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(filled.get(i), 127u) << i;
+  }
+  packed_array narrow(10, 3);
+  EXPECT_THROW(narrow.set(0, 8), contract_error);
+  EXPECT_THROW(narrow.set(10, 0), contract_error);
+  EXPECT_THROW(static_cast<void>(narrow.get(10)), contract_error);
+  EXPECT_THROW(packed_array(4, 0), contract_error);
+  EXPECT_THROW(packed_array(4, 65), contract_error);
+  EXPECT_THROW(packed_array(4, 3, 8), contract_error);
+  EXPECT_EQ(packed_array(0, 5).memory_bytes(), 0u);
 }
 
 // --------------------------------------------------------------- table

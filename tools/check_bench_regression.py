@@ -52,11 +52,14 @@ A change that should move nothing reports 0 moved. Numeric fields only
 the fresh run emits are listed as new and counted apart, so a new
 column shows up without counting as a move. Likewise every fresh run
 whose document has a baseline but which no baseline run matches is
-listed and counted in the final line, so a row added to a bench shows
-up rather than passing without mention.
+listed and counted in the totals line, so a row added to a bench shows
+up rather than passing without mention. The report ends with a per-field
+tally of the moved rows, e.g. "trusted_bytes: 12 rows; every other
+field: 0", so a change meant to move one field is checked from one line.
 """
 
 import argparse
+import collections
 import json
 import pathlib
 import sys
@@ -214,7 +217,7 @@ def matched_runs(baseline_dir, fresh_dir, problems, fresh_only=None):
 def report_moved(baseline_dir, fresh_dir):
     problems = []
     fresh_only = []
-    moved = 0
+    moved = collections.Counter()
     compared = 0
     added = 0
     for bench, key, baseline_run, fresh_run in matched_runs(
@@ -234,7 +237,7 @@ def report_moved(baseline_dir, fresh_dir):
                 continue
             compared += 1
             if fresh_value != baseline_value:
-                moved += 1
+                moved[field] += 1
                 print(
                     f"{bench} [{label(key)}]: {field} "
                     f"{baseline_value} -> {fresh_value}"
@@ -244,10 +247,22 @@ def report_moved(baseline_dir, fresh_dir):
     for bench, key in fresh_only:
         print(f"{bench} [{label(key)}]: fresh run has no baseline")
     print(
-        f"{moved} of {compared} fields moved, {added} new, "
+        f"{sum(moved.values())} of {compared} fields moved, {added} new, "
         f"{len(fresh_only)} fresh run(s) without baseline"
     )
+    print(tally(moved))
     return 0
+
+
+def tally(moved):
+    """One line naming every moved field with its count of moved rows,
+    most first, then the zero for every field not named."""
+    ranked = sorted(moved.items(), key=lambda item: (-item[1], item[0]))
+    named = [f"{field}: {rows} row{'s' if rows != 1 else ''}"
+             for field, rows in ranked]
+    return "; ".join(named + [
+        f"every {'other ' if named else ''}field: 0"
+    ])
 
 
 def main():
