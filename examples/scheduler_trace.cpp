@@ -2,11 +2,14 @@
 // with I/O prefetching. Nine requests sit in the ROB (the figure's
 // {H1 H2 H3 M1 H4 H5 M2 M2 H6} pattern: H = in-memory hit, M = storage
 // miss); with c = 3 and d = 9 the scheduler overlaps each cycle's
-// storage load with three in-memory accesses, servicing a miss via the
-// memory lane one cycle after its load.
+// storage load with three in-memory accesses. As the controller does, a
+// miss is served from its own load's fill at the end of that cycle (the
+// figure services it through the memory lane one cycle later).
 //
 //   $ ./examples/scheduler_trace
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 
 #include "horam.h"
@@ -43,14 +46,7 @@ int main() {
 
   util::text_table table({"Cycle", "I/O lane (load)", "Memory lane "
                           "(3 path accesses)", "Serviced"});
-  std::uint64_t loading_request = SIZE_MAX;
-  for (int cycle = 1; !rob.empty() || loading_request != SIZE_MAX;
-       ++cycle) {
-    // The previous cycle's load has arrived.
-    if (loading_request != SIZE_MAX) {
-      resident[loading_request] = true;
-      loading_request = SIZE_MAX;
-    }
+  for (int cycle = 1; !rob.empty(); ++cycle) {
     const cycle_plan plan = sched.plan(
         rob, 0, [&](std::uint64_t index) { return ids[index]; },
         [&](oram::block_id id) -> bool {
@@ -63,32 +59,35 @@ int main() {
         });
 
     std::string io_cell = "load dummy";
-    if (plan.miss_position.has_value()) {
-      const std::uint64_t request =
-          rob.at(*plan.miss_position).request_index;
-      io_cell = std::string("load ") + labels[request];
-      rob.at(*plan.miss_position).loading = true;
-      loading_request = request;
-    }
     std::string memory_cell;
     std::string serviced_cell;
     for (const std::size_t position : plan.hit_positions) {
-      const std::uint64_t request = rob.at(position).request_index;
+      const std::uint64_t request = rob.at(position);
       memory_cell += std::string(labels[request]) + " ";
       serviced_cell += std::string(labels[request]) + " ";
     }
     for (std::uint32_t k = 0; k < plan.dummy_hits; ++k) {
       memory_cell += "dummy ";
     }
+    std::vector<std::size_t> retiring = plan.hit_positions;
+    if (plan.miss_position.has_value()) {
+      // The fill serves its request and makes the block resident.
+      const std::uint64_t request = rob.at(*plan.miss_position);
+      io_cell = std::string("load ") + labels[request];
+      serviced_cell += std::string(labels[request]) + " ";
+      for (std::uint64_t k = 0; k < ids.size(); ++k) {
+        resident[k] = resident[k] || ids[k] == ids[request];
+      }
+      retiring.push_back(*plan.miss_position);
+    }
     table.add_row({std::to_string(cycle), io_cell, memory_cell,
                    serviced_cell.empty() ? "-" : serviced_cell});
 
     // Retire serviced requests (descending positions).
-    for (auto it = plan.hit_positions.rbegin();
-         it != plan.hit_positions.rend(); ++it) {
-      rob.remove(*it);
+    std::sort(retiring.begin(), retiring.end(), std::greater<>());
+    for (const std::size_t position : retiring) {
+      rob.remove(position);
     }
-    rob.clear_loading_flags();
     if (cycle > 16) {
       break;  // safety for the demo
     }
@@ -97,8 +96,8 @@ int main() {
   std::printf(
       "\nEvery cycle issues exactly one storage load (real or dummy) and "
       "c = 3 path\naccesses — the adversary sees an identical bus shape "
-      "whatever the hit/miss mix.\nMisses are serviced through the memory "
-      "lane one cycle after their load, exactly\nas in the paper's "
-      "figure; the duplicate M2' needs no second load.\n");
+      "whatever the hit/miss mix.\nA miss is served from its load's fill "
+      "in the load's own cycle, so its path-access\nslot goes to another "
+      "hit; the duplicate M2' needs no second load.\n");
   return 0;
 }

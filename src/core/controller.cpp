@@ -1,6 +1,7 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/contracts.h"
 #include "util/math.h"
@@ -17,6 +18,34 @@ std::uint64_t tree_leaf_count(std::uint64_t memory_blocks,
       1, memory_blocks / (2 * bucket_size));
   return util::is_pow2(target) ? target
                                : util::next_pow2(target) / 2;
+}
+
+/// Word ops of serving one request from a trusted-memory copy. Every
+/// cycle charges them for each of its c slots, whether or not a slot
+/// is served that way, so the memory lane does not show which are.
+constexpr std::uint64_t kTrustedCopyWordOps = 8;
+
+/// True when `req` returns the payload it finds: a read, or a
+/// fetch_before_write write (the payload it replaces).
+bool returns_data(const request& req) {
+  return req.op != oram::op_kind::write || req.fetch_before_write;
+}
+
+/// Serves `req` from `copy`, a trusted-memory copy of its block: the
+/// copy as found is returned (returns_data), and a write replaces it,
+/// zero-padded to `payload_bytes` — the semantics of
+/// path_oram::access_batch.
+void serve_from_copy(const request& req, request_result* result,
+                     std::vector<std::uint8_t>& copy,
+                     std::size_t payload_bytes) {
+  if (result != nullptr && returns_data(req)) {
+    result->read_data = copy;
+    result->read_data.resize(payload_bytes, 0);
+  }
+  if (req.op == oram::op_kind::write) {
+    copy.assign(req.write_data.begin(), req.write_data.end());
+    copy.resize(payload_bytes, 0);
+  }
 }
 
 }  // namespace
@@ -105,16 +134,19 @@ void controller::run(std::span<const request> requests,
     results->assign(requests.size(), request_result{});
   }
 
-  std::vector<std::uint8_t> was_scheduled_miss(requests.size(), 0);
   /// ROB-entry timestamps: request_latency measures entry → retirement.
   std::vector<sim::sim_time> enqueued_at(requests.size(), 0);
   std::uint64_t next_to_enqueue = 0;
   std::uint64_t serviced = 0;
+  std::vector<std::size_t> retiring;
 
   const auto id_of = [&](std::uint64_t request_index) {
     return requests[request_index].id;
   };
   const auto is_resident = [&](oram::block_id id) { return resident(id); };
+  const auto result_of = [&](std::uint64_t request_index) {
+    return results != nullptr ? &(*results)[request_index] : nullptr;
+  };
 
   while (serviced < requests.size()) {
     // Keep the ROB ahead of the prefetch window.
@@ -131,10 +163,7 @@ void controller::run(std::span<const request> requests,
     // --- I/O lane: exactly one storage load per cycle. ---
     oram_backend::load_result load;
     if (plan.miss_position.has_value()) {
-      rob_table::entry& miss_entry = rob_.at(*plan.miss_position);
-      miss_entry.loading = true;
-      was_scheduled_miss[miss_entry.request_index] = 1;
-      load = storage_->load_block(requests[miss_entry.request_index].id);
+      load = storage_->load_block(id_of(rob_.at(*plan.miss_position)));
       ++stats_.real_loads;
     } else {
       load = storage_->dummy_load();
@@ -148,33 +177,21 @@ void controller::run(std::span<const request> requests,
     // shape is unchanged; writes go through into the trusted copy (so a
     // staged block's shuffle places the fresh data). ---
     oram::cost_split memory_cost;
+    memory_cost.cpu += cpu_.word_ops_time(kTrustedCopyWordOps) * plan.c;
     cycle_accesses_.clear();
     for (const std::size_t position : plan.hit_positions) {
-      const std::uint64_t request_index = rob_.at(position).request_index;
+      const std::uint64_t request_index = rob_.at(position);
       const request& req = requests[request_index];
-      request_result* result =
-          results != nullptr ? &(*results)[request_index] : nullptr;
-      const bool is_write = req.op == oram::op_kind::write;
-      const bool returns_data =
-          result != nullptr && (!is_write || req.fetch_before_write);
+      request_result* result = result_of(request_index);
       oram::path_oram::request& access = cycle_accesses_.emplace_back();
       if (std::vector<std::uint8_t>* trusted = trusted_copy(req.id)) {
-        memory_cost.cpu += cpu_.word_ops_time(8);
-        if (returns_data) {
-          result->read_data = *trusted;
-          result->read_data.resize(config_.payload_bytes, 0);
-        }
-        if (is_write) {
-          trusted->assign(req.write_data.begin(), req.write_data.end());
-          trusted->resize(config_.payload_bytes, 0);
-        }
+        serve_from_copy(req, result, *trusted, config_.payload_bytes);
         continue;
       }
       access.id = req.id;
       access.op = req.op;
       access.write_data = req.write_data;
-      if (returns_data) {
-        // A fetch_before_write write returns the payload it replaces.
+      if (result != nullptr && returns_data(req)) {
         result->read_data.resize(config_.payload_bytes);
         access.read_out = result->read_data;
       }
@@ -183,11 +200,20 @@ void controller::run(std::span<const request> requests,
     stats_.dummy_path_accesses += plan.dummy_hits;
     memory_cost += tree_->access_batch(cycle_accesses_);
 
-    // The loaded block lands in the tree stash at cycle end.
-    oram::cost_split install_cost;
-    if (load.id != oram::dummy_block_id) {
-      install_cost = tree_->install(load.id, load.payload);
+    // The loaded block lands in the tree stash at cycle end. A real
+    // load first serves its own request from the fill, so the block
+    // enters the tree as that request leaves it. Every cycle pays for
+    // an install, so the I/O lane does not show whether a block
+    // arrived.
+    if (plan.miss_position.has_value()) {
+      const std::uint64_t request_index = rob_.at(*plan.miss_position);
+      serve_from_copy(requests[request_index], result_of(request_index),
+                      load.payload, config_.payload_bytes);
     }
+    if (load.id != oram::dummy_block_id) {
+      tree_->install(load.id, load.payload);
+    }
+    const oram::cost_split install_cost = tree_->install_cost();
 
     // Lanes overlap (§4.1: "the I/O loads and in-memory reads are
     // conducted simultaneously"); the cycle lasts the slower lane. A
@@ -213,27 +239,27 @@ void controller::run(std::span<const request> requests,
     stats_.memory_busy += memory_cost.memory + load.cost.memory;
     stats_.cpu_busy += load.cost.cpu + memory_cost.cpu + install_cost.cpu;
 
-    // Retire serviced requests (descending positions keep indices valid).
-    for (auto it = plan.hit_positions.rbegin();
-         it != plan.hit_positions.rend(); ++it) {
-      const std::uint64_t request_index = rob_.at(*it).request_index;
-      if (results != nullptr) {
-        (*results)[request_index].completion_time = clock_.now();
-        (*results)[request_index].hit =
-            was_scheduled_miss[request_index] == 0;
+    // Retire the cycle's hits and its served miss together, at cycle
+    // end (descending positions keep indices valid).
+    retiring.assign(plan.hit_positions.begin(), plan.hit_positions.end());
+    if (plan.miss_position.has_value()) {
+      retiring.push_back(*plan.miss_position);
+    }
+    std::sort(retiring.begin(), retiring.end(), std::greater<>());
+    for (const std::size_t position : retiring) {
+      const std::uint64_t request_index = rob_.at(position);
+      const bool hit = position != plan.miss_position;
+      if (request_result* result = result_of(request_index)) {
+        result->completion_time = clock_.now();
+        result->hit = hit;
       }
-      if (was_scheduled_miss[request_index] == 0) {
-        ++stats_.hits;
-      } else {
-        ++stats_.misses;
-      }
+      ++(hit ? stats_.hits : stats_.misses);
       stats_.request_latency.record(clock_.now() -
                                     enqueued_at[request_index]);
-      rob_.remove(*it);
+      rob_.remove(position);
       ++serviced;
       ++stats_.requests;
     }
-    rob_.clear_loading_flags();
 
     // Period bookkeeping: every cycle consumes one of the n/2 loads.
     if (++loads_this_period_ >= config_.period_loads()) {

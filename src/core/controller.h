@@ -10,7 +10,15 @@
 // cycle's hits in plan order, then the padding dummies — reach the
 // cache tree as one batch (path_oram::access_batch): the union of
 // their c uniform paths is read, opened, re-sealed and written back
-// once, so the memory lane is charged per union bucket. A period is at
+// once, so the memory lane is charged per union bucket. A real load
+// serves its own request from the fill at the end of its cycle (a read
+// returns the fill; a write replaces it, zero-padded, and a
+// fetch_before_write write returns it first) and the block enters the
+// cache tree as that request leaves it, so a miss retires with the
+// cycle's hits and needs no path-access slot. Every cycle pays for an
+// install and for a trusted-memory copy in each of its c slots, so
+// neither lane's length shows whether a block arrived or which hits
+// were served from trusted memory. A period is at
 // most n/2 loads: after n/2 loads the controller runs the shuffle
 // period — oblivious tree evict, group-and-partition shuffle, tree
 // re-initialisation — and a caller may end it earlier between batches

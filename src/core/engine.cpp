@@ -374,23 +374,21 @@ void engine::log_rounds(std::uint64_t rounds) {
 
 bool engine::next_round_may_end_a_period(
     const std::vector<lane_report>& reports) const {
-  // A round lane makes one load per cycle and retires each of its
-  // round_cap() slots in about one cycle: round_cap() + 1 when every
-  // slot misses, as the last load is served a cycle later. A budget
-  // reached on the lane's last cycle shuffles after all of its
-  // completions; one reached earlier shuffles before the lane's later
-  // completions, and the stall lands in their latencies. So a shard
-  // with round_cap() loads left or fewer ends every period now, after
-  // this round's completions. Should a round ever need more loads, the
-  // budget still ends the period at its n/2-th.
+  // A round lane makes one load per cycle and retires at least one of
+  // its round_cap() slots per cycle (a miss is served from its own
+  // load's fill), so it takes at most round_cap() loads: exactly that
+  // when every slot misses. A budget reached on the lane's last cycle
+  // shuffles after all of its completions; one reached earlier
+  // shuffles before the lane's later completions, and the stall lands
+  // in their latencies. So a shard with round_cap() loads left or
+  // fewer ends every period now, after this round's completions.
   //
   // Looking ahead gives up to round_cap() loads of a period. Where a
   // period cannot hold two whole rounds, that would cut most periods to
   // a single round — a shuffle after every round, more than the stalls
   // it moves — so there the budget alone ends periods. Every shard has
   // the same budget (the memory splits evenly).
-  const std::uint64_t round_loads =
-      static_cast<std::uint64_t>(round_cap_) + 1;
+  const std::uint64_t round_loads = round_cap_;
   if (shards_.front()->config.period_loads() <= 2 * round_loads) {
     return false;
   }

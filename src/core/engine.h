@@ -35,12 +35,13 @@
 // completions are untouched). A period that ends mid-lane still
 // stalls that lane's later completions, so a round that leaves some
 // shard round_cap() loads or fewer also ends every shard's period: a
-// round lane makes at most about one load per slot (round_cap() + 1
-// when every slot misses), so the next round cannot reach a budget
-// before its lanes' last cycle, and no completion waits for a shuffle.
-// Looking ahead gives up to round_cap() loads of a period, so it needs
-// a period that holds two whole rounds (period_loads() > 2 ·
-// (round_cap() + 1)); shorter periods would shrink to one round each.
+// round lane makes at most one load per slot (every cycle retires a
+// request, a miss from its own load's fill), so the next round cannot
+// reach a budget before its lanes' last cycle, and no completion waits
+// for a shuffle. Looking ahead gives up to round_cap() loads of a
+// period, so it needs a period that holds two whole rounds
+// (period_loads() > 2 · round_cap()); shorter periods would shrink to
+// one round each.
 // The load budget still ends a period at n/2 loads, so aligning only
 // shortens periods. Only padded multi-shard rounds (step_round())
 // look ahead; a batch runs whole periods anyway. Deferred shuffles

@@ -1,7 +1,10 @@
 // ROB (re-order buffer) table: the control-layer queue the scheduler
 // scans (Figure 4-1 item "ROB Table", §4.2). Requests enter in program
 // order; the scheduler may service them out of order (hits overtake
-// misses), which is exactly what a re-order buffer permits.
+// misses), which is exactly what a re-order buffer permits. A request
+// leaves the table in the cycle that serves it — a miss in its own
+// load's cycle, from the fill — so no entry is ever in flight between
+// cycles and the table holds plain request indices.
 #ifndef HORAM_CORE_ROB_TABLE_H
 #define HORAM_CORE_ROB_TABLE_H
 
@@ -12,18 +15,11 @@
 
 namespace horam {
 
-/// FIFO of outstanding request indices with per-entry scheduling state.
+/// FIFO of outstanding request indices.
 class rob_table {
  public:
-  struct entry {
-    std::uint64_t request_index = 0;
-    /// The entry's block is being fetched by the current cycle's I/O
-    /// load; it becomes serviceable next cycle.
-    bool loading = false;
-  };
-
   void push(std::uint64_t request_index) {
-    entries_.push_back(entry{request_index, false});
+    entries_.push_back(request_index);
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -31,12 +27,9 @@ class rob_table {
   }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
 
-  /// position 0 = oldest outstanding request.
-  [[nodiscard]] const entry& at(std::size_t position) const {
-    expects(position < entries_.size(), "ROB position out of range");
-    return entries_[position];
-  }
-  [[nodiscard]] entry& at(std::size_t position) {
+  /// The request index at `position`; position 0 = oldest outstanding
+  /// request.
+  [[nodiscard]] std::uint64_t at(std::size_t position) const {
     expects(position < entries_.size(), "ROB position out of range");
     return entries_[position];
   }
@@ -48,14 +41,8 @@ class rob_table {
                    static_cast<std::ptrdiff_t>(position));
   }
 
-  void clear_loading_flags() {
-    for (entry& e : entries_) {
-      e.loading = false;
-    }
-  }
-
  private:
-  std::deque<entry> entries_;
+  std::deque<std::uint64_t> entries_;
 };
 
 }  // namespace horam

@@ -59,11 +59,7 @@ cycle_plan scheduler::plan(
       std::min<std::size_t>(rob.size(), window(loads_done));
 
   for (std::size_t position = 0; position < scan; ++position) {
-    const rob_table::entry& entry = rob.at(position);
-    if (entry.loading) {
-      continue;  // arrives at the end of this cycle; serviceable next
-    }
-    const oram::block_id id = id_of_request(entry.request_index);
+    const oram::block_id id = id_of_request(rob.at(position));
     if (resident(id)) {
       if (plan.hit_positions.size() < plan.c) {
         plan.hit_positions.push_back(position);

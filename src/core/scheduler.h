@@ -5,8 +5,11 @@
 // The scheduler scans the first d = prefetch_factor * c ROB entries
 // ("I/O pre-fetching") for the best real fill — one miss to load, up to
 // c resident requests to service — and pads the remainder with dummies.
-// The hit/miss status of individual requests is therefore hidden: the
-// bus pattern is the same whatever the mix (§4.4.2).
+// The miss needs no path access: the controller serves it from the
+// load's own fill at the end of the cycle, so a cycle retires up to
+// c + 1 requests. The hit/miss status of individual requests is
+// therefore hidden: the bus pattern is the same whatever the mix
+// (§4.4.2).
 #ifndef HORAM_CORE_SCHEDULER_H
 #define HORAM_CORE_SCHEDULER_H
 
@@ -25,7 +28,8 @@ namespace horam {
 struct cycle_plan {
   /// Stage group size this cycle.
   std::uint32_t c = 1;
-  /// ROB position whose block should be loaded from storage.
+  /// ROB position whose block should be loaded from storage; the
+  /// request is served from that load's fill.
   std::optional<std::size_t> miss_position;
   /// ROB positions to service with in-memory accesses (size <= c).
   std::vector<std::size_t> hit_positions;

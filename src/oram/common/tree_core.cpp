@@ -54,7 +54,10 @@ cost_split tree_core::install(block_id id,
   stash_.put(id, leaf, payload);
   ++resident_;
   ++stats_.installs;
+  return install_cost();
+}
 
+cost_split tree_core::install_cost() const {
   cost_split cost;
   cost.cpu += cpu_.word_ops_time(4);
   return cost;

@@ -108,6 +108,11 @@ class tree_core {
   cost_split install(block_id id, std::span<const std::uint8_t> payload,
                      leaf_id leaf);
 
+  /// What one install() costs. It does not depend on the block, so a
+  /// caller can charge it on a cycle that installs nothing and keep the
+  /// cycle's length independent of whether a block arrived.
+  [[nodiscard]] cost_split install_cost() const;
+
  protected:
   /// A tree of `leaf_count` (a power of two) leaves with `real_slots`
   /// (Z) real-block slots per bucket over ids [0, id_universe).

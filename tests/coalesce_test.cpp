@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -307,6 +308,19 @@ struct off_grid_point {
   bool threaded;
 };
 
+std::string off_grid_name(const off_grid_point& p) {
+  return std::string(backend_name(p.backend)) + "_x" +
+         std::to_string(p.shards) + "_" +
+         std::string(shuffle_policy_name(p.shuffle)) + "_" +
+         (p.threaded ? "threaded" : "sim");
+}
+
+/// Prints a grid point by its name: gtest's default printer would dump
+/// the struct's bytes, padding included, into the test IDs.
+void PrintTo(const off_grid_point& p, std::ostream* os) {
+  *os << off_grid_name(p);
+}
+
 class CoalesceOffGrid : public ::testing::TestWithParam<off_grid_point> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -326,10 +340,7 @@ INSTANTIATE_TEST_SUITE_P(
       return grid;
     }()),
     [](const ::testing::TestParamInfo<off_grid_point>& info) {
-      return std::string(backend_name(info.param.backend)) + "_x" +
-             std::to_string(info.param.shards) + "_" +
-             std::string(shuffle_policy_name(info.param.shuffle)) + "_" +
-             (info.param.threaded ? "threaded" : "sim");
+      return off_grid_name(info.param);
     });
 
 std::vector<request> off_grid_stream(std::uint64_t seed) {

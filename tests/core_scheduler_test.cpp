@@ -21,20 +21,10 @@ TEST(RobTable, FifoOrderAndRemoval) {
   rob.push(11);
   rob.push(12);
   EXPECT_EQ(rob.size(), 3u);
-  EXPECT_EQ(rob.at(0).request_index, 10u);
+  EXPECT_EQ(rob.at(0), 10u);
   rob.remove(1);
   EXPECT_EQ(rob.size(), 2u);
-  EXPECT_EQ(rob.at(1).request_index, 12u);
-}
-
-TEST(RobTable, LoadingFlags) {
-  rob_table rob;
-  rob.push(0);
-  rob.push(1);
-  rob.at(1).loading = true;
-  EXPECT_TRUE(rob.at(1).loading);
-  rob.clear_loading_flags();
-  EXPECT_FALSE(rob.at(1).loading);
+  EXPECT_EQ(rob.at(1), 12u);
 }
 
 TEST(RobTable, BoundsChecked) {
@@ -137,18 +127,6 @@ TEST(Scheduler, OnlyOneMissPerCycle) {
   EXPECT_EQ(*plan.miss_position, 0u);
   EXPECT_EQ(plan.hit_positions.size(), 0u);
   EXPECT_EQ(plan.dummy_hits, 2u);
-}
-
-TEST(Scheduler, SkipsLoadingEntries) {
-  scheduler sched({{2, 1.0}}, 100, 5);
-  const std::vector<block_id> ids = {1, 2, 3};
-  rob_table rob = make_rob(ids);
-  rob.at(0).loading = true;  // miss already in flight
-  const cycle_plan plan = plan_for(sched, rob, ids, {3});
-  ASSERT_TRUE(plan.miss_position.has_value());
-  EXPECT_EQ(*plan.miss_position, 1u);  // next miss, not the loading one
-  ASSERT_EQ(plan.hit_positions.size(), 1u);
-  EXPECT_EQ(plan.hit_positions[0], 2u);
 }
 
 TEST(Scheduler, WindowLimitsTheScan) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -269,6 +270,18 @@ struct layout_grid_point {
   shuffle_policy shuffle;
 };
 
+std::string layout_grid_name(const layout_grid_point& p) {
+  return std::string(backend_name(p.backend)) + "_x" +
+         std::to_string(p.shards) + "_" +
+         std::string(shuffle_policy_name(p.shuffle));
+}
+
+/// Prints a grid point by its name: gtest's default printer would dump
+/// the struct's bytes, padding included, into the test IDs.
+void PrintTo(const layout_grid_point& p, std::ostream* os) {
+  *os << layout_grid_name(p);
+}
+
 class DefaultLayoutIsFlat
     : public ::testing::TestWithParam<layout_grid_point> {};
 
@@ -287,9 +300,7 @@ INSTANTIATE_TEST_SUITE_P(
       return grid;
     }()),
     [](const ::testing::TestParamInfo<layout_grid_point>& info) {
-      return std::string(backend_name(info.param.backend)) + "_x" +
-             std::to_string(info.param.shards) + "_" +
-             std::string(shuffle_policy_name(info.param.shuffle));
+      return layout_grid_name(info.param);
     });
 
 // The default-constructed machine must be the flat machine bit for bit:
