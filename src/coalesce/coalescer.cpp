@@ -1,5 +1,6 @@
 #include "coalesce/coalescer.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/contracts.h"
@@ -8,7 +9,7 @@ namespace horam::coalesce {
 
 void round_table::add(std::uint64_t tag, request&& req) {
   expects(admits(req.id), "round_table::add past capacity");
-  ++members_;
+  const std::size_t admission = members_++;
 
   const auto it = index_.find(req.id);
   if (it == index_.end()) {
@@ -16,6 +17,8 @@ void round_table::add(std::uint64_t tag, request&& req) {
     // group's physical access verbatim.
     member first;
     first.tag = tag;
+    first.user = req.user;
+    first.admission = admission;
     first.source = req.op == oram::op_kind::write ? member_source::write
                                                   : member_source::physical;
     group fresh;
@@ -29,7 +32,8 @@ void round_table::add(std::uint64_t tag, request&& req) {
   group& g = groups_[it->second];
   member entry;
   entry.tag = tag;
-  entry.order_hint = groups_.size() - 1;  // the round's current frontier
+  entry.user = req.user;
+  entry.admission = admission;
   if (req.op == oram::op_kind::read) {
     if (g.physical.op == oram::op_kind::write) {
       // Read after write: serialized execution would return the latest
@@ -62,22 +66,47 @@ std::vector<group> round_table::take() {
   return std::exchange(groups_, {});
 }
 
+void completion_order::assign(std::span<const group> groups,
+                              std::span<const sim::sim_time> group_times) {
+  expects(groups.size() == group_times.size(),
+          "completion_order needs one time per group");
+  entries_.clear();
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    for (const member& m : groups[i].members) {
+      entries_.push_back(entry{m.user, m.admission, group_times[i]});
+    }
+  }
+  // Each user's members in admission order; within a user, a member
+  // completes no earlier than the one admitted before it.
+  std::sort(entries_.begin(), entries_.end(),
+            [](const entry& a, const entry& b) {
+              return a.user != b.user ? a.user < b.user
+                                      : a.admission < b.admission;
+            });
+  times_.resize(entries_.size());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const entry& e = entries_[i];
+    invariant(e.admission < times_.size(), "admission index out of range");
+    sim::sim_time time = e.group_time;
+    if (i > 0 && entries_[i - 1].user == e.user) {
+      time = std::max(time, times_[entries_[i - 1].admission]);
+    }
+    times_[e.admission] = time;
+  }
+}
+
 void fan_out(
     group&& g, request_result&& physical,
-    std::span<const sim::sim_time> group_times, std::size_t payload_bytes,
+    std::span<const sim::sim_time> member_times, std::size_t payload_bytes,
     const std::function<void(std::uint64_t tag, request_result&&)>&
         deliver) {
   invariant(!g.members.empty(), "fan_out of an empty group");
   for (std::size_t i = 0; i < g.members.size(); ++i) {
     member& m = g.members[i];
     request_result out;
-    if (i == 0) {
-      out.completion_time = physical.completion_time;
-    } else {
-      invariant(m.order_hint < group_times.size(),
-                "fan_out order hint out of range");
-      out.completion_time = group_times[m.order_hint];
-    }
+    invariant(m.admission < member_times.size(),
+              "fan_out admission index out of range");
+    out.completion_time = member_times[m.admission];
     // The group's opener inherits the physical residency outcome;
     // absorbed members were served from the round table in trusted
     // memory — control-layer hits by construction.

@@ -35,6 +35,12 @@
 // same-block entries would complete a later request ahead of an earlier
 // one from the same tenant; the prefix rule keeps per-tenant completion
 // order intact.
+//
+// Completion order is per tenant (completion_order): a member completes
+// at the later of its own group's time and the time of the previous
+// member of its request::user in admission order. Each tenant's
+// completions stay FIFO, and no tenant waits on another tenant's later
+// miss.
 #ifndef HORAM_COALESCE_COALESCER_H
 #define HORAM_COALESCE_COALESCER_H
 
@@ -68,13 +74,12 @@ enum class member_source : std::uint8_t {
 struct member {
   std::uint64_t tag = 0;
   member_source source = member_source::physical;
-  /// Latest group index in the table when this member was admitted.
-  /// Group completion times are monotone in group index (batch order),
-  /// so a merged member completes at group_times[order_hint] — the
-  /// round's frontier at its pop moment — which keeps per-shard
-  /// completion times monotone in scheduler pop order (per-tenant FIFO)
-  /// even when the member merged into an *earlier* group.
-  std::size_t order_hint = 0;
+  /// The submitting tenant (request::user): completion order is FIFO
+  /// per user.
+  std::uint32_t user = 0;
+  /// Position in the round's admission (scheduler pop) order, 0 for
+  /// the round's first member; indexes completion_order::times().
+  std::size_t admission = 0;
   /// Payload a forwarded read returns (padded to the block payload size
   /// at fan-out).
   std::vector<std::uint8_t> forward_data;
@@ -134,19 +139,48 @@ class round_table {
   std::size_t members_ = 0;
 };
 
+/// Per-tenant completion times of one round's members. Member m
+/// completes at the later of its own group's time and the time of the
+/// previous member of the same user in admission order: each user's
+/// completions are FIFO, and a user whose group completed early is not
+/// held behind another user's later miss. When every member has one
+/// user this is the running maximum of group times in admission order,
+/// the in-order retirement of the whole round. The scratch is kept
+/// between rounds, so a round allocates nothing once the largest round
+/// has been seen.
+class completion_order {
+ public:
+  /// Computes every member's time from `groups` (in batch order) and
+  /// their completion times `group_times` (index-aligned).
+  void assign(std::span<const group> groups,
+              std::span<const sim::sim_time> group_times);
+  /// The members' completion times, indexed by member::admission.
+  [[nodiscard]] std::span<const sim::sim_time> times() const noexcept {
+    return times_;
+  }
+
+ private:
+  struct entry {
+    std::uint32_t user;
+    std::size_t admission;
+    sim::sim_time group_time;
+  };
+  std::vector<entry> entries_;
+  std::vector<sim::sim_time> times_;
+};
+
 /// Fans one physical result out to every member of `g`, invoking
-/// `deliver(tag, result)` once per member in scheduler pop order. The
-/// first member (the one that opened the group) inherits the physical
-/// completion_time and hit flag; absorbed members report hit = true —
-/// they were served from the round table in trusted memory — and
-/// complete at `group_times[order_hint]`, the round's frontier when
-/// they were admitted (see member::order_hint). `group_times` holds the
-/// round's per-group completion times, already mapped onto the global
-/// clock; `payload_bytes` pads forwarded payloads to the block size,
+/// `deliver(tag, result)` once per member in scheduler pop order. Every
+/// member completes at `member_times[admission]` (completion_order's
+/// times, or the group times themselves when each group is one member
+/// admitted in batch order). The first member (the one that opened the
+/// group) inherits the physical hit flag; absorbed members report
+/// hit = true — they were served from the round table in trusted
+/// memory. `payload_bytes` pads forwarded payloads to the block size,
 /// matching what a physical read returns.
 void fan_out(
     group&& g, request_result&& physical,
-    std::span<const sim::sim_time> group_times, std::size_t payload_bytes,
+    std::span<const sim::sim_time> member_times, std::size_t payload_bytes,
     const std::function<void(std::uint64_t tag, request_result&&)>&
         deliver);
 

@@ -136,10 +136,11 @@ struct horam_config {
   /// once S slots have been consumed since its last rewrite, so S > A
   /// makes early reshuffles rare.
   std::uint32_t ring_spare_slots = 25;
-  /// Ring ORAM eviction rate (A): one deterministic reverse-
-  /// lexicographic path eviction every A online reads. Public
-  /// information by design — the eviction schedule depends only on the
-  /// access count, never on the workload.
+  /// Ring ORAM eviction rate (A): every A online reads owe one
+  /// deterministic reverse-lexicographic path eviction, which runs
+  /// (with any others owed) after the lane's completions, not inside a
+  /// read. Public information by design — the eviction schedule depends
+  /// only on the access count, never on the workload.
   std::uint32_t ring_eviction_rate = 20;
   /// XOR-combined online reads: the storage side folds the one chosen
   /// slot per bucket into a single combined block, which the client

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "util/contracts.h"
 #include "util/math.h"
@@ -169,6 +170,9 @@ void controller::run(std::span<const request> requests,
       load = storage_->dummy_load();
       ++stats_.dummy_loads;
     }
+    if (load.deferred != nullptr) {
+      deferred_ = load.deferred;
+    }
 
     // --- Memory lane: the cycle's c path accesses in one batch: the
     // hits in plan order, then the padding dummies. A block staged in
@@ -271,6 +275,9 @@ void controller::run(std::span<const request> requests,
     // device time lands in slice-sized pieces instead of one cliff.
     pump_shuffle_slice();
   }
+  // Every request of the batch has completed: work the loads left owed
+  // runs now, after the lane's last completion.
+  run_deferred();
   stats_.total_time = clock_.now() - stats_epoch_;
 }
 
@@ -281,6 +288,25 @@ void controller::reset_stats() noexcept {
 
 std::uint64_t controller::round_budget() const noexcept {
   return scheduler_.round_budget(loads_this_period_);
+}
+
+void controller::run_deferred() {
+  if (deferred_ == nullptr) {
+    return;
+  }
+  const oram::cost_split cost = std::exchange(deferred_, nullptr)->run();
+  const sim::sim_time elapsed = cost.io + cost.memory + cost.cpu;
+  clock_.advance(elapsed);
+  if (flush_debt_ > 0) {
+    flush_debt_ =
+        std::max<sim::sim_time>(0, flush_debt_ - (elapsed - cost.io));
+  }
+  ++stats_.deferred_runs;
+  stats_.deferred_time += elapsed;
+  stats_.access_time += elapsed;
+  stats_.io_busy += cost.io;
+  stats_.memory_busy += cost.memory;
+  stats_.cpu_busy += cost.cpu;
 }
 
 void controller::pump_shuffle_slice() {
@@ -322,6 +348,10 @@ void controller::charge_shuffle_device_delta(
 }
 
 void controller::end_period() {
+  // Owed work runs first, so the shuffle starts from the state the
+  // public load count implies.
+  run_deferred();
+
   // An incremental job still in flight blocks the next period: drain
   // it foreground now — the latency cliff a well-sized slice budget
   // avoids (budget * period_loads should cover a whole shuffle).

@@ -15,7 +15,11 @@
 // returns the fill; a write replaces it, zero-padded, and a
 // fetch_before_write write returns it first) and the block enters the
 // cache tree as that request leaves it, so a miss retires with the
-// cycle's hits and needs no path-access slot. Every cycle pays for an
+// cycle's hits and needs no path-access slot. Work a load leaves owed
+// (oram_backend::load_result::deferred: Ring ORAM's scheduled
+// evictions) waits until the batch's last request has completed — the
+// end of run() — or until a period ends, whichever comes first, and
+// lengthens the lane there. Every cycle pays for an
 // install and for a trusted-memory copy in each of its c slots, so
 // neither lane's length shows whether a block arrived or which hits
 // were served from trusted memory. A period is at
@@ -111,6 +115,11 @@ struct controller_stats {
   /// because the next period boundary arrived first (the cliff the
   /// slice budget should be sized to avoid).
   sim::sim_time shuffle_stall_time = 0;
+  /// Runs of the work loads left owed (load_result::deferred) and their
+  /// device time: lane time after the batch's completions, counted in
+  /// access_time and the busy times but in no load.
+  std::uint64_t deferred_runs = 0;
+  sim::sim_time deferred_time = 0;
 
   /// Storage-device traffic attributable to shuffle periods and
   /// incremental shuffle slices, measured by snapshotting the device's
@@ -173,6 +182,8 @@ struct controller_stats {
     f("cpu_busy_ns", &controller_stats::cpu_busy);
     f("io_load_time_ns", &controller_stats::io_load_time);
     f("shuffle_stall_ns", &controller_stats::shuffle_stall_time);
+    f("deferred_runs", &controller_stats::deferred_runs);
+    f("deferred_time_ns", &controller_stats::deferred_time);
     f("shuffle_device_read_ops", &controller_stats::shuffle_device_read_ops);
     f("shuffle_device_write_ops",
       &controller_stats::shuffle_device_write_ops);
@@ -298,7 +309,8 @@ class controller {
     return shuffle_job_ != nullptr;
   }
   /// Ends the current access period now, before its n/2 loads are used
-  /// up: runs the shuffle period exactly as the load budget would. An
+  /// up: runs any work the loads left owed, then the shuffle period
+  /// exactly as the load budget would. An
   /// incremental job still in flight is first drained foreground (a
   /// stall, counted in shuffle_stall_time); callers that must not stall
   /// check shuffle_in_flight() first. Call between run() batches only.
@@ -326,6 +338,8 @@ class controller {
 
  private:
   [[nodiscard]] bool resident(oram::block_id id) const;
+  /// Runs the work loads left owed, if any, and charges it to the lane.
+  void run_deferred();
   /// Runs one slice of the in-flight incremental shuffle job (no-op
   /// without one); charges the slice's device time and, when the job
   /// completes, shelters its overflow.
@@ -360,6 +374,10 @@ class controller {
   /// Storage-device counters for the shuffle/online traffic split
   /// (attach_device_stats); null = split not measured.
   const sim::io_stats* device_stats_ = nullptr;
+
+  /// The backend's handle to work loads left owed since the last
+  /// run_deferred() (null = nothing owed).
+  deferred_work* deferred_ = nullptr;
 
   /// The cycle's cache-tree accesses (per-cycle scratch; its views into
   /// the run's requests and results are used within the cycle only).

@@ -69,6 +69,10 @@ struct engine::shard_state {
 
   std::unique_ptr<lane_state> lane;
   std::unique_ptr<controller> ctrl;
+  /// Completion-ordering scratch, reused round to round: the groups'
+  /// global completion times and the per-tenant order over them.
+  std::vector<sim::sim_time> group_times;
+  coalesce::completion_order order;
 };
 
 engine::engine(const horam_config& config, const sim::cpu_model& cpu,
@@ -256,34 +260,30 @@ engine::lane_report engine::service_lane(lane_task&& task,
     if (want_results) {
       // Completion-ordering layer: shard-local sim-time offsets map
       // onto the global clock at the lane's start. Every group's mapped
-      // time is computed before any fan-out: merged members complete at
-      // the round frontier of their pop moment (member::order_hint),
-      // which can be a *later* group's time than their own.
-      std::vector<sim::sim_time> group_times(task.want_out ? physical : 0);
-      sim::sim_time frontier = 0;
-      for (std::size_t i = 0; i < group_times.size(); ++i) {
+      // time is computed before any fan-out. The controller can serve a
+      // resident hit before an earlier miss, so with coalescing on the
+      // members complete in per-tenant order (completion_order): none
+      // before its own group, nor before its tenant's previous member.
+      // Off, each group is one member admitted in batch order and keeps
+      // its raw time bit-for-bit.
+      std::vector<sim::sim_time>& group_times = sh.group_times;
+      group_times.clear();
+      for (std::size_t i = 0; i < physical && task.want_out; ++i) {
         results[i].completion_time =
             start + (results[i].completion_time - local_start);
-        if (config_.coalescing) {
-          // In-order retirement clamp: the controller can service a
-          // resident hit before an *earlier* miss, so raw batch
-          // completion times are not monotone in batch order. The
-          // order_hint frontier rule needs group times monotone in
-          // group index to keep per-tenant FIFO, so with coalescing on
-          // the completion-ordering layer retires the round's groups in
-          // order (each no earlier than any group ahead of it). Off
-          // keeps the raw historical times bit-for-bit.
-          frontier = std::max(frontier, results[i].completion_time);
-          results[i].completion_time = frontier;
-        }
-        group_times[i] = results[i].completion_time;
+        group_times.push_back(results[i].completion_time);
+      }
+      std::span<const sim::sim_time> member_times = group_times;
+      if (config_.coalescing && task.want_out) {
+        sh.order.assign(task.groups, group_times);
+        member_times = sh.order.times();
       }
       for (std::size_t i = 0; i < physical && task.want_out; ++i) {
         // Fan the physical result out to every logical member (one
         // member per group with coalescing off, exactly the historical
         // completion stream).
         coalesce::fan_out(
-            std::move(task.groups[i]), std::move(results[i]), group_times,
+            std::move(task.groups[i]), std::move(results[i]), member_times,
             sh.config.payload_bytes,
             [&report](std::uint64_t tag, request_result&& result) {
               completed done;
@@ -486,8 +486,11 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
       for (std::size_t i = 0; i < reals; ++i) {
         routed& entry = queue.front();
         coalesce::group g;
+        coalesce::member& only = g.members.emplace_back();
+        only.tag = entry.tag;
+        only.user = entry.req.user;
+        only.admission = i;
         g.physical = std::move(entry.req);
-        g.members.emplace_back().tag = entry.tag;
         task.groups.push_back(std::move(g));
         queue.pop_front();
       }

@@ -18,6 +18,14 @@
 //     a shuffle period re-places it.
 //   * dummy_load() may opportunistically return a live block (prefetch);
 //     the controller installs whatever comes back into its cache tree.
+//   * A load may leave work owed that its own request need not wait
+//     for (Ring ORAM's scheduled evictions): its load_result then
+//     carries a non-owning deferred_work handle into the backend. The
+//     controller runs it after the lane's last completion and before
+//     any shuffle period begins; how much is owed follows from the
+//     public load count alone. The handle travels in the result rather
+//     than through a virtual, so a wrapping backend that forwards only
+//     this interface's virtuals still hands it through.
 //   * begin_shuffle() receives every cached block (tree eviction plus
 //     control-layer shelter) and returns a shuffle_job whose step()s
 //     run the shuffle period in bounded device-time slices between
@@ -171,6 +179,18 @@ class staged_shuffle_job : public shuffle_job {
   bool finished_ = false;
 };
 
+/// Work a backend owes after a load, run by the caller at a public
+/// point after the load's request completes (see the contract above).
+class deferred_work {
+ public:
+  /// Runs everything owed so far, as one round trip, and returns its
+  /// cost (zero when nothing is owed).
+  virtual oram::cost_split run() = 0;
+
+ protected:
+  ~deferred_work() = default;
+};
+
 class oram_backend {
  public:
   /// Result of a storage load.
@@ -180,6 +200,9 @@ class oram_backend {
     /// dummy that found no live block).
     oram::block_id id = oram::dummy_block_id;
     std::vector<std::uint8_t> payload;
+    /// Work the backend owes after this load, or null; `cost` excludes
+    /// it. Owned by the backend and valid as long as it is.
+    deferred_work* deferred = nullptr;
   };
 
   virtual ~oram_backend() = default;

@@ -58,6 +58,9 @@ struct tree_traits<path_oram> {
   static cost_split drain(path_oram& tree, std::uint64_t /*steps*/) {
     return tree.dummy_access();
   }
+  /// Work the online accesses owe: none, Path ORAM evicts in place.
+  static bool owes(const path_oram& /*tree*/) { return false; }
+  static cost_split run_owed(path_oram& /*tree*/) { return {}; }
   /// Storage slots behind physical_bytes().
   static std::uint64_t slots(const path_oram& tree) {
     return tree.capacity_blocks();
@@ -111,6 +114,12 @@ struct tree_traits<ring_oram> {
   static cost_split drain(ring_oram& tree, std::uint64_t steps) {
     return tree.force_evict(steps);
   }
+  /// Work the online accesses owe: the scheduled evictions, one per A
+  /// accesses, run as one union.
+  static bool owes(const ring_oram& tree) {
+    return tree.evictions_owed() > 0;
+  }
+  static cost_split run_owed(ring_oram& tree) { return tree.evict_owed(); }
   /// Storage slots behind physical_bytes(): real and spare slots.
   static std::uint64_t slots(const ring_oram& tree) {
     return tree.total_slots();
@@ -217,6 +226,7 @@ oram_backend::load_result tree_backend<Tree>::load_block(block_id id) {
   result.payload.assign(payload_scratch_.begin(), payload_scratch_.end());
   cached_.set(id, 1);
   ++cached_count_;
+  note_owed(result);
   return result;
 }
 
@@ -233,7 +243,20 @@ oram_backend::load_result tree_backend<Tree>::dummy_load() {
   result.cost +=
       map_->lookup(util::uniform_below(rng_, config_.block_count), ignored);
   result.cost += tree_->dummy_access();
+  note_owed(result);
   return result;
+}
+
+template <class Tree>
+void tree_backend<Tree>::note_owed(load_result& result) {
+  if (tree_traits<Tree>::owes(*tree_)) {
+    result.deferred = &owed_;
+  }
+}
+
+template <class Tree>
+oram::cost_split tree_backend<Tree>::owed_work::run() {
+  return tree_traits<Tree>::run_owed(*owner_.tree_);
 }
 
 /// Shuffle job over the tree layout: slice units are single stash

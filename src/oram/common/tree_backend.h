@@ -27,6 +27,11 @@
 //     the drain cannot place simply stay in the stash: the stash is the
 //     scheme's trusted holding area, so no overflow is ever handed back.
 //
+// Ring ORAM's scheduled evictions are not part of any load: a load
+// after which the tree owes evictions hands them back as
+// load_result::deferred, and the controller runs them after the lane's
+// completions (tree_traits<Tree>::owed / run_owed).
+//
 // The adapter keeps the recursive map authoritative at the interface:
 // every load first walks the map and verifies the answer against the
 // tree's internal bookkeeping (invariant, not assumption), and
@@ -77,6 +82,10 @@ class tree_backend final : public horam::oram_backend {
                const std::function<void(block_id,
                                         std::span<std::uint8_t>)>* filler,
                sim::block_device* map_device = nullptr);
+  /// Load results hand out a handle into the backend (owed_), so it
+  /// stays where it was built.
+  tree_backend(const tree_backend&) = delete;
+  tree_backend& operator=(const tree_backend&) = delete;
 
   [[nodiscard]] std::string_view name() const noexcept override;
   [[nodiscard]] bool in_storage(block_id id) const override;
@@ -125,6 +134,20 @@ class tree_backend final : public horam::oram_backend {
 
   horam::backend_stats stats_;
   std::vector<std::uint8_t> payload_scratch_;
+
+  /// The handle load results carry while the tree owes work.
+  class owed_work final : public horam::deferred_work {
+   public:
+    explicit owed_work(tree_backend& owner) : owner_(owner) {}
+    oram::cost_split run() override;
+
+   private:
+    tree_backend& owner_;
+  };
+  owed_work owed_{*this};
+  /// `result.deferred` for a load that just ran: the handle while the
+  /// tree owes work, else null.
+  void note_owed(load_result& result);
 };
 
 using path_backend = tree_backend<path_oram>;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "util/contracts.h"
 #include "util/math.h"
@@ -267,11 +268,12 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
     }
   }
 
-  // Deterministic eviction every A accesses — a public schedule that
-  // depends only on the access count.
+  // Every A accesses owe one deterministic eviction — a public
+  // schedule that depends only on the access count. The read does not
+  // run it: evict_owed() does, after the requests have completed.
   ++access_count_;
   if (access_count_ % config_.eviction_rate == 0) {
-    cost += evict_union(1);
+    ++owed_evictions_;
   }
   return cost;
 }
@@ -283,8 +285,8 @@ cost_split ring_oram::extract(block_id id, std::span<std::uint8_t> read_out) {
           "read buffer too small");
   ++stats_.real_accesses;
   // One access = one dependent exchange: the slot choices are known up
-  // front from trusted metadata, and any eviction/reshuffle the access
-  // triggers rides the same public schedule.
+  // front from trusted metadata, and any reshuffle the access triggers
+  // rides the same public schedule.
   sim::trip_scope round_trip(&io_store_->device());
 
   // No remap: the block leaves the tree, so its (about to be read) path
@@ -292,9 +294,8 @@ cost_split ring_oram::extract(block_id id, std::span<std::uint8_t> read_out) {
   const leaf_id leaf = positions_.leaf_of(id);
   if (stash_.contains(id)) {
     // Sheltering in the stash: serve from trusted memory and take the
-    // block out BEFORE the cover path read — the read can trigger an
-    // eviction, which would otherwise write the block into the tree
-    // mid-extract. The all-dummy path read keeps the bus shape.
+    // block out before the all-dummy cover path read, which keeps the
+    // bus shape. An eviction owed meanwhile can no longer place it.
     const stash_entry& entry = stash_.at(id);
     std::memcpy(read_out.data(), entry.payload.data(),
                 config_.payload_bytes);
@@ -325,6 +326,14 @@ cost_split ring_oram::dummy_access() {
 cost_split ring_oram::force_evict(std::uint64_t count) {
   sim::trip_scope round_trip(&io_store_->device());
   return evict_union(count);
+}
+
+cost_split ring_oram::evict_owed() {
+  if (owed_evictions_ == 0) {
+    return {};
+  }
+  sim::trip_scope round_trip(&io_store_->device());
+  return evict_union(std::exchange(owed_evictions_, 0));
 }
 
 void ring_oram::compose_bucket(std::uint64_t bucket,

@@ -16,12 +16,14 @@
 // Writes are decoupled from reads. Evictions follow one deterministic
 // reverse-lexicographic order of paths, and every eviction runs
 // tree_core's union pass over the next `count` paths: each bucket of
-// their union is read once and rewritten once. The online eviction
-// every `eviction_rate` accesses is the count = 1 case, whose union is
-// its one path; a shuffle drain evicts its whole budget as one union
-// (force_evict). Any bucket whose unread slots run low (read_count
-// reaching S) is reshuffled early on its own. All of these run on a
-// public schedule, and all of them read a bucket one way (read_reals:
+// their union is read once and rewritten once. Every `eviction_rate`
+// online accesses owe one eviction, but no access runs it: as in Ring
+// ORAM, eviction is background work after ReadPath, so the caller runs
+// whatever is owed as one union (evict_owed) after the requests it
+// serves have completed. A shuffle drain evicts its whole budget as
+// one union (force_evict). Any bucket whose unread slots run low
+// (read_count reaching S) is reshuffled early on its own. All of these
+// run on a public schedule, and all of them read a bucket one way (read_reals:
 // Z unread slots, Ring ORAM's ReadBucket) and rewrite it one way
 // (rewrite_bucket: all Z + S slots). So one eviction of L + 1 buckets
 // reads Z·(L+1) slots and writes (Z+S)·(L+1).
@@ -74,8 +76,8 @@ struct ring_oram_config {
   /// slots have been consumed since its last rewrite, which guarantees
   /// an unread dummy always exists for the next access.
   std::uint32_t spare_slots = 25;
-  /// Eviction rate (the paper's A): one deterministic path eviction
-  /// every A online accesses.
+  /// Eviction rate (the paper's A): every A online accesses owe one
+  /// deterministic path eviction, run by evict_owed().
   std::uint32_t eviction_rate = 20;
   /// Application payload bytes per block.
   std::size_t payload_bytes = 0;
@@ -115,14 +117,24 @@ class ring_oram : public tree_core {
   /// One online access that removes `id` from the tree: reads one slot
   /// per path bucket, copies the payload into `read_out` (payload_bytes
   /// long) — the live copy moves to the caller's cache layer. The block
-  /// must be resident. May trigger early reshuffles and, on the public
-  /// access-count schedule, a deterministic eviction.
+  /// must be resident. May trigger early reshuffles; on the public
+  /// access-count schedule it owes an eviction, which it does not run.
   cost_split extract(block_id id, std::span<std::uint8_t> read_out);
 
   /// A dummy access: random path, one unread dummy slot per bucket.
   /// Indistinguishable from extract() on the bus; advances the same
-  /// reshuffle/eviction schedules.
+  /// reshuffle schedule and owes evictions at the same rate.
   cost_split dummy_access();
+
+  /// Evictions the online accesses owe: one per `eviction_rate`
+  /// accesses since construction, less those evict_owed() has run.
+  [[nodiscard]] std::uint64_t evictions_owed() const noexcept {
+    return owed_evictions_;
+  }
+  /// Runs every owed eviction: the next evictions_owed()
+  /// reverse-lexicographic paths as one union in one round trip (a
+  /// no-op when nothing is owed).
+  cost_split evict_owed();
 
   /// Deterministic evictions outside the access schedule (shuffle
   /// drains use this to push staged blocks into the tree): the next
@@ -188,8 +200,8 @@ class ring_oram : public tree_core {
   /// One online path read of one slot per bucket. When `target` is
   /// found in a path bucket its payload is decoded into
   /// extracted_payload_ and the slot is consumed; `found` reports it.
-  /// Bumps read counters, then runs the reshuffle and eviction
-  /// schedules.
+  /// Bumps read counters, runs the reshuffle schedule and, every A-th
+  /// access, owes an eviction (evict_owed() runs it).
   cost_split path_read(leaf_id leaf, block_id target, bool& found);
 
   /// Rewrites one bucket in place: the given blocks land at fresh
@@ -225,9 +237,8 @@ class ring_oram : public tree_core {
   cost_split reshuffle_bucket(std::uint64_t bucket);
 
   /// Deterministic eviction of the next `count` reverse-lexicographic
-  /// paths as tree_core's union pass (count = 1 is the scheduled online
-  /// eviction, whose union is its path): every union bucket is read
-  /// once and rewritten once.
+  /// paths as tree_core's union pass (owed evictions and drains alike):
+  /// every union bucket is read once and rewritten once.
   cost_split evict_union(std::uint64_t count);
 
   /// Rewrites the whole tree with epoch-0 pads and clears all state.
@@ -256,6 +267,8 @@ class ring_oram : public tree_core {
   std::vector<std::uint64_t> epochs_;
   /// Online accesses since construction (drives the eviction schedule).
   std::uint64_t access_count_ = 0;
+  /// Scheduled evictions owed and not yet run (evict_owed()).
+  std::uint64_t owed_evictions_ = 0;
   /// Deterministic evictions issued (drives the reverse-lex order).
   std::uint64_t evict_counter_ = 0;
 

@@ -163,11 +163,12 @@ TEST(CoalesceTable, FanOutDeliversPerMemberResults) {
   physical.hit = false;
   physical.read_data = tagged(0x99);  // the pre-write payload
 
-  // Two groups' completion times: merged members complete at the round
-  // frontier of their pop moment (order_hint), here group 0 itself.
+  // One group, so every member completes at its time.
   const sim::sim_time group_times[] = {1000};
+  coalesce::completion_order order;
+  order.assign(groups, group_times);
   std::vector<std::pair<std::uint64_t, request_result>> delivered;
-  coalesce::fan_out(std::move(groups[0]), std::move(physical), group_times,
+  coalesce::fan_out(std::move(groups[0]), std::move(physical), order.times(),
                     kPayload,
                     [&](std::uint64_t tag, request_result&& result) {
                       delivered.emplace_back(tag, std::move(result));
@@ -188,30 +189,143 @@ TEST(CoalesceTable, FanOutDeliversPerMemberResults) {
   }
 }
 
-TEST(CoalesceTable, OrderHintTracksTheRoundFrontier) {
-  coalesce::round_table table(8);
-  table.add(1, read_of(1));  // group 0
-  table.add(2, read_of(2));  // group 1
-  table.add(3, read_of(1));  // merges into group 0 AFTER group 1 opened
-  std::vector<coalesce::group> groups = table.take();
-  ASSERT_EQ(groups.size(), 2u);
-  ASSERT_EQ(groups[0].members.size(), 2u);
-  // The merged member completes at group 1's time (the frontier at its
-  // pop moment), not group 0's — per-tenant FIFO across blocks.
-  EXPECT_EQ(groups[0].members[1].order_hint, 1u);
+request read_by(std::uint32_t user, block_id id) {
+  request req = read_of(id);
+  req.user = user;
+  return req;
+}
 
-  request_result physical;
-  physical.completion_time = 100;
+TEST(CoalesceTable, MergedMemberWaitsOnlyForItsOwnTenant) {
+  // Group 0 (block 1) completes at 100, group 1 (block 2) at 250. A
+  // member merged into group 0 after group 1 opened waits for group 1
+  // only when group 1's opener is its own tenant's earlier request.
   const sim::sim_time group_times[] = {100, 250};
-  sim::sim_time merged_time = 0;
-  coalesce::fan_out(std::move(groups[0]), std::move(physical), group_times,
-                    kPayload,
-                    [&](std::uint64_t tag, request_result&& result) {
-                      if (tag == 3) {
-                        merged_time = result.completion_time;
-                      }
-                    });
-  EXPECT_EQ(merged_time, 250);
+  for (const std::uint32_t other : {0u, 1u}) {
+    coalesce::round_table table(8);
+    table.add(1, read_by(0, 1));      // group 0
+    table.add(2, read_by(other, 2));  // group 1
+    table.add(3, read_by(0, 1));      // merges into group 0
+    std::vector<coalesce::group> groups = table.take();
+    ASSERT_EQ(groups.size(), 2u);
+    ASSERT_EQ(groups[0].members.size(), 2u);
+    EXPECT_EQ(groups[0].members[1].admission, 2u);
+    EXPECT_EQ(groups[1].members[0].user, other);
+
+    coalesce::completion_order order;
+    order.assign(groups, group_times);
+    ASSERT_EQ(order.times().size(), 3u);
+    EXPECT_EQ(order.times()[0], 100);
+    EXPECT_EQ(order.times()[1], 250);
+    // Same tenant: FIFO behind its own later miss. Another tenant's
+    // miss does not hold it.
+    EXPECT_EQ(order.times()[2], other == 0 ? 250 : 100) << "other " << other;
+
+    request_result physical;
+    physical.completion_time = 100;
+    sim::sim_time merged_time = 0;
+    coalesce::fan_out(std::move(groups[0]), std::move(physical),
+                      order.times(), kPayload,
+                      [&](std::uint64_t tag, request_result&& result) {
+                        if (tag == 3) {
+                          merged_time = result.completion_time;
+                        }
+                      });
+    EXPECT_EQ(merged_time, order.times()[2]);
+  }
+}
+
+TEST(CoalesceTable, SingleTenantOrderIsTheInOrderRoundClamp) {
+  // With one tenant the per-tenant rule is exactly in-order retirement
+  // of the round: group times clamped to their running maximum in batch
+  // order, an opener at its group's clamped time and a merged member at
+  // the clamped time of the newest group when it was admitted. Random
+  // rounds, random (non-monotone) group times.
+  util::pcg64 gen(test::seed(76));
+  coalesce::completion_order order;  // reused, as the engine does
+  for (int round = 0; round < 200; ++round) {
+    coalesce::round_table table;
+    std::vector<std::size_t> newest_group;  // per member, at admission
+    std::vector<std::size_t> own_group;
+    std::map<block_id, std::size_t> group_of;
+    const std::size_t members = 1 + util::uniform_below(gen, 40);
+    for (std::size_t i = 0; i < members; ++i) {
+      const block_id id = util::uniform_below(gen, 12);
+      group_of.try_emplace(id, group_of.size());
+      own_group.push_back(group_of[id]);
+      newest_group.push_back(group_of.size() - 1);
+      table.add(i, util::bernoulli(gen, 0.3)
+                       ? write_of(id, static_cast<std::uint8_t>(i))
+                       : read_of(id));
+    }
+    const std::vector<coalesce::group> groups = table.take();
+    std::vector<sim::sim_time> times(groups.size());
+    for (sim::sim_time& t : times) {
+      t = static_cast<sim::sim_time>(util::uniform_below(gen, 1000));
+    }
+    std::vector<sim::sim_time> clamped(times.size());
+    sim::sim_time frontier = 0;
+    for (std::size_t g = 0; g < times.size(); ++g) {
+      frontier = std::max(frontier, times[g]);
+      clamped[g] = frontier;
+    }
+
+    order.assign(groups, times);
+    ASSERT_EQ(order.times().size(), members);
+    for (const coalesce::group& g : groups) {
+      for (std::size_t k = 0; k < g.members.size(); ++k) {
+        const std::size_t i = g.members[k].tag;
+        EXPECT_EQ(g.members[k].admission, i);
+        const sim::sim_time expected =
+            clamped[k == 0 ? own_group[i] : newest_group[i]];
+        ASSERT_EQ(order.times()[i], expected)
+            << "round " << round << " member " << i;
+      }
+    }
+  }
+}
+
+TEST(CoalesceEngine, TenantsDoNotWaitOnEachOthersMisses) {
+  // Two tenants share one coalesced shard: tenant 0 re-reads a hot set
+  // the cache tree holds, tenant 1 reads cold blocks. Each tenant's
+  // completions stay FIFO, and some of tenant 0's hits complete before
+  // a miss tenant 1 submitted earlier — the in-order round clamp
+  // forbade that.
+  client oram = coalesce_builder(1, 77).coalescing(true).build();
+  util::pcg64 gen(test::seed(77));
+  std::vector<request> warm;
+  for (block_id id = 0; id < 8; ++id) {
+    warm.push_back(read_by(0, id));
+  }
+  oram.run(warm, nullptr);
+
+  std::vector<request> batch;
+  for (int i = 0; i < 120; ++i) {
+    const std::uint32_t user = static_cast<std::uint32_t>(i % 2);
+    batch.push_back(read_by(user, user == 0
+                                      ? util::uniform_below(gen, 8)
+                                      : 8 + util::uniform_below(
+                                                gen, kBlocks - 8)));
+  }
+  oram.submit(batch);
+  std::vector<request_result> results;
+  oram.drain(&results);
+  ASSERT_EQ(results.size(), batch.size());
+
+  sim::sim_time last[2] = {0, 0};
+  sim::sim_time latest_miss = 0;  // of tenant 1, submitted so far
+  std::size_t overtaken = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::uint32_t user = batch[i].user;
+    const sim::sim_time t = results[i].completion_time;
+    EXPECT_GE(t, last[user]) << "tenant " << user << " request " << i;
+    last[user] = t;
+    if (user == 1) {
+      latest_miss = std::max(latest_miss, t);
+    } else if (t < latest_miss) {
+      ++overtaken;
+    }
+  }
+  EXPECT_GT(overtaken, 0u);
 }
 
 // ------------------------------- differential correctness (shadow map)

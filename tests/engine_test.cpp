@@ -13,8 +13,11 @@
 #include <deque>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -313,6 +316,147 @@ TEST(EngineCompat, EntryPointsAgree) {
         }
         expect_results_equal(batch_results, stepped_results);
         expect_engines_equal(batch.eng(), stepped.eng());
+      }
+    }
+  }
+}
+
+// ------------------------------------------ decorator transparency
+
+/// A backend that overrides only oram_backend's virtuals and forwards
+/// each one, as a timing or logging decorator does. Whatever a backend
+/// must hand the controller — deferred work included — has to reach it
+/// through these calls, or a decorated machine would run differently.
+class forwarding_backend final : public oram_backend {
+ public:
+  explicit forwarding_backend(std::unique_ptr<oram_backend> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+  [[nodiscard]] bool in_storage(block_id id) const override {
+    return inner_->in_storage(id);
+  }
+  load_result load_block(block_id id) override {
+    return inner_->load_block(id);
+  }
+  load_result dummy_load() override { return inner_->dummy_load(); }
+  [[nodiscard]] std::unique_ptr<shuffle_job> begin_shuffle(
+      std::vector<oram::evicted_block> evicted,
+      std::uint64_t period_index) override {
+    return inner_->begin_shuffle(std::move(evicted), period_index);
+  }
+  shuffle_cost shuffle_period(
+      std::vector<oram::evicted_block> evicted, std::uint64_t period_index,
+      std::vector<oram::evicted_block>& overflow_out) override {
+    return inner_->shuffle_period(std::move(evicted), period_index,
+                                  overflow_out);
+  }
+  [[nodiscard]] const backend_stats& stats() const noexcept override {
+    return inner_->stats();
+  }
+  [[nodiscard]] std::uint64_t physical_bytes() const override {
+    return inner_->physical_bytes();
+  }
+  [[nodiscard]] std::uint64_t control_memory_bytes() const override {
+    return inner_->control_memory_bytes();
+  }
+  void check_consistency() const override { inner_->check_consistency(); }
+
+ private:
+  std::unique_ptr<oram_backend> inner_;
+};
+
+TEST(EngineDecorator, ForwardingBackendIsTransparent) {
+  // For every backend on one and four shards, a machine whose shard
+  // backends are wrapped in forwarding_backend must replay the plain
+  // machine bit for bit: completion times, counters and every shard's
+  // bus trace.
+  horam_config config;
+  config.block_count = 1024;
+  config.memory_blocks = 128;
+  config.payload_bytes = kPayload;
+  util::pcg64 workload(test::seed(36));
+  std::vector<request> stream;
+  for (int i = 0; i < 1200; ++i) {
+    request req;
+    req.id = util::uniform_below(workload, config.block_count);
+    if (util::bernoulli(workload, 0.3)) {
+      req.op = oram::op_kind::write;
+      req.write_data = tagged(static_cast<std::uint8_t>(i));
+    }
+    stream.push_back(std::move(req));
+  }
+  const sim::cpu_model cpu{sim::cpu_aesni()};
+  for (const backend_kind kind : all_backend_kinds) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(std::string(backend_name(kind)) + " x" +
+                   std::to_string(shards));
+      config.shard_count = shards;
+      const auto build = [&](bool wrapped) {
+        const engine::shard_factory factory =
+            [kind, wrapped](std::uint32_t, const horam_config& shard_config,
+                            sim::block_device& storage,
+                            sim::block_device& memory,
+                            const sim::cpu_model& shard_cpu,
+                            util::random_source& rng,
+                            oram::access_trace* trace,
+                            std::span<const block_id>)
+            -> std::unique_ptr<oram_backend> {
+          std::unique_ptr<oram_backend> backend =
+              make_backend(kind, shard_config, storage, shard_cpu, rng, trace,
+                           nullptr, &memory);
+          if (wrapped) {
+            return std::make_unique<forwarding_backend>(std::move(backend));
+          }
+          return backend;
+        };
+        return std::make_unique<engine>(
+            config, cpu, factory,
+            engine::options{sim::hdd_paper(), sim::dram_ddr4(),
+                            test::seed(37), true});
+      };
+      const std::unique_ptr<engine> plain = build(false);
+      const std::unique_ptr<engine> wrapped = build(true);
+      // In rounds, as a service pumps them.
+      std::vector<std::vector<request_result>> results(2);
+      for (int arm = 0; arm < 2; ++arm) {
+        engine& eng = arm == 0 ? *plain : *wrapped;
+        results[arm].resize(stream.size());
+        std::map<std::uint64_t, std::size_t> index_of;  // token -> request
+        for (std::size_t next = 0; next < stream.size() || eng.pending() > 0;) {
+          while (next < stream.size() && eng.pending() < eng.round_budget()) {
+            index_of[eng.submit(stream[next])] = next;
+            ++next;
+          }
+          eng.step_round([&](std::uint64_t token, request_result&& r) {
+            results[arm][index_of.at(token)] = std::move(r);
+          });
+        }
+      }
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        ASSERT_EQ(results[0][i].completion_time, results[1][i].completion_time)
+            << "request " << i;
+        ASSERT_EQ(results[0][i].read_data, results[1][i].read_data);
+      }
+      test::expect_stats_equal(plain->stats(), wrapped->stats());
+      EXPECT_GT(plain->stats().periods, 0u);
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        const std::vector<oram::trace_event>& a =
+            plain->shard_trace(s)->events();
+        const std::vector<oram::trace_event>& b =
+            wrapped->shard_trace(s)->events();
+        ASSERT_EQ(a.size(), b.size()) << "shard " << s;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i].kind, b[i].kind) << "shard " << s << " event " << i;
+          ASSERT_EQ(a[i].a, b[i].a) << "shard " << s << " event " << i;
+          ASSERT_EQ(a[i].b, b[i].b) << "shard " << s << " event " << i;
+        }
+      }
+      if (kind == backend_kind::ring) {
+        // The ring backend's evictions are the deferred work.
+        EXPECT_GT(wrapped->stats().deferred_runs, 0u);
       }
     }
   }

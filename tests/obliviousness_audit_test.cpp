@@ -1125,6 +1125,54 @@ TEST(ControllerObliviousness, BatchedCycleShapeDependsOnlyOnLeaves) {
   }
 }
 
+/// What the storage bus shows of one Ring ORAM eviction union: kind,
+/// first slot of the bucket, slots — a bucket's run of slot reads or
+/// one sweep.
+using ring_sweep = std::array<std::uint64_t, 3>;
+
+/// The sweeps of one union of `count` reverse-lexicographic paths from
+/// eviction `counter` of `tree`, recomputed from the public schedule:
+/// Z ascending slot reads in every union bucket, root level first, then
+/// a range write of each, deepest level first, ascending within a
+/// level.
+void ring_union_sweeps(const oram::ring_oram& tree, std::uint64_t counter,
+                       std::uint64_t count, std::vector<ring_sweep>& out) {
+  const std::uint32_t levels = tree.level_count();
+  const std::uint64_t leaves = tree.config().leaf_count;
+  const std::uint64_t spb = tree.slots_per_bucket();
+  const std::uint64_t z = tree.config().real_slots;
+  std::vector<std::vector<std::uint64_t>> by_level(levels);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t g = (counter + i) % leaves;
+    std::uint64_t leaf = 0;  // g bit-reversed over log2(leaves) bits
+    for (std::uint32_t bit = 0; bit + 1 < levels; ++bit) {
+      leaf = (leaf << 1) | ((g >> bit) & 1);
+    }
+    for (std::uint32_t level = 0; level < levels; ++level) {
+      by_level[level].push_back(((std::uint64_t{1} << level) - 1) +
+                                (leaf >> (levels - 1 - level)));
+    }
+  }
+  for (std::vector<std::uint64_t>& level : by_level) {
+    std::sort(level.begin(), level.end());
+    level.erase(std::unique(level.begin(), level.end()), level.end());
+  }
+  for (const std::vector<std::uint64_t>& level : by_level) {
+    for (const std::uint64_t bucket : level) {
+      out.push_back(
+          {static_cast<std::uint64_t>(oram::event_kind::storage_read_slot),
+           bucket * spb, z});
+    }
+  }
+  for (std::uint32_t down = 0; down < levels; ++down) {
+    for (const std::uint64_t bucket : by_level[levels - 1 - down]) {
+      out.push_back(
+          {static_cast<std::uint64_t>(oram::event_kind::storage_write_sweep),
+           bucket * spb, spb});
+    }
+  }
+}
+
 TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
   // A ring shuffle drain evicts public reverse-lexicographic paths: its
   // budget as one union, then any tail one path at a time. What the
@@ -1139,10 +1187,7 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
   config.memory_blocks = 128;
   config.payload_bytes = kPayload;
   config.seal = true;
-  // kind, first slot of the bucket, slots: a bucket's run of slot reads
-  // or one sweep.
-  using sweep = std::array<std::uint64_t, 3>;
-  std::vector<std::vector<sweep>> drains[2];
+  std::vector<std::vector<ring_sweep>> drains[2];
   for (int arm = 0; arm < 2; ++arm) {
     sim::block_device device{sim::hdd_paper()};
     sim::block_device map_device{sim::dram_ddr4()};
@@ -1151,46 +1196,7 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
     oram::access_trace trace;
     oram::ring_backend backend(config, device, cpu, rng, &trace, nullptr,
                                &map_device);
-    const std::uint32_t levels = backend.tree().level_count();
-    const std::uint64_t leaves = backend.tree().config().leaf_count;
     const std::uint64_t spb = backend.tree().slots_per_bucket();
-    const std::uint64_t z = backend.tree().config().real_slots;
-
-    // The sweeps of one union of `count` paths from eviction `counter`.
-    const auto union_sweeps = [&](std::uint64_t counter,
-                                  std::uint64_t count,
-                                  std::vector<sweep>& out) {
-      std::vector<std::vector<std::uint64_t>> by_level(levels);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t g = (counter + i) % leaves;
-        std::uint64_t leaf = 0;  // g bit-reversed over log2(leaves) bits
-        for (std::uint32_t bit = 0; bit + 1 < levels; ++bit) {
-          leaf = (leaf << 1) | ((g >> bit) & 1);
-        }
-        for (std::uint32_t level = 0; level < levels; ++level) {
-          by_level[level].push_back(((std::uint64_t{1} << level) - 1) +
-                                    (leaf >> (levels - 1 - level)));
-        }
-      }
-      for (std::vector<std::uint64_t>& level : by_level) {
-        std::sort(level.begin(), level.end());
-        level.erase(std::unique(level.begin(), level.end()), level.end());
-      }
-      for (const std::vector<std::uint64_t>& level : by_level) {
-        for (const std::uint64_t bucket : level) {
-          out.push_back(
-              {static_cast<std::uint64_t>(oram::event_kind::storage_read_slot),
-               bucket * spb, z});
-        }
-      }
-      for (std::uint32_t down = 0; down < levels; ++down) {
-        for (const std::uint64_t bucket : by_level[levels - 1 - down]) {
-          out.push_back({static_cast<std::uint64_t>(
-                             oram::event_kind::storage_write_sweep),
-                         bucket * spb, spb});
-        }
-      }
-    };
 
     // Arm 0 loads ids from the lower half, arm 1 from the upper half:
     // the same number of loads each period, disjoint evicted sets.
@@ -1214,7 +1220,7 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
       (void)backend.shuffle_period(std::move(evicted), period, overflow);
       EXPECT_TRUE(overflow.empty());
 
-      std::vector<sweep> seen;
+      std::vector<ring_sweep> seen;
       std::uint64_t last_read = 0;
       for (std::size_t i = first; i < trace.size(); ++i) {
         const oram::trace_event& event = trace.events()[i];
@@ -1240,10 +1246,10 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
       const std::uint64_t steps = backend.last_drain_steps();
       ASSERT_GE(steps, budget);
       EXPECT_EQ(backend.tree().stats().evictions, counter + steps);
-      std::vector<sweep> expected;
-      union_sweeps(counter, budget, expected);
+      std::vector<ring_sweep> expected;
+      ring_union_sweeps(backend.tree(), counter, budget, expected);
       for (std::uint64_t step = budget; step < steps; ++step) {
-        union_sweeps(counter + step, 1, expected);
+        ring_union_sweeps(backend.tree(), counter + step, 1, expected);
       }
       EXPECT_EQ(seen, expected) << "arm " << arm << ", period " << period;
       drains[arm].push_back(std::move(seen));
@@ -1251,6 +1257,164 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
     EXPECT_NO_THROW(backend.check_consistency());
   }
   EXPECT_EQ(drains[0], drains[1]);
+}
+
+TEST(ObliviousnessAudit, RingEvictionsFollowTheLoadCount) {
+  // Online ring reads never evict: every A-th read owes an eviction, and
+  // the controller runs all that is owed as one union after the lane's
+  // last completion (the end of the round's run()) or, when a period
+  // ends mid-lane, just before its shuffle. So on each shard's bus every
+  // union outside a shuffle must come after the last load of its round
+  // or directly before a period_begin, and it must be exactly the next
+  // ⌊loads / A⌋ − (evictions already run) reverse-lexicographic paths,
+  // whatever the data. Checked on a padded 4-shard engine and on a
+  // coalesced 1-shard engine (whose periods end mid-lane), each fed a
+  // hotspot stream and a uniform one: their hit rates differ, so their
+  // rounds make different numbers of loads.
+  constexpr std::uint64_t kAuditBlocks = 4096;
+  for (const bool sharded : {true, false}) {
+    for (const bool hotspot : {true, false}) {
+      SCOPED_TRACE(std::string(sharded ? "4 shards" : "coalesced") +
+                   (hotspot ? ", hotspot" : ", uniform"));
+      client_builder builder = client_builder()
+                                   .blocks(kAuditBlocks)
+                                   .memory_blocks(1024)
+                                   .payload_bytes(kPayload)
+                                   .backend(backend_kind::ring)
+                                   .trace(true)
+                                   .seed(test::seed(351));
+      if (sharded) {
+        builder.shards(4);
+      } else {
+        builder.coalescing(true);
+      }
+      client oram = builder.build();
+      engine& eng = oram.eng();
+      const std::uint32_t shards = eng.shard_count();
+
+      struct lane_audit {
+        std::size_t cursor = 0;
+        std::uint64_t loads = 0;
+        std::uint64_t runs = 0;     // scheduled evictions run
+        std::uint64_t counter = 0;  // reverse-lex evictions, drains too
+        std::uint64_t unions = 0;
+        std::uint64_t periods = 0;
+      };
+      std::vector<lane_audit> lanes(shards);
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        lanes[s].cursor = eng.shard_trace(s)->size();
+      }
+
+      util::pcg64 gen{test::seed(hotspot ? 352 : 353)};
+      for (int round = 0; round < 120; ++round) {
+        while (eng.pending() < eng.round_budget()) {
+          request req;
+          req.id = hotspot ? util::uniform_below(gen, kAuditBlocks / 16)
+                           : util::uniform_below(gen, kAuditBlocks);
+          (void)eng.submit(std::move(req));
+        }
+        ASSERT_TRUE(eng.step_round());
+
+        for (std::uint32_t s = 0; s < shards; ++s) {
+          SCOPED_TRACE("round " + std::to_string(round) + ", shard " +
+                       std::to_string(s));
+          lane_audit& lane = lanes[s];
+          const auto& backend =
+              dynamic_cast<const oram::ring_backend&>(eng.shard(s).backend());
+          const oram::ring_oram& tree = backend.tree();
+          const std::uint64_t a = tree.config().eviction_rate;
+          const std::uint64_t spb = tree.slots_per_bucket();
+          const std::uint64_t z = tree.config().real_slots;
+          const std::vector<oram::trace_event>& events =
+              eng.shard_trace(s)->events();
+          const std::size_t end = events.size();
+          const auto is = [&](std::size_t i, oram::event_kind kind) {
+            return i < end && events[i].kind == kind;
+          };
+          // A run of Z slot reads of one bucket, then its write: an
+          // early reshuffle.
+          const auto reshuffle_at = [&](std::size_t i) {
+            for (std::uint64_t k = 0; k < z; ++k) {
+              if (!is(i + k, oram::event_kind::storage_read_slot) ||
+                  events[i + k].a / spb != events[i].a / spb) {
+                return false;
+              }
+            }
+            return is(i + z, oram::event_kind::storage_write_sweep) &&
+                   events[i + z].a == events[i].a / spb * spb;
+          };
+
+          std::size_t i = lane.cursor;
+          while (i < end) {
+            const oram::trace_event& event = events[i];
+            if (event.kind == oram::event_kind::period_begin) {
+              // Nothing may be owed when a shuffle starts. The shuffle
+              // (cache-tree evict, installs, the drain) runs up to the
+              // next cycle; its drain advances the eviction order.
+              EXPECT_EQ(lane.loads / a, lane.runs) << "at a period end";
+              ++lane.periods;
+              lane.counter += backend.last_drain_steps();
+              while (i < end && !is(i, oram::event_kind::cycle_begin)) {
+                ++i;
+              }
+              continue;
+            }
+            if (event.kind == oram::event_kind::memory_path_access &&
+                is(i + 1, oram::event_kind::storage_read_slot)) {
+              // An online read: one slot per level, then any early
+              // reshuffles of its path.
+              ++lane.loads;
+              i += 1 + tree.level_count();
+              while (reshuffle_at(i)) {
+                i += z + 1;
+              }
+              continue;
+            }
+            if (event.kind != oram::event_kind::storage_read_slot) {
+              ++i;
+              continue;
+            }
+            // An eviction union outside any load and any shuffle.
+            std::vector<ring_sweep> seen;
+            for (; is(i, oram::event_kind::storage_read_slot); ++i) {
+              const std::uint64_t base = events[i].a / spb * spb;
+              if (!seen.empty() && seen.back()[1] == base) {
+                ++seen.back()[2];
+              } else {
+                seen.push_back(
+                    {static_cast<std::uint64_t>(events[i].kind), base, 1});
+              }
+            }
+            for (; is(i, oram::event_kind::storage_write_sweep); ++i) {
+              seen.push_back({static_cast<std::uint64_t>(events[i].kind),
+                              events[i].a, events[i].b});
+            }
+            const std::uint64_t owed = lane.loads / a - lane.runs;
+            EXPECT_GT(owed, 0u) << "a union with nothing owed";
+            std::vector<ring_sweep> expected;
+            ring_union_sweeps(tree, lane.counter, owed, expected);
+            EXPECT_EQ(seen, expected) << owed << " paths owed";
+            lane.runs += owed;
+            lane.counter += owed;
+            ++lane.unions;
+            // After the union, the round's lane ends or its period does:
+            // no load follows it in the round.
+            EXPECT_TRUE(i == end || is(i, oram::event_kind::period_begin))
+                << "a union before the round's last load";
+          }
+          lane.cursor = end;
+          // The round's run() left nothing owed.
+          EXPECT_EQ(lane.loads / a, lane.runs) << "at the round's end";
+          EXPECT_EQ(tree.stats().evictions, lane.counter);
+          EXPECT_EQ(tree.evictions_owed(), 0u);
+        }
+      }
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        EXPECT_GT(lanes[s].unions, 20u) << "shard " << s;
+        EXPECT_GT(lanes[s].periods, 0u) << "shard " << s;
+      }
+    }
+  }
 }
 
 TEST(ObliviousnessAudit, ShardPeriodEndsFollowFromLoadCounts) {

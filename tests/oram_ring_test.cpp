@@ -82,13 +82,12 @@ TEST(RingOram, InstallThenExtractRoundTrips) {
 }
 
 // A freshly installed block shelters in the stash; extracting it must
-// serve from trusted memory under an all-dummy cover path read — even
-// when that read triggers the eviction schedule mid-extract.
+// serve from trusted memory under an all-dummy cover path read, and the
+// eviction that read owes must not find it.
 TEST(RingOram, ExtractFromStashSurvivesScheduledEviction) {
   fixture fx;
-  // A = 1: every path read runs an eviction, so the stash-sheltered
-  // target would be swept into the tree mid-call if the order between
-  // serving and the cover read were wrong.
+  // A = 1: every path read owes an eviction, run right after it; one
+  // that could still see the extracted target would sweep it back in.
   ring_oram oram(fx.config(16, 4, 3, 1), fx.device, fx.cpu, fx.rng,
                  nullptr);
   for (int round = 0; round < 32; ++round) {
@@ -96,9 +95,65 @@ TEST(RingOram, ExtractFromStashSurvivesScheduledEviction) {
     oram.install(id, payload_of(static_cast<std::uint8_t>(round + 1)));
     std::vector<std::uint8_t> out(16);
     oram.extract(id, out);
+    EXPECT_EQ(oram.evictions_owed(), 1u);
+    oram.evict_owed();
+    EXPECT_EQ(oram.evictions_owed(), 0u);
     EXPECT_EQ(out, payload_of(static_cast<std::uint8_t>(round + 1)));
+    EXPECT_FALSE(oram.contains(id));
   }
-  EXPECT_GT(oram.stats().evictions, 0u);
+  EXPECT_EQ(oram.stats().evictions, 32u);
+  EXPECT_NO_THROW(oram.check_consistency());
+}
+
+// Online accesses never evict: every A-th one owes an eviction, and
+// evict_owed() runs all that are owed as one union of the next
+// reverse-lexicographic paths, in one round trip.
+TEST(RingOram, AccessesOweEvictionsThatRunAsOneUnion) {
+  fixture fx;
+  ring_oram oram(fx.config(16, 4, 25, 3), fx.device, fx.cpu, fx.rng,
+                 &fx.trace);
+  oram.initialize_full(40, [](block_id id, std::span<std::uint8_t> out) {
+    out[0] = static_cast<std::uint8_t>(id);
+  });
+  std::vector<std::uint8_t> out(16);
+  for (int i = 0; i < 7; ++i) {
+    oram.dummy_access();
+  }
+  oram.extract(5, out);
+  oram.extract(6, out);
+  EXPECT_EQ(oram.stats().evictions, 0u);
+  EXPECT_EQ(oram.evictions_owed(), 3u);  // 9 accesses at A = 3
+
+  // The next three reverse-lexicographic leaves (counters 0, 1, 2 of
+  // 16 leaves, bit-reversed over 4 bits): 0, 8 and 4.
+  ASSERT_EQ(ring_oram_test_access::next_eviction_leaf(oram), 0u);
+  std::set<std::uint64_t> expected;
+  for (const leaf_id leaf : {0u, 8u, 4u}) {
+    for (std::uint32_t level = 0; level < oram.level_count(); ++level) {
+      expected.insert(ring_oram_test_access::bucket_on_path(oram, leaf, level));
+    }
+  }
+  const sim::io_stats before = fx.device.stats();
+  fx.trace.clear();
+  oram.evict_owed();
+  EXPECT_EQ(oram.evictions_owed(), 0u);
+  EXPECT_EQ(oram.stats().evictions, 3u);
+  EXPECT_EQ(fx.device.stats().round_trips - before.round_trips, 1u);
+  // Each bucket of the union is written once.
+  std::vector<std::uint64_t> written;
+  for (const trace_event& event : fx.trace.events()) {
+    if (event.kind == event_kind::storage_write_sweep) {
+      written.push_back(event.a / oram.slots_per_bucket());
+    }
+  }
+  EXPECT_EQ(written.size(), expected.size());
+  EXPECT_EQ(std::set<std::uint64_t>(written.begin(), written.end()),
+            expected);
+
+  const sim::io_stats after = fx.device.stats();
+  oram.evict_owed();  // nothing owed: no I/O
+  EXPECT_EQ(fx.device.stats().round_trips, after.round_trips);
+  EXPECT_EQ(oram.stats().evictions, 3u);
   EXPECT_NO_THROW(oram.check_consistency());
 }
 
@@ -117,6 +172,11 @@ TEST(RingOram, ShadowDifferentialUnderReshufflesAndEvictions) {
   }
   std::vector<std::uint8_t> out(16);
   for (int step = 0; step < 1500; ++step) {
+    // Owed evictions run every few steps, as unions of one or more
+    // paths.
+    if (step % 5 == 4) {
+      oram.evict_owed();
+    }
     if (util::bernoulli(driver, 0.2)) {
       oram.dummy_access();
       continue;
@@ -421,6 +481,7 @@ TEST(RingOram, BucketReadsAreZUnreadSlotsWithEveryReal) {
   std::uint64_t reads = 0;
   std::uint64_t with_reals = 0;
   std::uint64_t reshuffles = 0;
+  std::uint64_t owed = 0;
   for (int step = 0; step < 1500; ++step) {
     auto slots = ring_oram_test_access::slot_metadata(oram);
     const sim::io_stats io = fx.device.stats();
@@ -433,8 +494,12 @@ TEST(RingOram, BucketReadsAreZUnreadSlotsWithEveryReal) {
       const std::size_t i = util::uniform_below(gen, residents.size());
       oram.extract(residents[i], out);
       oram.install(residents[i], out);
-    } else if (choice < 8) {
+    } else if (choice < 7) {
       oram.dummy_access();
+    } else if (choice < 8) {
+      // The evictions the online reads owe, as one union.
+      owed += oram.evictions_owed();
+      oram.evict_owed();
     } else {
       constexpr std::uint64_t counts[] = {1, 8, 13};
       drain = counts[util::uniform_below(gen, 3)];
@@ -487,8 +552,9 @@ TEST(RingOram, BucketReadsAreZUnreadSlotsWithEveryReal) {
   EXPECT_GT(drains[1], 0u);
   EXPECT_GT(drains[8], 0u);
   EXPECT_GT(drains[13], 0u);
-  EXPECT_GT(oram.stats().evictions,
-            drains[1] + 8 * drains[8] + 13 * drains[13]);  // scheduled too
+  EXPECT_GT(owed, 0u);
+  EXPECT_EQ(oram.stats().evictions,
+            owed + drains[1] + 8 * drains[8] + 13 * drains[13]);
   EXPECT_GT(reshuffles, 0u);
   EXPECT_EQ(reshuffles, oram.stats().early_reshuffles);
   EXPECT_GT(with_reals, reads / 2);
