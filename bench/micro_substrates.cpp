@@ -15,6 +15,7 @@
 #include "oram/common/bucket_codec.h"
 #include "oram/hier/feistel_prp.h"
 #include "oram/path/path_oram.h"
+#include "oram/path/recursive_position_map.h"
 #include "oram/ring/ring_oram.h"
 #include "shuffle/bitonic.h"
 #include "shuffle/fisher_yates.h"
@@ -254,8 +255,8 @@ void bm_record_seal_open(benchmark::State& state) {
 BENCHMARK(bm_record_seal_open)->Arg(1)->Arg(16)->Arg(512);
 
 // The hier rebuild's slot -> rank map over N consecutive slots of a
-// 20,736-slot level: inverse_many() for N = 512 (a merge chunk), the
-// scalar inverse() for N = 1. Items are slots.
+// 20,736-slot level: inverse_many() for N = 512 (a merge chunk) and for
+// N = 1 (one slot). Items are slots.
 void bm_feistel_inverse(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   constexpr std::uint64_t domain = 20736;
@@ -267,11 +268,7 @@ void bm_feistel_inverse(benchmark::State& state) {
   std::vector<std::uint64_t> ranks(count);
   std::uint64_t first = 0;
   for (auto _ : state) {
-    if (count == 1) {
-      ranks[0] = prp.inverse(first);
-    } else {
-      prp.inverse_many(first, ranks);
-    }
+    prp.inverse_many(first, ranks);
     benchmark::DoNotOptimize(ranks.data());
     first = (first + count) % (domain - count + 1);
   }
@@ -422,6 +419,58 @@ void bm_ring_drain(benchmark::State& state) {
   state.SetLabel("sealed, " + kernel_label());
 }
 BENCHMARK(bm_ring_drain)->Arg(1)->Arg(8)->Arg(13);
+
+// A shard's period-end map update on a zipf-tenants shard's recursive
+// map (4096 ids, 64 entries per 512-B map block, so one sealed level of
+// 64 blocks on a 16-leaf tree, Z = 4): the leaves of n = 231
+// re-installed blocks, as one map pass (assign_all; walks:0) and as 231
+// one-path assign() walks (walks:1). Items are map entries; the
+// counters give the modelled virtual time and the round trips per
+// update.
+void bm_map_pass(benchmark::State& state) {
+  sim::block_device memory(sim::dram_ddr4());
+  const sim::cpu_model cpu(sim::cpu_aesni());
+  util::pcg64 rng(7);
+  oram::recursive_map_config config;
+  config.universe = 4096;
+  config.entries_per_block = 64;
+  config.direct_threshold = 1024;
+  config.bucket_size = 4;
+  config.seal = true;
+  std::vector<oram::leaf_id> initial(config.universe);
+  for (oram::block_id id = 0; id < initial.size(); ++id) {
+    initial[id] = util::uniform_below(rng, 256);
+  }
+  oram::recursive_position_map map(config, memory, cpu, rng, nullptr,
+                                   initial);
+  constexpr std::size_t kEntries = 231;
+  std::vector<oram::recursive_position_map::entry> entries(kEntries);
+  const bool walks = state.range(0) != 0;
+  sim::sim_time virtual_time = 0;
+  memory.reset_stats();
+  for (auto _ : state) {
+    for (oram::recursive_position_map::entry& e : entries) {
+      e.id = util::uniform_below(rng, config.universe);
+      e.leaf = util::uniform_below(rng, 256);
+    }
+    if (walks) {
+      for (const oram::recursive_position_map::entry& e : entries) {
+        virtual_time += map.assign(e.id, e.leaf).total();
+      }
+    } else {
+      virtual_time += map.assign_all(entries).total();
+    }
+  }
+  const auto iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEntries));
+  state.counters["virt_us"] =
+      static_cast<double>(virtual_time) / 1000.0 / iterations;
+  state.counters["round_trips"] =
+      static_cast<double>(memory.stats().round_trips) / iterations;
+  state.SetLabel("sealed, " + kernel_label());
+}
+BENCHMARK(bm_map_pass)->ArgName("walks")->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -127,6 +127,15 @@ void check_admissible(const request& req, const horam_config& config) {
 
 void controller::run(std::span<const request> requests,
                      std::vector<request_result>* results) {
+  serve(requests, results);
+  // Every request of the batch has completed: work the loads left owed
+  // runs now, after the lane's last completion.
+  settle(kAllOwed);
+  stats_.total_time = clock_.now() - stats_epoch_;
+}
+
+void controller::serve(std::span<const request> requests,
+                       std::vector<request_result>* results) {
   invariant(rob_.empty(), "previous batch left requests in the ROB");
   for (const request& req : requests) {
     check_admissible(req, config_);
@@ -275,9 +284,6 @@ void controller::run(std::span<const request> requests,
     // device time lands in slice-sized pieces instead of one cliff.
     pump_shuffle_slice();
   }
-  // Every request of the batch has completed: work the loads left owed
-  // runs now, after the lane's last completion.
-  run_deferred();
   stats_.total_time = clock_.now() - stats_epoch_;
 }
 
@@ -290,11 +296,20 @@ std::uint64_t controller::round_budget() const noexcept {
   return scheduler_.round_budget(loads_this_period_);
 }
 
-void controller::run_deferred() {
-  if (deferred_ == nullptr) {
+std::uint64_t controller::owed_units() const {
+  return deferred_ != nullptr ? deferred_->owed() : 0;
+}
+
+void controller::settle(std::uint64_t limit) {
+  if (deferred_ == nullptr || limit == 0) {
     return;
   }
-  const oram::cost_split cost = std::exchange(deferred_, nullptr)->run();
+  // The handle stays while units remain owed past the limit.
+  const bool all = limit >= deferred_->owed();
+  const oram::cost_split cost = deferred_->run_first(limit);
+  if (all) {
+    deferred_ = nullptr;
+  }
   const sim::sim_time elapsed = cost.io + cost.memory + cost.cpu;
   clock_.advance(elapsed);
   if (flush_debt_ > 0) {
@@ -350,7 +365,7 @@ void controller::charge_shuffle_device_delta(
 void controller::end_period() {
   // Owed work runs first, so the shuffle starts from the state the
   // public load count implies.
-  run_deferred();
+  settle(kAllOwed);
 
   // An incremental job still in flight blocks the next period: drain
   // it foreground now — the latency cliff a well-sized slice budget

@@ -19,7 +19,8 @@
 // (oram_backend::load_result::deferred: Ring ORAM's scheduled
 // evictions) waits until the batch's last request has completed — the
 // end of run() — or until a period ends, whichever comes first, and
-// lengthens the lane there. Every cycle pays for an
+// lengthens the lane there; serve() leaves it for the caller to
+// settle() (the sharded engine's round end). Every cycle pays for an
 // install and for a trusted-memory copy in each of its c slots, so
 // neither lane's length shows whether a block arrived or which hits
 // were served from trusted memory. A period is at
@@ -280,6 +281,18 @@ class controller {
   /// non-null. May be called repeatedly; virtual time accumulates.
   void run(std::span<const request> requests,
            std::vector<request_result>* results = nullptr);
+  /// run() without its last step: work the loads leave owed stays owed
+  /// after the batch's last completion, for the caller to settle()
+  /// (a period end inside the batch still runs all of it first).
+  void serve(std::span<const request> requests,
+             std::vector<request_result>* results = nullptr);
+  /// Units of work the loads left owed that have not run (0 = none;
+  /// deferred_work::owed()).
+  [[nodiscard]] std::uint64_t owed_units() const;
+  /// Runs the first `limit` owed units as one round trip and charges
+  /// them to the lane (kAllOwed: everything owed).
+  void settle(std::uint64_t limit);
+  static constexpr std::uint64_t kAllOwed = UINT64_MAX;
 
   /// Convenience single-request API (examples / interactive use); pads
   /// the group with dummies like any other cycle.
@@ -338,8 +351,6 @@ class controller {
 
  private:
   [[nodiscard]] bool resident(oram::block_id id) const;
-  /// Runs the work loads left owed, if any, and charges it to the lane.
-  void run_deferred();
   /// Runs one slice of the in-flight incremental shuffle job (no-op
   /// without one); charges the slice's device time and, when the job
   /// completes, shelters its overflow.
@@ -375,8 +386,8 @@ class controller {
   /// (attach_device_stats); null = split not measured.
   const sim::io_stats* device_stats_ = nullptr;
 
-  /// The backend's handle to work loads left owed since the last
-  /// run_deferred() (null = nothing owed).
+  /// The backend's handle to work loads left owed and not yet settled
+  /// (null = nothing owed).
   deferred_work* deferred_ = nullptr;
 
   /// The cycle's cache-tree accesses (per-cycle scratch; its views into

@@ -226,11 +226,16 @@ engine::lane_report engine::service_lane(lane_task&& task,
   }
   try {
     shard_state& sh = *shards_[task.shard];
-    if (task.end_period) {
-      // Aligned end. Shuffles are never deferred here, so no job is in
-      // flight for end_period() to drain in the foreground.
+    if (task.end_period || task.settle > 0) {
+      // Round-end pass. An aligned end never meets a deferred shuffle,
+      // so no job is in flight for end_period() to drain in the
+      // foreground.
       const sim::sim_time local_start = sh.ctrl->now();
-      sh.ctrl->end_period();
+      if (task.end_period) {
+        sh.ctrl->end_period();
+      } else {
+        sh.ctrl->settle(task.settle);
+      }
       report.elapsed = sh.ctrl->now() - local_start;
       return report;
     }
@@ -255,7 +260,11 @@ engine::lane_report engine::service_lane(lane_task&& task,
     const bool want_results = task.slots > physical || task.want_out;
     const sim::sim_time local_start = sh.ctrl->now();
     std::vector<request_result> results;
-    sh.ctrl->run(batch, want_results ? &results : nullptr);
+    if (task.defer_settle) {
+      sh.ctrl->serve(batch, want_results ? &results : nullptr);
+    } else {
+      sh.ctrl->run(batch, want_results ? &results : nullptr);
+    }
 
     if (want_results) {
       // Completion-ordering layer: shard-local sim-time offsets map
@@ -304,6 +313,7 @@ engine::lane_report engine::service_lane(lane_task&& task,
     report.elapsed = sh.ctrl->now() - local_start;
     report.period_ended = sh.ctrl->stats().periods != periods_before;
     report.loads_left = sh.ctrl->period_loads_left();
+    report.owed = sh.ctrl->owed_units();
   } catch (...) {
     // Workers must not throw (an escape would terminate the process);
     // the failure crosses back to the coordinator as data and is
@@ -398,26 +408,29 @@ bool engine::next_round_may_end_a_period(
                      });
 }
 
-void engine::align_period_ends(std::vector<lane_report>& reports,
-                               sim::sim_time start) {
-  std::vector<lane_task> ends;
+void engine::round_end_pass(std::vector<lane_report>& reports, bool align,
+                            std::uint64_t settle, sim::sim_time start) {
+  std::vector<lane_task> pass;
   std::vector<lane_report*> extended;
   for (lane_report& report : reports) {
-    if (!report.period_ended) {
-      lane_task& task = ends.emplace_back();
-      task.shard = report.shard;
-      task.end_period = true;
-      extended.push_back(&report);
+    const bool end = align && !report.period_ended;
+    if (!end && settle == 0) {
+      continue;
     }
+    lane_task& task = pass.emplace_back();
+    task.shard = report.shard;
+    task.end_period = end;
+    task.settle = settle;
+    extended.push_back(&report);
+    stats_.early_period_ends += end ? 1 : 0;
   }
-  // Each end runs on its shard's own worker, like the lane it extends.
-  // The lane's shuffle lengthens it, so the round lasts the slowest
-  // lane-plus-shuffle; completions already happened before the end.
-  const std::vector<lane_report> forced = run_lanes(std::move(ends), start);
-  for (std::size_t i = 0; i < forced.size(); ++i) {
-    extended[i]->elapsed += forced[i].elapsed;
+  // Each task runs on its shard's own worker, like the lane it extends.
+  // It lengthens the lane, so the round lasts the slowest lane plus its
+  // pass; completions already happened before it.
+  const std::vector<lane_report> done = run_lanes(std::move(pass), start);
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    extended[i]->elapsed += done[i].elapsed;
   }
-  stats_.early_period_ends += forced.size();
 }
 
 void engine::merge_report(lane_report&& report, std::vector<completed>* out,
@@ -446,6 +459,9 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
   // A round pops at most round_cap() physical accesses per padded shard;
   // a batch takes the whole queue and sizes its padding afterwards.
   const std::size_t cap = padded && one_round ? round_cap_ : 0;
+  // A padded multi-shard round leaves the work its loads owe for the
+  // round-end pass, which settles the same count on every shard.
+  const bool settles_at_round_end = one_round && shard_count() > 1;
   // note_popped bookkeeping only applies to the engine's own routing
   // queues; run() hands in local buckets that were never submitted.
   const bool own_queues = &queues == &queues_;
@@ -502,6 +518,7 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
     }
     task.shard = s;
     task.want_out = out != nullptr;
+    task.defer_settle = settles_at_round_end;
     tasks.push_back(std::move(task));
   }
   // Every padded shard executes the same whole number of cap rounds —
@@ -517,20 +534,32 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
   }
 
   // Phase 2: execute the lanes — sequentially (sim) or on the
-  // per-shard workers (threaded) — then, if a shard's period ended, or
-  // a round left too few loads for the next one, end every other
-  // shard's period in the same execution. Deferred shuffles spread
-  // their device time over slices instead of stalling one round, so
-  // there aligning would only add periods: those shards keep their own
-  // n/2-load cadence.
+  // per-shard workers (threaded) — then the round-end pass. If a
+  // shard's period ended, or a round left too few loads for the next
+  // one, it ends every other shard's period in the same execution.
+  // Deferred shuffles spread their device time over slices instead of
+  // stalling one round, so there aligning would only add periods: those
+  // shards keep their own n/2-load cadence. After a round, every shard
+  // whose period it does not end runs the same number of owed units:
+  // the smallest count any shard owes, so no lane waits on another's
+  // extra eviction. The rest stays owed, and a period end runs it all.
   std::vector<lane_report> reports = run_lanes(std::move(tasks), start);
   bool period_ended = std::any_of(
       reports.begin(), reports.end(),
       [](const lane_report& r) { return r.period_ended; });
-  if (shard_count() > 1 && !config_.defers_shuffles() &&
-      (period_ended || (one_round && next_round_may_end_a_period(reports)))) {
-    align_period_ends(reports, start);
-    period_ended = true;
+  const bool align =
+      shard_count() > 1 && !config_.defers_shuffles() &&
+      (period_ended || (one_round && next_round_may_end_a_period(reports)));
+  std::uint64_t settle = 0;
+  if (settles_at_round_end) {
+    settle = std::min_element(reports.begin(), reports.end(),
+                              [](const lane_report& a, const lane_report& b) {
+                                return a.owed < b.owed;
+                              })->owed;
+  }
+  if (align || settle > 0) {
+    round_end_pass(reports, align, settle, start);
+    period_ended = period_ended || align;
   }
   if (padded && period_ended) {
     ++stats_.shuffle_rounds;

@@ -54,6 +54,25 @@
 // every cycle makes one visible load, so those counts are already on
 // the bus.
 //
+// The round-end pass: the aligned period ends above run as one pass
+// after the lanes, on each shard's own worker, and the same pass
+// settles the work loads leave owed (oram_backend::load_result::
+// deferred: Ring ORAM's scheduled evictions, one per A loads). In a
+// padded multi-shard round (step_round()) the lanes leave that work
+// owed (controller::serve) instead of running it after their last
+// completion. The pass then runs, on every shard whose period it does
+// not end, exactly E owed units as one union, where E is the smallest
+// count any of the round's shards owes (controller::settle); each shard
+// carries the rest, and a period end still runs everything owed before
+// its shuffle. Left to their own counts, the shards whose loads crossed
+// a multiple of A would each run an extra eviction, and every round
+// would last the slowest of them; with one count no lane waits on
+// another's. The settle rule is oblivious too: a shard owes ⌊loads/A⌋
+// less the units already run, and both follow from the load counts the
+// bus shows (E included), so where each union falls and how many paths
+// it evicts carry nothing else. A single-shard engine, and a batch
+// (run(), drain()), keep settling each lane's own count at its end.
+//
 // Every entry point — run(), drain() and step_round() — goes through one
 // executor that pops each shard's queue into a lane task, runs the lanes
 // and merges their reports. The entry points differ only in how much
@@ -359,8 +378,14 @@ class engine {
     std::size_t slots = 0;
     /// Whether the caller wants real-request completions back.
     bool want_out = false;
-    /// Aligned-end pass: no requests, end the shard's period instead.
+    /// Leave the work the loads owe owed at the lane's end
+    /// (controller::serve) for the round-end pass to settle.
+    bool defer_settle = false;
+    /// Round-end pass: no requests. End the shard's period (which runs
+    /// everything owed first), or else run the first `settle` owed
+    /// units.
     bool end_period = false;
+    std::uint64_t settle = 0;
   };
   /// Completion-records-out message: the lane's whole observable
   /// outcome, merged by the coordinator in shard-index order so the
@@ -382,6 +407,8 @@ class engine {
     bool period_ended = false;
     /// Loads the shard's period has left after the lane.
     std::uint64_t loads_left = 0;
+    /// Units of work the shard's loads left owed after the lane.
+    std::uint64_t owed = 0;
     std::vector<completed> completions;
     /// Failure shipped back as data; workers must not throw.
     std::exception_ptr error;
@@ -418,12 +445,13 @@ class engine {
   /// after every report is in.
   std::vector<lane_report> run_lanes(std::vector<lane_task>&& tasks,
                                      sim::sim_time start);
-  /// Aligned-end pass, run when some report's period ended or a round
-  /// left some shard few loads: ends the period of every reporting
-  /// shard whose period did not end in its lane, on its own lane, and
-  /// adds that shuffle time to the shard's report.elapsed.
-  void align_period_ends(std::vector<lane_report>& reports,
-                         sim::sim_time start);
+  /// The round-end pass, on each shard's own lane after its
+  /// completions: with `align` set, ends the period of every reporting
+  /// shard whose period did not end in its lane (aligned period ends);
+  /// every other shard runs the first `settle` units its loads left
+  /// owed. Adds the pass's time to the shard's report.elapsed.
+  void round_end_pass(std::vector<lane_report>& reports, bool align,
+                      std::uint64_t settle, sim::sim_time start);
   /// Whether some reporting shard has so few loads left in its period
   /// that the next round could reach its budget mid-lane.
   [[nodiscard]] bool next_round_may_end_a_period(

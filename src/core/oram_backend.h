@@ -21,11 +21,13 @@
 //   * A load may leave work owed that its own request need not wait
 //     for (Ring ORAM's scheduled evictions): its load_result then
 //     carries a non-owning deferred_work handle into the backend. The
-//     controller runs it after the lane's last completion and before
-//     any shuffle period begins; how much is owed follows from the
-//     public load count alone. The handle travels in the result rather
-//     than through a virtual, so a wrapping backend that forwards only
-//     this interface's virtuals still hands it through.
+//     controller runs it after the lane's last completion, or the
+//     sharded engine runs a prefix of it at the end of a padded round,
+//     and all of it runs before any shuffle period begins; how much is
+//     owed follows from the public load count alone. The handle travels
+//     in the result rather than through a virtual, so a wrapping
+//     backend that forwards only this interface's virtuals still hands
+//     it through.
 //   * begin_shuffle() receives every cached block (tree eviction plus
 //     control-layer shelter) and returns a shuffle_job whose step()s
 //     run the shuffle period in bounded device-time slices between
@@ -181,11 +183,24 @@ class staged_shuffle_job : public shuffle_job {
 
 /// Work a backend owes after a load, run by the caller at a public
 /// point after the load's request completes (see the contract above).
+/// The work comes in units that must run in order (Ring ORAM: one
+/// reverse-lexicographic eviction each), and how many are owed is a
+/// function of the public load count. A caller may run a prefix of
+/// them and leave the rest owed.
 class deferred_work {
  public:
   /// Runs everything owed so far, as one round trip, and returns its
   /// cost (zero when nothing is owed).
   virtual oram::cost_split run() = 0;
+  /// Units owed so far. Work that does not split counts as one unit
+  /// while its handle is out.
+  [[nodiscard]] virtual std::uint64_t owed() const { return 1; }
+  /// Runs the first min(limit, owed()) units as one round trip, leaves
+  /// the rest owed and returns the cost. Work that does not split runs
+  /// whole for any limit above 0.
+  virtual oram::cost_split run_first(std::uint64_t limit) {
+    return limit > 0 ? run() : oram::cost_split{};
+  }
 
  protected:
   ~deferred_work() = default;

@@ -59,8 +59,10 @@ struct tree_traits<path_oram> {
     return tree.dummy_access();
   }
   /// Work the online accesses owe: none, Path ORAM evicts in place.
-  static bool owes(const path_oram& /*tree*/) { return false; }
-  static cost_split run_owed(path_oram& /*tree*/) { return {}; }
+  static std::uint64_t owed(const path_oram& /*tree*/) { return 0; }
+  static cost_split run_owed(path_oram& /*tree*/, std::uint64_t /*limit*/) {
+    return {};
+  }
   /// Storage slots behind physical_bytes().
   static std::uint64_t slots(const path_oram& tree) {
     return tree.capacity_blocks();
@@ -115,11 +117,13 @@ struct tree_traits<ring_oram> {
     return tree.force_evict(steps);
   }
   /// Work the online accesses owe: the scheduled evictions, one per A
-  /// accesses, run as one union.
-  static bool owes(const ring_oram& tree) {
-    return tree.evictions_owed() > 0;
+  /// accesses; a run takes the first `limit` of them as one union.
+  static std::uint64_t owed(const ring_oram& tree) {
+    return tree.evictions_owed();
   }
-  static cost_split run_owed(ring_oram& tree) { return tree.evict_owed(); }
+  static cost_split run_owed(ring_oram& tree, std::uint64_t limit) {
+    return tree.evict_owed(limit);
+  }
   /// Storage slots behind physical_bytes(): real and spare slots.
   static std::uint64_t slots(const ring_oram& tree) {
     return tree.total_slots();
@@ -249,26 +253,37 @@ oram_backend::load_result tree_backend<Tree>::dummy_load() {
 
 template <class Tree>
 void tree_backend<Tree>::note_owed(load_result& result) {
-  if (tree_traits<Tree>::owes(*tree_)) {
+  if (tree_traits<Tree>::owed(*tree_) > 0) {
     result.deferred = &owed_;
   }
 }
 
 template <class Tree>
 oram::cost_split tree_backend<Tree>::owed_work::run() {
-  return tree_traits<Tree>::run_owed(*owner_.tree_);
+  return run_first(UINT64_MAX);
 }
 
-/// Shuffle job over the tree layout: slice units are single stash
-/// re-installs, then drain units, so bounded budgets stop between any
-/// two units. The drain budget is a per-scheme function of the public
-/// eviction size n (Path ORAM: levels + 2·⌈n/Z⌉; Ring ORAM: ⌈n/A⌉, one
-/// eviction per A insertions as in its online schedule) and runs in as
-/// few units as the scheme allows (Path ORAM: one dummy access per
-/// unit; Ring ORAM: the whole budget as one eviction union, which a
-/// bounded slice cannot split), and the conditional tail one step per
-/// unit. Nothing is ever kept — the stash shelters whatever the drain
-/// cannot place.
+template <class Tree>
+std::uint64_t tree_backend<Tree>::owed_work::owed() const {
+  return tree_traits<Tree>::owed(*owner_.tree_);
+}
+
+template <class Tree>
+oram::cost_split tree_backend<Tree>::owed_work::run_first(
+    std::uint64_t limit) {
+  return tree_traits<Tree>::run_owed(*owner_.tree_, limit);
+}
+
+/// Shuffle job over the tree layout: the first slice unit installs the
+/// whole hot set and runs the map pass, then come the drain units, so
+/// bounded budgets stop between any two units. The drain budget is a
+/// per-scheme function of the eviction size n (Path ORAM:
+/// levels + 2·⌈n/Z⌉; Ring ORAM: ⌈n/A⌉, one eviction per A insertions as
+/// in its online schedule) and runs in as few units as the scheme
+/// allows (Path ORAM: one dummy access per unit; Ring ORAM: the whole
+/// budget as one eviction union, which a bounded slice cannot split),
+/// and the conditional tail one step per unit. Nothing is ever kept —
+/// the stash shelters whatever the drain cannot place.
 template <class Tree>
 class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
  public:
@@ -296,16 +311,15 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
   }
 
   [[nodiscard]] bool done() const noexcept override {
-    return next_install_ >= order_.size() &&
-           drains_done_ >= drain_budget_ &&
+    return installed_ && drains_done_ >= drain_budget_ &&
            (owner_.tree_->stash_ref().size() <= drain_floor_ ||
             extra_ == 0);
   }
 
  private:
   void run_unit(horam::shuffle_cost& slice) override {
-    if (next_install_ < order_.size()) {
-      install_one(slice);
+    if (!installed_) {
+      install_all(slice);
     } else if (drains_done_ < drain_budget_) {
       const std::uint64_t steps = std::min(
           drain_budget_ - drains_done_, tree_traits<Tree>::max_drain_unit);
@@ -321,21 +335,31 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
     ++owner_.stats_.partitions_shuffled;  // the one tree counts as one
   }
 
-  /// Folds the next hot block back in: fresh uniform leaf, recorded in
-  /// the recursive map and handed to the tree's stash.
-  void install_one(horam::shuffle_cost& cost) {
-    const block_id id = order_[next_install_++];
-    invariant(owner_.cached_.get(id) != 0,
-              "evicted block the bitmap says is on storage");
-    const std::vector<std::uint8_t> payload = unstage(id);
-    const leaf_id leaf =
-        util::uniform_below(owner_.rng_, owner_.tree_->config().leaf_count);
-    const cost_split assign_cost = owner_.map_->assign(id, leaf);
-    const cost_split install_cost = owner_.tree_->install(id, payload, leaf);
-    cost.memory += assign_cost.memory + install_cost.memory;
-    cost.cpu += assign_cost.cpu + install_cost.cpu;
-    owner_.cached_.set(id, 0);
-    --owner_.cached_count_;
+  /// Folds the whole hot set back in, as one unit: each block gets a
+  /// fresh uniform leaf and goes to the tree's stash, then one map pass
+  /// records every leaf. No online lookup runs inside a unit, so none
+  /// sees a block back on storage before its map entry.
+  void install_all(horam::shuffle_cost& cost) {
+    std::vector<recursive_position_map::entry> entries;
+    entries.reserve(order_.size());
+    for (const block_id id : order_) {
+      invariant(owner_.cached_.get(id) != 0,
+                "evicted block the bitmap says is on storage");
+      const std::vector<std::uint8_t> payload = unstage(id);
+      const leaf_id leaf = util::uniform_below(
+          owner_.rng_, owner_.tree_->config().leaf_count);
+      const cost_split install_cost =
+          owner_.tree_->install(id, payload, leaf);
+      cost.memory += install_cost.memory;
+      cost.cpu += install_cost.cpu;
+      owner_.cached_.set(id, 0);
+      --owner_.cached_count_;
+      entries.push_back({id, leaf});
+    }
+    const cost_split pass_cost = owner_.map_->assign_all(entries);
+    cost.memory += pass_cost.memory;
+    cost.cpu += pass_cost.cpu;
+    installed_ = true;
   }
 
   void drain(std::uint64_t steps, horam::shuffle_cost& cost) {
@@ -350,7 +374,7 @@ class tree_backend<Tree>::drain_job final : public horam::staged_shuffle_job {
 
   tree_backend& owner_;
   std::vector<block_id> order_;  // install order (the eviction order)
-  std::size_t next_install_ = 0;
+  bool installed_ = false;
   std::uint64_t drain_budget_ = 0;
   std::uint64_t drain_floor_ = 0;
   std::uint64_t drains_done_ = 0;

@@ -16,7 +16,8 @@
 //     on both the map and the tree bus;
 //   * the shuffle period is the tree schemes' no-reshuffle answer:
 //     every evicted block re-enters the stash with a fresh uniform leaf
-//     (the same leaf is recorded in the recursive map), and a burst of
+//     (one map pass records every such leaf in the recursive map,
+//     touching each map block once whatever n is), and a burst of
 //     drain steps — its length a function of the (public) eviction size
 //     n only — pushes the stash back into the tree. Path ORAM runs
 //     levels + 2·⌈n/Z⌉ dummy accesses; Ring ORAM runs ⌈n/A⌉ forced
@@ -29,8 +30,10 @@
 //
 // Ring ORAM's scheduled evictions are not part of any load: a load
 // after which the tree owes evictions hands them back as
-// load_result::deferred, and the controller runs them after the lane's
-// completions (tree_traits<Tree>::owed / run_owed).
+// load_result::deferred, and the controller (or, after a padded
+// multi-shard round, the engine's round-end pass) runs all or the first
+// few of them after the lane's completions (tree_traits<Tree>::owed /
+// run_owed).
 //
 // The adapter keeps the recursive map authoritative at the interface:
 // every load first walks the map and verifies the answer against the
@@ -91,10 +94,15 @@ class tree_backend final : public horam::oram_backend {
   [[nodiscard]] bool in_storage(block_id id) const override;
   load_result load_block(block_id id) override;
   load_result dummy_load() override;
-  /// Shuffle period as a job: the slice units are single stash
-  /// re-installs (fresh uniform leaf + map assign) followed by drain
-  /// units (Ring ORAM's budgeted evictions form one unit), so the
-  /// deamortized pipeline can stop after any unit.
+  /// Shuffle period as a job. Its slice units are, in order:
+  ///   1. the installs: every evicted block gets a fresh uniform leaf
+  ///      and enters the tree's stash, and one map pass records all of
+  ///      the leaves (recursive_position_map::assign_all) — one unit,
+  ///      so no lookup sees a block back before its map entry;
+  ///   2. the drain units: one dummy path access each for Path ORAM,
+  ///      the whole budget of evictions as one union for Ring ORAM;
+  ///   3. the conditional tail, one drain step per unit.
+  /// The deamortized pipeline can stop after any unit.
   /// Nothing is ever handed back — the stash is the scheme's trusted
   /// holding area.
   [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
@@ -140,6 +148,8 @@ class tree_backend final : public horam::oram_backend {
    public:
     explicit owed_work(tree_backend& owner) : owner_(owner) {}
     oram::cost_split run() override;
+    [[nodiscard]] std::uint64_t owed() const override;
+    oram::cost_split run_first(std::uint64_t limit) override;
 
    private:
     tree_backend& owner_;

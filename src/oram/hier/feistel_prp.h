@@ -14,9 +14,8 @@
 // of walkers in lockstep, each round one lane-parallel siphash24_many()
 // call over 8-byte messages, and cycle-walks only the walkers still
 // outside the domain, topping the group up with the next slots as
-// walkers finish. Scalar inverse() is the one-slot case (and the
-// reference tests compare against); forward() serves the online probes
-// one rank at a time.
+// walkers finish; one slot is a run of one. forward() serves the
+// online probes one rank at a time.
 #ifndef HORAM_ORAM_HIER_FEISTEL_PRP_H
 #define HORAM_ORAM_HIER_FEISTEL_PRP_H
 
@@ -61,18 +60,9 @@ class feistel_prp {
     return v;
   }
 
-  /// slot -> rank.
-  [[nodiscard]] std::uint64_t inverse(std::uint64_t slot) const {
-    expects(slot < domain_, "slot outside the permutation domain");
-    std::uint64_t v = slot;
-    do {
-      v = unpermute_pow2(v);
-    } while (v >= domain_);
-    return v;
-  }
-
-  /// out[j] = inverse(first_slot + j) for every j, the slots walked in
-  /// lockstep groups.
+  /// slot -> rank: out[j] is the rank forward() maps to slot
+  /// first_slot + j, for every j; the slots are walked in lockstep
+  /// groups.
   void inverse_many(std::uint64_t first_slot,
                     std::span<std::uint64_t> out) const {
     expects(first_slot <= domain_ && out.size() <= domain_ - first_slot,
@@ -97,7 +87,7 @@ class feistel_prp {
         right[live] = v & mask;
         index[live] = next;
       }
-      // One unpermute_pow2() step of every walker, round by round.
+      // One Feistel pass undone for every walker, round by round.
       for (unsigned round = kRounds; round-- > 0;) {
         for (std::size_t w = 0; w < live; ++w) {
           const std::uint64_t message =
@@ -155,18 +145,6 @@ class feistel_prp {
       const std::uint64_t next = left ^ (round_value(round, right) & mask);
       left = right;
       right = next;
-    }
-    return (left << half_bits_) | right;
-  }
-
-  [[nodiscard]] std::uint64_t unpermute_pow2(std::uint64_t v) const {
-    const std::uint64_t mask = (std::uint64_t{1} << half_bits_) - 1;
-    std::uint64_t left = v >> half_bits_;
-    std::uint64_t right = v & mask;
-    for (unsigned round = kRounds; round-- > 0;) {
-      const std::uint64_t prev = right ^ (round_value(round, left) & mask);
-      right = left;
-      left = prev;
     }
     return (left << half_bits_) | right;
   }

@@ -150,6 +150,73 @@ cost_split recursive_position_map::assign(block_id id, leaf_id leaf) {
   return walk(id, leaf, ignored);
 }
 
+cost_split recursive_position_map::assign_all(
+    std::span<const entry> entries) {
+  for (const entry& e : entries) {
+    expects(e.id < config_.universe, "block id outside the universe");
+    expects(e.leaf != absent, "reserved leaf value");
+  }
+  if (levels_.empty()) {
+    for (const entry& e : entries) {
+      residue_[e.id] = e.leaf;
+    }
+    return {};
+  }
+
+  // Group the entries by level-0 map block; the stable sort keeps a
+  // later entry for an id after the earlier one, so it is written last.
+  const std::uint64_t per_block = config_.entries_per_block;
+  pass_entries_.assign(entries.begin(), entries.end());
+  std::stable_sort(pass_entries_.begin(), pass_entries_.end(),
+                   [per_block](const entry& a, const entry& b) {
+                     return a.id / per_block < b.id / per_block;
+                   });
+
+  cost_split cost;
+  auto next = pass_entries_.cbegin();
+  for (std::size_t level = 0; level < levels_.size(); ++level) {
+    const std::uint64_t entries_here = level_entries_[level];
+    const std::uint64_t blocks = util::ceil_div(entries_here, per_block);
+    for (std::uint64_t first = 0; first < blocks; first += kPassBatch) {
+      const std::uint64_t count = std::min(kPassBatch, blocks - first);
+      pass_updaters_.clear();
+      for (block_id block = first; block < first + count; ++block) {
+        if (level == 0) {
+          const auto begin = next;
+          while (next != pass_entries_.cend() &&
+                 next->id / per_block == block) {
+            ++next;
+          }
+          pass_updaters_.emplace_back(
+              [begin, end = next, per_block](std::span<std::uint8_t> payload) {
+                for (auto it = begin; it != end; ++it) {
+                  std::memcpy(payload.data() +
+                                  (it->id % per_block) * sizeof(leaf_id),
+                              &it->leaf, sizeof(leaf_id));
+                }
+              });
+        } else {
+          // Every entry this block holds covers a map block of the
+          // shallower level, and the pass has just rewritten them all.
+          const std::uint64_t held =
+              std::min(per_block, entries_here - block * per_block);
+          pass_updaters_.emplace_back(
+              [held](std::span<std::uint8_t> payload) {
+                std::memset(payload.data(), 0, held * sizeof(leaf_id));
+              });
+        }
+      }
+      pass_requests_.assign(count, path_oram::request{});
+      for (std::uint64_t k = 0; k < count; ++k) {
+        pass_requests_[k].id = first + k;
+        pass_requests_[k].updater = &pass_updaters_[k];
+      }
+      cost += levels_[level]->access_batch(pass_requests_);
+    }
+  }
+  return cost;
+}
+
 void recursive_position_map::for_each_assigned(
     const std::function<void(block_id, leaf_id)>& visit) const {
   if (levels_.empty()) {

@@ -10,6 +10,13 @@
 // trusted-memory threshold. Trusted state shrinks geometrically; every
 // map operation pays one ORAM access per level instead.
 //
+// A lookup or an assign() walks one map block per level. A shuffle
+// period re-installs its whole hot set at once, so the tree backends
+// record all of its leaves with one map pass instead (assign_all): every
+// map block of every level is read, updated and written back exactly
+// once, in batches of a fixed size. Its cost no longer grows with the
+// number of entries, and its shape shows nothing of it.
+//
 // This component is self-contained (it does not change path_oram's
 // internals) so the cost of recursion can be measured in isolation; see
 // bench/ablation_recursive_map.
@@ -77,6 +84,24 @@ class recursive_position_map {
   /// Assigns a leaf. Cost: one ORAM read-modify-write per level.
   cost_split assign(block_id id, leaf_id leaf);
 
+  /// One (id, leaf) entry of assign_all().
+  struct entry {
+    block_id id = 0;
+    leaf_id leaf = 0;
+  };
+  /// Map blocks one access_batch() of the map pass covers.
+  static constexpr std::uint64_t kPassBatch = 64;
+  /// The map pass: assigns every entry, in order (a later entry for the
+  /// same id wins), as assign() one entry at a time would. It reads,
+  /// updates and writes back every map block of every level exactly
+  /// once, level 0 first, each level in access_batch() calls of
+  /// kPassBatch blocks (fewer in the level's last call), in block
+  /// order. So its device work and round trips are a function of the
+  /// map's geometry alone, whatever `entries` holds, n = 0 included.
+  /// Level 0 takes the entries; every entry of a deeper level is
+  /// rewritten as 0, as a walk rewrites the entries on its route.
+  cost_split assign_all(std::span<const entry> entries);
+
   /// Visits every assigned (id, leaf) entry without charging device
   /// time (audits only; backends compare against the data ORAM's own
   /// bookkeeping).
@@ -104,6 +129,11 @@ class recursive_position_map {
   /// Plain trusted map for the deepest level's ORAM.
   std::vector<leaf_id> residue_;
   std::vector<std::uint8_t> payload_scratch_;
+  /// Map-pass scratch: the entries grouped by level-0 map block, and one
+  /// batch's requests with their updaters.
+  std::vector<entry> pass_entries_;
+  std::vector<path_oram::request> pass_requests_;
+  std::vector<std::function<void(std::span<std::uint8_t>)>> pass_updaters_;
 };
 
 }  // namespace horam::oram

@@ -328,12 +328,14 @@ cost_split ring_oram::force_evict(std::uint64_t count) {
   return evict_union(count);
 }
 
-cost_split ring_oram::evict_owed() {
-  if (owed_evictions_ == 0) {
+cost_split ring_oram::evict_owed(std::uint64_t limit) {
+  const std::uint64_t count = std::min(limit, owed_evictions_);
+  if (count == 0) {
     return {};
   }
   sim::trip_scope round_trip(&io_store_->device());
-  return evict_union(std::exchange(owed_evictions_, 0));
+  owed_evictions_ -= count;
+  return evict_union(count);
 }
 
 void ring_oram::compose_bucket(std::uint64_t bucket,

@@ -19,14 +19,14 @@
 // their union is read once and rewritten once. Every `eviction_rate`
 // online accesses owe one eviction, but no access runs it: as in Ring
 // ORAM, eviction is background work after ReadPath, so the caller runs
-// whatever is owed as one union (evict_owed) after the requests it
-// serves have completed. A shuffle drain evicts its whole budget as
-// one union (force_evict). Any bucket whose unread slots run low
-// (read_count reaching S) is reshuffled early on its own. All of these
-// run on a public schedule, and all of them read a bucket one way (read_reals:
-// Z unread slots, Ring ORAM's ReadBucket) and rewrite it one way
-// (rewrite_bucket: all Z + S slots). So one eviction of L + 1 buckets
-// reads Z·(L+1) slots and writes (Z+S)·(L+1).
+// what is owed, or the first part of it, as one union (evict_owed)
+// after the requests it serves have completed. A shuffle drain evicts
+// its whole budget as one union (force_evict). Any bucket whose unread
+// slots run low (read_count reaching S) is reshuffled early on its own.
+// All of these run on a public schedule, and all of them read a bucket
+// one way (read_reals: Z unread slots, Ring ORAM's ReadBucket) and
+// rewrite it one way (rewrite_bucket: all Z + S slots). So one eviction
+// of L + 1 buckets reads Z·(L+1) slots and writes (Z+S)·(L+1).
 //
 // Like oram/path/path_oram.h in backend mode, the tree is driven
 // through extract/install: extract removes the live copy (the caller's
@@ -131,10 +131,11 @@ class ring_oram : public tree_core {
   [[nodiscard]] std::uint64_t evictions_owed() const noexcept {
     return owed_evictions_;
   }
-  /// Runs every owed eviction: the next evictions_owed()
-  /// reverse-lexicographic paths as one union in one round trip (a
-  /// no-op when nothing is owed).
-  cost_split evict_owed();
+  /// Runs the first min(limit, evictions_owed()) owed evictions: the
+  /// next that many reverse-lexicographic paths as one union in one
+  /// round trip (a no-op when that is 0). The rest stays owed, in
+  /// order, for a later call. The default limit runs everything owed.
+  cost_split evict_owed(std::uint64_t limit = UINT64_MAX);
 
   /// Deterministic evictions outside the access schedule (shuffle
   /// drains use this to push staged blocks into the tree): the next

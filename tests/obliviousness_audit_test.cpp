@@ -1259,22 +1259,223 @@ TEST(ObliviousnessAudit, RingDrainShapeDependsOnlyOnSchedule) {
   EXPECT_EQ(drains[0], drains[1]);
 }
 
+/// What the ring settle audit tracks of one shard's bus.
+struct ring_lane_audit {
+  std::size_t cursor = 0;
+  std::uint64_t loads = 0;         // online reads
+  std::uint64_t period_loads = 0;  // online reads since the last period
+  std::uint64_t runs = 0;          // scheduled evictions run
+  std::uint64_t counter = 0;       // reverse-lex evictions, drains too
+  std::uint64_t settles = 0;       // round-end unions
+  std::uint64_t periods = 0;
+};
+
+/// Checks what every shard of a ring engine put on its bus since the
+/// last call (one round) against the settle rule, recomputed from the
+/// bus alone, and returns the first violation ("" = none):
+///   * a shard's period ends at its period_loads()-th load, inside the
+///     lane, or in the round-end pass after the round's last load; an
+///     eviction union directly before a period_begin runs everything
+///     owed, ⌊loads / A⌋ − (evictions run), and nothing is owed at any
+///     period_begin;
+///   * after the round's last load, every shard whose period does not
+///     end in the pass runs one union of exactly E paths, the next E
+///     reverse-lexicographic ones, where E is the smallest count owed
+///     at the lanes' ends over all shards; no union when E is 0, and no
+///     union before the round's last load except before a period_begin.
+std::string audit_ring_round(const engine& eng,
+                             std::vector<ring_lane_audit>& lanes) {
+  struct item {
+    enum kind_t { load, evict, period } kind = load;
+    std::vector<ring_sweep> sweeps;  // evict only
+  };
+  const std::uint32_t shards = eng.shard_count();
+  const std::uint64_t period_budget = eng.shard(0).config().period_loads();
+  std::vector<std::vector<item>> items(shards);
+  std::vector<std::uint64_t> owed_at_lane_end(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const auto& backend =
+        dynamic_cast<const oram::ring_backend&>(eng.shard(s).backend());
+    const oram::ring_oram& tree = backend.tree();
+    const std::uint64_t a = tree.config().eviction_rate;
+    const std::uint64_t spb = tree.slots_per_bucket();
+    const std::uint64_t z = tree.config().real_slots;
+    const std::vector<oram::trace_event>& events =
+        eng.shard_trace(s)->events();
+    const std::size_t end = events.size();
+    const auto is = [&](std::size_t i, oram::event_kind kind) {
+      return i < end && events[i].kind == kind;
+    };
+    // A run of Z slot reads of one bucket, then its write: an early
+    // reshuffle.
+    const auto reshuffle_at = [&](std::size_t i) {
+      for (std::uint64_t k = 0; k < z; ++k) {
+        if (!is(i + k, oram::event_kind::storage_read_slot) ||
+            events[i + k].a / spb != events[i].a / spb) {
+          return false;
+        }
+      }
+      return is(i + z, oram::event_kind::storage_write_sweep) &&
+             events[i + z].a == events[i].a / spb * spb;
+    };
+
+    // Parse the round into loads, unions and period ends, and count
+    // what the lane leaves owed: a period that ends at its budget ends
+    // inside the lane, after running everything owed.
+    std::uint64_t loads = lanes[s].loads;
+    std::uint64_t period_loads = lanes[s].period_loads;
+    std::uint64_t runs = lanes[s].runs;
+    std::size_t i = lanes[s].cursor;
+    while (i < end) {
+      const oram::trace_event& event = events[i];
+      if (event.kind == oram::event_kind::period_begin) {
+        items[s].push_back({item::period, {}});
+        if (period_loads == period_budget) {
+          runs = loads / a;
+        }
+        period_loads = 0;
+        // The shuffle (cache-tree evict, installs, the drain) runs up
+        // to the next cycle.
+        while (i < end && !is(i, oram::event_kind::cycle_begin)) {
+          ++i;
+        }
+        continue;
+      }
+      if (event.kind == oram::event_kind::memory_path_access &&
+          is(i + 1, oram::event_kind::storage_read_slot)) {
+        // An online read: one slot per level, then any early
+        // reshuffles of its path.
+        items[s].push_back({item::load, {}});
+        ++loads;
+        ++period_loads;
+        i += 1 + tree.level_count();
+        while (reshuffle_at(i)) {
+          i += z + 1;
+        }
+        continue;
+      }
+      if (event.kind != oram::event_kind::storage_read_slot) {
+        ++i;
+        continue;
+      }
+      // An eviction union outside any load and any shuffle.
+      item& evict = items[s].emplace_back(item{item::evict, {}});
+      for (; is(i, oram::event_kind::storage_read_slot); ++i) {
+        const std::uint64_t base = events[i].a / spb * spb;
+        if (!evict.sweeps.empty() && evict.sweeps.back()[1] == base) {
+          ++evict.sweeps.back()[2];
+        } else {
+          evict.sweeps.push_back(
+              {static_cast<std::uint64_t>(events[i].kind), base, 1});
+        }
+      }
+      for (; is(i, oram::event_kind::storage_write_sweep); ++i) {
+        evict.sweeps.push_back({static_cast<std::uint64_t>(events[i].kind),
+                                events[i].a, events[i].b});
+      }
+    }
+    lanes[s].cursor = end;
+    owed_at_lane_end[s] = loads / a - runs;
+  }
+  const std::uint64_t settle =
+      *std::min_element(owed_at_lane_end.begin(), owed_at_lane_end.end());
+
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const std::string where = "shard " + std::to_string(s) + ": ";
+    const auto& backend =
+        dynamic_cast<const oram::ring_backend&>(eng.shard(s).backend());
+    const oram::ring_oram& tree = backend.tree();
+    const std::uint64_t a = tree.config().eviction_rate;
+    ring_lane_audit& lane = lanes[s];
+    const std::vector<item>& round = items[s];
+    std::size_t last_load = 0;
+    for (std::size_t k = 0; k < round.size(); ++k) {
+      last_load = round[k].kind == item::load ? k + 1 : last_load;
+    }
+    bool pass_end = false;
+    std::uint64_t settles = 0;
+    for (std::size_t k = 0; k < round.size(); ++k) {
+      if (round[k].kind == item::load) {
+        ++lane.loads;
+        ++lane.period_loads;
+        continue;
+      }
+      if (round[k].kind == item::period) {
+        if (lane.loads / a != lane.runs) {
+          return where + "evictions owed at a period_begin";
+        }
+        if (lane.period_loads != period_budget) {
+          if (k < last_load) {
+            return where + "a period ended early before the round's end";
+          }
+          pass_end = true;
+        }
+        lane.period_loads = 0;
+        ++lane.periods;
+        lane.counter += backend.last_drain_steps();
+        continue;
+      }
+      const std::uint64_t owed = lane.loads / a - lane.runs;
+      std::uint64_t count = owed;
+      if (k + 1 >= round.size() || round[k + 1].kind != item::period) {
+        if (k < last_load) {
+          return where + "a union before the round's last load";
+        }
+        if (++settles > 1) {
+          return where + "a second union after the round's last load";
+        }
+        count = settle;
+      }
+      if (count == 0 || count > owed) {
+        return where + "a union of " + std::to_string(count) + " with " +
+               std::to_string(owed) + " owed";
+      }
+      std::vector<ring_sweep> expected;
+      ring_union_sweeps(tree, lane.counter, count, expected);
+      if (round[k].sweeps != expected) {
+        return where + "the union is not the next " + std::to_string(count) +
+               " reverse-lexicographic paths";
+      }
+      lane.runs += count;
+      lane.counter += count;
+    }
+    if (settle > 0 && !pass_end && settles == 0) {
+      return where + "no union of the " + std::to_string(settle) +
+             " evictions every shard owes";
+    }
+    lane.settles += settles;
+    if (tree.evictions_owed() != lane.loads / a - lane.runs) {
+      return where + "the tree owes other evictions than its load count";
+    }
+    if (tree.stats().evictions != lane.counter) {
+      return where + "the tree ran evictions the bus does not show";
+    }
+  }
+  return "";
+}
+
 TEST(ObliviousnessAudit, RingEvictionsFollowTheLoadCount) {
-  // Online ring reads never evict: every A-th read owes an eviction, and
-  // the controller runs all that is owed as one union after the lane's
-  // last completion (the end of the round's run()) or, when a period
-  // ends mid-lane, just before its shuffle. So on each shard's bus every
-  // union outside a shuffle must come after the last load of its round
-  // or directly before a period_begin, and it must be exactly the next
-  // ⌊loads / A⌋ − (evictions already run) reverse-lexicographic paths,
-  // whatever the data. Checked on a padded 4-shard engine and on a
-  // coalesced 1-shard engine (whose periods end mid-lane), each fed a
-  // hotspot stream and a uniform one: their hit rates differ, so their
-  // rounds make different numbers of loads.
+  // Online ring reads never evict: every A-th read owes an eviction.
+  // After a padded multi-shard round, every shard runs the same number
+  // E of its owed evictions as one union, E the smallest count any
+  // shard owes, and carries the rest; a period end runs all of it just
+  // before its shuffle. One shard runs all it owes after the lane's
+  // last completion, which is the same rule with E its own count. So
+  // what each shard evicts, and how many, must follow from every
+  // shard's load count, whatever the data (audit_ring_round). Checked
+  // on a padded 4-shard engine and on a coalesced 1-shard engine (whose
+  // periods end mid-lane), each fed a hotspot stream and a uniform one:
+  // their hit rates differ, so their rounds make different numbers of
+  // loads. A mutation arm lets every 4-shard lane settle its own count
+  // at the round's end, as each shard did before the shared count; the
+  // audit must reject it.
   constexpr std::uint64_t kAuditBlocks = 4096;
-  for (const bool sharded : {true, false}) {
+  enum class arm { sharded, coalesced, own_count };
+  for (const arm mode : {arm::sharded, arm::coalesced, arm::own_count}) {
     for (const bool hotspot : {true, false}) {
-      SCOPED_TRACE(std::string(sharded ? "4 shards" : "coalesced") +
+      SCOPED_TRACE(std::string(mode == arm::sharded     ? "4 shards"
+                               : mode == arm::coalesced ? "coalesced"
+                                                        : "own counts") +
                    (hotspot ? ", hotspot" : ", uniform"));
       client_builder builder = client_builder()
                                    .blocks(kAuditBlocks)
@@ -1283,30 +1484,22 @@ TEST(ObliviousnessAudit, RingEvictionsFollowTheLoadCount) {
                                    .backend(backend_kind::ring)
                                    .trace(true)
                                    .seed(test::seed(351));
-      if (sharded) {
-        builder.shards(4);
-      } else {
+      if (mode == arm::coalesced) {
         builder.coalescing(true);
+      } else {
+        builder.shards(4);
       }
       client oram = builder.build();
       engine& eng = oram.eng();
       const std::uint32_t shards = eng.shard_count();
-
-      struct lane_audit {
-        std::size_t cursor = 0;
-        std::uint64_t loads = 0;
-        std::uint64_t runs = 0;     // scheduled evictions run
-        std::uint64_t counter = 0;  // reverse-lex evictions, drains too
-        std::uint64_t unions = 0;
-        std::uint64_t periods = 0;
-      };
-      std::vector<lane_audit> lanes(shards);
+      std::vector<ring_lane_audit> lanes(shards);
       for (std::uint32_t s = 0; s < shards; ++s) {
         lanes[s].cursor = eng.shard_trace(s)->size();
       }
 
       util::pcg64 gen{test::seed(hotspot ? 352 : 353)};
-      for (int round = 0; round < 120; ++round) {
+      std::string violation;
+      for (int round = 0; round < 120 && violation.empty(); ++round) {
         while (eng.pending() < eng.round_budget()) {
           request req;
           req.id = hotspot ? util::uniform_below(gen, kAuditBlocks / 16)
@@ -1314,104 +1507,224 @@ TEST(ObliviousnessAudit, RingEvictionsFollowTheLoadCount) {
           (void)eng.submit(std::move(req));
         }
         ASSERT_TRUE(eng.step_round());
-
-        for (std::uint32_t s = 0; s < shards; ++s) {
-          SCOPED_TRACE("round " + std::to_string(round) + ", shard " +
-                       std::to_string(s));
-          lane_audit& lane = lanes[s];
+        if (mode == arm::own_count) {
+          for (std::uint32_t s = 0; s < shards; ++s) {
+            eng.shard(s).settle(controller::kAllOwed);
+          }
+        }
+        violation = audit_ring_round(eng, lanes);
+        if (!violation.empty()) {
+          violation = "round " + std::to_string(round) + ", " + violation;
+        }
+        if (mode == arm::coalesced) {
+          // The round's run() left nothing owed.
           const auto& backend =
-              dynamic_cast<const oram::ring_backend&>(eng.shard(s).backend());
-          const oram::ring_oram& tree = backend.tree();
-          const std::uint64_t a = tree.config().eviction_rate;
-          const std::uint64_t spb = tree.slots_per_bucket();
-          const std::uint64_t z = tree.config().real_slots;
-          const std::vector<oram::trace_event>& events =
-              eng.shard_trace(s)->events();
-          const std::size_t end = events.size();
-          const auto is = [&](std::size_t i, oram::event_kind kind) {
-            return i < end && events[i].kind == kind;
-          };
-          // A run of Z slot reads of one bucket, then its write: an
-          // early reshuffle.
-          const auto reshuffle_at = [&](std::size_t i) {
-            for (std::uint64_t k = 0; k < z; ++k) {
-              if (!is(i + k, oram::event_kind::storage_read_slot) ||
-                  events[i + k].a / spb != events[i].a / spb) {
+              dynamic_cast<const oram::ring_backend&>(eng.shard(0).backend());
+          EXPECT_EQ(backend.tree().evictions_owed(), 0u);
+        }
+      }
+      if (mode == arm::own_count) {
+        EXPECT_NE(violation, "") << "the audit accepts per-shard settling";
+        continue;
+      }
+      EXPECT_EQ(violation, "");
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        EXPECT_GT(lanes[s].settles, 20u) << "shard " << s;
+        EXPECT_GT(lanes[s].periods, 0u) << "shard " << s;
+      }
+    }
+  }
+}
+
+/// One access_batch() of a recursive-map level as the bus shows it:
+/// the level, then how many paths the batch draws.
+using map_batch = std::array<std::uint64_t, 2>;
+
+/// The map-lane shape of every period end of `eng`'s shard `s`: for
+/// each window that runs map work outside the loads — from a
+/// period_begin or a shuffle_slice to the next cycle_begin — its
+/// batches in order. Checks that each batch reads and writes exactly
+/// the union of its traced paths, which is all the bus shows of the
+/// buckets (which leaves, and so how many union buckets, are random
+/// draws the statistical audits cover).
+/// Also sets expected[s] to the batches the map's geometry implies.
+std::vector<std::vector<map_batch>> map_pass_shapes(
+    const engine& eng, std::uint32_t s,
+    std::vector<std::vector<map_batch>>& expected) {
+  const auto* tree_backend =
+      dynamic_cast<const oram::path_backend*>(&eng.shard(s).backend());
+  const auto* ring_backend =
+      dynamic_cast<const oram::ring_backend*>(&eng.shard(s).backend());
+  const oram::recursive_position_map& map =
+      tree_backend != nullptr ? tree_backend->map() : ring_backend->map();
+  const std::uint64_t tree_leaves =
+      tree_backend != nullptr ? tree_backend->tree().config().leaf_count
+                              : ring_backend->tree().config().leaf_count;
+  // Map levels are told apart from each other and from the other trees
+  // on the shard by their leaf counts.
+  std::map<std::uint64_t, std::uint64_t> level_of_leaves;
+  std::vector<std::uint32_t> level_depths;
+  expected.resize(std::max<std::size_t>(expected.size(), s + 1));
+  expected[s].clear();
+  for (const oram::path_oram* level :
+       oram::recursive_position_map_test_access::levels(map)) {
+    const std::uint64_t index = level_depths.size();
+    level_of_leaves.emplace(level->config().leaf_count, index);
+    level_depths.push_back(level->level_count());
+    const std::uint64_t blocks = level->config().id_universe;
+    const std::uint64_t batch = oram::recursive_position_map::kPassBatch;
+    for (std::uint64_t first = 0; first < blocks; first += batch) {
+      expected[s].push_back({index, std::min(batch, blocks - first)});
+    }
+  }
+  EXPECT_GE(level_depths.size(), 2u);
+  EXPECT_EQ(level_of_leaves.size(), level_depths.size());
+  EXPECT_FALSE(level_of_leaves.contains(tree_leaves));
+  EXPECT_FALSE(level_of_leaves.contains(
+      eng.shard(s).memory_tree().config().leaf_count));
+
+  const std::vector<oram::trace_event>& events =
+      eng.shard_trace(s)->events();
+  std::vector<std::vector<map_batch>> windows;
+  bool open = false;
+  for (std::size_t i = 0; i < events.size();) {
+    const oram::trace_event& event = events[i];
+    if (event.kind == oram::event_kind::cycle_begin) {
+      open = false;
+    } else if (event.kind == oram::event_kind::period_begin ||
+               event.kind == oram::event_kind::shuffle_slice) {
+      if (!open) {
+        windows.emplace_back();
+      }
+      open = true;
+    }
+    const auto level = level_of_leaves.find(event.b);
+    if (!open || event.kind != oram::event_kind::memory_path_access ||
+        level == level_of_leaves.end()) {
+      ++i;
+      continue;
+    }
+    // One batch: its paths, then its union read and written back.
+    const std::uint32_t depth = level_depths[level->second];
+    std::set<std::uint64_t> union_buckets;
+    std::uint64_t paths = 0;
+    for (; i < events.size() &&
+           events[i].kind == oram::event_kind::memory_path_access;
+         ++i, ++paths) {
+      EXPECT_EQ(events[i].b, event.b) << "a batch spans two levels";
+      for (std::uint32_t d = 0; d < depth; ++d) {
+        union_buckets.insert(((std::uint64_t{1} << d) - 1) +
+                             (events[i].a >> (depth - 1 - d)));
+      }
+    }
+    std::set<std::uint64_t> reads;
+    std::set<std::uint64_t> writes;
+    std::uint64_t read_events = 0;
+    std::uint64_t write_events = 0;
+    for (; i < events.size() &&
+           events[i].kind == oram::event_kind::memory_bucket_read;
+         ++i, ++read_events) {
+      reads.insert(events[i].a);
+    }
+    for (; i < events.size() &&
+           events[i].kind == oram::event_kind::memory_bucket_write;
+         ++i, ++write_events) {
+      writes.insert(events[i].a);
+    }
+    EXPECT_EQ(reads, union_buckets);
+    EXPECT_EQ(writes, union_buckets);
+    EXPECT_EQ(read_events, union_buckets.size());
+    EXPECT_EQ(write_events, union_buckets.size());
+    windows.back().push_back({level->second, paths});
+  }
+  std::erase_if(windows, [](const std::vector<map_batch>& window) {
+    return window.empty();
+  });
+  return windows;
+}
+
+TEST(ObliviousnessAudit, MapPassShapeIgnoresHitRate) {
+  // A tree backend's period end records the leaves of its whole
+  // re-installed hot set with one map pass: every map block of every
+  // level is read, updated and written back once, level 0 first, in
+  // batches of kPassBatch blocks. So the map lane of a period end must
+  // show the same batches (level, paths per batch; one round trip each)
+  // every period, whatever the number n of blocks the period evicted.
+  // Two streams with different hit rates, so a different n per period,
+  // on the same config and seed, must give identical shapes, and both
+  // must match the batches the map's geometry implies. Covers path and
+  // ring, one and four shards, foreground and incremental shuffles,
+  // with a forced two-level map.
+  constexpr std::uint64_t kMapBlocks = 2048;
+  for (const backend_kind kind : {backend_kind::path, backend_kind::ring}) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+      for (const bool incremental : {false, true}) {
+        SCOPED_TRACE(std::string(kind == backend_kind::path ? "path" : "ring") +
+                     ", " + std::to_string(shards) + " shard(s)" +
+                     (incremental ? ", incremental" : ", foreground"));
+        std::vector<std::vector<std::vector<map_batch>>> shapes[2];
+        std::vector<std::vector<map_batch>> expected;
+        double real_share[2] = {0.0, 0.0};  // of the loads
+        for (int stream = 0; stream < 2; ++stream) {
+          client_builder builder =
+              client_builder()
+                  .blocks(kMapBlocks)
+                  .memory_blocks(256)
+                  .payload_bytes(kPayload)
+                  .backend(kind)
+                  .shards(shards)
+                  .trace(true)
+                  .seed(test::seed(371))
+                  .config_tweak([](horam_config& c) {
+                    c.map_entries_per_block = 8;
+                    c.map_direct_threshold = 4;
+                  });
+          if (incremental) {
+            builder.shuffle(shuffle_policy::incremental)
+                .shuffle_slice_budget(20 * util::microseconds);
+          }
+          client oram = builder.build();
+          engine& eng = oram.eng();
+          // Stream 0 draws from a 32-block hot set, stream 1 from every
+          // block: stream 0's periods evict far fewer blocks.
+          util::pcg64 gen{test::seed(372)};
+          const std::uint64_t range = stream == 0 ? 32 : kMapBlocks;
+          const auto periods_done = [&eng] {
+            for (std::uint32_t s = 0; s < eng.shard_count(); ++s) {
+              if (eng.shard(s).stats().periods < 4) {
                 return false;
               }
             }
-            return is(i + z, oram::event_kind::storage_write_sweep) &&
-                   events[i + z].a == events[i].a / spb * spb;
+            return true;
           };
-
-          std::size_t i = lane.cursor;
-          while (i < end) {
-            const oram::trace_event& event = events[i];
-            if (event.kind == oram::event_kind::period_begin) {
-              // Nothing may be owed when a shuffle starts. The shuffle
-              // (cache-tree evict, installs, the drain) runs up to the
-              // next cycle; its drain advances the eviction order.
-              EXPECT_EQ(lane.loads / a, lane.runs) << "at a period end";
-              ++lane.periods;
-              lane.counter += backend.last_drain_steps();
-              while (i < end && !is(i, oram::event_kind::cycle_begin)) {
-                ++i;
-              }
-              continue;
+          for (int round = 0; round < 2000 && !periods_done(); ++round) {
+            while (eng.pending() < eng.round_budget()) {
+              request req;
+              req.id = util::uniform_below(gen, range);
+              (void)eng.submit(std::move(req));
             }
-            if (event.kind == oram::event_kind::memory_path_access &&
-                is(i + 1, oram::event_kind::storage_read_slot)) {
-              // An online read: one slot per level, then any early
-              // reshuffles of its path.
-              ++lane.loads;
-              i += 1 + tree.level_count();
-              while (reshuffle_at(i)) {
-                i += z + 1;
-              }
-              continue;
-            }
-            if (event.kind != oram::event_kind::storage_read_slot) {
-              ++i;
-              continue;
-            }
-            // An eviction union outside any load and any shuffle.
-            std::vector<ring_sweep> seen;
-            for (; is(i, oram::event_kind::storage_read_slot); ++i) {
-              const std::uint64_t base = events[i].a / spb * spb;
-              if (!seen.empty() && seen.back()[1] == base) {
-                ++seen.back()[2];
-              } else {
-                seen.push_back(
-                    {static_cast<std::uint64_t>(events[i].kind), base, 1});
-              }
-            }
-            for (; is(i, oram::event_kind::storage_write_sweep); ++i) {
-              seen.push_back({static_cast<std::uint64_t>(events[i].kind),
-                              events[i].a, events[i].b});
-            }
-            const std::uint64_t owed = lane.loads / a - lane.runs;
-            EXPECT_GT(owed, 0u) << "a union with nothing owed";
-            std::vector<ring_sweep> expected;
-            ring_union_sweeps(tree, lane.counter, owed, expected);
-            EXPECT_EQ(seen, expected) << owed << " paths owed";
-            lane.runs += owed;
-            lane.counter += owed;
-            ++lane.unions;
-            // After the union, the round's lane ends or its period does:
-            // no load follows it in the round.
-            EXPECT_TRUE(i == end || is(i, oram::event_kind::period_begin))
-                << "a union before the round's last load";
+            ASSERT_TRUE(eng.step_round());
           }
-          lane.cursor = end;
-          // The round's run() left nothing owed.
-          EXPECT_EQ(lane.loads / a, lane.runs) << "at the round's end";
-          EXPECT_EQ(tree.stats().evictions, lane.counter);
-          EXPECT_EQ(tree.evictions_owed(), 0u);
+          const controller_stats& stats = eng.stats();
+          real_share[stream] = static_cast<double>(stats.real_loads) /
+                               static_cast<double>(stats.real_loads +
+                                                   stats.dummy_loads);
+          for (std::uint32_t s = 0; s < shards; ++s) {
+            shapes[stream].push_back(map_pass_shapes(eng, s, expected));
+          }
         }
-      }
-      for (std::uint32_t s = 0; s < shards; ++s) {
-        EXPECT_GT(lanes[s].unions, 20u) << "shard " << s;
-        EXPECT_GT(lanes[s].periods, 0u) << "shard " << s;
+        EXPECT_LT(real_share[0], 0.8 * real_share[1]);
+
+        for (std::uint32_t s = 0; s < shards; ++s) {
+          SCOPED_TRACE("shard " + std::to_string(s));
+          const std::size_t periods =
+              std::min(shapes[0][s].size(), shapes[1][s].size());
+          ASSERT_GE(periods, 3u);
+          for (std::size_t p = 0; p < periods; ++p) {
+            EXPECT_EQ(shapes[0][s][p], shapes[1][s][p]) << "period end " << p;
+            EXPECT_EQ(shapes[0][s][p], expected[s]) << "period end " << p;
+          }
+        }
       }
     }
   }

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "backend_test_access.h"
 #include "oram/path/recursive_position_map.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
@@ -191,6 +192,138 @@ TEST(RecursiveMap, TrustedMemoryShrinksGeometrically) {
                              fx.rng, nullptr);
   EXPECT_LE(map.trusted_bytes(), 512u);
   EXPECT_GT(map.oram_bytes(), 0u);
+}
+
+// ------------------------------------------------------- map pass
+
+/// Every assigned (id, leaf) entry of `map`.
+std::map<block_id, leaf_id> assigned(const recursive_position_map& map) {
+  std::map<block_id, leaf_id> out;
+  map.for_each_assigned([&](block_id id, leaf_id leaf) {
+    EXPECT_TRUE(out.emplace(id, leaf).second) << "id " << id << " twice";
+  });
+  return out;
+}
+
+/// Applies `entries` to one map with per-id assign() and to a twin
+/// (same config, same initial leaves) with one assign_all(), and
+/// expects the same assigned entries in both.
+void expect_pass_matches_assigns(
+    const recursive_map_config& config,
+    const std::vector<recursive_position_map::entry>& entries) {
+  fixture walks;
+  fixture pass;
+  std::vector<leaf_id> initial(config.universe / 2);
+  for (block_id id = 0; id < initial.size(); ++id) {
+    initial[id] = id * 3 + 1;
+  }
+  recursive_position_map by_id(config, walks.memory, walks.cpu, walks.rng,
+                               nullptr, initial);
+  recursive_position_map batched(config, pass.memory, pass.cpu, pass.rng,
+                                 nullptr, initial);
+  for (const recursive_position_map::entry& e : entries) {
+    by_id.assign(e.id, e.leaf);
+  }
+  batched.assign_all(entries);
+  EXPECT_EQ(assigned(batched), assigned(by_id));
+  for (const recursive_position_map::entry& e : entries) {
+    std::optional<leaf_id> out;
+    batched.lookup(e.id, out);
+    std::optional<leaf_id> expected;
+    by_id.lookup(e.id, expected);
+    EXPECT_EQ(out, expected) << "id " << e.id;
+  }
+}
+
+TEST(RecursiveMapPass, MatchesPerIdAssignsUnderForcedRecursion) {
+  fixture fx;
+  // 4,096 entries / 8 per block = 512 -> 64 -> 8 (<= 8 stop): three
+  // levels, the first one 8 batches of kPassBatch blocks.
+  const recursive_map_config config = fx.config(4096, 8, 8);
+  recursive_position_map probe(config, fx.memory, fx.cpu, fx.rng, nullptr);
+  ASSERT_EQ(probe.level_count(), 3u);
+  util::pcg64 driver(313);
+  std::vector<recursive_position_map::entry> entries;
+  for (int i = 0; i < 300; ++i) {
+    entries.push_back({util::uniform_below(driver, 4096),
+                       util::uniform_below(driver, 1 << 20)});
+  }
+  expect_pass_matches_assigns(config, entries);
+}
+
+TEST(RecursiveMapPass, LaterDuplicateWins) {
+  fixture fx;
+  expect_pass_matches_assigns(
+      fx.config(2048, 8, 16),
+      {{5, 50}, {900, 1}, {5, 51}, {900, 2}, {5, 52}, {6, 60}});
+}
+
+TEST(RecursiveMapPass, IdsSharingOneMapBlock) {
+  fixture fx;
+  // Ids 32..47 share one packed level-0 block.
+  std::vector<recursive_position_map::entry> entries;
+  for (block_id id = 47; id >= 32; --id) {
+    entries.push_back({id, id * 10});
+  }
+  expect_pass_matches_assigns(fx.config(4096, 16, 32), entries);
+}
+
+TEST(RecursiveMapPass, DirectResidueTakesEntriesWithoutDeviceWork) {
+  fixture fx;
+  recursive_position_map map(fx.config(50, 16, 64), fx.memory, fx.cpu,
+                             fx.rng, nullptr);
+  ASSERT_EQ(map.level_count(), 0u);
+  EXPECT_EQ(map.assign_all(std::vector<recursive_position_map::entry>{
+                               {7, 70}, {7, 71}, {49, 1}})
+                .total(),
+            0);
+  EXPECT_EQ(assigned(map), (std::map<block_id, leaf_id>{{7, 71}, {49, 1}}));
+  expect_pass_matches_assigns(fx.config(50, 16, 64), {{3, 9}, {3, 8}});
+}
+
+TEST(RecursiveMapPass, ShapeIsTheMapGeometryWhateverTheEntryCount) {
+  // The pass reads and writes back every map block of every level once,
+  // in batches of kPassBatch blocks: its round trips and its path
+  // accesses per level are the same for no entries as for many, and
+  // no entry changes when there are none.
+  const std::uint64_t batch = recursive_position_map::kPassBatch;
+  std::vector<std::uint64_t> trips;
+  std::vector<std::vector<std::uint64_t>> accesses;
+  for (const std::uint64_t n : {0u, 1u, 300u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    fixture fx;
+    recursive_position_map map(fx.config(4096, 8, 8), fx.memory, fx.cpu,
+                               fx.rng, nullptr);
+    std::vector<recursive_position_map::entry> entries;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      entries.push_back({(i * 37) % 4096, i});
+    }
+    const std::map<block_id, leaf_id> before = assigned(map);
+    const auto levels = recursive_position_map_test_access::levels(map);
+    std::vector<std::uint64_t> level_accesses_before;
+    for (const path_oram* level : levels) {
+      level_accesses_before.push_back(level->stats().real_accesses);
+    }
+    fx.memory.reset_stats();
+    EXPECT_GT(map.assign_all(entries).total(), 0);
+    std::uint64_t expected_trips = 0;
+    std::vector<std::uint64_t> level_accesses;
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      const std::uint64_t blocks = levels[l]->config().id_universe;
+      expected_trips += (blocks + batch - 1) / batch;
+      level_accesses.push_back(levels[l]->stats().real_accesses -
+                               level_accesses_before[l]);
+      EXPECT_EQ(level_accesses.back(), blocks) << "level " << l;
+    }
+    EXPECT_EQ(fx.memory.stats().round_trips, expected_trips);
+    trips.push_back(fx.memory.stats().round_trips);
+    accesses.push_back(level_accesses);
+    if (n == 0) {
+      EXPECT_EQ(assigned(map), before);
+    }
+  }
+  EXPECT_EQ(trips[0], trips[2]);
+  EXPECT_EQ(accesses[0], accesses[2]);
 }
 
 class RecursiveMapSweep

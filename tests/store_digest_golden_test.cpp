@@ -189,8 +189,8 @@ TEST(StoreDigestGolden, path_flat) {
   const std::vector<std::uint64_t> digests =
       run(backend_kind::path, path_config(), 3, expect_path_drains);
   const std::vector<std::uint64_t> expected{
-      0x80018d0af1e103bcULL, 0x62cb854ec0565175ULL, 0x96d8ec1a551f96ffULL,
-      0x6bcac46c35a3b83dULL};
+      0x80018d0af1e103bcULL, 0x55f17f25d54e4bd8ULL, 0x26920fb3059cf32dULL,
+      0xd35fc42eaf372460ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -205,8 +205,8 @@ TEST(StoreDigestGolden, path_page) {
         EXPECT_GT(path.tree().page_geometry()->group_count(), 1u);
       });
   const std::vector<std::uint64_t> expected{
-      0xa5ce40da6b384cd9ULL, 0xad82282d060470b3ULL, 0x9826d9d924f8d2e8ULL,
-      0x89f1e624096779bbULL};
+      0xa5ce40da6b384cd9ULL, 0xd06fd9256e4689c3ULL, 0x6e00b1c1ce75b09aULL,
+      0x1cea31398761a29fULL};
   EXPECT_EQ(digests, expected);
 }
 

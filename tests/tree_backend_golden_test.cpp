@@ -192,8 +192,8 @@ golden run(const horam_config& config) {
 // Expected values list the fields of `golden` in declaration order.
 TEST(TreeBackendGolden, PathFlat) {
   const golden expected{
-      2400u, 2400u, 211200u, 211200u, 300u, 1918u, 1918u, 352912u, 352912u,
-      548u, 9487u, 0xe5d3ef99a2894ea1ULL, {52, 52, 52}, {0, 0, 0}, 328263152,
+      2400u, 2400u, 211200u, 211200u, 300u, 1099u, 1099u, 202216u, 202216u,
+      294u, 7697u, 0x2b1f39eace56bc0aULL, {52, 52, 52}, {0, 0, 0}, 327535580,
       0x5710625bafdf35d9ULL, 0x608184ULL};
   EXPECT_EQ(run<oram::path_backend>(base_config()), expected);
 }
@@ -203,8 +203,8 @@ TEST(TreeBackendGolden, PathPage) {
   config.layout = storage::storage_layout::page;
   config.page_bytes = 1024;
   const golden expected{
-      897u, 900u, 446952u, 448800u, 300u, 1918u, 1918u, 352912u, 352912u,
-      548u, 6484u, 0xee6dd5696d6af987ULL, {52, 52, 52}, {0, 0, 0}, 134960958,
+      897u, 900u, 446952u, 448800u, 300u, 1099u, 1099u, 202216u, 202216u,
+      294u, 4694u, 0xdbe6d48498e2e70cULL, {52, 52, 52}, {0, 0, 0}, 134166386,
       0x5710625bafdf35d9ULL, 0x608184ULL};
   EXPECT_EQ(run<oram::path_backend>(config), expected);
 }
@@ -216,8 +216,8 @@ TEST(TreeBackendGolden, RingXor) {
   config.ring_eviction_rate = 3;
   config.ring_xor = true;
   const golden expected{
-      712u, 568u, 56320u, 174944u, 150u, 1918u, 1918u, 352912u, 352912u,
-      548u, 7387u, 0x94b5a25119cee898ULL, {15, 15, 15}, {0, 0, 0}, 81932934,
+      715u, 571u, 56584u, 175868u, 150u, 1106u, 1106u, 203504u, 203504u,
+      294u, 5620u, 0xfe2150d13746e553ULL, {15, 15, 15}, {0, 0, 0}, 81441851,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }
@@ -229,8 +229,8 @@ TEST(TreeBackendGolden, RingPerSlot) {
   config.ring_eviction_rate = 3;
   config.ring_xor = false;
   const golden expected{
-      1720u, 568u, 100672u, 174944u, 150u, 1918u, 1918u, 352912u, 352912u,
-      548u, 7387u, 0x94b5a25119cee898ULL, {15, 15, 15}, {0, 0, 0}, 152921358,
+      1723u, 571u, 100936u, 175868u, 150u, 1106u, 1106u, 203504u, 203504u,
+      294u, 5620u, 0xfe2150d13746e553ULL, {15, 15, 15}, {0, 0, 0}, 152765275,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }
