@@ -306,7 +306,7 @@ void controller::settle(std::uint64_t limit) {
   }
   // The handle stays while units remain owed past the limit.
   const bool all = limit >= deferred_->owed();
-  const oram::cost_split cost = deferred_->run_first(limit);
+  const oram::cost_split cost = deferred_->run(limit);
   if (all) {
     deferred_ = nullptr;
   }

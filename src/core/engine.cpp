@@ -105,7 +105,13 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
       }
     }
   }
-  round_cap_ = derive_round_cap();
+  // The scheduler's round budget at the widest stage.
+  std::uint32_t widest_c = 1;
+  for (const scheduler_stage& stage : config_.stages) {
+    widest_c = std::max(widest_c, stage.c);
+  }
+  round_cap_ = static_cast<std::uint32_t>(
+      scheduler::budget_at(widest_c, config_.prefetch_factor));
 
   shards_.reserve(count);
   for (std::uint32_t s = 0; s < count; ++s) {
@@ -190,16 +196,6 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
 }
 
 engine::~engine() = default;
-
-std::uint32_t engine::derive_round_cap() const {
-  // Mirror of scheduler::round_budget at the widest stage: enough to
-  // keep a shard's prefetch window full for a whole round.
-  std::uint32_t max_c = 1;
-  for (const scheduler_stage& stage : config_.stages) {
-    max_c = std::max(max_c, stage.c);
-  }
-  return 2 * (config_.prefetch_factor * max_c + 1) + 4;
-}
 
 std::uint32_t engine::route(oram::block_id id) const {
   return static_cast<std::uint32_t>(crypto::siphash24_u64(route_key_, id) %
@@ -367,19 +363,6 @@ std::vector<engine::lane_report> engine::run_lanes(
     }
   }
   return reports;
-}
-
-void engine::log_rounds(std::uint64_t rounds) {
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    round_log_.push_back(
-        std::vector<std::uint32_t>(shards_.size(), round_cap_));
-    // Bounded window: long-lived services pump rounds forever, and the
-    // audits only ever need the recent shape history.
-    if (round_log_.size() > kRoundLogLimit) {
-      round_log_.pop_front();
-    }
-  }
-  stats_.rounds += rounds;
 }
 
 bool engine::next_round_may_end_a_period(
@@ -574,7 +557,7 @@ std::uint64_t engine::execute(std::vector<std::deque<routed>>& queues,
     merge_report(std::move(report), out, longest);
   }
   if (padded) {
-    log_rounds(rounds);
+    stats_.rounds += rounds;
     global_now_ = start + longest;
     if (one_round && out != nullptr) {
       std::stable_sort(
@@ -733,7 +716,6 @@ void engine::reset_stats() noexcept {
     sh->lane->memory.reset_stats();
   }
   stats_ = engine_stats{};
-  round_log_.clear();
   stats_epoch_ = now();
 }
 

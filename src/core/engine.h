@@ -312,21 +312,8 @@ class engine {
     return stats_;
   }
   /// Zeroes every shard's controller and device counters plus the
-  /// router counters and round log; restarts the wall-clock window.
+  /// router counters; restarts the wall-clock window.
   void reset_stats() noexcept;
-
-  /// Bus-visible shape of recent padded router rounds (a bounded window
-  /// of the most recent kRoundLogLimit rounds since the last reset):
-  /// per round, the request-slot count each shard executed. Always
-  /// round_cap() by construction — data-independence the audits assert;
-  /// empty for single-shard engines (pure pass-through, no router).
-  [[nodiscard]] const std::deque<std::vector<std::uint32_t>>& round_log()
-      const noexcept {
-    return round_log_;
-  }
-  /// Retention bound of round_log() — big enough for every audit, small
-  /// enough that a service pumping rounds forever stays bounded.
-  static constexpr std::size_t kRoundLogLimit = 16384;
 
   [[nodiscard]] controller& shard(std::uint32_t index);
   [[nodiscard]] const controller& shard(std::uint32_t index) const;
@@ -414,7 +401,6 @@ class engine {
     std::exception_ptr error;
   };
 
-  [[nodiscard]] std::uint32_t derive_round_cap() const;
   /// The routing PRF: shard of global `id` among config_.shard_count.
   [[nodiscard]] std::uint32_t route(oram::block_id id) const;
   /// The one request-execution path behind run(), step_round() and
@@ -460,9 +446,6 @@ class engine {
   /// the round's longest-lane tracking.
   void merge_report(lane_report&& report, std::vector<completed>* out,
                     sim::sim_time& longest);
-  /// Appends `rounds` uniform cap-per-shard entries to the bounded
-  /// round log.
-  void log_rounds(std::uint64_t rounds);
   /// Incremental-queue slot accounting: one submitted entry of `local`
   /// on shard `s` was popped into a round (coalescing only).
   void note_popped(std::uint32_t s, oram::block_id local) noexcept;
@@ -494,7 +477,6 @@ class engine {
   std::size_t pending_slots_ = 0;
 
   engine_stats stats_;
-  std::deque<std::vector<std::uint32_t>> round_log_;
   /// Cache backing the stats() reference.
   mutable controller_stats aggregate_;
 

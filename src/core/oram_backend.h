@@ -189,18 +189,11 @@ class staged_shuffle_job : public shuffle_job {
 /// them and leave the rest owed.
 class deferred_work {
  public:
-  /// Runs everything owed so far, as one round trip, and returns its
-  /// cost (zero when nothing is owed).
-  virtual oram::cost_split run() = 0;
-  /// Units owed so far. Work that does not split counts as one unit
-  /// while its handle is out.
-  [[nodiscard]] virtual std::uint64_t owed() const { return 1; }
+  /// Units owed so far.
+  [[nodiscard]] virtual std::uint64_t owed() const = 0;
   /// Runs the first min(limit, owed()) units as one round trip, leaves
-  /// the rest owed and returns the cost. Work that does not split runs
-  /// whole for any limit above 0.
-  virtual oram::cost_split run_first(std::uint64_t limit) {
-    return limit > 0 ? run() : oram::cost_split{};
-  }
+  /// the rest owed and returns the cost (zero when that is 0).
+  virtual oram::cost_split run(std::uint64_t limit) = 0;
 
  protected:
   ~deferred_work() = default;

@@ -46,7 +46,12 @@ std::uint64_t scheduler::window(std::uint64_t loads_done) const {
 }
 
 std::uint64_t scheduler::round_budget(std::uint64_t loads_done) const {
-  return 2 * window(loads_done) + 4;
+  return budget_at(group_size(loads_done), prefetch_factor_);
+}
+
+std::uint64_t scheduler::budget_at(std::uint32_t c,
+                                   std::uint32_t prefetch_factor) {
+  return 2 * (std::uint64_t{prefetch_factor} * c + 1) + 4;
 }
 
 cycle_plan scheduler::plan(

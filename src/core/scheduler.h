@@ -59,6 +59,9 @@ class scheduler {
   /// controller's own refill target) while staying small enough that
   /// cross-tenant interleaving happens at request granularity.
   [[nodiscard]] std::uint64_t round_budget(std::uint64_t loads_done) const;
+  /// round_budget() at group size `c`: 2·(prefetch_factor·c + 1) + 4.
+  [[nodiscard]] static std::uint64_t budget_at(std::uint32_t c,
+                                               std::uint32_t prefetch_factor);
 
   /// Plans one cycle. `resident(id)` tells whether a block can be
   /// serviced from memory; non-resident blocks are miss candidates.

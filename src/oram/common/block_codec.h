@@ -1,10 +1,11 @@
 // Encoding of logical blocks into fixed-size store records.
 //
 // Record layout (plaintext form): 8-byte little-endian block id followed
-// by the payload. With sealing enabled the whole plaintext is wrapped by
-// crypto::block_sealer (nonce || ciphertext || mac), so records on
-// untrusted stores reveal nothing — in particular not whether they are
-// dummies — and are integrity-protected.
+// by the payload; a tree record's id word is id ‖ leaf
+// (tree_core::pack_record). With sealing enabled the whole plaintext is
+// wrapped by crypto::block_sealer (nonce || ciphertext || mac), so
+// records on untrusted stores reveal nothing — in particular not
+// whether they are dummies — and are integrity-protected.
 //
 // Sealing can be disabled for large benchmark runs: records are stored
 // in the clear, but callers still charge the modelled crypto time. The

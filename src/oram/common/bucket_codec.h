@@ -1,9 +1,10 @@
 // Encoding of a tree bucket (Z slots) as one sealed unit.
 //
 // Bucket layout (plaintext form): the Z payloads, payload_bytes each,
-// then the Z 8-byte little-endian block ids (dummy_block_id for empty
-// slots). With sealing on, crypto::block_sealer wraps the whole bucket
-// as one record, nonce || ciphertext || mac:
+// then the Z 8-byte little-endian id words (dummy_block_id for empty
+// slots), each id ‖ leaf (tree_core::pack_record). With sealing on,
+// crypto::block_sealer wraps the whole bucket as one record,
+// nonce || ciphertext || mac:
 //
 //   [nonce 12][payload 0]...[payload Z-1][id 0]...[id Z-1][mac 8]
 //

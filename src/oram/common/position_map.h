@@ -55,8 +55,6 @@ class position_map {
     }
   }
 
-  [[nodiscard]] std::uint64_t universe() const noexcept { return universe_; }
-
   [[nodiscard]] bool contains(block_id id) const {
     expects(id < universe_, "block id outside the universe");
     return slot_of(id) != npos;

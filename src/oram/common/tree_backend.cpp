@@ -42,7 +42,7 @@ struct tree_traits<path_oram> {
                                          util::random_source& rng,
                                          access_trace* trace) {
     return std::make_unique<path_oram>(tree, device, &device, cpu, rng,
-                                       trace);
+                                       trace, tree_role::backend);
   }
   /// Drain steps for `n` re-installed blocks: a path's worth of dummy
   /// accesses plus two per bucket's worth of blocks.
@@ -67,7 +67,7 @@ struct tree_traits<path_oram> {
   static std::uint64_t slots(const path_oram& tree) {
     return tree.capacity_blocks();
   }
-  /// Trusted bytes beyond the map, stash and residency bitmap.
+  /// Trusted bytes beyond the map residue, stash and residency bitmap.
   static std::uint64_t extra_trusted_bytes(const path_oram& /*tree*/) {
     return 0;
   }
@@ -128,8 +128,8 @@ struct tree_traits<ring_oram> {
   static std::uint64_t slots(const ring_oram& tree) {
     return tree.total_slots();
   }
-  /// Trusted bytes beyond the map, stash and residency bitmap: the
-  /// per-bucket permutation records.
+  /// Trusted bytes beyond the map residue, stash and residency bitmap:
+  /// the per-bucket permutation records.
   static std::uint64_t extra_trusted_bytes(const ring_oram& tree) {
     return tree.metadata_bytes();
   }
@@ -217,15 +217,12 @@ oram_backend::load_result tree_backend<Tree>::load_block(block_id id) {
   load_result result;
   ++stats_.real_loads;
 
-  // Walk the recursive map for the leaf, then verify it against the
-  // tree's own bookkeeping: the two must agree at every load.
+  // Walk the recursive map for the leaf; the tree checks it against the
+  // block's record as it extracts.
   std::optional<leaf_id> mapped;
   result.cost += map_->lookup(id, mapped);
   invariant(mapped.has_value(), "map lost a storage-resident block");
-  invariant(*mapped == tree_->leaf_of(id),
-            "recursive map disagrees with the tree's position map");
-
-  result.cost += tree_->extract(id, payload_scratch_);
+  result.cost += tree_->extract(id, *mapped, payload_scratch_);
   result.id = id;
   result.payload.assign(payload_scratch_.begin(), payload_scratch_.end());
   cached_.set(id, 1);
@@ -259,18 +256,12 @@ void tree_backend<Tree>::note_owed(load_result& result) {
 }
 
 template <class Tree>
-oram::cost_split tree_backend<Tree>::owed_work::run() {
-  return run_first(UINT64_MAX);
-}
-
-template <class Tree>
 std::uint64_t tree_backend<Tree>::owed_work::owed() const {
   return tree_traits<Tree>::owed(*owner_.tree_);
 }
 
 template <class Tree>
-oram::cost_split tree_backend<Tree>::owed_work::run_first(
-    std::uint64_t limit) {
+oram::cost_split tree_backend<Tree>::owed_work::run(std::uint64_t limit) {
   return tree_traits<Tree>::run_owed(*owner_.tree_, limit);
 }
 
@@ -398,10 +389,10 @@ std::uint64_t tree_backend<Tree>::physical_bytes() const {
 
 template <class Tree>
 std::uint64_t tree_backend<Tree>::control_memory_bytes() const {
-  // Trusted state: the map residue, the tree's own position map (the
-  // leaf per block install() records and extract() reads), the stash,
-  // the residency bits, and whatever per-bucket state the scheme keeps.
-  return map_->trusted_bytes() + tree_->position_map_bytes() +
+  // Trusted state: the map residue, the stash, the residency bits, and
+  // whatever per-bucket state the scheme keeps. The tree keeps no map:
+  // every record carries its own leaf.
+  return map_->trusted_bytes() +
          tree_->stash_ref().size() *
              (config_.payload_bytes + sizeof(stash_entry)) +
          cached_.memory_bytes() +
@@ -415,10 +406,7 @@ void tree_backend<Tree>::check_consistency() const {
   invariant(cached_count_ <= config_.block_count, "cached counter overran");
   std::uint64_t cached_blocks = 0;
   for (block_id id = 0; id < config_.block_count; ++id) {
-    const bool cached = cached_.get(id) != 0;
-    invariant(cached != tree_->contains(id),
-              "residency bitmap disagrees with the tree");
-    cached_blocks += cached ? 1 : 0;
+    cached_blocks += cached_.get(id);
   }
   invariant(cached_blocks == cached_count_,
             "cached counter out of sync with the bitmap");
@@ -426,18 +414,20 @@ void tree_backend<Tree>::check_consistency() const {
                 config_.block_count - cached_count_,
             "tree resident count disagrees with the bitmap");
 
-  // Every storage-resident block's map entry matches the tree's leaf
-  // (cached blocks may carry stale entries until re-install).
+  // The tree holds each block once (its own audit), so it holds the
+  // storage-resident ones if none is cached; each under its map leaf.
+  std::vector<leaf_id> mapped(config_.block_count, dummy_block_id);
   map_->for_each_assigned([&](block_id id, leaf_id leaf) {
     invariant(id < config_.block_count, "map entry outside the universe");
-    if (cached_.get(id) != 0) {
-      return;
-    }
-    invariant(tree_->contains(id),
-              "map names a block the tree does not hold");
-    invariant(leaf == tree_->leaf_of(id),
-              "recursive map disagrees with the tree's position map");
+    mapped[id] = leaf;
   });
+  tree_->for_each_resident(
+      [&](block_id id, leaf_id leaf, std::span<const std::uint8_t>) {
+        invariant(cached_.get(id) == 0,
+                  "tree holds a block the bitmap says is cached");
+        invariant(mapped[id] == leaf,
+                  "recursive map disagrees with the block's record");
+      });
 }
 
 template class tree_backend<path_oram>;

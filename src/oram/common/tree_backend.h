@@ -35,11 +35,12 @@
 // few of them after the lane's completions (tree_traits<Tree>::owed /
 // run_owed).
 //
-// The adapter keeps the recursive map authoritative at the interface:
-// every load first walks the map and verifies the answer against the
-// tree's internal bookkeeping (invariant, not assumption), and
-// check_consistency() cross-audits tree, stash, residency bitmap and
-// map chain.
+// The recursive map is the backend's only leaf map: every load walks
+// it and hands the answer to the tree's extract, which checks it
+// against the block's record (each tree record carries its block's
+// leaf, tree_core::pack_record), and check_consistency() cross-audits
+// tree, stash, residency bitmap and map chain. Residency is the
+// backend's own bitmap; the tree keeps no map (tree_role::backend).
 //
 // What differs between schemes — the tree config built from
 // horam_config, the key-seed domains, the drain budget and unit (a
@@ -147,9 +148,8 @@ class tree_backend final : public horam::oram_backend {
   class owed_work final : public horam::deferred_work {
    public:
     explicit owed_work(tree_backend& owner) : owner_(owner) {}
-    oram::cost_split run() override;
     [[nodiscard]] std::uint64_t owed() const override;
-    oram::cost_split run_first(std::uint64_t limit) override;
+    oram::cost_split run(std::uint64_t limit) override;
 
    private:
     tree_backend& owner_;

@@ -20,13 +20,11 @@ sim::sim_time commit_sweeps(storage::block_store& store) {
 
 tree_core::tree_core(std::uint64_t leaf_count, std::uint32_t real_slots,
                      std::size_t payload_bytes, std::uint64_t id_universe,
-                     const sim::cpu_model& cpu, util::random_source& rng)
+                     tree_role role, const sim::cpu_model& cpu,
+                     util::random_source& rng)
     : cpu_(cpu),
       rng_(rng),
-      // A tree whose real slots cover under half its id universe (the
-      // controller's cache tree) keys its map by the blocks it holds.
-      positions_(id_universe, leaf_count,
-                 2 * (2 * leaf_count - 1) * real_slots < id_universe),
+      id_universe_(id_universe),
       leaf_count_(leaf_count),
       real_slots_(real_slots),
       payload_bytes_(payload_bytes),
@@ -36,6 +34,14 @@ tree_core::tree_core(std::uint64_t leaf_count, std::uint32_t real_slots,
   expects(util::is_pow2(leaf_count), "leaf count must be 2^k");
   expects(real_slots > 0, "real slots per bucket (Z) must be positive");
   expects(id_universe > 0, "id universe must be positive");
+  expects(id_universe < 0xffffffffULL && leaf_count < 0xffffffffULL,
+          "tree ids and leaves must fit a record word's 32-bit halves");
+  if (role == tree_role::keyed) {
+    // A tree whose real slots cover under half its id universe (the
+    // controller's cache tree) keys its map by the blocks it holds.
+    positions_.emplace(id_universe, leaf_count,
+                       2 * bucket_count_ * real_slots < id_universe);
+  }
   selected_.reserve(real_slots);
 }
 
@@ -47,10 +53,13 @@ cost_split tree_core::install(block_id id,
 cost_split tree_core::install(block_id id,
                               std::span<const std::uint8_t> payload,
                               leaf_id leaf) {
-  expects(id < positions_.universe(), "block id outside the universe");
-  expects(!positions_.contains(id), "block already resident");
+  expects(id < id_universe_, "block id outside the universe");
+  expects(!stash_.contains(id) && !(keyed() && positions_->contains(id)),
+          "block already resident");
   expects(leaf < leaf_count_, "install leaf out of range");
-  positions_.assign(id, leaf);
+  if (keyed()) {
+    positions_->assign(id, leaf);
+  }
   stash_.put(id, leaf, payload);
   ++resident_;
   ++stats_.installs;
@@ -64,7 +73,9 @@ cost_split tree_core::install_cost() const {
 }
 
 void tree_core::clear_client() {
-  positions_.clear();
+  if (keyed()) {
+    positions_->clear();
+  }
   stash_.clear();
   resident_ = 0;
 }
@@ -74,7 +85,7 @@ std::vector<std::uint8_t> tree_core::build_client(
     std::vector<leaf_id>* leaves_out,
     const std::function<void(std::uint64_t, std::span<const block_ref>)>&
         place) {
-  expects(count <= positions_.universe(), "more blocks than the universe");
+  expects(count <= id_universe_, "more blocks than the universe");
   expects(count <= capacity_blocks(), "tree cannot hold that many blocks");
 
   // Assign leaves and group ids by leaf (counting sort).
@@ -83,7 +94,9 @@ std::vector<std::uint8_t> tree_core::build_client(
   for (block_id id = 0; id < count; ++id) {
     leaves[id] = random_leaf();
     ++leaf_counts[leaves[id]];
-    positions_.assign(id, leaves[id]);
+    if (keyed()) {
+      positions_->assign(id, leaves[id]);
+    }
   }
   std::vector<std::uint64_t> leaf_offsets(leaf_count_ + 1, 0);
   for (leaf_id l = 0; l < leaf_count_; ++l) {
@@ -130,7 +143,8 @@ std::vector<std::uint8_t> tree_core::build_client(
     selected_.clear();
     for (std::uint64_t k = 0; k < take; ++k) {
       const block_id id = pending[pending.size() - 1 - k];
-      selected_.push_back(block_ref{id, payload_of(id)});
+      selected_.push_back(
+          block_ref{pack_record(id, leaves[id]), payload_of(id)});
     }
     place(((std::uint64_t{1} << level) - 1) + node_in_level, selected_);
     pending.resize(pending.size() - take);
@@ -167,11 +181,7 @@ void tree_core::plan_union(std::span<const leaf_id> leaves) {
 
 void tree_core::stash_opened(std::span<const block_ref> reals) {
   for (const block_ref& real : reals) {
-    invariant(positions_.contains(real.id),
-              "tree holds a block missing from the position map");
-  }
-  for (const block_ref& real : reals) {
-    stash_.put(real.id, positions_.leaf_of(real.id), real.payload);
+    stash_.put(record_block(real.id), record_leaf(real.id), real.payload);
   }
 }
 
@@ -185,7 +195,7 @@ void tree_core::write_back_union(
         << (level_count_ - 1 - level);
     place(i, select_for_bucket(below, level));
     for (const block_ref& real : selected_) {
-      stash_.erase(real.id);
+      stash_.erase(record_block(real.id));
     }
   });
 }
@@ -195,7 +205,8 @@ std::span<const block_ref> tree_core::select_for_bucket(leaf_id leaf,
   selected_.clear();
   for (const auto& [id, entry] : stash_) {
     if (paths_share_bucket(entry.leaf, leaf, level)) {
-      selected_.push_back(block_ref{id, entry.payload});
+      selected_.push_back(
+          block_ref{pack_record(id, entry.leaf), entry.payload});
       if (selected_.size() == real_slots_) {
         break;
       }
@@ -206,38 +217,33 @@ std::span<const block_ref> tree_core::select_for_bucket(leaf_id leaf,
 
 void tree_core::check_client(
     const std::function<void(const stored_fn&)>& scan_tree) const {
-  std::vector<std::uint8_t> seen(positions_.universe(), 0);
+  std::vector<std::uint8_t> seen(id_universe_, 0);
   std::uint64_t found = 0;
-
-  scan_tree([&](block_id id, std::uint64_t bucket) {
-    invariant(id < positions_.universe(),
-              "tree holds an out-of-universe block");
-    invariant(positions_.contains(id),
-              "tree holds a block missing from the position map");
-    invariant(seen[id] == 0, "block stored in two tree slots");
+  const auto resident = [&](block_id id, leaf_id leaf) {
+    invariant(id < id_universe_, "resident block outside the universe");
+    invariant(seen[id] == 0, "block stored twice (tree slots or stash)");
     seen[id] = 1;
     ++found;
+    invariant(leaf < leaf_count_, "block names a leaf outside the tree");
+    invariant(!keyed() || (positions_->contains(id) &&
+                           positions_->leaf_of(id) == leaf),
+              "block's leaf disagrees with the position map");
+  };
+
+  scan_tree([&](block_id id, leaf_id leaf, std::uint64_t bucket) {
+    resident(id, leaf);
     const unsigned level = util::floor_log2(bucket + 1);
-    invariant(bucket == bucket_on_path(positions_.leaf_of(id), level),
-              "block stored off its position-map path");
+    invariant(bucket == bucket_on_path(leaf, level),
+              "block stored off the path to its record's leaf");
   });
-
   for (const auto& [id, entry] : stash_) {
-    invariant(id < positions_.universe(),
-              "stash holds an out-of-universe block");
-    invariant(positions_.contains(id),
-              "stash holds a block missing from the position map");
-    invariant(entry.leaf == positions_.leaf_of(id),
-              "stash leaf disagrees with the position map");
-    invariant(seen[id] == 0, "block in both the tree and the stash");
-    seen[id] = 1;
-    ++found;
+    resident(id, entry.leaf);
     invariant(entry.payload.size() == payload_bytes_,
               "stash payload has the wrong size");
   }
 
   invariant(found == resident_, "resident counter out of sync");
-  invariant(positions_.size() == resident_,
+  invariant(!keyed() || positions_->size() == resident_,
             "position map size disagrees with the resident count");
 }
 

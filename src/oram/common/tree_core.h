@@ -1,10 +1,16 @@
 // Client layer shared by the tree ORAMs (Path ORAM, Stefanov et al.;
-// Ring ORAM, Ren et al.). Both keep a position map, a stash and a
-// greedy path write-back over the same heap-ordered binary tree (root
-// = bucket 0, children of b at 2b + 1 and 2b + 2); this core holds
-// that state and those algorithms once: the geometry, the position
-// map, stash and counters, installs, the client half of a bulk build,
-// the union pass and the client half of the deep audit.
+// Ring ORAM, Ren et al.). Both keep a stash and a greedy path
+// write-back over the same heap-ordered binary tree (root = bucket 0,
+// children of b at 2b + 1 and 2b + 2); this core holds that state and
+// those algorithms once: the geometry, the stash and counters,
+// installs, the client half of a bulk build, the union pass and the
+// client half of the deep audit.
+//
+// Every tree record's 8-byte id word holds id | leaf << 32
+// (pack_record), so opened blocks enter the stash under the leaves
+// their records name and no write-back needs a map. Only a keyed tree
+// (the cache tree, the recursive map's level trees) keeps a position
+// map; a backend tree is handed each leaf by its caller's map walk.
 //
 // The union pass serves a list of paths with one read and one
 // write-back of their union (the path overlap Fork Path ORAM removes):
@@ -24,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -58,11 +65,23 @@ struct tree_stats {
   std::uint64_t early_reshuffles = 0;
 };
 
+/// A keyed tree looks blocks up by id through its own position map; a
+/// backend tree is handed every leaf by its caller and keeps none.
+enum class tree_role : std::uint8_t { keyed, backend };
+
 class tree_core {
  public:
   using filler_fn = std::function<void(block_id, std::span<std::uint8_t>)>;
-  /// Receives one real block a tree stores, with its heap bucket.
-  using stored_fn = std::function<void(block_id, std::uint64_t bucket)>;
+  /// Receives one real block a tree stores, its record's leaf and bucket.
+  using stored_fn = std::function<void(block_id, leaf_id, std::uint64_t)>;
+
+  /// A tree record's id word: the id in the low 32 bits, the leaf in
+  /// the high 32 (both below 2^32 - 1, so no real word is the dummy id).
+  static constexpr block_id pack_record(block_id id, leaf_id leaf) {
+    return id | (leaf << 32);
+  }
+  static constexpr block_id record_block(block_id w) { return w << 32 >> 32; }
+  static constexpr leaf_id record_leaf(block_id w) { return w >> 32; }
 
   [[nodiscard]] std::uint32_t level_count() const noexcept {
     return level_count_;
@@ -78,23 +97,23 @@ class tree_core {
   [[nodiscard]] const stash& stash_ref() const noexcept { return stash_; }
 
   /// True iff the block currently lives in this tree (or its stash).
+  /// Keyed trees only.
   [[nodiscard]] bool contains(block_id id) const {
-    return positions_.contains(id);
+    return positions_.value().contains(id);
   }
   /// Number of real blocks currently held (tree + stash).
   [[nodiscard]] std::uint64_t resident_blocks() const noexcept {
     return resident_;
   }
-  /// Current leaf of a resident block (control-layer knowledge; audits
-  /// compare it against an external position map).
+  /// Current leaf of a resident block. Keyed trees only.
   [[nodiscard]] leaf_id leaf_of(block_id id) const {
-    return positions_.leaf_of(id);
+    return positions_.value().leaf_of(id);
   }
   /// Trusted bytes of the tree's own position map: dense over the id
   /// universe, or resident-only when the tree's real slots cover under
-  /// half of it.
+  /// half of it; 0 for a backend tree, which keeps none.
   [[nodiscard]] std::uint64_t position_map_bytes() const noexcept {
-    return positions_.memory_bytes();
+    return positions_ ? positions_->memory_bytes() : 0;
   }
 
   /// Stages a block arriving from another layer in the stash with a
@@ -115,10 +134,14 @@ class tree_core {
 
  protected:
   /// A tree of `leaf_count` (a power of two) leaves with `real_slots`
-  /// (Z) real-block slots per bucket over ids [0, id_universe).
+  /// (Z) real-block slots per bucket over ids [0, id_universe), with a
+  /// position map iff `role` is keyed.
   tree_core(std::uint64_t leaf_count, std::uint32_t real_slots,
             std::size_t payload_bytes, std::uint64_t id_universe,
-            const sim::cpu_model& cpu, util::random_source& rng);
+            tree_role role, const sim::cpu_model& cpu,
+            util::random_source& rng);
+
+  [[nodiscard]] bool keyed() const noexcept { return positions_.has_value(); }
 
   /// Heap index of the bucket at `level` on the path to `leaf`.
   [[nodiscard]] std::uint64_t bucket_on_path(leaf_id leaf,
@@ -143,11 +166,12 @@ class tree_core {
 
   /// The client half of initialize_full(): draws a uniform leaf for
   /// every id in [0, count) in id order (recorded in the position map
-  /// and, when non-null, in `leaves_out`, index = id), fills payloads
-  /// with `filler`, and places the blocks bottom-up in post-order: each
-  /// bucket keeps up to Z of the blocks its subtree passes up and hands
-  /// the rest to its parent. `place` sees every bucket in that order
-  /// with the blocks it keeps; the root's leftovers enter the stash.
+  /// of a keyed tree and, when non-null, in `leaves_out`, index = id),
+  /// fills payloads with `filler`, and places the blocks bottom-up in
+  /// post-order: each bucket keeps up to Z of the blocks its subtree
+  /// passes up and hands the rest to its parent. `place` sees every
+  /// bucket in that order with the blocks it keeps, each named by its
+  /// record word (pack_record); the root's leftovers enter the stash.
   /// Returns the payload image (id `i` at i * payload_bytes), which the
   /// views `place` received point into.
   std::vector<std::uint8_t> build_client(
@@ -175,39 +199,41 @@ class tree_core {
       }
     }
   }
-  /// Hands the real blocks opened from the union to the stash: checks
-  /// every one against the position map first, then puts them in list
-  /// order, each under its position-map leaf.
+  /// Hands the real blocks opened from the union, each named by its
+  /// record word, to the stash in list order, each under the leaf its
+  /// record names.
   void stash_opened(std::span<const block_ref> reals);
   /// Greedy write-back over the union, in for_each_union_leaf_first()
   /// order: each bucket receives up to Z stash blocks whose path passes
   /// it, taken in stash iteration order; `place(i, blocks)` stores them
-  /// and they leave the stash. Every union bucket's ancestors are in
-  /// the union, so the blocks eligible at a bucket share their
-  /// remaining choices and filling it greedily places as many blocks as
-  /// any assignment could; the buckets of one level take disjoint
-  /// candidates, so their order places nothing differently.
+  /// (named by record words) and they leave the stash. Every union
+  /// bucket's ancestors are in the union, so the blocks eligible at a
+  /// bucket share their remaining choices and filling it greedily places
+  /// as many blocks as any assignment could; the buckets of one level
+  /// take disjoint candidates, so their order places nothing
+  /// differently.
   void write_back_union(
       const std::function<void(std::size_t i, std::span<const block_ref>)>&
           place);
 
   /// Deep audit of the client state. `scan_tree` must report every
-  /// real block the tree stores, with its bucket; the audit checks that
-  /// each lies on the path to its position-map leaf and appears once,
-  /// that the stash agrees with the map, and that the resident count
-  /// matches both. Throws util::contract_error on the first
-  /// inconsistency.
+  /// real block the tree stores, with its record's leaf and its bucket;
+  /// the audit checks that each lies on the path to that leaf and
+  /// appears once, and that the resident count matches. A keyed tree
+  /// also checks every record and stash leaf against its position map.
+  /// Throws util::contract_error on the first inconsistency.
   void check_client(
       const std::function<void(const stored_fn&)>& scan_tree) const;
 
   const sim::cpu_model& cpu_;
   util::random_source& rng_;
-  position_map positions_;
+  std::optional<position_map> positions_;  // keyed trees only
   stash stash_;
   std::uint64_t resident_ = 0;
   tree_stats stats_;
 
  private:
+  std::uint64_t id_universe_;
   std::uint64_t leaf_count_;
   std::uint32_t real_slots_;
   std::size_t payload_bytes_;

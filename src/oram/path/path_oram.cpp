@@ -11,9 +11,10 @@ namespace horam::oram {
 path_oram::path_oram(const path_oram_config& config,
                      sim::block_device& memory_device,
                      sim::block_device* io_device, const sim::cpu_model& cpu,
-                     util::random_source& rng, access_trace* trace)
+                     util::random_source& rng, access_trace* trace,
+                     tree_role role)
     : tree_core(config.leaf_count, config.bucket_size, config.payload_bytes,
-                config.id_universe, cpu, rng),
+                config.id_universe, role, cpu, rng),
       config_(config),
       memory_levels_(std::min(config.memory_levels, level_count())),
       memory_bucket_count_((std::uint64_t{1} << memory_levels_) - 1),
@@ -136,7 +137,7 @@ void path_oram::take_reals(std::span<const std::uint8_t> buckets,
       }
       const std::span<const std::uint8_t> payload = slot_payload(slot);
       out.push_back(evicted_block{
-          path_ids_[slot],
+          record_block(path_ids_[slot]),
           std::vector<std::uint8_t>(payload.begin(), payload.end())});
     }
     batch.clear();
@@ -319,15 +320,15 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
     if (req.id == dummy_block_id) {
       continue;
     }
-    expects(req.id < positions_.universe(), "block id outside the universe");
+    expects(req.id < config_.id_universe, "block id outside the universe");
+    expects(req.extract || keyed(),
+            "a backend tree serves extracts and dummy accesses only");
     expects(req.op != op_kind::write ||
                 req.write_data.size() <= config_.payload_bytes,
             "write larger than the block payload");
     expects(req.read_out.empty() ||
                 req.read_out.size() >= config_.payload_bytes,
             "read buffer too small");
-    expects(!req.extract || positions_.contains(req.id),
-            "extract of a non-resident block");
   }
 
   cost_split cost;
@@ -348,7 +349,7 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
       batch_leaves_.push_back(random_leaf());
     } else if (req.extract) {
       ++stats_.real_accesses;
-      batch_leaves_.push_back(positions_.leaf_of(req.id));
+      batch_leaves_.push_back(req.leaf);
     } else {
       batch_leaves_.push_back(remap(req.id));
     }
@@ -380,15 +381,20 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
     if (req.id == dummy_block_id) {
       continue;
     }
-    if (!stash_.contains(req.id)) {
+    if (req.extract) {
+      invariant(stash_.contains(req.id) && stash_.at(req.id).leaf == req.leaf,
+                "extracted block is not on the path to its leaf");
+    } else if (!stash_.contains(req.id)) {
       // First-ever touch: the block materialises zero-filled.
-      stash_.put(req.id, positions_.leaf_of(req.id), zero_payload_);
+      stash_.put(req.id, 0, zero_payload_);
     }
     stash_entry& entry = stash_.at(req.id);
-    // The request was remapped before the read; a block that was
-    // already sheltering in the stash must follow its new leaf, or the
-    // write-back would strand it off its position-map path.
-    entry.leaf = positions_.leaf_of(req.id);
+    // The request was remapped before the read; a block opened under its
+    // record's old leaf or sheltering in the stash must follow its new
+    // leaf, or the write-back would strand it off its path.
+    if (!req.extract) {
+      entry.leaf = positions_->leaf_of(req.id);
+    }
     if (!req.read_out.empty()) {
       std::memcpy(req.read_out.data(), entry.payload.data(),
                   config_.payload_bytes);
@@ -403,10 +409,12 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
                                              entry.payload.size()));
     }
     if (req.extract) {
-      // The live copy leaves the tree: drop it from the stash and the
-      // position map before the write-back re-places the union.
+      // The live copy leaves the tree: drop it from the stash (and a
+      // keyed tree's map) before the write-back re-places the union.
       stash_.erase(req.id);
-      positions_.remove(req.id);
+      if (keyed()) {
+        positions_->remove(req.id);
+      }
       --resident_;
     }
   }
@@ -434,14 +442,14 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
 
 leaf_id path_oram::remap(block_id id) {
   leaf_id old_leaf = 0;
-  if (positions_.contains(id)) {
-    old_leaf = positions_.leaf_of(id);
+  if (positions_->contains(id)) {
+    old_leaf = positions_->leaf_of(id);
   } else {
     old_leaf = random_leaf();
     ++resident_;
   }
   // Remap before the path read so repeated accesses never repeat leaves.
-  positions_.assign(id, random_leaf());
+  positions_->assign(id, random_leaf());
   ++stats_.real_accesses;
   return old_leaf;
 }
@@ -471,11 +479,13 @@ cost_split path_oram::access_rmw(
   return access_batch({&req, 1});
 }
 
-cost_split path_oram::extract(block_id id,
+cost_split path_oram::extract(block_id id, leaf_id leaf,
                               std::span<std::uint8_t> read_out) {
   expects(id != dummy_block_id, "cannot access the dummy id");
+  expects(leaf < config_.leaf_count, "extract leaf out of range");
   request req;
   req.id = id;
+  req.leaf = leaf;
   req.read_out = read_out;
   req.extract = true;
   return access_batch({&req, 1});
@@ -593,7 +603,7 @@ void path_oram::for_each_resident(
       if (ids[k] == dummy_block_id) {
         continue;
       }
-      visit(ids[k], positions_.leaf_of(ids[k]),
+      visit(record_block(ids[k]), record_leaf(ids[k]),
             std::span<const std::uint8_t>(payloads).subspan(
                 k * payload_bytes, payload_bytes));
     }
@@ -615,9 +625,9 @@ void path_oram::check_consistency() const {
       invariant(reals == 0 || bucket_in_memory(bucket) || !page_ ||
                     valid_->test(bucket - memory_bucket_count_),
                 "invalid bucket holds a real block");
-      for (const block_id id : ids) {
-        if (id != dummy_block_id) {
-          stored(id, bucket);
+      for (const block_id word : ids) {
+        if (word != dummy_block_id) {
+          stored(record_block(word), record_leaf(word), bucket);
         }
       }
     }

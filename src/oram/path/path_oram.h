@@ -35,7 +35,8 @@
 // bucket's MAC is checked before any plaintext of the window is
 // written, so a tampered bucket anywhere in it fails the access with
 // crypto::crypto_error and nothing reaches the stash. Then the id
-// headers are decrypted, then only the payloads of real slots — most
+// headers (id ‖ leaf words) are decrypted, then only the payloads of
+// real slots — most
 // slots of a tree path are dummies. Every write-back re-seals each
 // window bucket whole under a fresh nonce, the re-encryption Path ORAM
 // requires: the buckets are composed in plaintext and sealed deepest
@@ -78,7 +79,8 @@ struct path_oram_config {
   std::size_t payload_bytes = 0;
   /// Logical block size for device timing (0 = record size).
   std::uint64_t logical_block_bytes = 0;
-  /// Block ids the position map covers (the application address space).
+  /// Block ids the tree may hold (the application address space, below
+  /// 2^32 - 1).
   std::uint64_t id_universe = 0;
   /// Number of tree levels resident in memory, counted from the root;
   /// deeper levels go to the storage device. Use level_count (or any
@@ -100,10 +102,12 @@ struct path_oram_config {
 
 class path_oram : public tree_core {
  public:
-  /// `io_device` may be null when every level fits in memory.
+  /// `io_device` may be null when every level fits in memory. A backend
+  /// tree serves extract() and dummy_access() only.
   path_oram(const path_oram_config& config, sim::block_device& memory_device,
             sim::block_device* io_device, const sim::cpu_model& cpu,
-            util::random_source& rng, access_trace* trace);
+            util::random_source& rng, access_trace* trace,
+            tree_role role = tree_role::keyed);
 
   [[nodiscard]] std::uint32_t memory_level_count() const noexcept {
     return memory_levels_;
@@ -149,8 +153,9 @@ class path_oram : public tree_core {
     const std::function<void(std::span<std::uint8_t>)>* updater = nullptr;
     /// Removes the block from the tree instead of remapping it: the
     /// live copy moves to the caller's cache layer. The block must be
-    /// resident.
+    /// resident under `leaf`, which its record must confirm.
     bool extract = false;
+    leaf_id leaf = 0;
   };
 
   /// Serves `batch` with one read and one write-back of its path union.
@@ -185,24 +190,25 @@ class path_oram : public tree_core {
   /// from access() on the bus; drains the stash as a side effect.
   cost_split dummy_access();
 
-  /// One path access that removes `id` from the tree: reads the block's
-  /// path, copies the payload into `read_out` (payload_bytes long) and
-  /// writes the path back without the block — the live copy moves to
-  /// the caller's cache layer (H-ORAM's load path, the inverse of
-  /// install). The block must be resident.
-  cost_split extract(block_id id, std::span<std::uint8_t> read_out);
+  /// One path access that removes `id`, resident under `leaf`, from
+  /// the tree: reads that path, copies the payload into `read_out`
+  /// (payload_bytes long) and writes the path back without the block —
+  /// the live copy moves to the caller's cache layer (H-ORAM's load
+  /// path, the inverse of install).
+  cost_split extract(block_id id, leaf_id leaf,
+                     std::span<std::uint8_t> read_out);
 
-  /// Visits every resident block — tree buckets first, then the stash —
-  /// without charging device time (audits and peeks only).
+  /// Visits every resident block and its leaf — tree buckets first, then
+  /// the stash — without charging device time (audits and peeks only).
   void for_each_resident(
       const std::function<void(block_id, leaf_id,
                                std::span<const std::uint8_t>)>& visit)
       const;
 
   /// Deep audit of the tree invariants: every stored block lies on the
-  /// path to its position-map leaf, no block appears twice, the stash
-  /// agrees with the map, and the resident count matches. Throws
-  /// util::contract_error on the first inconsistency.
+  /// path to its record's leaf, no block appears twice, a keyed tree's
+  /// map agrees with every record and the stash, and the resident count
+  /// matches. Throws util::contract_error on the first inconsistency.
   void check_consistency() const;
 
   /// Oblivious tree evict (§4.3.1): sequentially reads the whole tree,

@@ -103,8 +103,8 @@ class recursive_position_map {
   cost_split assign_all(std::span<const entry> entries);
 
   /// Visits every assigned (id, leaf) entry without charging device
-  /// time (audits only; backends compare against the data ORAM's own
-  /// bookkeeping).
+  /// time (audits only; backends compare it with the leaf each tree
+  /// record carries).
   void for_each_assigned(
       const std::function<void(block_id, leaf_id)>& visit) const;
 

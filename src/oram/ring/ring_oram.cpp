@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "util/contracts.h"
@@ -38,7 +37,7 @@ ring_oram::ring_oram(const ring_oram_config& config,
                      sim::block_device& io_device, const sim::cpu_model& cpu,
                      util::random_source& rng, access_trace* trace)
     : tree_core(config.leaf_count, config.real_slots, config.payload_bytes,
-                config.id_universe, cpu, rng),
+                config.id_universe, tree_role::backend, cpu, rng),
       config_(config),
       codec_(config.payload_bytes, config.seal, config.key_seed),
       trace_(trace) {
@@ -46,9 +45,6 @@ ring_oram::ring_oram(const ring_oram_config& config,
   expects(config.eviction_rate > 0, "eviction rate (A) must be positive");
   expects(config.real_slots + config.spare_slots <= max_slots_per_bucket,
           "Z + S must be at most 256 slots per bucket (8-bit slot offsets)");
-  expects(config.id_universe <=
-              std::uint64_t{std::numeric_limits<std::uint32_t>::max()} + 1,
-          "ring block ids must fit 32 bits");
 
   io_store_ = std::make_unique<storage::block_store>(
       io_device, /*base_offset=*/0, total_slots(), codec_.record_bytes(),
@@ -223,8 +219,10 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
           combined_scratch_[i] ^= pad_scratch_[i];
         }
       }
-      const block_id id = codec_.decode(combined_scratch_, extracted_payload_);
-      invariant(id == target, "XOR-combined read recovered the wrong block");
+      const block_id word =
+          codec_.decode(combined_scratch_, extracted_payload_);
+      invariant(word == pack_record(target, leaf),
+                "XOR-combined read recovered the wrong block");
     }
   } else {
     // Fallback: one device read per chosen slot.
@@ -236,8 +234,10 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
       }
     }
     if (found) {
-      const block_id id = codec_.decode(combined_scratch_, extracted_payload_);
-      invariant(id == target, "slot read recovered the wrong block");
+      const block_id word =
+          codec_.decode(combined_scratch_, extracted_payload_);
+      invariant(word == pack_record(target, leaf),
+                "slot read recovered the wrong block");
     }
   }
 
@@ -278,9 +278,10 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
   return cost;
 }
 
-cost_split ring_oram::extract(block_id id, std::span<std::uint8_t> read_out) {
-  expects(id < positions_.universe(), "block id outside the universe");
-  expects(positions_.contains(id), "extract of a non-resident block");
+cost_split ring_oram::extract(block_id id, leaf_id leaf,
+                              std::span<std::uint8_t> read_out) {
+  expects(id < config_.id_universe, "block id outside the universe");
+  expects(leaf < config_.leaf_count, "extract leaf out of range");
   expects(read_out.size() >= config_.payload_bytes,
           "read buffer too small");
   ++stats_.real_accesses;
@@ -291,16 +292,15 @@ cost_split ring_oram::extract(block_id id, std::span<std::uint8_t> read_out) {
 
   // No remap: the block leaves the tree, so its (about to be read) path
   // is never correlated with a future access.
-  const leaf_id leaf = positions_.leaf_of(id);
   if (stash_.contains(id)) {
     // Sheltering in the stash: serve from trusted memory and take the
     // block out before the all-dummy cover path read, which keeps the
     // bus shape. An eviction owed meanwhile can no longer place it.
     const stash_entry& entry = stash_.at(id);
+    invariant(entry.leaf == leaf, "extracted block is not under its leaf");
     std::memcpy(read_out.data(), entry.payload.data(),
                 config_.payload_bytes);
     stash_.erase(id);
-    positions_.remove(id);
     --resident_;
     bool found = false;
     return path_read(leaf, dummy_block_id, found);
@@ -310,7 +310,6 @@ cost_split ring_oram::extract(block_id id, std::span<std::uint8_t> read_out) {
   invariant(found, "resident block missing from its path");
   std::memcpy(read_out.data(), extracted_payload_.data(),
               config_.payload_bytes);
-  positions_.remove(id);
   --resident_;
   return cost;
 }
@@ -373,7 +372,7 @@ void ring_oram::compose_bucket(std::uint64_t bucket,
       real_ids_[first + j] = real_ids_[first + j - 1];
       real_offsets_[first + j] = real_offsets_[first + j - 1];
     }
-    real_ids_[first + j] = static_cast<std::uint32_t>(reals[i].id);
+    real_ids_[first + j] = static_cast<std::uint32_t>(record_block(reals[i].id));
     real_offsets_[first + j] = static_cast<std::uint8_t>(k);
     add_slot(reals_at.data(), k);
     seal_queue_.push_back(
@@ -461,7 +460,7 @@ cost_split ring_oram::read_reals(std::span<const std::uint64_t> buckets) {
                          .first(expected_ids_.size() * config_.payload_bytes));
   opened_.clear();
   for (std::size_t i = 0; i < opened_ids_.size(); ++i) {
-    invariant(opened_ids_[i] == expected_ids_[i],
+    invariant(record_block(opened_ids_[i]) == expected_ids_[i],
               "slot metadata disagrees with the record");
     opened_.push_back(block_ref{
         opened_ids_[i], std::span<const std::uint8_t>(real_records_)
@@ -544,15 +543,14 @@ cost_split ring_oram::initialize_full(
   cost_split cost;
   sim::trip_scope round_trip(&io_store_->device());
 
-  // The placement is recorded first; the buckets are composed after it
-  // in heap order.
-  std::vector<std::vector<block_id>> bucket_ids(bucket_count());
+  // The placement is recorded first (its views point into the payload
+  // image build_client returns); the buckets are composed after it in
+  // heap order.
+  std::vector<std::vector<block_ref>> bucket_reals(bucket_count());
   const std::vector<std::uint8_t> payloads = build_client(
       count, filler, leaves_out,
       [&](std::uint64_t bucket, std::span<const block_ref> reals) {
-        for (const block_ref& real : reals) {
-          bucket_ids[bucket].push_back(real.id);
-        }
+        bucket_reals[bucket].assign(reals.begin(), reals.end());
       });
 
   // Compose every bucket (fresh permutations + pads) straight into the
@@ -561,15 +559,9 @@ cost_split ring_oram::initialize_full(
   // Reals are sealed in batches of about sweep_seal_records, bucket
   // order then slot order.
   const std::uint32_t spb = slots_per_bucket();
-  std::vector<block_ref> reals;
   for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
-    reals.clear();
-    for (const block_id id : bucket_ids[bucket]) {
-      reals.push_back(block_ref{
-          id, std::span<const std::uint8_t>(payloads).subspan(
-                  id * config_.payload_bytes, config_.payload_bytes)});
-    }
-    compose_bucket(bucket, reals, io_store_->stage_range(bucket * spb, spb));
+    compose_bucket(bucket, bucket_reals[bucket],
+                   io_store_->stage_range(bucket * spb, spb));
     if (seal_queue_.size() >= sweep_seal_records) {
       seal_queued();
     }
@@ -589,11 +581,11 @@ void ring_oram::for_each_resident(
   for (std::uint64_t bucket = 0; bucket < bucket_count(); ++bucket) {
     const std::uint64_t first = bucket * config_.real_slots;
     for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
-      const block_id id = codec_.decode(
+      const block_id word = codec_.decode(
           io_store_->peek(bucket * spb + real_offsets_[first + i]), payload);
-      invariant(id == real_ids_[first + i],
+      invariant(record_block(word) == real_ids_[first + i],
                 "slot metadata disagrees with the record");
-      visit(id, positions_.leaf_of(id), payload);
+      visit(record_block(word), record_leaf(word), payload);
     }
   }
   for (const auto& [id, entry] : stash_) {
@@ -618,11 +610,11 @@ void ring_oram::check_consistency() const {
         invariant(k < spb && (i == 0 || real_offsets_[first + i - 1] < k),
                   "bucket record's slot offsets out of order");
         invariant(!is_read(bucket, k), "live real slot marked consumed");
-        const block_id id =
+        const block_id word =
             codec_.decode(io_store_->peek(bucket * spb + k), payload);
-        invariant(id == real_ids_[first + i],
+        invariant(record_block(word) == real_ids_[first + i],
                   "slot metadata disagrees with the record");
-        stored(id, bucket);
+        stored(record_block(word), record_leaf(word), bucket);
       }
       const slot_mask reals = real_mask(bucket);
       for (std::uint32_t k = 0; k < spb; ++k) {

@@ -30,20 +30,21 @@
 //
 // Like oram/path/path_oram.h in backend mode, the tree is driven
 // through extract/install: extract removes the live copy (the caller's
-// cache layer takes over), install stages a returning block in the
-// stash for the next evictions to place. Both trees derive from
-// tree_core (oram/common/tree_core.h), which holds the geometry,
-// position map, stash, installs, bulk-build placement and the union
+// cache layer takes over) from the path to the leaf the caller names,
+// install stages a returning block in the stash for the next evictions
+// to place. The tree keeps no position map: evictions and reshuffles
+// re-place what they open by the id ‖ leaf its record carries. Both
+// trees derive from tree_core (oram/common/tree_core.h), which holds
+// the geometry, stash, installs, bulk-build placement and the union
 // pass; this class adds the bucket format (per-bucket records,
 // permutations, pads), the XOR reads, the reshuffles and the eviction
 // schedule.
 //
 // The trusted view of a bucket's permutation is one compact record per
 // bucket, nothing per slot: its live real blocks as 32-bit ids with
-// their 8-bit slot offsets (so Z + S is at most 256, and ids stay
-// below 2^32), a bitmask of its consumed slots and its epoch. The read
-// count is the mask's population count. At Z = 16, S = 25 that is 97
-// trusted bytes per bucket.
+// their 8-bit slot offsets (so Z + S is at most 256), a bitmask of its
+// consumed slots and its epoch. The read count is the mask's population
+// count. At Z = 16, S = 25 that is 97 trusted bytes per bucket.
 #ifndef HORAM_ORAM_RING_RING_ORAM_H
 #define HORAM_ORAM_RING_RING_ORAM_H
 
@@ -83,7 +84,7 @@ struct ring_oram_config {
   std::size_t payload_bytes = 0;
   /// Logical block size for device timing (0 = record size).
   std::uint64_t logical_block_bytes = 0;
-  /// Block ids the position map covers.
+  /// Block ids the tree may hold (below 2^32 - 1).
   std::uint64_t id_universe = 0;
   /// Seal records with real crypto (tests) or plaintext (large benches).
   bool seal = true;
@@ -115,11 +116,13 @@ class ring_oram : public tree_core {
   }
 
   /// One online access that removes `id` from the tree: reads one slot
-  /// per path bucket, copies the payload into `read_out` (payload_bytes
-  /// long) — the live copy moves to the caller's cache layer. The block
-  /// must be resident. May trigger early reshuffles; on the public
-  /// access-count schedule it owes an eviction, which it does not run.
-  cost_split extract(block_id id, std::span<std::uint8_t> read_out);
+  /// per bucket of the path to `leaf`, where the block must be, copies
+  /// the payload into `read_out` (payload_bytes long) — the live copy
+  /// moves to the caller's cache layer. May trigger early reshuffles;
+  /// on the public access-count schedule it owes an eviction, which it
+  /// does not run.
+  cost_split extract(block_id id, leaf_id leaf,
+                     std::span<std::uint8_t> read_out);
 
   /// A dummy access: random path, one unread dummy slot per bucket.
   /// Indistinguishable from extract() on the bus; advances the same
@@ -150,8 +153,8 @@ class ring_oram : public tree_core {
   cost_split initialize_full(std::uint64_t count, const filler_fn& filler,
                              std::vector<leaf_id>* leaves_out = nullptr);
 
-  /// Visits every resident block — tree buckets first, then the stash —
-  /// without charging device time (audits and peeks only).
+  /// Visits every resident block and its leaf — tree buckets first, then
+  /// the stash — without charging device time (audits and peeks only).
   void for_each_resident(
       const std::function<void(block_id, leaf_id,
                                std::span<const std::uint8_t>)>& visit)
@@ -162,7 +165,7 @@ class ring_oram : public tree_core {
   [[nodiscard]] std::uint64_t metadata_bytes() const noexcept;
 
   /// Deep audit: every real slot decodes to its metadata id and lies on
-  /// its position-map path, every unread dummy slot holds its
+  /// the path to its record's leaf, every unread dummy slot holds its
   /// deterministic pad byte for byte, read counters stay below S, and
   /// the stash/resident bookkeeping agrees. Throws util::contract_error
   /// on the first inconsistency.
@@ -199,8 +202,9 @@ class ring_oram : public tree_core {
                 std::span<std::uint8_t> out) const;
 
   /// One online path read of one slot per bucket. When `target` is
-  /// found in a path bucket its payload is decoded into
-  /// extracted_payload_ and the slot is consumed; `found` reports it.
+  /// found in a path bucket (its record naming `leaf`), its payload is
+  /// decoded into extracted_payload_ and the slot is consumed; `found`
+  /// reports it.
   /// Bumps read counters, runs the reshuffle schedule and, every A-th
   /// access, owes an eviction (evict_owed() runs it).
   cost_split path_read(leaf_id leaf, block_id target, bool& found);

@@ -17,6 +17,7 @@
 #include <string_view>
 #include <tuple>
 
+#include "backend_test_access.h"
 #include "horam.h"
 #include "test_support.h"
 
@@ -540,6 +541,27 @@ struct tree_case<oram::path_backend> {
   static std::uint32_t z(const horam_config& config) {
     return config.bucket_size;
   }
+  /// Flips the low bit of the leaf half of the first real record's id
+  /// word in a bucket at the tree's deepest level (`deepest`) or above
+  /// it. The tree is unsealed, so the id header is plaintext.
+  static void alter_record_leaf(const oram::path_oram& tree, bool deepest) {
+    using access = oram::path_oram_test_access;
+    const std::uint64_t leaf_level_first =
+        (std::uint64_t{1} << (tree.level_count() - 1)) - 1;
+    for (std::uint64_t bucket = deepest ? leaf_level_first : 0;
+         bucket < (deepest ? tree.bucket_count() : leaf_level_first);
+         ++bucket) {
+      const std::vector<block_id> words = access::ids(tree, bucket);
+      for (std::uint32_t k = 0; k < words.size(); ++k) {
+        if (words[k] != oram::dummy_block_id) {
+          access::corrupt(tree, bucket, access::codec(tree).id_offset(k) + 4,
+                          1);
+          return;
+        }
+      }
+    }
+    FAIL() << "no real record at the chosen levels";
+  }
 };
 
 template <>
@@ -550,6 +572,24 @@ struct tree_case<oram::ring_backend> {
   static constexpr std::uint64_t drain_salt = 317;
   static std::uint32_t z(const horam_config& config) {
     return config.ring_bucket_size;
+  }
+  /// Flips the low bit of the leaf half of the first real slot record's
+  /// id word in a bucket at the tree's deepest level (`deepest`) or
+  /// above it. The tree is unsealed, so the record is plaintext.
+  static void alter_record_leaf(const oram::ring_oram& tree, bool deepest) {
+    using access = oram::ring_oram_test_access;
+    const std::uint64_t leaf_level_first =
+        (std::uint64_t{1} << (tree.level_count() - 1)) - 1;
+    const auto slots = access::slot_metadata(tree);
+    for (std::uint64_t slot = 0; slot < slots.size(); ++slot) {
+      const std::uint64_t bucket = slot / tree.slots_per_bucket();
+      if (slots[slot].first != oram::dummy_block_id &&
+          (bucket >= leaf_level_first) == deepest) {
+        access::corrupt(tree, slot, 4, 1);
+        return;
+      }
+    }
+    FAIL() << "no real record at the chosen levels";
   }
 };
 
@@ -639,6 +679,30 @@ TYPED_TEST(TreeBackendDetail, ShuffleDrainReturnsStashToConstantSize) {
   EXPECT_LE(backend.tree().stash_ref().size(),
             2u * TestFixture::scheme::z(fx.config()));
   ASSERT_NO_THROW(backend.check_consistency());
+}
+
+// Every tree record carries its block's leaf in the high half of its id
+// word. An altered leaf moves a record off its path when it sits at the
+// deepest level, which the tree's own audit catches; higher up the path
+// still passes its bucket, and the backend's audit catches the leaf
+// disagreeing with the recursive map.
+TYPED_TEST(TreeBackendDetail, AlteredRecordLeafFailsTheAudit) {
+  rig& fx = this->fx;
+  horam_config config = fx.config();
+  config.seal = false;
+  for (const bool deepest : {false, true}) {
+    SCOPED_TRACE(deepest ? "deepest level" : "above the deepest level");
+    TypeParam backend(config, fx.device, fx.cpu, fx.rng, /*trace=*/nullptr,
+                      /*filler=*/nullptr, &fx.map_device);
+    ASSERT_NO_THROW(backend.check_consistency());
+    TestFixture::scheme::alter_record_leaf(backend.tree(), deepest);
+    if (deepest) {
+      EXPECT_THROW(backend.tree().check_consistency(), contract_error);
+    } else {
+      EXPECT_NO_THROW(backend.tree().check_consistency());
+    }
+    EXPECT_THROW(backend.check_consistency(), contract_error);
+  }
 }
 
 // ------------------------------------------------- path-backend detail

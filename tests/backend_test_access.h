@@ -7,6 +7,7 @@
 #define HORAM_TESTS_BACKEND_TEST_ACCESS_H
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -208,6 +209,26 @@ struct ring_oram_test_access {
   static std::uint64_t bucket_on_path(const ring_oram& tree, leaf_id leaf,
                                       std::uint32_t level) {
     return tree.bucket_on_path(leaf, level);
+  }
+  /// The leaf the tree holds `id` under, as its stash entry or its slot
+  /// record names it (the tree keeps no map; a test stands in for the
+  /// caller's), or nullopt when the tree does not hold it.
+  static std::optional<leaf_id> leaf_of(const ring_oram& tree, block_id id) {
+    if (tree.stash_ref().contains(id)) {
+      return tree.stash_ref().at(id).leaf;
+    }
+    const std::uint32_t spb = tree.slots_per_bucket();
+    for (std::uint64_t bucket = 0; bucket < tree.bucket_count(); ++bucket) {
+      const std::uint64_t first = bucket * tree.config().real_slots;
+      for (std::uint32_t i = 0; i < tree.real_counts_[bucket]; ++i) {
+        if (tree.real_ids_[first + i] == id) {
+          return ring_oram::record_leaf(tree.codec_.decode(
+              tree.io_store_->peek(bucket * spb + tree.real_offsets_[first + i]),
+              {}));
+        }
+      }
+    }
+    return std::nullopt;
   }
   /// Every slot's trusted metadata, (block id, read bit), rebuilt from
   /// the per-bucket records: a slot not listed as a live real reads as

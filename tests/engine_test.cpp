@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -226,7 +225,7 @@ void expect_results_equal(const std::vector<request_result>& a,
   }
 }
 
-/// Same router counters, round log and per-shard bus traces.
+/// Same router counters and per-shard bus traces.
 void expect_engines_equal(const engine& a, const engine& b) {
   EXPECT_EQ(a.now(), b.now());
   test::expect_stats_equal(a.stats(), b.stats());
@@ -239,7 +238,6 @@ void expect_engines_equal(const engine& a, const engine& b) {
   EXPECT_EQ(ra.pad_misses, rb.pad_misses);
   EXPECT_EQ(ra.physical_accesses, rb.physical_accesses);
   EXPECT_EQ(ra.coalesced_requests, rb.coalesced_requests);
-  EXPECT_EQ(a.round_log(), b.round_log());
   ASSERT_EQ(a.shard_count(), b.shard_count());
   for (std::uint32_t s = 0; s < a.shard_count(); ++s) {
     const oram::access_trace* ta = a.shard_trace(s);
@@ -552,9 +550,8 @@ TEST_P(EngineConformance, SubmitDrainKeepsSubmissionOrder) {
 
 // ------------------------------------------- padded round obliviousness
 
-/// Drives one sharded client with a workload and returns its round log.
-std::deque<std::vector<std::uint32_t>> round_shape_for(
-    client& oram, bool hotspot, std::uint64_t seed) {
+/// Drives one sharded client with a workload.
+void drive_rounds(client& oram, bool hotspot, std::uint64_t seed) {
   util::pcg64 gen(seed);
   std::vector<request> stream(600);
   for (request& req : stream) {
@@ -563,7 +560,6 @@ std::deque<std::vector<std::uint32_t>> round_shape_for(
                      : util::uniform_below(gen, kBlocks);
   }
   oram.run(stream);
-  return oram.eng().round_log();
 }
 
 TEST(EngineObliviousness, RoundShapesAreWorkloadIndependent) {
@@ -576,22 +572,21 @@ TEST(EngineObliviousness, RoundShapesAreWorkloadIndependent) {
   // one quantity allowed to vary.)
   client a = engine_builder(4, 36).build();
   client b = engine_builder(4, 36).build();
-  const auto shape_a = round_shape_for(a, /*hotspot=*/true, test::seed(37));
-  const auto shape_b = round_shape_for(b, /*hotspot=*/false,
-                                       test::seed(38));
+  drive_rounds(a, /*hotspot=*/true, test::seed(37));
+  drive_rounds(b, /*hotspot=*/false, test::seed(38));
   const std::uint32_t cap = a.eng().round_cap();
   ASSERT_GT(cap, 0u);
   EXPECT_EQ(b.eng().round_cap(), cap);
 
-  ASSERT_GT(shape_a.size(), 0u);
-  ASSERT_GT(shape_b.size(), 0u);
-  for (const auto* log : {&shape_a, &shape_b}) {
-    for (std::size_t round = 0; round < log->size(); ++round) {
-      ASSERT_EQ((*log)[round].size(), 4u);
-      for (std::size_t s = 0; s < 4; ++s) {
-        EXPECT_EQ((*log)[round][s], cap)
-            << "round " << round << " shard " << s;
-      }
+  // Each shard controller's raw request count (real requests plus the
+  // router's padding) is exactly rounds × cap.
+  for (const client* oram : {&a, &b}) {
+    const std::uint64_t rounds = oram->eng().router_stats().rounds;
+    ASSERT_GT(rounds, 0u);
+    ASSERT_EQ(oram->eng().shard_count(), 4u);
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(oram->eng().shard(s).stats().requests, rounds * cap)
+          << "shard " << s;
     }
   }
 }
@@ -769,7 +764,6 @@ TEST(EngineStats, ResetStatsClearsEveryLaneCounter) {
     EXPECT_EQ(oram.eng().router_stats().pad_requests, 0u);
     EXPECT_EQ(oram.eng().router_stats().physical_accesses, 0u);
     EXPECT_EQ(oram.eng().router_stats().coalesced_requests, 0u);
-    EXPECT_TRUE(oram.eng().round_log().empty());
 
     // The next window measures fresh traffic from the reset epoch.
     oram.run(stream);

@@ -45,6 +45,19 @@ std::vector<std::uint8_t> payload_of(std::uint8_t tag) {
   return std::vector<std::uint8_t>(16, tag);
 }
 
+/// Whether the tree holds `id` (in a slot or the stash).
+bool holds(const ring_oram& oram, block_id id) {
+  return ring_oram_test_access::leaf_of(oram, id).has_value();
+}
+
+/// extract() of a block the tree holds, under the leaf it holds it at:
+/// the test stands in for the caller's map.
+void extract(ring_oram& oram, block_id id, std::span<std::uint8_t> out) {
+  const std::optional<leaf_id> leaf = ring_oram_test_access::leaf_of(oram, id);
+  ASSERT_TRUE(leaf.has_value()) << "block " << id << " is not resident";
+  oram.extract(id, *leaf, out);
+}
+
 TEST(RingOram, Geometry) {
   fixture fx;
   ring_oram oram(fx.config(16), fx.device, fx.cpu, fx.rng, nullptr);
@@ -68,16 +81,17 @@ TEST(RingOram, InstallThenExtractRoundTrips) {
   fixture fx;
   ring_oram oram(fx.config(16), fx.device, fx.cpu, fx.rng, nullptr);
   oram.install(9, payload_of(0x77));
-  EXPECT_TRUE(oram.contains(9));
+  EXPECT_TRUE(holds(oram, 9));
   EXPECT_EQ(oram.resident_blocks(), 1u);
   EXPECT_THROW(oram.install(9, payload_of(1)), contract_error);
 
   std::vector<std::uint8_t> out(16);
-  oram.extract(9, out);
+  extract(oram, 9, out);
   EXPECT_EQ(out, payload_of(0x77));
-  EXPECT_FALSE(oram.contains(9));
+  EXPECT_FALSE(holds(oram, 9));
   EXPECT_EQ(oram.resident_blocks(), 0u);
-  EXPECT_THROW(oram.extract(9, out), contract_error);
+  // The record check refuses a block the tree does not hold.
+  EXPECT_THROW(oram.extract(9, 0, out), contract_error);
   EXPECT_NO_THROW(oram.check_consistency());
 }
 
@@ -94,12 +108,12 @@ TEST(RingOram, ExtractFromStashSurvivesScheduledEviction) {
     const block_id id = static_cast<block_id>(round);
     oram.install(id, payload_of(static_cast<std::uint8_t>(round + 1)));
     std::vector<std::uint8_t> out(16);
-    oram.extract(id, out);
+    extract(oram, id, out);
     EXPECT_EQ(oram.evictions_owed(), 1u);
     oram.evict_owed();
     EXPECT_EQ(oram.evictions_owed(), 0u);
     EXPECT_EQ(out, payload_of(static_cast<std::uint8_t>(round + 1)));
-    EXPECT_FALSE(oram.contains(id));
+    EXPECT_FALSE(holds(oram, id));
   }
   EXPECT_EQ(oram.stats().evictions, 32u);
   EXPECT_NO_THROW(oram.check_consistency());
@@ -119,8 +133,8 @@ TEST(RingOram, AccessesOweEvictionsThatRunAsOneUnion) {
   for (int i = 0; i < 7; ++i) {
     oram.dummy_access();
   }
-  oram.extract(5, out);
-  oram.extract(6, out);
+  extract(oram, 5, out);
+  extract(oram, 6, out);
   EXPECT_EQ(oram.stats().evictions, 0u);
   EXPECT_EQ(oram.evictions_owed(), 3u);  // 9 accesses at A = 3
 
@@ -182,7 +196,7 @@ TEST(RingOram, ShadowDifferentialUnderReshufflesAndEvictions) {
       continue;
     }
     const block_id id = util::uniform_below(driver, 60);
-    oram.extract(id, out);
+    extract(oram, id, out);
     ASSERT_EQ(out, shadow[id]) << "step " << step << " id " << id;
     auto data = payload_of(static_cast<std::uint8_t>(step));
     data[1] = static_cast<std::uint8_t>(id);
@@ -227,9 +241,9 @@ TEST(RingOram, XorOffMatchesXorOnByteForByte) {
   }
   for (int step = 0; step < 400; ++step) {
     const block_id id = util::uniform_below(driver, 40);
-    if (with_xor.contains(id)) {
-      with_xor.extract(id, out_a);
-      without.extract(id, out_b);
+    if (holds(with_xor, id)) {
+      extract(with_xor, id, out_a);
+      extract(without, id, out_b);
       ASSERT_EQ(out_a, out_b) << "step " << step;
       with_xor.install(id, out_a);
       without.install(id, out_b);
@@ -272,7 +286,7 @@ TEST(RingOram, DummyAndRealAccessesShareBusShape) {
     return shape;
   };
   std::vector<std::uint8_t> out(16);
-  const auto real = shape_of([&] { oram.extract(5, out); });
+  const auto real = shape_of([&] { extract(oram, 5, out); });
   const auto dummy = shape_of([&] { oram.dummy_access(); });
   EXPECT_EQ(real, dummy);
   ASSERT_EQ(real.size(), 2u);
@@ -355,7 +369,7 @@ TEST(RingOram, UnionDrainStashStaysBounded) {
       std::vector<std::uint8_t> out(16);
       for (std::uint64_t i = 0; i < sh.moved; ++i) {
         std::swap(ids[i], ids[i + util::uniform_below(driver, sh.blocks - i)]);
-        oram.extract(ids[i], out);
+        extract(oram, ids[i], out);
         out[2] = static_cast<std::uint8_t>(i);
         oram.install(ids[i], out);
       }
@@ -492,7 +506,7 @@ TEST(RingOram, BucketReadsAreZUnreadSlotsWithEveryReal) {
     if (choice < 6) {
       // An online read of a resident, returned to the stash.
       const std::size_t i = util::uniform_below(gen, residents.size());
-      oram.extract(residents[i], out);
+      extract(oram, residents[i], out);
       oram.install(residents[i], out);
     } else if (choice < 7) {
       oram.dummy_access();
@@ -575,7 +589,8 @@ TEST(RingOram, InitializeFullPlacesAndRoundTripsEveryBlock) {
   EXPECT_EQ(oram.resident_blocks(), 100u);
   ASSERT_EQ(leaves.size(), 100u);
   for (block_id id = 0; id < 100; ++id) {
-    EXPECT_EQ(leaves[id], oram.leaf_of(id));
+    EXPECT_EQ(ring_oram_test_access::leaf_of(oram, id).value_or(~leaf_id{0}),
+              leaves[id]);
   }
   EXPECT_NO_THROW(oram.check_consistency());
 
@@ -590,7 +605,7 @@ TEST(RingOram, InitializeFullPlacesAndRoundTripsEveryBlock) {
 
   std::vector<std::uint8_t> out(16);
   for (block_id id = 0; id < 100; ++id) {
-    oram.extract(id, out);
+    extract(oram, id, out);
     ASSERT_EQ(out[0], static_cast<std::uint8_t>(id)) << "id " << id;
     ASSERT_EQ(out[1], static_cast<std::uint8_t>(id >> 8));
   }
@@ -617,7 +632,7 @@ TEST(RingOram, InitializeFullOverflowShelteredInStash) {
     const bool overflowed = oram.stash_ref().size() > 0;
     std::vector<std::uint8_t> out(16);
     for (block_id id = 0; id < count; ++id) {
-      oram.extract(id, out);
+      extract(oram, id, out);
       ASSERT_EQ(out[0], static_cast<std::uint8_t>(id + 1)) << "id " << id;
     }
     if (overflowed) {

@@ -144,7 +144,7 @@ golden run(const horam_config& config) {
     // Work the loads left owed runs before the shuffle, as the
     // controller's end_period() runs it.
     if (owed != nullptr) {
-      add(g.cost_total, owed->run());
+      add(g.cost_total, owed->run(owed->owed()));
     }
     std::vector<oram::evicted_block> overflow;
     if (period < 2) {

@@ -1,12 +1,13 @@
 // Trusted-memory pricing: every control_memory_bytes() figure is the
 // byte size of the containers it names, at the width they are stored
 // in. Ring keeps one record per bucket (32-bit real ids, 8-bit slot
-// offsets, a read bitmask and an epoch) and nothing per slot; a tree
-// that holds its whole universe keeps a dense position map of 16-bit
-// leaves below 65,535 leaves, and the controller's cache tree, whose
-// real slots cover under half its universe, a resident-only table of
-// 32-bit ids and 16-bit leaves priced at its capacity; a tree backend
-// keeps one residency bit per block; the partitioned layer packs its
+// offsets, a read bitmask and an epoch) and nothing per slot; a
+// backend tree keeps no position map (each record carries its leaf,
+// and the recursive map is the backend's one map), and the
+// controller's cache tree, whose real slots cover under half its
+// universe, a resident-only table of 32-bit ids and 16-bit leaves
+// priced at its capacity; a tree backend keeps one residency bit per
+// block; the partitioned layer packs its
 // permutation list, live bits and pools at the bits their values need
 // and keeps 64-bit Fenwick weights; a sharded engine keeps one packed
 // local id per block.
@@ -101,17 +102,16 @@ TEST(TrustedMemory, PricedBytesMatchContainers) {
         << "Z = " << z << ", S = " << s;
   }
 
-  // A ring backend prices its map residue, its tree's dense position
-  // map (2 B per block), stash, residency bits and the tree's bucket
-  // records.
+  // A ring backend prices its map residue, stash, residency bits and
+  // the tree's bucket records; its tree keeps no position map.
   {
     const client c = build(backend_kind::ring, 1);
     const auto& ring =
         dynamic_cast<const oram::ring_backend&>(c.backend());
     const oram::ring_oram& tree = ring.tree();
-    EXPECT_EQ(tree.position_map_bytes(), kBlocks * 2);
+    EXPECT_EQ(tree.position_map_bytes(), 0u);
     EXPECT_EQ(ring.control_memory_bytes(),
-              ring.map().trusted_bytes() + kBlocks * 2 +
+              ring.map().trusted_bytes() +
                   tree.stash_ref().size() *
                       (kPayload + sizeof(oram::stash_entry)) +
                   packed_bytes(kBlocks, 1) + tree.metadata_bytes());
@@ -130,9 +130,9 @@ TEST(TrustedMemory, PricedBytesMatchContainers) {
     const client c = build(backend_kind::path, 1);
     const auto& path =
         dynamic_cast<const oram::path_backend&>(c.backend());
-    EXPECT_EQ(path.tree().position_map_bytes(), kBlocks * 2);
+    EXPECT_EQ(path.tree().position_map_bytes(), 0u);
     EXPECT_EQ(path.control_memory_bytes(),
-              path.map().trusted_bytes() + kBlocks * 2 +
+              path.map().trusted_bytes() +
                   path.tree().stash_ref().size() *
                       (kPayload + sizeof(oram::stash_entry)) +
                   packed_bytes(kBlocks, 1));
