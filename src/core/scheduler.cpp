@@ -39,19 +39,11 @@ std::uint32_t scheduler::group_size(std::uint64_t loads_done) const {
 }
 
 std::uint64_t scheduler::window(std::uint64_t loads_done) const {
-  // d > c always holds: d = factor * c + 1 with factor >= 1.
-  return static_cast<std::uint64_t>(prefetch_factor_) *
-             group_size(loads_done) +
-         1;
+  return window_at(group_size(loads_done), prefetch_factor_);
 }
 
 std::uint64_t scheduler::round_budget(std::uint64_t loads_done) const {
   return budget_at(group_size(loads_done), prefetch_factor_);
-}
-
-std::uint64_t scheduler::budget_at(std::uint32_t c,
-                                   std::uint32_t prefetch_factor) {
-  return 2 * (std::uint64_t{prefetch_factor} * c + 1) + 4;
 }
 
 cycle_plan scheduler::plan(

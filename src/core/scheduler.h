@@ -59,9 +59,16 @@ class scheduler {
   /// controller's own refill target) while staying small enough that
   /// cross-tenant interleaving happens at request granularity.
   [[nodiscard]] std::uint64_t round_budget(std::uint64_t loads_done) const;
-  /// round_budget() at group size `c`: 2·(prefetch_factor·c + 1) + 4.
+  /// window() at group size `c`: d = factor·c + 1, so d > c.
+  [[nodiscard]] static std::uint64_t window_at(std::uint32_t c,
+                                               std::uint32_t factor) {
+    return std::uint64_t{factor} * c + 1;
+  }
+  /// round_budget() at group size `c`: 2·window_at(c) + 4.
   [[nodiscard]] static std::uint64_t budget_at(std::uint32_t c,
-                                               std::uint32_t prefetch_factor);
+                                               std::uint32_t factor) {
+    return 2 * window_at(c, factor) + 4;
+  }
 
   /// Plans one cycle. `resident(id)` tells whether a block can be
   /// serviced from memory; non-resident blocks are miss candidates.

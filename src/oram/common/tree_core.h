@@ -96,18 +96,14 @@ class tree_core {
   [[nodiscard]] const tree_stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const stash& stash_ref() const noexcept { return stash_; }
 
-  /// True iff the block currently lives in this tree (or its stash).
-  /// Keyed trees only.
+  /// True iff the block lives in this tree or its stash. Keyed trees only.
   [[nodiscard]] bool contains(block_id id) const {
-    return positions_.value().contains(id);
+    expects(keyed(), "a backend tree keeps no position map");
+    return positions_->contains(id);
   }
   /// Number of real blocks currently held (tree + stash).
   [[nodiscard]] std::uint64_t resident_blocks() const noexcept {
     return resident_;
-  }
-  /// Current leaf of a resident block. Keyed trees only.
-  [[nodiscard]] leaf_id leaf_of(block_id id) const {
-    return positions_.value().leaf_of(id);
   }
   /// Trusted bytes of the tree's own position map: dense over the id
   /// universe, or resident-only when the tree's real slots cover under

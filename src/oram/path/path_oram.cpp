@@ -321,8 +321,8 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
       continue;
     }
     expects(req.id < config_.id_universe, "block id outside the universe");
-    expects(req.extract || keyed(),
-            "a backend tree serves extracts and dummy accesses only");
+    expects(req.extract != keyed(),
+            "a keyed tree serves accesses, a backend tree extracts");
     expects(req.op != op_kind::write ||
                 req.write_data.size() <= config_.payload_bytes,
             "write larger than the block payload");
@@ -374,6 +374,18 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
       window_reals_.push_back(block_ref{path_ids_[slot], slot_payload(slot)});
     }
   }
+  // Refuse an extract whose block is neither in the stash under its
+  // leaf nor opened from the union with that leaf in its record before
+  // any block changes hands: the tree and the stash stay as they were.
+  for (const request& req : batch) {
+    expects(!req.extract ||
+                (stash_.contains(req.id)
+                     ? stash_.at(req.id).leaf == req.leaf
+                     : std::ranges::any_of(window_reals_, [&](auto& real) {
+                         return real.id == pack_record(req.id, req.leaf);
+                       })),
+            "extracted block is not on the path to that leaf");
+  }
   stash_opened(window_reals_);
 
   // Serve the requests from the stash, in list order.
@@ -381,10 +393,7 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
     if (req.id == dummy_block_id) {
       continue;
     }
-    if (req.extract) {
-      invariant(stash_.contains(req.id) && stash_.at(req.id).leaf == req.leaf,
-                "extracted block is not on the path to its leaf");
-    } else if (!stash_.contains(req.id)) {
+    if (!req.extract && !stash_.contains(req.id)) {
       // First-ever touch: the block materialises zero-filled.
       stash_.put(req.id, 0, zero_payload_);
     }
@@ -409,12 +418,9 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
                                              entry.payload.size()));
     }
     if (req.extract) {
-      // The live copy leaves the tree: drop it from the stash (and a
-      // keyed tree's map) before the write-back re-places the union.
+      // The live copy leaves the tree: drop it from the stash before
+      // the write-back re-places the union.
       stash_.erase(req.id);
-      if (keyed()) {
-        positions_->remove(req.id);
-      }
       --resident_;
     }
   }

@@ -36,16 +36,16 @@
 // written, so a tampered bucket anywhere in it fails the access with
 // crypto::crypto_error and nothing reaches the stash. Then the id
 // headers (id ‖ leaf words) are decrypted, then only the payloads of
-// real slots — most
-// slots of a tree path are dummies. Every write-back re-seals each
-// window bucket whole under a fresh nonce, the re-encryption Path ORAM
-// requires: the buckets are composed in plaintext and sealed deepest
-// level first in one batch (bucket_codec::seal_many), the nonce order
-// of sealing them one by one. The whole-tree sweeps (reset, evict_all,
-// initialize_full) seal and open in batches of a path's size. A sealed
-// bucket fits in the Z records the store reserves for it, so store
-// geometry, device traffic and the modelled crypto charges (per
-// record) are those of per-slot records.
+// real slots — most slots of a tree path are dummies. Every write-back
+// re-seals each window bucket whole under a fresh nonce, the
+// re-encryption Path ORAM requires: the buckets are composed in
+// plaintext and sealed deepest level first in one batch
+// (bucket_codec::seal_many), the nonce order of sealing them one by
+// one. The whole-tree sweeps (reset, evict_all, initialize_full) seal
+// and open in batches of a path's size. A sealed bucket fits in the Z
+// records the store reserves for it, so store geometry, device traffic
+// and the modelled crypto charges (per record) are those of per-slot
+// records.
 #ifndef HORAM_ORAM_PATH_PATH_ORAM_H
 #define HORAM_ORAM_PATH_PATH_ORAM_H
 
@@ -102,8 +102,8 @@ struct path_oram_config {
 
 class path_oram : public tree_core {
  public:
-  /// `io_device` may be null when every level fits in memory. A backend
-  /// tree serves extract() and dummy_access() only.
+  /// `io_device` may be null when every level fits in memory. A keyed
+  /// tree never extracts; a backend tree only extracts and dummies.
   path_oram(const path_oram_config& config, sim::block_device& memory_device,
             sim::block_device* io_device, const sim::cpu_model& cpu,
             util::random_source& rng, access_trace* trace,
@@ -151,9 +151,9 @@ class path_oram : public tree_core {
     std::span<std::uint8_t> read_out;
     /// Edits the payload in place after the read and the write.
     const std::function<void(std::span<std::uint8_t>)>* updater = nullptr;
-    /// Removes the block from the tree instead of remapping it: the
-    /// live copy moves to the caller's cache layer. The block must be
-    /// resident under `leaf`, which its record must confirm.
+    /// Backend trees only: removes the block from the tree instead of
+    /// remapping it, its live copy moving to the caller's cache layer.
+    /// The block must be resident under `leaf`, as its record confirms.
     bool extract = false;
     leaf_id leaf = 0;
   };
@@ -194,7 +194,7 @@ class path_oram : public tree_core {
   /// the tree: reads that path, copies the payload into `read_out`
   /// (payload_bytes long) and writes the path back without the block —
   /// the live copy moves to the caller's cache layer (H-ORAM's load
-  /// path, the inverse of install).
+  /// path, the inverse of install). Backend trees only.
   cost_split extract(block_id id, leaf_id leaf,
                      std::span<std::uint8_t> read_out);
 

@@ -156,9 +156,25 @@ void ring_oram::fill_pad(std::uint64_t slot, std::uint64_t epoch,
   }
 }
 
-cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
+std::uint64_t ring_oram::real_slot_on_path(leaf_id leaf, block_id id) const {
+  for (std::uint32_t level = 0; level < level_count(); ++level) {
+    const std::uint64_t bucket = bucket_on_path(leaf, level);
+    const std::uint64_t first = bucket * config_.real_slots;
+    for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
+      if (real_ids_[first + i] == id) {
+        const std::uint32_t k = real_offsets_[first + i];
+        invariant(!is_read(bucket, k), "real slot already consumed");
+        return bucket * slots_per_bucket() + k;
+      }
+    }
+  }
+  return total_slots();
+}
+
+cost_split ring_oram::path_read(leaf_id leaf, block_id target) {
   cost_split cost;
-  found = false;
+  const std::uint64_t real_slot = real_slot_on_path(leaf, target);
+  const bool found = real_slot != total_slots();
   trace(trace_, event_kind::memory_path_access, leaf, config_.leaf_count);
 
   const std::uint32_t spb = slots_per_bucket();
@@ -169,32 +185,17 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
   // are placed at uniformly random slots on every bucket rewrite, so
   // the two choices are identically distributed on the bus.
   chosen_slots_.clear();
-  std::uint64_t real_slot = 0;
   for (std::uint32_t level = 0; level < level_count(); ++level) {
     const std::uint64_t bucket = bucket_on_path(leaf, level);
-    const std::uint64_t base = bucket * spb;
-    std::uint64_t chosen = total_slots();
-    if (target != dummy_block_id) {
-      const std::uint64_t first = bucket * config_.real_slots;
-      for (std::uint32_t i = 0; i < real_counts_[bucket]; ++i) {
-        if (real_ids_[first + i] == target) {
-          const std::uint32_t k = real_offsets_[first + i];
-          invariant(!is_read(bucket, k), "real slot already consumed");
-          chosen = base + k;
-          found = true;
-          real_slot = chosen;
-          break;
-        }
-      }
+    if (real_slot / spb == bucket) {
+      chosen_slots_.push_back(real_slot);
+      continue;
     }
-    if (chosen == total_slots()) {
-      const std::uint32_t candidates =
-          unread_dummies(bucket, real_mask(bucket));
-      invariant(candidates > 0,
-                "bucket ran out of unread dummies before its reshuffle");
-      chosen = base + slot_order_[util::uniform_below(rng_, candidates)];
-    }
-    chosen_slots_.push_back(chosen);
+    const std::uint32_t candidates = unread_dummies(bucket, real_mask(bucket));
+    invariant(candidates > 0,
+              "bucket ran out of unread dummies before its reshuffle");
+    chosen_slots_.push_back(bucket * spb +
+                            slot_order_[util::uniform_below(rng_, candidates)]);
   }
 
   // The adversary's view: which physical slots were requested. Both
@@ -219,26 +220,22 @@ cost_split ring_oram::path_read(leaf_id leaf, block_id target, bool& found) {
           combined_scratch_[i] ^= pad_scratch_[i];
         }
       }
-      const block_id word =
-          codec_.decode(combined_scratch_, extracted_payload_);
-      invariant(word == pack_record(target, leaf),
-                "XOR-combined read recovered the wrong block");
     }
   } else {
     // Fallback: one device read per chosen slot.
     for (const std::uint64_t slot : chosen_slots_) {
       cost.io += io_store_->read(slot, record_scratch_);
-      if (found && slot == real_slot) {
+      if (slot == real_slot) {
         std::memcpy(combined_scratch_.data(), record_scratch_.data(),
                     record_bytes);
       }
     }
-    if (found) {
-      const block_id word =
-          codec_.decode(combined_scratch_, extracted_payload_);
-      invariant(word == pack_record(target, leaf),
-                "slot read recovered the wrong block");
-    }
+  }
+  if (found) {
+    // The target's record must name the leaf the caller passed.
+    invariant(codec_.decode(combined_scratch_, extracted_payload_) ==
+                  pack_record(target, leaf),
+              "path read recovered the wrong block");
   }
 
   // Consume the chosen slots; an extracted real slot becomes a spent
@@ -284,6 +281,13 @@ cost_split ring_oram::extract(block_id id, leaf_id leaf,
   expects(leaf < config_.leaf_count, "extract leaf out of range");
   expects(read_out.size() >= config_.payload_bytes,
           "read buffer too small");
+  // Trusted memory alone refuses a block neither sheltering under `leaf`
+  // nor in a bucket on its path, before any draw or bus work (one in a
+  // bucket shared with its own leaf's path fails the record check).
+  const bool sheltered = stash_.contains(id);
+  expects(sheltered ? stash_.at(id).leaf == leaf
+                    : real_slot_on_path(leaf, id) != total_slots(),
+          "extracted block is not on the path to that leaf");
   ++stats_.real_accesses;
   // One access = one dependent exchange: the slot choices are known up
   // front from trusted metadata, and any reshuffle the access triggers
@@ -292,22 +296,15 @@ cost_split ring_oram::extract(block_id id, leaf_id leaf,
 
   // No remap: the block leaves the tree, so its (about to be read) path
   // is never correlated with a future access.
-  if (stash_.contains(id)) {
+  if (sheltered) {
     // Sheltering in the stash: serve from trusted memory and take the
     // block out before the all-dummy cover path read, which keeps the
     // bus shape. An eviction owed meanwhile can no longer place it.
-    const stash_entry& entry = stash_.at(id);
-    invariant(entry.leaf == leaf, "extracted block is not under its leaf");
-    std::memcpy(read_out.data(), entry.payload.data(),
+    std::memcpy(extracted_payload_.data(), stash_.at(id).payload.data(),
                 config_.payload_bytes);
     stash_.erase(id);
-    --resident_;
-    bool found = false;
-    return path_read(leaf, dummy_block_id, found);
   }
-  bool found = false;
-  const cost_split cost = path_read(leaf, id, found);
-  invariant(found, "resident block missing from its path");
+  const cost_split cost = path_read(leaf, sheltered ? dummy_block_id : id);
   std::memcpy(read_out.data(), extracted_payload_.data(),
               config_.payload_bytes);
   --resident_;
@@ -318,8 +315,7 @@ cost_split ring_oram::dummy_access() {
   ++stats_.dummy_accesses;
   sim::trip_scope round_trip(&io_store_->device());
   const leaf_id leaf = random_leaf();
-  bool found = false;
-  return path_read(leaf, dummy_block_id, found);
+  return path_read(leaf, dummy_block_id);
 }
 
 cost_split ring_oram::force_evict(std::uint64_t count) {
@@ -372,7 +368,8 @@ void ring_oram::compose_bucket(std::uint64_t bucket,
       real_ids_[first + j] = real_ids_[first + j - 1];
       real_offsets_[first + j] = real_offsets_[first + j - 1];
     }
-    real_ids_[first + j] = static_cast<std::uint32_t>(record_block(reals[i].id));
+    real_ids_[first + j] =
+        static_cast<std::uint32_t>(record_block(reals[i].id));
     real_offsets_[first + j] = static_cast<std::uint8_t>(k);
     add_slot(reals_at.data(), k);
     seal_queue_.push_back(

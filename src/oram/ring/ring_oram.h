@@ -201,13 +201,16 @@ class ring_oram : public tree_core {
   void fill_pad(std::uint64_t slot, std::uint64_t epoch,
                 std::span<std::uint8_t> out) const;
 
-  /// One online path read of one slot per bucket. When `target` is
-  /// found in a path bucket (its record naming `leaf`), its payload is
-  /// decoded into extracted_payload_ and the slot is consumed; `found`
-  /// reports it.
+  /// The slot of `id`'s live record on the path to `leaf`, from trusted
+  /// metadata alone; total_slots() when no bucket there holds it.
+  [[nodiscard]] std::uint64_t real_slot_on_path(leaf_id leaf,
+                                                block_id id) const;
+  /// One online path read of one slot per bucket. A real `target` must
+  /// lie in a path bucket with its record naming `leaf`: its payload is
+  /// decoded into extracted_payload_ and its slot is consumed.
   /// Bumps read counters, runs the reshuffle schedule and, every A-th
   /// access, owes an eviction (evict_owed() runs it).
-  cost_split path_read(leaf_id leaf, block_id target, bool& found);
+  cost_split path_read(leaf_id leaf, block_id target);
 
   /// Rewrites one bucket in place: the given blocks land at fresh
   /// uniformly random distinct slots, every other slot gets the next
@@ -299,7 +302,7 @@ class ring_oram : public tree_core {
   std::vector<std::uint8_t> record_scratch_;
   std::vector<std::uint8_t> combined_scratch_;
   std::vector<std::uint8_t> pad_scratch_;
-  /// The payload path_read() recovered for its target.
+  /// The payload extract() serves: its path read's, or the stash's.
   std::vector<std::uint8_t> extracted_payload_;
 };
 

@@ -153,6 +153,10 @@ struct hier_backend_test_access {
 /// Reaches the stored records of a real tree bucket, for fault
 /// injection, and the tree's stores, for the store goldens.
 struct path_oram_test_access {
+  /// Current leaf of a resident block of a keyed tree.
+  static leaf_id leaf_of(const path_oram& tree, block_id id) {
+    return tree.positions_->leaf_of(id);
+  }
   static const bucket_codec& codec(const path_oram& tree) {
     return tree.codec_;
   }

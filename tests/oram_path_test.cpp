@@ -105,6 +105,45 @@ TEST(PathOram, OversizedWriteLeavesTheTreeUntouched) {
   EXPECT_EQ(out, data);
 }
 
+// A refused extract leaves the tree and the stash as they were: the
+// check runs on the opened union before any block changes hands. (The
+// union read itself is traced: Path ORAM keeps no trusted per-bucket
+// record to consult first.)
+TEST(PathOram, RefusedExtractLeavesTheTreeAsItWas) {
+  fixture fx;
+  path_oram oram(fx.config(16), fx.memory, nullptr, fx.cpu, fx.rng, nullptr,
+                 tree_role::backend);
+  for (block_id id = 0; id < 24; ++id) {
+    oram.install(id, payload_of(static_cast<std::uint8_t>(id + 1)), id % 16);
+  }
+  for (int i = 0; i < 16; ++i) {
+    oram.dummy_access();
+  }
+  oram.install(30, payload_of(0x30), 3);  // shelters in the stash
+  const auto images = [&] {
+    std::vector<std::vector<block_id>> out;
+    for (std::uint64_t bucket = 0; bucket < oram.bucket_count(); ++bucket) {
+      out.push_back(path_oram_test_access::ids(oram, bucket));
+    }
+    return out;
+  };
+  const auto before = images();
+  const std::size_t stashed = oram.stash_ref().size();
+  std::vector<std::uint8_t> out(16);
+  EXPECT_THROW(oram.extract(900, 0, out), contract_error);
+  EXPECT_THROW(oram.extract(30, 4, out), contract_error);
+  EXPECT_THROW(oram.extract(5, 6, out), contract_error);
+  EXPECT_EQ(images(), before);
+  EXPECT_EQ(oram.stash_ref().size(), stashed);
+  EXPECT_EQ(oram.resident_blocks(), 25u);
+  EXPECT_NO_THROW(oram.check_consistency());
+  oram.extract(5, 5, out);
+  EXPECT_EQ(out, payload_of(6));
+  oram.extract(30, 3, out);
+  EXPECT_EQ(out, payload_of(0x30));
+  EXPECT_NO_THROW(oram.check_consistency());
+}
+
 TEST(PathOram, ShadowMapDifferentialTest) {
   // Random reads/writes against a std::map shadow; every read must
   // return the latest write.
@@ -634,7 +673,8 @@ TEST(FaultInjection, TamperedCacheTreeBucketFailsTheAccessTyped) {
   const block_id target = 7;
   const std::uint32_t deepest = oram.level_count() - 1;
   const std::uint64_t leaf_bucket =
-      ((std::uint64_t{1} << deepest) - 1) + oram.leaf_of(target);
+      ((std::uint64_t{1} << deepest) - 1) +
+      path_oram_test_access::leaf_of(oram, target);
   const bucket_codec& codec = path_oram_test_access::codec(oram);
   path_oram_test_access::corrupt(oram, leaf_bucket, codec.id_offset(0) + 1,
                                  0x08);

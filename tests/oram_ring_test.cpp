@@ -90,9 +90,48 @@ TEST(RingOram, InstallThenExtractRoundTrips) {
   EXPECT_EQ(out, payload_of(0x77));
   EXPECT_FALSE(holds(oram, 9));
   EXPECT_EQ(oram.resident_blocks(), 0u);
-  // The record check refuses a block the tree does not hold.
+  // The trusted bucket records refuse a block the tree does not hold.
   EXPECT_THROW(oram.extract(9, 0, out), contract_error);
   EXPECT_NO_THROW(oram.check_consistency());
+}
+
+// A refused extract is caught from trusted memory before any draw or
+// bus work: a block the tree does not hold, a sheltering block under
+// another leaf, and a slot-resident block under a leaf whose path misses
+// its bucket leave the trace, the counters and the tree as they were.
+TEST(RingOram, RefusedExtractLeavesNoTrace) {
+  fixture fx;
+  ring_oram oram(fx.config(16), fx.device, fx.cpu, fx.rng, &fx.trace);
+  for (block_id id = 0; id < 24; ++id) {
+    oram.install(id, payload_of(static_cast<std::uint8_t>(id + 1)));
+  }
+  oram.force_evict(16);
+  oram.install(30, payload_of(0x30));  // shelters in the stash
+  const auto slots = ring_oram_test_access::slot_metadata(oram);
+  const std::uint32_t spb = oram.slots_per_bucket();
+  const auto below_root =
+      std::find_if(slots.begin() + spb, slots.end(), [](const auto& slot) {
+        return slot.first != dummy_block_id;
+      });
+  ASSERT_NE(below_root, slots.end());
+  const block_id placed = below_root->first;
+  const leaf_id placed_leaf = *ring_oram_test_access::leaf_of(oram, placed);
+  const leaf_id stash_leaf = *ring_oram_test_access::leaf_of(oram, 30);
+
+  const std::size_t events = fx.trace.size();
+  const tree_stats before = oram.stats();
+  std::vector<std::uint8_t> out(16);
+  EXPECT_THROW(oram.extract(900, 0, out), contract_error);
+  EXPECT_THROW(oram.extract(30, stash_leaf ^ 1, out), contract_error);
+  // Differs at level 1: the paths share the root bucket alone.
+  EXPECT_THROW(oram.extract(placed, placed_leaf ^ 8, out), contract_error);
+  EXPECT_EQ(fx.trace.size(), events);
+  EXPECT_EQ(oram.stats().real_accesses, before.real_accesses);
+  EXPECT_EQ(oram.resident_blocks(), 25u);
+  EXPECT_EQ(ring_oram_test_access::slot_metadata(oram), slots);
+  EXPECT_NO_THROW(oram.check_consistency());
+  oram.extract(placed, placed_leaf, out);
+  EXPECT_EQ(out, payload_of(static_cast<std::uint8_t>(placed + 1)));
 }
 
 // A freshly installed block shelters in the stash; extracting it must
