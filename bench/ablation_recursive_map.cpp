@@ -2,8 +2,11 @@
 // "the naive setting (no recursive)" — a flat trusted map of 8 B per
 // block (Figure 4-1's "Position map (4MB)"). Recursion shrinks trusted
 // state geometrically at the price of one extra in-memory ORAM access
-// per level per map operation. This bench quantifies that trade so a
-// deployment can pick its point.
+// per level per map operation. The recursion is real: each level's
+// blocks are located by the leaves the next-deeper level holds, so
+// "Trusted bytes" (the residue) is the map's whole trusted map state
+// beside the level trees' stashes. This bench quantifies that trade so
+// a deployment can pick its point.
 #include <iostream>
 
 #include "oram/path/recursive_position_map.h"

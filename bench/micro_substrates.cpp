@@ -424,9 +424,11 @@ BENCHMARK(bm_ring_drain)->Arg(1)->Arg(8)->Arg(13);
 // map (4096 ids, 64 entries per 512-B map block, so one sealed level of
 // 64 blocks on a 16-leaf tree, Z = 4): the leaves of n = 231
 // re-installed blocks, as one map pass (assign_all; walks:0) and as 231
-// one-path assign() walks (walks:1). Items are map entries; the
-// counters give the modelled virtual time and the round trips per
-// update.
+// one-path assign() walks (walks:1). levels:2 forces a second level (a
+// 16-entry residue threshold: the 64 level-0 blocks' leaves go into one
+// level-1 block), so the pass and the walks descend through both. Items
+// are map entries; the counters give the modelled virtual time and the
+// round trips per update.
 void bm_map_pass(benchmark::State& state) {
   sim::block_device memory(sim::dram_ddr4());
   const sim::cpu_model cpu(sim::cpu_aesni());
@@ -434,7 +436,7 @@ void bm_map_pass(benchmark::State& state) {
   oram::recursive_map_config config;
   config.universe = 4096;
   config.entries_per_block = 64;
-  config.direct_threshold = 1024;
+  config.direct_threshold = state.range(1) == 1 ? 1024 : 16;
   config.bucket_size = 4;
   config.seal = true;
   std::vector<oram::leaf_id> initial(config.universe);
@@ -470,7 +472,12 @@ void bm_map_pass(benchmark::State& state) {
       static_cast<double>(memory.stats().round_trips) / iterations;
   state.SetLabel("sealed, " + kernel_label());
 }
-BENCHMARK(bm_map_pass)->ArgName("walks")->Arg(0)->Arg(1);
+BENCHMARK(bm_map_pass)
+    ->ArgNames({"walks", "levels"})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 2})
+    ->Args({1, 2});
 
 }  // namespace
 

@@ -5,7 +5,7 @@
 // Two representations, chosen by the tree that owns the map from its
 // own geometry:
 //   * dense — one leaf per id of the universe. Right for a tree that
-//     holds (nearly) its whole universe: a backend tree or a map tree.
+//     holds (nearly) its whole universe: a standalone tree.
 //   * resident-only — an open-addressing table keyed by the ids the
 //     tree actually holds. Right for the controller's cache tree, whose
 //     real-slot capacity is a small fraction of the id universe: it

@@ -402,6 +402,7 @@ std::uint64_t tree_backend<Tree>::control_memory_bytes() const {
 template <class Tree>
 void tree_backend<Tree>::check_consistency() const {
   tree_->check_consistency();
+  map_->check_consistency();
 
   invariant(cached_count_ <= config_.block_count, "cached counter overran");
   std::uint64_t cached_blocks = 0;

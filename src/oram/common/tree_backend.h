@@ -35,12 +35,13 @@
 // few of them after the lane's completions (tree_traits<Tree>::owed /
 // run_owed).
 //
-// The recursive map is the backend's only leaf map: every load walks
-// it and hands the answer to the tree's extract, which checks it
-// against the block's record (each tree record carries its block's
-// leaf, tree_core::pack_record), and check_consistency() cross-audits
-// tree, stash, residency bitmap and map chain. Residency is the
-// backend's own bitmap; the tree keeps no map (tree_role::backend).
+// The recursive map is the backend's only leaf map, and its own level
+// trees' too: every load walks it and hands the answer to the tree's
+// extract, which checks it against the block's record (each tree
+// record carries its block's leaf, tree_core::pack_record), and
+// check_consistency() cross-audits tree, stash, residency bitmap and
+// map chain. Residency is the backend's own bitmap; no tree keeps a
+// map (tree_role::backend).
 //
 // What differs between schemes — the tree config built from
 // horam_config, the key-seed domains, the drain budget and unit (a

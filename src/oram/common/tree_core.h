@@ -9,8 +9,9 @@
 // Every tree record's 8-byte id word holds id | leaf << 32
 // (pack_record), so opened blocks enter the stash under the leaves
 // their records name and no write-back needs a map. Only a keyed tree
-// (the cache tree, the recursive map's level trees) keeps a position
-// map; a backend tree is handed each leaf by its caller's map walk.
+// (the controller's cache tree, a standalone tree) keeps a position
+// map; a backend tree (a tree backend's tree, a recursive map's level
+// trees) is handed each leaf by its caller's map walk.
 //
 // The union pass serves a list of paths with one read and one
 // write-back of their union (the path overlap Fork Path ORAM removes):
@@ -66,7 +67,7 @@ struct tree_stats {
 };
 
 /// A keyed tree looks blocks up by id through its own position map; a
-/// backend tree is handed every leaf by its caller and keeps none.
+/// backend tree is handed every leaf by its caller's map and keeps none.
 enum class tree_role : std::uint8_t { keyed, backend };
 
 class tree_core {

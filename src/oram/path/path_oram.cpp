@@ -321,8 +321,9 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
       continue;
     }
     expects(req.id < config_.id_universe, "block id outside the universe");
-    expects(req.extract != keyed(),
-            "a keyed tree serves accesses, a backend tree extracts");
+    expects(!req.extract || !keyed(), "a keyed tree never extracts");
+    expects(keyed() || std::max(req.leaf, req.next_leaf) < config_.leaf_count,
+            "caller's leaf outside the tree");
     expects(req.op != op_kind::write ||
                 req.write_data.size() <= config_.payload_bytes,
             "write larger than the block payload");
@@ -339,19 +340,19 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
   sim::trip_scope round_trip(&memory_device_,
                              io_store_ ? &io_store_->device() : nullptr);
 
-  // Draw the leaves in list order, as one access after another would:
-  // an extracted block leaves the tree, so its path is read without a
-  // remap and never correlates with a future access.
+  // Draw the leaves in list order, as one access after another would.
+  // A backend tree reads the leaf its caller names: an extracted block
+  // leaves the tree, and any other moves to the caller's fresh leaf.
   batch_leaves_.clear();
   for (const request& req : batch) {
     if (req.id == dummy_block_id) {
       ++stats_.dummy_accesses;
       batch_leaves_.push_back(random_leaf());
-    } else if (req.extract) {
+    } else if (keyed()) {
+      batch_leaves_.push_back(remap(req.id));
+    } else {
       ++stats_.real_accesses;
       batch_leaves_.push_back(req.leaf);
-    } else {
-      batch_leaves_.push_back(remap(req.id));
     }
     trace(trace_, event_kind::memory_path_access, batch_leaves_.back(),
           config_.leaf_count);
@@ -374,17 +375,18 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
       window_reals_.push_back(block_ref{path_ids_[slot], slot_payload(slot)});
     }
   }
-  // Refuse an extract whose block is neither in the stash under its
-  // leaf nor opened from the union with that leaf in its record before
-  // any block changes hands: the tree and the stash stay as they were.
+  // Refuse a backend tree's real request whose block is neither in the
+  // stash under its leaf nor opened from the union with that leaf in its
+  // record before any block changes hands: the tree and the stash stay
+  // as they were.
   for (const request& req : batch) {
-    expects(!req.extract ||
+    expects(keyed() || req.id == dummy_block_id ||
                 (stash_.contains(req.id)
                      ? stash_.at(req.id).leaf == req.leaf
                      : std::ranges::any_of(window_reals_, [&](auto& real) {
                          return real.id == pack_record(req.id, req.leaf);
                        })),
-            "extracted block is not on the path to that leaf");
+            "block is not on the path to the caller's leaf");
   }
   stash_opened(window_reals_);
 
@@ -393,7 +395,7 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
     if (req.id == dummy_block_id) {
       continue;
     }
-    if (!req.extract && !stash_.contains(req.id)) {
+    if (keyed() && !stash_.contains(req.id)) {
       // First-ever touch: the block materialises zero-filled.
       stash_.put(req.id, 0, zero_payload_);
     }
@@ -402,7 +404,7 @@ cost_split path_oram::access_batch(std::span<const request> batch) {
     // record's old leaf or sheltering in the stash must follow its new
     // leaf, or the write-back would strand it off its path.
     if (!req.extract) {
-      entry.leaf = positions_->leaf_of(req.id);
+      entry.leaf = keyed() ? positions_->leaf_of(req.id) : req.next_leaf;
     }
     if (!req.read_out.empty()) {
       std::memcpy(req.read_out.data(), entry.payload.data(),
@@ -474,21 +476,9 @@ cost_split path_oram::access(op_kind op, block_id id,
   return access_batch({&req, 1});
 }
 
-cost_split path_oram::access_rmw(
-    block_id id,
-    const std::function<void(std::span<std::uint8_t>)>& updater) {
-  expects(id != dummy_block_id, "cannot access the dummy id");
-  expects(static_cast<bool>(updater), "rmw needs an updater");
-  request req;
-  req.id = id;
-  req.updater = &updater;
-  return access_batch({&req, 1});
-}
-
 cost_split path_oram::extract(block_id id, leaf_id leaf,
                               std::span<std::uint8_t> read_out) {
   expects(id != dummy_block_id, "cannot access the dummy id");
-  expects(leaf < config_.leaf_count, "extract leaf out of range");
   request req;
   req.id = id;
   req.leaf = leaf;

@@ -19,8 +19,8 @@
 // leaves in list order and runs tree_core's union pass over them,
 // serving every request from the stash in list order between the read
 // and the write-back, so the top levels are opened and re-sealed once
-// per batch instead of k times. access(), access_rmw(), extract() and
-// dummy_access() are its k = 1 case, whose union is the path itself.
+// per batch instead of k times. access(), extract() and dummy_access()
+// are its k = 1 case, whose union is the path itself.
 // The client state and the algorithms Path ORAM shares with Ring ORAM
 // — tree geometry, position map, stash, installs, the bulk-build
 // placement and the union pass — live in tree_core
@@ -103,7 +103,8 @@ struct path_oram_config {
 class path_oram : public tree_core {
  public:
   /// `io_device` may be null when every level fits in memory. A keyed
-  /// tree never extracts; a backend tree only extracts and dummies.
+  /// tree never extracts; a backend tree's real requests carry the
+  /// caller's leaves.
   path_oram(const path_oram_config& config, sim::block_device& memory_device,
             sim::block_device* io_device, const sim::cpu_model& cpu,
             util::random_source& rng, access_trace* trace,
@@ -153,9 +154,12 @@ class path_oram : public tree_core {
     const std::function<void(std::span<std::uint8_t>)>* updater = nullptr;
     /// Backend trees only: removes the block from the tree instead of
     /// remapping it, its live copy moving to the caller's cache layer.
-    /// The block must be resident under `leaf`, as its record confirms.
     bool extract = false;
+    /// Backend trees only: the leaf the caller's map holds the block
+    /// under, which its record or stash entry must confirm, and the
+    /// fresh leaf the access moves it to (unused by an extract).
     leaf_id leaf = 0;
+    leaf_id next_leaf = 0;
   };
 
   /// Serves `batch` with one read and one write-back of its path union.
@@ -168,7 +172,10 @@ class path_oram : public tree_core {
   /// request is served from the stash in list order, so a later request
   /// for the same block sees the earlier one's write. Each union bucket
   /// costs one device read and one write plus the crypto of 2 * Z
-  /// records. Absent blocks read as zeros and become resident. Under
+  /// records. On a keyed tree, absent blocks read as zeros and become
+  /// resident; a backend tree refuses, before any block changes hands,
+  /// a real request whose block (once per batch) it does not hold under
+  /// `leaf`. Under
   /// storage_layout::page the batch holds one request.
   cost_split access_batch(std::span<const request> batch);
 
@@ -178,13 +185,6 @@ class path_oram : public tree_core {
   cost_split access(op_kind op, block_id id,
                     std::span<const std::uint8_t> write_data,
                     std::span<std::uint8_t> read_out);
-
-  /// One-access read-modify-write: `updater` edits the payload while
-  /// the block passes through the stash (packed-entry updates, e.g. the
-  /// recursive position map, use this instead of a read + write pair).
-  cost_split access_rmw(
-      block_id id,
-      const std::function<void(std::span<std::uint8_t>)>& updater);
 
   /// A dummy access: random path read + write-back. Indistinguishable
   /// from access() on the bus; drains the stash as a side effect.

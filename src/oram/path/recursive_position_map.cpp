@@ -25,20 +25,22 @@ recursive_position_map::recursive_position_map(
     const recursive_map_config& config, sim::block_device& memory_device,
     const sim::cpu_model& cpu, util::random_source& rng,
     access_trace* trace, std::span<const leaf_id> initial)
-    : config_(config) {
+    : config_(config), rng_(rng) {
   expects(config_.universe > 0, "map universe must be positive");
   expects(config_.entries_per_block >= 2,
           "recursion needs at least two entries per block");
   expects(config_.direct_threshold >= 1, "threshold must be positive");
-  expects(initial.empty() || initial.size() <= config_.universe,
+  expects(initial.size() <= config_.universe,
           "more initial entries than the universe");
 
   // Build the level chain: level 0 covers the data blocks; level k+1
   // covers the map blocks of level k; stop when a level fits the
-  // trusted threshold.
+  // trusted threshold. Level 0 packs the caller's initial values, every
+  // deeper level the leaves the build just drew for the shallower
+  // level's blocks; entries without a value read as absent.
+  std::vector<leaf_id> packed(initial.begin(), initial.end());
   std::uint64_t entries = config_.universe;
   while (entries > config_.direct_threshold) {
-    level_entries_.push_back(entries);
     const std::uint64_t blocks =
         util::ceil_div(entries, config_.entries_per_block);
 
@@ -52,37 +54,24 @@ recursive_position_map::recursive_position_map(
     level_config.key_seed =
         config_.key_seed + 0x101 * (levels_.size() + 1);
     levels_.push_back(std::make_unique<path_oram>(
-        level_config, memory_device, nullptr, cpu, rng, trace));
+        level_config, memory_device, nullptr, cpu, rng, trace,
+        tree_role::backend));
 
-    // Initialise every map block: level 0 packs the caller's initial
-    // values (the authoritative entries); deeper levels and unseeded
-    // entries start all-absent so lookups are total.
-    const bool authoritative = levels_.size() == 1;
+    packed.resize(blocks * config_.entries_per_block, absent);
+    std::vector<leaf_id> drawn;
     levels_.back()->initialize_full(
-        blocks, [&](block_id block, std::span<std::uint8_t> payload) {
-          std::memset(payload.data(), 0xff, payload.size());
-          if (!authoritative || initial.empty()) {
-            return;
-          }
-          for (std::uint64_t k = 0; k < config_.entries_per_block; ++k) {
-            const std::uint64_t id =
-                block * config_.entries_per_block + k;
-            if (id >= initial.size()) {
-              break;
-            }
-            std::memcpy(payload.data() + k * sizeof(leaf_id),
-                        &initial[id], sizeof(leaf_id));
-          }
-        });
+        blocks,
+        [&](block_id block, std::span<std::uint8_t> payload) {
+          std::memcpy(payload.data(),
+                      packed.data() + block * config_.entries_per_block,
+                      payload.size());
+        },
+        &drawn);
+    packed = std::move(drawn);
     entries = blocks;
   }
-  residue_.assign(entries, absent);
-  if (levels_.empty() && !initial.empty()) {
-    std::copy(initial.begin(), initial.end(), residue_.begin());
-  }
-  payload_scratch_.resize(config_.entries_per_block * sizeof(leaf_id));
-  invariant(!levels_.empty() || config_.universe <= config_.direct_threshold,
-            "chain construction failed");
+  residue_ = std::move(packed);
+  residue_.resize(entries, absent);
 }
 
 std::uint64_t recursive_position_map::oram_bytes() const noexcept {
@@ -93,61 +82,90 @@ std::uint64_t recursive_position_map::oram_bytes() const noexcept {
   return total;
 }
 
-cost_split recursive_position_map::walk(block_id id,
-                                        std::optional<leaf_id> write,
-                                        leaf_id& current) {
-  expects(id < config_.universe, "block id outside the universe");
+cost_split recursive_position_map::descend(std::optional<block_id> route,
+                                           const edit_fn& edit) {
+  const std::span<std::uint8_t> residue{
+      reinterpret_cast<std::uint8_t*>(residue_.data()),
+      residue_.size() * sizeof(leaf_id)};
   if (levels_.empty()) {
-    current = residue_[id];
-    if (write.has_value()) {
-      residue_[id] = *write;
-    }
+    edit(0, residue);
     return {};
   }
+  const std::uint64_t per_block = config_.entries_per_block;
+  // Moves the blocks of `level` the descent reaches (for a walk, the one
+  // its id routes through) whose leaves `payload` holds, entry k naming
+  // block held + k, to fresh leaves drawn now: each entry is read as its
+  // block's leaf and rewritten with the fresh one, and the block's
+  // request joins next_requests_.
+  const auto hand_down = [&](std::size_t level, block_id held,
+                             std::span<std::uint8_t> payload) {
+    block_id first = 0;
+    block_id end = levels_[level]->config().id_universe;
+    if (route.has_value()) {
+      first = *route / per_block;
+      for (std::size_t k = 0; k < level; ++k) {
+        first /= per_block;
+      }
+      end = first + 1;
+    }
+    end = std::min<block_id>(end, held + payload.size() / sizeof(leaf_id));
+    for (block_id block = std::max(first, held); block < end; ++block) {
+      std::uint8_t* entry = payload.data() + (block - held) * sizeof(leaf_id);
+      path_oram::request& req = next_requests_.emplace_back();
+      req.id = block;
+      std::memcpy(&req.leaf, entry, sizeof(leaf_id));
+      req.next_leaf =
+          util::uniform_below(rng_, levels_[level]->config().leaf_count);
+      std::memcpy(entry, &req.next_leaf, sizeof(leaf_id));
+    }
+  };
 
-  // Walk deepest-first, mirroring the real protocol's order: the
-  // residue seeds the deepest map ORAM access, each level's entry
-  // locates the next-shallower map block, level 0 yields the answer.
-  // (Deeper levels carry pattern and cost; the authoritative value
-  // lives in level 0's packed payloads.) A write also refreshes the
-  // deeper levels' pattern-bearing entries.
+  next_requests_.clear();
+  hand_down(levels_.size() - 1, 0, residue);
   cost_split cost;
   for (std::size_t level = levels_.size(); level-- > 0;) {
-    // Index of the entry this id routes through at `level`.
-    std::uint64_t index = id;
-    for (std::size_t k = 0; k < level; ++k) {
-      index /= config_.entries_per_block;
-    }
-    const std::uint64_t offset =
-        (index % config_.entries_per_block) * sizeof(leaf_id);
-    const std::optional<leaf_id> value =
-        level == 0 || !write.has_value() ? write
-                                         : std::optional<leaf_id>(0);
-    current = absent;
-    cost += levels_[level]->access_rmw(
-        index / config_.entries_per_block,
+    requests_.swap(next_requests_);
+    next_requests_.clear();
+    // access_batch() serves its requests in list order, so the k-th
+    // call edits the k-th request's block.
+    std::size_t served = 0;
+    const std::function<void(std::span<std::uint8_t>)> update =
         [&](std::span<std::uint8_t> payload) {
-          std::memcpy(&current, payload.data() + offset, sizeof(leaf_id));
-          if (value.has_value()) {
-            std::memcpy(payload.data() + offset, &*value, sizeof(leaf_id));
-          }
-        });
+          const block_id held = requests_[served++].id * per_block;
+          level == 0 ? edit(held, payload)
+                     : hand_down(level - 1, held, payload);
+        };
+    for (path_oram::request& req : requests_) {
+      req.updater = &update;
+    }
+    for (std::size_t at = 0; at < requests_.size(); at += kPassBatch) {
+      cost += levels_[level]->access_batch(std::span(requests_).subspan(
+          at, std::min<std::size_t>(kPassBatch, requests_.size() - at)));
+    }
   }
   return cost;
 }
 
 cost_split recursive_position_map::lookup(block_id id,
                                           std::optional<leaf_id>& out) {
+  expects(id < config_.universe, "block id outside the universe");
   leaf_id value = absent;
-  const cost_split cost = walk(id, std::nullopt, value);
+  const cost_split cost =
+      descend(id, [&](block_id first, std::span<std::uint8_t> payload) {
+        std::memcpy(&value, payload.data() + (id - first) * sizeof(leaf_id),
+                    sizeof(leaf_id));
+      });
   out = value == absent ? std::nullopt : std::optional<leaf_id>(value);
   return cost;
 }
 
 cost_split recursive_position_map::assign(block_id id, leaf_id leaf) {
+  expects(id < config_.universe, "block id outside the universe");
   expects(leaf != absent, "reserved leaf value");
-  leaf_id ignored = absent;
-  return walk(id, leaf, ignored);
+  return descend(id, [&](block_id first, std::span<std::uint8_t> payload) {
+    std::memcpy(payload.data() + (id - first) * sizeof(leaf_id), &leaf,
+                sizeof(leaf_id));
+  });
 }
 
 cost_split recursive_position_map::assign_all(
@@ -156,13 +174,6 @@ cost_split recursive_position_map::assign_all(
     expects(e.id < config_.universe, "block id outside the universe");
     expects(e.leaf != absent, "reserved leaf value");
   }
-  if (levels_.empty()) {
-    for (const entry& e : entries) {
-      residue_[e.id] = e.leaf;
-    }
-    return {};
-  }
-
   // Group the entries by level-0 map block; the stable sort keeps a
   // later entry for an id after the earlier one, so it is written last.
   const std::uint64_t per_block = config_.entries_per_block;
@@ -171,80 +182,59 @@ cost_split recursive_position_map::assign_all(
                    [per_block](const entry& a, const entry& b) {
                      return a.id / per_block < b.id / per_block;
                    });
-
-  cost_split cost;
   auto next = pass_entries_.cbegin();
-  for (std::size_t level = 0; level < levels_.size(); ++level) {
-    const std::uint64_t entries_here = level_entries_[level];
-    const std::uint64_t blocks = util::ceil_div(entries_here, per_block);
-    for (std::uint64_t first = 0; first < blocks; first += kPassBatch) {
-      const std::uint64_t count = std::min(kPassBatch, blocks - first);
-      pass_updaters_.clear();
-      for (block_id block = first; block < first + count; ++block) {
-        if (level == 0) {
-          const auto begin = next;
-          while (next != pass_entries_.cend() &&
-                 next->id / per_block == block) {
-            ++next;
-          }
-          pass_updaters_.emplace_back(
-              [begin, end = next, per_block](std::span<std::uint8_t> payload) {
-                for (auto it = begin; it != end; ++it) {
-                  std::memcpy(payload.data() +
-                                  (it->id % per_block) * sizeof(leaf_id),
-                              &it->leaf, sizeof(leaf_id));
-                }
-              });
-        } else {
-          // Every entry this block holds covers a map block of the
-          // shallower level, and the pass has just rewritten them all.
-          const std::uint64_t held =
-              std::min(per_block, entries_here - block * per_block);
-          pass_updaters_.emplace_back(
-              [held](std::span<std::uint8_t> payload) {
-                std::memset(payload.data(), 0, held * sizeof(leaf_id));
-              });
-        }
-      }
-      pass_requests_.assign(count, path_oram::request{});
-      for (std::uint64_t k = 0; k < count; ++k) {
-        pass_requests_[k].id = first + k;
-        pass_requests_[k].updater = &pass_updaters_[k];
-      }
-      cost += levels_[level]->access_batch(pass_requests_);
+  return descend(std::nullopt, [&](block_id first,
+                                   std::span<std::uint8_t> payload) {
+    const block_id end = first + payload.size() / sizeof(leaf_id);
+    for (; next != pass_entries_.cend() && next->id < end; ++next) {
+      std::memcpy(payload.data() + (next->id - first) * sizeof(leaf_id),
+                  &next->leaf, sizeof(leaf_id));
     }
-  }
-  return cost;
+  });
 }
 
 void recursive_position_map::for_each_assigned(
     const std::function<void(block_id, leaf_id)>& visit) const {
-  if (levels_.empty()) {
-    for (block_id id = 0; id < residue_.size(); ++id) {
-      if (residue_[id] != absent) {
-        visit(id, residue_[id]);
-      }
-    }
-    return;
+  // The level-0 entries: the residue, or one device-free scan of level
+  // 0, whose block b packs the entries from b * entries_per_block on.
+  std::vector<leaf_id> entries = residue_;
+  if (!levels_.empty()) {
+    entries.assign(
+        levels_[0]->config().id_universe * config_.entries_per_block, absent);
+    levels_[0]->for_each_resident(
+        [&](block_id block, leaf_id, std::span<const std::uint8_t> payload) {
+          std::memcpy(entries.data() + block * config_.entries_per_block,
+                      payload.data(), payload.size());
+        });
   }
-  // One device-free scan of the authoritative level-0 ORAM; each map
-  // block packs entries_per_block consecutive entries.
-  levels_[0]->for_each_resident(
-      [&](block_id block, leaf_id /*block_leaf*/,
-          std::span<const std::uint8_t> payload) {
-        for (std::uint64_t k = 0; k < config_.entries_per_block; ++k) {
-          const block_id id = block * config_.entries_per_block + k;
-          if (id >= config_.universe) {
-            break;
-          }
-          leaf_id value = absent;
-          std::memcpy(&value, payload.data() + k * sizeof(leaf_id),
-                      sizeof(leaf_id));
-          if (value != absent) {
-            visit(id, value);
-          }
-        }
-      });
+  for (block_id id = 0; id < config_.universe; ++id) {
+    if (entries[id] != absent) {
+      visit(id, entries[id]);
+    }
+  }
+}
+
+void recursive_position_map::check_consistency() const {
+  // The leaves the deeper entries name for the level being checked.
+  std::vector<leaf_id> named = residue_;
+  for (std::size_t level = levels_.size(); level-- > 0;) {
+    const path_oram& tree = *levels_[level];
+    tree.check_consistency();
+    invariant(tree.position_map_bytes() == 0,
+              "a map level keeps a position map");
+    invariant(tree.resident_blocks() == tree.config().id_universe,
+              "a map level lost a block");
+    std::vector<leaf_id> shallower(tree.config().id_universe *
+                                   config_.entries_per_block);
+    tree.for_each_resident([&](block_id block, leaf_id leaf,
+                               std::span<const std::uint8_t> payload) {
+      invariant(named[block] == leaf,
+                "map block's record disagrees with the deeper entry");
+      std::memcpy(shallower.data() + block * config_.entries_per_block,
+                  payload.data(), payload.size());
+    });
+    named = std::move(shallower);
+  }
 }
 
 }  // namespace horam::oram

@@ -5,21 +5,24 @@
 // The flat position map costs 8 bytes of trusted memory per block
 // (4 MB at 2^19 blocks — the annotation in Figure 4-1). Recursion packs
 // `entries_per_block` leaf labels into one data block and stores those
-// blocks in a smaller Path ORAM, whose own (smaller) position map is
-// stored in a yet smaller ORAM, and so on until the residue fits a
+// blocks in a smaller Path ORAM, whose blocks' leaves are packed into
+// the blocks of a yet smaller ORAM, and so on until the residue fits a
 // trusted-memory threshold. Trusted state shrinks geometrically; every
 // map operation pays one ORAM access per level instead.
 //
-// A lookup or an assign() walks one map block per level. A shuffle
-// period re-installs its whole hot set at once, so the tree backends
-// record all of its leaves with one map pass instead (assign_all): every
-// map block of every level is read, updated and written back exactly
-// once, in batches of a fixed size. Its cost no longer grows with the
-// number of entries, and its shape shows nothing of it.
-//
-// This component is self-contained (it does not change path_oram's
-// internals) so the cost of recursion can be measured in isolation; see
-// bench/ablation_recursive_map.
+// The recursion is the level trees' only map (tree_role::backend, the
+// Path ORAM paper's access(bid, leaf, ..., next_leaf)): the residue
+// holds the leaves of the deepest level's blocks, each deeper level's
+// entries those of the next-shallower level's blocks. An operation
+// descends deepest level first; each access reads its blocks under the
+// leaves named below and rewrites the shallower blocks' entries with
+// fresh leaves. A lookup or an assign() descends through the one block
+// per level its id routes through. A shuffle period re-installs its
+// whole hot set at once, so the tree backends record all its leaves
+// with one map pass (assign_all): the descent through every block,
+// each read and written back once, in fixed-size batches, so its cost
+// and shape show nothing of the entry count. See
+// bench/ablation_recursive_map for the cost of recursion in isolation.
 #ifndef HORAM_ORAM_PATH_RECURSIVE_POSITION_MAP_H
 #define HORAM_ORAM_PATH_RECURSIVE_POSITION_MAP_H
 
@@ -78,10 +81,10 @@ class recursive_position_map {
   [[nodiscard]] std::uint64_t oram_bytes() const noexcept;
 
   /// Looks up the leaf of `id`; `out` is empty when unassigned.
-  /// Cost: one ORAM read per level.
+  /// Cost: one ORAM access per level.
   cost_split lookup(block_id id, std::optional<leaf_id>& out);
 
-  /// Assigns a leaf. Cost: one ORAM read-modify-write per level.
+  /// Assigns a leaf. Cost: one ORAM access per level.
   cost_split assign(block_id id, leaf_id leaf);
 
   /// One (id, leaf) entry of assign_all().
@@ -94,12 +97,12 @@ class recursive_position_map {
   /// The map pass: assigns every entry, in order (a later entry for the
   /// same id wins), as assign() one entry at a time would. It reads,
   /// updates and writes back every map block of every level exactly
-  /// once, level 0 first, each level in access_batch() calls of
+  /// once, deepest level first, each level in access_batch() calls of
   /// kPassBatch blocks (fewer in the level's last call), in block
   /// order. So its device work and round trips are a function of the
   /// map's geometry alone, whatever `entries` holds, n = 0 included.
-  /// Level 0 takes the entries; every entry of a deeper level is
-  /// rewritten as 0, as a walk rewrites the entries on its route.
+  /// Level 0 takes the entries; every deeper entry takes the fresh leaf
+  /// of the block it names.
   cost_split assign_all(std::span<const entry> entries);
 
   /// Visits every assigned (id, leaf) entry without charging device
@@ -108,32 +111,41 @@ class recursive_position_map {
   void for_each_assigned(
       const std::function<void(block_id, leaf_id)>& visit) const;
 
+  /// Deep audit of the chain: every level tree passes its own audit,
+  /// keeps no map and holds each of its blocks under the leaf the
+  /// next-deeper level's entry (or the residue) names. Throws
+  /// util::contract_error on the first inconsistency.
+  void check_consistency() const;
+
  private:
   friend struct recursive_position_map_test_access;
 
   static constexpr leaf_id absent = std::numeric_limits<leaf_id>::max();
 
-  /// The one map walk: one read-modify-write per level, deepest level
-  /// first, each reading the entry `id` routes through. `current`
-  /// receives id's level-0 entry as found; with `write` set, level 0's
-  /// entry becomes *write and every deeper entry is rewritten as 0.
-  cost_split walk(block_id id, std::optional<leaf_id> write,
-                  leaf_id& current);
+  /// Edits the level-0 entries of ids [first, first + payload entries)
+  /// (the whole residue when there is no level).
+  using edit_fn =
+      std::function<void(block_id first, std::span<std::uint8_t> payload)>;
+  /// The one descent, deepest level first, each level in access_batch()
+  /// calls of kPassBatch blocks in block order: through the one block
+  /// per level `route` passes (a walk) or through every block (the
+  /// pass). `edit` sees each level-0 block it reaches.
+  cost_split descend(std::optional<block_id> route, const edit_fn& edit);
 
   recursive_map_config config_;
-  /// levels_[0] holds the data-level entries; deeper levels hold the
-  /// position maps of the shallower map ORAMs.
+  util::random_source& rng_;
+  /// levels_[0] packs the data-level entries; level k + 1 packs the
+  /// leaves of level k's blocks.
   std::vector<std::unique_ptr<path_oram>> levels_;
-  /// Entry counts per level (level 0 = universe).
-  std::vector<std::uint64_t> level_entries_;
-  /// Plain trusted map for the deepest level's ORAM.
+  /// The level-0 entries without levels; else the leaves of the deepest
+  /// level's blocks.
   std::vector<leaf_id> residue_;
-  std::vector<std::uint8_t> payload_scratch_;
-  /// Map-pass scratch: the entries grouped by level-0 map block, and one
-  /// batch's requests with their updaters.
+  /// Descent scratch: the pass's entries grouped by level-0 map block,
+  /// and the requests of the level being read and of the next-shallower
+  /// one.
   std::vector<entry> pass_entries_;
-  std::vector<path_oram::request> pass_requests_;
-  std::vector<std::function<void(std::span<std::uint8_t>)>> pass_updaters_;
+  std::vector<path_oram::request> requests_;
+  std::vector<path_oram::request> next_requests_;
 };
 
 }  // namespace horam::oram

@@ -7,6 +7,8 @@
 #define HORAM_TESTS_BACKEND_TEST_ACCESS_H
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -199,6 +201,36 @@ struct recursive_position_map_test_access {
       out.push_back(level.get());
     }
     return out;
+  }
+  /// The trusted residue: the leaves of the deepest level's blocks.
+  static const std::vector<leaf_id>& residue(
+      const recursive_position_map& map) {
+    return map.residue_;
+  }
+  /// Rewrites entry `k` of map block `block` at `level` as `value` with
+  /// one access that keeps the block under its leaf, so nothing else of
+  /// the chain changes.
+  static void set_entry(recursive_position_map& map, std::size_t level,
+                        block_id block, std::uint64_t k, leaf_id value) {
+    path_oram& tree = *map.levels_[level];
+    std::optional<leaf_id> leaf;
+    tree.for_each_resident(
+        [&](block_id id, leaf_id at, std::span<const std::uint8_t>) {
+          if (id == block) {
+            leaf = at;
+          }
+        });
+    const std::function<void(std::span<std::uint8_t>)> write =
+        [&](std::span<std::uint8_t> payload) {
+          std::memcpy(payload.data() + k * sizeof(leaf_id), &value,
+                      sizeof(leaf_id));
+        };
+    path_oram::request req;
+    req.id = block;
+    req.leaf = leaf.value();
+    req.next_leaf = leaf.value();
+    req.updater = &write;
+    tree.access_batch({&req, 1});
   }
 };
 

@@ -1566,12 +1566,15 @@ std::vector<std::vector<map_batch>> map_pass_shapes(
   std::vector<std::uint32_t> level_depths;
   expected.resize(std::max<std::size_t>(expected.size(), s + 1));
   expected[s].clear();
-  for (const oram::path_oram* level :
-       oram::recursive_position_map_test_access::levels(map)) {
-    const std::uint64_t index = level_depths.size();
-    level_of_leaves.emplace(level->config().leaf_count, index);
+  const auto levels = oram::recursive_position_map_test_access::levels(map);
+  for (const oram::path_oram* level : levels) {
+    level_of_leaves.emplace(level->config().leaf_count, level_depths.size());
     level_depths.push_back(level->level_count());
-    const std::uint64_t blocks = level->config().id_universe;
+  }
+  // The pass reads the deepest level first: each level's blocks are
+  // read under the leaves the next-deeper level holds.
+  for (std::size_t index = levels.size(); index-- > 0;) {
+    const std::uint64_t blocks = levels[index]->config().id_universe;
     const std::uint64_t batch = oram::recursive_position_map::kPassBatch;
     for (std::uint64_t first = 0; first < blocks; first += batch) {
       expected[s].push_back({index, std::min(batch, blocks - first)});
@@ -1646,7 +1649,7 @@ std::vector<std::vector<map_batch>> map_pass_shapes(
 TEST(ObliviousnessAudit, MapPassShapeIgnoresHitRate) {
   // A tree backend's period end records the leaves of its whole
   // re-installed hot set with one map pass: every map block of every
-  // level is read, updated and written back once, level 0 first, in
+  // level is read, updated and written back once, deepest level first, in
   // batches of kPassBatch blocks. So the map lane of a period end must
   // show the same batches (level, paths per batch; one round trip each)
   // every period, whatever the number n of blocks the period evicted.

@@ -144,6 +144,63 @@ TEST(PathOram, RefusedExtractLeavesTheTreeAsItWas) {
   EXPECT_NO_THROW(oram.check_consistency());
 }
 
+// A backend tree's real access names the block's leaf and its fresh
+// one. A wrong leaf, or a block the tree does not hold, is refused as a
+// wrong extract is: before any block changes hands, and without
+// materialising a zero block.
+TEST(PathOram, CallerMappedAccessRefusesAWrongLeaf) {
+  fixture fx;
+  path_oram oram(fx.config(16), fx.memory, nullptr, fx.cpu, fx.rng, nullptr,
+                 tree_role::backend);
+  for (block_id id = 0; id < 24; ++id) {
+    oram.install(id, payload_of(static_cast<std::uint8_t>(id + 1)), id % 16);
+  }
+  for (int i = 0; i < 16; ++i) {
+    oram.dummy_access();
+  }
+  oram.install(30, payload_of(0x30), 3);  // shelters in the stash
+  const auto images = [&] {
+    std::vector<std::vector<block_id>> out;
+    for (std::uint64_t bucket = 0; bucket < oram.bucket_count(); ++bucket) {
+      out.push_back(path_oram_test_access::ids(oram, bucket));
+    }
+    return out;
+  };
+  const auto access = [&](block_id id, leaf_id leaf, leaf_id next_leaf,
+                          std::span<std::uint8_t> out) {
+    path_oram::request req;
+    req.id = id;
+    req.leaf = leaf;
+    req.next_leaf = next_leaf;
+    req.read_out = out;
+    return oram.access_batch({&req, 1});
+  };
+  const auto before = images();
+  const std::size_t stashed = oram.stash_ref().size();
+  std::vector<std::uint8_t> out(16);
+  EXPECT_THROW(access(31, 0, 1, out), contract_error);  // never installed
+  EXPECT_THROW(access(30, 4, 1, out), contract_error);
+  EXPECT_THROW(access(5, 6, 1, out), contract_error);
+  EXPECT_THROW(access(5, 5, 16, out), contract_error);  // leaf outside
+  EXPECT_EQ(images(), before);
+  EXPECT_EQ(oram.stash_ref().size(), stashed);
+  EXPECT_EQ(oram.resident_blocks(), 25u);
+  EXPECT_NO_THROW(oram.check_consistency());
+  access(5, 5, 9, out);
+  EXPECT_EQ(out, payload_of(6));
+  access(30, 3, 2, out);
+  EXPECT_EQ(out, payload_of(0x30));
+  EXPECT_EQ(oram.resident_blocks(), 25u);
+  EXPECT_NO_THROW(oram.check_consistency());
+  // Each block now lives under the fresh leaf its access named.
+  EXPECT_THROW(access(5, 5, 1, out), contract_error);
+  oram.extract(5, 9, out);
+  EXPECT_EQ(out, payload_of(6));
+  oram.extract(30, 2, out);
+  EXPECT_EQ(out, payload_of(0x30));
+  EXPECT_NO_THROW(oram.check_consistency());
+}
+
 TEST(PathOram, ShadowMapDifferentialTest) {
   // Random reads/writes against a std::map shadow; every read must
   // return the latest write.

@@ -1,7 +1,9 @@
 // Tests for the recursive position map extension and path_oram's
-// one-access read-modify-write.
+// one-access read-modify-write request.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <map>
 
 #include "backend_test_access.h"
@@ -30,7 +32,17 @@ struct fixture {
   }
 };
 
-// ----------------------------------------------------- rmw primitive
+// ------------------------------------------ read-modify-write request
+
+/// One access_batch() request whose `updater` edits the payload in place.
+cost_split access_rmw(
+    path_oram& oram, block_id id,
+    const std::function<void(std::span<std::uint8_t>)>& updater) {
+  path_oram::request req;
+  req.id = id;
+  req.updater = &updater;
+  return oram.access_batch({&req, 1});
+}
 
 TEST(PathOramRmw, SingleAccessReadModifyWrite) {
   fixture fx;
@@ -47,7 +59,7 @@ TEST(PathOramRmw, SingleAccessReadModifyWrite) {
   const std::uint64_t accesses_before = stats_before.real_accesses;
 
   std::uint8_t seen = 0;
-  oram.access_rmw(5, [&](std::span<std::uint8_t> payload) {
+  access_rmw(oram, 5, [&](std::span<std::uint8_t> payload) {
     seen = payload[0];
     payload[0] = 9;
   });
@@ -69,7 +81,7 @@ TEST(PathOramRmw, AbsentBlockMaterialisesZeroed) {
   config.seal = false;
   path_oram oram(config, fx.memory, nullptr, fx.cpu, fx.rng, nullptr);
   std::uint8_t seen = 0xff;
-  oram.access_rmw(3, [&](std::span<std::uint8_t> payload) {
+  access_rmw(oram, 3, [&](std::span<std::uint8_t> payload) {
     seen = payload[0];
   });
   EXPECT_EQ(seen, 0);
@@ -192,6 +204,79 @@ TEST(RecursiveMap, TrustedMemoryShrinksGeometrically) {
                              fx.rng, nullptr);
   EXPECT_LE(map.trusted_bytes(), 512u);
   EXPECT_GT(map.oram_bytes(), 0u);
+}
+
+TEST(RecursiveMap, DeeperEntriesNameShallowerLeaves) {
+  // Real recursion: no level tree keeps a map; the residue names the
+  // leaves of the deepest level's blocks and every deeper entry the
+  // leaf of the shallower block it covers, after walks and a pass as
+  // after the build.
+  fixture fx;
+  // 4,096 entries / 8 per block = 512 -> 64 -> 8 (<= 8 stop).
+  recursive_position_map map(fx.config(4096, 8, 8), fx.memory, fx.cpu,
+                             fx.rng, nullptr);
+  ASSERT_EQ(map.level_count(), 3u);
+  const auto expect_named = [&] {
+    const auto levels = recursive_position_map_test_access::levels(map);
+    std::vector<leaf_id> named =
+        recursive_position_map_test_access::residue(map);
+    for (std::size_t level = levels.size(); level-- > 0;) {
+      EXPECT_EQ(levels[level]->position_map_bytes(), 0u);
+      EXPECT_EQ(named.size(), levels[level]->config().id_universe);
+      std::vector<leaf_id> shallower(
+          level == 0 ? 0 : levels[level - 1]->config().id_universe);
+      std::uint64_t blocks = 0;
+      levels[level]->for_each_resident(
+          [&](block_id block, leaf_id leaf,
+              std::span<const std::uint8_t> payload) {
+            ++blocks;
+            EXPECT_EQ(named[block], leaf)
+                << "level " << level << " block " << block;
+            for (std::uint64_t k = 0; k < 8; ++k) {
+              if (block * 8 + k < shallower.size()) {
+                std::memcpy(&shallower[block * 8 + k],
+                            payload.data() + k * sizeof(leaf_id),
+                            sizeof(leaf_id));
+              }
+            }
+          });
+      EXPECT_EQ(blocks, named.size()) << "level " << level;
+      named = std::move(shallower);
+    }
+    EXPECT_NO_THROW(map.check_consistency());
+  };
+  expect_named();
+  for (block_id id = 0; id < 4096; id += 97) {
+    map.assign(id, id + 1);
+    std::optional<leaf_id> out;
+    map.lookup(id / 2, out);
+  }
+  expect_named();
+  map.assign_all(std::vector<recursive_position_map::entry>{{3, 30}});
+  expect_named();
+}
+
+TEST(RecursiveMap, AlteredDeeperEntryFailsTheAudit) {
+  fixture fx;
+  // 4,096 entries / 8 per block = 512 -> 64 -> 8 (<= 8 stop).
+  recursive_position_map map(fx.config(4096, 8, 8), fx.memory, fx.cpu,
+                             fx.rng, nullptr);
+  ASSERT_EQ(map.level_count(), 3u);
+  map.assign(100, 7);
+  ASSERT_NO_THROW(map.check_consistency());
+  // Level-1 block 2's entry 5 names the leaf of level-0 block 21.
+  const auto levels = recursive_position_map_test_access::levels(map);
+  std::optional<leaf_id> leaf;
+  levels[0]->for_each_resident(
+      [&](block_id block, leaf_id at, std::span<const std::uint8_t>) {
+        if (block == 21) {
+          leaf = at;
+        }
+      });
+  ASSERT_TRUE(leaf.has_value());
+  recursive_position_map_test_access::set_entry(
+      map, 1, 2, 5, *leaf ^ 1);
+  EXPECT_THROW(map.check_consistency(), contract_error);
 }
 
 // ------------------------------------------------------- map pass

@@ -189,8 +189,8 @@ TEST(StoreDigestGolden, path_flat) {
   const std::vector<std::uint64_t> digests =
       run(backend_kind::path, path_config(), 3, expect_path_drains);
   const std::vector<std::uint64_t> expected{
-      0x8963ab3533ba54b7ULL, 0x31a10d500c2deea3ULL, 0xffdc9388aca3bda7ULL,
-      0xe7c436690489f435ULL};
+      0xa12efc6cee2d787fULL, 0x49fc6dbd59e74e35ULL, 0x27e22f0bd6e3fdb5ULL,
+      0x6b67fea06c58f532ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -205,8 +205,8 @@ TEST(StoreDigestGolden, path_page) {
         EXPECT_GT(path.tree().page_geometry()->group_count(), 1u);
       });
   const std::vector<std::uint64_t> expected{
-      0x596d169297554082ULL, 0x33dda50797e461ceULL, 0xbfc174a9ed0cd02dULL,
-      0x86b097084d5b2cebULL};
+      0xf41b928be9f58e8aULL, 0x353d2a2d8cb314e8ULL, 0xf541e7eba565f8b3ULL,
+      0xddd819c02f12ac9cULL};
   EXPECT_EQ(digests, expected);
 }
 

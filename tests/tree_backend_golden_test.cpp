@@ -192,8 +192,8 @@ golden run(const horam_config& config) {
 // Expected values list the fields of `golden` in declaration order.
 TEST(TreeBackendGolden, PathFlat) {
   const golden expected{
-      2400u, 2400u, 211200u, 211200u, 300u, 1099u, 1099u, 202216u, 202216u,
-      294u, 7697u, 0x2b1f39eace56bc0aULL, {52, 52, 52}, {0, 0, 0}, 327535580,
+      2400u, 2400u, 211200u, 211200u, 300u, 1101u, 1101u, 202584u, 202584u,
+      294u, 7701u, 0xb0a346854db1e880ULL, {52, 52, 52}, {0, 0, 0}, 327536324,
       0x5710625bafdf35d9ULL, 0x608184ULL};
   EXPECT_EQ(run<oram::path_backend>(base_config()), expected);
 }
@@ -203,8 +203,8 @@ TEST(TreeBackendGolden, PathPage) {
   config.layout = storage::storage_layout::page;
   config.page_bytes = 1024;
   const golden expected{
-      897u, 900u, 446952u, 448800u, 300u, 1099u, 1099u, 202216u, 202216u,
-      294u, 4694u, 0xdbe6d48498e2e70cULL, {52, 52, 52}, {0, 0, 0}, 134166386,
+      897u, 900u, 446952u, 448800u, 300u, 1101u, 1101u, 202584u, 202584u,
+      294u, 4698u, 0xee33db508451d1d6ULL, {52, 52, 52}, {0, 0, 0}, 134167130,
       0x5710625bafdf35d9ULL, 0x608184ULL};
   EXPECT_EQ(run<oram::path_backend>(config), expected);
 }
@@ -216,8 +216,8 @@ TEST(TreeBackendGolden, RingXor) {
   config.ring_eviction_rate = 3;
   config.ring_xor = true;
   const golden expected{
-      715u, 571u, 56584u, 175868u, 150u, 1106u, 1106u, 203504u, 203504u,
-      294u, 5620u, 0xfe2150d13746e553ULL, {15, 15, 15}, {0, 0, 0}, 81441851,
+      715u, 571u, 56584u, 175868u, 150u, 1105u, 1105u, 203320u, 203320u,
+      294u, 5618u, 0x6c8c18d256552af4ULL, {15, 15, 15}, {0, 0, 0}, 81441420,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }
@@ -229,8 +229,8 @@ TEST(TreeBackendGolden, RingPerSlot) {
   config.ring_eviction_rate = 3;
   config.ring_xor = false;
   const golden expected{
-      1723u, 571u, 100936u, 175868u, 150u, 1106u, 1106u, 203504u, 203504u,
-      294u, 5620u, 0xfe2150d13746e553ULL, {15, 15, 15}, {0, 0, 0}, 152765275,
+      1723u, 571u, 100936u, 175868u, 150u, 1105u, 1105u, 203320u, 203320u,
+      294u, 5618u, 0x6c8c18d256552af4ULL, {15, 15, 15}, {0, 0, 0}, 152764844,
       0x5710625bafdf35d9ULL, 0x60838cULL};
   EXPECT_EQ(run<oram::ring_backend>(config), expected);
 }
