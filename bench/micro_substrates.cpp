@@ -9,6 +9,7 @@
 
 #include "crypto/chacha20.h"
 #include "crypto/detail/kernels.h"
+#include "crypto/key_schedule.h"
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
@@ -112,7 +113,7 @@ BENCHMARK(bm_seal_open_1k);
 // One sealed record of the benchmark's shape (8-B id + 256-B payload)
 // encoded and decoded through the codec.
 void bm_codec_encode_decode_256(benchmark::State& state) {
-  oram::block_codec codec(256, /*seal=*/true, 1);
+  oram::block_codec codec(256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> record(codec.record_bytes());
   std::vector<std::uint8_t> out(256);
@@ -130,7 +131,8 @@ BENCHMARK(bm_codec_encode_decode_256);
 // at tree-like occupancy — one real slot, three dummies — sealed and
 // opened as one unit.
 void bm_bucket_seal_open_z4_256(benchmark::State& state) {
-  oram::bucket_codec codec(4, 256, /*seal=*/true, 1);
+  oram::bucket_codec codec(4, 256, /*seal=*/true,
+                           crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> bucket(codec.bucket_bytes());
   std::vector<oram::block_id> ids(4);
@@ -157,7 +159,8 @@ BENCHMARK(bm_bucket_seal_open_z4_256);
 // one seal_many() leaf to root.
 void bm_path_seal_open_z4_256(benchmark::State& state) {
   const auto levels = static_cast<std::size_t>(state.range(0));
-  oram::bucket_codec codec(4, 256, /*seal=*/true, 1);
+  oram::bucket_codec codec(4, 256, /*seal=*/true,
+                           crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> window(levels * codec.bucket_bytes());
   std::vector<std::span<const std::uint8_t>> root_first;
@@ -194,7 +197,7 @@ BENCHMARK(bm_path_seal_open_z4_256)->Arg(9)->Arg(10);
 // The same bucket as four per-slot codec records (the layout before
 // buckets were sealed whole), for comparison.
 void bm_codec_records_z4_256(benchmark::State& state) {
-  oram::block_codec codec(256, /*seal=*/true, 1);
+  oram::block_codec codec(256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> bucket(4 * codec.record_bytes());
   std::vector<std::uint8_t> out(256);
@@ -226,7 +229,7 @@ BENCHMARK(bm_codec_records_z4_256);
 // record.
 void bm_record_seal_open(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  oram::block_codec codec(256, /*seal=*/true, 1);
+  oram::block_codec codec(256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> image(count * codec.record_bytes());
   std::vector<std::span<std::uint8_t>> records;

@@ -189,6 +189,9 @@ struct horam_config {
   /// Real sealing (tests) vs plaintext records with modelled crypto
   /// time (large benches).
   bool seal = true;
+  /// Root of the sealing-key schedule (crypto/key_schedule.h): every
+  /// store's keys derive from it and the store's label. The default is
+  /// public, so it keeps nothing secret.
   std::uint64_t key_seed = 0x686f72616d;  // "horam"
 
   /// Derived: number of storage partitions (~sqrt(N)).

@@ -4,6 +4,7 @@
 #include <functional>
 #include <utility>
 
+#include "crypto/key_schedule.h"
 #include "util/contracts.h"
 #include "util/math.h"
 
@@ -73,7 +74,8 @@ controller::controller(const horam_config& config,
   tree_config.logical_block_bytes = config_.logical_block_bytes;
   tree_config.id_universe = config_.block_count;
   tree_config.seal = config_.seal;
-  tree_config.key_seed = config_.key_seed ^ 0x7472;
+  tree_config.keys = crypto::key_schedule(config_.key_seed)
+                         .seal({crypto::store_kind::cache_tree});
   tree_ = std::make_unique<oram::path_oram>(tree_config, memory_device,
                                             /*io_device=*/nullptr, cpu_,
                                             rng_, trace_);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "crypto/key_schedule.h"
 #include "util/contracts.h"
 
 namespace horam {
@@ -113,6 +114,7 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
   round_cap_ = static_cast<std::uint32_t>(
       scheduler::budget_at(widest_c, config_.prefetch_factor));
 
+  const crypto::key_schedule keys(config_.key_seed);
   shards_.reserve(count);
   for (std::uint32_t s = 0; s < count; ++s) {
     horam_config shard_config = config_;
@@ -131,9 +133,8 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
       shard_config.memory_blocks = config_.memory_blocks / count;
       // Every shard's sealers start their nonce counters at 0, so a
       // shared key would reuse (key, nonce) pairs — and so the ChaCha20
-      // keystream — across shards. Domain 2 gives each shard its own.
-      shard_config.key_seed =
-          derive_shard_seed(config_.route_key_seed, config_.key_seed, s, 2);
+      // keystream — across shards. Each shard seals under its own root.
+      shard_config.key_seed = keys.shard_seed(s);
       expects(shard_config.block_count > 0,
               "shards(): the routing PRF left a shard without blocks — "
               "lower shards()");

@@ -234,14 +234,15 @@ class engine {
     return pool_ != nullptr ? static_cast<std::uint32_t>(pool_->size()) : 0;
   }
 
-  /// Per-shard seed derivation: a SipHash PRF keyed by route_key_seed
-  /// over (domain, shard), XOR-folded into the machine seed. Distinct
-  /// shards and domains (0 = the shard's ORAM RNG, 1 = its pad-id
-  /// stream, 2 = its seal keys, folded into key_seed rather than the
-  /// machine seed) get independent streams regardless of how close the base
-  /// seeds are — unlike sequential seeding, nearby seeds can never
-  /// alias a neighbouring shard's stream. Exposed for the RNG-hygiene
-  /// regression tests.
+  /// Per-shard RNG seed derivation: a SipHash PRF keyed by
+  /// route_key_seed over (domain, shard), XOR-folded into the machine
+  /// seed. Distinct shards and domains (0 = the shard's ORAM RNG, 1 =
+  /// its pad-id stream) get independent streams regardless of how
+  /// close the base seeds are — unlike sequential seeding, nearby seeds
+  /// can never alias a neighbouring shard's stream. Sealing keys are
+  /// not derived here: each shard's root comes from the key schedule
+  /// (crypto/key_schedule.h). Exposed for the RNG-hygiene regression
+  /// tests.
   [[nodiscard]] static std::uint64_t derive_shard_seed(
       std::uint64_t route_key_seed, std::uint64_t seed, std::uint32_t shard,
       std::uint32_t domain);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "crypto/key_schedule.h"
 #include "util/contracts.h"
 #include "util/math.h"
 
@@ -26,7 +27,9 @@ storage_layer::storage_layer(
     const std::function<void(oram::block_id, std::span<std::uint8_t>)>*
         filler)
     : config_(config),
-      codec_(config.payload_bytes, config.seal, config.key_seed ^ 0x5a),
+      codec_(config.payload_bytes, config.seal,
+             crypto::key_schedule(config.key_seed)
+                 .seal({crypto::store_kind::partitioned})),
       cpu_(cpu),
       rng_(rng),
       trace_(trace),

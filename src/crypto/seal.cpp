@@ -93,20 +93,6 @@ void for_each_tag(const siphash_key& key, std::span<const Record> records,
 
 }  // namespace
 
-seal_keys derive_seal_keys(std::uint64_t master_seed) {
-  // Expand the master seed through a ChaCha20 stream keyed off the seed;
-  // the first 32 bytes become the encryption key, the next 16 the MAC key.
-  chacha_rng expander(master_seed, /*stream=*/0x5ea1);
-  seal_keys keys;
-  for (auto& byte : keys.encryption_key) {
-    byte = static_cast<std::uint8_t>(expander.next_u64());
-  }
-  for (auto& byte : keys.mac_key) {
-    byte = static_cast<std::uint8_t>(expander.next_u64());
-  }
-  return keys;
-}
-
 block_sealer::block_sealer(const seal_keys& keys) : keys_(keys) {}
 
 void block_sealer::seal_in_place(std::span<std::uint8_t> record) {

@@ -35,14 +35,12 @@ inline constexpr std::size_t seal_mac_bytes = 8;
 inline constexpr std::size_t seal_overhead = seal_nonce_bytes + seal_mac_bytes;
 
 /// Key material for the sealing scheme (independent encryption and MAC
-/// keys, per standard encrypt-then-MAC practice).
+/// keys, per standard encrypt-then-MAC practice). Stores take theirs
+/// from crypto/key_schedule.h.
 struct seal_keys {
   chacha_key encryption_key{};
   siphash_key mac_key{};
 };
-
-/// Derives both keys deterministically from a 64-bit master seed.
-seal_keys derive_seal_keys(std::uint64_t master_seed);
 
 /// One stretch of a sealed record's ciphertext and the keystream bytes
 /// it is encrypted under. `offset` counts from the first ciphertext
@@ -67,6 +65,8 @@ struct keystream_piece {
 class block_sealer {
  public:
   explicit block_sealer(const seal_keys& keys);
+
+  [[nodiscard]] const seal_keys& keys() const noexcept { return keys_; }
 
   /// Seals `record` in place. On entry the plaintext sits where the
   /// ciphertext goes, at record[seal_nonce_bytes, size - seal_mac_bytes);

@@ -14,11 +14,11 @@ std::uint64_t logical_block_bytes(std::uint64_t configured,
 }
 
 block_codec::block_codec(std::size_t payload_bytes, bool seal,
-                         std::uint64_t key_seed)
+                         const crypto::seal_keys& keys)
     : payload_bytes_(payload_bytes),
       seal_(seal),
       record_bytes_(record_bytes_for(payload_bytes, seal)),
-      sealer_(crypto::derive_seal_keys(key_seed)),
+      sealer_(keys),
       opened_(8 + payload_bytes) {
   expects(payload_bytes > 0, "payload must be non-empty");
 }

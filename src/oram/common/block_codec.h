@@ -64,8 +64,9 @@ namespace horam::oram {
 class block_codec {
  public:
   /// `payload_bytes` is the application payload per block; `seal` turns
-  /// real encryption + MAC on; `key_seed` derives the keys.
-  block_codec(std::size_t payload_bytes, bool seal, std::uint64_t key_seed);
+  /// real encryption + MAC on, under `keys`.
+  block_codec(std::size_t payload_bytes, bool seal,
+              const crypto::seal_keys& keys);
 
   [[nodiscard]] std::size_t payload_bytes() const noexcept {
     return payload_bytes_;
@@ -74,6 +75,9 @@ class block_codec {
     return record_bytes_;
   }
   [[nodiscard]] bool sealing() const noexcept { return seal_; }
+  [[nodiscard]] const crypto::seal_keys& keys() const noexcept {
+    return sealer_.keys();
+  }
 
   /// Encodes a block into `record_out` (record_bytes long); `payload`
   /// must not overlap it. A dummy block is encoded by passing

@@ -19,12 +19,12 @@ constexpr std::size_t keystream_block_bytes = 64;
 }  // namespace
 
 bucket_codec::bucket_codec(std::uint32_t slots, std::size_t payload_bytes,
-                           bool seal, std::uint64_t key_seed)
+                           bool seal, const crypto::seal_keys& keys)
     : slots_(slots),
       payload_bytes_(payload_bytes),
       seal_(seal),
       record_bytes_(record_bytes_for(payload_bytes, seal)),
-      sealer_(crypto::derive_seal_keys(key_seed)) {
+      sealer_(keys) {
   expects(slots > 0, "bucket needs at least one slot");
   expects(payload_bytes > 0, "payload must be non-empty");
   const std::size_t stride =

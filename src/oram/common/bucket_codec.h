@@ -56,9 +56,9 @@ class bucket_codec {
   using entry = block_ref;
 
   /// `slots` is the bucket size Z; `seal` turns real encryption + MAC
-  /// on; `key_seed` derives the keys.
+  /// on, under `keys`.
   bucket_codec(std::uint32_t slots, std::size_t payload_bytes, bool seal,
-               std::uint64_t key_seed);
+               const crypto::seal_keys& keys);
 
   [[nodiscard]] std::uint32_t slots() const noexcept { return slots_; }
   [[nodiscard]] std::size_t payload_bytes() const noexcept {
@@ -71,6 +71,9 @@ class bucket_codec {
   /// Bytes of one encoded bucket: slots() records.
   [[nodiscard]] std::size_t bucket_bytes() const noexcept {
     return slots_ * record_bytes_;
+  }
+  [[nodiscard]] const crypto::seal_keys& keys() const noexcept {
+    return sealer_.keys();
   }
 
   /// Byte offsets inside an encoded bucket. The MAC sits at

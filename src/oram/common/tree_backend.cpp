@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "crypto/key_schedule.h"
 #include "util/contracts.h"
 #include "util/math.h"
 
@@ -20,15 +21,14 @@ template <>
 struct tree_traits<path_oram> {
   using config_type = path_oram_config;
   static constexpr std::string_view name = "path";
-  /// Key-seed domains of the tree and the map chain ("Pa", "Pb").
-  static constexpr std::uint64_t tree_seed_domain = 0x5061;
-  static constexpr std::uint64_t map_seed_domain = 0x5062;
 
   /// Z: real block slots per bucket.
   static std::uint32_t real_slots(const horam_config& config) {
     return config.bucket_size;
   }
-  static void configure(const horam_config& config, config_type& tree) {
+  static void configure(const horam_config& config,
+                        const crypto::key_schedule& keys, config_type& tree) {
+    tree.keys = keys.seal({crypto::store_kind::backend_tree});
     tree.bucket_size = config.bucket_size;
     // Every level on the storage device: memory_levels = 0 leaves the
     // memory store empty, so passing `device` for both lanes is inert.
@@ -77,20 +77,20 @@ template <>
 struct tree_traits<ring_oram> {
   using config_type = ring_oram_config;
   static constexpr std::string_view name = "ring";
-  /// Key-seed domains of the tree and the map chain ("Ri", "Rj").
-  static constexpr std::uint64_t tree_seed_domain = 0x5269;
-  static constexpr std::uint64_t map_seed_domain = 0x526a;
 
   /// Z: real block slots per bucket (spares never hold blocks, so they
   /// don't enter the capacity count).
   static std::uint32_t real_slots(const horam_config& config) {
     return config.ring_bucket_size;
   }
-  static void configure(const horam_config& config, config_type& tree) {
+  static void configure(const horam_config& config,
+                        const crypto::key_schedule& keys, config_type& tree) {
     tree.real_slots = config.ring_bucket_size;
     tree.spare_slots = config.ring_spare_slots;
     tree.eviction_rate = config.ring_eviction_rate;
     tree.xor_reads = config.ring_xor;
+    tree.keys = {keys.seal({crypto::store_kind::backend_tree}),
+                 keys.derive({crypto::store_kind::ring_pads}).pad};
   }
   static std::unique_ptr<ring_oram> make(const config_type& tree,
                                          sim::block_device& device,
@@ -161,6 +161,7 @@ tree_backend<Tree>::tree_backend(
     : config_(config), rng_(rng), trace_(trace) {
   using traits = tree_traits<Tree>;
   config_.validate();
+  const crypto::key_schedule keys(config_.key_seed);
 
   typename traits::config_type tree_config;
   tree_config.leaf_count =
@@ -169,8 +170,7 @@ tree_backend<Tree>::tree_backend(
   tree_config.logical_block_bytes = config_.logical_block_bytes;
   tree_config.id_universe = config_.block_count;
   tree_config.seal = config_.seal;
-  tree_config.key_seed = config_.key_seed ^ traits::tree_seed_domain;
-  traits::configure(config_, tree_config);
+  traits::configure(config_, keys, tree_config);
   tree_ = traits::make(tree_config, device, cpu, rng_, trace_);
   expects(tree_->capacity_blocks() >= config_.block_count,
           "tree backend cannot hold the dataset");
@@ -187,7 +187,7 @@ tree_backend<Tree>::tree_backend(
   map_config.direct_threshold = config_.map_direct_threshold;
   map_config.bucket_size = config_.bucket_size;
   map_config.seal = config_.seal;
-  map_config.key_seed = config_.key_seed ^ traits::map_seed_domain;
+  map_config.keys = keys;
   map_ = std::make_unique<recursive_position_map>(
       map_config, map_device != nullptr ? *map_device : device, cpu, rng_,
       trace_, leaves);

@@ -44,12 +44,12 @@
 // map (tree_role::backend).
 //
 // What differs between schemes — the tree config built from
-// horam_config, the key-seed domains, the drain budget and unit (a
+// horam_config and the key schedule, the drain budget and unit (a
 // dummy path access for Path ORAM, a union of forced deterministic
 // evictions for Ring ORAM), the slot count behind physical_bytes() and
-// any extra trusted state — lives in one tree_traits<Tree> specialisation per
-// scheme (tree_backend.cpp). A new tree scheme adds a specialisation
-// and an explicit instantiation there.
+// any extra trusted state — lives in one tree_traits<Tree>
+// specialisation per scheme (tree_backend.cpp). A new tree scheme adds
+// a specialisation and an explicit instantiation there.
 #ifndef HORAM_ORAM_COMMON_TREE_BACKEND_H
 #define HORAM_ORAM_COMMON_TREE_BACKEND_H
 

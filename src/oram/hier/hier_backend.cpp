@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "crypto/key_schedule.h"
 #include "util/contracts.h"
 #include "util/math.h"
 
@@ -57,7 +58,8 @@ hier_backend::hier_backend(
       rng_(rng),
       trace_(trace),
       codec_(config.payload_bytes, config.seal,
-             config.key_seed ^ 0x4869) {  // "Hi"
+             crypto::key_schedule(config.key_seed)
+                 .seal({crypto::store_kind::hier})) {
   config_.validate();
 
   // Geometric levels: the top level holds the controller's hot set, the

@@ -19,7 +19,7 @@ path_oram::path_oram(const path_oram_config& config,
       memory_levels_(std::min(config.memory_levels, level_count())),
       memory_bucket_count_((std::uint64_t{1} << memory_levels_) - 1),
       codec_(config.bucket_size, config.payload_bytes, config.seal,
-             config.key_seed),
+             config.keys),
       memory_device_(memory_device),
       logical_bytes_(
           logical_block_bytes(config.logical_block_bytes,

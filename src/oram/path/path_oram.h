@@ -89,7 +89,8 @@ struct path_oram_config {
   /// Seal buckets with real crypto (tests) or plaintext (large benches;
   /// modelled crypto time is charged either way).
   bool seal = true;
-  std::uint64_t key_seed = 0x70617468;  // "path"
+  /// Sealing keys (crypto::key_schedule names each store's).
+  crypto::seal_keys keys{};
   /// Device-side layout of the storage-resident levels
   /// (storage/page_layout.h). `flat` = one range op per bucket, heap
   /// order (the historical machine, bit for bit); `page` = page-sized

@@ -51,8 +51,8 @@ recursive_position_map::recursive_position_map(
         config_.entries_per_block * sizeof(leaf_id);
     level_config.id_universe = blocks;
     level_config.seal = config_.seal;
-    level_config.key_seed =
-        config_.key_seed + 0x101 * (levels_.size() + 1);
+    level_config.keys =
+        config_.keys.seal({crypto::store_kind::map_level, levels_.size()});
     levels_.push_back(std::make_unique<path_oram>(
         level_config, memory_device, nullptr, cpu, rng, trace,
         tree_role::backend));

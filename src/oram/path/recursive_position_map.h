@@ -33,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "crypto/key_schedule.h"
 #include "oram/common/types.h"
 #include "oram/path/path_oram.h"
 #include "sim/cpu_model.h"
@@ -53,7 +54,9 @@ struct recursive_map_config {
   /// Bucket size of the per-level map ORAMs.
   std::uint32_t bucket_size = 4;
   bool seal = true;
-  std::uint64_t key_seed = 0x7265636d;  // "recm"
+  /// The schedule level k's sealing keys come from, under the label
+  /// (map_level, k).
+  crypto::key_schedule keys;
 };
 
 /// Position map stored in a chain of Path ORAMs.

@@ -39,7 +39,7 @@ ring_oram::ring_oram(const ring_oram_config& config,
     : tree_core(config.leaf_count, config.real_slots, config.payload_bytes,
                 config.id_universe, tree_role::backend, cpu, rng),
       config_(config),
-      codec_(config.payload_bytes, config.seal, config.key_seed),
+      codec_(config.payload_bytes, config.seal, config.keys.seal),
       trace_(trace) {
   expects(config.spare_slots > 0, "spare slots (S) must be positive");
   expects(config.eviction_rate > 0, "eviction rate (A) must be positive");
@@ -147,8 +147,7 @@ std::uint64_t ring_oram::metadata_bytes() const noexcept {
 
 void ring_oram::fill_pad(std::uint64_t slot, std::uint64_t epoch,
                          std::span<std::uint8_t> out) const {
-  const std::uint64_t seed =
-      mix64(config_.key_seed ^ mix64(slot) ^ mix64(epoch ^ 0x5061644cULL));
+  const std::uint64_t seed = mix64(mix64(config_.keys.pad ^ slot) ^ epoch);
   for (std::size_t i = 0; i < codec_.record_bytes(); i += 8) {
     const std::uint64_t word = mix64(seed + 1 + i / 8);
     const std::size_t n = std::min<std::size_t>(8, codec_.record_bytes() - i);

@@ -55,6 +55,7 @@
 #include <span>
 #include <vector>
 
+#include "crypto/key_schedule.h"
 #include "oram/common/access_trace.h"
 #include "oram/common/block_codec.h"
 #include "oram/common/tree_core.h"
@@ -88,7 +89,9 @@ struct ring_oram_config {
   std::uint64_t id_universe = 0;
   /// Seal records with real crypto (tests) or plaintext (large benches).
   bool seal = true;
-  std::uint64_t key_seed = 0x72696e67;  // "ring"
+  /// Sealing keys and the dummy-pad key (crypto::key_schedule names
+  /// each store's).
+  crypto::store_keys keys{};
   /// XOR-combined online reads: one device transfer per path read; off
   /// falls back to one per chosen slot (same trace shape either way).
   bool xor_reads = true;
@@ -196,8 +199,9 @@ class ring_oram : public tree_core {
   [[nodiscard]] leaf_id reverse_lex_leaf(std::uint64_t counter) const;
 
   /// Writes the deterministic dummy pad of (global slot, epoch) —
-  /// a keyed splitmix64 byte stream, reproducible by the client
-  /// without a device read (the XOR technique depends on this).
+  /// a splitmix64 byte stream keyed by config().keys.pad, reproducible
+  /// by the client without a device read (the XOR technique depends on
+  /// this).
   void fill_pad(std::uint64_t slot, std::uint64_t epoch,
                 std::span<std::uint8_t> out) const;
 

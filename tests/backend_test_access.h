@@ -1,8 +1,8 @@
 // Test-only access to the record stores and trusted state of the
 // backends (friends of storage_layer, hier_backend, path_oram,
 // recursive_position_map and ring_oram): a digest of every
-// stored byte for the store goldens, and fault injection into chosen
-// records.
+// stored byte for the store goldens, the keys each store seals under,
+// and fault injection into chosen records.
 #ifndef HORAM_TESTS_BACKEND_TEST_ACCESS_H
 #define HORAM_TESTS_BACKEND_TEST_ACCESS_H
 
@@ -38,6 +38,9 @@ inline std::uint64_t store_digest(
 struct storage_layer_test_access {
   static const storage::block_store& store(const storage_layer& layer) {
     return layer.store_->records();
+  }
+  static const crypto::seal_keys& keys(const storage_layer& layer) {
+    return layer.codec_.keys();
   }
   /// Store slot holding the storage-resident block `id`.
   static std::uint64_t slot_of(const storage_layer& layer, oram::block_id id) {
@@ -87,6 +90,9 @@ namespace horam::oram {
 struct hier_backend_test_access {
   static const storage::block_store& store(const hier_backend& backend) {
     return *backend.store_;
+  }
+  static const crypto::seal_keys& keys(const hier_backend& backend) {
+    return backend.codec_.keys();
   }
   /// 1-based level the index maps `id` to (0 = not on storage).
   static std::uint32_t level_of(const hier_backend& backend, block_id id) {
@@ -237,6 +243,13 @@ struct recursive_position_map_test_access {
 struct ring_oram_test_access {
   static const storage::block_store& store(const ring_oram& tree) {
     return *tree.io_store_;
+  }
+  static const crypto::seal_keys& keys(const ring_oram& tree) {
+    return tree.codec_.keys();
+  }
+  /// The key fill_pad() draws the dummy pads under.
+  static std::uint64_t pad_key(const ring_oram& tree) {
+    return tree.config_.keys.pad;
   }
   /// Leaf of the next deterministic eviction.
   static leaf_id next_eviction_leaf(const ring_oram& tree) {

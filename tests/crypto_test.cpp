@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "crypto/chacha20.h"
+#include "crypto/key_schedule.h"
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
 #include "util/contracts.h"

@@ -3,10 +3,10 @@
 // single-controller machine, agreement of the run / submit+drain /
 // step_round entry points, conformance/replay across shard counts
 // {1, 2, 4, 8} and every backend, data-independent padded round shapes,
-// per-shard bus-distribution workload independence, per-shard seal keys,
-// cross-shard stats aggregation (controller_stats::operator+= /
-// aggregate()), the reset_stats() lane-counter regression, and
-// backend_names().
+// per-shard bus-distribution workload independence, cross-shard stats
+// aggregation (controller_stats::operator+= / aggregate()), the
+// reset_stats() lane-counter regression, and backend_names(). The
+// per-shard sealing keys are audited in key_schedule_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "analysis/obliviousness.h"
-#include "crypto/seal.h"
 #include "horam.h"
 #include "test_support.h"
 #include "util/rng.h"
@@ -113,39 +112,6 @@ TEST(EngineRouting, RouteKeyChangesTheStripe) {
     moved += a.eng().shard_of(id) != b.eng().shard_of(id) ? 1 : 0;
   }
   EXPECT_GT(moved, kBlocks / 2);  // ~3/4 expected under a fresh key
-}
-
-// ------------------------------------------------------------- sealing
-
-TEST(EngineSealing, ShardsSealUnderDistinctKeys) {
-  // Every shard's sealers start their nonce counters at 0. Under one
-  // shared key, equal plaintexts sealed at nonce 0 on two shards would
-  // produce equal ciphertexts: ChaCha20 keystream reuse.
-  client oram = engine_builder(2).seal(true).build();
-  const engine& eng = oram.eng();
-  const std::vector<std::uint8_t> plaintext(64, 0x3c);
-  std::vector<std::vector<std::uint8_t>> sealed;
-  for (std::uint32_t s = 0; s < eng.shard_count(); ++s) {
-    crypto::block_sealer sealer(
-        crypto::derive_seal_keys(eng.shard(s).config().key_seed));
-    std::vector<std::uint8_t> record(plaintext.size() + crypto::seal_overhead);
-    std::copy(plaintext.begin(), plaintext.end(),
-              record.begin() + crypto::seal_nonce_bytes);
-    sealer.seal_in_place(record);
-    sealed.push_back(record);
-  }
-  ASSERT_EQ(sealed.size(), 2u);
-  EXPECT_TRUE(std::equal(sealed[0].begin(),
-                         sealed[0].begin() + crypto::seal_nonce_bytes,
-                         sealed[1].begin()))
-      << "both records carry nonce 0";
-  EXPECT_NE(sealed[0], sealed[1]);
-
-  // shards(1) keeps the caller's key seed verbatim, so its records stay
-  // byte-identical to the single-controller machine's.
-  client single = engine_builder(1).seal(true).build();
-  EXPECT_EQ(single.eng().shard(0).config().key_seed,
-            single.eng().config().key_seed);
 }
 
 // -------------------------------------- shards(1) exact pass-through

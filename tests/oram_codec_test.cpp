@@ -9,6 +9,7 @@
 #include <string>
 
 #include "crypto/chacha20.h"
+#include "crypto/key_schedule.h"
 #include "crypto/detail/kernels.h"
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
@@ -29,7 +30,7 @@ class CodecSealModes : public ::testing::TestWithParam<bool> {};
 INSTANTIATE_TEST_SUITE_P(Modes, CodecSealModes, ::testing::Bool());
 
 TEST_P(CodecSealModes, RoundTripRealBlock) {
-  block_codec codec(32, GetParam(), 5);
+  block_codec codec(32, GetParam(), crypto::derive_seal_keys(5));
   std::vector<std::uint8_t> payload(32);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 7);
@@ -42,7 +43,7 @@ TEST_P(CodecSealModes, RoundTripRealBlock) {
 }
 
 TEST_P(CodecSealModes, DummyRoundTrip) {
-  block_codec codec(32, GetParam(), 6);
+  block_codec codec(32, GetParam(), crypto::derive_seal_keys(6));
   std::vector<std::uint8_t> record(codec.record_bytes());
   codec.encode_dummy(record);
   std::vector<std::uint8_t> out(32);
@@ -50,7 +51,7 @@ TEST_P(CodecSealModes, DummyRoundTrip) {
 }
 
 TEST_P(CodecSealModes, ShortPayloadIsZeroPadded) {
-  block_codec codec(32, GetParam(), 7);
+  block_codec codec(32, GetParam(), crypto::derive_seal_keys(7));
   const std::vector<std::uint8_t> partial(10, 0xee);
   std::vector<std::uint8_t> record(codec.record_bytes());
   codec.encode(9, partial, record);
@@ -65,7 +66,7 @@ TEST_P(CodecSealModes, ShortPayloadIsZeroPadded) {
 }
 
 TEST_P(CodecSealModes, EmptyPayloadRoundTripsAsZeros) {
-  block_codec codec(32, GetParam(), 8);
+  block_codec codec(32, GetParam(), crypto::derive_seal_keys(8));
   std::vector<std::uint8_t> record(codec.record_bytes());
   codec.encode(42, {}, record);
   std::vector<std::uint8_t> out(32, 0xee);
@@ -78,7 +79,7 @@ TEST_P(CodecSealModes, ReusedRecordBufferIsFullyRewritten) {
   // encode writes straight into the caller's buffer: stale bytes from a
   // previous record must not leak into the zero pad, and bytes past
   // record_bytes stay untouched.
-  block_codec codec(32, GetParam(), 11);
+  block_codec codec(32, GetParam(), crypto::derive_seal_keys(11));
   std::vector<std::uint8_t> record(codec.record_bytes() + 4, 0xff);
   codec.encode(7, std::vector<std::uint8_t>(3, 0x11), record);
   EXPECT_EQ(record.back(), 0xff);
@@ -95,9 +96,9 @@ TEST_P(CodecSealModes, ReusedRecordBufferIsFullyRewritten) {
 
 TEST(Codec, SealedRecordIsTheSealedPlaintextLayout) {
   // The sealed record is block_sealer's record over id || payload ||
-  // zero pad under derive_seal_keys(key_seed); with the sealer's golden
+  // zero pad under the codec's keys; with the sealer's golden
   // record (crypto_test) this pins the on-device format.
-  block_codec codec(32, true, 12);
+  block_codec codec(32, true, crypto::derive_seal_keys(12));
   crypto::block_sealer sealer(crypto::derive_seal_keys(12));
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
   for (int round = 0; round < 3; ++round) {
@@ -116,8 +117,8 @@ TEST(Codec, SealedRecordIsTheSealedPlaintextLayout) {
 }
 
 TEST(Codec, RecordSizeAccountsForSealing) {
-  block_codec plain(32, false, 1);
-  block_codec sealed(32, true, 1);
+  block_codec plain(32, false, crypto::derive_seal_keys(1));
+  block_codec sealed(32, true, crypto::derive_seal_keys(1));
   EXPECT_EQ(plain.record_bytes(), 8u + 32u);
   EXPECT_EQ(sealed.record_bytes(), 8u + 32u + crypto::seal_overhead);
 }
@@ -125,7 +126,7 @@ TEST(Codec, RecordSizeAccountsForSealing) {
 TEST(Codec, SealedRecordsOfSameBlockDiffer) {
   // Unlinkability: re-encoding the same (id, payload) yields a fresh
   // ciphertext every time.
-  block_codec codec(32, true, 2);
+  block_codec codec(32, true, crypto::derive_seal_keys(2));
   const std::vector<std::uint8_t> payload(32, 0x42);
   std::vector<std::uint8_t> a(codec.record_bytes());
   std::vector<std::uint8_t> b(codec.record_bytes());
@@ -137,7 +138,7 @@ TEST(Codec, SealedRecordsOfSameBlockDiffer) {
 TEST(Codec, PlainDecodeNeedsNoAllocation) {
   // Smoke test for the bench fast path: decoding an unsealed record
   // must not throw and must not read past record_bytes.
-  block_codec codec(16, false, 3);
+  block_codec codec(16, false, crypto::derive_seal_keys(3));
   std::vector<std::uint8_t> record(codec.record_bytes() + 64, 0xaa);
   codec.encode(77, std::vector<std::uint8_t>(16, 1), record);
   std::vector<std::uint8_t> out(16);
@@ -145,8 +146,8 @@ TEST(Codec, PlainDecodeNeedsNoAllocation) {
 }
 
 TEST(Codec, DifferentKeySeedsCannotDecodeEachOther) {
-  block_codec alice(32, true, 100);
-  block_codec mallory(32, true, 101);
+  block_codec alice(32, true, crypto::derive_seal_keys(100));
+  block_codec mallory(32, true, crypto::derive_seal_keys(101));
   std::vector<std::uint8_t> record(alice.record_bytes());
   alice.encode(5, std::vector<std::uint8_t>(32, 5), record);
   std::vector<std::uint8_t> out(32);
@@ -195,9 +196,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(BucketCodecShapes, RoundTripsEveryOccupancy) {
   const bucket_shape shape = GetParam();
-  bucket_codec codec(shape.slots, shape.payload_bytes, shape.seal, 21);
+  bucket_codec codec(shape.slots, shape.payload_bytes, shape.seal,
+                     crypto::derive_seal_keys(21));
   EXPECT_EQ(codec.record_bytes(),
-            block_codec(shape.payload_bytes, shape.seal, 21).record_bytes());
+            block_codec(shape.payload_bytes, shape.seal,
+                        crypto::derive_seal_keys(21))
+                .record_bytes());
   EXPECT_GE(codec.bucket_bytes(),
             shape.slots * (8 + shape.payload_bytes) +
                 (shape.seal ? crypto::seal_overhead : 0))
@@ -245,7 +249,8 @@ TEST_P(BucketCodecShapes, RoundTripsEveryOccupancy) {
 
 TEST_P(BucketCodecShapes, ShortPayloadsAreZeroPadded) {
   const bucket_shape shape = GetParam();
-  bucket_codec codec(shape.slots, shape.payload_bytes, shape.seal, 22);
+  bucket_codec codec(shape.slots, shape.payload_bytes, shape.seal,
+                     crypto::derive_seal_keys(22));
   const std::vector<std::uint8_t> partial(shape.payload_bytes / 2 + 1, 0x7f);
   const std::vector<bucket_codec::entry> entries(
       1, bucket_codec::entry{5, partial});
@@ -263,7 +268,7 @@ TEST_P(BucketCodecShapes, ShortPayloadsAreZeroPadded) {
 TEST(BucketCodec, SealedBucketsOfTheSameContentDiffer) {
   // Write-back re-seals whole buckets under fresh nonces: an all-dummy
   // bucket written twice must not repeat a byte image.
-  bucket_codec codec(4, 256, true, 23);
+  bucket_codec codec(4, 256, true, crypto::derive_seal_keys(23));
   std::vector<std::uint8_t> a(codec.bucket_bytes());
   std::vector<std::uint8_t> b(codec.bucket_bytes());
   codec.encode_dummy(a);
@@ -279,7 +284,7 @@ TEST(BucketCodec, SealedBucketsOfTheSameContentDiffer) {
 }
 
 TEST(BucketCodec, FailedMacLeavesEveryOutputUntouched) {
-  bucket_codec codec(4, 100, true, 24);
+  bucket_codec codec(4, 100, true, crypto::derive_seal_keys(24));
   const std::vector<std::uint8_t> payload = slot_payload(100, 0);
   const std::vector<bucket_codec::entry> entries = {
       bucket_codec::entry{1, payload}, bucket_codec::entry{2, payload}};
@@ -301,8 +306,8 @@ TEST(BucketCodec, FailedMacLeavesEveryOutputUntouched) {
 }
 
 TEST(BucketCodec, DifferentKeySeedsCannotDecodeEachOther) {
-  bucket_codec alice(4, 64, true, 100);
-  bucket_codec mallory(4, 64, true, 101);
+  bucket_codec alice(4, 64, true, crypto::derive_seal_keys(100));
+  bucket_codec mallory(4, 64, true, crypto::derive_seal_keys(101));
   std::vector<std::uint8_t> bucket(alice.bucket_bytes());
   alice.encode_dummy(bucket);
   std::vector<block_id> ids(4);
@@ -310,7 +315,7 @@ TEST(BucketCodec, DifferentKeySeedsCannotDecodeEachOther) {
 }
 
 TEST(BucketCodec, ContractsOnBufferSizes) {
-  bucket_codec codec(2, 16, true, 25);
+  bucket_codec codec(2, 16, true, crypto::derive_seal_keys(25));
   const std::vector<std::uint8_t> payload(16, 1);
   const std::vector<bucket_codec::entry> three(
       3, bucket_codec::entry{1, payload});
@@ -336,15 +341,17 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
 }
 
 TEST(BucketCodec, GoldenSealedBucketIsPinned) {
-  // Z = 4, P = 256, key seed 0x601d, the codec's first seal (nonce 0):
-  // real blocks in slots 0 and 1, dummies in 2 and 3. The image is
-  // rebuilt from the kernels (ChaCha20 at each piece's keystream offset,
-  // SipHash over nonce || ciphertext), and its fingerprint is pinned, so
-  // neither the layout nor the keystream mapping can drift unnoticed.
+  // Z = 4, P = 256, keys derive_seal_keys(0x601d), the codec's first
+  // seal (nonce 0): real blocks in slots 0 and 1, dummies in 2 and 3.
+  // The image is rebuilt from the kernels (ChaCha20 at each piece's
+  // keystream offset, SipHash over nonce || ciphertext), and its
+  // fingerprint is pinned, so neither the layout nor the keystream
+  // mapping can drift unnoticed.
   constexpr std::uint32_t kSlots = 4;
   constexpr std::size_t kPayload = 256;
   constexpr std::uint64_t kSeed = 0x601d;
-  bucket_codec codec(kSlots, kPayload, true, kSeed);
+  const crypto::seal_keys keys = crypto::derive_seal_keys(kSeed);
+  bucket_codec codec(kSlots, kPayload, true, keys);
   const std::vector<std::uint8_t> first = slot_payload(kPayload, 0);
   const std::vector<std::uint8_t> second = slot_payload(kPayload, 1);
   const std::vector<bucket_codec::entry> entries = {
@@ -366,7 +373,6 @@ TEST(BucketCodec, GoldenSealedBucketIsPinned) {
   std::copy(std::begin(ids), std::end(ids),
             expected.begin() + 12 + kSlots * kPayload);
   // Nonce 0; each payload at keystream offset k * 256, ids at 1024.
-  const crypto::seal_keys keys = crypto::derive_seal_keys(kSeed);
   const crypto::chacha_nonce nonce{};
   const auto body = std::span<std::uint8_t>(expected).subspan(12);
   for (std::uint32_t k = 0; k < kSlots; ++k) {
@@ -401,13 +407,15 @@ std::vector<std::span<const std::uint8_t>> window_buckets(
 }
 
 /// A path window of `levels` buckets with random occupancy, composed by
-/// two codecs of one key seed: `per_bucket` by encode() leaf to root,
+/// two codecs of one key: `per_bucket` by encode() leaf to root,
 /// `batched` by encode_plain() and one seal_many() leaf to root.
 struct window_pair {
   static constexpr std::uint32_t kSlots = 4;
   static constexpr std::size_t kPayload = 256;
-  bucket_codec per_bucket_codec{kSlots, kPayload, true, 0x3a1};
-  bucket_codec batched_codec{kSlots, kPayload, true, 0x3a1};
+  bucket_codec per_bucket_codec{kSlots, kPayload, true,
+                                crypto::derive_seal_keys(0x3a1)};
+  bucket_codec batched_codec{kSlots, kPayload, true,
+                             crypto::derive_seal_keys(0x3a1)};
   std::size_t levels;
   std::vector<std::vector<std::uint8_t>> payloads;
   std::vector<std::vector<bucket_codec::entry>> reals;  // per level
@@ -514,7 +522,7 @@ TEST(BucketCodecWindow, TamperedBucketFailsTheWholeWindowUnwritten) {
 
 // ------------------------------------------------ record batches
 
-/// `count` records composed by two block_codecs of one key seed:
+/// `count` records composed by two block_codecs of one key:
 /// `per_record` by encode() one after another, `batched` by
 /// encode_plain() and one seal_many() in the same order. Every fourth
 /// record is a dummy and every fifth payload is short.
@@ -527,8 +535,8 @@ struct record_batch_pair {
   std::vector<std::uint8_t> batched;
 
   record_batch_pair(std::size_t count_in, bool seal)
-      : per_record_codec(kPayload, seal, 0x8ec),
-        batched_codec(kPayload, seal, 0x8ec),
+      : per_record_codec(kPayload, seal, crypto::derive_seal_keys(0x8ec)),
+        batched_codec(kPayload, seal, crypto::derive_seal_keys(0x8ec)),
         count(count_in) {
     const std::size_t bytes = per_record_codec.record_bytes();
     per_record.assign(count * bytes, 0xee);
@@ -631,7 +639,7 @@ TEST(RecordCodecBatch, TamperedRecordFailsTheWholeBatchUnwritten) {
 
 TEST(FaultInjection, TamperedStoreRecordIsRejectedOnRead) {
   sim::block_device device(sim::dram_ddr4());
-  block_codec codec(32, true, 9);
+  block_codec codec(32, true, crypto::derive_seal_keys(9));
   storage::block_store store(device, 0, 8, codec.record_bytes(),
                              codec.record_bytes());
   std::vector<std::uint8_t> record(codec.record_bytes());
@@ -649,7 +657,7 @@ TEST(FaultInjection, TamperedStoreRecordIsRejectedOnRead) {
 
 TEST(FaultInjection, EveryByteOfTheRecordIsProtected) {
   sim::block_device device(sim::dram_ddr4());
-  block_codec codec(16, true, 10);
+  block_codec codec(16, true, crypto::derive_seal_keys(10));
   storage::block_store store(device, 0, 1, codec.record_bytes(),
                              codec.record_bytes());
   std::vector<std::uint8_t> record(codec.record_bytes());

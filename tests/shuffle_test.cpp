@@ -431,7 +431,7 @@ TEST_P(ShuffleCostShapes, PartitionedPeriodIsCheaperThanSqrtReshuffle) {
   config.payload_bytes = 32;
   config.seal = false;
   const std::size_t record =
-      oram::block_codec(config.payload_bytes, config.seal, 0).record_bytes();
+      oram::record_bytes_for(config.payload_bytes, config.seal);
   const std::uint64_t logical =
       oram::logical_block_bytes(config.logical_block_bytes, record);
 

@@ -150,8 +150,8 @@ TEST(StoreDigestGolden, partitioned) {
   // Digests 2–4 follow the masking reads' uniform draw among a
   // partition's dead unaccessed slots.
   const std::vector<std::uint64_t> expected{
-      0x78f9719ac19578f7ULL, 0x09aebe791a303a40ULL, 0xbb1aecd044fd0734ULL,
-      0xf2ed05a28ec36e2cULL, 0xa640f75cdc096cd1ULL};
+      0x00b9e00999e3ea4bULL, 0xfaff5465e59b5027ULL, 0x8f617f4f9d88fe1cULL,
+      0xe0b492b528ccfa3cULL, 0xa0faa583a6676909ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -164,8 +164,8 @@ TEST(StoreDigestGolden, hier) {
         EXPECT_GT(hier.level_live(2), 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0xcd61c2d334512f95ULL, 0x0a0db15c7a60368aULL, 0x7b485064fde1f98bULL,
-      0xdc0038a1554b142aULL, 0x4faf77267fffa0fdULL, 0x829e1ecd50370b2bULL};
+      0x9a6e282ac7c4881fULL, 0x52e0a137fdc03153ULL, 0x9c21d61e53a5835fULL,
+      0x1bc5f80fc491df3bULL, 0xf67c7cb435f07155ULL, 0xc45a56a350943128ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -189,8 +189,8 @@ TEST(StoreDigestGolden, path_flat) {
   const std::vector<std::uint64_t> digests =
       run(backend_kind::path, path_config(), 3, expect_path_drains);
   const std::vector<std::uint64_t> expected{
-      0xa12efc6cee2d787fULL, 0x49fc6dbd59e74e35ULL, 0x27e22f0bd6e3fdb5ULL,
-      0x6b67fea06c58f532ULL};
+      0x4fe45233f11bdb92ULL, 0x8113414af314eb3dULL, 0x491cc5db89dbed4fULL,
+      0xbff69d5600c9c934ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -205,8 +205,8 @@ TEST(StoreDigestGolden, path_page) {
         EXPECT_GT(path.tree().page_geometry()->group_count(), 1u);
       });
   const std::vector<std::uint64_t> expected{
-      0xf41b928be9f58e8aULL, 0x353d2a2d8cb314e8ULL, 0xf541e7eba565f8b3ULL,
-      0xddd819c02f12ac9cULL};
+      0xd65858e71b2c235aULL, 0x35ed1a861bfd8aacULL, 0xd8359888f7119d1eULL,
+      0x84a20a9e351d0331ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -222,8 +222,8 @@ TEST(StoreDigestGolden, ring) {
         EXPECT_GT(ring.tree().stats().early_reshuffles, 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0x361d2881a8c57ddfULL, 0x65542fc037d14bc8ULL, 0x8910e2b1ea586db9ULL,
-      0x320b4fc33733e07cULL};
+      0x95f88238289b1b4bULL, 0x915a30a21ad46acfULL, 0x826f2d39a79b34e0ULL,
+      0xd10fcc34e2c76272ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -260,8 +260,8 @@ TEST(StoreDigestGolden, ring_wide) {
       },
       &trace);
   const std::vector<std::uint64_t> expected{
-      0x5fab7400e390ed17ULL, 0x6b31bb3dd8a2c35cULL, 0xd121cf2dfa214008ULL,
-      0xe335ddaefb3116d4ULL, 0x7d040326fc0d4cb4ULL};
+      0xd9c0bb89c8c6bb9fULL, 0x9cc6fc4c4b31afdbULL, 0xa65735a459e1f0dcULL,
+      0xe7fe796a147426e3ULL, 0x5188f82c82a9d5f8ULL};
   EXPECT_EQ(digests, expected);
   EXPECT_EQ(trace.size(), 2472u);
   EXPECT_EQ(trace_digest(trace), 0x423ac4345be25abbULL);
