@@ -13,7 +13,6 @@
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
-#include "oram/common/bucket_codec.h"
 #include "oram/hier/feistel_prp.h"
 #include "oram/path/path_oram.h"
 #include "oram/path/recursive_position_map.h"
@@ -66,7 +65,7 @@ void bm_chacha20_xor_1k(benchmark::State& state) {
 }
 BENCHMARK(bm_chacha20_xor_1k);
 
-// The sealed record's ciphertext: 8-B id + 256-B payload.
+// The sealed record's ciphertext: 256-B payload + 8-B id.
 void bm_chacha20_xor_264(benchmark::State& state) {
   crypto::chacha_key key{};
   crypto::chacha_nonce nonce{};
@@ -110,10 +109,10 @@ void bm_seal_open_1k(benchmark::State& state) {
 }
 BENCHMARK(bm_seal_open_1k);
 
-// One sealed record of the benchmark's shape (8-B id + 256-B payload)
+// One sealed record of the benchmark's shape (256-B payload + 8-B id)
 // encoded and decoded through the codec.
 void bm_codec_encode_decode_256(benchmark::State& state) {
-  oram::block_codec codec(256, /*seal=*/true, crypto::derive_seal_keys(1));
+  oram::block_codec codec(1, 256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> record(codec.record_bytes());
   std::vector<std::uint8_t> out(256);
@@ -131,17 +130,14 @@ BENCHMARK(bm_codec_encode_decode_256);
 // at tree-like occupancy — one real slot, three dummies — sealed and
 // opened as one unit.
 void bm_bucket_seal_open_z4_256(benchmark::State& state) {
-  oram::bucket_codec codec(4, 256, /*seal=*/true,
-                           crypto::derive_seal_keys(1));
+  oram::block_codec codec(4, 256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> bucket(codec.bucket_bytes());
   std::vector<oram::block_id> ids(4);
   std::vector<std::uint8_t> out(4 * 256);
   oram::block_id id = 0;
   for (auto _ : state) {
-    const oram::bucket_codec::entry real{id++, payload};
-    codec.encode(std::span<const oram::bucket_codec::entry>(&real, 1),
-                 bucket);
+    codec.encode(id++, payload, bucket);
     benchmark::DoNotOptimize(codec.decode(bucket, ids, out));
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -159,8 +155,7 @@ BENCHMARK(bm_bucket_seal_open_z4_256);
 // one seal_many() leaf to root.
 void bm_path_seal_open_z4_256(benchmark::State& state) {
   const auto levels = static_cast<std::size_t>(state.range(0));
-  oram::bucket_codec codec(4, 256, /*seal=*/true,
-                           crypto::derive_seal_keys(1));
+  oram::block_codec codec(4, 256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> window(levels * codec.bucket_bytes());
   std::vector<std::span<const std::uint8_t>> root_first;
@@ -176,9 +171,7 @@ void bm_path_seal_open_z4_256(benchmark::State& state) {
   oram::block_id id = 0;
   const auto compose = [&] {
     for (const std::span<std::uint8_t> bucket : leaf_first) {
-      const oram::bucket_codec::entry real{id++, payload};
-      codec.encode_plain(std::span<const oram::bucket_codec::entry>(&real, 1),
-                         bucket);
+      codec.encode_plain(id++, payload, bucket);
     }
     codec.seal_many(leaf_first);
   };
@@ -194,10 +187,10 @@ void bm_path_seal_open_z4_256(benchmark::State& state) {
 }
 BENCHMARK(bm_path_seal_open_z4_256)->Arg(9)->Arg(10);
 
-// The same bucket as four per-slot codec records (the layout before
-// buckets were sealed whole), for comparison.
+// The same bucket as four one-slot units (the layout before buckets
+// were sealed whole), for comparison.
 void bm_codec_records_z4_256(benchmark::State& state) {
-  oram::block_codec codec(256, /*seal=*/true, crypto::derive_seal_keys(1));
+  oram::block_codec codec(1, 256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> bucket(4 * codec.record_bytes());
   std::vector<std::uint8_t> out(256);
@@ -222,14 +215,14 @@ void bm_codec_records_z4_256(benchmark::State& state) {
 }
 BENCHMARK(bm_codec_records_z4_256);
 
-// N sealed records of the benchmark's shape (8-B id + 256-B payload)
+// N sealed records of the benchmark's shape (256-B payload + 8-B id)
 // per call, the way the per-slot backends move a chunk: encode_plain()
 // per record and one seal_many(), then one decode_many() of the list.
 // Items are records, so /1 against /512 is the batching gain per
 // record.
 void bm_record_seal_open(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  oram::block_codec codec(256, /*seal=*/true, crypto::derive_seal_keys(1));
+  oram::block_codec codec(1, 256, /*seal=*/true, crypto::derive_seal_keys(1));
   const std::vector<std::uint8_t> payload(256, 0x11);
   std::vector<std::uint8_t> image(count * codec.record_bytes());
   std::vector<std::span<std::uint8_t>> records;
@@ -349,6 +342,7 @@ void bm_path_oram_access(benchmark::State& state) {
   config.payload_bytes = 256;
   config.id_universe = 256;
   config.seal = state.range(0) != 0;
+  config.keys = crypto::key_schedule().seal({crypto::store_kind::cache_tree});
   oram::path_oram oram(config, memory, nullptr, cpu, rng, nullptr);
   std::vector<std::uint8_t> payload(256, 1);
   oram::block_id id = 0;
@@ -373,6 +367,7 @@ void bm_path_oram_cycle(benchmark::State& state) {
   config.payload_bytes = 256;
   config.id_universe = 256;
   config.seal = true;
+  config.keys = crypto::key_schedule().seal({crypto::store_kind::cache_tree});
   oram::path_oram oram(config, memory, nullptr, cpu, rng, nullptr);
   const std::vector<std::uint8_t> payload(256, 1);
   std::vector<oram::path_oram::request> cycle(
@@ -408,6 +403,9 @@ void bm_ring_drain(benchmark::State& state) {
   config.payload_bytes = 256;
   config.id_universe = 4096;
   config.seal = true;
+  const crypto::key_schedule keys;
+  config.keys = {keys.seal({crypto::store_kind::backend_tree}),
+                 keys.derive({crypto::store_kind::ring_pads}).pad};
   oram::ring_oram oram(config, storage, cpu, rng, nullptr);
   oram.initialize_full(config.id_universe,
                        [](oram::block_id id, std::span<std::uint8_t> out) {

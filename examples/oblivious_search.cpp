@@ -15,6 +15,7 @@
 #include <iostream>
 #include <cstring>
 
+#include "crypto/key_schedule.h"
 #include "horam.h"
 #include "oram/path/path_oram.h"
 #include "util/math.h"
@@ -104,6 +105,9 @@ int main() {
   path_config.logical_block_bytes = 1024;
   path_config.id_universe = block_count;
   path_config.seal = true;
+  // Its own key root: no label is shared with the H-ORAM client's stores.
+  path_config.keys =
+      crypto::key_schedule(56).seal({crypto::store_kind::backend_tree});
   path_config.memory_levels = static_cast<std::uint32_t>(util::floor_log2(
       horam_ctrl.config().memory_blocks / path_config.bucket_size + 1));
   oram::path_oram path(path_config, path_memory, &path_disk, cpu,

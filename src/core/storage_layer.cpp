@@ -27,7 +27,7 @@ storage_layer::storage_layer(
     const std::function<void(oram::block_id, std::span<std::uint8_t>)>*
         filler)
     : config_(config),
-      codec_(config.payload_bytes, config.seal,
+      codec_(1, config.payload_bytes, config.seal,
              crypto::key_schedule(config.key_seed)
                  .seal({crypto::store_kind::partitioned})),
       cpu_(cpu),

@@ -218,6 +218,18 @@ void block_sealer::open_range(std::span<const std::uint8_t> sealed,
   }
 }
 
+void block_sealer::open_pieces(std::span<const std::uint8_t> sealed,
+                               std::span<const keystream_piece> pieces,
+                               std::span<std::uint8_t> plain_out) const {
+  expects(plain_out.size() == tiled_bytes(pieces),
+          "plaintext buffer must match the pieces' length");
+  for_each_run(pieces, [&](std::size_t offset, std::size_t length,
+                           std::uint64_t keystream_offset) {
+    open_range(sealed, keystream_piece{offset, length, keystream_offset},
+               plain_out.subspan(offset, length));
+  });
+}
+
 void block_sealer::open_into(std::span<const std::uint8_t> sealed,
                              std::span<std::uint8_t> plain_out) const {
   if (sealed.size() < seal_overhead) {

@@ -9,11 +9,11 @@
 // siphash.h (widest of AVX-512, AVX2, portable, picked once per
 // process). Pieces adjacent in both ciphertext and keystream are merged
 // first, so no block is split. A single record (seal_in_place,
-// open_range) goes through the one-nonce chacha20_xor_at(). seal_many()
-// and verify_many() batch several records: all of their keystream
-// blocks share the lanes as jobs (chacha20_xor_jobs), and their MACs
-// are computed side by side (siphash24_many). A range_batch does the
-// same for open_range() calls.
+// open_range, open_pieces) goes through the one-nonce
+// chacha20_xor_at(). seal_many() and verify_many() batch several
+// records: all of their keystream blocks share the lanes as jobs
+// (chacha20_xor_jobs), and their MACs are computed side by side
+// (siphash24_many). A range_batch does the same for open_range() calls.
 #ifndef HORAM_CRYPTO_SEAL_H
 #define HORAM_CRYPTO_SEAL_H
 
@@ -106,6 +106,14 @@ class block_sealer {
   void open_range(std::span<const std::uint8_t> sealed,
                   const keystream_piece& piece,
                   std::span<std::uint8_t> plain_out) const;
+
+  /// open_range() of every piece of a record sealed with
+  /// seal_in_place(record, pieces), into `plain_out` (the pieces' total
+  /// length, laid out as the ciphertext is). Pieces adjacent in both
+  /// ciphertext and keystream open as one run, as they were sealed.
+  void open_pieces(std::span<const std::uint8_t> sealed,
+                   std::span<const keystream_piece> pieces,
+                   std::span<std::uint8_t> plain_out) const;
 
   /// verify() then open_range() over the whole ciphertext of a record
   /// sealed with the contiguous seal_in_place(). `plain_out` must hold

@@ -57,7 +57,7 @@ hier_backend::hier_backend(
       cpu_(cpu),
       rng_(rng),
       trace_(trace),
-      codec_(config.payload_bytes, config.seal,
+      codec_(1, config.payload_bytes, config.seal,
              crypto::key_schedule(config.key_seed)
                  .seal({crypto::store_kind::hier})) {
   config_.validate();

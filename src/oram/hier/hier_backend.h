@@ -63,12 +63,14 @@
 // policy, keeps 512-slot units.
 //
 // Rebuilds (merges and the initial build) move levels a chunk of slots
-// at a time, and each chunk is one batch on the host: its records open
-// together (block_codec::decode_many, every MAC checked before any
-// block is staged or any index entry changes), its slots' ranks come
-// from one feistel_prp::inverse_many pass, and its rewritten records
-// seal together (block_codec::seal_many, nonces in slot order). Online
-// probes open their one real record on its own.
+// at a time, and each chunk is one batch on the host: its records
+// (one-slot units of oram/common/block_codec.h) open together
+// (block_codec::decode_many, every MAC checked before any block is
+// staged or any index entry changes, payloads opened in place over the
+// chunk), its slots' ranks come from one feistel_prp::inverse_many
+// pass, and its rewritten records seal together
+// (block_codec::seal_many, nonces in slot order). Online probes open
+// their one real record on its own, id and payload in one pass.
 //
 // Every schedule decision (probe count, merge target, chunk boundaries)
 // is a function of the access count, the configuration and the public

@@ -28,10 +28,11 @@
 // sealing, the memory/storage level split, the page layout and
 // evict_all.
 //
-// The bucket is the sealed unit (oram/common/bucket_codec.h): one
-// nonce, one keystream and one MAC per bucket, payloads first and the
-// id header after them. An access opens its whole window (the path, or
-// a batch's path union) in one batch (bucket_codec::decode_many): every
+// The bucket is the sealed unit, a Z-slot unit of the one codec
+// (oram/common/block_codec.h): one nonce, one keystream and one MAC per
+// bucket, payloads first and the id header after them. An access opens
+// its whole window (the path, or a batch's path union) in one batch
+// (block_codec::decode_many): every
 // bucket's MAC is checked before any plaintext of the window is
 // written, so a tampered bucket anywhere in it fails the access with
 // crypto::crypto_error and nothing reaches the stash. Then the id
@@ -40,7 +41,7 @@
 // re-seals each window bucket whole under a fresh nonce, the
 // re-encryption Path ORAM requires: the buckets are composed in
 // plaintext and sealed deepest level first in one batch
-// (bucket_codec::seal_many), the nonce order of sealing them one by
+// (block_codec::seal_many), the nonce order of sealing them one by
 // one. The whole-tree sweeps (reset, evict_all, initialize_full) seal
 // and open in batches of a path's size. A sealed bucket fits in the Z
 // records the store reserves for it, so store geometry, device traffic
@@ -57,7 +58,7 @@
 #include <vector>
 
 #include "oram/common/access_trace.h"
-#include "oram/common/bucket_codec.h"
+#include "oram/common/block_codec.h"
 #include "oram/common/tree_core.h"
 #include "oram/common/types.h"
 #include "sim/cpu_model.h"
@@ -293,7 +294,7 @@ class path_oram : public tree_core {
   std::uint32_t memory_levels_;
   std::uint64_t memory_bucket_count_;
 
-  bucket_codec codec_;
+  block_codec codec_;
   sim::block_device& memory_device_;
   std::uint64_t logical_bytes_ = 0;
   /// Null when memory_levels == 0 (fully storage-resident tree).

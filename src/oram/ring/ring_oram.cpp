@@ -39,8 +39,11 @@ ring_oram::ring_oram(const ring_oram_config& config,
     : tree_core(config.leaf_count, config.real_slots, config.payload_bytes,
                 config.id_universe, tree_role::backend, cpu, rng),
       config_(config),
-      codec_(config.payload_bytes, config.seal, config.keys.seal),
+      codec_(1, config.payload_bytes, config.seal, config.keys.seal),
       trace_(trace) {
+  expects(!config.seal || config.keys.pad != 0,
+          "sealing with an all-zero pad key: take it from "
+          "crypto::key_schedule");
   expects(config.spare_slots > 0, "spare slots (S) must be positive");
   expects(config.eviction_rate > 0, "eviction rate (A) must be positive");
   expects(config.real_slots + config.spare_slots <= max_slots_per_bucket,

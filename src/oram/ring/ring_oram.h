@@ -45,6 +45,16 @@
 // their 8-bit slot offsets (so Z + S is at most 256), a bitmask of its
 // consumed slots and its epoch. The read count is the mask's population
 // count. At Z = 16, S = 25 that is 97 trusted bytes per bucket.
+//
+// A real slot holds a one-slot unit of the one codec
+// (oram/common/block_codec.h): its own nonce, keystream and MAC, since
+// an online read opens a single slot. A path read opens its recovered
+// record on its own, id and payload in one pass; read_reals opens an
+// eviction union's reals in one batch, in place over the records it
+// gathered. A dummy slot holds a pad, not a sealed unit: the client
+// must recompute it without a device read for the XOR reads, and with
+// sealing on its key must come from crypto::key_schedule (an all-zero
+// pad key is refused).
 #ifndef HORAM_ORAM_RING_RING_ORAM_H
 #define HORAM_ORAM_RING_RING_ORAM_H
 
@@ -236,8 +246,8 @@ class ring_oram : public tree_core {
   /// unread dummies drawn uniformly, in ascending slot order, each slot
   /// traced — gathering the real records; then opens them all in one
   /// batch into opened_ (ids checked against their buckets' records,
-  /// payloads viewing real_records_). Every MAC is checked before
-  /// anything is written.
+  /// payloads decoded in place, viewing real_records_). Every MAC is
+  /// checked before anything is written.
   cost_split read_reals(std::span<const std::uint64_t> buckets);
   /// The one way a bucket is rewritten: compose_bucket() with `reals`,
   /// seal them, and one traced range write of the whole bucket.

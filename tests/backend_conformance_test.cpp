@@ -585,7 +585,7 @@ struct tree_case<oram::ring_backend> {
       const std::uint64_t bucket = slot / tree.slots_per_bucket();
       if (slots[slot].first != oram::dummy_block_id &&
           (bucket >= leaf_level_first) == deepest) {
-        access::corrupt(tree, slot, 4, 1);
+        access::corrupt(tree, slot, access::codec(tree).id_offset(0) + 4, 1);
         return;
       }
     }

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/storage_layer.h"
-#include "oram/common/bucket_codec.h"
+#include "oram/common/block_codec.h"
 #include "oram/hier/hier_backend.h"
 #include "oram/path/path_oram.h"
 #include "oram/path/recursive_position_map.h"
@@ -165,7 +165,7 @@ struct path_oram_test_access {
   static leaf_id leaf_of(const path_oram& tree, block_id id) {
     return tree.positions_->leaf_of(id);
   }
-  static const bucket_codec& codec(const path_oram& tree) {
+  static const block_codec& codec(const path_oram& tree) {
     return tree.codec_;
   }
   /// The slot ids the bucket's stored image holds now.
@@ -243,6 +243,9 @@ struct recursive_position_map_test_access {
 struct ring_oram_test_access {
   static const storage::block_store& store(const ring_oram& tree) {
     return *tree.io_store_;
+  }
+  static const block_codec& codec(const ring_oram& tree) {
+    return tree.codec_;
   }
   static const crypto::seal_keys& keys(const ring_oram& tree) {
     return tree.codec_.keys();

@@ -333,8 +333,8 @@ std::vector<std::uint8_t> open_copy(const block_sealer& sealer,
 }
 
 TEST(Seal, GoldenRecordIsPinned) {
-  // Fixed keys, a 264-B plaintext (the 8-B id + 256-B payload record the
-  // benchmark seals) and nonce counter 0. The bytes were produced by the
+  // Fixed keys, a 264-B plaintext (the size of the 256-B payload + 8-B id
+  // record the benchmark seals) and nonce counter 0. The bytes were produced by the
   // original byte-at-a-time kernels, so any change to the on-device
   // record format, the keystream or the MAC fails here.
   seal_keys keys;

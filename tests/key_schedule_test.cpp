@@ -3,7 +3,8 @@
 // would reuse ChaCha20 keystream. The audit builds every backend at one
 // and at four shards, collects the keys each built store holds (read
 // back from the store, not re-derived) and asserts that no two are
-// equal, within a shard or across shards.
+// equal, within a shard or across shards. Sealed stores built directly
+// refuse the all-zero default keys.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +16,9 @@
 #include "backend_test_access.h"
 #include "horam.h"
 #include "oram/common/tree_backend.h"
+#include "sim/profiles.h"
 #include "test_support.h"
+#include "util/rng.h"
 
 namespace horam {
 namespace {
@@ -129,6 +132,54 @@ TEST(KeySchedule, SingleShardKeepsTheRootSeed) {
   const client single = build(backend_kind::path, 1);
   EXPECT_EQ(single.eng().shard(0).config().key_seed,
             single.eng().config().key_seed);
+}
+
+/// Runs `make` and expects the contract_error that names the schedule.
+template <class Make>
+void expect_refused(const char* what, Make make) {
+  try {
+    make();
+    ADD_FAILURE() << what << " accepted all-zero keys";
+  } catch (const contract_error& error) {
+    EXPECT_NE(std::string(error.what()).find("crypto::key_schedule"),
+              std::string::npos)
+        << what << ": " << error.what();
+  }
+}
+
+// The default keys are all zero, and every sealer's nonces start at 0:
+// two sealed stores built on the defaults would share one keystream.
+// Sealed trees refuse them; unsealed trees have no keystream to share.
+TEST(KeySchedule, SealedTreesRefuseAllZeroKeys) {
+  sim::block_device device{sim::dram_ddr4()};
+  const sim::cpu_model cpu{sim::cpu_aesni()};
+  util::pcg64 rng{test::seed(41)};
+
+  oram::path_oram_config path;
+  path.leaf_count = 8;
+  path.payload_bytes = 16;
+  path.id_universe = 16;
+  expect_refused("path_oram", [&] {
+    oram::path_oram tree(path, device, nullptr, cpu, rng, nullptr);
+  });
+  path.seal = false;
+  EXPECT_NO_THROW(oram::path_oram(path, device, nullptr, cpu, rng, nullptr));
+
+  oram::ring_oram_config ring;
+  ring.leaf_count = 8;
+  ring.payload_bytes = 16;
+  ring.id_universe = 16;
+  expect_refused("ring_oram",
+                 [&] { oram::ring_oram tree(ring, device, cpu, rng, nullptr); });
+  // Sealing keys from the schedule do not excuse an all-zero pad key.
+  ring.keys.seal = test::tree_keys();
+  expect_refused("ring_oram pads",
+                 [&] { oram::ring_oram tree(ring, device, cpu, rng, nullptr); });
+  ring.keys = test::ring_keys();
+  EXPECT_NO_THROW(oram::ring_oram(ring, device, cpu, rng, nullptr));
+  ring.keys = {};
+  ring.seal = false;
+  EXPECT_NO_THROW(oram::ring_oram(ring, device, cpu, rng, nullptr));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the block and bucket codecs, the position map and the stash
+// Tests for the sealed-unit codec, the position map and the stash
 // — the common layer the ORAM constructions share — plus fault
 // injection through a store (tampered records must surface as crypto
 // errors, not silent corruption).
@@ -13,7 +13,6 @@
 #include "crypto/detail/kernels.h"
 #include "crypto/siphash.h"
 #include "oram/common/block_codec.h"
-#include "oram/common/bucket_codec.h"
 #include "oram/common/position_map.h"
 #include "oram/common/stash.h"
 #include "sim/profiles.h"
@@ -24,34 +23,16 @@
 namespace horam::oram {
 namespace {
 
-// ----------------------------------------------------------- codec
+// ------------------------------------------------- one-slot units
+//
+// Per-slot records are one-slot units; their round trips over every
+// occupancy run in BucketCodecShapes (z1).
 
 class CodecSealModes : public ::testing::TestWithParam<bool> {};
 INSTANTIATE_TEST_SUITE_P(Modes, CodecSealModes, ::testing::Bool());
 
-TEST_P(CodecSealModes, RoundTripRealBlock) {
-  block_codec codec(32, GetParam(), crypto::derive_seal_keys(5));
-  std::vector<std::uint8_t> payload(32);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(i * 7);
-  }
-  std::vector<std::uint8_t> record(codec.record_bytes());
-  codec.encode(123456789, payload, record);
-  std::vector<std::uint8_t> out(32);
-  EXPECT_EQ(codec.decode(record, out), 123456789u);
-  EXPECT_EQ(out, payload);
-}
-
-TEST_P(CodecSealModes, DummyRoundTrip) {
-  block_codec codec(32, GetParam(), crypto::derive_seal_keys(6));
-  std::vector<std::uint8_t> record(codec.record_bytes());
-  codec.encode_dummy(record);
-  std::vector<std::uint8_t> out(32);
-  EXPECT_EQ(codec.decode(record, out), dummy_block_id);
-}
-
 TEST_P(CodecSealModes, ShortPayloadIsZeroPadded) {
-  block_codec codec(32, GetParam(), crypto::derive_seal_keys(7));
+  block_codec codec(1, 32, GetParam(), crypto::derive_seal_keys(7));
   const std::vector<std::uint8_t> partial(10, 0xee);
   std::vector<std::uint8_t> record(codec.record_bytes());
   codec.encode(9, partial, record);
@@ -66,7 +47,7 @@ TEST_P(CodecSealModes, ShortPayloadIsZeroPadded) {
 }
 
 TEST_P(CodecSealModes, EmptyPayloadRoundTripsAsZeros) {
-  block_codec codec(32, GetParam(), crypto::derive_seal_keys(8));
+  block_codec codec(1, 32, GetParam(), crypto::derive_seal_keys(8));
   std::vector<std::uint8_t> record(codec.record_bytes());
   codec.encode(42, {}, record);
   std::vector<std::uint8_t> out(32, 0xee);
@@ -79,7 +60,7 @@ TEST_P(CodecSealModes, ReusedRecordBufferIsFullyRewritten) {
   // encode writes straight into the caller's buffer: stale bytes from a
   // previous record must not leak into the zero pad, and bytes past
   // record_bytes stay untouched.
-  block_codec codec(32, GetParam(), crypto::derive_seal_keys(11));
+  block_codec codec(1, 32, GetParam(), crypto::derive_seal_keys(11));
   std::vector<std::uint8_t> record(codec.record_bytes() + 4, 0xff);
   codec.encode(7, std::vector<std::uint8_t>(3, 0x11), record);
   EXPECT_EQ(record.back(), 0xff);
@@ -89,44 +70,48 @@ TEST_P(CodecSealModes, ReusedRecordBufferIsFullyRewritten) {
   std::fill_n(expected.begin(), 3, 0x11);
   EXPECT_EQ(out, expected);
 
+  // A dummy's payload is never opened: the output keeps its bytes.
   codec.encode_dummy(record);
   EXPECT_EQ(codec.decode(record, out), dummy_block_id);
-  EXPECT_EQ(out, std::vector<std::uint8_t>(32, 0));
+  EXPECT_EQ(out, expected);
 }
 
 TEST(Codec, SealedRecordIsTheSealedPlaintextLayout) {
-  // The sealed record is block_sealer's record over id || payload ||
-  // zero pad under the codec's keys; with the sealer's golden
+  // A one-slot unit is block_sealer's record over payload || zero pad ||
+  // id under the codec's keys, the payload at keystream offset 0 and the
+  // id at the next 64-byte keystream block; with the sealer's golden
   // record (crypto_test) this pins the on-device format.
-  block_codec codec(32, true, crypto::derive_seal_keys(12));
+  block_codec codec(1, 32, true, crypto::derive_seal_keys(12));
   crypto::block_sealer sealer(crypto::derive_seal_keys(12));
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  const crypto::keystream_piece pieces[] = {{0, 32, 0}, {32, 8, 64}};
   for (int round = 0; round < 3; ++round) {
     std::vector<std::uint8_t> record(codec.record_bytes());
     codec.encode(0x0102030405060708ULL, payload, record);
 
     std::vector<std::uint8_t> expected(codec.record_bytes(), 0);
+    std::copy(payload.begin(), payload.end(),
+              expected.begin() + crypto::seal_nonce_bytes);
     const std::vector<std::uint8_t> id = {8, 7, 6, 5, 4, 3, 2, 1};
     std::copy(id.begin(), id.end(),
-              expected.begin() + crypto::seal_nonce_bytes);
-    std::copy(payload.begin(), payload.end(),
-              expected.begin() + crypto::seal_nonce_bytes + 8);
-    sealer.seal_in_place(expected);
+              expected.begin() + crypto::seal_nonce_bytes + 32);
+    sealer.seal_in_place(expected, pieces);
     EXPECT_EQ(record, expected) << "record " << round;
   }
 }
 
 TEST(Codec, RecordSizeAccountsForSealing) {
-  block_codec plain(32, false, crypto::derive_seal_keys(1));
-  block_codec sealed(32, true, crypto::derive_seal_keys(1));
+  block_codec plain(1, 32, false, crypto::derive_seal_keys(1));
+  block_codec sealed(1, 32, true, crypto::derive_seal_keys(1));
   EXPECT_EQ(plain.record_bytes(), 8u + 32u);
   EXPECT_EQ(sealed.record_bytes(), 8u + 32u + crypto::seal_overhead);
+  EXPECT_EQ(sealed.bucket_bytes(), sealed.record_bytes());
 }
 
 TEST(Codec, SealedRecordsOfSameBlockDiffer) {
   // Unlinkability: re-encoding the same (id, payload) yields a fresh
   // ciphertext every time.
-  block_codec codec(32, true, crypto::derive_seal_keys(2));
+  block_codec codec(1, 32, true, crypto::derive_seal_keys(2));
   const std::vector<std::uint8_t> payload(32, 0x42);
   std::vector<std::uint8_t> a(codec.record_bytes());
   std::vector<std::uint8_t> b(codec.record_bytes());
@@ -138,23 +123,35 @@ TEST(Codec, SealedRecordsOfSameBlockDiffer) {
 TEST(Codec, PlainDecodeNeedsNoAllocation) {
   // Smoke test for the bench fast path: decoding an unsealed record
   // must not throw and must not read past record_bytes.
-  block_codec codec(16, false, crypto::derive_seal_keys(3));
+  block_codec codec(1, 16, false, crypto::derive_seal_keys(3));
   std::vector<std::uint8_t> record(codec.record_bytes() + 64, 0xaa);
   codec.encode(77, std::vector<std::uint8_t>(16, 1), record);
   std::vector<std::uint8_t> out(16);
   EXPECT_EQ(codec.decode(record, out), 77u);
 }
 
-TEST(Codec, DifferentKeySeedsCannotDecodeEachOther) {
-  block_codec alice(32, true, crypto::derive_seal_keys(100));
-  block_codec mallory(32, true, crypto::derive_seal_keys(101));
-  std::vector<std::uint8_t> record(alice.record_bytes());
-  alice.encode(5, std::vector<std::uint8_t>(32, 5), record);
-  std::vector<std::uint8_t> out(32);
-  EXPECT_THROW(mallory.decode(record, out), crypto::crypto_error);
+TEST(Codec, SealingRefusesAllZeroKeys) {
+  // The default keys are all zero; sealing under them would share one
+  // keystream across every store built that way.
+  try {
+    block_codec codec(1, 32, true, crypto::seal_keys{});
+    ADD_FAILURE() << "a sealed codec accepted all-zero keys";
+  } catch (const contract_error& error) {
+    EXPECT_NE(std::string(error.what()).find("crypto::key_schedule"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(block_codec(4, 32, true, crypto::seal_keys{}), contract_error);
+  // Unsealed units carry no keystream: default keys are fine.
+  block_codec plain(4, 32, false, crypto::seal_keys{});
+  std::vector<std::uint8_t> unit(plain.bucket_bytes());
+  plain.encode(7, std::vector<std::uint8_t>(32, 7), unit);
+  std::vector<block_id> ids(4);
+  EXPECT_EQ(plain.decode(unit, ids, {}), 1u);
+  EXPECT_EQ(ids[0], 7u);
 }
 
-// ---------------------------------------------------- bucket codec
+// ------------------------------------------------ units of S slots
 
 /// A distinct payload for slot `k` of a bucket.
 std::vector<std::uint8_t> slot_payload(std::size_t payload_bytes,
@@ -196,25 +193,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(BucketCodecShapes, RoundTripsEveryOccupancy) {
   const bucket_shape shape = GetParam();
-  bucket_codec codec(shape.slots, shape.payload_bytes, shape.seal,
-                     crypto::derive_seal_keys(21));
+  block_codec codec(shape.slots, shape.payload_bytes, shape.seal,
+                    crypto::derive_seal_keys(21));
   EXPECT_EQ(codec.record_bytes(),
-            block_codec(shape.payload_bytes, shape.seal,
-                        crypto::derive_seal_keys(21))
-                .record_bytes());
-  EXPECT_GE(codec.bucket_bytes(),
-            shape.slots * (8 + shape.payload_bytes) +
-                (shape.seal ? crypto::seal_overhead : 0))
-      << "the bucket must fit in its slots' records";
+            record_bytes_for(shape.payload_bytes, shape.seal));
+  const std::size_t image = shape.slots * (8 + shape.payload_bytes) +
+                            (shape.seal ? crypto::seal_overhead : 0);
+  EXPECT_GE(codec.bucket_bytes(), image)
+      << "the unit must fit in its slots' records";
+  if (shape.slots == 1) {
+    EXPECT_EQ(codec.bucket_bytes(), image) << "a record is a one-slot unit";
+  }
 
   std::vector<std::vector<std::uint8_t>> payloads;
   for (std::uint32_t k = 0; k < shape.slots; ++k) {
     payloads.push_back(slot_payload(shape.payload_bytes, k));
   }
   for (std::uint32_t reals = 0; reals <= shape.slots; ++reals) {
-    std::vector<bucket_codec::entry> entries;
+    std::vector<block_codec::entry> entries;
     for (std::uint32_t k = 0; k < reals; ++k) {
-      entries.push_back(bucket_codec::entry{1000 + k, payloads[k]});
+      entries.push_back(block_codec::entry{1000 + k, payloads[k]});
     }
     // Bytes past the bucket must survive encode.
     std::vector<std::uint8_t> bucket(codec.bucket_bytes() + 3, 0xee);
@@ -249,11 +247,11 @@ TEST_P(BucketCodecShapes, RoundTripsEveryOccupancy) {
 
 TEST_P(BucketCodecShapes, ShortPayloadsAreZeroPadded) {
   const bucket_shape shape = GetParam();
-  bucket_codec codec(shape.slots, shape.payload_bytes, shape.seal,
-                     crypto::derive_seal_keys(22));
+  block_codec codec(shape.slots, shape.payload_bytes, shape.seal,
+                    crypto::derive_seal_keys(22));
   const std::vector<std::uint8_t> partial(shape.payload_bytes / 2 + 1, 0x7f);
-  const std::vector<bucket_codec::entry> entries(
-      1, bucket_codec::entry{5, partial});
+  const std::vector<block_codec::entry> entries(
+      1, block_codec::entry{5, partial});
   // A reused buffer full of stale bytes.
   std::vector<std::uint8_t> bucket(codec.bucket_bytes(), 0xff);
   codec.encode(entries, bucket);
@@ -268,7 +266,7 @@ TEST_P(BucketCodecShapes, ShortPayloadsAreZeroPadded) {
 TEST(BucketCodec, SealedBucketsOfTheSameContentDiffer) {
   // Write-back re-seals whole buckets under fresh nonces: an all-dummy
   // bucket written twice must not repeat a byte image.
-  bucket_codec codec(4, 256, true, crypto::derive_seal_keys(23));
+  block_codec codec(4, 256, true, crypto::derive_seal_keys(23));
   std::vector<std::uint8_t> a(codec.bucket_bytes());
   std::vector<std::uint8_t> b(codec.bucket_bytes());
   codec.encode_dummy(a);
@@ -284,10 +282,10 @@ TEST(BucketCodec, SealedBucketsOfTheSameContentDiffer) {
 }
 
 TEST(BucketCodec, FailedMacLeavesEveryOutputUntouched) {
-  bucket_codec codec(4, 100, true, crypto::derive_seal_keys(24));
+  block_codec codec(4, 100, true, crypto::derive_seal_keys(24));
   const std::vector<std::uint8_t> payload = slot_payload(100, 0);
-  const std::vector<bucket_codec::entry> entries = {
-      bucket_codec::entry{1, payload}, bucket_codec::entry{2, payload}};
+  const std::vector<block_codec::entry> entries = {
+      block_codec::entry{1, payload}, block_codec::entry{2, payload}};
   std::vector<std::uint8_t> bucket(codec.bucket_bytes());
   codec.encode(entries, bucket);
   for (const std::size_t byte :
@@ -306,19 +304,25 @@ TEST(BucketCodec, FailedMacLeavesEveryOutputUntouched) {
 }
 
 TEST(BucketCodec, DifferentKeySeedsCannotDecodeEachOther) {
-  bucket_codec alice(4, 64, true, crypto::derive_seal_keys(100));
-  bucket_codec mallory(4, 64, true, crypto::derive_seal_keys(101));
-  std::vector<std::uint8_t> bucket(alice.bucket_bytes());
-  alice.encode_dummy(bucket);
-  std::vector<block_id> ids(4);
-  EXPECT_THROW(mallory.decode(bucket, ids, {}), crypto::crypto_error);
+  for (const std::uint32_t slots : {1u, 4u}) {
+    block_codec alice(slots, 64, true, crypto::derive_seal_keys(100));
+    block_codec mallory(slots, 64, true, crypto::derive_seal_keys(101));
+    std::vector<std::uint8_t> bucket(alice.bucket_bytes());
+    alice.encode(5, std::vector<std::uint8_t>(64, 5), bucket);
+    std::vector<block_id> ids(slots);
+    std::vector<std::uint8_t> out(slots * 64);
+    EXPECT_THROW(mallory.decode(bucket, ids, out), crypto::crypto_error)
+        << slots << " slots";
+    EXPECT_THROW(mallory.decode(bucket, ids, {}), crypto::crypto_error)
+        << slots << " slots";
+  }
 }
 
 TEST(BucketCodec, ContractsOnBufferSizes) {
-  bucket_codec codec(2, 16, true, crypto::derive_seal_keys(25));
+  block_codec codec(2, 16, true, crypto::derive_seal_keys(25));
   const std::vector<std::uint8_t> payload(16, 1);
-  const std::vector<bucket_codec::entry> three(
-      3, bucket_codec::entry{1, payload});
+  const std::vector<block_codec::entry> three(
+      3, block_codec::entry{1, payload});
   std::vector<std::uint8_t> bucket(codec.bucket_bytes());
   EXPECT_THROW(codec.encode(three, bucket), contract_error);
   EXPECT_THROW(codec.encode({}, std::span<std::uint8_t>(bucket).first(10)),
@@ -351,12 +355,12 @@ TEST(BucketCodec, GoldenSealedBucketIsPinned) {
   constexpr std::size_t kPayload = 256;
   constexpr std::uint64_t kSeed = 0x601d;
   const crypto::seal_keys keys = crypto::derive_seal_keys(kSeed);
-  bucket_codec codec(kSlots, kPayload, true, keys);
+  block_codec codec(kSlots, kPayload, true, keys);
   const std::vector<std::uint8_t> first = slot_payload(kPayload, 0);
   const std::vector<std::uint8_t> second = slot_payload(kPayload, 1);
-  const std::vector<bucket_codec::entry> entries = {
-      bucket_codec::entry{0x0102030405060708ULL, first},
-      bucket_codec::entry{42, second}};
+  const std::vector<block_codec::entry> entries = {
+      block_codec::entry{0x0102030405060708ULL, first},
+      block_codec::entry{42, second}};
   std::vector<std::uint8_t> bucket(codec.bucket_bytes(), 0xff);
   codec.encode(entries, bucket);
 
@@ -412,13 +416,13 @@ std::vector<std::span<const std::uint8_t>> window_buckets(
 struct window_pair {
   static constexpr std::uint32_t kSlots = 4;
   static constexpr std::size_t kPayload = 256;
-  bucket_codec per_bucket_codec{kSlots, kPayload, true,
-                                crypto::derive_seal_keys(0x3a1)};
-  bucket_codec batched_codec{kSlots, kPayload, true,
-                             crypto::derive_seal_keys(0x3a1)};
+  block_codec per_bucket_codec{kSlots, kPayload, true,
+                               crypto::derive_seal_keys(0x3a1)};
+  block_codec batched_codec{kSlots, kPayload, true,
+                            crypto::derive_seal_keys(0x3a1)};
   std::size_t levels;
   std::vector<std::vector<std::uint8_t>> payloads;
-  std::vector<std::vector<bucket_codec::entry>> reals;  // per level
+  std::vector<std::vector<block_codec::entry>> reals;  // per level
   std::vector<std::uint8_t> per_bucket;
   std::vector<std::uint8_t> batched;
 
@@ -431,7 +435,7 @@ struct window_pair {
         payloads.push_back(slot_payload(kPayload, static_cast<std::uint32_t>(
                                                       rng.next_u64() % 97)));
         reals[level].push_back(
-            bucket_codec::entry{level * 100 + k, payloads.back()});
+            block_codec::entry{level * 100 + k, payloads.back()});
       }
     }
     const std::size_t bytes = per_bucket_codec.bucket_bytes();
@@ -459,7 +463,7 @@ TEST(BucketCodecWindow, BatchIsByteIdenticalToPerBucketCalls) {
       ASSERT_EQ(pair.batched, pair.per_bucket) << levels << " buckets";
 
       // decode_many() against decode() bucket by bucket.
-      const bucket_codec& codec = pair.batched_codec;
+      const block_codec& codec = pair.batched_codec;
       const std::size_t slots = codec.slots();
       const std::size_t payload = codec.payload_bytes();
       std::vector<block_id> ids(levels * slots, 0);
@@ -495,7 +499,7 @@ TEST(BucketCodecWindow, TamperedBucketFailsTheWholeWindowUnwritten) {
       crypto::detail::dispatched_isa());
   for (const std::size_t levels : {9u, 10u, 17u}) {
     const window_pair pair(levels, rng);
-    const bucket_codec& codec = pair.batched_codec;
+    const block_codec& codec = pair.batched_codec;
     for (const std::size_t bucket :
          {std::size_t{0}, std::min(boundary, levels - 1), levels - 1}) {
       for (const std::size_t offset :
@@ -535,8 +539,8 @@ struct record_batch_pair {
   std::vector<std::uint8_t> batched;
 
   record_batch_pair(std::size_t count_in, bool seal)
-      : per_record_codec(kPayload, seal, crypto::derive_seal_keys(0x8ec)),
-        batched_codec(kPayload, seal, crypto::derive_seal_keys(0x8ec)),
+      : per_record_codec(1, kPayload, seal, crypto::derive_seal_keys(0x8ec)),
+        batched_codec(1, kPayload, seal, crypto::derive_seal_keys(0x8ec)),
         count(count_in) {
     const std::size_t bytes = per_record_codec.record_bytes();
     per_record.assign(count * bytes, 0xee);
@@ -593,15 +597,73 @@ TEST(RecordCodecBatch, ByteIdenticalToPerRecordCalls) {
       std::vector<block_id> ids_only(count, 0);
       codec.decode_many(records, ids_only, {});
       EXPECT_EQ(ids_only, expected_ids);
-      // Payloads may land over the records themselves (in place).
+      // Payloads may land over the records themselves (in place); a
+      // dummy's share of the output keeps the record bytes under it.
       std::vector<std::uint8_t> image = pair.batched;
       std::vector<block_id> in_place_ids(count, 0);
       codec.decode_many(window_buckets(image, bytes), in_place_ids,
                         std::span<std::uint8_t>(image).first(count * payload));
       EXPECT_EQ(in_place_ids, expected_ids);
-      EXPECT_TRUE(std::equal(expected_out.begin(), expected_out.end(),
-                             image.begin()))
-          << count << " records, seal " << seal;
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto from = [&](const std::vector<std::uint8_t>& bytes_of) {
+          return bytes_of.begin() + static_cast<std::ptrdiff_t>(i * payload);
+        };
+        const bool dummy = expected_ids[i] == dummy_block_id;
+        EXPECT_TRUE(std::equal(from(image), from(image) + payload,
+                               dummy ? from(pair.batched) : from(expected_out)))
+            << "record " << i << " of " << count << ", seal " << seal;
+      }
+    }
+  }
+}
+
+TEST(RecordCodecBatch, PayloadsOpenInPlaceOverTheirRecords) {
+  // Every unit is read before any payload byte is written, however the
+  // output overlaps the records: from the first record's first byte,
+  // shifted into it, or ending at the last record's last byte. Run
+  // under AddressSanitizer this also checks that no copy overlaps.
+  for (const bool seal : {false, true}) {
+    for (const std::size_t count : {1u, 9u, 512u}) {
+      const record_batch_pair pair(count, seal);
+      const block_codec& codec = pair.batched_codec;
+      const std::size_t bytes = codec.record_bytes();
+      const std::size_t payload = codec.payload_bytes();
+      std::vector<block_id> ids(count);
+      std::vector<std::uint8_t> payloads(count * payload);
+      codec.decode_many(window_buckets(pair.batched, bytes), ids, payloads);
+      const std::size_t slack = count * (bytes - payload);
+      for (const std::size_t shift : {std::size_t{0}, std::size_t{3}, slack}) {
+        std::vector<std::uint8_t> image = pair.batched;
+        std::vector<block_id> in_place_ids(count, 0);
+        EXPECT_EQ(codec.decode_many(
+                      window_buckets(image, bytes), in_place_ids,
+                      std::span<std::uint8_t>(image).subspan(shift,
+                                                             count * payload)),
+                  static_cast<std::uint32_t>(std::count_if(
+                      ids.begin(), ids.end(),
+                      [](block_id id) { return id != dummy_block_id; })));
+        EXPECT_EQ(in_place_ids, ids);
+        std::vector<std::uint8_t> expected = pair.batched;
+        for (std::size_t i = 0; i < count; ++i) {
+          if (ids[i] != dummy_block_id) {
+            std::copy_n(payloads.begin() +
+                            static_cast<std::ptrdiff_t>(i * payload),
+                        payload,
+                        expected.begin() +
+                            static_cast<std::ptrdiff_t>(shift + i * payload));
+          }
+        }
+        EXPECT_EQ(image, expected)
+            << count << " records, seal " << seal << ", shift " << shift;
+      }
+      // A lone record decoded into its own bytes.
+      std::vector<std::uint8_t> record(pair.batched.begin(),
+                                       pair.batched.begin() +
+                                           static_cast<std::ptrdiff_t>(bytes));
+      const auto inside = std::span<std::uint8_t>(record).subspan(
+          bytes - payload, payload);
+      EXPECT_EQ(codec.decode(record, inside), ids[0]);
+      EXPECT_TRUE(std::equal(inside.begin(), inside.end(), payloads.begin()));
     }
   }
 }
@@ -639,7 +701,7 @@ TEST(RecordCodecBatch, TamperedRecordFailsTheWholeBatchUnwritten) {
 
 TEST(FaultInjection, TamperedStoreRecordIsRejectedOnRead) {
   sim::block_device device(sim::dram_ddr4());
-  block_codec codec(32, true, crypto::derive_seal_keys(9));
+  block_codec codec(1, 32, true, crypto::derive_seal_keys(9));
   storage::block_store store(device, 0, 8, codec.record_bytes(),
                              codec.record_bytes());
   std::vector<std::uint8_t> record(codec.record_bytes());
@@ -657,7 +719,7 @@ TEST(FaultInjection, TamperedStoreRecordIsRejectedOnRead) {
 
 TEST(FaultInjection, EveryByteOfTheRecordIsProtected) {
   sim::block_device device(sim::dram_ddr4());
-  block_codec codec(16, true, crypto::derive_seal_keys(10));
+  block_codec codec(1, 16, true, crypto::derive_seal_keys(10));
   storage::block_store store(device, 0, 1, codec.record_bytes(),
                              codec.record_bytes());
   std::vector<std::uint8_t> record(codec.record_bytes());

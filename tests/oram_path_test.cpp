@@ -41,6 +41,7 @@ struct fixture {
     c.id_universe = 1024;
     c.memory_levels = memory_levels;
     c.seal = true;
+    c.keys = test::tree_keys();
     return c;
   }
 };
@@ -615,7 +616,7 @@ std::string tamper_site_name(
 /// Flips one byte at `site` of the tree's root bucket, which lies on
 /// every path, so the next path access must open it.
 void tamper_root(const path_oram& tree, tamper_site site) {
-  const bucket_codec& codec = path_oram_test_access::codec(tree);
+  const block_codec& codec = path_oram_test_access::codec(tree);
   std::size_t offset = 0;
   switch (site) {
     case tamper_site::nonce:
@@ -732,7 +733,7 @@ TEST(FaultInjection, TamperedCacheTreeBucketFailsTheAccessTyped) {
   const std::uint64_t leaf_bucket =
       ((std::uint64_t{1} << deepest) - 1) +
       path_oram_test_access::leaf_of(oram, target);
-  const bucket_codec& codec = path_oram_test_access::codec(oram);
+  const block_codec& codec = path_oram_test_access::codec(oram);
   path_oram_test_access::corrupt(oram, leaf_bucket, codec.id_offset(0) + 1,
                                  0x08);
   const std::size_t stash_before = oram.stash_ref().size();

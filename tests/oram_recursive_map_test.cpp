@@ -52,6 +52,7 @@ TEST(PathOramRmw, SingleAccessReadModifyWrite) {
   config.payload_bytes = 16;
   config.id_universe = 64;
   config.seal = true;
+  config.keys = crypto::key_schedule().seal({crypto::store_kind::backend_tree});
   path_oram oram(config, fx.memory, nullptr, fx.cpu, fx.rng, nullptr);
 
   oram.access(op_kind::write, 5, std::vector<std::uint8_t>(16, 1), {});

@@ -37,6 +37,7 @@ struct fixture {
     c.payload_bytes = 16;
     c.id_universe = 1024;
     c.seal = true;
+    c.keys = test::ring_keys();
     return c;
   }
 };

@@ -463,6 +463,7 @@ oram::path_oram_config split_config(std::uint64_t leaves,
   config.id_universe = 1024;
   config.memory_levels = memory_levels;
   config.seal = true;
+  config.keys = test::tree_keys();
   config.layout = layout;
   return config;
 }

@@ -17,6 +17,7 @@
 #include "oram/hier/hier_backend.h"
 #include "oram/path/path_oram.h"
 #include "sim/profiles.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace horam {
@@ -50,6 +51,7 @@ TEST_P(PathOramZSweep, DifferentialCorrectnessAndStashBound) {
   config.payload_bytes = payload_bytes;
   config.id_universe = 256;
   config.seal = (z % 2) == 0;  // exercise both codec modes
+  config.keys = test::tree_keys();
   oram::path_oram oram(config, memory, nullptr, cpu, rng, nullptr);
 
   std::map<block_id, std::uint8_t> shadow;

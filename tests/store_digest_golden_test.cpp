@@ -150,8 +150,8 @@ TEST(StoreDigestGolden, partitioned) {
   // Digests 2–4 follow the masking reads' uniform draw among a
   // partition's dead unaccessed slots.
   const std::vector<std::uint64_t> expected{
-      0x00b9e00999e3ea4bULL, 0xfaff5465e59b5027ULL, 0x8f617f4f9d88fe1cULL,
-      0xe0b492b528ccfa3cULL, 0xa0faa583a6676909ULL};
+      0x247c1d607cab6f88ULL, 0x67c5a63f9673fbb5ULL, 0x3ca7343910865387ULL,
+      0x1bbbf8545ab5742dULL, 0x5740caea96f4152dULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -164,8 +164,8 @@ TEST(StoreDigestGolden, hier) {
         EXPECT_GT(hier.level_live(2), 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0x9a6e282ac7c4881fULL, 0x52e0a137fdc03153ULL, 0x9c21d61e53a5835fULL,
-      0x1bc5f80fc491df3bULL, 0xf67c7cb435f07155ULL, 0xc45a56a350943128ULL};
+      0x2b7c990d7b570ce1ULL, 0xd5fb611d995bf33aULL, 0xdef3557f60645350ULL,
+      0x8fe56b979422256eULL, 0x85d65ff35b3b4a71ULL, 0xe710534f8bd441e8ULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -222,8 +222,8 @@ TEST(StoreDigestGolden, ring) {
         EXPECT_GT(ring.tree().stats().early_reshuffles, 0u);
       });
   const std::vector<std::uint64_t> expected{
-      0x95f88238289b1b4bULL, 0x915a30a21ad46acfULL, 0x826f2d39a79b34e0ULL,
-      0xd10fcc34e2c76272ULL};
+      0x5d4bb3d1c4e1a634ULL, 0x65a11f10261c3debULL, 0x811905ac179fc088ULL,
+      0x3cc3e3a8e23b9d0bULL};
   EXPECT_EQ(digests, expected);
 }
 
@@ -260,8 +260,8 @@ TEST(StoreDigestGolden, ring_wide) {
       },
       &trace);
   const std::vector<std::uint64_t> expected{
-      0xd9c0bb89c8c6bb9fULL, 0x9cc6fc4c4b31afdbULL, 0xa65735a459e1f0dcULL,
-      0xe7fe796a147426e3ULL, 0x5188f82c82a9d5f8ULL};
+      0x9f6df6a02c2fdc5aULL, 0xfbc32c687609d474ULL, 0x1a73fec4237fc52aULL,
+      0x0f93a580d5a9aa27ULL, 0xfdf4487b11c8246fULL};
   EXPECT_EQ(digests, expected);
   EXPECT_EQ(trace.size(), 2472u);
   EXPECT_EQ(trace_digest(trace), 0x423ac4345be25abbULL);

@@ -1,6 +1,6 @@
 // Shared test machinery: one reproducible seed for every randomized
-// test RNG, whole-record controller_stats comparisons, and the load
-// count of every period in a bus trace.
+// test RNG, whole-record controller_stats comparisons, the load count
+// of every period in a bus trace, and the keys of trees built directly.
 //
 // All randomized tests derive their generators from a single base
 // seed, logged once per test binary. By default the base seed is a
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/controller.h"
+#include "crypto/key_schedule.h"
 #include "oram/common/access_trace.h"
 
 namespace horam::test {
@@ -83,6 +84,19 @@ inline std::vector<std::uint64_t> loads_per_period(
     }
   }
   return loads;
+}
+
+/// Sealing keys of a tree built directly, outside a backend: the
+/// backend-tree label under the default schedule (sealed stores refuse
+/// the all-zero default keys).
+inline crypto::seal_keys tree_keys() {
+  return crypto::key_schedule().seal({crypto::store_kind::backend_tree});
+}
+
+/// tree_keys() and the ring-pads label's pad key, for a Ring ORAM tree.
+inline crypto::store_keys ring_keys() {
+  return {tree_keys(),
+          crypto::key_schedule().derive({crypto::store_kind::ring_pads}).pad};
 }
 
 }  // namespace horam::test

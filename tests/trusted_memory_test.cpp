@@ -97,6 +97,7 @@ TEST(TrustedMemory, PricedBytesMatchContainers) {
     config.spare_slots = s;
     config.payload_bytes = kPayload;
     config.id_universe = 256;
+    config.keys = test::ring_keys();
     oram::ring_oram tree(config, device, cpu, rng, nullptr);
     EXPECT_EQ(tree.metadata_bytes(), tree.bucket_count() * per_bucket)
         << "Z = " << z << ", S = " << s;
@@ -214,6 +215,7 @@ TEST(TrustedMemory, RingRejectsMoreThan256SlotsPerBucket) {
   config.spare_slots = 255;
   config.payload_bytes = kPayload;
   config.id_universe = 16;
+  config.keys = test::ring_keys();
   EXPECT_THROW(oram::ring_oram(config, device, cpu, rng, nullptr),
                contract_error);
   config.spare_slots = 254;
